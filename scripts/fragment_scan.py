@@ -13,6 +13,7 @@ import sys
 
 from wordlogic import Alphabet, depth_fragment, dump_fragment, to_dsl
 from wordlogic.layers import FragmentSpec
+from wordlogic.logic import split_names
 
 
 def main(argv=None) -> int:
@@ -28,7 +29,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     A = Alphabet.of(args.alphabet)
-    qs = tuple(q.strip() for q in args.quantifiers.split(",") if q.strip())
+    qs = split_names(args.quantifiers)
 
     last = None
     for depth in range(args.depth + 1):

@@ -39,7 +39,7 @@ from .substitution import (DeltaAlgebra, OdotResult, SentenceClass,
                            substitute_letters, tau, tau_compat, tau_table,
                            tau_word, w_odot_c, xi)
 from .suites import named_monoid, run_suite
-from .varcode import (CodecPair, LiftedAlgebra, decode, decode_multi, encode,
+from .varcode import (LiftedAlgebra, decode, decode_multi, encode,
                       encode_multi, lift_delta, phi_sentence, roundtrip_check,
                       sigma_source, zeta_relabel)
 from .words import (Alphabet, BoundedLang, ExtendedAlphabet, MarkedWord,

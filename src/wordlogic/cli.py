@@ -24,7 +24,8 @@ from .layers import FragmentSpec, depth_direct, depth_fragment, dump_fragment, \
     same_language_algebra
 from .logic import (DEFAULT_REGISTRY, Quant, counterexample_bounded,
                     formula_dfa, free_vars, letters_of, models, parse,
-                    parse_formula_file, registry_from_json, satisfies, to_dsl)
+                    parse_formula_file, registry_from_json, satisfies,
+                    split_names, to_dsl)
 from .regular import Dfa, FinMonoid, image_dfa, plain_universe_dfa, \
     quotient_closure, syntactic_stamp, syntactic_stamp_of_family, zero_part_dfa
 from .semidirect import Biaction, compile_layer, sdp
@@ -42,15 +43,11 @@ SCHEMA = "wordlogic/1"
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _split_list(text):
-    return tuple(s for s in (p.strip() for p in text.split(",")) if s)
-
-
 def _alphabet(args) -> Alphabet:
     if not getattr(args, "alphabet", None):
         raise ParseError("--alphabet is required for this command")
     spec = args.alphabet
-    return Alphabet.of(_split_list(spec) if "," in spec else spec)
+    return Alphabet.of(split_names(spec) if "," in spec else spec)
 
 
 def _registry(args):
@@ -203,7 +200,7 @@ def cmd_models(args) -> int:
     reg = _registry(args)
     phi = _one_formula(args, reg)
     A = _alphabet(args)
-    ctx = _split_list(args.vars) if args.vars else None
+    ctx = split_names(args.vars) if args.vars else None
     hits = sorted(models(phi, A, args.maxlen, ctx, reg),
                   key=lambda m: (len(m.word), m.word, m.marks))
     _emit(args, {"kind": "models", "formula": to_dsl(phi),
@@ -219,7 +216,7 @@ def cmd_equiv(args) -> int:
     left = parse(args.left, reg)
     right = parse(args.right, reg)
     A = _alphabet(args)
-    ctx = _split_list(args.vars) if args.vars else None
+    ctx = split_names(args.vars) if args.vars else None
     cex = counterexample_bounded(left, right, A, args.maxlen, ctx, reg)
     payload = {"kind": "equiv", "left": to_dsl(left), "right": to_dsl(right),
                "alphabet": list(A.symbols), "bound": args.maxlen,
@@ -277,7 +274,7 @@ def _codec_command(args, operation) -> int:
     reg = _registry(args)
     phi = _one_formula(args, reg)
     A = _alphabet(args)
-    prior = _split_list(args.prior) if args.prior else ()
+    prior = split_names(args.prior) if args.prior else ()
     out = operation(phi, args.var, A, prior, reg)
     _emit(args, {"kind": operation.__name__, "formula": to_dsl(phi),
                  "var": args.var, "prior": list(prior),
@@ -421,7 +418,7 @@ def cmd_verify(args) -> int:
                         reg if args.registry else None, caps)
     payload = {"kind": "verify", "suite": args.suite,
                "alphabet": list(Alphabet.of(
-                   _split_list(alphabet) if "," in alphabet
+                   split_names(alphabet) if "," in alphabet
                    else alphabet).symbols),
                "maxlen": args.maxlen, "seed": args.seed,
                "passed": all(r.passed for r in reports),
@@ -437,8 +434,8 @@ def cmd_depth_fragment(args) -> int:
     reg = _registry(args)
     caps = _caps.from_env()
     A = _alphabet(args)
-    spec = FragmentSpec(A, _split_list(args.quantifiers),
-                        _split_list(args.predicates) if args.predicates
+    spec = FragmentSpec(A, split_names(args.quantifiers),
+                        split_names(args.predicates) if args.predicates
                         else (), args.depth, args.maxlen)
     result = depth_fragment(spec, reg, caps)
     payload = dump_fragment(result)

@@ -18,15 +18,14 @@ the right as possible; ``~`` binds tighter than ``&`` tighter than ``|``.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
 from . import caps as _caps
-from .errors import MissingMachinery, ParseError
-from .regular import Dfa, FinMonoid, dfa_from_bounded
+from .errors import ParseError
+from .regular import FinMonoid, check_inference_table, dfa_from_bounded
 from .words import (Alphabet, BoundedLang, ExtendedAlphabet, MarkedWord,
-                    embed_marked, enumerate_marked, mark_alphabet)
+                    embed_marked, enumerate_marked)
 
 
 # ---------------------------------------------------------------------------
@@ -123,50 +122,66 @@ def neg(phi) -> object:
     return Not(phi)
 
 
-def free_vars(phi) -> frozenset:
-    if isinstance(phi, LetterPred):
-        return frozenset({phi.var})
-    if isinstance(phi, NumPred):
-        return frozenset(phi.args)
+def fold(phi, atom, quant=None) -> frozenset:
+    """Bottom-up union over a formula: ``atom(node)`` is the set of a leaf,
+    connectives unite their children's sets, and a binder maps the set of
+    its body through ``quant(node, inner)`` (unchanged when omitted)."""
     if isinstance(phi, Not):
-        return free_vars(phi.sub)
+        return fold(phi.sub, atom, quant)
     if isinstance(phi, (And, Or)):
         out = frozenset()
         for a in phi.args:
-            out |= free_vars(a)
+            out |= fold(a, atom, quant)
         return out
     if isinstance(phi, Quant):
-        return free_vars(phi.body) - {phi.var}
+        inner = fold(phi.body, atom, quant)
+        return quant(phi, inner) if quant else inner
+    return atom(phi)
+
+
+def map_atoms(phi, f):
+    """Rebuild a formula with every atom (letter test, numerical predicate,
+    constant) replaced by ``f(atom)``; atoms are visited left to right."""
+    if isinstance(phi, Not):
+        return Not(map_atoms(phi.sub, f))
+    if isinstance(phi, And):
+        return And(tuple(map_atoms(a, f) for a in phi.args))
+    if isinstance(phi, Or):
+        return Or(tuple(map_atoms(a, f) for a in phi.args))
+    if isinstance(phi, Quant):
+        return Quant(phi.q, phi.var, map_atoms(phi.body, f))
+    return f(phi)
+
+
+def _atom_vars(node) -> frozenset:
+    if isinstance(node, LetterPred):
+        return frozenset({node.var})
+    if isinstance(node, NumPred):
+        return frozenset(node.args)
     return frozenset()
+
+
+def _no_vars(node) -> frozenset:
+    return frozenset()
+
+
+def free_vars(phi) -> frozenset:
+    return fold(phi, _atom_vars, lambda q, inner: inner - {q.var})
 
 
 def bound_vars(phi) -> frozenset:
-    if isinstance(phi, Not):
-        return bound_vars(phi.sub)
-    if isinstance(phi, (And, Or)):
-        out = frozenset()
-        for a in phi.args:
-            out |= bound_vars(a)
-        return out
-    if isinstance(phi, Quant):
-        return bound_vars(phi.body) | {phi.var}
-    return frozenset()
+    return fold(phi, _no_vars, lambda q, inner: inner | {q.var})
+
+
+def all_vars(phi) -> frozenset:
+    """Every variable the formula mentions, free or bound."""
+    return fold(phi, _atom_vars, lambda q, inner: inner | {q.var})
 
 
 def letters_of(phi) -> frozenset:
     """All alphabet symbols the formula mentions in letter tests."""
-    if isinstance(phi, LetterPred):
-        return frozenset({phi.symbol})
-    if isinstance(phi, Not):
-        return letters_of(phi.sub)
-    if isinstance(phi, (And, Or)):
-        out = frozenset()
-        for a in phi.args:
-            out |= letters_of(a)
-        return out
-    if isinstance(phi, Quant):
-        return letters_of(phi.body)
-    return frozenset()
+    return fold(phi, lambda node: frozenset({node.symbol})
+                if isinstance(node, LetterPred) else frozenset())
 
 
 def check_hygiene(phi):
@@ -176,60 +191,48 @@ def check_hygiene(phi):
     if clash:
         raise ParseError(f"variable {min(clash)!r} occurs both free and bound")
 
-    def walk(node, bound):
-        if isinstance(node, Quant):
-            if node.var in bound:
-                raise ParseError(f"variable {node.var!r} is bound twice")
-            walk(node.body, bound | {node.var})
-        elif isinstance(node, Not):
-            walk(node.sub, bound)
-        elif isinstance(node, (And, Or)):
-            for a in node.args:
-                walk(a, bound)
+    def binder(node, inner):
+        if node.var in inner:
+            raise ParseError(f"variable {node.var!r} is bound twice")
+        return inner | {node.var}
 
-    walk(phi, frozenset())
+    fold(phi, _no_vars, binder)
     return phi
+
+
+def _rename_atom(node, ren: dict):
+    if isinstance(node, LetterPred):
+        return LetterPred(node.symbol, ren.get(node.var, node.var))
+    if isinstance(node, NumPred):
+        return NumPred(node.name, tuple(ren.get(v, v) for v in node.args))
+    return node
 
 
 def map_vars(phi, ren: dict):
     """Rename variables by a table (applied to free occurrences; binders for
     renamed variables must not occur — use rename_bound first)."""
-    if isinstance(phi, LetterPred):
-        return LetterPred(phi.symbol, ren.get(phi.var, phi.var))
-    if isinstance(phi, NumPred):
-        return NumPred(phi.name, tuple(ren.get(v, v) for v in phi.args))
-    if isinstance(phi, Not):
-        return Not(map_vars(phi.sub, ren))
-    if isinstance(phi, And):
-        return And(tuple(map_vars(a, ren) for a in phi.args))
-    if isinstance(phi, Or):
-        return Or(tuple(map_vars(a, ren) for a in phi.args))
-    if isinstance(phi, Quant):
-        if phi.var in ren:
-            raise ParseError(f"cannot rename across binder of {phi.var!r}")
-        return Quant(phi.q, phi.var, map_vars(phi.body, ren))
-    return phi
+    clash = bound_vars(phi) & ren.keys()
+    if clash:
+        raise ParseError(f"cannot rename across binder of {min(clash)!r}")
+    return map_atoms(phi, lambda node: _rename_atom(node, ren))
+
+
+def fresh_names(avoid, prefix="z"):
+    """The names prefix0, prefix1, ... that are not in ``avoid``, in order."""
+    i = 0
+    while True:
+        name = f"{prefix}{i}"
+        i += 1
+        if name not in avoid:
+            yield name
 
 
 def rename_bound(phi, avoid, prefix="z"):
     """Systematically rename all bound variables to fresh z0, z1, ... not in
     ``avoid``; deterministic left-to-right numbering."""
-    avoid = set(avoid) | free_vars(phi)
-    counter = [0]
-
-    def fresh():
-        while True:
-            v = f"{prefix}{counter[0]}"
-            counter[0] += 1
-            if v not in avoid:
-                avoid.add(v)
-                return v
+    fresh = fresh_names(set(avoid) | free_vars(phi), prefix)
 
     def walk(node, ren):
-        if isinstance(node, LetterPred):
-            return LetterPred(node.symbol, ren.get(node.var, node.var))
-        if isinstance(node, NumPred):
-            return NumPred(node.name, tuple(ren.get(v, v) for v in node.args))
         if isinstance(node, Not):
             return Not(walk(node.sub, ren))
         if isinstance(node, And):
@@ -237,9 +240,9 @@ def rename_bound(phi, avoid, prefix="z"):
         if isinstance(node, Or):
             return Or(tuple(walk(a, ren) for a in node.args))
         if isinstance(node, Quant):
-            v = fresh()
+            v = next(fresh)
             return Quant(node.q, v, walk(node.body, {**ren, node.var: v}))
-        return node
+        return _rename_atom(node, ren)
 
     return walk(phi, {})
 
@@ -403,6 +406,22 @@ def registry_from_json(data, base=None) -> Registry:
         reg.register_numpred(NumPredDef(
             spec["name"], arity, lambda p, n, ts=tuples: tuple(p) in ts))
     return reg
+
+
+def split_names(text) -> tuple:
+    """Split a comma list of names (quantifiers, predicates, variables,
+    symbols), keeping commas inside brackets: ``E,mod[2,0]`` is two names.
+    Blank entries drop."""
+    parts, cur, depth = [], [], 0
+    for ch in text:
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+            continue
+        depth += (ch == "[") - (ch == "]")
+        cur.append(ch)
+    parts.append("".join(cur))
+    return tuple(p for p in (part.strip() for part in parts) if p)
 
 
 # ---------------------------------------------------------------------------
@@ -666,18 +685,14 @@ def relabel(zeta: dict, phi):
     """The substitution action of a letter map zeta: B -> A on a formula
     over A: every P[a](x) becomes the disjunction of P[b](x) over the b
     mapped to a (the empty join is the always-false formula)."""
-    if isinstance(phi, LetterPred):
-        return disj(LetterPred(b, phi.var)
-                    for b in zeta if zeta[b] == phi.symbol)
-    if isinstance(phi, Not):
-        return Not(relabel(zeta, phi.sub))
-    if isinstance(phi, And):
-        return And(tuple(relabel(zeta, a) for a in phi.args))
-    if isinstance(phi, Or):
-        return Or(tuple(relabel(zeta, a) for a in phi.args))
-    if isinstance(phi, Quant):
-        return Quant(phi.q, phi.var, relabel(zeta, phi.body))
-    return phi
+
+    def leaf(node):
+        if isinstance(node, LetterPred):
+            return disj(LetterPred(b, node.var)
+                        for b in zeta if zeta[b] == node.symbol)
+        return node
+
+    return map_atoms(phi, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +706,13 @@ def formula_dfa(phi, alphabet: Alphabet, context, bound,
 
     Returns (ext, dfa) where ext is the extended alphabet A x 2^context.
     The automaton provably agrees with the model set up to the bound; for
-    genuinely non-regular behaviors this raises a bound error instead.
+    genuinely non-regular behaviors this raises a bound error instead, and
+    a word table above the enumeration cap is refused before any model is
+    enumerated.
     """
     ctx = tuple(context)
     ext = ExtendedAlphabet(alphabet, ctx)
+    check_inference_table(len(ext.symbols), bound, caps)
     hits = frozenset(embed_marked(mw, ctx, ext=ext)
                      for mw in models(phi, alphabet, bound, ctx, registry))
     return ext, dfa_from_bounded(BoundedLang(tuple(ext.symbols), bound, hits), caps)
-
-
-def mark_alphabet_of(phi, alphabet: Alphabet, var="x") -> ExtendedAlphabet:
-    return mark_alphabet(alphabet, var)

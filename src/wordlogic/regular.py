@@ -5,21 +5,64 @@ Complete DFAs, finite monoids with exhaustively checked laws, stamps
 monoids of minimal automata, Boolean algebras of recognized languages, and
 the bridge from bounded language data back to automata.
 
-Everything is deterministic: minimization renumbers states by BFS in
-alphabet order, monoid elements are enumerated BFS-first with shortlex
-representative words.
+Everything is deterministic: every breadth-first search here (reachable
+states, products, minimization's renumbering, monoid generation) goes
+through ``closure``, so states are numbered in discovery order, alphabet
+order breaking ties, and monoid elements get shortlex representative words.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import caps as _caps
 from .errors import BoundTooSmall, CapExceeded, ParseError
-from .words import BoundedLang, ExtendedAlphabet, enumerate_words
+from .words import BoundedLang, ExtendedAlphabet
+
+
+# ---------------------------------------------------------------------------
+# breadth-first closure
+
+
+def closure(start, step, limit=None, stage="closure"):
+    """Close ``start`` under ``step`` breadth-first.
+
+    ``step(x)`` lists the successors of x in a fixed order.  Returns
+    (order, index, edges): the elements in discovery order with ``start``
+    first, each element's position in ``order``, and per element the
+    positions of its successors in step order.  Discovering an element
+    beyond ``limit`` raises CapExceeded naming the stage.
+    """
+    order = [start]
+    index = {start: 0}
+    edges = []
+    for x in order:  # the list grows while it is read: a FIFO queue
+        row = []
+        for y in step(x):
+            j = index.get(y)
+            if j is None:
+                if limit is not None and len(order) >= limit:
+                    raise CapExceeded(f"{stage} exceeds the cap of {limit} elements",
+                                      stage=stage, cap=limit)
+                j = index[y] = len(order)
+                order.append(y)
+            row.append(j)
+        edges.append(tuple(row))
+    return order, index, edges
+
+
+def first_paths(edges, labels) -> list:
+    """Per closure element, the labels along which the search first reached
+    it: the shortlex-first path when ``labels`` follow the step order."""
+    paths = [()] + [None] * (len(edges) - 1)
+    for i, row in enumerate(edges):
+        for label, j in zip(labels, row):
+            if paths[j] is None:
+                paths[j] = paths[i] + (label,)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -77,25 +120,10 @@ class Dfa:
         """Reachable product automaton; keep(acc1, acc2) decides acceptance."""
         if self.alphabet != other.alphabet:
             raise ParseError("product of DFAs over different alphabets")
-        k = len(self.alphabet)
-        index = {(self.init, other.init): 0}
-        order = [(self.init, other.init)]
-        delta = []
-        i = 0
-        while i < len(order):
-            p, q = order[i]
-            row = []
-            for c in range(k):
-                t = (self.delta[p][c], other.delta[q][c])
-                if t not in index:
-                    if len(index) >= caps.dfa_states:
-                        raise CapExceeded("product DFA state cap", cap=caps.dfa_states)
-                    index[t] = len(order)
-                    order.append(t)
-            i += 1
-        for p, q in order:
-            delta.append(tuple(index[(self.delta[p][c], other.delta[q][c])]
-                               for c in range(k)))
+        order, _, delta = closure(
+            (self.init, other.init),
+            lambda pq: zip(self.delta[pq[0]], other.delta[pq[1]]),
+            caps.dfa_states, "product automaton")
         acc = frozenset(i for i, (p, q) in enumerate(order)
                         if keep(p in self.accepting, q in other.accepting))
         return Dfa(self.alphabet, tuple(delta), 0, acc)
@@ -116,134 +144,51 @@ class Dfa:
         acc = frozenset(q for q in range(self.n) if self.run(v, start=q) in self.accepting)
         return Dfa(self.alphabet, self.delta, self.init, acc)
 
-    def preimage_letter_map(self, source_alphabet, letter_map) -> "Dfa":
-        """(h*)^{-1}(L) for the length-preserving substitution induced by
-        letter_map: source symbol -> this DFA's symbol."""
-        cols = [self._col(letter_map[b]) for b in source_alphabet]
-        delta = tuple(tuple(row[c] for c in cols) for row in self.delta)
-        return Dfa(tuple(source_alphabet), delta, self.init, self.accepting)
-
     # -- queries ---------------------------------------------------------------
 
-    def reachable(self) -> list:
-        seen = [self.init]
-        mark = {self.init}
-        i = 0
-        while i < len(seen):
-            for c in range(len(self.alphabet)):
-                t = self.delta[seen[i]][c]
-                if t not in mark:
-                    mark.add(t)
-                    seen.append(t)
-            i += 1
-        return seen
-
     def is_empty(self) -> bool:
-        return not any(q in self.accepting for q in self.reachable())
+        reach = closure(self.init, self.delta.__getitem__)[0]
+        return not any(q in self.accepting for q in reach)
 
     def equivalent(self, other: "Dfa") -> bool:
         return self.symdiff(other).is_empty()
 
-    def shortest_difference(self, other: "Dfa"):
-        """A shortest word accepted by exactly one of the two (None if
-        equivalent); the BFS witness for failed equalities."""
-        d = self.symdiff(other)
-        parents = {d.init: None}
-        queue = [d.init]
-        if d.init in d.accepting:
-            return ()
-        i = 0
-        while i < len(queue):
-            q = queue[i]
-            for c, sym in enumerate(d.alphabet):
-                t = d.delta[q][c]
-                if t not in parents:
-                    parents[t] = (q, sym)
-                    if t in d.accepting:
-                        word = []
-                        cur = t
-                        while parents[cur] is not None:
-                            cur, s = parents[cur]
-                            word.append(s)
-                        return tuple(reversed(word))
-                    queue.append(t)
-            i += 1
-        return None
-
     def minimize(self) -> "Dfa":
         """Canonical minimal complete DFA: reachable part, Moore refinement,
         BFS renumbering in alphabet order."""
-        reach = self.reachable()
-        pos = {q: i for i, q in enumerate(reach)}
-        k = len(self.alphabet)
+        reach, _, succ = closure(self.init, self.delta.__getitem__)
         # Moore partition refinement on the reachable part
         block = [1 if q in self.accepting else 0 for q in reach]
         nblocks = len(set(block))
         while True:
             sig = {}
             newblock = [0] * len(reach)
-            for i, q in enumerate(reach):
-                s = (block[i],) + tuple(block[pos[self.delta[q][c]]] for c in range(k))
+            for i, row in enumerate(succ):
+                s = (block[i],) + tuple(block[t] for t in row)
                 newblock[i] = sig.setdefault(s, len(sig))
             if len(sig) == nblocks:
                 break
             block, nblocks = newblock, len(sig)
         # quotient, then canonical BFS order
         qdelta = {}
-        for i, q in enumerate(reach):
-            qdelta[block[i]] = tuple(block[pos[self.delta[q][c]]] for c in range(k))
-        start = block[pos[self.init]]
-        order = [start]
-        seen = {start}
-        j = 0
-        while j < len(order):
-            for c in range(k):
-                t = qdelta[order[j]][c]
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-            j += 1
-        renum = {b: i for i, b in enumerate(order)}
-        delta = tuple(tuple(renum[qdelta[b][c]] for c in range(k)) for b in order)
+        for i, row in enumerate(succ):
+            qdelta[block[i]] = tuple(block[t] for t in row)
+        order, renum, delta = closure(block[0], qdelta.__getitem__)
         acc = frozenset(renum[block[i]] for i, q in enumerate(reach)
-                        if q in self.accepting and block[i] in renum)
-        return Dfa(self.alphabet, delta, 0, acc)
+                        if q in self.accepting)
+        return Dfa(self.alphabet, tuple(delta), 0, acc)
 
     def key(self):
         """Hashable identity of the language (canonical minimal form)."""
         m = self.minimize()
         return (m.alphabet, m.delta, m.init, tuple(sorted(m.accepting)))
 
-    # -- language views ---------------------------------------------------------
-
-    def bounded(self, bound, caps: _caps.Caps = _caps.DEFAULT) -> BoundedLang:
-        hits = frozenset(w for w in enumerate_words(self.alphabet, bound, caps)
-                         if self.accepts(w))
-        return BoundedLang(self.alphabet, bound, hits)
-
     def some_word(self):
         """A shortest accepted word, or None."""
-        parents = {self.init: None}
-        if self.init in self.accepting:
-            return ()
-        queue = [self.init]
-        i = 0
-        while i < len(queue):
-            q = queue[i]
-            for c, sym in enumerate(self.alphabet):
-                t = self.delta[q][c]
-                if t not in parents:
-                    parents[t] = (q, sym)
-                    if t in self.accepting:
-                        word = []
-                        cur = t
-                        while parents[cur] is not None:
-                            cur, s = parents[cur]
-                            word.append(s)
-                        return tuple(reversed(word))
-                    queue.append(t)
-            i += 1
-        return None
+        order, _, edges = closure(self.init, self.delta.__getitem__)
+        paths = first_paths(edges, self.alphabet)
+        return next((paths[i] for i, q in enumerate(order) if q in self.accepting),
+                    None)
 
 
 def universal_dfa(alphabet) -> Dfa:
@@ -300,7 +245,7 @@ def zero_part_dfa(ext: ExtendedAlphabet) -> Dfa:
 def _assert_associative(table, caps: _caps.Caps):
     n = len(table)
     if n > caps.monoid_assoc:
-        return False
+        return
     t = np.asarray(table, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(1, n * n))
     for s in range(0, n, chunk):
@@ -310,7 +255,6 @@ def _assert_associative(table, caps: _caps.Caps):
         if not np.array_equal(lhs, rhs):
             a, b, c = np.argwhere(lhs != rhs)[0]
             raise ParseError(f"multiplication not associative at ({s + a},{b},{c})")
-    return True
 
 
 @dataclass(frozen=True)
@@ -318,14 +262,13 @@ class FinMonoid:
     """Finite monoid as a multiplication table over 0..n-1.
 
     Identity is always verified; associativity is verified exhaustively
-    (numpy, chunked) whenever n is within the associativity cap, and
-    ``laws_checked`` records whether that happened.
+    (numpy, chunked) whenever n is within the associativity cap
+    ``monoid_assoc`` and is not checked above it.
     """
 
     table: tuple
     identity: int
     names: tuple = None
-    laws_checked: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         n = len(self.table)
@@ -336,8 +279,7 @@ class FinMonoid:
         for i in range(n):
             if self.table[e][i] != i or self.table[i][e] != i:
                 raise ParseError(f"identity fails at {i}")
-        checked = _assert_associative(self.table, _caps.from_env())
-        object.__setattr__(self, "laws_checked", checked)
+        _assert_associative(self.table, _caps.from_env())
         if self.names is not None and len(self.names) != n:
             raise ParseError("names length mismatch")
 
@@ -356,54 +298,39 @@ class FinMonoid:
     def name(self, i) -> str:
         return self.names[i] if self.names else str(i)
 
-    def is_commutative(self) -> bool:
-        n = len(self.table)
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(n) for b in range(n))
-
     def submonoid(self, gens) -> frozenset:
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    p = self.table[e][g]
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return frozenset(seen)
+        order, _, _ = closure(self.identity,
+                              lambda e: [self.table[e][g] for g in gens])
+        return frozenset(order)
 
 
-def generate_monoid(identity, gens, mul, caps: _caps.Caps = _caps.DEFAULT):
+def generate_monoid(identity, gens, mul, caps: _caps.Caps = _caps.DEFAULT,
+                    limit=None, stage="generated monoid"):
     """Close hashable elements under multiplication starting from the
     identity (BFS over right multiplication by generators).
 
     gens is a list of (name, element) pairs; returns (elements, index,
     FinMonoid, reps) where reps[i] is the shortlex-first generator word
-    reaching element i.
+    reaching element i.  Generation stops with CapExceeded naming ``stage``
+    beyond ``limit`` elements (default: the ``monoid`` cap).
     """
-    elements = [identity]
-    index = {identity: 0}
-    reps = [()]
-    i = 0
-    while i < len(elements):
-        e = elements[i]
-        for name, g in gens:
-            p = mul(e, g)
-            if p not in index:
-                if len(elements) >= caps.monoid:
-                    raise CapExceeded("monoid element cap", cap=caps.monoid)
-                index[p] = len(elements)
-                elements.append(p)
-                reps.append(reps[i] + (name,))
-        i += 1
+    elements, index, edges = closure(
+        identity, lambda e: [mul(e, g) for _, g in gens],
+        caps.monoid if limit is None else limit, stage)
+    reps = first_paths(edges, [name for name, _ in gens])
     table = tuple(
         tuple(index[mul(a, b)] for b in elements) for a in elements
     )
     mon = FinMonoid(table, 0)
     return elements, index, mon, tuple(reps)
+
+
+def cayley_dfa(alphabet, monoid: FinMonoid, letters, accepted) -> Dfa:
+    """The right Cayley automaton of a monoid: states are its elements, the
+    i-th symbol multiplies by ``letters[i]``, starting from the identity and
+    accepting the elements in ``accepted``."""
+    delta = tuple(tuple(row[l] for l in letters) for row in monoid.table)
+    return Dfa(tuple(alphabet), delta, monoid.identity, frozenset(accepted))
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +368,7 @@ class Stamp:
 
     def dfa(self, accepted) -> Dfa:
         """mu^{-1}(accepted) as a DFA on the monoid's right Cayley graph."""
-        n = len(self.monoid)
-        delta = tuple(
-            tuple(self.monoid.table[m][l] for l in self.letters) for m in range(n)
-        )
-        return Dfa(self.alphabet, delta, self.monoid.identity, frozenset(accepted))
+        return cayley_dfa(self.alphabet, self.monoid, self.letters, accepted)
 
     def language(self) -> Dfa:
         if self.accepting is None:
@@ -481,31 +404,14 @@ def syntactic_stamp_of_family(dfas, caps: _caps.Caps = _caps.DEFAULT) -> Stamp:
     alphabet = mins[0].alphabet
     if any(m.alphabet != alphabet for m in mins):
         raise ParseError("family over different alphabets")
-    k = len(alphabet)
-    start = tuple(m.init for m in mins)
-    states = [start]
-    index = {start: 0}
-    i = 0
-    while i < len(states):
-        q = states[i]
-        for c in range(k):
-            t = tuple(m.delta[q[j]][c] for j, m in enumerate(mins))
-            if t not in index:
-                if len(states) >= caps.dfa_states:
-                    raise CapExceeded("product state cap", cap=caps.dfa_states)
-                index[t] = len(states)
-                states.append(t)
-        i += 1
+    states, _, edges = closure(
+        tuple(m.init for m in mins),
+        lambda q: zip(*(m.delta[s] for m, s in zip(mins, q))),
+        caps.dfa_states, "family product automaton")
     nstates = len(states)
-
-    def letter_action(c):
-        return tuple(
-            index[tuple(m.delta[q[j]][c] for j, m in enumerate(mins))]
-            for q in states
-        )
-
     identity = tuple(range(nstates))
-    gens = [(alphabet[c], letter_action(c)) for c in range(k)]
+    # letter c acts on the product states by column c of the edge table
+    gens = list(zip(alphabet, zip(*edges)))
 
     def compose(f, g):  # word uv acts by f then g
         return tuple(g[f[i]] for i in range(nstates))
@@ -624,6 +530,17 @@ def factor_stamp(stamp: Stamp, lang: Dfa):
 # bounded data -> DFA
 
 
+def check_inference_table(symbols: int, bound, caps: _caps.Caps = _caps.DEFAULT):
+    """Refuse, before anything is enumerated, an inference table (all words
+    of length <= bound over ``symbols`` letters) above the enumeration cap."""
+    total = sum(symbols ** n for n in range(bound + 1))
+    if total > caps.enumeration:
+        raise CapExceeded(
+            f"inference word table of {total} words at bound {bound} exceeds "
+            f"the enumeration cap of {caps.enumeration}",
+            stage="inference word table", size=total, cap=caps.enumeration)
+
+
 def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT,
                      max_states=None) -> Dfa:
     """Infer the automaton behind bounded language data.
@@ -643,9 +560,7 @@ def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT,
     if bound == 0:
         acc = frozenset({0}) if () in members else frozenset()
         return Dfa(syms, ((0,) * len(syms),), 0, acc)
-    total = sum(len(syms) ** n for n in range(bound + 1))
-    if total > caps.enumeration:
-        raise CapExceeded("word table too large for inference", cap=caps.enumeration)
+    check_inference_table(len(syms), bound, caps)
     all_words = [list(itertools.product(syms, repeat=n)) for n in range(bound + 1)]
 
     def verified(cand: Dfa):
@@ -655,7 +570,7 @@ def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT,
                     return False
         return True
 
-    last_size = None
+    largest = 0  # states of the largest hypothesis built and refuted
     for d in range(bound + 1):
         probes = [w for n in range(d + 1) for w in all_words[n]]
         rows = [w for n in range(bound - d + 1) for w in all_words[n]]
@@ -667,8 +582,8 @@ def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT,
             if sig not in classes:
                 classes[sig] = u  # shortlex-first representative
         if len(classes) > cap:
-            raise CapExceeded("state cap during inference", cap=cap)
-        last_size = len(classes)
+            raise CapExceeded(f"automaton inference exceeds the cap of {cap} states",
+                              stage="automaton inference", cap=cap)
         index = {sig: i for i, sig in enumerate(classes)}
         # transitions from the first representative shallow enough to step
         shallow = {}
@@ -685,8 +600,10 @@ def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT,
         cand = Dfa(syms, tuple(delta), index[sig_of[()]], acc)
         if verified(cand):
             return cand.minimize()
+        largest = max(largest, cand.n)
+    refuted = (f"the largest hypothesis built, with {largest} states, disagrees "
+               f"with the data" if largest else "no probe depth gave a hypothesis")
     raise BoundTooSmall(
-        f"no automaton with <= {last_size} states is consistent with the data "
-        f"at bound {bound}; the language is likely not regular at this bound",
-        bound=bound,
-    )
+        f"no automaton consistent with the data was found at bound {bound}: "
+        f"{refuted}; a larger bound may be needed",
+        stage="automaton inference", bound=bound, states=largest)

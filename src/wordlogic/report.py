@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -20,9 +19,6 @@ class Report:
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def line(self):
         mark = "PASS" if self.passed else "FAIL"

@@ -22,9 +22,10 @@ import numpy as np
 from . import caps as _caps
 from .caps import Caps
 from .errors import CapExceeded, NotDecomposable, NotMonoidPresentable
-from .regular import Dfa, FinMonoid, RegularBA, Stamp, generate_monoid, syntactic_stamp
+from .regular import (Dfa, FinMonoid, RegularBA, Stamp, cayley_dfa, closure,
+                      generate_monoid, syntactic_stamp)
 from .report import Report
-from .words import ExtendedAlphabet
+from .words import ExtendedAlphabet, enumerate_words
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +190,15 @@ class DecomposedD:
 def _part_reachability(pi: Stamp, ext: ExtendedAlphabet):
     """For each ambient element, which mark counts (0, 1, 2+) reach it."""
     var = ext.ctx[0]
-    marked_cols = tuple(i for i, s in enumerate(ext.symbols)
-                        if var in ext.split(s)[1])
+    marks = tuple(int(var in ext.split(s)[1]) for s in ext.symbols)
     tab = pi.monoid.table
-    letters = pi.letters
+    order, _, _ = closure(
+        (pi.monoid.identity, 0),
+        lambda mc: [(tab[mc[0]][lt], min(2, mc[1] + k))
+                    for lt, k in zip(pi.letters, marks)])
     reach = [set() for _ in range(len(pi.monoid))]
-    frontier = [(pi.monoid.identity, 0)]
-    reach[pi.monoid.identity].add(0)
-    while frontier:
-        nxt = []
-        for m, c in frontier:
-            for i, lt in enumerate(letters):
-                c2 = min(2, c + (1 if i in marked_cols else 0))
-                m2 = tab[m][lt]
-                if c2 not in reach[m2]:
-                    reach[m2].add(c2)
-                    nxt.append((m2, c2))
-        frontier = nxt
+    for m, c in order:
+        reach[m].add(c)
     return reach
 
 
@@ -365,22 +358,18 @@ class EtaQuotient:
     nu: SdpMonoid = None
 
     def s_of_letters(self, letters):
-        s = self.s_mon.identity
-        for x in letters:
-            s = self.s_mon.mul(s, self.ev[x])
-        return s
+        return self.s_mon.prod(self.ev[x] for x in letters)
 
     def cayley_dfa(self, accept_states):
         """Right-multiplication automaton of S over the letter alphabet."""
-        k = len(self.dd.t_blocks)
-        syms = tuple(f"x{i}" for i in range(k))
-        delta = tuple(tuple(self.s_mon.mul(s, self.ev[x]) for x in range(k))
-                      for s in range(len(self.s_mon)))
-        return Dfa(alphabet=syms, delta=delta, init=self.s_mon.identity,
-                   accepting=frozenset(accept_states))
+        syms = tuple(f"x{i}" for i in range(len(self.dd.t_blocks)))
+        return cayley_dfa(syms, self.s_mon, self.ev, accept_states)
 
 
 def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = None) -> EtaQuotient:
+    """All evaluations of the marked-class letters into ``nv`` and the
+    semidirect product S ** M they induce.  S stops growing, with
+    CapExceeded, once |S x M| would pass ``caps.sdp_elements``."""
     caps = caps or _caps.from_env()
     k = len(dd.t_blocks)
     if len(nv) ** k > caps.hom_count:
@@ -395,24 +384,19 @@ def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = None) -> EtaQuotie
         return tuple(nv.table[a][b] for a, b in zip(u, v))
 
     gens = [(f"x{x}", ev_raw[x]) for x in range(k)]
-    s_elems, s_index, s_mon, s_reps = generate_monoid(ident, gens, mul, caps)
+    nm = len(dd.m_mon)
+    s_elems, s_index, s_mon, s_reps = generate_monoid(
+        ident, gens, mul, caps, limit=min(caps.monoid, caps.sdp_elements // nm),
+        stage="evaluation monoid S (|S x M| within sdp_elements)")
     ev = tuple(s_index[ev_raw[x]] for x in range(k))
 
     # induced actions: act on a product of letter evaluations letterwise.
     # well-definedness is asserted inductively below.
     rep_letters = tuple(tuple(int(w[1:]) for w in rep) for rep in s_reps)
-
-    def fold(letters):
-        s = s_mon.identity
-        for x in letters:
-            s = s_mon.mul(s, ev[x])
-        return s
-
-    nm = len(dd.m_mon)
-    ell = tuple(tuple(fold(dd.left_letter[mp][x] for x in rep_letters[sp])
+    ell = tuple(tuple(s_mon.prod(ev[dd.left_letter[mp][x]] for x in rep_letters[sp])
                       for sp in range(len(s_mon)))
                 for mp in range(nm))
-    err = tuple(tuple(fold(dd.right_letter[x][mp] for x in rep_letters[sp])
+    err = tuple(tuple(s_mon.prod(ev[dd.right_letter[x][mp]] for x in rep_letters[sp])
                       for mp in range(nm))
                 for sp in range(len(s_mon)))
 
@@ -480,31 +464,26 @@ def h_morphism(etaq: EtaQuotient, caps: Caps = None) -> HMorphism:
 
 def marked_class_word(dd: DecomposedD, word, i):
     """Letter of the class of ``word`` marked at position i (1-based)."""
-    pi = dd.pi
     ext = dd.ext
-    var = ext.ctx[0]
-    tab = pi.monoid.table
-    left = pi.monoid.identity
-    for a in word[:i - 1]:
-        left = tab[left][pi.letter(ext.symbol(a, ()))]
-    right = pi.monoid.identity
-    for a in word[i:]:
-        right = tab[right][pi.letter(ext.symbol(a, ()))]
-    sym_index = ext.base.index(word[i - 1])
-    return dd.classify(left, sym_index, right)
+    left = dd.pi.mu(ext.symbol(a, ()) for a in word[:i - 1])
+    right = dd.pi.mu(ext.symbol(a, ()) for a in word[i:])
+    return dd.classify(left, ext.base.index(word[i - 1]), right)
+
+
+def class_word(dd: DecomposedD, word):
+    """(class word, plain image) of a word: the marked-class letter of every
+    position and the word's image in the plain part."""
+    letters = tuple(marked_class_word(dd, word, i) for i in range(1, len(word) + 1))
+    m = dd.m_mon.prod(dd.p_img[dd.ext.base.index(a)] for a in word)
+    return letters, m
 
 
 def check_h_formula(etaq: EtaQuotient, hm: HMorphism, bound: int) -> bool:
     """h(w) = (product of letter evaluations along w, plain image of w)."""
     dd = etaq.dd
-    from .words import enumerate_words
     for w in enumerate_words(dd.ext.base, bound):
-        letters = tuple(marked_class_word(dd, w, i) for i in range(1, len(w) + 1))
-        s = etaq.s_of_letters(letters)
-        m = dd.m_mon.identity
-        for a in w:
-            m = dd.m_mon.mul(m, dd.p_img[dd.ext.base.index(a)])
-        if hm.h(w) != (s, m):
+        letters, m = class_word(dd, w)
+        if hm.h(w) != (etaq.s_of_letters(letters), m):
             return False
     return True
 
@@ -527,54 +506,23 @@ def transfer_dfa(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
     """
     caps = caps or _caps.from_env()
     # the submonoid of plain images, identity first
-    mlist = [identity]
-    pos = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for a in syms:
-                m2 = mul(m, p_img[a])
-                if m2 not in pos:
-                    pos[m2] = len(mlist)
-                    mlist.append(m2)
-                    nxt.append(m2)
-        frontier = nxt
+    mlist, pos, msucc = closure(identity, lambda m: [mul(m, p_img[a]) for a in syms])
     kk = len(mlist)
     # precomputed: for each symbol, p_a . r and q_a . r for every context r
     row_r = {a: tuple(pos[mul(p_img[a], r)] for r in mlist) for a in syms}
     mid = {a: tuple(mul(mark_img[a], r) for r in mlist) for a in syms}
 
-    init_f = (kdfa.init,) * (kk * kk)
-    init = (0, init_f)
-    states = {init: 0}
-    order = [init]
-    delta = []
-    frontier = [init]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            mp, F = st
-            m = mlist[mp]
-            row = []
-            for a in syms:
-                lm = tuple(mul(mlist[i], m) for i in range(kk))
-                F2 = tuple(
-                    kdfa.delta[F[i * kk + row_r[a][j]]][letter_of(mul(lm[i], mid[a][j]))]
-                    for i in range(kk) for j in range(kk))
-                st2 = (pos[mul(m, p_img[a])], F2)
-                if st2 not in states:
-                    if len(states) >= caps.dfa_states:
-                        raise CapExceeded(
-                            f"transfer automaton exceeds {caps.dfa_states} states",
-                            cap="dfa_states")
-                    states[st2] = len(order)
-                    order.append(st2)
-                    nxt.append(st2)
-                row.append(states[st2])
-            delta.append(tuple(row))
-        frontier = nxt
-    accepting = frozenset(states[st] for st in order if st[1][0] in kdfa.accepting)
+    def step(st):
+        mp, F = st
+        lm = tuple(mul(r, mlist[mp]) for r in mlist)
+        return [(msucc[mp][ai],
+                 tuple(kdfa.delta[F[i * kk + row_r[a][j]]][letter_of(mul(lm[i], mid[a][j]))]
+                       for i in range(kk) for j in range(kk)))
+                for ai, a in enumerate(syms)]
+
+    order, _, delta = closure((0, (kdfa.init,) * (kk * kk)), step,
+                              caps.dfa_states, "transfer automaton")
+    accepting = frozenset(i for i, st in enumerate(order) if st[1][0] in kdfa.accepting)
     return Dfa(alphabet=tuple(syms), delta=tuple(delta), init=0,
                accepting=accepting)
 
@@ -634,13 +582,7 @@ class ClassWordProduct:
     lengthcap: int
 
     def of_word(self, word):
-        dd = self.dd
-        letters = tuple(marked_class_word(dd, word, i)
-                        for i in range(1, len(word) + 1))
-        m = dd.m_mon.identity
-        for a in word:
-            m = dd.m_mon.mul(m, dd.p_img[dd.ext.base.index(a)])
-        return (letters, m)
+        return class_word(self.dd, word)
 
     def mul(self, p1, p2):
         t1, m1 = p1
@@ -657,14 +599,6 @@ class ClassWordProduct:
 # ---------------------------------------------------------------------------
 # end-to-end verification of the recognizer
 # ---------------------------------------------------------------------------
-
-def _cayley_dfa_m(dd: DecomposedD, accept_ms) -> Dfa:
-    delta = tuple(tuple(dd.m_mon.mul(m, dd.p_img[i])
-                        for i in range(len(dd.base_symbols)))
-                  for m in range(len(dd.m_mon)))
-    return Dfa(alphabet=dd.base_symbols, delta=delta, init=dd.m_mon.identity,
-               accepting=frozenset(accept_ms))
-
 
 def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = None,
                       hbound: int = 5) -> Report:
@@ -708,7 +642,8 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = None,
         tau_pre.append(d)
     m_pre = []
     for b in dd.d0_blocks:
-        m_pre.append(_cayley_dfa_m(dd, [dd.m_index[m] for m in b]).minimize())
+        m_pre.append(cayley_dfa(dd.base_symbols, dd.m_mon, dd.p_img,
+                                [dd.m_index[m] for m in b]).minimize())
 
     right = {}
     for dt in tau_pre:

@@ -11,17 +11,15 @@ sentence exactly when its atom word satisfies the original one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import caps as _caps
 from . import finba
 from .caps import Caps
 from .errors import BoundTooSmall, CapExceeded, ParseError
-from .logic import (And, Formula, LetterPred, Not, Or, Quant, Truth, TRUE,
-                    Registry, DEFAULT_REGISTRY, conj, disj, neg, free_vars,
-                    bound_vars, map_vars, models, rename_bound, satisfies,
-                    to_dsl)
+from .logic import (Formula, LetterPred, TRUE, Registry, DEFAULT_REGISTRY, conj,
+                    neg, free_vars, all_vars, map_atoms, map_vars, models,
+                    rename_bound, satisfies, to_dsl)
 from .regular import Dfa, dfa_from_bounded, syntactic_stamp_of_family
 from .report import Report
 from .semidirect import transfer_dfa
@@ -196,28 +194,19 @@ def substitute_letters(psi: Formula, by_symbol: dict, var: str) -> Formula:
     """
     avoid = {var}
     for phi in by_symbol.values():
-        avoid |= free_vars(phi) | bound_vars(phi)
+        avoid |= all_vars(phi)
     avoid |= free_vars(psi)
     psi = rename_bound(psi, avoid)
 
-    def walk(node):
+    def leaf(node):
         if isinstance(node, LetterPred):
             if node.symbol not in by_symbol:
                 raise ParseError(f"letter {node.symbol!r} is not an atom of "
                                  f"the algebra being substituted")
-            phi = by_symbol[node.symbol]
-            return map_vars(phi, {var: node.var})
-        if isinstance(node, Not):
-            return Not(walk(node.sub))
-        if isinstance(node, And):
-            return And(tuple(walk(a) for a in node.args))
-        if isinstance(node, Or):
-            return Or(tuple(walk(a) for a in node.args))
-        if isinstance(node, Quant):
-            return Quant(node.q, node.var, walk(node.body))
+            return map_vars(by_symbol[node.symbol], {var: node.var})
         return node
 
-    return walk(psi)
+    return map_atoms(psi, leaf)
 
 
 def sigma(delta: DeltaAlgebra, psi: Formula) -> Formula:

@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 from . import caps as _caps
 from .caps import Caps
 from .errors import BoundTooSmall, MissingMachinery, ParseError
-from .logic import (And, LetterPred, Not, NumPred, Or, Quant, Truth, TRUE,
-                    FALSE, Registry, DEFAULT_REGISTRY, conj, disj, neg,
-                    bound_vars, counterexample_bounded, free_vars, models,
-                    satisfies, to_dsl)
+from .logic import (And, LetterPred, Not, NumPred, Or, Quant, TRUE, FALSE,
+                    Registry, DEFAULT_REGISTRY, conj, disj, neg, all_vars,
+                    bound_vars, counterexample_bounded, free_vars,
+                    fresh_names, map_atoms, satisfies, to_dsl)
 from .report import Report
 from .substitution import (DeltaAlgebra, delta_algebra, sigma,
                            substitute_letters)
-from .words import (Alphabet, ExtendedAlphabet, MarkedWord, enumerate_marked,
-                    in_marked_image)
+from .words import Alphabet, ExtendedAlphabet, enumerate_marked, in_marked_image
 
 
 # ---------------------------------------------------------------------------
@@ -50,50 +49,6 @@ def _source_letters(base: Alphabet, prior: tuple):
     return base, tuple((s, s, frozenset()) for s in base.symbols)
 
 
-def _fresh_names(avoid, prefix="z"):
-    i = 0
-    while True:
-        name = f"{prefix}{i}"
-        i += 1
-        if name not in avoid:
-            yield name
-
-
-@dataclass(frozen=True)
-class CodecPair:
-    """A base alphabet together with the variables encoded into its letters
-    and the spectator context left outside; houses both directions."""
-
-    base: Alphabet
-    enc_vars: tuple
-    spectators: tuple = ()
-    ext: ExtendedAlphabet = field(init=False, compare=False, default=None)
-
-    def __post_init__(self):
-        base = _base_alphabet(self.base)
-        enc = tuple(self.enc_vars)
-        spec = tuple(self.spectators)
-        if set(enc) & set(spec):
-            raise ParseError("encoded variables and spectator context overlap")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "enc_vars", enc)
-        object.__setattr__(self, "spectators", spec)
-        object.__setattr__(self, "ext", ExtendedAlphabet(base, enc))
-
-    def encode(self, phi, registry: Registry = None):
-        return encode_multi(phi, self.enc_vars, self.base, registry)
-
-    def decode(self, psi, registry: Registry = None):
-        return decode_multi(psi, self.enc_vars, self.base, registry)
-
-    def iota(self, mw: MarkedWord) -> MarkedWord:
-        from .words import encode_marks
-        return encode_marks(mw, self.enc_vars, ext=self.ext)
-
-    def in_image(self, word) -> bool:
-        return in_marked_image(tuple(word), self.ext)
-
-
 # ---------------------------------------------------------------------------
 # the image sentence
 # ---------------------------------------------------------------------------
@@ -110,7 +65,7 @@ def phi_sentence(alphabet, var="x", prior=(), registry: Registry = None,
     prior = tuple(prior)
     _, letters = _source_letters(base, prior)
     ext = ExtendedAlphabet(base, prior + (var,))
-    z = zvar or next(_fresh_names({var, *prior}))
+    z = zvar or next(fresh_names({var, *prior}))
     body = disj(LetterPred(ext.symbol(b, T | {var}), z) for _, b, T in letters)
     return Quant("E1", z, body)
 
@@ -144,10 +99,10 @@ def encode(phi, var, alphabet, prior=(), registry: Registry = None):
     _, letters = _source_letters(base, prior)
     by_symbol = {s: (b, T) for s, b, T in letters}
     ext = ExtendedAlphabet(base, prior + (var,))
-    avoid = set(free_vars(phi) | bound_vars(phi)) | {var} | set(prior)
-    fresh = _fresh_names(avoid)
+    avoid = set(all_vars(phi)) | {var} | set(prior)
+    fresh = fresh_names(avoid)
 
-    def walk(node):
+    def leaf(node):
         if isinstance(node, LetterPred):
             if node.symbol not in by_symbol:
                 raise ParseError(f"letter {node.symbol!r} is not over the "
@@ -165,18 +120,9 @@ def encode(phi, var, alphabet, prior=(), registry: Registry = None):
                              for _, b, T in letters)
                 args = tuple(z if a == var else a for a in node.args)
                 return Quant("E", z, conj((guard, NumPred(node.name, args))))
-            return node
-        if isinstance(node, Not):
-            return Not(walk(node.sub))
-        if isinstance(node, And):
-            return And(tuple(walk(a) for a in node.args))
-        if isinstance(node, Or):
-            return Or(tuple(walk(a) for a in node.args))
-        if isinstance(node, Quant):
-            return Quant(node.q, node.var, walk(node.body))
         return node
 
-    tilde = walk(phi)
+    tilde = map_atoms(phi, leaf)
     pinned = phi_sentence(base, var, prior, reg, zvar=next(fresh))
     return conj((tilde, pinned))
 
@@ -196,7 +142,7 @@ def decode(psi, var, alphabet, prior=(), registry: Registry = None):
         raise MissingMachinery("decoding needs the equality predicate",
                                predicate="=")
     prior = tuple(prior)
-    if var in free_vars(psi) | bound_vars(psi):
+    if var in all_vars(psi):
         raise ParseError(f"variable {var!r} occurs in the formula being "
                          "decoded")
     base = _base_alphabet(alphabet)
@@ -207,7 +153,7 @@ def decode(psi, var, alphabet, prior=(), registry: Registry = None):
             return ExtendedAlphabet(base, prior).symbol(b, T)
         return b
 
-    def walk(node):
+    def leaf(node):
         if isinstance(node, LetterPred):
             if node.symbol not in src:
                 raise ParseError(f"letter {node.symbol!r} is not over the "
@@ -218,17 +164,9 @@ def decode(psi, var, alphabet, prior=(), registry: Registry = None):
                             NumPred("=", (var, node.var))))
             return And((LetterPred(out_symbol(b, T), node.var),
                         Not(NumPred("=", (var, node.var)))))
-        if isinstance(node, Not):
-            return Not(walk(node.sub))
-        if isinstance(node, And):
-            return And(tuple(walk(a) for a in node.args))
-        if isinstance(node, Or):
-            return Or(tuple(walk(a) for a in node.args))
-        if isinstance(node, Quant):
-            return Quant(node.q, node.var, walk(node.body))
         return node
 
-    return walk(psi)
+    return map_atoms(psi, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +358,7 @@ def zeta_relabel(lift: LiftedAlgebra, theta):
     inverse = {syms[lifted_idx]: f"c{src_idx}"
                for src_idx, lifted_idx in enumerate(lift.zeta)}
 
-    def walk(node):
+    def leaf(node):
         if isinstance(node, LetterPred):
             if node.symbol in inverse:
                 return LetterPred(inverse[node.symbol], node.var)
@@ -428,17 +366,9 @@ def zeta_relabel(lift: LiftedAlgebra, theta):
                 return FALSE
             raise ParseError(f"letter {node.symbol!r} is not an atom letter "
                              "of the lifted algebra")
-        if isinstance(node, Not):
-            return Not(walk(node.sub))
-        if isinstance(node, And):
-            return And(tuple(walk(a) for a in node.args))
-        if isinstance(node, Or):
-            return Or(tuple(walk(a) for a in node.args))
-        if isinstance(node, Quant):
-            return Quant(node.q, node.var, walk(node.body))
         return node
 
-    return walk(theta)
+    return map_atoms(theta, leaf)
 
 
 def sigma_source(lift: LiftedAlgebra, theta):

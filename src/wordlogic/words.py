@@ -371,13 +371,6 @@ class BoundedLang:
     def universe(alphabet, bound):
         return BoundedLang(alphabet, bound, frozenset(enumerate_words(alphabet, bound)))
 
-    def restrict(self, bound) -> "BoundedLang":
-        if bound >= self.bound:
-            return self
-        return BoundedLang(
-            self.alphabet, bound, frozenset(w for w in self.words if len(w) <= bound)
-        )
-
     def member(self, w) -> bool:
         if len(w) > self.bound:
             raise CapExceeded(
@@ -405,43 +398,3 @@ class BoundedLang:
 
     def __len__(self):
         return len(self.words)
-
-
-def _binop(a: BoundedLang, b: BoundedLang, op) -> BoundedLang:
-    if tuple(a.alphabet) != tuple(b.alphabet):
-        raise ParseError("bounded languages over different alphabets")
-    bound = min(a.bound, b.bound)
-    return BoundedLang(a.alphabet, bound, op(a.restrict(bound).words, b.restrict(bound).words))
-
-
-def lang_union(a, b):
-    a, b = _mix(a, b)
-    if isinstance(a, BoundedLang):
-        return _binop(a, b, frozenset.union)
-    return a.union(b)
-
-
-def lang_inter(a, b):
-    a, b = _mix(a, b)
-    if isinstance(a, BoundedLang):
-        return _binop(a, b, frozenset.intersection)
-    return a.intersect(b)
-
-
-def lang_diff(a, b):
-    a, b = _mix(a, b)
-    if isinstance(a, BoundedLang):
-        return _binop(a, b, frozenset.difference)
-    return a.intersect(b.complement())
-
-
-def _mix(a, b):
-    """Mixing rule: a regular and a bounded operand meet at the bounded
-    side's bound (the regular side is sliced, exactly)."""
-    a_bounded = isinstance(a, BoundedLang)
-    b_bounded = isinstance(b, BoundedLang)
-    if a_bounded and not b_bounded:
-        return a, b.bounded(a.bound)
-    if b_bounded and not a_bounded:
-        return a.bounded(b.bound), b
-    return a, b

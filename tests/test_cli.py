@@ -123,6 +123,19 @@ def test_compile_exists(capsys):
     assert "2 states" in out
 
 
+def test_inference_refusal_names_the_bound_and_largest_hypothesis(capsys):
+    rc, out, _ = run(capsys, ["compile", "--formula",
+                              "E x. E y. x < y & P[a](y)", "--alphabet", "ab",
+                              "-L", "4", "--format", "json"])
+    assert rc == 2
+    err = json.loads(out)["error"]
+    assert err["code"] == "bound"
+    assert err["info"] == {"stage": "automaton inference", "bound": 4,
+                           "states": 3}
+    assert "bound 4" in err["message"]
+    assert "3 states" in err["message"]
+
+
 def test_compile_oracle_quantifier_fails_with_structured_error(capsys):
     rc, _, err = run(capsys, ["compile", "--alphabet", "ab", "--maxlen", "5",
                               "--formula", "maj x. P[a](x)"])
@@ -160,6 +173,18 @@ def test_depth_fragment_with_cross_check(capsys):
                               "--maxlen", "5", "--check"])
     assert rc == 0
     assert "4 atoms" in out
+    assert "direct enumeration agrees" in out
+
+
+@pytest.mark.parametrize("flags", [["--quantifiers", "E,mod[2,0]"],
+                                   ["--quantifiers", "E",
+                                    "--predicates", "<,mod[2,1]"]])
+def test_depth_fragment_reads_bracketed_name_lists(capsys, flags):
+    rc, out, err = run(capsys, ["depth-fragment", "--alphabet", "ab",
+                                "--depth", "1", "--maxlen", "4", "--check",
+                                *flags])
+    assert rc == 0, err
+    assert "mod[2," in out
     assert "direct enumeration agrees" in out
 
 

@@ -7,6 +7,7 @@ from wordlogic import (
     TRUE, FALSE, And, Or, Not, Quant, LetterPred, NumPred,
     Alphabet,
     BoundTooSmall,
+    CapExceeded,
     DEFAULT_REGISTRY,
     MarkedWord,
     ParseError,
@@ -340,3 +341,18 @@ def test_automaton_inference_refuses_non_regular_looking_data():
     with pytest.raises(BoundTooSmall):
         dfa_from_bounded(BoundedLang(alphabet=A.symbols, bound=5,
                                      words=pals))
+
+
+def test_formula_dfa_refuses_an_oversized_table_before_evaluating(monkeypatch):
+    import wordlogic.logic as logic
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("satisfies ran on a refused input")
+
+    monkeypatch.setattr(logic, "satisfies", forbidden)
+    phi = parse("(E y. (x < y & P[a](y))) & E z. (z < x & P[b](z))")
+    with pytest.raises(CapExceeded) as exc:
+        formula_dfa(phi, Alphabet.of("abc"), ("x",), 8)
+    # 6 extended letters: 1 + 6 + ... + 6^8 words in the inference table
+    assert exc.value.info["size"] == sum(6 ** n for n in range(9))
+    assert exc.value.info["cap"] == 2_000_000

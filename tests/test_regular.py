@@ -16,6 +16,7 @@ from wordlogic import (
 from wordlogic.regular import (
     Dfa,
     FinMonoid,
+    closure,
     dfa_from_bounded,
     empty_dfa,
     factor_stamp,
@@ -361,3 +362,70 @@ def test_family_stamp_recognizes_every_member():
             if st_.mu(u) == st_.mu(v):
                 assert d1.accepts(u) == d1.accepts(v)
                 assert parity.accepts(u) == parity.accepts(v)
+
+
+# ---------------------------------------------------------------------------
+# breadth-first closure and the automaton constructions built on it
+
+# every word over ab of length <= 6; two DFAs of <= 4 states each that
+# differ do so on a word of length <= 6, so this sample decides equivalence
+WORDS6 = tuple(w for n in range(7) for w in itertools.product("ab", repeat=n))
+
+
+@st.composite
+def small_dfas(draw):
+    n = draw(st.integers(1, 4))
+    delta = tuple(tuple(draw(st.integers(0, n - 1)) for _ in "ab")
+                  for _ in range(n))
+    acc = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    return Dfa(("a", "b"), delta, draw(st.integers(0, n - 1)), acc)
+
+
+@given(small_dfas())
+def test_some_word_is_a_shortest_accepted_word(d):
+    w = d.some_word()
+    accepted = [u for u in WORDS6 if d.accepts(u)]
+    assert (w is None) == d.is_empty() == (not accepted)
+    if w is not None:
+        assert d.accepts(w)
+        assert len(w) == len(accepted[0])
+
+
+@given(small_dfas(), small_dfas(),
+       st.sampled_from(["and", "or", "xor", "minus"]))
+def test_product_accepts_by_its_keep_rule(d1, d2, rule):
+    keep = {"and": lambda a, b: a and b, "or": lambda a, b: a or b,
+            "xor": lambda a, b: a != b, "minus": lambda a, b: a and not b}[rule]
+    p = d1.product(d2, keep)
+    for w in WORDS6:
+        assert p.accepts(w) == keep(d1.accepts(w), d2.accepts(w))
+
+
+@given(small_dfas(), small_dfas(), st.randoms(use_true_random=False))
+def test_minimize_is_canonical(d1, d2, rnd):
+    same = all(d1.accepts(w) == d2.accepts(w) for w in WORDS6)
+    assert (d1.key() == d2.key()) == same
+    # a renumbered copy with an unreachable extra state has the same key
+    perm = list(range(d1.n))
+    rnd.shuffle(perm)
+    inv = {q: i for i, q in enumerate(perm)}
+    delta = tuple(tuple(inv[t] for t in d1.delta[q]) for q in perm)
+    copy = Dfa(d1.alphabet, delta + ((0, 0),), inv[d1.init],
+               frozenset(inv[q] for q in d1.accepting) | {d1.n})
+    assert copy.key() == d1.key()
+
+
+@given(st.integers(1, 30), st.integers(1, 40))
+def test_closure_stops_at_its_limit_naming_stage_and_cap(n, limit):
+    def step(x):  # the cycle 0 -> 1 -> ... -> n-1 -> 0
+        return [(x + 1) % n]
+
+    if n <= limit:
+        order, index, edges = closure(0, step, limit, "cycle")
+        assert order == list(range(n))
+        assert index == {i: i for i in range(n)}
+        assert edges == [((i + 1) % n,) for i in range(n)]
+    else:
+        with pytest.raises(CapExceeded) as exc:
+            closure(0, step, limit, "cycle")
+        assert exc.value.info == {"stage": "cycle", "cap": limit}

@@ -1,6 +1,7 @@
 """Biactions, two-sided products, decompositions, and the layer compiler."""
 
 import itertools
+import time
 
 import pytest
 
@@ -270,6 +271,24 @@ def test_class_word_product_cap():
     p = cwp.of_word(("a", "a"))
     with pytest.raises(CapExceeded):
         cwp.mul(p, p)
+
+
+def test_eta_quotient_stops_before_the_product_passes_its_cap():
+    from wordlogic import CapExceeded, Caps
+
+    A = Alphabet.of("ab")
+    ext = ExtendedAlphabet(A, ("x",))
+    gens = [formula_dfa(parse(text), A, ("x",), 5)[1]
+            for text in ("R[last](x)", "E1 y. y < x & P[a](y)")]
+    dd = decompose(quotient_closure(gens + [image_dfa(ext)]), ext)
+    assert len(dd.m_mon) == 4
+    # S has 729 elements here; |S x M| may hold at most 1024 // 4 of them
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        eta_quotient(dd, named_monoid("Z3"), Caps())
+    assert time.perf_counter() - t0 < 5.0
+    assert "sdp_elements" in str(exc.value)
+    assert exc.value.info["cap"] == 1024 // 4
 
 
 # ---------------------------------------------------------------------------
