@@ -5,10 +5,14 @@ that a formula or algebra that is too big fails loudly instead of grinding.
 Override any field via the WORDLOGIC_CAPS environment variable, e.g.
 
     WORDLOGIC_CAPS="monoid=30000,dfa_states=100000"
+
+A value that is not an integer is refused with a ParseError.
 """
 
 import os
 from dataclasses import dataclass, replace
+
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -42,5 +46,9 @@ def from_env(base: Caps = DEFAULT) -> Caps:
         key, _, val = part.partition("=")
         key = key.strip()
         if hasattr(base, key):
-            updates[key] = int(val)
+            try:
+                updates[key] = int(val)
+            except ValueError:
+                raise ParseError(f"{_ENV}: the value of {key} must be an integer, "
+                                 f"got {val.strip()!r}", key=key, value=val.strip()) from None
     return replace(base, **updates) if updates else base

@@ -8,7 +8,6 @@ is deterministic for a fixed carrier enumeration order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import caps as _caps

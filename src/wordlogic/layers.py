@@ -23,8 +23,7 @@ from .errors import CapExceeded, ParseError
 from .logic import (LetterPred, NumPred, Quant, Registry, DEFAULT_REGISTRY,
                     conj, disj, neg, models, relabel, satisfies, to_dsl)
 from .report import Report
-from .substitution import (DeltaAlgebra, OdotResult, SentenceClass,
-                           delta_algebra, gamma_odot, sigma, xi)
+from .substitution import SentenceClass, gamma_odot, sigma, xi
 from .varcode import decode_multi, lift_delta
 from .words import (Alphabet, MarkedWord, encode_marks, enumerate_marked,
                     enumerate_words, subsets_in_order)

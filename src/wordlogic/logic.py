@@ -18,14 +18,18 @@ the right as possible; ``~`` binds tighter than ``&`` tighter than ``|``.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import caps as _caps
 from .errors import ParseError
-from .regular import FinMonoid, check_inference_table, dfa_from_bounded
-from .words import (Alphabet, BoundedLang, ExtendedAlphabet, MarkedWord,
-                    embed_marked, enumerate_marked)
+from .regular import FinMonoid, check_inference_table, infer_dfa, shortlex_offsets
+from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_bound,
+                    enumerate_marked)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +332,19 @@ def _maj_quant():
     return Quantifier("maj", oracle=lambda bits: sum(bits) > len(bits) - sum(bits))
 
 
+_BUILTIN_QUANTIFIERS = {"E": _exists_quant, "E1": _unique_quant, "maj": _maj_quant}
+
+
 class Registry:
     """Name resolution for quantifiers and numerical predicates; built-ins
-    plus user registrations, with mod[q,r] families resolved on demand."""
+    plus user registrations.  Built-in quantifiers and the mod[q,r] families
+    are made on first use, so that importing the package builds no monoid
+    (monoid construction reads the WORDLOGIC_CAPS caps, which may be
+    malformed)."""
 
     def __init__(self):
         self._quants = {}
         self._preds = {}
-        for q in (_exists_quant(), _unique_quant(), _maj_quant()):
-            self._quants[q.name] = q
         self._preds["<"] = NumPredDef("<", 2, lambda p, n: p[0] < p[1])
         self._preds["="] = NumPredDef("=", 2, lambda p, n: p[0] == p[1])
         self._preds["succ"] = NumPredDef("succ", 2, lambda p, n: p[1] == p[0] + 1)
@@ -344,7 +352,7 @@ class Registry:
         self._preds["last"] = NumPredDef("last", 1, lambda p, n: p[0] == n)
 
     def register_quantifier(self, q: Quantifier):
-        if q.name in self._quants:
+        if q.name in self._quants or q.name in _BUILTIN_QUANTIFIERS:
             raise ParseError(f"quantifier {q.name!r} already registered")
         self._quants[q.name] = q
 
@@ -356,12 +364,14 @@ class Registry:
     def maybe_quantifier(self, name):
         if name in self._quants:
             return self._quants[name]
-        m = _MOD_RE.match(name)
-        if m:
+        if name in _BUILTIN_QUANTIFIERS:
+            q = _BUILTIN_QUANTIFIERS[name]()
+        elif m := _MOD_RE.match(name):
             q = _mod_quant(int(m.group(1)), int(m.group(2)))
-            self._quants[name] = q
-            return q
-        return None
+        else:
+            return None
+        self._quants[name] = q
+        return q
 
     def quantifier(self, name) -> Quantifier:
         q = self.maybe_quantifier(name)
@@ -652,6 +662,121 @@ def satisfies(mw: MarkedWord, phi, registry=None) -> bool:
     return ev(phi, dict(mw.marks))
 
 
+# cells (words x position tuples) of one evaluation block of model_table: it
+# bounds the size of the tables, not the input, since a block holds at least
+# one word
+_BLOCK_CELLS = 1 << 20
+
+
+def _on_axes(values, axes, ndim) -> np.ndarray:
+    """Place the dimensions of ``values`` on the given axes of an ndim-array
+    whose other axes have size 1."""
+    order = sorted(range(len(axes)), key=axes.__getitem__)
+    shape = [1] * ndim
+    for i in order:
+        shape[axes[i]] = values.shape[i]
+    return values.transpose(order).reshape(shape)
+
+
+def model_table(phi, alphabet: Alphabet, context, bound, registry=None) -> np.ndarray:
+    """The bounded model set of a formula as a membership table over the
+    words of A x 2^context of length <= bound, numbered in shortlex order as
+    in ``regular.infer_dfa`` with letter base_index * 2^|context| + mask
+    (context[0] the lowest bit): True exactly at the embeddings of the marked
+    words ``models`` returns, for which ``satisfies`` is the reference.
+
+    All base words of one length are evaluated at once, in blocks.  Each
+    subformula becomes a bool array with one axis for the words and one axis
+    per variable, of size 1 where the variable is not free in it; a
+    numerical predicate asks its oracle once per position tuple, a monoid
+    quantifier folds its body along the variable's axis and an oracle
+    quantifier is asked once per slice.  The caller checks the size of the
+    table (``regular.check_inference_table``).
+    """
+    reg = registry or DEFAULT_REGISTRY
+    ctx = tuple(context)
+    check_bound(bound)
+    if not free_vars(phi) <= set(ctx):
+        raise ParseError("context does not cover the formula's free variables")
+    syms = tuple(alphabet)
+    col = {a: i for i, a in enumerate(syms)}
+    a, c = len(syms), len(ctx)
+    k = a << c
+    variables = ctx + tuple(sorted(all_vars(phi) - set(ctx)))
+    axis = {v: i + 1 for i, v in enumerate(variables)}
+    ndim = 1 + len(variables)
+    unit = np.ones((1,) * ndim, dtype=bool)
+    off = shortlex_offsets(k, bound)
+    member = np.zeros(off[-1], dtype=bool)
+
+    def table(node, letters, n, preds):
+        if isinstance(node, Truth):
+            return unit
+        if isinstance(node, Falsum):
+            return ~unit
+        if isinstance(node, LetterPred):
+            if node.symbol not in col:
+                return ~unit
+            return _on_axes(letters == col[node.symbol], (0, axis[node.var]), ndim)
+        if isinstance(node, NumPred):
+            if node not in preds:
+                holds = reg.numpred(node.name).holds
+                free = tuple(dict.fromkeys(node.args))
+                values = [bool(holds(tuple(pos[free.index(v)] for v in node.args), n))
+                          for pos in itertools.product(range(1, n + 1), repeat=len(free))]
+                preds[node] = _on_axes(np.array(values, dtype=bool).reshape((n,) * len(free)),
+                                       tuple(axis[v] for v in free), ndim)
+            return preds[node]
+        if isinstance(node, Not):
+            return ~table(node.sub, letters, n, preds)
+        if isinstance(node, (And, Or)):
+            combine = np.logical_and if isinstance(node, And) else np.logical_or
+            out = unit if isinstance(node, And) else ~unit
+            for sub in node.args:
+                out = combine(out, table(sub, letters, n, preds))
+            return out
+        if isinstance(node, Quant):
+            q = reg.quantifier(node.q)
+            ax = axis[node.var]
+            body = table(node.body, letters, n, preds)
+            shape = list(body.shape)
+            shape[ax] = n
+            bits = np.broadcast_to(body, shape)
+            if q.is_monoid:
+                mult = np.asarray(q.monoid.table)
+                images = np.asarray(q.images)[bits.astype(np.intp)]
+                shape[ax] = 1
+                state = np.full(shape, q.monoid.identity)
+                for i in range(n):
+                    state = mult[state, images.take([i], axis=ax)]
+                accept = np.zeros(len(q.monoid), dtype=bool)
+                accept[list(q.accept)] = True
+                return accept[state]
+            rows = np.moveaxis(bits, ax, -1)
+            rest = rows.shape[:-1]
+            values = [q.evaluate(row) for row in rows.reshape(math.prod(rest), n).tolist()]
+            return np.expand_dims(np.array(values, dtype=bool).reshape(rest), ax)
+        raise ParseError(f"not a formula: {node!r}")
+
+    for n in range(bound + 1):
+        place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)  # letter weights
+        # variable j marking position p adds 2^j to the mask of letter p
+        marks = sum((_on_axes(place << j, (j + 1,), c + 1) for j in range(c)),
+                    np.zeros((1,) * (c + 1), dtype=np.int64))
+        preds = {}
+        words = a ** n
+        block = max(1, _BLOCK_CELLS // max(1, n ** len(variables)))
+        for start in range(0, words, block):
+            ranks = np.arange(start, min(words, start + block))
+            letters = ranks[:, None] // a ** np.arange(n - 1, -1, -1) % a
+            sat = table(phi, letters, n, preds)
+            sat = np.broadcast_to(sat[(Ellipsis,) + (0,) * (ndim - 1 - c)],
+                                  (len(ranks),) + (n,) * c)
+            ids = off[n] + (letters @ (place << c))[(slice(None),) + (None,) * c] + marks
+            member[ids[sat]] = True
+    return member
+
+
 def models(phi, alphabet: Alphabet, bound, context=None, registry=None) -> frozenset:
     """All marked words of length <= bound satisfying the formula, over the
     given context (defaults to the formula's free variables, sorted)."""
@@ -701,18 +826,19 @@ def relabel(zeta: dict, phi):
 
 def formula_dfa(phi, alphabet: Alphabet, context, bound,
                 registry=None, caps: _caps.Caps = _caps.DEFAULT):
-    """Embed the bounded model set of a formula into the extended alphabet
-    and infer the automaton behind it.
+    """The automaton behind the bounded model set of a formula.
 
-    Returns (ext, dfa) where ext is the extended alphabet A x 2^context.
-    The automaton provably agrees with the model set up to the bound; for
-    genuinely non-regular behaviors this raises a bound error instead, and
-    a word table above the enumeration cap is refused before any model is
-    enumerated.
+    Returns (ext, dfa) where ext is the extended alphabet A x 2^context,
+    letter base_index * 2^|context| + mask.  The model set is evaluated in
+    bulk as a membership table over all words of ext of length <= bound,
+    numbered in shortlex order (``model_table``), and the automaton is
+    inferred from that table (``regular.infer_dfa``).  It provably agrees
+    with the model set up to the bound; for genuinely non-regular behaviors
+    this raises a bound error instead, and a negative bound or a word table
+    above the enumeration cap is refused before anything is evaluated.
     """
     ctx = tuple(context)
     ext = ExtendedAlphabet(alphabet, ctx)
     check_inference_table(len(ext.symbols), bound, caps)
-    hits = frozenset(embed_marked(mw, ctx, ext=ext)
-                     for mw in models(phi, alphabet, bound, ctx, registry))
-    return ext, dfa_from_bounded(BoundedLang(tuple(ext.symbols), bound, hits), caps)
+    member = model_table(phi, alphabet, ctx, bound, registry)
+    return ext, infer_dfa(ext.symbols, bound, member, caps)

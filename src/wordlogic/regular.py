@@ -13,14 +13,13 @@ order breaking ties, and monoid elements get shortlex representative words.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import caps as _caps
 from .errors import BoundTooSmall, CapExceeded, ParseError
-from .words import BoundedLang, ExtendedAlphabet
+from .words import BoundedLang, ExtendedAlphabet, check_bound
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +527,21 @@ def factor_stamp(stamp: Stamp, lang: Dfa):
 
 # ---------------------------------------------------------------------------
 # bounded data -> DFA
+#
+# Bounded data is a membership table over every word of length <= bound.
+# With the k letters numbered 0..k-1, the words are numbered in shortlex
+# order: w gets the id off[|w|] + rank(w), where off[n] counts the words
+# shorter than n and rank(w) reads w as a base-k numeral.  The child of word
+# i under letter c is then word i*k + c + 1, so the words of length n are the
+# children of the words of length n-1, in order, and u·p has the id
+# off[|u|+|p|] + rank(u)·k^|p| + rank(p).
 
 
 def check_inference_table(symbols: int, bound, caps: _caps.Caps = _caps.DEFAULT):
-    """Refuse, before anything is enumerated, an inference table (all words
-    of length <= bound over ``symbols`` letters) above the enumeration cap."""
+    """Refuse, before anything is enumerated, a negative bound or an
+    inference table (all words of length <= bound over ``symbols`` letters)
+    above the enumeration cap."""
+    check_bound(bound)
     total = sum(symbols ** n for n in range(bound + 1))
     if total > caps.enumeration:
         raise CapExceeded(
@@ -541,69 +550,102 @@ def check_inference_table(symbols: int, bound, caps: _caps.Caps = _caps.DEFAULT)
             stage="inference word table", size=total, cap=caps.enumeration)
 
 
-def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT,
-                     max_states=None) -> Dfa:
-    """Infer the automaton behind bounded language data.
+def shortlex_offsets(k: int, bound) -> np.ndarray:
+    """off[n] for n = 0..bound+1: the number of words shorter than n over k
+    letters.  The table of the words of length <= bound has off[-1] ids."""
+    return np.cumsum([0] + [k ** n for n in range(bound + 1)], dtype=np.int64)
 
-    For probe depth d = 0, 1, ..., prefixes of length <= bound-d are classed
-    by their depth-d residual signature; transitions come from the
-    shortlex-first row of each class that still has children in the table.
-    A hypothesis is returned only after verifying it against *every* word of
-    length <= bound, so the result provably agrees with the data; if no
-    probe depth yields a verified hypothesis the data looks non-regular at
-    this bound and a structured error is raised.
+
+def _agrees(delta, accepting, member, off) -> bool:
+    """Does the automaton (start state 0) accept exactly the member words?
+    Runs it on all words of one length at once, level by level."""
+    state = np.zeros(1, dtype=np.int64)
+    for n in range(len(off) - 1):
+        if n:
+            state = delta[state].reshape(-1)
+        if not np.array_equal(accepting[state], member[off[n]:off[n + 1]]):
+            return False
+    return True
+
+
+def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT,
+              max_states=None) -> Dfa:
+    """Infer the automaton behind a membership table over the words of
+    length <= bound, numbered in shortlex order as above.
+
+    For probe depth d = 0, 1, ..., the words u of length <= bound-d are
+    classed by their row of bits member[id(u·p)] over the probes p of
+    length <= d.  Classes are numbered by their shortlex-first row, and that
+    row gives the class its transitions when it still has children in the
+    table.  A hypothesis is returned only after running it on *every* word
+    of the table, so the result provably agrees with the data; if no probe
+    depth yields a verified hypothesis the data looks non-regular at this
+    bound and BoundTooSmall names the bound and the largest hypothesis
+    refuted.  The caller checks the table size (``check_inference_table``).
     """
-    bound = lang.bound
-    syms = tuple(lang.alphabet)
-    members = lang.words
+    syms = tuple(symbols)
+    k = len(syms)
     cap = max_states or caps.dfa_states
+    off = shortlex_offsets(k, bound)
+    member = np.asarray(member, dtype=bool)
+    if member.shape != (off[-1],):
+        raise ParseError(f"membership table of shape {member.shape} does not "
+                         f"cover the {off[-1]} words of length <= {bound}")
     if bound == 0:
-        acc = frozenset({0}) if () in members else frozenset()
-        return Dfa(syms, ((0,) * len(syms),), 0, acc)
-    check_inference_table(len(syms), bound, caps)
-    all_words = [list(itertools.product(syms, repeat=n)) for n in range(bound + 1)]
-
-    def verified(cand: Dfa):
-        for n in range(bound + 1):
-            for w in all_words[n]:
-                if cand.accepts(w) != (w in members):
-                    return False
-        return True
-
+        acc = frozenset({0}) if member[0] else frozenset()
+        return Dfa(syms, ((0,) * k,), 0, acc)
+    lengths = np.repeat(np.arange(bound + 1), np.diff(off))
+    ranks = np.arange(off[-1]) - off[lengths]
     largest = 0  # states of the largest hypothesis built and refuted
     for d in range(bound + 1):
-        probes = [w for n in range(d + 1) for w in all_words[n]]
-        rows = [w for n in range(bound - d + 1) for w in all_words[n]]
-        sig_of = {}
-        classes = {}
-        for u in rows:
-            sig = frozenset(p for p in probes if u + p in members)
-            sig_of[u] = sig
-            if sig not in classes:
-                classes[sig] = u  # shortlex-first representative
-        if len(classes) > cap:
+        rows = off[bound - d + 1]
+        bits = np.concatenate(
+            [member[(off[lengths[:rows] + b] + ranks[:rows] * k ** b)[:, None]
+                    + np.arange(k ** b)] for b in range(d + 1)], axis=1)
+        packed = np.packbits(bits, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        if len(first) > cap:
             raise CapExceeded(f"automaton inference exceeds the cap of {cap} states",
                               stage="automaton inference", cap=cap)
-        index = {sig: i for i, sig in enumerate(classes)}
-        # transitions from the first representative shallow enough to step
-        shallow = {}
-        for u in rows:
-            if len(u) < bound - d:
-                shallow.setdefault(sig_of[u], u)
-        if any(sig not in shallow for sig in classes):
+        order = np.argsort(first)  # classes by their shortlex-first row
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
+        cls = renumber[inverse.reshape(-1)]
+        first = first[order]
+        if first[-1] >= off[bound - d]:
             continue  # some class only ever appears at the frontier
-        delta = []
-        for sig in classes:
-            u = shallow[sig]
-            delta.append(tuple(index[sig_of[u + (a,)]] for a in syms))
-        acc = frozenset(i for sig, i in index.items() if () in sig)
-        cand = Dfa(syms, tuple(delta), index[sig_of[()]], acc)
-        if verified(cand):
-            return cand.minimize()
-        largest = max(largest, cand.n)
+        delta = cls[first[:, None] * k + np.arange(k) + 1]
+        accepting = member[first]
+        if _agrees(delta, accepting, member, off):
+            return Dfa(syms, tuple(map(tuple, delta.tolist())), 0,
+                       frozenset(np.flatnonzero(accepting).tolist())).minimize()
+        largest = max(largest, len(first))
     refuted = (f"the largest hypothesis built, with {largest} states, disagrees "
                f"with the data" if largest else "no probe depth gave a hypothesis")
     raise BoundTooSmall(
         f"no automaton consistent with the data was found at bound {bound}: "
         f"{refuted}; a larger bound may be needed",
         stage="automaton inference", bound=bound, states=largest)
+
+
+def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT,
+                     max_states=None) -> Dfa:
+    """Infer the automaton behind bounded language data: the words of
+    ``lang`` are marked in the membership table of all words of length <=
+    bound over its alphabet (a word with a letter outside the alphabet
+    marks nothing), and ``infer_dfa`` reads the automaton off the table."""
+    syms = tuple(lang.alphabet)
+    k = len(syms)
+    check_inference_table(k, lang.bound, caps)
+    off = shortlex_offsets(k, lang.bound)
+    col = {s: i for i, s in enumerate(syms)}
+    member = np.zeros(off[-1], dtype=bool)
+    for w in lang.words:
+        if all(s in col for s in w):
+            rank = 0
+            for s in w:
+                rank = rank * k + col[s]
+            member[off[len(w)] + rank] = True
+    return infer_dfa(syms, lang.bound, member, caps, max_states)

@@ -13,15 +13,15 @@ from . import caps as _caps
 from . import finba
 from .caps import Caps
 from .errors import BoundTooSmall, NotMonoidPresentable
-from .logic import (DEFAULT_REGISTRY, LetterPred, NumPred, Quant, Registry,
-                    TRUE, conj, disj, formula_dfa, free_vars, models, neg,
-                    parse, relabel, satisfies, to_dsl)
-from .regular import FinMonoid, image_dfa, quotient_closure, syntactic_stamp
+from .logic import (DEFAULT_REGISTRY, LetterPred, NumPred, Quant, TRUE, conj,
+                    disj, formula_dfa, models, parse, relabel, satisfies,
+                    to_dsl)
+from .regular import FinMonoid, image_dfa, quotient_closure
 from .report import Report
 from .sampling import (MONOID_QUANTIFIERS, random_atom_sentence, random_delta,
                        random_formula, random_sentence)
-from .semidirect import (Biaction, compile_layer, decompose, eta_quotient,
-                         sdp, verify_recognizer)
+from .semidirect import (Biaction, compile_layer, decompose, sdp,
+                         verify_recognizer)
 from .substitution import (check_substitution_principle, delta_algebra,
                            tau_compat, tau_word, xi)
 from .varcode import lift_delta, roundtrip_check

@@ -197,8 +197,16 @@ class MarkedWord:
         return w + "[" + ",".join(f"{v}={p}" for v, p in self.marks) + "]"
 
 
+def check_bound(bound):
+    """Refuse a negative word-length bound."""
+    if bound < 0:
+        raise ParseError(f"the word-length bound must be at least 0, got {bound}",
+                         bound=bound)
+
+
 def enumerate_words(alphabet, maxlen, caps: _caps.Caps = _caps.DEFAULT):
     """All words of length <= maxlen in shortlex order."""
+    check_bound(maxlen)
     syms = tuple(alphabet)
     total = 0
     for n in range(maxlen + 1):
@@ -363,6 +371,7 @@ class BoundedLang:
     words: frozenset
 
     def __post_init__(self):
+        check_bound(self.bound)
         for w in self.words:
             if len(w) > self.bound:
                 raise ParseError("word longer than the bound")

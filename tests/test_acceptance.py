@@ -205,7 +205,7 @@ def test_criterion_7_layer_compilation_matches_semantics():
                                                    reg), (q_name, body, w)
             done += 1
     _done(7, "layer compilation, 5 quantifiers x 30 formulas", t0,
-          budget=120.0)
+          budget=15.0)
 
 
 def test_criterion_8_fragments_match_direct_enumeration():

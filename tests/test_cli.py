@@ -1,6 +1,10 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +224,32 @@ def test_missing_language_inputs_exit_two(capsys):
     rc, _, err = run(capsys, ["synmon", "--alphabet", "ab"])
     assert rc == 2
     assert "no languages given" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["models", "--formula", "P[a](x)", "--alphabet", "ab", "-L", "-3"],
+    ["compile", "--formula", "E x. P[a](x)", "--alphabet", "ab", "-L", "-3"],
+], ids=["models", "compile"])
+def test_a_negative_bound_exits_two_naming_it(capsys, argv):
+    rc, out, _ = run(capsys, argv + ["--format", "json"])
+    assert rc == 2
+    err = json.loads(out)["error"]
+    assert err["code"] == "parse"
+    assert err["info"] == {"bound": -3}
+    assert "got -3" in err["message"]
+
+
+def test_a_non_integer_cap_exits_two_naming_key_and_value():
+    # the environment is read while the package is imported, so this runs
+    # in a fresh interpreter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordlogic.cli", "compile", "--formula",
+         "E x. P[a](x)", "--alphabet", "ab"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, "WORDLOGIC_CAPS": "monoid=abc"},
+        timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error [parse]" in proc.stderr
+    assert "monoid" in proc.stderr and "'abc'" in proc.stderr

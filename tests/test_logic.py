@@ -1,5 +1,8 @@
 """Formulas, quantifiers, satisfaction, and bounded model sets."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from wordlogic import (
     BoundTooSmall,
     CapExceeded,
     DEFAULT_REGISTRY,
+    ExtendedAlphabet,
     MarkedWord,
     ParseError,
     Quantifier,
@@ -24,8 +28,12 @@ from wordlogic import (
     relabel,
     rename_bound,
     satisfies,
+    WordlogicError,
 )
-from wordlogic.logic import check_hygiene, map_vars
+from wordlogic.logic import check_hygiene, map_vars, model_table
+from wordlogic.regular import dfa_from_bounded
+from wordlogic.sampling import random_formula
+from wordlogic.words import BoundedLang, embed_marked, enumerate_words
 
 from conftest import model_words, plain
 
@@ -347,12 +355,103 @@ def test_formula_dfa_refuses_an_oversized_table_before_evaluating(monkeypatch):
     import wordlogic.logic as logic
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("satisfies ran on a refused input")
+        raise AssertionError("a formula was evaluated on a refused input")
 
     monkeypatch.setattr(logic, "satisfies", forbidden)
+    monkeypatch.setattr(logic, "model_table", forbidden)
     phi = parse("(E y. (x < y & P[a](y))) & E z. (z < x & P[b](z))")
     with pytest.raises(CapExceeded) as exc:
         formula_dfa(phi, Alphabet.of("abc"), ("x",), 8)
     # 6 extended letters: 1 + 6 + ... + 6^8 words in the inference table
     assert exc.value.info["size"] == sum(6 ** n for n in range(9))
     assert exc.value.info["cap"] == 2_000_000
+
+
+# ---------------------------------------------------------------------------
+# the bulk model table against the per-word interpreter
+
+
+#: every built-in predicate, a modular one and a finite JSON tuple predicate
+NEAR = registry_from_json({"predicates": [
+    {"name": "near", "arity": 2, "tuples": [[1, 2], [2, 1], [2, 2], [3, 1]]}]})
+TABLE_PREDICATES = (("<", 2), ("=", 2), ("succ", 2), ("first", 1),
+                    ("last", 1), ("mod[2,1]", 1), ("near", 2))
+TABLE_QUANTIFIERS = ("E", "E1", "mod[2,1]", "maj")
+CONTEXTS = ((), ("x",), ("x", "y"))
+
+
+def table_formula(seed, ctx, max_depth=3):
+    rng = random.Random(seed)
+    return random_formula(rng, Alphabet.of("ab"), context=ctx,
+                          depth=rng.randint(1, max_depth),
+                          quantifiers=TABLE_QUANTIFIERS,
+                          predicates=TABLE_PREDICATES, registry=NEAR)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(CONTEXTS), st.integers(0, 5))
+def test_model_table_marks_exactly_the_embedded_models(seed, ctx, bound):
+    # with ("x", "y") both variables also mark one position together
+    A = Alphabet.of("ab")
+    phi = table_formula(seed, ctx)
+    ext = ExtendedAlphabet(A, ctx)
+    ids = {w: i for i, w in enumerate(enumerate_words(ext.symbols, bound))}
+    want = sorted(ids[embed_marked(mw, ctx, ext=ext)]
+                  for mw in models(phi, A, bound, ctx, NEAR))
+    got = model_table(phi, A, ctx, bound, NEAR)
+    assert got.shape == (len(ids),)
+    assert np.flatnonzero(got).tolist() == want
+
+
+def test_model_table_is_the_same_in_small_blocks(monkeypatch):
+    import wordlogic.logic as logic
+
+    A = Alphabet.of("abc")
+    phi = parse("(E y. (x < y & P[a](y))) & mod[2,1] z. (z < x & P[b](z))")
+    whole = model_table(phi, A, ("x",), 5)
+    monkeypatch.setattr(logic, "_BLOCK_CELLS", 50)  # a few words per block
+    assert np.array_equal(model_table(phi, A, ("x",), 5), whole)
+    assert whole.sum() == len(models(phi, A, 5, ("x",)))
+
+
+def test_model_table_reads_a_foreign_letter_as_false():
+    A = Alphabet.of("ab")
+    table = model_table(parse("~P[c](x)"), A, ("x",), 2)
+    assert table.sum() == len(models(parse("1"), A, 2, ("x",)))
+
+
+def _outcome(make):
+    try:
+        return make()
+    except WordlogicError as exc:
+        return type(exc), str(exc), exc.info
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(CONTEXTS), st.integers(0, 5))
+def test_formula_dfa_matches_the_per_word_path(seed, ctx, bound):
+    A = Alphabet.of("ab")
+    phi = table_formula(seed, ctx, max_depth=2)
+
+    def per_word():
+        ext = ExtendedAlphabet(A, ctx)
+        hits = frozenset(embed_marked(mw, ctx, ext=ext)
+                         for mw in models(phi, A, bound, ctx, NEAR))
+        return ext, dfa_from_bounded(BoundedLang(ext.symbols, bound, hits))
+
+    assert _outcome(lambda: formula_dfa(phi, A, ctx, bound, NEAR)) \
+        == _outcome(per_word)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: models(parse("P[a](x)"), Alphabet.of("ab"), -3),
+    lambda: counterexample_bounded(parse("P[a](x)"), parse("P[b](x)"),
+                                   Alphabet.of("ab"), -3),
+    lambda: formula_dfa(parse("P[a](x)"), Alphabet.of("ab"), ("x",), -3),
+    lambda: model_table(parse("P[a](x)"), Alphabet.of("ab"), ("x",), -3),
+    lambda: BoundedLang(("a", "b"), -3, frozenset()),
+], ids=["models", "counterexample_bounded", "formula_dfa", "model_table",
+        "BoundedLang"])
+def test_a_negative_bound_is_refused(call):
+    with pytest.raises(ParseError) as exc:
+        call()
+    assert exc.value.info == {"bound": -3}
+    assert "got -3" in str(exc.value)

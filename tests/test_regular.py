@@ -2,11 +2,14 @@
 
 import itertools
 
+import numpy as np
+
 import pytest
 from hypothesis import given, strategies as st
 
 from wordlogic import (
     Alphabet,
+    BoundTooSmall,
     CapExceeded,
     ExtendedAlphabet,
     ParseError,
@@ -22,6 +25,7 @@ from wordlogic.regular import (
     factor_stamp,
     generate_monoid,
     image_dfa,
+    infer_dfa,
     mark_count_dfa,
     plain_universe_dfa,
     quotient_closure,
@@ -154,6 +158,63 @@ def test_inference_agrees_with_its_data(seed):
     inferred = dfa_from_bounded(bounded_of(d, A, 6))
     for w in enumerate_words(A, 6):
         assert inferred.accepts(w) == d.accepts(w)
+
+
+def per_word_inference(lang: BoundedLang):
+    """The reference learner: every prefix's residual signature as a set of
+    probe words, each word looked up on its own.  Returns the automaton, or
+    the size of the largest refuted hypothesis when none is verified."""
+    syms, bound, members = tuple(lang.alphabet), lang.bound, lang.words
+    if bound == 0:
+        acc = frozenset({0}) if () in members else frozenset()
+        return Dfa(syms, ((0,) * len(syms),), 0, acc)
+    words = [list(itertools.product(syms, repeat=n)) for n in range(bound + 1)]
+    largest = 0
+    for d in range(bound + 1):
+        probes = [p for n in range(d + 1) for p in words[n]]
+        rows = [u for n in range(bound - d + 1) for u in words[n]]
+        sig = {u: frozenset(p for p in probes if u + p in members) for u in rows}
+        index, shallow = {}, {}
+        for u in rows:
+            index.setdefault(sig[u], len(index))
+            if len(u) < bound - d:
+                shallow.setdefault(sig[u], u)
+        if len(shallow) < len(index):
+            continue
+        delta = tuple(tuple(index[sig[shallow[s] + (a,)]] for a in syms)
+                      for s in index)
+        cand = Dfa(syms, delta, 0, frozenset(i for s, i in index.items() if () in s))
+        if all(cand.accepts(w) == (w in members) for ws in words for w in ws):
+            return cand.minimize()
+        largest = max(largest, cand.n)
+    return largest
+
+
+@given(st.sampled_from(["ab", "abc"]), st.integers(0, 5),
+       st.randoms(use_true_random=False))
+def test_inference_matches_the_per_word_learner(letters, bound, rnd):
+    # the language of a random small automaton, with some words flipped
+    syms = tuple(letters)
+    n = rnd.randrange(1, 5)
+    d = Dfa(syms, tuple(tuple(rnd.randrange(n) for _ in syms) for _ in range(n)),
+            0, frozenset(q for q in range(n) if rnd.random() < 0.5))
+    noise = rnd.choice([0.0, 0.0, 0.05, 0.3])
+    words = frozenset(w for w in enumerate_words(syms, bound)
+                      if d.accepts(w) != (rnd.random() < noise))
+    lang = BoundedLang(syms, bound, words)
+    want = per_word_inference(lang)
+    if isinstance(want, Dfa):
+        assert dfa_from_bounded(lang) == want
+    else:
+        with pytest.raises(BoundTooSmall) as exc:
+            dfa_from_bounded(lang)
+        assert exc.value.info == {"stage": "automaton inference",
+                                  "bound": bound, "states": want}
+
+
+def test_inference_refuses_a_table_of_the_wrong_size():
+    with pytest.raises(ParseError):
+        infer_dfa(("a", "b"), 2, np.zeros(6, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,37 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import wordlogic
+
+MODULES = sorted(p for p in Path(wordlogic.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")  # __init__ re-exports
+
+
+def unused_imports(tree) -> list:
+    """Names a module imports and never mentions again."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("import os\nimport numpy as np\n"
+                     "from re import match, sub\nnp.zeros(match)\n")
+    assert unused_imports(tree) == [(1, "os"), (3, "sub")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
