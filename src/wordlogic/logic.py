@@ -27,7 +27,8 @@ import numpy as np
 
 from . import caps as _caps
 from .errors import ParseError
-from .regular import FinMonoid, check_inference_table, infer_dfa, shortlex_offsets
+from .regular import (FinMonoid, check_inference_table, infer_dfa, shortlex_offsets,
+                      word_ids)
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_bound,
                     enumerate_marked)
 
@@ -759,10 +760,12 @@ def model_table(phi, alphabet: Alphabet, context, bound, registry=None) -> np.nd
         raise ParseError(f"not a formula: {node!r}")
 
     for n in range(bound + 1):
-        place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)  # letter weights
-        # variable j marking position p adds 2^j to the mask of letter p
-        marks = sum((_on_axes(place << j, (j + 1,), c + 1) for j in range(c)),
-                    np.zeros((1,) * (c + 1), dtype=np.int64))
+        # ids are linear in the letters past off[n]: variable j marking
+        # position p adds 2^j to letter p, so the id grows by that of the
+        # word with letter 2^j at p and 0 elsewhere, less off[n]
+        onehot = np.eye(n, dtype=np.int64)
+        marks = sum((_on_axes(word_ids(onehot << j, k, off) - off[n], (j + 1,), c + 1)
+                     for j in range(c)), np.zeros((1,) * (c + 1), dtype=np.int64))
         preds = {}
         words = a ** n
         block = max(1, _BLOCK_CELLS // max(1, n ** len(variables)))
@@ -772,7 +775,7 @@ def model_table(phi, alphabet: Alphabet, context, bound, registry=None) -> np.nd
             sat = table(phi, letters, n, preds)
             sat = np.broadcast_to(sat[(Ellipsis,) + (0,) * (ndim - 1 - c)],
                                   (len(ranks),) + (n,) * c)
-            ids = off[n] + (letters @ (place << c))[(slice(None),) + (None,) * c] + marks
+            ids = word_ids(letters << c, k, off)[(slice(None),) + (None,) * c] + marks
             member[ids[sat]] = True
     return member
 

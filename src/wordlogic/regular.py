@@ -556,6 +556,16 @@ def shortlex_offsets(k: int, bound) -> np.ndarray:
     return np.cumsum([0] + [k ** n for n in range(bound + 1)], dtype=np.int64)
 
 
+def word_ids(letters, k: int, off) -> np.ndarray:
+    """The table ids of the words in the last axis of ``letters`` (letter
+    indices 0..k-1, all words of one length n): off[n] + rank, rank the
+    word read as a base-k numeral.  The id is linear in the letters past
+    off[n]."""
+    letters = np.asarray(letters, dtype=np.int64)
+    n = letters.shape[-1]
+    return off[n] + letters @ (k ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
 def _agrees(delta, accepting, member, off) -> bool:
     """Does the automaton (start state 0) accept exactly the member words?
     Runs it on all words of one length at once, level by level."""
@@ -568,8 +578,7 @@ def _agrees(delta, accepting, member, off) -> bool:
     return True
 
 
-def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT,
-              max_states=None) -> Dfa:
+def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT) -> Dfa:
     """Infer the automaton behind a membership table over the words of
     length <= bound, numbered in shortlex order as above.
 
@@ -585,7 +594,7 @@ def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT,
     """
     syms = tuple(symbols)
     k = len(syms)
-    cap = max_states or caps.dfa_states
+    cap = caps.dfa_states
     off = shortlex_offsets(k, bound)
     member = np.asarray(member, dtype=bool)
     if member.shape != (off[-1],):
@@ -630,8 +639,7 @@ def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT,
         stage="automaton inference", bound=bound, states=largest)
 
 
-def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT,
-                     max_states=None) -> Dfa:
+def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT) -> Dfa:
     """Infer the automaton behind bounded language data: the words of
     ``lang`` are marked in the membership table of all words of length <=
     bound over its alphabet (a word with a letter outside the alphabet
@@ -641,11 +649,12 @@ def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT,
     check_inference_table(k, lang.bound, caps)
     off = shortlex_offsets(k, lang.bound)
     col = {s: i for i, s in enumerate(syms)}
-    member = np.zeros(off[-1], dtype=bool)
+    rows = [[] for _ in range(lang.bound + 1)]  # letter indices, by length
     for w in lang.words:
         if all(s in col for s in w):
-            rank = 0
-            for s in w:
-                rank = rank * k + col[s]
-            member[off[len(w)] + rank] = True
-    return infer_dfa(syms, lang.bound, member, caps, max_states)
+            rows[len(w)].append([col[s] for s in w])
+    member = np.zeros(off[-1], dtype=bool)
+    for n, words in enumerate(rows):
+        letters = np.array(words, dtype=np.int64).reshape(len(words), n)
+        member[word_ids(letters, k, off)] = True
+    return infer_dfa(syms, lang.bound, member, caps)

@@ -30,9 +30,11 @@ from wordlogic.regular import (
     plain_universe_dfa,
     quotient_closure,
     recognized_languages,
+    shortlex_offsets,
     syntactic_stamp,
     syntactic_stamp_of_family,
     universal_dfa,
+    word_ids,
     zero_part_dfa,
 )
 from wordlogic.words import BoundedLang, enumerate_words
@@ -210,6 +212,18 @@ def test_inference_matches_the_per_word_learner(letters, bound, rnd):
             dfa_from_bounded(lang)
         assert exc.value.info == {"stage": "automaton inference",
                                   "bound": bound, "states": want}
+
+
+def test_word_ids_number_the_shortlex_enumeration():
+    k, bound = 3, 4
+    off = shortlex_offsets(k, bound)
+    words = list(enumerate_words(range(k), bound))
+    ids = [int(word_ids([list(w)], k, off)[0]) for w in words]
+    assert ids == list(range(off[-1])) == list(range(len(words)))
+    for w, i in zip(words, ids):
+        if len(w) < bound:
+            for c in range(k):
+                assert word_ids([list(w) + [c]], k, off)[0] == i * k + c + 1
 
 
 def test_inference_refuses_a_table_of_the_wrong_size():
