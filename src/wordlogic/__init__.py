@@ -6,9 +6,9 @@ checked against brute force."""
 __version__ = "0.1.0"
 
 from .caps import Caps, from_env as caps_from_env
-from .errors import (BoundTooSmall, CapExceeded, MissingMachinery,
-                     NotDecomposable, NotMonoidPresentable, ParseError,
-                     WordlogicError)
+from .errors import (BoundTooSmall, CapExceeded, InvariantViolated,
+                     MissingMachinery, NotDecomposable, NotMonoidPresentable,
+                     ParseError, WordlogicError)
 from .finba import (FinBA, check_adjunction, common_refinement,
                     dual_of_inclusion, generate, is_subalgebra)
 from .layers import (FragmentResult, FragmentSpec,

@@ -201,7 +201,7 @@ def cmd_models(args) -> int:
     phi = _one_formula(args, reg)
     A = _alphabet(args)
     ctx = split_names(args.vars) if args.vars else None
-    hits = sorted(models(phi, A, args.maxlen, ctx, reg),
+    hits = sorted(models(phi, A, args.maxlen, ctx, reg, _caps.from_env()),
                   key=lambda m: (len(m.word), m.word, m.marks))
     _emit(args, {"kind": "models", "formula": to_dsl(phi),
                  "alphabet": list(A.symbols), "bound": args.maxlen,
@@ -217,7 +217,8 @@ def cmd_equiv(args) -> int:
     right = parse(args.right, reg)
     A = _alphabet(args)
     ctx = split_names(args.vars) if args.vars else None
-    cex = counterexample_bounded(left, right, A, args.maxlen, ctx, reg)
+    cex = counterexample_bounded(left, right, A, args.maxlen, ctx, reg,
+                                 _caps.from_env())
     payload = {"kind": "equiv", "left": to_dsl(left), "right": to_dsl(right),
                "alphabet": list(A.symbols), "bound": args.maxlen,
                "equivalent": cex is None,

@@ -50,3 +50,10 @@ class BoundTooSmall(WordlogicError):
     """No automaton consistent with the bounded data could be verified."""
 
     code = "bound"
+
+
+class InvariantViolated(WordlogicError):
+    """A construction failed one of its own consistency checks; ``stage``
+    in ``info`` names the construction."""
+
+    code = "invariant"

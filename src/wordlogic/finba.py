@@ -91,9 +91,19 @@ class FinBA:
         return mask
 
 
-def _order_atoms(carrier, cells):
-    pos = {p: i for i, p in enumerate(carrier)}
-    return tuple(sorted(cells, key=lambda c: min(pos[p] for p in c)))
+def partition(carrier, keys, caps: _caps.Caps = _caps.DEFAULT) -> tuple:
+    """The algebra whose atoms are the points of the carrier grouped by their
+    keys (one hashable key per point, aligned with the carrier), ordered by
+    earliest point.  Returns the FinBA and the key of each atom."""
+    carrier = tuple(carrier)
+    cells = {}
+    for p, key in zip(carrier, keys):
+        cells.setdefault(key, []).append(p)
+    if len(cells) > caps.finba_atoms:
+        raise CapExceeded(
+            f"{len(cells)} atoms exceed the atom cap", cap=caps.finba_atoms
+        )
+    return FinBA(carrier, tuple(map(frozenset, cells.values()))), tuple(cells)
 
 
 def generate(carrier, gens, caps: _caps.Caps = _caps.DEFAULT) -> FinBA:
@@ -103,25 +113,15 @@ def generate(carrier, gens, caps: _caps.Caps = _caps.DEFAULT) -> FinBA:
     their generator-membership signature).
     """
     carrier = tuple(carrier)
-    idx = {}
-    for p in carrier:
-        if p in idx:
-            raise ParseError("carrier has repeated points")
-        idx[p] = len(idx)
+    points = set(carrier)
+    if len(points) != len(carrier):
+        raise ParseError("carrier has repeated points")
     gens = [frozenset(g) for g in gens]
     for g in gens:
-        if not g <= set(carrier):
+        if not g <= points:
             raise ParseError("generator not a subset of the carrier")
-    cells = {}
-    for p in carrier:
-        sig = tuple(p in g for g in gens)
-        cells.setdefault(sig, set()).add(p)
-    atoms = _order_atoms(carrier, [frozenset(c) for c in cells.values()])
-    if len(atoms) > caps.finba_atoms:
-        raise CapExceeded(
-            f"{len(atoms)} atoms exceed the atom cap", cap=caps.finba_atoms
-        )
-    return FinBA(carrier, atoms)
+    return partition(carrier, (tuple(p in g for g in gens) for p in carrier),
+                     caps)[0]
 
 
 def is_subalgebra(small: FinBA, big: FinBA) -> bool:

@@ -19,14 +19,16 @@ import numpy as np
 from . import caps as _caps
 from . import finba
 from .caps import Caps
-from .errors import CapExceeded, ParseError
+from .errors import CapExceeded, InvariantViolated, ParseError
 from .logic import (LetterPred, NumPred, Quant, Registry, DEFAULT_REGISTRY,
-                    conj, disj, neg, models, relabel, satisfies, to_dsl)
+                    conj, disj, embedded_ids, in_range, marked_truth, neg,
+                    models, relabel, to_dsl)
+from .regular import shortlex_rows
 from .report import Report
-from .substitution import SentenceClass, gamma_odot, sigma, xi
+from .substitution import SentenceClass, atom_rows, gamma_odot, sigma
 from .varcode import decode_multi, lift_delta
-from .words import (Alphabet, MarkedWord, encode_marks, enumerate_marked,
-                    enumerate_words, subsets_in_order)
+from .words import (Alphabet, MarkedWord, enumerate_marked, enumerate_words,
+                    subsets_in_order)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,7 @@ def check_gamma_laws(qnames, zeta: dict, bound=4, registry: Registry = None,
     def plain_models(phi, alphabet):
         return frozenset(m.word for m in
                          models(phi, alphabet, bound, context=(),
-                                registry=reg))
+                                registry=reg, caps=caps))
 
     carrier = tuple(enumerate_words(src, bound, caps))
     gens_src = gamma.generators(src)
@@ -296,6 +298,7 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
         return FragmentResult(spec, ba, (), (), {"layers": 0})
 
     xs = tuple(f"x{i}" for i in range(1, n + 1))
+    letters, lens = shortlex_rows(len(A), L)
     current = _qf_generators(spec, xs, reg)
     stats = {"layers": []}
     odot = None
@@ -306,15 +309,17 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
         delta = lift.lifted
         usable = [i for i in range(delta.atom_count) if i != lift.junk_atom]
 
-        carrier = tuple(enumerate_marked(A, spect, L, caps))
-        rows = []
-        for mw in carrier:
-            u = encode_marks(mw, spect, ext=delta.alphabet).word if spect \
-                else mw.word
-            row = tuple(xi(delta, MarkedWord(u, ((keep, i),)))
-                        for i in range(1, len(u) + 1))
-            assert lift.junk_atom not in row
-            rows.append(row)
+        # the atom words of the embeddings of the marked words over A with
+        # marks for the spare variables, in enumerate_marked order
+        inside = in_range(lens, L, len(spect))
+        ids = embedded_ids(letters, lens, len(A), len(spect))[inside]
+        atoms = atom_rows(delta, L)[2][ids]
+        if spect and (atoms == lift.junk_atom).any():
+            raise InvariantViolated("an embedded marked word reads the "
+                                    "off-image atom", stage="depth_fragment")
+        cut = np.broadcast_to(lens[(slice(None),) + (None,) * len(spect)],
+                              inside.shape)[inside]
+        rows = [tuple(row[:n]) for row, n in zip(atoms.tolist(), cut.tolist())]
 
         cands = _subset_sentence_languages(spec.quantifiers, usable, rows,
                                            reg, caps)
@@ -324,7 +329,7 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
             if bits not in seen:
                 seen.add(bits)
                 deduped.append(((qname, mask), bits))
-        kept = _greedy_generators([b for _, b in deduped], len(carrier))
+        kept = _greedy_generators([b for _, b in deduped], len(rows))
         reps = [deduped[i][0] for i in kept]
         rep_bits = [deduped[i][1] for i in kept]
         sentences = [_sentence_of(qn, m, usable) for qn, m in reps]
@@ -338,9 +343,12 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
                 generator=lambda alphabet, ss=tuple(sentences): iter(ss))
             odot = gamma_odot(family, delta, bound=L, registry=reg, caps=caps)
             for lang, bits in zip(odot.gen_langs, rep_bits):
-                direct = frozenset(carrier[r].word for r in range(len(carrier))
+                direct = frozenset(plain[r] for r in range(len(plain))
                                    if (bits >> r) & 1)
-                assert lang == direct
+                if lang != direct:
+                    raise InvariantViolated(
+                        "a substituted sentence's language differs from its "
+                        "layer enumeration", stage="depth_fragment")
         else:
             current = [decode_multi(sigma(delta, s), spect, A, reg)
                        for s in sentences]
@@ -353,16 +361,15 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
 # the independent oracle
 # ---------------------------------------------------------------------------
 
-def _signature_cells(carrier, gens, reg):
-    sig_of = {}
-    cells = {}
-    for mw in carrier:
-        sig = tuple(satisfies(mw, g, reg) for g in gens)
-        cells.setdefault(sig, []).append(mw)
-        sig_of[mw] = sig
-    order = sorted(cells)
-    index = {sig: i for i, sig in enumerate(order)}
-    return {mw: index[sig_of[mw]] for mw in carrier}, len(order)
+def _signature_cells(carrier, A, ctx, L, gens, reg):
+    """Cell index of each marked word of ``carrier`` (all of
+    ``enumerate_marked(A, ctx, L)``, in order) by the truth values of the
+    generators, cells numbered in sorted signature order."""
+    truth = np.array([marked_truth(g, A, ctx, L, reg) for g in gens],
+                     dtype=bool).reshape(len(gens), len(carrier))
+    sigs = [tuple(sig) for sig in truth.T.tolist()]
+    index = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+    return {mw: index[sig] for mw, sig in zip(carrier, sigs)}, len(index)
 
 
 def depth_direct(spec: FragmentSpec, registry: Registry = None,
@@ -392,7 +399,7 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
     if n == 1:
         carrier1 = tuple(enumerate_marked(A, (v1,), L, caps))
         atom1_of, natoms1 = _signature_cells(
-            carrier1, _qf_generators(spec, (v1,), reg), reg)
+            carrier1, A, (v1,), L, _qf_generators(spec, (v1,), reg), reg)
         cell_rows = [tuple(atom1_of[MarkedWord(w, ((v1, i),))]
                            for i in range(1, len(w) + 1)) for w in plain]
         cands = _subset_sentence_languages(spec.quantifiers,
@@ -407,7 +414,7 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
     carrier1 = tuple(enumerate_marked(A, (v2,), L, caps))
     carrier2 = tuple(enumerate_marked(A, (v1, v2), L, caps))
     atom2_of, natoms2 = _signature_cells(
-        carrier2, _qf_generators(spec, (v1, v2), reg), reg)
+        carrier2, A, (v1, v2), L, _qf_generators(spec, (v1, v2), reg), reg)
     rows1 = []
     for mw in carrier1:
         i = mw.pos(v2)
@@ -421,7 +428,7 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
     gens1 = [frozenset(carrier1[r] for r in range(len(carrier1))
                        if (bits >> r) & 1) for bits in sorted(inner_sets)]
     qf1_of, natoms_qf1 = _signature_cells(
-        carrier1, _qf_generators(spec, (v2,), reg), reg)
+        carrier1, A, (v2,), L, _qf_generators(spec, (v2,), reg), reg)
     gens1 += [frozenset(mw for mw in carrier1 if qf1_of[mw] == c)
               for c in range(natoms_qf1)]
     psi1 = finba.generate(carrier1, gens1, caps)

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps as _caps
-from .errors import ParseError
-from .regular import (FinMonoid, check_inference_table, infer_dfa, shortlex_offsets,
-                      word_ids)
+from .errors import CapExceeded, ParseError
+from .regular import (FinMonoid, infer_dfa, row_weights, shortlex_offsets,
+                      shortlex_rows, word_ids)
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_bound,
-                    enumerate_marked)
+                    check_table, enumerate_marked)
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +663,34 @@ def satisfies(mw: MarkedWord, phi, registry=None) -> bool:
     return ev(phi, dict(mw.marks))
 
 
-# cells (words x position tuples) of one evaluation block of model_table: it
-# bounds the size of the tables, not the input, since a block holds at least
-# one word
+# cells (words x position tuples) of one evaluation block: it bounds the
+# size of the tables, not the input, since a block holds at least one word
 _BLOCK_CELLS = 1 << 20
+# numpy's limit on the dimensions of an array
+_MAX_AXES = 64
+
+
+def _variables(node):
+    """(free variables, quantifier nesting depth, width) in one walk."""
+    if isinstance(node, Not):
+        return _variables(node.sub)
+    if isinstance(node, (And, Or)):
+        free, depth, most = frozenset(), 0, 0
+        for a in node.args:
+            sub_free, sub_depth, sub_most = _variables(a)
+            free, depth, most = free | sub_free, max(depth, sub_depth), max(most, sub_most)
+        return free, depth, max(most, len(free))
+    if isinstance(node, Quant):
+        free, depth, most = _variables(node.body)
+        return free - {node.var}, depth + 1, most
+    free = _atom_vars(node)
+    return free, 0, len(free)
+
+
+def width(phi) -> int:
+    """The most variables free at once in one subformula: bulk evaluation
+    holds tables of words x positions^width."""
+    return _variables(phi)[2]
 
 
 def _on_axes(values, axes, ndim) -> np.ndarray:
@@ -679,127 +703,225 @@ def _on_axes(values, axes, ndim) -> np.ndarray:
     return values.transpose(order).reshape(shape)
 
 
-def model_table(phi, alphabet: Alphabet, context, bound, registry=None) -> np.ndarray:
-    """The bounded model set of a formula as a membership table over the
-    words of A x 2^context of length <= bound, numbered in shortlex order as
-    in ``regular.infer_dfa`` with letter base_index * 2^|context| + mask
-    (context[0] the lowest bit): True exactly at the embeddings of the marked
-    words ``models`` returns, for which ``satisfies`` is the reference.
+class _Evaluator:
+    """One formula's bulk tables over blocks of padded letter rows: each
+    subformula is a bool array with axis 0 for the rows and one axis per
+    variable in scope (size 1 where the variable is not free in it).
+    ``env`` maps the variables in scope to their axes: context variable j
+    to axis j + 1, and a bound variable to the first axis past those of the
+    variables around its binder, so sibling binders share axes and ``ndim``
+    is 1 + |context| + the quantifier nesting depth."""
 
-    All base words of one length are evaluated at once, in blocks.  Each
-    subformula becomes a bool array with one axis for the words and one axis
-    per variable, of size 1 where the variable is not free in it; a
-    numerical predicate asks its oracle once per position tuple, a monoid
-    quantifier folds its body along the variable's axis and an oracle
-    quantifier is asked once per slice.  The caller checks the size of the
-    table (``regular.check_inference_table``).
-    """
-    reg = registry or DEFAULT_REGISTRY
-    ctx = tuple(context)
-    check_bound(bound)
-    if not free_vars(phi) <= set(ctx):
-        raise ParseError("context does not cover the formula's free variables")
-    syms = tuple(alphabet)
-    col = {a: i for i, a in enumerate(syms)}
-    a, c = len(syms), len(ctx)
-    k = a << c
-    variables = ctx + tuple(sorted(all_vars(phi) - set(ctx)))
-    axis = {v: i + 1 for i, v in enumerate(variables)}
-    ndim = 1 + len(variables)
-    unit = np.ones((1,) * ndim, dtype=bool)
-    off = shortlex_offsets(k, bound)
-    member = np.zeros(off[-1], dtype=bool)
+    def __init__(self, symbols, ndim, bound, registry):
+        self.col = {s: i for i, s in enumerate(symbols)}
+        self.ndim = ndim
+        self.bound = bound
+        self.reg = registry
+        self.unit = np.ones((1,) * ndim, dtype=bool)
+        self.preds = {}
 
-    def table(node, letters, n, preds):
+    def numpred(self, node, env):
+        """Per-length tables of a numerical predicate, indexed by length n <=
+        bound and the positions of its distinct arguments: asked once per
+        position tuple and False past n.  Atoms that differ only in their
+        variables share one table."""
+        free = tuple(dict.fromkeys(node.args))
+        pattern = tuple(free.index(v) for v in node.args)
+        if (node.name, pattern) not in self.preds:
+            holds = self.reg.numpred(node.name).holds
+            L = self.bound
+            tables = np.zeros((L + 1,) + (L,) * len(free), dtype=bool)
+            for n in range(L + 1):
+                values = [bool(holds(tuple(pos[i] for i in pattern), n))
+                          for pos in itertools.product(range(1, n + 1), repeat=len(free))]
+                tables[(n,) + (slice(n),) * len(free)] = \
+                    np.array(values, dtype=bool).reshape((n,) * len(free))
+            self.preds[node.name, pattern] = tables
+        return self.preds[node.name, pattern], (0,) + tuple(env[v] for v in free)
+
+    def table(self, node, letters, lens, env) -> np.ndarray:
+        unit, ndim = self.unit, self.ndim
         if isinstance(node, Truth):
             return unit
         if isinstance(node, Falsum):
             return ~unit
         if isinstance(node, LetterPred):
-            if node.symbol not in col:
+            if node.symbol not in self.col:
                 return ~unit
-            return _on_axes(letters == col[node.symbol], (0, axis[node.var]), ndim)
+            return _on_axes(letters == self.col[node.symbol], (0, env[node.var]), ndim)
         if isinstance(node, NumPred):
-            if node not in preds:
-                holds = reg.numpred(node.name).holds
-                free = tuple(dict.fromkeys(node.args))
-                values = [bool(holds(tuple(pos[free.index(v)] for v in node.args), n))
-                          for pos in itertools.product(range(1, n + 1), repeat=len(free))]
-                preds[node] = _on_axes(np.array(values, dtype=bool).reshape((n,) * len(free)),
-                                       tuple(axis[v] for v in free), ndim)
-            return preds[node]
+            tables, axes = self.numpred(node, env)
+            return _on_axes(tables[lens], axes, ndim)
         if isinstance(node, Not):
-            return ~table(node.sub, letters, n, preds)
+            return ~self.table(node.sub, letters, lens, env)
         if isinstance(node, (And, Or)):
             combine = np.logical_and if isinstance(node, And) else np.logical_or
             out = unit if isinstance(node, And) else ~unit
             for sub in node.args:
-                out = combine(out, table(sub, letters, n, preds))
+                out = combine(out, self.table(sub, letters, lens, env))
             return out
         if isinstance(node, Quant):
-            q = reg.quantifier(node.q)
-            ax = axis[node.var]
-            body = table(node.body, letters, n, preds)
-            shape = list(body.shape)
-            shape[ax] = n
-            bits = np.broadcast_to(body, shape)
+            q = self.reg.quantifier(node.q)
+            ax = max(env.values(), default=0) + 1
+            body = self.table(node.body, letters, lens, {**env, node.var: ax})
+            L = self.bound
+            inside = _on_axes(np.arange(L) < lens[:, None], (0, ax), ndim)
             if q.is_monoid:
+                # positions past a row's length read the identity, which
+                # leaves the folded state unchanged
                 mult = np.asarray(q.monoid.table)
-                images = np.asarray(q.images)[bits.astype(np.intp)]
+                images = np.where(inside, np.asarray(q.images)[body.astype(np.intp)],
+                                  q.monoid.identity)
+                shape = list(images.shape)
                 shape[ax] = 1
                 state = np.full(shape, q.monoid.identity)
-                for i in range(n):
+                for i in range(L):
                     state = mult[state, images.take([i], axis=ax)]
                 accept = np.zeros(len(q.monoid), dtype=bool)
                 accept[list(q.accept)] = True
                 return accept[state]
-            rows = np.moveaxis(bits, ax, -1)
-            rest = rows.shape[:-1]
-            values = [q.evaluate(row) for row in rows.reshape(math.prod(rest), n).tolist()]
-            return np.expand_dims(np.array(values, dtype=bool).reshape(rest), ax)
+            # an oracle is asked once per slice, on the row's own positions
+            shape = list(np.broadcast_shapes(body.shape, inside.shape))
+            rows = np.moveaxis(np.broadcast_to(body, shape), ax, -1)
+            rest = rows.shape[1:-1]
+            flat = rows.reshape(len(lens), math.prod(rest), L).tolist()
+            values = [[q.evaluate(bits[:n]) for bits in word]
+                      for word, n in zip(flat, lens.tolist())]
+            return np.expand_dims(np.array(values, dtype=bool).reshape(rows.shape[:-1]), ax)
         raise ParseError(f"not a formula: {node!r}")
 
-    for n in range(bound + 1):
-        # ids are linear in the letters past off[n]: variable j marking
-        # position p adds 2^j to letter p, so the id grows by that of the
-        # word with letter 2^j at p and 0 elsewhere, less off[n]
-        onehot = np.eye(n, dtype=np.int64)
-        marks = sum((_on_axes(word_ids(onehot << j, k, off) - off[n], (j + 1,), c + 1)
-                     for j in range(c)), np.zeros((1,) * (c + 1), dtype=np.int64))
-        preds = {}
-        words = a ** n
-        block = max(1, _BLOCK_CELLS // max(1, n ** len(variables)))
-        for start in range(0, words, block):
-            ranks = np.arange(start, min(words, start + block))
-            letters = ranks[:, None] // a ** np.arange(n - 1, -1, -1) % a
-            sat = table(phi, letters, n, preds)
-            sat = np.broadcast_to(sat[(Ellipsis,) + (0,) * (ndim - 1 - c)],
-                                  (len(ranks),) + (n,) * c)
-            ids = word_ids(letters << c, k, off)[(slice(None),) + (None,) * c] + marks
-            member[ids[sat]] = True
+
+def truth_table(phi, symbols, context, letters, lens, registry=None) -> np.ndarray:
+    """Truth of a formula on words given as padded letter rows.
+
+    ``letters`` is an (R, L) matrix of indices into ``symbols``; row r holds
+    a word of length ``lens[r]`` and is padded past it with -1, a letter
+    that matches no test.  The result has shape (R,) + (L,) * |context|:
+    entry [r, p_1, ...] is the truth of the formula on word r with context
+    variable j marking position p_j + 1 (``satisfies`` is the reference);
+    entries with a position at or past the row's length mean nothing.
+
+    All rows are evaluated in one tree walk per block of rows: a numerical
+    predicate becomes per-length tables indexed by row length, a monoid
+    quantifier folds its body along its variable's axis, leaving the state
+    unchanged past the row's length, and an oracle quantifier is asked on
+    each row's own positions.  Blocks hold at most ``_BLOCK_CELLS`` cells of
+    the widest subformula (``width``) and at least one row.
+    """
+    reg = registry or DEFAULT_REGISTRY
+    ctx = tuple(context)
+    free, depth, most = _variables(phi)
+    if not free <= set(ctx):
+        raise ParseError("context does not cover the formula's free variables")
+    c = len(ctx)
+    if 1 + c + depth > _MAX_AXES:
+        raise CapExceeded(f"{c} context variables and {depth} nested quantifiers "
+                          f"need more than the {_MAX_AXES} array axes of bulk "
+                          "evaluation", stage="bulk evaluation",
+                          size=1 + c + depth, cap=_MAX_AXES)
+    letters = np.asarray(letters, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
+    rows, L = letters.shape
+    ev = _Evaluator(symbols, 1 + c + depth, L, reg)
+    env = {v: j + 1 for j, v in enumerate(ctx)}
+    out = np.empty((rows,) + (L,) * c, dtype=bool)
+    block = max(1, _BLOCK_CELLS // max(1, L) ** max(c, most))
+    for start in range(0, rows, block):
+        part = slice(start, start + block)
+        sat = ev.table(phi, letters[part], lens[part], env)
+        out[part] = sat[(Ellipsis,) + (0,) * depth]
+    return out
+
+
+def in_range(lens, bound, c) -> np.ndarray:
+    """The (R,) + (bound,) * c mask of the entries of a truth table whose
+    positions all lie inside their row; read in C order, its cells are the
+    marked words of ``enumerate_marked`` in that order."""
+    inside = np.arange(bound) < np.asarray(lens)[:, None]
+    mask = np.ones(len(inside), dtype=bool)[(slice(None),) + (None,) * c]
+    for j in range(c):
+        mask = mask & _on_axes(inside, (0, j + 1), c + 1)
+    return mask
+
+
+def marked_truth(phi, alphabet, context, bound, registry=None) -> np.ndarray:
+    """Truth of a formula on the marked words of ``enumerate_marked(alphabet,
+    context, bound)``, as a bool vector in that order."""
+    ctx = tuple(context)
+    check_bound(bound)
+    letters, lens = shortlex_rows(len(alphabet), bound)
+    sat = truth_table(phi, tuple(alphabet), ctx, letters, lens, registry)
+    return sat[in_range(lens, bound, len(ctx))]
+
+
+def model_table(phi, alphabet: Alphabet, context, bound, registry=None) -> np.ndarray:
+    """The bounded model set of a formula as a membership table over the
+    words of A x 2^context of length <= bound, numbered in shortlex order as
+    in ``regular.infer_dfa`` with letter base_index * 2^|context| + mask
+    (context[0] the lowest bit): True exactly at the embeddings of the marked
+    words ``models`` returns.  The truth table of all base words
+    (``truth_table``) is scattered to the ids of the extended words; the
+    caller checks the size of the table (``words.check_table``).
+    """
+    ctx = tuple(context)
+    check_bound(bound)
+    letters, lens = shortlex_rows(len(alphabet), bound)
+    sat = truth_table(phi, tuple(alphabet), ctx, letters, lens, registry)
+    sat &= in_range(lens, bound, len(ctx))
+    ids = embedded_ids(letters, lens, len(alphabet), len(ctx))
+    member = np.zeros(shortlex_offsets(len(alphabet) << len(ctx), bound)[-1], dtype=bool)
+    member[np.broadcast_to(ids, sat.shape)[sat]] = True
     return member
 
 
-def models(phi, alphabet: Alphabet, bound, context=None, registry=None) -> frozenset:
+def embedded_ids(letters, lens, size: int, c: int) -> np.ndarray:
+    """The shortlex ids, among the words of length <= L over A x 2^c (letter
+    base_index * 2^c + mask, ``size`` = |A|), of the embedded marked words
+    of padded rows over A: shaped like a truth table with c context
+    variables, entry [r, p_1, ...] for row r with variable j at position
+    p_j + 1."""
+    k = size << c
+    L = letters.shape[1]
+    # ids are linear in the letters past off[n]: variable j marking
+    # position p adds 2^j times the weight of p to the unmarked word's id
+    weights = row_weights(lens, L, k)
+    ids = word_ids(letters << c, k, shortlex_offsets(k, L))[(slice(None),) + (None,) * c]
+    for j in range(c):
+        ids = ids + _on_axes(weights << j, (0, j + 1), c + 1)
+    return ids
+
+
+def models(phi, alphabet: Alphabet, bound, context=None, registry=None,
+           caps: _caps.Caps = _caps.DEFAULT) -> frozenset:
     """All marked words of length <= bound satisfying the formula, over the
-    given context (defaults to the formula's free variables, sorted)."""
+    given context (defaults to the formula's free variables, sorted).  More
+    marked words than the enumeration cap are refused before any is
+    evaluated."""
     ctx = tuple(context) if context is not None else tuple(sorted(free_vars(phi)))
     if not free_vars(phi) <= set(ctx):
         raise ParseError("context does not cover the formula's free variables")
-    return frozenset(mw for mw in enumerate_marked(alphabet, ctx, bound)
-                     if satisfies(mw, phi, registry))
+    check_table("marked word table", len(alphabet), len(ctx), bound, caps)
+    truth = marked_truth(phi, alphabet, ctx, bound, registry)
+    return frozenset(itertools.compress(enumerate_marked(alphabet, ctx, bound, caps), truth))
+
+
+def marked_word_at(alphabet, context, bound, index) -> MarkedWord:
+    """The marked word at an index of ``enumerate_marked``."""
+    return next(itertools.islice(enumerate_marked(alphabet, context, bound), index, None))
 
 
 def counterexample_bounded(phi, psi, alphabet: Alphabet, bound=6,
-                           context=None, registry=None):
+                           context=None, registry=None,
+                           caps: _caps.Caps = _caps.DEFAULT):
     """First marked word (in enumeration order) where the two formulas
-    disagree, or None."""
+    disagree, or None.  More marked words than the enumeration cap are
+    refused before any is evaluated."""
     ctx = tuple(context) if context is not None else \
         tuple(sorted(free_vars(phi) | free_vars(psi)))
-    for mw in enumerate_marked(alphabet, ctx, bound):
-        if satisfies(mw, phi, registry) != satisfies(mw, psi, registry):
-            return mw
-    return None
+    check_table("marked word table", len(alphabet), len(ctx), bound, caps)
+    differ = np.flatnonzero(marked_truth(phi, alphabet, ctx, bound, registry)
+                            != marked_truth(psi, alphabet, ctx, bound, registry))
+    return marked_word_at(alphabet, ctx, bound, int(differ[0])) if len(differ) else None
 
 
 def equiv_bounded(phi, psi, alphabet: Alphabet, bound=6, context=None,
@@ -842,6 +964,6 @@ def formula_dfa(phi, alphabet: Alphabet, context, bound,
     """
     ctx = tuple(context)
     ext = ExtendedAlphabet(alphabet, ctx)
-    check_inference_table(len(ext.symbols), bound, caps)
+    check_table("inference word table", len(ext.symbols), 0, bound, caps)
     member = model_table(phi, alphabet, ctx, bound, registry)
     return ext, infer_dfa(ext.symbols, bound, member, caps)

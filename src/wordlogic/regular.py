@@ -19,7 +19,7 @@ import numpy as np
 
 from . import caps as _caps
 from .errors import BoundTooSmall, CapExceeded, ParseError
-from .words import BoundedLang, ExtendedAlphabet, check_bound
+from .words import BoundedLang, ExtendedAlphabet, check_table
 
 
 # ---------------------------------------------------------------------------
@@ -537,33 +537,38 @@ def factor_stamp(stamp: Stamp, lang: Dfa):
 # off[|u|+|p|] + rank(u)·k^|p| + rank(p).
 
 
-def check_inference_table(symbols: int, bound, caps: _caps.Caps = _caps.DEFAULT):
-    """Refuse, before anything is enumerated, a negative bound or an
-    inference table (all words of length <= bound over ``symbols`` letters)
-    above the enumeration cap."""
-    check_bound(bound)
-    total = sum(symbols ** n for n in range(bound + 1))
-    if total > caps.enumeration:
-        raise CapExceeded(
-            f"inference word table of {total} words at bound {bound} exceeds "
-            f"the enumeration cap of {caps.enumeration}",
-            stage="inference word table", size=total, cap=caps.enumeration)
-
-
 def shortlex_offsets(k: int, bound) -> np.ndarray:
     """off[n] for n = 0..bound+1: the number of words shorter than n over k
     letters.  The table of the words of length <= bound has off[-1] ids."""
     return np.cumsum([0] + [k ** n for n in range(bound + 1)], dtype=np.int64)
 
 
+def shortlex_rows(k: int, bound):
+    """All words of length <= bound over k letters in shortlex order, as an
+    (off[-1], bound) matrix of letter indices with each row padded past its
+    word by -1, and the vector of word lengths."""
+    lens = np.repeat(np.arange(bound + 1), [k ** n for n in range(bound + 1)])
+    rank = np.arange(len(lens)) - shortlex_offsets(k, bound)[lens]
+    weights = row_weights(lens, bound, k)
+    return np.where(weights > 0, rank[:, None] // np.maximum(weights, 1) % k, -1), lens
+
+
+def row_weights(lens, width: int, k: int) -> np.ndarray:
+    """k^(n-1-p) at position p < n of a row of length n, and 0 past it: the
+    rank of a padded row read as a base-k numeral is its letters dotted
+    with these."""
+    exp = np.asarray(lens, dtype=np.int64)[..., None] - 1 - np.arange(width)
+    return np.where(exp >= 0, k ** np.maximum(exp, 0), 0)
+
+
 def word_ids(letters, k: int, off) -> np.ndarray:
     """The table ids of the words in the last axis of ``letters`` (letter
-    indices 0..k-1, all words of one length n): off[n] + rank, rank the
-    word read as a base-k numeral.  The id is linear in the letters past
-    off[n]."""
+    indices 0..k-1, each row padded past its word by -1): off[n] + rank, rank
+    the word of length n read as a base-k numeral.  The id is linear in the
+    letters past off[n], with coefficients ``row_weights``."""
     letters = np.asarray(letters, dtype=np.int64)
-    n = letters.shape[-1]
-    return off[n] + letters @ (k ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    lens = (letters >= 0).sum(-1)
+    return off[lens] + (letters * row_weights(lens, letters.shape[-1], k)).sum(-1)
 
 
 def _agrees(delta, accepting, member, off) -> bool:
@@ -590,7 +595,7 @@ def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT) -> Dfa:
     of the table, so the result provably agrees with the data; if no probe
     depth yields a verified hypothesis the data looks non-regular at this
     bound and BoundTooSmall names the bound and the largest hypothesis
-    refuted.  The caller checks the table size (``check_inference_table``).
+    refuted.  The caller checks the table size (``words.check_table``).
     """
     syms = tuple(symbols)
     k = len(syms)
@@ -646,7 +651,7 @@ def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT) -> Dfa
     marks nothing), and ``infer_dfa`` reads the automaton off the table."""
     syms = tuple(lang.alphabet)
     k = len(syms)
-    check_inference_table(k, lang.bound, caps)
+    check_table("inference word table", k, 0, lang.bound, caps)
     off = shortlex_offsets(k, lang.bound)
     col = {s: i for i, s in enumerate(syms)}
     rows = [[] for _ in range(lang.bound + 1)]  # letter indices, by length

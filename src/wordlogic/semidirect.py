@@ -21,7 +21,8 @@ import numpy as np
 
 from . import caps as _caps
 from .caps import Caps
-from .errors import CapExceeded, NotDecomposable, NotMonoidPresentable
+from .errors import (CapExceeded, InvariantViolated, NotDecomposable,
+                     NotMonoidPresentable)
 from .regular import (Dfa, FinMonoid, RegularBA, Stamp, cayley_dfa, closure,
                       generate_monoid, syntactic_stamp)
 from .report import Report
@@ -243,8 +244,10 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = None) -> Decomp
             "neither the marked part nor the sink part belongs to the algebra",
             clause="part-membership")
     # with quotient closure either one forces full separation; verify.
-    assert t_saturated and z_saturated, "parts fail to separate despite closure"
-    assert m_set.isdisjoint(t_set) and m_set.isdisjoint(z_set)
+    if not (t_saturated and z_saturated and m_set.isdisjoint(t_set)
+            and m_set.isdisjoint(z_set)):
+        raise InvariantViolated("parts fail to separate despite closure",
+                                stage="decompose")
 
     # plain part as a monoid of its own
     base = ext.base
@@ -254,7 +257,9 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = None) -> Decomp
     m_elems, m_index, m_mon, m_reps_words = generate_monoid(
         pi.monoid.identity, list(zip(base.symbols, p_amb)),
         lambda x, y: tab[x][y], caps)
-    assert frozenset(m_elems) == m_set
+    if frozenset(m_elems) != m_set:
+        raise InvariantViolated("the plain letters do not generate the plain "
+                                "part", stage="decompose")
     p_img = tuple(m_index[p] for p in p_amb)
     m_reps = tuple(m_reps_words)
 
@@ -320,7 +325,9 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = None) -> Decomp
                         "a union of plain classes", clause="cross-quotient")
 
     # splitting of the block count: plain + marked + one sink block
-    assert len(ba.blocks) == len(d0_blocks) + len(t_blocks) + 1
+    if len(ba.blocks) != len(d0_blocks) + len(t_blocks) + 1:
+        raise InvariantViolated("the blocks do not split into plain, marked "
+                                "and one sink block", stage="decompose")
 
     return DecomposedD(
         ext=ext, ba=ba, pi=pi, m_elems=tuple(m_elems), m_index=m_index,

@@ -11,21 +11,26 @@ sentence exactly when its atom word satisfies the original one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import caps as _caps
 from . import finba
 from .caps import Caps
 from .errors import BoundTooSmall, CapExceeded, ParseError
 from .logic import (Formula, LetterPred, TRUE, Registry, DEFAULT_REGISTRY, conj,
-                    neg, free_vars, all_vars, map_atoms, map_vars, models,
-                    rename_bound, satisfies, to_dsl)
-from .regular import Dfa, dfa_from_bounded, syntactic_stamp_of_family
+                    neg, free_vars, all_vars, in_range, map_atoms, map_vars,
+                    marked_truth, models, rename_bound, satisfies, to_dsl,
+                    truth_table)
+from .regular import (Dfa, dfa_from_bounded, shortlex_rows,
+                      syntactic_stamp_of_family)
 from .report import Report
 from .semidirect import transfer_dfa
 from .words import (Alphabet, BoundedLang, ExtendedAlphabet, MarkedWord,
-                    embed_marked, enumerate_marked, enumerate_words,
-                    mark_alphabet)
+                    check_table, embed_marked, enumerate_marked,
+                    enumerate_words, mark_alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +64,11 @@ class DeltaAlgebra:
     ``ba`` is the algebra of languages of marked words of length <= bound
     generated by the given formulas; its atoms get representative formulas
     (the sign-conjunction of generators cutting the cell) and letter names
-    c0, c1, ... in atom order.
+    c0, c1, ... in atom order.  ``_atom_of`` maps each marked word of the
+    carrier to its atom index, ``_atoms`` holds the same indices as the
+    atom words of all words of length <= bound (``atom_rows``), and
+    ``_atom_vars`` holds ``var`` and every variable of the atom formulas,
+    the names ``sigma`` must avoid.
     """
 
     alphabet: Alphabet
@@ -70,7 +79,9 @@ class DeltaAlgebra:
     atom_formulas: tuple         # one formula per atom, same order
     registry: Registry = field(default=None, compare=False, repr=False)
     _sig_to_atom: dict = field(default=None, compare=False, repr=False)
-    _gen_sets: tuple = field(default=None, compare=False, repr=False)
+    _atom_of: dict = field(default=None, compare=False, repr=False)
+    _atoms: np.ndarray = field(default=None, compare=False, repr=False)
+    _atom_vars: frozenset = field(default=None, compare=False, repr=False)
 
     @property
     def atom_count(self):
@@ -82,17 +93,16 @@ class DeltaAlgebra:
 
 def delta_algebra(alphabet, var, generators, bound=6,
                   registry: Registry = None, caps: Caps = None,
-                  gen_sets=None, verify=True) -> DeltaAlgebra:
+                  verify=True) -> DeltaAlgebra:
     """Build the algebra of the given one-variable formulas at a bound.
 
     Atom representatives are the conjunctions of generators and negated
     generators describing each cell, so they are deterministic given the
     generator order, and their model sets are exactly the atoms (making the
     family a partition of the marked words: their disjunction is everything
-    and they are pairwise disjoint).
+    and they are pairwise disjoint).  Model sets are evaluated in bulk
+    (``logic.marked_truth``).
 
-    ``gen_sets`` may supply the generators' model sets when the caller has
-    already computed them (they must match what ``satisfies`` would give);
     ``verify=False`` skips the per-atom representative check, for callers
     whose generators are large trees and whose cells are checked elsewhere.
     """
@@ -107,46 +117,57 @@ def delta_algebra(alphabet, var, generators, bound=6,
             raise ParseError(f"generator {to_dsl(g)} has free variables "
                              f"{sorted(fv - {var})} besides {var}")
     carrier = tuple(enumerate_marked(alphabet, (var,), bound, caps))
-    if gen_sets is None:
-        gen_sets = [frozenset(mw for mw in carrier if satisfies(mw, g, registry))
-                    for g in generators]
-    else:
-        gen_sets = [frozenset(gs) for gs in gen_sets]
-        if len(gen_sets) != len(generators):
-            raise ParseError("one model set per generator is required")
-    ba = finba.generate(carrier, gen_sets, caps)
+    letters, lens = shortlex_rows(len(alphabet), bound)
+    inside, sigs = _signatures(generators, tuple(alphabet), var, letters, lens,
+                               registry)
+    ba, atom_sigs = finba.partition(carrier, sigs, caps)
+    sig_to_atom = {sig: ai for ai, sig in enumerate(atom_sigs)}
+    atom_of = np.array([sig_to_atom[sig] for sig in sigs], dtype=np.int64)
+    atoms = np.full(letters.shape, -1, dtype=np.int64)
+    atoms[inside] = atom_of
+    atoms.flags.writeable = False  # atom_rows hands out views of it
 
     # representative formula per atom: the defining sign-conjunction
-    sig_to_atom = {}
     atom_formulas = []
-    for ai, atom in enumerate(ba.atoms):
-        some = next(iter(atom))
-        sig = tuple(some in gs for gs in gen_sets)
-        sig_to_atom[sig] = ai
+    for ai, sig in enumerate(atom_sigs):
         parts = [g if keep else neg(g) for g, keep in zip(generators, sig)]
         phi = conj(parts) if parts else TRUE
         atom_formulas.append(phi)
         # the representative's models must be exactly the cell
-        if verify:
-            mods = frozenset(mw for mw in carrier if satisfies(mw, phi, registry))
-            if mods != atom:
-                raise ParseError("atom representative formula does not define its cell")
+        if verify and not np.array_equal(
+                marked_truth(phi, alphabet, (var,), bound, registry), atom_of == ai):
+            raise ParseError("atom representative formula does not define its cell")
+    # every atom formula conjoins each generator or its negation and is not
+    # constant-false (its cell is not empty), so it mentions exactly the
+    # generators' variables
+    atom_vars = frozenset({var}).union(*map(all_vars, generators)) \
+        if atom_formulas else frozenset({var})
     return DeltaAlgebra(alphabet=alphabet, var=var, bound=bound,
                         generators=generators, ba=ba,
                         atom_formulas=tuple(atom_formulas),
                         registry=registry, _sig_to_atom=sig_to_atom,
-                        _gen_sets=tuple(gen_sets))
+                        _atom_of=dict(zip(carrier, atom_of.tolist())),
+                        _atoms=atoms, _atom_vars=atom_vars)
+
+
+def _signatures(generators, symbols, var, letters, lens, registry):
+    """The generator signatures of the marked words (one mark, ``var``) of
+    padded letter rows, in ``enumerate_marked`` order, and the mask of the
+    rows' positions they come from (``logic.in_range``)."""
+    inside = in_range(lens, letters.shape[1], 1)
+    truth = np.array([truth_table(g, symbols, (var,), letters, lens, registry)[inside]
+                      for g in generators], dtype=bool)
+    truth = truth.reshape(len(generators), int(inside.sum()))
+    return inside, [tuple(sig) for sig in truth.T.tolist()]
 
 
 def xi(delta: DeltaAlgebra, mw: MarkedWord) -> int:
     """Atom index classifying one marked word (any length: classification
     is by the generator signature, which must be realized at the bound)."""
-    if (delta._gen_sets is not None and len(mw.word) <= delta.bound
-            and mw.context == (delta.var,)):
-        sig = tuple(mw in gs for gs in delta._gen_sets)
-    else:
-        reg = delta.registry or DEFAULT_REGISTRY
-        sig = tuple(satisfies(mw, g, reg) for g in delta.generators)
+    if delta._atom_of is not None and mw in delta._atom_of:
+        return delta._atom_of[mw]
+    reg = delta.registry or DEFAULT_REGISTRY
+    sig = tuple(satisfies(mw, g, reg) for g in delta.generators)
     try:
         return delta._sig_to_atom[sig]
     except KeyError:
@@ -160,6 +181,43 @@ def tau(delta: DeltaAlgebra, w) -> tuple:
     w = tuple(w)
     return tuple(xi(delta, MarkedWord(w, ((delta.var, i),)))
                  for i in range(1, len(w) + 1))
+
+
+def atom_rows(delta: DeltaAlgebra, bound: int):
+    """The atom words of all plain words of length <= bound, in bulk.
+
+    Returns (letters, lens, atoms): the plain words as padded rows
+    (``regular.shortlex_rows``) and a matrix of the same shape holding the
+    atom index of each position (``xi``), -1 past the word.  Up to the
+    algebra's bound this is the algebra's own table; past it the generators
+    are evaluated, and a position whose generator signature no marked word
+    of length <= delta.bound realizes (where ``xi`` refuses) reads -2.
+    """
+    letters, lens = shortlex_rows(len(delta.alphabet), bound)
+    if bound <= delta.bound:
+        return letters, lens, delta._atoms[:len(lens), :bound]
+    inside, sigs = _signatures(delta.generators, tuple(delta.alphabet),
+                               delta.var, letters, lens,
+                               delta.registry or DEFAULT_REGISTRY)
+    atoms = np.full(letters.shape, -1, dtype=np.int64)
+    atoms[inside] = [delta._sig_to_atom.get(sig, -2) for sig in sigs]
+    return letters, lens, atoms
+
+
+def _refuse_unrealized(delta: DeltaAlgebra, letters, lens, atoms):
+    """Refuse like ``xi`` at the first position of ``atom_rows`` with an
+    unrealized generator signature, if any."""
+    bad = np.flatnonzero((atoms == -2).any(axis=1))
+    if len(bad):
+        r = int(bad[0])
+        pos = int(np.flatnonzero(atoms[r] == -2)[0]) + 1
+        xi(delta, MarkedWord(_row_word(delta.alphabet, letters[r], lens[r]),
+                             ((delta.var, pos),)))
+
+
+def _row_word(alphabet, row, n) -> tuple:
+    syms = tuple(alphabet)
+    return tuple(syms[i] for i in row[:n])
 
 
 def tau_word(delta: DeltaAlgebra, w) -> tuple:
@@ -183,20 +241,20 @@ def tau_table(delta: DeltaAlgebra, bound: int, caps: Caps = None) -> dict:
 # substitution
 # ---------------------------------------------------------------------------
 
-def substitute_letters(psi: Formula, by_symbol: dict, var: str) -> Formula:
+def substitute_letters(psi: Formula, by_symbol: dict, var: str,
+                       avoid=None) -> Formula:
     """Replace each letter test P[c](z) by the formula ``by_symbol[c]`` with
     ``var`` renamed to z; other free variables of the replacement formulas
     stay free.
 
     The sentence's bound variables are first renamed to fresh z0, z1, ... so
-    they cannot collide with variables of the replacement formulas; the
-    renaming is systematic, making the output deterministic.
+    they cannot collide with ``var`` or the variables of the replacement
+    formulas (``avoid``, computed from them when not given); the renaming is
+    systematic, making the output deterministic.
     """
-    avoid = {var}
-    for phi in by_symbol.values():
-        avoid |= all_vars(phi)
-    avoid |= free_vars(psi)
-    psi = rename_bound(psi, avoid)
+    if avoid is None:
+        avoid = frozenset({var}).union(*map(all_vars, by_symbol.values()))
+    psi = rename_bound(psi, avoid | free_vars(psi))
 
     def leaf(node):
         if isinstance(node, LetterPred):
@@ -214,7 +272,8 @@ def sigma(delta: DeltaAlgebra, psi: Formula) -> Formula:
     atom alphabet: every letter test for atom c at a position z becomes the
     atom's formula with its free variable renamed to z."""
     syms = delta.atom_alphabet().symbols
-    return substitute_letters(psi, dict(zip(syms, delta.atom_formulas)), delta.var)
+    return substitute_letters(psi, dict(zip(syms, delta.atom_formulas)),
+                              delta.var, delta._atom_vars)
 
 
 def check_substitution_principle(delta: DeltaAlgebra, psi: Formula,
@@ -222,7 +281,8 @@ def check_substitution_principle(delta: DeltaAlgebra, psi: Formula,
                                  caps: Caps = None) -> Report:
     """Word-by-word equivalence of the two readings of a sentence: on atom
     words through the position classifier, and on plain words through
-    substitution.  Checks every plain word up to the bound."""
+    substitution.  Checks every plain word up to the bound, in bulk; the
+    counterexample is the first differing word in shortlex order."""
     caps = caps or _caps.from_env()
     registry = registry or delta.registry or DEFAULT_REGISTRY
     bound = delta.bound if bound is None else bound
@@ -231,20 +291,26 @@ def check_substitution_principle(delta: DeltaAlgebra, psi: Formula,
     params = {"alphabet": list(delta.alphabet.symbols),
               "atoms": len(syms), "bound": bound,
               "sentence": to_dsl(psi)}
-    stats = {"words": 0}
-    for w in enumerate_words(delta.alphabet, bound, caps):
-        stats["words"] += 1
-        aw = tuple(syms[i] for i in tau(delta, w))
-        lhs = satisfies(MarkedWord(aw, ()), psi, registry)
-        rhs = satisfies(MarkedWord(w, ()), sub, registry)
-        if lhs != rhs:
-            word = "".join(w) if w else "<empty>"
-            return Report(check="substitution-principle", params=params,
-                          passed=False,
-                          counterexample=f"word {word}: atom-word reading "
-                          f"{lhs}, substituted reading {rhs}", stats=stats)
+    check_table("word table", len(delta.alphabet), 0, bound, caps)
+    letters, lens, atoms = atom_rows(delta, bound)
+    lhs = truth_table(psi, syms, (), atoms, lens, registry)
+    rhs = truth_table(sub, tuple(delta.alphabet), (), letters, lens, registry)
+    # a word with an unclassifiable position is refused unless an earlier
+    # word already differs
+    unrealized = np.flatnonzero((atoms == -2).any(axis=1))
+    limit = int(unrealized[0]) if len(unrealized) else len(lens)
+    differ = np.flatnonzero(lhs[:limit] != rhs[:limit])
+    if len(differ):
+        r = int(differ[0])
+        word = "".join(_row_word(delta.alphabet, letters[r], lens[r])) or "<empty>"
+        return Report(check="substitution-principle", params=params,
+                      passed=False,
+                      counterexample=f"word {word}: atom-word reading "
+                      f"{bool(lhs[r])}, substituted reading {bool(rhs[r])}",
+                      stats={"words": r + 1})
+    _refuse_unrealized(delta, letters, lens, atoms)
     return Report(check="substitution-principle", params=params, passed=True,
-                  stats=stats)
+                  stats={"words": len(lens)})
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +355,14 @@ def gamma_odot(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
         raise CapExceeded(f"{len(sentences)} generating sentences "
                           f"(cap {caps.sentence_budget})", cap="sentence_budget")
     syms = atom_alpha.symbols
-    table = tau_table(delta, bound, caps)
-    carrier = tuple(sorted(table, key=lambda w: (len(w), w)))
-    gen_langs = []
-    for psi in sentences:
-        lang = frozenset(
-            w for w in carrier
-            if satisfies(MarkedWord(tuple(syms[i] for i in table[w]), ()),
-                         psi, registry))
-        gen_langs.append(lang)
+    check_table("word table", len(delta.alphabet), 0, bound, caps)
+    letters, lens, atoms = atom_rows(delta, bound)
+    _refuse_unrealized(delta, letters, lens, atoms)
+    words = tuple(enumerate_words(delta.alphabet, bound, caps))  # row order
+    carrier = tuple(sorted(words, key=lambda w: (len(w), w)))
+    gen_langs = [frozenset(itertools.compress(
+        words, truth_table(psi, syms, (), atoms, lens, registry)))
+        for psi in sentences]
     ba = finba.generate(carrier, gen_langs, caps)
     formulas = tuple(sigma(delta, psi) for psi in sentences)
     return OdotResult(delta=delta, gamma=gamma, bound=bound,
@@ -320,8 +385,8 @@ def circ_closure(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
         if delta.var not in free_vars(g):
             extra_sentences.append(g)
             extra_langs.append(frozenset(
-                mw.word for mw in models(g, delta.alphabet, bound,
-                                         context=(), registry=registry)))
+                mw.word for mw in models(g, delta.alphabet, bound, context=(),
+                                         registry=registry, caps=caps)))
     carrier = tuple(sorted(set(base.ba.carrier), key=lambda w: (len(w), w)))
     ba = finba.generate(carrier, list(base.gen_langs) + extra_langs, caps)
     return OdotResult(delta=delta, gamma=gamma, bound=bound,

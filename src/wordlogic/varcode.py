@@ -16,17 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import caps as _caps
 from .caps import Caps
-from .errors import BoundTooSmall, MissingMachinery, ParseError
+from .errors import (BoundTooSmall, InvariantViolated, MissingMachinery,
+                     ParseError)
 from .logic import (And, LetterPred, Not, NumPred, Or, Quant, TRUE, FALSE,
                     Registry, DEFAULT_REGISTRY, conj, disj, neg, all_vars,
                     bound_vars, counterexample_bounded, free_vars,
-                    fresh_names, map_atoms, satisfies, to_dsl)
+                    fresh_names, in_range, map_atoms, marked_truth,
+                    marked_word_at, to_dsl, truth_table)
+from .regular import shortlex_rows
 from .report import Report
 from .substitution import (DeltaAlgebra, delta_algebra, sigma,
                            substitute_letters)
-from .words import Alphabet, ExtendedAlphabet, enumerate_marked, in_marked_image
+from .words import Alphabet, ExtendedAlphabet, check_table
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +204,14 @@ def _as_vars(enc_vars):
 # round trips, checked extensionally
 # ---------------------------------------------------------------------------
 
+def _in_image(letters, encoded: int) -> np.ndarray:
+    """Per padded row of letters over A x 2^encoded (letter base_index *
+    2^encoded + mask): does every encoded variable mark exactly one
+    position?  The bulk form of ``words.in_marked_image``."""
+    bits = (letters[:, :, None] >> np.arange(encoded)) & 1
+    return ((bits * (letters >= 0)[:, :, None]).sum(axis=1) == 1).all(axis=1)
+
+
 def roundtrip_check(phi, enc_vars, alphabet, bound=5,
                     registry: Registry = None, caps: Caps = None,
                     psi=None) -> Report:
@@ -208,7 +221,9 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
 
     The second fact is checked for ``psi`` (default: the encoding of
     ``phi``): a marked-alphabet word satisfies encode(decode(psi)) exactly
-    when it satisfies psi and lies in the image of the embedding.
+    when it satisfies psi and lies in the image of the embedding.  Both are
+    checked in bulk; a counterexample is the first differing marked word in
+    ``enumerate_marked`` order, and the counts in ``stats`` run up to it.
     """
     caps = caps or _caps.from_env()
     reg = registry or DEFAULT_REGISTRY
@@ -222,24 +237,33 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
     encoded = encode_multi(phi, enc_vars, base, reg)
     back = decode_multi(encoded, enc_vars, base, reg)
     ctx = tuple(sorted(free_vars(phi) | set(enc_vars)))
-    for mw in enumerate_marked(base, ctx, bound, caps):
-        stats["words_back"] += 1
-        if satisfies(mw, phi, reg) != satisfies(mw, back, reg):
-            return Report("varcode-roundtrip", params, False,
-                          counterexample=f"decode(encode(..)) differs on {mw}",
-                          stats=stats)
+    check_table("marked word table", len(base), len(ctx), bound, caps)
+    want = marked_truth(phi, base, ctx, bound, reg)
+    differ = np.flatnonzero(want != marked_truth(back, base, ctx, bound, reg))
+    stats["words_back"] = int(differ[0]) + 1 if len(differ) else len(want)
+    if len(differ):
+        mw = marked_word_at(base, ctx, bound, int(differ[0]))
+        return Report("varcode-roundtrip", params, False,
+                      counterexample=f"decode(encode(..)) differs on {mw}",
+                      stats=stats)
 
     psi = encoded if psi is None else psi
     both = encode_multi(decode_multi(psi, enc_vars, base, reg),
                         enc_vars, base, reg)
     ctx2 = tuple(sorted((free_vars(psi) | free_vars(both)) - set(enc_vars)))
-    for mw in enumerate_marked(ext, ctx2, bound, caps):
-        stats["words_image"] += 1
-        want = satisfies(mw, psi, reg) and in_marked_image(mw.word, ext)
-        if want != satisfies(mw, both, reg):
-            return Report("varcode-roundtrip", params, False,
-                          counterexample=f"encode(decode(..)) differs on {mw}",
-                          stats=stats)
+    check_table("marked word table", len(ext), len(ctx2), bound, caps)
+    letters, lens = shortlex_rows(len(ext), bound)
+    image = _in_image(letters, len(enc_vars))[(slice(None),) + (None,) * len(ctx2)]
+    inside = in_range(lens, bound, len(ctx2))
+    want = (truth_table(psi, ext.symbols, ctx2, letters, lens, reg) & image)[inside]
+    differ = np.flatnonzero(
+        want != truth_table(both, ext.symbols, ctx2, letters, lens, reg)[inside])
+    stats["words_image"] = int(differ[0]) + 1 if len(differ) else len(want)
+    if len(differ):
+        mw = marked_word_at(ext, ctx2, bound, int(differ[0]))
+        return Report("varcode-roundtrip", params, False,
+                      counterexample=f"encode(decode(..)) differs on {mw}",
+                      stats=stats)
     return Report("varcode-roundtrip", params, True, stats=stats)
 
 
@@ -295,13 +319,10 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
                              f"{sorted(fv - set(ctx))} outside the context")
 
     # atoms of the source algebra: realized generator-signature cells
-    carrier = tuple(enumerate_marked(base, ctx, bound, caps))
-    gen_sets = [frozenset(mw for mw in carrier if satisfies(mw, g, reg))
-                for g in generators]
-    sigs = {}
-    for mw in carrier:
-        sigs.setdefault(tuple(mw in gs for gs in gen_sets), mw)
-    source_sigs = sorted(sigs)
+    cells = check_table("marked word table", len(base), len(ctx), bound, caps)
+    sigs = np.array([marked_truth(g, base, ctx, bound, reg) for g in generators],
+                    dtype=bool).reshape(len(generators), cells)
+    source_sigs = sorted({tuple(sig) for sig in sigs.T.tolist()})
     src_formulas = []
     for sig in source_sigs:
         parts = [g if keep else neg(g) for g, keep in zip(generators, sig)]
@@ -337,7 +358,9 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
         if lifted.atom_count != len(source_sigs):
             raise BoundTooSmall("the lifted algebra has unexpected cells at "
                                 "this bound", bound=bound)
-    assert len(set(zeta)) == len(zeta)
+    if len(set(zeta)) != len(zeta):
+        raise InvariantViolated("two source atoms embed into one lifted atom",
+                                stage="lift_delta")
 
     report = None
     if check:
@@ -408,7 +431,7 @@ def _square_check(base, var, enc_vars, src_formulas, lifted, zeta, junk,
         via_lift = decode_multi(sigma(lifted, theta), enc_vars, base, reg)
         via_source = sigma_source(lift, zeta_relabel(lift, theta))
         bad = counterexample_bounded(via_lift, via_source, base, bound,
-                                     context=enc_vars, registry=reg)
+                                     context=enc_vars, registry=reg, caps=caps)
         if bad is not None:
             return Report("lift-square", params, False,
                           counterexample=f"{to_dsl(theta)} differs on {bad}",

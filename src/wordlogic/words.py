@@ -204,6 +204,21 @@ def check_bound(bound):
                          bound=bound)
 
 
+def check_table(stage, symbols: int, context: int, bound, caps: _caps.Caps):
+    """Refuse, before anything is enumerated or evaluated, a negative bound
+    or a table of more marked words of length <= bound, over ``symbols``
+    letters with ``context`` marks each, than the enumeration cap.  Returns
+    the size of the table."""
+    check_bound(bound)
+    size = sum(symbols ** n * n ** context for n in range(bound + 1))
+    if size > caps.enumeration:
+        raise CapExceeded(
+            f"{stage} of {size} words at bound {bound} exceeds the "
+            f"enumeration cap of {caps.enumeration}",
+            stage=stage, size=size, cap=caps.enumeration)
+    return size
+
+
 def enumerate_words(alphabet, maxlen, caps: _caps.Caps = _caps.DEFAULT):
     """All words of length <= maxlen in shortlex order."""
     check_bound(maxlen)

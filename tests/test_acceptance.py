@@ -115,7 +115,7 @@ def test_criterion_3_encoding_roundtrip():
         report = roundtrip_check(phi, ("x",), A, bound=5, registry=reg)
         assert report.passed, (i, report.counterexample)
     _done(3, "variable-encoding roundtrip, 50 random formulas", t0,
-          budget=60.0)
+          budget=10.0)
 
 
 def test_criterion_4_lifted_atoms_are_encoded_atoms_plus_junk():
@@ -219,7 +219,7 @@ def test_criterion_8_fragments_match_direct_enumeration():
                 assert report.passed, (syms, qs, depth,
                                        report.counterexample)
     _done(8, "depth fragments vs direct enumeration, 8 specs", t0,
-          budget=300.0)
+          budget=30.0)
 
 
 def test_criterion_9_algebraic_laws_and_oracle_quantifiers():

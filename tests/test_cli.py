@@ -253,3 +253,20 @@ def test_a_non_integer_cap_exits_two_naming_key_and_value():
     assert "Traceback" not in proc.stderr
     assert "error [parse]" in proc.stderr
     assert "monoid" in proc.stderr and "'abc'" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["models", "--formula", "P[a](x)", "--alphabet", "ab", "-L", "5"],
+    ["equiv", "P[a](x)", "~P[b](x)", "--alphabet", "ab", "-L", "5"],
+], ids=["models", "equiv"])
+def test_the_enumeration_cap_refuses_a_large_marked_word_table(capsys,
+                                                               monkeypatch,
+                                                               argv):
+    monkeypatch.setenv("WORDLOGIC_CAPS", "enumeration=10")
+    rc, out, _ = run(capsys, argv + ["--format", "json"])
+    assert rc == 2
+    err = json.loads(out)["error"]
+    assert err["code"] == "cap"
+    # 2*1 + 4*2 + 8*3 + 16*4 + 32*5 marked words with one mark each
+    assert err["info"] == {"stage": "marked word table", "size": 258,
+                           "cap": 10}

@@ -5,6 +5,7 @@ import pytest
 from wordlogic import (
     Alphabet,
     CapExceeded,
+    MarkedWord,
     ParseError,
     check_fragment_against_direct,
     check_gamma_laws,
@@ -13,9 +14,11 @@ from wordlogic import (
     depth_fragment,
     dump_fragment,
     gamma_q,
+    satisfies,
     to_dsl,
 )
 from wordlogic.layers import FragmentSpec, same_language_algebra
+from wordlogic.logic import all_vars
 from wordlogic.words import enumerate_words
 
 from conftest import model_words
@@ -127,6 +130,17 @@ def test_fragment_attaches_formulas_with_true_model_sets():
     assert result.formulas
     for phi, lang in zip(result.formulas, result.languages):
         assert model_words(phi, Alphabet.of("ab"), 6) == lang
+
+
+def test_depth_four_over_one_letter_binds_more_variables_than_array_axes():
+    # the deepest fragment the guard allows: its formulas bind hundreds of
+    # variables, far more than the 64 axes of an array
+    spec = FragmentSpec(Alphabet.of("a"), ("E", "mod[2,0]"), depth=4, bound=2)
+    result = depth_fragment(spec)
+    assert max(len(all_vars(phi)) for phi in result.formulas) > 64
+    for phi, lang in zip(result.formulas, result.languages):
+        assert lang == {w for w in enumerate_words(("a",), 2)
+                        if satisfies(MarkedWord(w, ()), phi)}
 
 
 def test_dump_fragment_shape():

@@ -30,10 +30,13 @@ from wordlogic import (
     satisfies,
     WordlogicError,
 )
-from wordlogic.logic import check_hygiene, map_vars, model_table
-from wordlogic.regular import dfa_from_bounded
+from wordlogic.logic import (check_hygiene, map_vars, marked_truth, model_table,
+                             truth_table, width)
+from wordlogic.regular import dfa_from_bounded, shortlex_rows
 from wordlogic.sampling import random_formula
-from wordlogic.words import BoundedLang, embed_marked, enumerate_words
+from wordlogic.varcode import decode, encode
+from wordlogic.words import (BoundedLang, embed_marked, enumerate_marked,
+                             enumerate_words)
 
 from conftest import model_words, plain
 
@@ -417,6 +420,68 @@ def test_model_table_reads_a_foreign_letter_as_false():
     A = Alphabet.of("ab")
     table = model_table(parse("~P[c](x)"), A, ("x",), 2)
     assert table.sum() == len(models(parse("1"), A, 2, ("x",)))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(CONTEXTS), st.integers(0, 5))
+def test_marked_truth_is_satisfies_on_every_marked_word(seed, ctx, bound):
+    A = Alphabet.of("ab")
+    phi = table_formula(seed, ctx)
+    want = [satisfies(mw, phi, NEAR) for mw in enumerate_marked(A, ctx, bound)]
+    assert marked_truth(phi, A, ctx, bound, NEAR).tolist() == want
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.sampled_from(CONTEXTS), st.integers(0, 4))
+def test_counterexample_is_the_first_word_where_satisfies_differs(
+        seed1, seed2, ctx, bound):
+    A = Alphabet.of("ab")
+    phi, psi = table_formula(seed1, ctx), table_formula(seed2, ctx)
+    want = next((mw for mw in enumerate_marked(A, ctx, bound)
+                 if satisfies(mw, phi, NEAR) != satisfies(mw, psi, NEAR)), None)
+    assert counterexample_bounded(phi, psi, A, bound, ctx, NEAR) == want
+
+
+def test_blocks_are_sized_by_width_not_by_variable_count(monkeypatch):
+    import wordlogic.logic as logic
+
+    A = Alphabet.of("ab")
+    psi = encode(parse("E y. (x < y & P[a](y))"), "x", A)
+    both = encode(decode(psi, "x", A), "x", A)
+    ext = ExtendedAlphabet(A, ("x",))
+    assert len(bound_vars(both)) >= 10 and width(both) <= 3
+    letters, lens = shortlex_rows(len(ext), 3)
+    blocks = []
+    table = logic._Evaluator.table
+
+    def spy(self, node, rows, row_lens, env):
+        if node is both:
+            blocks.append(len(row_lens))
+        return table(self, node, rows, row_lens, env)
+
+    monkeypatch.setattr(logic._Evaluator, "table", spy)
+    whole = truth_table(both, ext.symbols, (), letters, lens)
+    assert blocks == [len(lens)]
+    monkeypatch.setattr(logic, "_BLOCK_CELLS", 20)  # 20 // 3^width words
+    assert np.array_equal(truth_table(both, ext.symbols, (), letters, lens), whole)
+    assert len(blocks) > 2
+    assert whole.tolist() == [satisfies(MarkedWord(w, ()), both)
+                              for w in enumerate_words(ext.symbols, 3)]
+
+
+def test_sibling_binders_share_axes_and_deep_nesting_is_refused():
+    A = Alphabet.of("ab")
+    # 70 bound variables side by side: one axis for all of them
+    wide = conj(parse(f"E y{i}. (x < y{i} & P[a](y{i}))" if i % 2 else
+                      f"mod[2,0] y{i}. P[b](y{i})") for i in range(70))
+    want = [satisfies(mw, wide) for mw in enumerate_marked(A, ("x",), 4)]
+    assert marked_truth(wide, A, ("x",), 4).tolist() == want
+    # 63 nested binders and one context variable need 65 axes
+    deep = LetterPred("a", "x")
+    for i in range(63):
+        deep = Quant("E", f"y{i}", deep)
+    with pytest.raises(CapExceeded) as exc:
+        marked_truth(deep, A, ("x",), 2)
+    assert exc.value.info == {"stage": "bulk evaluation", "size": 65, "cap": 64}
 
 
 def _outcome(make):

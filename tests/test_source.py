@@ -35,3 +35,20 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def assert_statements(tree) -> list:
+    """Lines of ``assert`` statements, which ``python -O`` strips."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert))
+
+
+def test_assert_statements_are_found():
+    assert assert_statements(ast.parse("x = 1\nassert x\nif x:\n    assert x, 'y'\n")) \
+        == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(wordlogic.__file__)],
+                         ids=lambda p: p.name)
+def test_no_correctness_guard_is_a_bare_assert(path):
+    assert assert_statements(ast.parse(path.read_text(encoding="utf-8"))) == []

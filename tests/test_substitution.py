@@ -1,6 +1,7 @@
 """Position algebras, the letter substitution, and sentence classes."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from wordlogic import (
     TRUE, FALSE,
     Alphabet,
+    BoundTooSmall,
     MarkedWord,
     ParseError,
     SentenceClass,
@@ -28,8 +30,10 @@ from wordlogic import (
     w_odot_c,
     xi,
 )
+from wordlogic.logic import truth_table
 from wordlogic.regular import Dfa, empty_dfa, universal_dfa
-from wordlogic.substitution import substitute_letters
+from wordlogic.sampling import random_atom_sentence, random_delta
+from wordlogic.substitution import atom_rows, substitute_letters
 
 from conftest import model_words
 
@@ -122,6 +126,39 @@ def test_tau_table_matches_tau(delta_pa):
     for w, row in table.items():
         assert row == tau(delta_pa, w)
     assert len(table) == 1 + 2 + 4 + 8
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 5))
+def test_atom_rows_are_tau_and_sentences_on_them_are_satisfies(seed, bound):
+    # the algebra is cut at bound 3: longer words may show a generator
+    # signature no word up to 3 realizes, which reads -2
+    rng = random.Random(seed)
+    delta = random_delta(rng, rng.choice(["a", "ab"]), bound=3)
+    syms = delta.atom_alphabet().symbols
+    psi = random_atom_sentence(rng, syms, ("E", "E1", "mod[2,0]", "maj"))
+    letters, lens, atoms = atom_rows(delta, bound)
+    truth = truth_table(psi, syms, (), atoms, lens)
+    words = list(enumerate_words(delta.alphabet, bound))
+    assert [len(w) for w in words] == lens.tolist()
+    for w, row, value in zip(words, atoms.tolist(), truth.tolist()):
+        assert row[len(w):] == [-1] * (bound - len(w))
+        for i, atom in enumerate(row[:len(w)], 1):
+            mw = MarkedWord(w, (("x", i),))
+            sig = tuple(satisfies(mw, g) for g in delta.generators)
+            assert atom == delta._sig_to_atom.get(sig, -2)
+        if -2 not in row:
+            aw = tuple(syms[a] for a in row[:len(w)])
+            assert value == satisfies(MarkedWord(aw, ()), psi)
+
+
+def test_an_unrealized_signature_is_refused_at_the_first_word(ab):
+    # at bound 1 no position has an a before it
+    delta = delta_algebra(ab, "x", [parse("E y. (y < x & P[a](y))")], bound=1)
+    for check in (lambda: check_substitution_principle(
+                      delta, parse("E z. P[c0](z)"), bound=3),
+                  lambda: gamma_odot(gamma_q(("E",)), delta, bound=3)):
+        with pytest.raises(BoundTooSmall, match=r"aa\[x=2\] is not realized"):
+            check()
 
 
 def test_xi_beyond_the_bound_by_signature(delta_pa):
