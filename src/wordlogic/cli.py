@@ -118,7 +118,7 @@ def _monoid_from_json(data) -> FinMonoid:
                          identity=int(data.get("identity", 0)),
                          names=tuple(data["names"]) if data.get("names")
                          else None)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed monoid JSON: {exc}")
 
 
@@ -386,17 +386,20 @@ def cmd_compile(args) -> int:
 
 def cmd_sdp(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(f"sdp input is not JSON: {exc}") from None
     try:
         smon = _monoid_from_json(data["S"])
         mmon = _monoid_from_json(data["M"])
-        bia = Biaction(mmon=mmon, smon=smon,
-                       left=tuple(tuple(r) for r in data["lambda"]),
-                       right=tuple(tuple(r) for r in data["rho"]))
+        left = tuple(tuple(r) for r in data["lambda"])
+        right = tuple(tuple(r) for r in data["rho"])
     except KeyError as exc:
         raise ParseError(f"sdp input lacks {exc}")
-    except ValueError as exc:
-        raise ParseError(f"biaction law violation: {exc}")
+    except TypeError as exc:
+        raise ParseError(f"malformed sdp input: {exc}")
+    bia = Biaction(mmon=mmon, smon=smon, left=left, right=right)
     prod = sdp(smon, mmon, bia)
     _emit(args, {"kind": "sdp", "S": _monoid_json(smon),
                  "M": _monoid_json(mmon),

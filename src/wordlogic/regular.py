@@ -136,13 +136,6 @@ class Dfa:
     def symdiff(self, other):
         return self.product(other, lambda a, b: a != b)
 
-    def left_quotient(self, u) -> "Dfa":
-        return Dfa(self.alphabet, self.delta, self.run(u), self.accepting)
-
-    def right_quotient(self, v) -> "Dfa":
-        acc = frozenset(q for q in range(self.n) if self.run(v, start=q) in self.accepting)
-        return Dfa(self.alphabet, self.delta, self.init, acc)
-
     # -- queries ---------------------------------------------------------------
 
     def is_empty(self) -> bool:
@@ -176,18 +169,6 @@ class Dfa:
         acc = frozenset(renum[block[i]] for i, q in enumerate(reach)
                         if q in self.accepting)
         return Dfa(self.alphabet, tuple(delta), 0, acc)
-
-    def key(self):
-        """Hashable identity of the language (canonical minimal form)."""
-        m = self.minimize()
-        return (m.alphabet, m.delta, m.init, tuple(sorted(m.accepting)))
-
-    def some_word(self):
-        """A shortest accepted word, or None."""
-        order, _, edges = closure(self.init, self.delta.__getitem__)
-        paths = first_paths(edges, self.alphabet)
-        return next((paths[i] for i, q in enumerate(order) if q in self.accepting),
-                    None)
 
 
 def universal_dfa(alphabet) -> Dfa:
@@ -458,27 +439,75 @@ class RegularBA:
         return 1 << len(self.blocks)
 
     def contains(self, lang: Dfa) -> bool:
-        """Exact membership: the language is a union of atom languages."""
-        for b in self.blocks:
-            bl = self.stamp.dfa(b)
-            inter = bl.intersect(lang)
-            if not inter.is_empty() and not bl.intersect(lang.complement()).is_empty():
-                return False
-        return True
+        """Exact membership: the language is a union of atom languages.  It
+        is one exactly when the elements whose representatives it accepts
+        form a union of blocks whose preimage is the language."""
+        accepted = frozenset(m for m in range(len(self.stamp.monoid))
+                             if lang.accepts(self.stamp.reps[m]))
+        if any(b & accepted and not b <= accepted for b in self.blocks):
+            return False
+        return self.stamp.dfa(accepted).equivalent(lang)
+
+    def quotient_witness(self):
+        """None when the algebra is closed under word quotients, else a
+        ``congruence_witness`` against it.  A finite Boolean algebra of
+        regular languages is closed under quotients exactly when its atoms
+        are the classes of a congruence (Gehrke, Grigorieff and Pin, ICALP
+        2008); the stamp is onto, so that is when multiplying by a letter
+        image on either side keeps every block inside one block."""
+        tab = self.stamp.monoid.table
+        order, _, edges = closure(
+            self.stamp.monoid.identity,
+            lambda m: [tab[m][g] for g in self.stamp.letters])
+        block_of = {m: i for i, b in enumerate(self.blocks) for m in b}
+        return congruence_witness(edges, [block_of[m] for m in order],
+                                  self.alphabet)
 
     def is_quotient_closed(self) -> bool:
-        """Every two-sided monoid quotient of every block is a union of
-        blocks (hence the language family is closed under word quotients)."""
-        tab = self.stamp.monoid.table
-        n = len(self.stamp.monoid)
-        for s in range(n):
-            for t in range(n):
-                for b in self.blocks:
-                    pre = frozenset(m for m in range(n) if tab[tab[s][m]][t] in b)
-                    for blk in self.blocks:
-                        if blk & pre and not blk <= pre:
-                            return False
-        return True
+        """Every word quotient of every member is a member: the blocks are
+        the classes of a congruence (see ``quotient_witness``)."""
+        return self.quotient_witness() is None
+
+
+def congruence_witness(edges, labels, symbols):
+    """Is the partition of A* cut out by an automaton's state labels a
+    congruence?
+
+    ``edges`` come from ``closure`` over the states from the start, so
+    every state is reachable and ``edges[q][i]`` is the successor of q under
+    ``symbols[i]``; the word w lies in the class ``labels[run(w)]``.  The
+    letters generate A*, so the partition is a congruence exactly when
+    appending a letter (right) and prepending a letter (left) keeps every
+    class inside one class; equivalently, the classes' joint syntactic
+    monoid has one element per class.
+
+    Returns None for a congruence, else a replayable witness (u, v, side,
+    a): the words u and v share a class, but u·a and v·a (side "right") or
+    a·u and a·v (side "left") do not.
+    """
+    paths = first_paths(edges, symbols)
+    # right: the classes of a state's successors follow from its class and
+    # make the automaton of the classes
+    step, first = {}, {}
+    for q, row in enumerate(edges):
+        c = labels[q]
+        succ = tuple(labels[j] for j in row)
+        if step.setdefault(c, succ) != succ:
+            i = next(i for i, (x, y) in enumerate(zip(step[c], succ)) if x != y)
+            return paths[first[c]], paths[q], "right", symbols[i]
+        first.setdefault(c, q)
+    # left: the class of a·u is reached from the class of a by u's letters,
+    # and must follow from the class of u
+    for i, a in enumerate(symbols):
+        pairs, _, pedges = closure((labels[0], labels[edges[0][i]]),
+                                   lambda cc: zip(step[cc[0]], step[cc[1]]))
+        ppaths = first_paths(pedges, symbols)
+        seen = {}
+        for j, (c, ca) in enumerate(pairs):
+            k = seen.setdefault(c, j)
+            if pairs[k][1] != ca:
+                return ppaths[k], ppaths[j], "left", a
+    return None
 
 
 def recognized_languages(stamp: Stamp) -> RegularBA:
@@ -487,8 +516,7 @@ def recognized_languages(stamp: Stamp) -> RegularBA:
     return RegularBA(stamp, tuple(frozenset({m}) for m in range(len(stamp.monoid))))
 
 
-def quotient_closure(gens, caps: _caps.Caps = _caps.DEFAULT,
-                     check_closure=True) -> RegularBA:
+def quotient_closure(gens, caps: _caps.Caps = _caps.DEFAULT) -> RegularBA:
     """The Boolean algebra closed under left/right word quotients generated
     by the given languages = everything recognized by their joint syntactic
     stamp (for a quotient-closed finite BA, atoms = syntactic classes)."""
@@ -497,7 +525,7 @@ def quotient_closure(gens, caps: _caps.Caps = _caps.DEFAULT,
     for g in gens:
         if not ba.contains(g):
             raise ParseError("generator escaped its own quotient closure")
-    if check_closure and len(stamp.monoid) <= 200 and not ba.is_quotient_closed():
+    if not ba.is_quotient_closed():
         raise ParseError("closure is not quotient-closed")
     return ba
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import InvariantViolated
 from .logic import (DEFAULT_REGISTRY, FALSE, LetterPred, Not, NumPred, Quant,
                     Registry, TRUE, conj, disj, free_vars)
 from .substitution import DeltaAlgebra, delta_algebra
@@ -66,7 +67,8 @@ def random_sentence(rng: random.Random, alphabet, depth=3,
     phi = random_formula(rng, alphabet, (), max(1, depth), quantifiers,
                          predicates, registry)
     if free_vars(phi):
-        raise AssertionError("sentence sampler produced free variables")
+        raise InvariantViolated("sentence sampler produced free variables",
+                                stage="random_sentence")
     return phi
 
 

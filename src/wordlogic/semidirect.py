@@ -22,9 +22,10 @@ import numpy as np
 from . import caps as _caps
 from .caps import Caps
 from .errors import (CapExceeded, InvariantViolated, NotDecomposable,
-                     NotMonoidPresentable)
+                     NotMonoidPresentable, ParseError)
 from .regular import (Dfa, FinMonoid, RegularBA, Stamp, cayley_dfa, closure,
-                      generate_monoid, syntactic_stamp)
+                      congruence_witness, first_paths, generate_monoid,
+                      syntactic_stamp)
 from .report import Report
 from .words import ExtendedAlphabet, enumerate_words
 
@@ -54,35 +55,40 @@ class Biaction:
 
     def __post_init__(self):
         nm, ns = len(self.mmon), len(self.smon)
-        L = np.asarray(self.left, dtype=np.int64)
-        R = np.asarray(self.right, dtype=np.int64)
+        try:
+            L = np.asarray(self.left, dtype=np.int64)
+            R = np.asarray(self.right, dtype=np.int64)
+        except (TypeError, ValueError):
+            raise ParseError("biaction tables must be integer matrices") from None
         if L.shape != (nm, ns) or R.shape != (ns, nm):
-            raise ValueError("biaction tables have wrong shape")
+            raise ParseError("biaction tables have wrong shape")
+        if min(L.min(), R.min()) < 0 or max(L.max(), R.max()) >= ns:
+            raise ParseError("biaction tables name elements outside S")
         stab = np.asarray(self.smon.table, dtype=np.int64)
         mtab = np.asarray(self.mmon.table, dtype=np.int64)
         one_m, one_s = self.mmon.identity, self.smon.identity
         ids = np.arange(ns)
         if not (L[one_m] == ids).all():
-            raise ValueError("left action of 1 is not the identity")
+            raise ParseError("left action of 1 is not the identity")
         if not (R[:, one_m] == ids).all():
-            raise ValueError("right action of 1 is not the identity")
+            raise ParseError("right action of 1 is not the identity")
         for m1 in range(nm):
             for m2 in range(nm):
                 if not (L[m1][L[m2]] == L[mtab[m1][m2]]).all():
-                    raise ValueError("left action does not compose")
+                    raise ParseError("left action does not compose")
                 if not (R[R[:, m1], m2] == R[:, mtab[m1][m2]]).all():
-                    raise ValueError("right action does not compose")
+                    raise ParseError("right action does not compose")
                 # two-sided combined map s -> m1.s.m2
                 g = R[L[m1], m2]
                 if not (g[stab] == stab[g[:, None], g[None, :]]).all():
-                    raise ValueError("biaction does not distribute over S")
+                    raise ParseError("biaction does not distribute over S")
                 if g[one_s] != one_s:
-                    raise ValueError("biaction does not fix the identity of S")
+                    raise ParseError("biaction does not fix the identity of S")
         # commutation (m.s).m' = m.(s.m') is the g above being well defined
         for m1 in range(nm):
             for m2 in range(nm):
                 if not (R[L[m1], m2] == L[m1][R[:, m2]]).all():
-                    raise ValueError("left and right actions do not commute")
+                    raise ParseError("left and right actions do not commute")
 
     def lact(self, m, s):
         return self.left[m][s]
@@ -123,17 +129,20 @@ def sdp(smon: FinMonoid, mmon: FinMonoid, bia: Biaction, caps: Caps = None) -> S
                           f"(cap {caps.sdp_elements})", cap="sdp_elements")
     pairs = tuple((s, m) for s in range(ns) for m in range(nm))
     index = {p: i for i, p in enumerate(pairs)}
-
-    def mul(p1, p2):
-        s1, m1 = p1
-        s2, m2 = p2
-        return (smon.mul(bia.ract(s1, m2), bia.lact(m1, s2)), mmon.mul(m1, m2))
-
-    table = tuple(tuple(index[mul(p1, p2)] for p2 in pairs) for p1 in pairs)
+    # pair i is (i // nm, i % nm); (s1, m1)(s2, m2) = (s1.m2 + m1.s2, m1 m2)
+    s_of, m_of = np.divmod(np.arange(ns * nm), nm)
+    s1, m1 = s_of[:, None], m_of[:, None]
+    s2, m2 = s_of[None, :], m_of[None, :]
+    stab = np.asarray(smon.table, dtype=np.int64)
+    mtab = np.asarray(mmon.table, dtype=np.int64)
+    L = np.asarray(bia.left, dtype=np.int64)
+    R = np.asarray(bia.right, dtype=np.int64)
+    table = stab[R[s1, m2], L[m1, s2]] * nm + mtab[m1, m2]
+    table = tuple(map(tuple, table.tolist()))
     names = None
     if smon.names and mmon.names:
         names = tuple(f"({smon.names[s]},{mmon.names[m]})" for s, m in pairs)
-    mon = FinMonoid(table=table, identity=index[(smon.identity, mmon.identity)],
+    mon = FinMonoid(table=table, identity=smon.identity * nm + mmon.identity,
                     names=names)
     return SdpMonoid(smon=smon, mmon=mmon, bia=bia, monoid=mon, pairs=pairs,
                      index=index)
@@ -213,9 +222,9 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = None) -> Decomp
     """
     caps = caps or _caps.from_env()
     if len(ext.ctx) != 1:
-        raise ValueError("decomposition needs a one-mark alphabet")
+        raise ParseError("decomposition needs a one-mark alphabet")
     if tuple(ba.stamp.alphabet) != tuple(ext.symbols):
-        raise ValueError("algebra alphabet does not match the extended alphabet")
+        raise ParseError("algebra alphabet does not match the extended alphabet")
     pi = ba.stamp
     tab = pi.monoid.table
     n = len(pi.monoid)
@@ -225,9 +234,10 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = None) -> Decomp
     t_set = frozenset(i for i in range(n) if 1 in reach[i])
     z_set = frozenset(i for i in range(n) if 2 in reach[i])
 
-    if not ba.is_quotient_closed():
-        raise NotDecomposable("input algebra is not closed under quotients",
-                              clause="quotients")
+    witness = ba.quotient_witness()
+    if witness is not None:
+        raise NotDecomposable("input algebra is not closed under quotients: "
+                              + _separation(*witness), clause="quotients")
     z_blocks = [b for b in ba.blocks if b & z_set]
     if len(z_blocks) != 1:
         raise NotDecomposable(
@@ -254,14 +264,13 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = None) -> Decomp
     var = ext.ctx[0]
     p_amb = tuple(pi.mu((ext.symbol(a, ()),)) for a in base.symbols)
     q_amb = tuple(pi.mu((ext.symbol(a, (var,)),)) for a in base.symbols)
-    m_elems, m_index, m_mon, m_reps_words = generate_monoid(
+    m_elems, m_index, m_mon, m_reps = generate_monoid(
         pi.monoid.identity, list(zip(base.symbols, p_amb)),
         lambda x, y: tab[x][y], caps)
     if frozenset(m_elems) != m_set:
         raise InvariantViolated("the plain letters do not generate the plain "
                                 "part", stage="decompose")
     p_img = tuple(m_index[p] for p in p_amb)
-    m_reps = tuple(m_reps_words)
 
     t_elems = tuple(sorted(t_set))
     t_blocks = tuple(sorted((b for b in ba.blocks if b <= t_set), key=min))
@@ -271,58 +280,14 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = None) -> Decomp
             t_letter[t] = x
     d0_blocks = tuple(sorted((b for b in ba.blocks if b <= m_set), key=min))
 
-    # the induced actions of the plain part on marked-class letters must be
-    # well defined (independent of the block member chosen)
-    left_letter = []
-    for mp in m_elems:
-        row = []
-        for b in t_blocks:
-            imgs = {t_letter[tab[mp][t]] for t in b}
-            if len(imgs) != 1:
-                raise NotDecomposable(
-                    "marked-part classes are not stable under the left action "
-                    "of the plain part", clause="left-action")
-            row.append(imgs.pop())
-        left_letter.append(tuple(row))
-    right_letter = []
-    for b in t_blocks:
-        row = []
-        for mp in m_elems:
-            imgs = {t_letter[tab[t][mp]] for t in b}
-            if len(imgs) != 1:
-                raise NotDecomposable(
-                    "marked-part classes are not stable under the right action "
-                    "of the plain part", clause="right-action")
-            row.append(imgs.pop())
-        right_letter.append(tuple(row))
-
-    # plain-part classes must likewise be stable under both actions, and the
-    # one-sided quotients of marked classes by marked elements must be unions
-    # of plain-part classes
-    m_block_of = {}
-    for j, b in enumerate(d0_blocks):
-        for m in b:
-            m_block_of[m] = j
-    for mp in m_elems:
-        for b in d0_blocks:
-            if len({m_block_of[tab[mp][m]] for m in b}) != 1:
-                raise NotDecomposable(
-                    "plain-part classes are not stable under the left action",
-                    clause="left-action")
-            if len({m_block_of[tab[m][mp]] for m in b}) != 1:
-                raise NotDecomposable(
-                    "plain-part classes are not stable under the right action",
-                    clause="right-action")
-    for t in t_elems:
-        for b in t_blocks:
-            pre_r = frozenset(m for m in m_elems if tab[t][m] in b)
-            pre_l = frozenset(m for m in m_elems if tab[m][t] in b)
-            for pre in (pre_r, pre_l):
-                if pre and not all(
-                        (bb & pre == bb or not (bb & pre)) for bb in d0_blocks):
-                    raise NotDecomposable(
-                        "quotient of a marked class by a marked element is not "
-                        "a union of plain classes", clause="cross-quotient")
+    # the blocks are the classes of a congruence (checked above), so the
+    # plain part acts on the marked-class letters from both sides through
+    # any member of a block, its own classes are stable under both actions,
+    # and quotients of marked classes by marked elements are unions of them
+    left_letter = tuple(tuple(t_letter[tab[mp][min(b)]] for b in t_blocks)
+                        for mp in m_elems)
+    right_letter = tuple(tuple(t_letter[tab[min(b)][mp]] for mp in m_elems)
+                         for b in t_blocks)
 
     # splitting of the block count: plain + marked + one sink block
     if len(ba.blocks) != len(d0_blocks) + len(t_blocks) + 1:
@@ -334,7 +299,7 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = None) -> Decomp
         m_mon=m_mon, m_reps=m_reps, p_img=p_img, q_img=q_amb,
         t_elems=t_elems, t_blocks=t_blocks, t_letter=t_letter,
         d0_blocks=d0_blocks, z_elems=z_set,
-        left_letter=tuple(left_letter), right_letter=tuple(right_letter))
+        left_letter=left_letter, right_letter=right_letter)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +331,6 @@ class EtaQuotient:
 
     def s_of_letters(self, letters):
         return self.s_mon.prod(self.ev[x] for x in letters)
-
-    def cayley_dfa(self, accept_states):
-        """Right-multiplication automaton of S over the letter alphabet."""
-        syms = tuple(f"x{i}" for i in range(len(self.dd.t_blocks)))
-        return cayley_dfa(syms, self.s_mon, self.ev, accept_states)
 
 
 def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = None) -> EtaQuotient:
@@ -409,21 +369,25 @@ def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = None) -> EtaQuotie
 
     for mp in range(nm):
         if ell[mp][s_mon.identity] != s_mon.identity:
-            raise AssertionError("left action does not fix the empty product")
+            raise InvariantViolated("left action does not fix the empty product",
+                                    stage="eta_quotient")
         if err[s_mon.identity][mp] != s_mon.identity:
-            raise AssertionError("right action does not fix the empty product")
+            raise InvariantViolated("right action does not fix the empty product",
+                                    stage="eta_quotient")
         for sp in range(len(s_mon)):
             for x in range(k):
                 lhs = ell[mp][s_mon.mul(sp, ev[x])]
                 rhs = s_mon.mul(ell[mp][sp], ev[dd.left_letter[mp][x]])
                 if lhs != rhs:
-                    raise AssertionError("left action on products is not "
-                                         "induced by the action on letters")
+                    raise InvariantViolated("left action on products is not "
+                                            "induced by the action on letters",
+                                            stage="eta_quotient")
                 lhs = err[s_mon.mul(sp, ev[x])][mp]
                 rhs = s_mon.mul(err[sp][mp], ev[dd.right_letter[x][mp]])
                 if lhs != rhs:
-                    raise AssertionError("right action on products is not "
-                                         "induced by the action on letters")
+                    raise InvariantViolated("right action on products is not "
+                                            "induced by the action on letters",
+                                            stage="eta_quotient")
 
     bia = Biaction(mmon=dd.m_mon, smon=s_mon, left=ell, right=err)
     nu = sdp(s_mon, dd.m_mon, bia, caps)
@@ -499,17 +463,21 @@ def check_h_formula(etaq: EtaQuotient, hm: HMorphism, bound: int) -> bool:
 # the transfer automaton: runs a classifier over per-position classes
 # ---------------------------------------------------------------------------
 
-def transfer_dfa(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
-                 caps: Caps = None) -> Dfa:
-    """Automaton for { w : K accepts the per-position class word of w }.
+def transfer_states(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
+                    caps: Caps = None):
+    """States and transitions of the automaton that runs the classifier K
+    over the per-position class word of the word read.
 
     ``syms`` is the base alphabet; ``p_img``/``mark_img`` give each symbol's
     plain and marked images in an ambient monoid with ``mul``/``identity``;
     ``letter_of`` maps an ambient marked element to a column index of
-    ``kdfa``.  The state tracks the plain image of the prefix together with
-    one K-state per pair of outer contexts (future left/right plain images),
-    so that the class of every position can be resolved before the
-    surrounding word is known.
+    ``kdfa``.  A state (m, F) holds the plain image m of the prefix,
+    together with one K-state per pair of outer contexts (future left/right
+    plain images), so that the class of every position can be resolved
+    before the surrounding word is known.  ``F[0]`` is the K-state of the
+    identity contexts: K's state after the class word of the word read.
+    Returns the states in discovery order from the start and their
+    successor rows.
     """
     caps = caps or _caps.from_env()
     # the submonoid of plain images, identity first
@@ -529,6 +497,15 @@ def transfer_dfa(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
 
     order, _, delta = closure((0, (kdfa.init,) * (kk * kk)), step,
                               caps.dfa_states, "transfer automaton")
+    return order, delta
+
+
+def transfer_dfa(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
+                 caps: Caps = None) -> Dfa:
+    """Automaton for { w : K accepts the per-position class word of w }, on
+    the states of ``transfer_states`` (same arguments)."""
+    order, delta = transfer_states(syms, mul, identity, p_img, mark_img,
+                                   letter_of, kdfa, caps)
     accepting = frozenset(i for i, st in enumerate(order) if st[1][0] in kdfa.accepting)
     return Dfa(alphabet=tuple(syms), delta=tuple(delta), init=0,
                accepting=accepting)
@@ -607,12 +584,30 @@ class ClassWordProduct:
 # end-to-end verification of the recognizer
 # ---------------------------------------------------------------------------
 
+def _word(w) -> str:
+    return ".".join(w) or "ε"
+
+
+def _separation(u, v, side, a) -> str:
+    """Text of a ``congruence_witness``: words to replay."""
+    ua, va = (u + (a,), v + (a,)) if side == "right" else ((a,) + u, (a,) + v)
+    return (f"{_word(u)} and {_word(v)} share a class but {_word(ua)} and "
+            f"{_word(va)} do not")
+
+
 def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = None,
                       hbound: int = 5) -> Report:
-    """Check that the languages recognized through the pair morphism are
-    exactly the lattice combinations of plain-part classes and evaluation
-    preimages of marked-class words, and that this lattice is a Boolean
-    algebra closed under quotients.
+    """Check the recognizer of the decomposition theorem at desk scale: the
+    languages recognized through the pair morphism h into S ** M are exactly
+    the Boolean combinations of plain-part classes and evaluation preimages
+    of class words, and they are closed under quotients.
+
+    One product automaton runs h, the transfer automaton of the S-element of
+    the class word and the plain image side by side.  The check holds
+    exactly when, on its reachable states, the h element and the cell
+    (S-element, plain-part class) determine each other, and the cells are
+    the classes of a congruence (``congruence_witness``).  A failing report
+    names two shortest words that share a class on one side only.
     """
     caps = caps or _caps.from_env()
     params = {"base": list(dd.base_symbols), "target_monoid": len(nv),
@@ -623,86 +618,46 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = None,
              "s_monoid": len(etaq.s_mon), "plain_monoid": len(dd.m_mon),
              "pair_monoid": len(hm.stamp.monoid)}
 
+    def failed(counterexample):
+        return Report(check="recognizer", params=params, passed=False,
+                      counterexample=counterexample, stats=stats)
+
     if not check_h_formula(etaq, hm, hbound):
-        return Report(check="recognizer", params=params, passed=False,
-                      counterexample="pair morphism disagrees with the "
-                      "per-position evaluation formula", stats=stats)
+        return failed("pair morphism disagrees with the per-position "
+                      "evaluation formula")
 
-    # left side: atoms of the algebra recognized through the pair morphism
-    left = {}
-    for nidx in range(len(hm.stamp.monoid)):
-        d = hm.stamp.dfa(frozenset([nidx])).minimize()
-        if not d.is_empty():
-            left[d.key()] = d
+    syms = dd.base_symbols
+    kdfa = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, ())
+    tstates, tdelta = transfer_states(
+        syms, lambda x, y: dd.pi.monoid.table[x][y], dd.pi.monoid.identity,
+        {a: dd.pi.letter(dd.ext.symbol(a, ())) for a in syms},
+        dict(zip(syms, dd.q_img)), dd.t_letter.__getitem__, kdfa, caps)
+    htab, mtab = hm.stamp.monoid.table, dd.m_mon.table
+    letters = tuple(enumerate(zip(hm.stamp.letters, dd.p_img)))
+    triples, _, edges = closure(
+        (hm.stamp.monoid.identity, 0, dd.m_mon.identity),
+        lambda hqm: [(htab[hqm[0]][hl], tdelta[hqm[1]][i], mtab[hqm[2]][ml])
+                     for i, (hl, ml) in letters],
+        caps.dfa_states, "recognizer product automaton")
+    block_of = {dd.m_index[m]: j for j, b in enumerate(dd.d0_blocks) for m in b}
+    cells = [(tstates[q][1][0], block_of[m]) for _, q, m in triples]
+    stats["left_atoms"] = len({h for h, _, _ in triples})
+    stats["right_cells"] = len(set(cells))
 
-    # right side: common refinement of evaluation preimages and plain classes
-    amb_mul = lambda x, y: dd.pi.monoid.table[x][y]
-    p_img = {a: dd.pi.letter(dd.ext.symbol(a, ()))
-             for a in dd.base_symbols}
-    mark_img = {a: dd.q_img[i] for i, a in enumerate(dd.base_symbols)}
-    tau_pre = []
-    for sp in range(len(etaq.s_mon)):
-        kdfa = etaq.cayley_dfa([sp])
-        d = transfer_dfa(dd.base_symbols, amb_mul, dd.pi.monoid.identity,
-                         p_img, mark_img,
-                         lambda t: dd.t_letter[t], kdfa, caps).minimize()
-        tau_pre.append(d)
-    m_pre = []
-    for b in dd.d0_blocks:
-        m_pre.append(cayley_dfa(dd.base_symbols, dd.m_mon, dd.p_img,
-                                [dd.m_index[m] for m in b]).minimize())
+    paths = first_paths(edges, syms)
+    first_h, first_cell = {}, {}
+    for j, (h, _, _) in enumerate(triples):
+        i = first_h.setdefault(h, j)
+        k = first_cell.setdefault(cells[j], j)
+        if cells[i] != cells[j]:
+            return failed(f"{_word(paths[i])} and {_word(paths[j])} share a "
+                          f"pair-morphism class but lie in different cells")
+        if triples[k][0] != h:
+            return failed(f"{_word(paths[k])} and {_word(paths[j])} share a "
+                          f"cell but lie in different pair-morphism classes")
 
-    right = {}
-    for dt in tau_pre:
-        for dm in m_pre:
-            cell = dt.intersect(dm).minimize()
-            if not cell.is_empty():
-                right[cell.key()] = cell
-    stats["left_atoms"] = len(left)
-    stats["right_cells"] = len(right)
-
-    if set(left) != set(right):
-        missing = set(left) ^ set(right)
-        some = next(iter(missing))
-        side = "pair-recognized" if some in left else "cell"
-        d = (left | right)[some]
-        w = d.some_word()
-        return Report(check="recognizer", params=params, passed=False,
-                      counterexample=f"{side} language around "
-                      f"{''.join(w) if w is not None else '<empty>'} is not "
-                      f"matched on the other side", stats=stats)
-
-    # the lattice of both generator families is a Boolean algebra closed
-    # under quotients: cells partition the universe, so complements are
-    # unions of cells; check letter quotients of every cell are cell unions.
-    cells = list(right.values())
-    union_keys = set(right)
-    ok = True
-    witness = None
-    for cell in cells:
-        for a in dd.base_symbols:
-            for quot in (cell.left_quotient((a,)), cell.right_quotient((a,))):
-                quot = quot.minimize()
-                # must equal the union of the cells it meets
-                parts = [c for c in cells
-                         if not c.intersect(quot).is_empty()]
-                u = None
-                for c in parts:
-                    u = c if u is None else u.union(c)
-                if u is None:
-                    if not quot.is_empty():
-                        ok = False
-                else:
-                    if not quot.equivalent(u.minimize()):
-                        ok = False
-                if not ok:
-                    witness = f"quotient by {a} of a cell is not a cell union"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if not ok:
-        return Report(check="recognizer", params=params, passed=False,
-                      counterexample=witness, stats=stats)
+    witness = congruence_witness(edges, cells, syms)
+    if witness is not None:
+        return failed("cells are not closed under quotients: "
+                      + _separation(*witness))
     return Report(check="recognizer", params=params, passed=True, stats=stats)

@@ -13,6 +13,7 @@ from wordlogic import (
     models,
     parse,
 )
+from wordlogic.regular import Dfa
 
 # property tests run whole-algebra constructions; give them room
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -57,3 +58,14 @@ def model_words(phi, alphabet, bound, context=None, registry=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def left_quotient(d: Dfa, u) -> Dfa:
+    """u^{-1} L for the language L of d: start where u leads."""
+    return Dfa(d.alphabet, d.delta, d.run(u), d.accepting)
+
+
+def right_quotient(d: Dfa, v) -> Dfa:
+    """L v^{-1}: accept the states from which v is accepted."""
+    acc = frozenset(q for q in range(d.n) if d.run(v, start=q) in d.accepting)
+    return Dfa(d.alphabet, d.delta, d.init, acc)

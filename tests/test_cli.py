@@ -159,6 +159,27 @@ def test_sdp_from_json_input(capsys, tmp_path):
     assert "semidirect product: 4 elements" in out
 
 
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '["S", "M"]',
+    '{"S": {"table": [[0]]}, "M": {"table": [[0]]}, "lambda": [[0]]}',
+    '{"S": {"table": [[0]], "identity": "one"}, "M": {"table": [[0]]}, '
+    '"lambda": [[0]], "rho": [[0]]}',
+    '{"S": {"table": [[0, 1], [1, 1]]}, "M": {"table": [[0, 1], [1, 0]]}, '
+    '"lambda": [[1, 0], [0, 1]], "rho": [[0, 0], [1, 1]]}',
+    '{"S": {"table": [[0]]}, "M": {"table": [[0]]}, '
+    '"lambda": [["s"]], "rho": [[0]]}',
+    '{"S": {"table": [[0]]}, "M": {"table": [[0]]}, '
+    '"lambda": [[3]], "rho": [[0]]}',
+])
+def test_sdp_refuses_malformed_input_with_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "product.json"
+    path.write_text(text, encoding="utf-8")
+    rc, _, err = run(capsys, ["sdp", "--input", str(path)])
+    assert rc == 2
+    assert err.startswith("error [parse]")
+
+
 # ---------------------------------------------------------------------------
 # suites and fragments
 

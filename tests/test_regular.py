@@ -19,10 +19,13 @@ from wordlogic import (
 from wordlogic.regular import (
     Dfa,
     FinMonoid,
+    RegularBA,
     closure,
+    congruence_witness,
     dfa_from_bounded,
     empty_dfa,
     factor_stamp,
+    first_paths,
     generate_monoid,
     image_dfa,
     infer_dfa,
@@ -38,6 +41,8 @@ from wordlogic.regular import (
     zero_part_dfa,
 )
 from wordlogic.words import BoundedLang, enumerate_words
+
+from conftest import left_quotient, right_quotient
 
 
 def contains_a_dfa(alphabet=("a", "b")):
@@ -80,14 +85,6 @@ def test_minimize_collapses_redundant_states():
     assert m.n == 2
     assert m.equivalent(contains_a_dfa())
     assert m.minimize().n == 2
-
-
-def test_quotients_of_dfas():
-    d = contains_a_dfa()
-    # a^{-1} L = everything, b^{-1} L = L
-    assert d.left_quotient(("a",)).equivalent(universal_dfa(("a", "b")))
-    assert d.left_quotient(("b",)).equivalent(d)
-    assert d.right_quotient(("a",)).equivalent(universal_dfa(("a", "b")))
 
 
 def test_marked_universe_automata():
@@ -388,8 +385,71 @@ def test_quotient_closure_contains_word_quotients_of_members():
     d = contains_a_dfa()
     ba = quotient_closure([d])
     for u in [("a",), ("b",), ("a", "b")]:
-        assert ba.contains(d.left_quotient(u))
-        assert ba.contains(d.right_quotient(u))
+        assert ba.contains(left_quotient(d, u))
+        assert ba.contains(right_quotient(d, u))
+
+
+def test_congruence_witness_rejects_a_partition_that_is_not_a_congruence():
+    # words over ab by their last letter, with the empty word put with the
+    # words ending in b: appending keeps the classes, prepending a does not
+    edges = [(1, 2), (1, 2), (1, 2)]  # states: empty, ends in a, ends in b
+    assert congruence_witness(edges, [0, 1, 0], ("a", "b")) == \
+        ((), ("b",), "left", "a")
+    # length mod 3 with {0} against {1, 2}: appending a separates a and aa
+    edges = [(1,), (2,), (0,)]
+    assert congruence_witness(edges, [0, 1, 1], ("a",)) == \
+        (("a",), ("a", "a"), "right", "a")
+    # the last letter itself is a congruence
+    assert congruence_witness([(1, 2), (1, 2), (1, 2)], [0, 1, 2], ("a", "b")) is None
+
+
+def test_merged_atoms_are_not_quotient_closed():
+    ext = ExtendedAlphabet(Alphabet.of("a"), ("x",))
+    stamp = syntactic_stamp(image_dfa(ext))
+    plain, marked = stamp.mu(()), stamp.mu(("a{x}",))
+    merged = frozenset({plain, marked})
+    ba = RegularBA(stamp, (merged, frozenset(range(3)) - merged))
+    # the left quotient of the merged atom by a{x} is the plain words alone,
+    # which is not a union of atoms
+    assert not ba.is_quotient_closed()
+    u, v, side, a = ba.quotient_witness()
+    mu = stamp.mu
+    assert any(mu(u) in b and mu(v) in b for b in ba.blocks)
+    uu, vv = (u + (a,), v + (a,)) if side == "right" else ((a,) + u, (a,) + v)
+    assert not any(mu(uu) in b and mu(vv) in b for b in ba.blocks)
+    assert not ba.contains(image_dfa(ext))
+    assert ba.contains(plain_universe_dfa(ext).union(image_dfa(ext)))
+
+
+@st.composite
+def labelled_dfas(draw):
+    n = draw(st.integers(1, 5))
+    delta = tuple(tuple(draw(st.integers(0, n - 1)) for _ in "ab")
+                  for _ in range(n))
+    labels = [draw(st.integers(0, 2)) for _ in range(n)]
+    return delta, labels
+
+
+@given(labelled_dfas())
+def test_congruence_witness_decides_the_syntactic_monoid_count(dfa):
+    """The partition is a congruence exactly when its classes' joint
+    syntactic monoid has one element per class; a witness replays."""
+    delta, labels = dfa
+    order, _, edges = closure(0, delta.__getitem__)
+    lab = [labels[q] for q in order]
+    classes = sorted(set(lab))
+    cells = [Dfa(("a", "b"), tuple(edges), 0,
+                 frozenset(i for i, c in enumerate(lab) if c == k))
+             for k in classes]
+    count = len(syntactic_stamp_of_family(cells).monoid)
+    witness = congruence_witness(edges, lab, ("a", "b"))
+    assert (witness is None) == (count == len(classes))
+    if witness is not None:
+        u, v, side, a = witness
+        run = Dfa(("a", "b"), tuple(edges), 0, frozenset()).run
+        uu, vv = (u + (a,), v + (a,)) if side == "right" else ((a,) + u, (a,) + v)
+        assert lab[run(u)] == lab[run(v)]
+        assert lab[run(uu)] != lab[run(vv)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +518,10 @@ def small_dfas(draw):
 
 @given(small_dfas())
 def test_some_word_is_a_shortest_accepted_word(d):
-    w = d.some_word()
+    # first_paths along a closure's edges reach every state by a shortest word
+    order, _, edges = closure(d.init, d.delta.__getitem__)
+    paths = first_paths(edges, d.alphabet)
+    w = next((paths[i] for i, q in enumerate(order) if q in d.accepting), None)
     accepted = [u for u in WORDS6 if d.accepts(u)]
     assert (w is None) == d.is_empty() == (not accepted)
     if w is not None:
@@ -479,7 +542,7 @@ def test_product_accepts_by_its_keep_rule(d1, d2, rule):
 @given(small_dfas(), small_dfas(), st.randoms(use_true_random=False))
 def test_minimize_is_canonical(d1, d2, rnd):
     same = all(d1.accepts(w) == d2.accepts(w) for w in WORDS6)
-    assert (d1.key() == d2.key()) == same
+    assert (d1.minimize() == d2.minimize()) == same
     # a renumbered copy with an unreachable extra state has the same key
     perm = list(range(d1.n))
     rnd.shuffle(perm)
@@ -487,7 +550,7 @@ def test_minimize_is_canonical(d1, d2, rnd):
     delta = tuple(tuple(inv[t] for t in d1.delta[q]) for q in perm)
     copy = Dfa(d1.alphabet, delta + ((0, 0),), inv[d1.init],
                frozenset(inv[q] for q in d1.accepting) | {d1.n})
-    assert copy.key() == d1.key()
+    assert copy.minimize() == d1.minimize()
 
 
 @given(st.integers(1, 30), st.integers(1, 40))

@@ -1,6 +1,8 @@
 """Biactions, two-sided products, decompositions, and the layer compiler."""
 
+import dataclasses
 import itertools
+import re
 import time
 
 import pytest
@@ -12,6 +14,7 @@ from wordlogic import (
     MarkedWord,
     NotDecomposable,
     NotMonoidPresentable,
+    ParseError,
     Quant,
     compile_layer,
     decompose,
@@ -23,16 +26,22 @@ from wordlogic import (
     sdp,
     verify_recognizer,
 )
-from wordlogic.regular import Dfa, FinMonoid, image_dfa, universal_dfa
+from wordlogic.errors import InvariantViolated
+from wordlogic.regular import Dfa, FinMonoid, cayley_dfa, image_dfa, universal_dfa
 from wordlogic.semidirect import (
     Biaction,
     ClassWordProduct,
     check_h_formula,
+    class_word,
     eta_quotient,
     h_morphism,
     marked_class_word,
+    transfer_dfa,
 )
 from wordlogic.suites import named_monoid
+from wordlogic.words import parse_word
+
+from conftest import left_quotient, right_quotient
 
 
 def trivial_biaction(smon, mmon):
@@ -59,10 +68,36 @@ def test_biaction_laws_are_checked():
     u1 = named_monoid("U1")
     trivial_biaction(u1, z2)  # fine
     # a left table that is not an action: swap under the identity
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         Biaction(mmon=z2, smon=u1,
                  left=((1, 0), (0, 1)),
                  right=tuple((s, s) for s in range(2)))
+
+
+@pytest.mark.parametrize("left", [((0, 2), (0, 1)), ((0, "b"), (0, 1)),
+                                  ((0, 1), (0,))])
+def test_biaction_refuses_malformed_tables(left):
+    z2 = named_monoid("Z2")
+    u1 = named_monoid("U1")
+    with pytest.raises(ParseError):
+        Biaction(mmon=z2, smon=u1, left=left,
+                 right=tuple((s, s) for s in range(2)))
+
+
+def sdp_by_pairs(smon, mmon, bia):
+    """The product table pair by pair, as the definition reads."""
+    pairs = [(s, m) for s in range(len(smon)) for m in range(len(mmon))]
+    return tuple(tuple(pairs.index((smon.mul(bia.ract(s1, m2), bia.lact(m1, s2)),
+                                    mmon.mul(m1, m2)))
+                       for s2, m2 in pairs) for s1, m1 in pairs)
+
+
+def test_sdp_table_matches_the_pairwise_definition():
+    _, etaq = eta_setup("Z3", symbols="ab", body="E y. y < x & P[a](y)")
+    assert len(etaq.dd.m_mon) > 1
+    assert etaq.nu.monoid.table == sdp_by_pairs(etaq.s_mon, etaq.dd.m_mon, etaq.bia)
+    assert etaq.nu.pairs == tuple((s, m) for s in range(len(etaq.s_mon))
+                                  for m in range(len(etaq.dd.m_mon)))
 
 
 def test_sdp_with_trivial_acting_monoid_is_the_carrier():
@@ -140,6 +175,29 @@ def test_decompose_full_three_part_algebra():
     assert len(dd.z_elems) == 1
 
 
+def test_decompose_refuses_a_foreign_alphabet_with_a_parse_error():
+    ext, ba = marked_universe_algebra("a")
+    other = ExtendedAlphabet(Alphabet.of("ab"), ("x",))
+    with pytest.raises(ParseError):
+        decompose(ba, other)
+    with pytest.raises(ParseError):
+        decompose(ba, ExtendedAlphabet(Alphabet.of("a"), ("x", "y")))
+
+
+def test_decompose_names_a_quotient_witness():
+    from wordlogic.regular import RegularBA, syntactic_stamp
+
+    ext, _ = marked_universe_algebra("a")
+    stamp = syntactic_stamp(image_dfa(ext))
+    plain, marked = stamp.mu(()), stamp.mu(("a{x}",))
+    rest = frozenset(range(len(stamp.monoid))) - {plain, marked}
+    ba = RegularBA(stamp, (frozenset({plain, marked}), rest))
+    with pytest.raises(NotDecomposable) as exc:
+        decompose(ba, ext)
+    assert exc.value.clause == "quotients"
+    assert "share a class" in str(exc.value)
+
+
 def test_decompose_with_a_letter_generator():
     A = Alphabet.of("ab")
     ext = ExtendedAlphabet(A, ("x",))
@@ -157,10 +215,10 @@ def test_decompose_with_a_letter_generator():
 # the pairing morphism and its formula
 
 
-def eta_setup(nv_name="U1", symbols="ab"):
+def eta_setup(nv_name="U1", symbols="ab", body="P[a](x)"):
     A = Alphabet.of(symbols)
     ext = ExtendedAlphabet(A, ("x",))
-    _, phi_dfa = formula_dfa(parse("P[a](x)"), A, ("x",), 5)
+    _, phi_dfa = formula_dfa(parse(body), A, ("x",), 5)
     ba = quotient_closure([phi_dfa, image_dfa(ext)])
     dd = decompose(ba, ext)
     etaq = eta_quotient(dd, named_monoid(nv_name))
@@ -171,6 +229,24 @@ def test_eta_with_trivial_target_collapses_to_the_plain_part():
     dd, etaq = eta_setup("trivial")
     assert len(etaq.s_mon) == 1
     assert len(etaq.nu.pairs) == len(dd.m_mon)
+
+
+def test_eta_quotient_inconsistent_actions_are_typed_errors(monkeypatch):
+    import wordlogic.semidirect as sd
+
+    real = sd.generate_monoid
+
+    def wrong_reps(*args, **kwargs):
+        elems, index, mon, reps = real(*args, **kwargs)
+        if kwargs.get("stage", "").startswith("evaluation monoid"):
+            reps = (reps[0], reps[2], reps[1]) + reps[3:]
+        return elems, index, mon, reps
+
+    dd, _ = eta_setup("Z3")
+    monkeypatch.setattr(sd, "generate_monoid", wrong_reps)
+    with pytest.raises(InvariantViolated) as exc:
+        eta_quotient(dd, named_monoid("Z3"))
+    assert exc.value.info["stage"] == "eta_quotient"
 
 
 def test_eta_letter_products_live_in_s():
@@ -218,6 +294,145 @@ def test_recognizer_on_the_one_letter_instance():
     dd = decompose(ba, ext)
     report = verify_recognizer(dd, named_monoid("Z2"), hbound=5)
     assert report.passed, report.counterexample
+
+
+def oracle_verify(dd, nv, hbound):
+    """The cell-by-cell verifier that the product closure replaced, kept as
+    the reference: one minimal automaton per pair-monoid element and per
+    cell, the two sets compared as languages, then every letter quotient of
+    every cell tested against the union of the cells it meets.  Returns the
+    verdict and the stats."""
+    etaq = eta_quotient(dd, nv)
+    hm = h_morphism(etaq)
+    stats = {"letters": len(dd.t_blocks), "evaluations": len(etaq.homs),
+             "s_monoid": len(etaq.s_mon), "plain_monoid": len(dd.m_mon),
+             "pair_monoid": len(hm.stamp.monoid)}
+    if not check_h_formula(etaq, hm, hbound):
+        return False, stats
+    left = set()
+    for e in range(len(hm.stamp.monoid)):
+        d = hm.stamp.dfa(frozenset([e])).minimize()
+        if not d.is_empty():
+            left.add(d)
+    amb_mul = lambda x, y: dd.pi.monoid.table[x][y]
+    p_img = {a: dd.pi.letter(dd.ext.symbol(a, ())) for a in dd.base_symbols}
+    mark_img = {a: dd.q_img[i] for i, a in enumerate(dd.base_symbols)}
+    tau_pre = []
+    for sp in range(len(etaq.s_mon)):
+        kdfa = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, [sp])
+        tau_pre.append(transfer_dfa(dd.base_symbols, amb_mul, dd.pi.monoid.identity,
+                                    p_img, mark_img, lambda t: dd.t_letter[t],
+                                    kdfa).minimize())
+    m_pre = [cayley_dfa(dd.base_symbols, dd.m_mon, dd.p_img,
+                        [dd.m_index[m] for m in b]).minimize()
+             for b in dd.d0_blocks]
+    right = set()
+    for dt in tau_pre:
+        for dm in m_pre:
+            cell = dt.intersect(dm).minimize()
+            if not cell.is_empty():
+                right.add(cell)
+    stats["left_atoms"] = len(left)
+    stats["right_cells"] = len(right)
+    if left != right:
+        return False, stats
+    for cell in right:
+        for a in dd.base_symbols:
+            for quot in (left_quotient(cell, (a,)), right_quotient(cell, (a,))):
+                parts = [c for c in right if not c.intersect(quot).is_empty()]
+                union = parts[0] if parts else None
+                for c in parts[1:]:
+                    union = union.union(c)
+                if union is None:
+                    if not quot.is_empty():
+                        return False, stats
+                elif not quot.equivalent(union):
+                    return False, stats
+    return True, stats
+
+
+#: the one-property families of the recognizer benchmark, by the formula
+#: of the marked position x; each is closed with the set of marked words
+PROPERTIES = ("P[c](x)", "E y. y < x & P[c](y)", "E1 y. y < x & P[c](y)",
+              "mod[2,0] y. y < x & P[c](y)", "mod[2,1] y. y < x & P[c](y)",
+              "E y. x < y & P[c](y)", "E y. R[succ](x,y) & P[c](y)",
+              "P[c](x) & R[last](x)", "R[first](x)", "R[last](x)",
+              "mod[2,0] y. y < x", "mod[2,1] y. y < x")
+TARGETS = ("trivial", "U1", "Z2", "Z3")
+
+
+def family(text, symbols="ab"):
+    A = Alphabet.of(symbols)
+    ext, phi_dfa = formula_dfa(parse(text), A, ("x",), 5)
+    return ext, decompose(quotient_closure([phi_dfa, image_dfa(ext)]), ext)
+
+
+def merged_plain_blocks(dd):
+    """The decomposition with its first two plain-part classes merged."""
+    b0, b1 = dd.d0_blocks[:2]
+    return dataclasses.replace(dd, d0_blocks=(b0 | b1,) + dd.d0_blocks[2:])
+
+
+@pytest.mark.parametrize("text", PROPERTIES)
+def test_recognizer_verdict_and_stats_match_the_cell_by_cell_oracle(text):
+    letters = "ab" if "[c]" in text else "a"
+    for c, nv_name in itertools.product(letters, TARGETS):
+        _, dd = family(text.replace("[c]", f"[{c}]"))
+        nv = named_monoid(nv_name)
+        report = verify_recognizer(dd, nv, hbound=4)
+        assert (report.passed, report.stats) == oracle_verify(dd, nv, 4), \
+            (c, nv_name, report.counterexample)
+        assert report.passed, (c, nv_name, report.counterexample)
+        if len(dd.d0_blocks) > 1:
+            bad = merged_plain_blocks(dd)
+            report = verify_recognizer(bad, nv, hbound=4)
+            assert (report.passed, report.stats) == oracle_verify(bad, nv, 4), \
+                (c, nv_name, report.counterexample)
+
+
+def witness_words(report, ext):
+    u, v = re.match(r"(\S+) and (\S+) share", report.counterexample).groups()
+    return parse_word(u, ext.base.symbols), parse_word(v, ext.base.symbols)
+
+
+def cell_of(dd, etaq, word):
+    """(S-element of the class word, plain-part class) of a word."""
+    letters, m = class_word(dd, word)
+    block = next(j for j, b in enumerate(dd.d0_blocks) if dd.m_elems[m] in b)
+    return etaq.s_of_letters(letters), block
+
+
+def test_merged_plain_classes_fail_with_a_replayable_witness():
+    ext, dd = family("P[a](x) & R[last](x)")
+    assert len(dd.d0_blocks) == 2
+    bad = merged_plain_blocks(dd)
+    report = verify_recognizer(bad, named_monoid("Z3"), hbound=4)
+    assert not report.passed
+    assert "share a cell but lie in different pair-morphism classes" \
+        in report.counterexample
+    u, v = witness_words(report, ext)
+    etaq = eta_quotient(bad, named_monoid("Z3"))
+    hm = h_morphism(etaq)
+    assert hm.h(u) != hm.h(v)
+    assert cell_of(bad, etaq, u) == cell_of(bad, etaq, v)
+
+
+def test_a_changed_letter_evaluation_fails_with_a_replayable_witness():
+    ext, dd = family("E1 y. y < x & P[a](y)")
+    # the marked letter a alone gets the class letter of another marked
+    # element, so h sends a to another evaluation; the bounded formula
+    # check at length <= 1 reads both sides through the same change
+    q = dd.q_img[0]
+    other = next(x for x in range(len(dd.t_blocks)) if x != dd.t_letter[q])
+    bad = dataclasses.replace(dd, t_letter={**dd.t_letter, q: other})
+    nv = named_monoid("Z2")
+    report = verify_recognizer(bad, nv, hbound=1)
+    assert not report.passed
+    assert oracle_verify(bad, nv, 1)[0] is False
+    u, v = witness_words(report, ext)
+    etaq = eta_quotient(bad, nv)
+    hm = h_morphism(etaq)
+    assert (hm.h(u) == hm.h(v)) != (cell_of(bad, etaq, u) == cell_of(bad, etaq, v))
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,22 @@ def test_assert_statements_are_found():
                          ids=lambda p: p.name)
 def test_no_correctness_guard_is_a_bare_assert(path):
     assert assert_statements(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def assertion_raises(tree) -> list:
+    """Lines that raise AssertionError, which reads as a bare assert."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and node.exc is not None
+                  and "AssertionError" in {n.id for n in ast.walk(node.exc)
+                                           if isinstance(n, ast.Name)})
+
+
+def test_assertion_raises_are_found():
+    tree = ast.parse("raise AssertionError('x')\nraise ValueError\n"
+                     "if 1:\n    raise AssertionError\n")
+    assert assertion_raises(tree) == [1, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_guard_raises_assertion_error(path):
+    assert assertion_raises(ast.parse(path.read_text(encoding="utf-8"))) == []
