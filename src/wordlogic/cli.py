@@ -55,7 +55,11 @@ def _registry(args):
     if not path:
         return DEFAULT_REGISTRY
     with open(path, "r", encoding="utf-8") as fh:
-        return registry_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(f"registry file is not JSON: {exc}") from None
+    return registry_from_json(data)
 
 
 def _emit(args, payload: dict, text_lines) -> None:

@@ -21,14 +21,13 @@ from . import finba
 from .caps import Caps
 from .errors import CapExceeded, InvariantViolated, ParseError
 from .logic import (LetterPred, NumPred, Quant, Registry, DEFAULT_REGISTRY,
-                    conj, disj, embedded_ids, in_range, marked_truth, neg,
-                    models, relabel, to_dsl)
+                    conj, disj, embedded_ids, in_range, neg, models, relabel,
+                    to_dsl, truth_table)
 from .regular import shortlex_rows
 from .report import Report
 from .substitution import SentenceClass, atom_rows, gamma_odot, sigma
 from .varcode import decode_multi, lift_delta
-from .words import (Alphabet, MarkedWord, enumerate_marked, enumerate_words,
-                    subsets_in_order)
+from .words import Alphabet, check_table, enumerate_words, subsets_in_order
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +182,14 @@ def _qf_generators(spec: FragmentSpec, ctx, reg: Registry):
     return gens
 
 
-def _subset_sentence_languages(qnames, usable, rows, reg: Registry,
+def _subset_sentence_languages(qnames, usable, cells, lens, reg: Registry,
                                caps: Caps):
     """Truth masks of every sentence "Q position. atom-of-position in B".
 
-    ``rows`` lists, per carrier element, the tuple of atom indices of its
-    positions; ``usable`` lists the atom indices subsets are drawn from.
-    Yields (quantifier name, subset mask over usable, bit mask over rows)
-    with bit i of the language mask standing for rows[i].
+    Row r of ``cells`` holds the atom index of each position of carrier
+    element r, padded past ``lens[r]``; subsets are drawn from ``usable``.
+    Returns (quantifier name, subset mask over usable, bit mask over rows)
+    for every quantifier and subset, bit r standing for row r.
     """
     nbits = len(usable)
     total = len(qnames) << nbits
@@ -198,51 +197,40 @@ def _subset_sentence_languages(qnames, usable, rows, reg: Registry,
         raise CapExceeded(f"{total} generating sentences at one layer "
                           f"(cap {caps.sentence_budget})",
                           cap="sentence_budget")
-    nrows = len(rows)
-    bit_of = {atom: j for j, atom in enumerate(usable)}
-    out = []
-    by_len = {}
-    for r, row in enumerate(rows):
-        by_len.setdefault(len(row), []).append(r)
-    bitrows = [tuple(bit_of[a] for a in row) for row in rows]
-
-    for qname in qnames:
+    nrows = len(lens)
+    bit_of = np.zeros(max(usable, default=0) + 1, dtype=np.int64)
+    bit_of[usable] = np.arange(nbits)
+    bits = bit_of[np.maximum(cells, 0)]
+    masks = np.arange(1 << nbits, dtype=np.int64)[:, None]
+    chunk = max(1, 1 << 22 >> max(nrows, 1).bit_length())
+    truth = np.zeros((total, nrows), dtype=bool)
+    for qi, qname in enumerate(qnames):
         q = reg.quantifier(qname)
+        block = truth[qi << nbits:(qi + 1) << nbits]
         if not q.is_monoid:
-            for mask in range(1 << nbits):
-                val = 0
-                for r, row in enumerate(bitrows):
-                    if q.evaluate([(mask >> b) & 1 for b in row]):
-                        val |= 1 << r
-                out.append((qname, mask, val))
+            for r, (row, n) in enumerate(zip(bits.tolist(), lens.tolist())):
+                for mask in range(1 << nbits):
+                    block[mask, r] = q.evaluate([(mask >> b) & 1 for b in row[:n]])
             continue
+        # fold the monoid along the positions; past a row's length the
+        # state stays put
         tab = np.asarray(q.monoid.table, dtype=np.int64)
-        b0, b1 = q.images
-        tab2 = np.stack([tab[:, b0], tab[:, b1]], axis=1)
+        tab2 = np.stack([tab[:, q.images[0]], tab[:, q.images[1]]], axis=1)
         acc = np.zeros(len(q.monoid), dtype=bool)
         acc[list(q.accept)] = True
-        ident_ok = bool(acc[q.monoid.identity])
-        masks_all = np.arange(1 << nbits, dtype=np.int64)
-        chunk = max(1, min(1 << nbits, 1 << 22 >> max(nrows, 1).bit_length()))
-        truth = np.zeros((len(masks_all), nrows), dtype=bool)
-        for lo in range(0, len(masks_all), chunk):
-            masks = masks_all[lo:lo + chunk]
-            for ln, idxs in by_len.items():
-                if ln == 0:
-                    truth[lo:lo + len(masks), idxs] = ident_ok
-                    continue
-                W = np.asarray([bitrows[r] for r in idxs], dtype=np.int64)
-                member = (masks[:, None, None] >> W[None, :, :]) & 1
-                st = np.full((len(masks), len(idxs)), q.monoid.identity,
-                             dtype=np.int64)
-                for j in range(ln):
-                    st = tab2[st, member[:, :, j]]
-                truth[lo:lo + len(masks), idxs] = acc[st]
-        for mask in range(1 << nbits):
-            packed = np.packbits(truth[mask], bitorder="little")
-            out.append((qname, mask, int.from_bytes(packed.tobytes(),
-                                                    "little")))
-    return out
+        for lo in range(0, 1 << nbits, chunk):
+            part = masks[lo:lo + chunk]
+            st = np.full((len(part), nrows), q.monoid.identity, dtype=np.int64)
+            for j in range(bits.shape[1]):
+                step = tab2[st, (part >> bits[:, j]) & 1]
+                st = np.where(j < lens, step, st)
+            block[lo:lo + chunk] = acc[st]
+    # one packing; only the distinct masks become Python integers
+    distinct, which = np.unique(np.packbits(truth, axis=1, bitorder="little"),
+                                axis=0, return_inverse=True)
+    values = [int.from_bytes(row.tobytes(), "little") for row in distinct]
+    return [(qnames[i >> nbits], i & ((1 << nbits) - 1), values[j])
+            for i, j in enumerate(which.tolist())]
 
 
 def _greedy_generators(masks, nrows):
@@ -319,17 +307,15 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
                                     "off-image atom", stage="depth_fragment")
         cut = np.broadcast_to(lens[(slice(None),) + (None,) * len(spect)],
                               inside.shape)[inside]
-        rows = [tuple(row[:n]) for row, n in zip(atoms.tolist(), cut.tolist())]
-
-        cands = _subset_sentence_languages(spec.quantifiers, usable, rows,
-                                           reg, caps)
+        cands = _subset_sentence_languages(spec.quantifiers, usable, atoms,
+                                           cut, reg, caps)
         seen = set()
         deduped = []
         for qname, mask, bits in cands:
             if bits not in seen:
                 seen.add(bits)
                 deduped.append(((qname, mask), bits))
-        kept = _greedy_generators([b for _, b in deduped], len(rows))
+        kept = _greedy_generators([b for _, b in deduped], len(cut))
         reps = [deduped[i][0] for i in kept]
         rep_bits = [deduped[i][1] for i in kept]
         sentences = [_sentence_of(qn, m, usable) for qn, m in reps]
@@ -361,15 +347,19 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
 # the independent oracle
 # ---------------------------------------------------------------------------
 
-def _signature_cells(carrier, A, ctx, L, gens, reg):
-    """Cell index of each marked word of ``carrier`` (all of
-    ``enumerate_marked(A, ctx, L)``, in order) by the truth values of the
-    generators, cells numbered in sorted signature order."""
-    truth = np.array([marked_truth(g, A, ctx, L, reg) for g in gens],
-                     dtype=bool).reshape(len(gens), len(carrier))
-    sigs = [tuple(sig) for sig in truth.T.tolist()]
-    index = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-    return {mw: index[sig] for mw, sig in zip(carrier, sigs)}, len(index)
+def _signature_cells(A, ctx, L, gens, reg):
+    """Cell index of every marked word over ``ctx`` of length <= L by the
+    truth values of the generators, cells numbered in sorted signature
+    order: a truth-table-shaped array (``logic.truth_table``) holding -1
+    at positions past the word, and the number of cells."""
+    letters, lens = shortlex_rows(len(A), L)
+    inside = in_range(lens, L, len(ctx))
+    truth = np.array([truth_table(g, A.symbols, ctx, letters, lens, reg)[inside]
+                      for g in gens], dtype=bool)
+    sigs, cell = np.unique(truth.T, axis=0, return_inverse=True)
+    cells = np.full(inside.shape, -1, dtype=np.int64)
+    cells[inside] = cell
+    return cells, len(sigs)
 
 
 def depth_direct(spec: FragmentSpec, registry: Registry = None,
@@ -381,8 +371,9 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
     body from the algebra generated by quantifier-free tests and the
     depth-one facts about the remaining variable.  Bodies range over all
     elements of those algebras (unions of atoms), truth is evaluated
-    directly on the words, and the results generate the answer.  Depths
-    above two are refused.
+    directly on the words, and the results generate the answer.  Marked
+    words are indices in ``logic.in_range`` order.  Depths above two are
+    refused.
     """
     caps = caps or _caps.from_env()
     reg = registry or DEFAULT_REGISTRY
@@ -394,53 +385,38 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
     if n > 2:
         raise CapExceeded("the direct enumeration supports depth <= 2",
                           depth=n)
+    check_table("marked word table", len(A), n, L, caps)
     v1, v2 = "y1", "y2"
+    lens = shortlex_rows(len(A), L)[1]
 
     if n == 1:
-        carrier1 = tuple(enumerate_marked(A, (v1,), L, caps))
-        atom1_of, natoms1 = _signature_cells(
-            carrier1, A, (v1,), L, _qf_generators(spec, (v1,), reg), reg)
-        cell_rows = [tuple(atom1_of[MarkedWord(w, ((v1, i),))]
-                           for i in range(1, len(w) + 1)) for w in plain]
-        cands = _subset_sentence_languages(spec.quantifiers,
-                                           list(range(natoms1)), cell_rows,
-                                           reg, caps)
-        langs = {bits for _, _, bits in cands}
-        sets = [frozenset(w for r, w in enumerate(plain) if (bits >> r) & 1)
-                for bits in sorted(langs)]
-        return finba.generate(plain, sets, caps)
+        cells, natoms = _signature_cells(
+            A, (v1,), L, _qf_generators(spec, (v1,), reg), reg)
+    else:
+        # inner facts about (word, position of v2), in in_range order, each
+        # a row of the cells of the positions of v1
+        cells2, natoms2 = _signature_cells(
+            A, (v1, v2), L, _qf_generators(spec, (v1, v2), reg), reg)
+        inside1 = in_range(lens, L, 1)
+        cut1 = np.broadcast_to(lens[:, None], inside1.shape)[inside1]
+        inner = _subset_sentence_languages(
+            spec.quantifiers, list(range(natoms2)),
+            cells2.transpose(0, 2, 1)[inside1], cut1, reg, caps)
+        gens1 = [frozenset(r for r in range(len(cut1)) if (bits >> r) & 1)
+                 for bits in sorted({bits for _, _, bits in inner})]
+        qf1, natoms_qf1 = _signature_cells(
+            A, (v2,), L, _qf_generators(spec, (v2,), reg), reg)
+        gens1 += [frozenset(np.flatnonzero(qf1[inside1] == c).tolist())
+                  for c in range(natoms_qf1)]
+        psi1 = finba.generate(range(len(cut1)), gens1, caps)
+        cells = np.full(inside1.shape, -1, dtype=np.int64)
+        cells[inside1] = [psi1.atom_index_of(r) for r in range(len(cut1))]
+        natoms = len(psi1.atoms)
 
-    # depth two: inner facts about (word, position of the outer variable)
-    carrier1 = tuple(enumerate_marked(A, (v2,), L, caps))
-    carrier2 = tuple(enumerate_marked(A, (v1, v2), L, caps))
-    atom2_of, natoms2 = _signature_cells(
-        carrier2, A, (v1, v2), L, _qf_generators(spec, (v1, v2), reg), reg)
-    rows1 = []
-    for mw in carrier1:
-        i = mw.pos(v2)
-        w = mw.word
-        rows1.append(tuple(
-            atom2_of[MarkedWord(w, tuple(sorted(((v1, j), (v2, i)))))]
-            for j in range(1, len(w) + 1)))
-    inner = _subset_sentence_languages(spec.quantifiers,
-                                       list(range(natoms2)), rows1, reg, caps)
-    inner_sets = {bits for _, _, bits in inner}
-    gens1 = [frozenset(carrier1[r] for r in range(len(carrier1))
-                       if (bits >> r) & 1) for bits in sorted(inner_sets)]
-    qf1_of, natoms_qf1 = _signature_cells(
-        carrier1, A, (v2,), L, _qf_generators(spec, (v2,), reg), reg)
-    gens1 += [frozenset(mw for mw in carrier1 if qf1_of[mw] == c)
-              for c in range(natoms_qf1)]
-    psi1 = finba.generate(carrier1, gens1, caps)
-
-    outer_rows = [tuple(psi1.atom_index_of(MarkedWord(w, ((v2, i),)))
-                        for i in range(1, len(w) + 1)) for w in plain]
-    outer = _subset_sentence_languages(spec.quantifiers,
-                                       list(range(len(psi1.atoms))),
-                                       outer_rows, reg, caps)
-    langs = {bits for _, _, bits in outer}
+    outer = _subset_sentence_languages(spec.quantifiers, list(range(natoms)),
+                                       cells, lens, reg, caps)
     sets = [frozenset(w for r, w in enumerate(plain) if (bits >> r) & 1)
-            for bits in sorted(langs)]
+            for bits in sorted({bits for _, _, bits in outer})]
     return finba.generate(plain, sets, caps)
 
 

@@ -397,25 +397,31 @@ class Registry:
 DEFAULT_REGISTRY = Registry()
 
 
-def registry_from_json(data, base=None) -> Registry:
+def registry_from_json(data) -> Registry:
     """Extend the built-ins with a JSON declaration:
     {"quantifiers": [{"name", "table", "identity", "images", "accept"}],
-     "predicates": [{"name", "arity", "tuples", "finite": true}]}."""
+     "predicates": [{"name", "arity", "tuples", "finite": true}]};
+    a missing field or a value of the wrong type is a ParseError."""
     reg = Registry()
-    for spec in data.get("quantifiers", ()):
-        mon = FinMonoid(tuple(map(tuple, spec["table"])), spec.get("identity", 0))
-        reg.register_quantifier(Quantifier(
-            spec["name"], monoid=mon, images=tuple(spec["images"]),
-            accept=frozenset(spec["accept"])))
-    for spec in data.get("predicates", ()):
-        if not spec.get("finite", True):
-            raise ParseError("only finite tuple predicates can be declared in JSON")
-        tuples = frozenset(tuple(t) for t in spec["tuples"])
-        arity = int(spec["arity"])
-        if any(len(t) != arity for t in tuples):
-            raise ParseError(f"arity mismatch in predicate {spec['name']!r}")
-        reg.register_numpred(NumPredDef(
-            spec["name"], arity, lambda p, n, ts=tuples: tuple(p) in ts))
+    try:
+        for spec in data.get("quantifiers", ()):
+            mon = FinMonoid(tuple(map(tuple, spec["table"])), spec.get("identity", 0))
+            reg.register_quantifier(Quantifier(
+                spec["name"], monoid=mon, images=tuple(spec["images"]),
+                accept=frozenset(spec["accept"])))
+        for spec in data.get("predicates", ()):
+            if not spec.get("finite", True):
+                raise ParseError("only finite tuple predicates can be declared in JSON")
+            tuples = frozenset(tuple(t) for t in spec["tuples"])
+            arity = int(spec["arity"])
+            if any(len(t) != arity for t in tuples):
+                raise ParseError(f"arity mismatch in predicate {spec['name']!r}")
+            reg.register_numpred(NumPredDef(
+                spec["name"], arity, lambda p, n, ts=tuples: tuple(p) in ts))
+    except KeyError as exc:
+        raise ParseError(f"registry declaration lacks {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed registry declaration: {exc}") from None
     return reg
 
 

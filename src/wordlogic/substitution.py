@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,12 +21,12 @@ from . import caps as _caps
 from . import finba
 from .caps import Caps
 from .errors import BoundTooSmall, CapExceeded, ParseError
-from .logic import (Formula, LetterPred, TRUE, Registry, DEFAULT_REGISTRY, conj,
+from .logic import (And, Formula, LetterPred, Registry, DEFAULT_REGISTRY, conj,
                     neg, free_vars, all_vars, in_range, map_atoms, map_vars,
                     marked_truth, models, rename_bound, satisfies, to_dsl,
                     truth_table)
-from .regular import (Dfa, dfa_from_bounded, shortlex_rows,
-                      syntactic_stamp_of_family)
+from .regular import (Dfa, dfa_from_bounded, shortlex_offsets, shortlex_rows,
+                      syntactic_stamp_of_family, word_ids)
 from .report import Report
 from .semidirect import transfer_dfa
 from .words import (Alphabet, BoundedLang, ExtendedAlphabet, MarkedWord,
@@ -61,34 +62,41 @@ class SentenceClass:
 class DeltaAlgebra:
     """A finite Boolean algebra of one-free-variable formulas, by models.
 
-    ``ba`` is the algebra of languages of marked words of length <= bound
-    generated by the given formulas; its atoms get representative formulas
-    (the sign-conjunction of generators cutting the cell) and letter names
-    c0, c1, ... in atom order.  ``_atom_of`` maps each marked word of the
-    carrier to its atom index, ``_atoms`` holds the same indices as the
-    atom words of all words of length <= bound (``atom_rows``), and
-    ``_atom_vars`` holds ``var`` and every variable of the atom formulas,
-    the names ``sigma`` must avoid.
+    The cell table is the algebra: ``_atoms`` holds the atom of every
+    position of every word of length <= bound (``regular.shortlex_rows``),
+    -1 past the word, atoms numbered by first marked word in
+    ``enumerate_marked`` order.  Each atom has a representative formula
+    (the sign-conjunction of generators cutting it, by signature in
+    ``_sig_to_atom``) and a letter c0, c1, ...  ``ba``, the algebra over
+    the marked words as carrier, is built only on request.  ``_atom_vars``
+    are the names ``sigma`` must avoid, ``_renamed`` its renamed conjuncts.
     """
 
     alphabet: Alphabet
     var: str
     bound: int
     generators: tuple            # formulas with free variable var
-    ba: finba.FinBA
     atom_formulas: tuple         # one formula per atom, same order
     registry: Registry = field(default=None, compare=False, repr=False)
+    caps: Caps = field(default=_caps.DEFAULT, compare=False, repr=False)
     _sig_to_atom: dict = field(default=None, compare=False, repr=False)
-    _atom_of: dict = field(default=None, compare=False, repr=False)
     _atoms: np.ndarray = field(default=None, compare=False, repr=False)
     _atom_vars: frozenset = field(default=None, compare=False, repr=False)
+    _renamed: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     @property
     def atom_count(self):
-        return len(self.ba.atoms)
+        return len(self.atom_formulas)
 
     def atom_alphabet(self) -> Alphabet:
         return Alphabet(tuple(f"c{i}" for i in range(self.atom_count)))
+
+    @cached_property
+    def ba(self) -> finba.FinBA:
+        carrier = enumerate_marked(self.alphabet, (self.var,), self.bound, self.caps)
+        return finba.partition(carrier, self._atoms[self._atoms >= 0].tolist(),
+                               self.caps)[0]
 
 
 def delta_algebra(alphabet, var, generators, bound=6,
@@ -101,7 +109,8 @@ def delta_algebra(alphabet, var, generators, bound=6,
     generator order, and their model sets are exactly the atoms (making the
     family a partition of the marked words: their disjunction is everything
     and they are pairwise disjoint).  Model sets are evaluated in bulk
-    (``logic.marked_truth``).
+    (``logic.truth_table``), and the cells are the distinct generator
+    signatures, numbered by first occurrence.
 
     ``verify=False`` skips the per-atom representative check, for callers
     whose generators are large trees and whose cells are checked elsewhere.
@@ -116,22 +125,29 @@ def delta_algebra(alphabet, var, generators, bound=6,
         if not fv <= {var}:
             raise ParseError(f"generator {to_dsl(g)} has free variables "
                              f"{sorted(fv - {var})} besides {var}")
-    carrier = tuple(enumerate_marked(alphabet, (var,), bound, caps))
+    check_table("marked word table", len(alphabet), 1, bound, caps)
     letters, lens = shortlex_rows(len(alphabet), bound)
-    inside, sigs = _signatures(generators, tuple(alphabet), var, letters, lens,
-                               registry)
-    ba, atom_sigs = finba.partition(carrier, sigs, caps)
-    sig_to_atom = {sig: ai for ai, sig in enumerate(atom_sigs)}
-    atom_of = np.array([sig_to_atom[sig] for sig in sigs], dtype=np.int64)
+    inside, truth = _signatures(generators, tuple(alphabet), var, letters,
+                                lens, registry)
+    _, first, cell = np.unique(np.packbits(truth.T, axis=1), axis=0,
+                               return_index=True, return_inverse=True)
+    if len(first) > caps.finba_atoms:
+        raise CapExceeded(f"{len(first)} atoms exceed the atom cap",
+                          cap=caps.finba_atoms)
+    order = np.argsort(first)
+    atom_of = np.argsort(order)[cell]  # the rank of each cell's first word
+    atom_sigs = [tuple(sig) for sig in truth[:, first[order]].T.tolist()]
     atoms = np.full(letters.shape, -1, dtype=np.int64)
     atoms[inside] = atom_of
     atoms.flags.writeable = False  # atom_rows hands out views of it
 
-    # representative formula per atom: the defining sign-conjunction
+    # representative formula per atom: the defining sign-conjunction, whose
+    # conjuncts are shared between atoms (``sigma`` renames each once)
+    negated = [neg(g) for g in generators]
     atom_formulas = []
     for ai, sig in enumerate(atom_sigs):
-        parts = [g if keep else neg(g) for g, keep in zip(generators, sig)]
-        phi = conj(parts) if parts else TRUE
+        phi = conj([g if keep else ng
+                    for g, ng, keep in zip(generators, negated, sig)])
         atom_formulas.append(phi)
         # the representative's models must be exactly the cell
         if verify and not np.array_equal(
@@ -143,29 +159,33 @@ def delta_algebra(alphabet, var, generators, bound=6,
     atom_vars = frozenset({var}).union(*map(all_vars, generators)) \
         if atom_formulas else frozenset({var})
     return DeltaAlgebra(alphabet=alphabet, var=var, bound=bound,
-                        generators=generators, ba=ba,
+                        generators=generators,
                         atom_formulas=tuple(atom_formulas),
-                        registry=registry, _sig_to_atom=sig_to_atom,
-                        _atom_of=dict(zip(carrier, atom_of.tolist())),
+                        registry=registry, caps=caps,
+                        _sig_to_atom={sig: ai for ai, sig in enumerate(atom_sigs)},
                         _atoms=atoms, _atom_vars=atom_vars)
 
 
 def _signatures(generators, symbols, var, letters, lens, registry):
     """The generator signatures of the marked words (one mark, ``var``) of
-    padded letter rows, in ``enumerate_marked`` order, and the mask of the
-    rows' positions they come from (``logic.in_range``)."""
+    padded letter rows, as a (generators, marked words) bool matrix in
+    ``enumerate_marked`` order, and the mask of the rows' positions they
+    come from (``logic.in_range``)."""
     inside = in_range(lens, letters.shape[1], 1)
     truth = np.array([truth_table(g, symbols, (var,), letters, lens, registry)[inside]
                       for g in generators], dtype=bool)
-    truth = truth.reshape(len(generators), int(inside.sum()))
-    return inside, [tuple(sig) for sig in truth.T.tolist()]
+    return inside, truth.reshape(len(generators), int(inside.sum()))
 
 
 def xi(delta: DeltaAlgebra, mw: MarkedWord) -> int:
-    """Atom index classifying one marked word (any length: classification
-    is by the generator signature, which must be realized at the bound)."""
-    if delta._atom_of is not None and mw in delta._atom_of:
-        return delta._atom_of[mw]
+    """Atom index classifying one marked word: read off the algebra's table
+    (at the word's shortlex id) up to its bound, and past it classified by
+    the generator signature, which must be realized at the bound."""
+    syms = tuple(delta.alphabet)
+    if len(mw.word) <= delta.bound and set(mw.word) <= set(syms):
+        r = word_ids([syms.index(a) for a in mw.word], len(syms),
+                     shortlex_offsets(len(syms), delta.bound))
+        return int(delta._atoms[r, mw.pos(delta.var) - 1])
     reg = delta.registry or DEFAULT_REGISTRY
     sig = tuple(satisfies(mw, g, reg) for g in delta.generators)
     try:
@@ -196,11 +216,12 @@ def atom_rows(delta: DeltaAlgebra, bound: int):
     letters, lens = shortlex_rows(len(delta.alphabet), bound)
     if bound <= delta.bound:
         return letters, lens, delta._atoms[:len(lens), :bound]
-    inside, sigs = _signatures(delta.generators, tuple(delta.alphabet),
-                               delta.var, letters, lens,
-                               delta.registry or DEFAULT_REGISTRY)
+    inside, truth = _signatures(delta.generators, tuple(delta.alphabet),
+                                delta.var, letters, lens,
+                                delta.registry or DEFAULT_REGISTRY)
     atoms = np.full(letters.shape, -1, dtype=np.int64)
-    atoms[inside] = [delta._sig_to_atom.get(sig, -2) for sig in sigs]
+    atoms[inside] = [delta._sig_to_atom.get(sig, -2)
+                     for sig in map(tuple, truth.T.tolist())]
     return letters, lens, atoms
 
 
@@ -228,13 +249,14 @@ def tau_word(delta: DeltaAlgebra, w) -> tuple:
 
 def tau_table(delta: DeltaAlgebra, bound: int, caps: Caps = None) -> dict:
     """All atom words at once: maps each plain word of length <= bound to
-    its atom-index tuple."""
+    its atom-index tuple (``atom_rows``)."""
     caps = caps or _caps.from_env()
-    table = {(): ()}
-    for w in enumerate_words(delta.alphabet, bound, caps):
-        if w:
-            table[w] = tau(delta, w)
-    return table
+    check_table("word table", len(delta.alphabet), 0, bound, caps)
+    letters, lens, atoms = atom_rows(delta, bound)
+    _refuse_unrealized(delta, letters, lens, atoms)
+    return {_row_word(delta.alphabet, row, n): tuple(cells[:n])
+            for row, cells, n in zip(letters.tolist(), atoms.tolist(),
+                                     lens.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +264,7 @@ def tau_table(delta: DeltaAlgebra, bound: int, caps: Caps = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def substitute_letters(psi: Formula, by_symbol: dict, var: str,
-                       avoid=None) -> Formula:
+                       avoid=None, renamed: dict = None) -> Formula:
     """Replace each letter test P[c](z) by the formula ``by_symbol[c]`` with
     ``var`` renamed to z; other free variables of the replacement formulas
     stay free.
@@ -250,18 +272,29 @@ def substitute_letters(psi: Formula, by_symbol: dict, var: str,
     The sentence's bound variables are first renamed to fresh z0, z1, ... so
     they cannot collide with ``var`` or the variables of the replacement
     formulas (``avoid``, computed from them when not given); the renaming is
-    systematic, making the output deterministic.
+    systematic, making the output deterministic.  Each conjunct of a
+    replacement formula is renamed once per variable, in ``renamed`` (kept
+    across calls when given; keyed by the conjunct object's identity, so it
+    must not outlive the replacement formulas).
     """
     if avoid is None:
         avoid = frozenset({var}).union(*map(all_vars, by_symbol.values()))
     psi = rename_bound(psi, avoid | free_vars(psi))
+    renamed = {} if renamed is None else renamed
 
     def leaf(node):
         if isinstance(node, LetterPred):
             if node.symbol not in by_symbol:
                 raise ParseError(f"letter {node.symbol!r} is not an atom of "
                                  f"the algebra being substituted")
-            return map_vars(by_symbol[node.symbol], {var: node.var})
+            phi = by_symbol[node.symbol]
+            parts = phi.args if isinstance(phi, And) else (phi,)
+            for p in parts:
+                if (id(p), node.var) not in renamed:
+                    renamed[id(p), node.var] = map_vars(p, {var: node.var})
+            out = tuple(renamed[id(p), node.var] for p in parts)
+            # what map_vars builds from the whole formula
+            return And(out) if isinstance(phi, And) else out[0]
         return node
 
     return map_atoms(psi, leaf)
@@ -270,10 +303,11 @@ def substitute_letters(psi: Formula, by_symbol: dict, var: str,
 def sigma(delta: DeltaAlgebra, psi: Formula) -> Formula:
     """Substitute the atom formulas of ``delta`` into a sentence over the
     atom alphabet: every letter test for atom c at a position z becomes the
-    atom's formula with its free variable renamed to z."""
+    atom's formula with its free variable renamed to z.  Each conjunct of
+    the atom formulas is renamed once per variable and algebra."""
     syms = delta.atom_alphabet().symbols
     return substitute_letters(psi, dict(zip(syms, delta.atom_formulas)),
-                              delta.var, delta._atom_vars)
+                              delta.var, delta._atom_vars, delta._renamed)
 
 
 def check_substitution_principle(delta: DeltaAlgebra, psi: Formula,
@@ -538,17 +572,27 @@ def tau_compat(gamma: SentenceClass, small: DeltaAlgebra, big: DeltaAlgebra,
         return Report(check="tau-compat", params=params, passed=False,
                       counterexample="first algebra is not a subalgebra of "
                       "the second")
-    zeta = finba.dual_of_inclusion(small.ba, big.ba)
-    stats = {"words": 0}
-    for w in enumerate_words(small.alphabet, bound, caps):
-        stats["words"] += 1
-        lhs = tuple(zeta[i] for i in tau(big, w))
-        rhs = tau(small, w)
-        if lhs != rhs:
-            return Report(check="tau-compat", params=params, passed=False,
-                          counterexample=f"word {''.join(w) or '<empty>'}: "
-                          f"relabeled big atom word {lhs} differs from small "
-                          f"atom word {rhs}", stats=stats)
+    zeta = np.array(finba.dual_of_inclusion(small.ba, big.ba) + (-1,))
+    check_table("word table", len(small.alphabet), 0, bound, caps)
+    letters, lens, big_atoms = atom_rows(big, bound)
+    small_atoms = atom_rows(small, bound)[2]
+    # -1 (past the word) relabels to -1; the first word that differs or has
+    # an unclassifiable position (refused, like ``tau``) ends the scan
+    lhs = zeta[big_atoms]
+    stop = np.flatnonzero(((big_atoms == -2) | (small_atoms == -2)
+                           | (lhs != small_atoms)).any(axis=1))
+    if len(stop):
+        r, n = int(stop[0]), int(lens[stop[0]])
+        for delta, atoms in ((big, big_atoms), (small, small_atoms)):
+            _refuse_unrealized(delta, letters[r:r + 1], lens[r:r + 1],
+                               atoms[r:r + 1])
+        word = "".join(_row_word(small.alphabet, letters[r], n)) or "<empty>"
+        return Report(check="tau-compat", params=params, passed=False,
+                      counterexample=f"word {word}: relabeled big atom word "
+                      f"{tuple(lhs[r, :n].tolist())} differs from small atom "
+                      f"word {tuple(small_atoms[r, :n].tolist())}",
+                      stats={"words": r + 1})
+    stats = {"words": len(lens)}
     small_odot = gamma_odot(gamma, small, bound, registry, caps)
     big_odot = gamma_odot(gamma, big, bound, registry, caps)
     if not finba.is_subalgebra(small_odot.ba, big_odot.ba):

@@ -319,14 +319,11 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
                              f"{sorted(fv - set(ctx))} outside the context")
 
     # atoms of the source algebra: realized generator-signature cells
-    cells = check_table("marked word table", len(base), len(ctx), bound, caps)
-    sigs = np.array([marked_truth(g, base, ctx, bound, reg) for g in generators],
-                    dtype=bool).reshape(len(generators), cells)
-    source_sigs = sorted({tuple(sig) for sig in sigs.T.tolist()})
-    src_formulas = []
-    for sig in source_sigs:
-        parts = [g if keep else neg(g) for g, keep in zip(generators, sig)]
-        src_formulas.append(conj(parts) if parts else TRUE)
+    if enc_vars:
+        cells = check_table("marked word table", len(base), len(ctx), bound, caps)
+        sigs = np.array([marked_truth(g, base, ctx, bound, reg) for g in generators],
+                        dtype=bool).reshape(len(generators), cells)
+        source_sigs = sorted({tuple(sig) for sig in sigs.T.tolist()})
 
     # the lifted algebra over the marked alphabet
     enc_gens = [encode_multi(g, enc_vars, base, reg) for g in generators]
@@ -337,6 +334,14 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
         carrier_alpha = base
     lifted = delta_algebra(carrier_alpha, var, enc_gens, bound=bound,
                            registry=reg, caps=caps, verify=False)
+    if not enc_vars:
+        # encode_multi(g, ()) is g: the source algebra is the lifted one,
+        # evaluated once
+        source_sigs = sorted(lifted._sig_to_atom)
+    src_formulas = []
+    for sig in source_sigs:
+        parts = [g if keep else neg(g) for g, keep in zip(generators, sig)]
+        src_formulas.append(conj(parts) if parts else TRUE)
 
     # source atoms embed by signature: the encodings of the generators cut
     # the image exactly as the generators cut the marked words
@@ -352,10 +357,6 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
         junk = lifted._sig_to_atom.get((False,) * len(enc_gens))
         expect = len(source_sigs) + (1 if junk is not None else 0)
         if lifted.atom_count != expect or junk is None:
-            raise BoundTooSmall("the lifted algebra has unexpected cells at "
-                                "this bound", bound=bound)
-    else:
-        if lifted.atom_count != len(source_sigs):
             raise BoundTooSmall("the lifted algebra has unexpected cells at "
                                 "this bound", bound=bound)
     if len(set(zeta)) != len(zeta):

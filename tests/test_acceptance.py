@@ -101,7 +101,7 @@ def test_criterion_2_substitution_principle():
         report = check_substitution_principle(delta, psi, bound=6,
                                               registry=reg)
         assert report.passed, (i, report.counterexample)
-    _done(2, "substitution principle, 50 random instances", t0, budget=60.0)
+    _done(2, "substitution principle, 50 random instances", t0, budget=10.0)
 
 
 def test_criterion_3_encoding_roundtrip():
@@ -219,7 +219,7 @@ def test_criterion_8_fragments_match_direct_enumeration():
                 assert report.passed, (syms, qs, depth,
                                        report.counterexample)
     _done(8, "depth fragments vs direct enumeration, 8 specs", t0,
-          budget=30.0)
+          budget=10.0)
 
 
 def test_criterion_9_algebraic_laws_and_oracle_quantifiers():

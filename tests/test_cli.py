@@ -180,6 +180,33 @@ def test_sdp_refuses_malformed_input_with_exit_2(capsys, tmp_path, text):
     assert err.startswith("error [parse]")
 
 
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"quantifiers": [{"name": "Q"}]}',
+    '["quantifiers"]',
+    '{"quantifiers": 3}',
+    '{"quantifiers": [{"name": "Q", "table": [["a"]], "images": [0, 0], '
+    '"accept": [0]}]}',
+    '{"predicates": [{"name": "p", "arity": "one", "tuples": []}]}',
+])
+def test_malformed_registry_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "registry.json"
+    path.write_text(text, encoding="utf-8")
+    rc, _, err = run(capsys, ["eval", "--word", "ab", "--formula",
+                              "E x. P[a](x)", "--registry", str(path)])
+    assert rc == 2
+    assert err.startswith("error [parse]")
+
+
+def test_registry_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "registry.json"
+    path.write_bytes(b"\xff\xfe{}")
+    rc, _, err = run(capsys, ["eval", "--word", "ab", "--formula",
+                              "E x. P[a](x)", "--registry", str(path)])
+    assert rc == 2
+    assert err.startswith("error [parse]: registry file is not JSON")
+
+
 # ---------------------------------------------------------------------------
 # suites and fragments
 

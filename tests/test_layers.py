@@ -17,6 +17,7 @@ from wordlogic import (
     satisfies,
     to_dsl,
 )
+from wordlogic.caps import Caps
 from wordlogic.layers import FragmentSpec, same_language_algebra
 from wordlogic.logic import all_vars
 from wordlogic.words import enumerate_words
@@ -160,6 +161,13 @@ def test_dump_fragment_shape():
 def test_direct_enumeration_refuses_deep_nesting():
     with pytest.raises(CapExceeded):
         depth_direct(FragmentSpec(Alphabet.of("a"), ("E",), depth=3))
+
+
+def test_direct_enumeration_refuses_a_marked_table_over_the_cap():
+    # 3,450 marked words with two marks over ab up to length 6
+    spec = FragmentSpec(Alphabet.of("ab"), ("E",), depth=2, bound=6)
+    with pytest.raises(CapExceeded, match="3450 words"):
+        depth_direct(spec, caps=Caps(enumeration=1000))
 
 
 def test_fragment_guard_refuses_large_products():

@@ -16,8 +16,10 @@ from wordlogic import (
     check_substitution_principle,
     circ_closure,
     delta_algebra,
+    enumerate_marked,
     enumerate_words,
     equiv_bounded,
+    finba,
     gamma_odot,
     gamma_q,
     models,
@@ -77,6 +79,25 @@ def test_atom_formulas_partition(delta_pa):
                 if satisfies(mw, phi)]
         assert len(hits) == 1
         assert delta_pa.ba.atoms[hits[0]] == delta_pa.ba.atom_of(mw)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 4))
+def test_cells_are_the_signature_partition_of_the_marked_words(seed, bound):
+    # reference: the marked words as a carrier, partitioned by their
+    # generator signatures under the per-word interpreter
+    rng = random.Random(seed)
+    delta = random_delta(rng, rng.choice(["a", "ab", "abc"]), bound=bound,
+                         max_atoms=8)
+    carrier = tuple(enumerate_marked(delta.alphabet, ("x",), bound))
+    sigs = [tuple(satisfies(mw, g) for g in delta.generators)
+            for mw in carrier]
+    ref, ref_sigs = finba.partition(carrier, sigs)
+    assert delta.atom_count == len(ref.atoms)
+    assert delta._sig_to_atom == {sig: i for i, sig in enumerate(ref_sigs)}
+    assert "ba" not in vars(delta)  # built on request only
+    assert delta.ba == ref
+    assert [xi(delta, mw) for mw in carrier] == \
+        [ref.atom_index_of(mw) for mw in carrier]
 
 
 def test_generators_must_use_only_the_marked_variable(ab):
@@ -235,6 +256,16 @@ def test_substitution_principle_catches_corruption(delta_pa):
     assert report.counterexample
 
 
+def test_corruption_is_caught_after_the_renaming_memo_is_warm(delta_pa):
+    psi = parse("E z. P[c0](z)")
+    assert check_substitution_principle(delta_pa, psi, bound=4).passed
+    corrupted = dataclasses.replace(
+        delta_pa, atom_formulas=tuple(reversed(delta_pa.atom_formulas)))
+    report = check_substitution_principle(corrupted, psi, bound=4)
+    assert not report.passed
+    assert report.counterexample
+
+
 def test_substitution_principle_empty_word(delta_pa):
     report = check_substitution_principle(delta_pa, parse("E z. 1"), bound=0)
     assert report.passed
@@ -285,8 +316,6 @@ def test_circ_closure_adds_sentence_generators(ab):
     plain_out = gamma_odot(gamma_q(("E",)), d, bound=5)
     closed = circ_closure(gamma_q(("E",)), d, bound=5)
     assert len(closed.ba.atoms) >= len(plain_out.ba.atoms)
-    from wordlogic import finba
-
     assert finba.is_subalgebra(plain_out.ba, closed.ba)
 
 
@@ -362,6 +391,21 @@ def test_tau_compat_chain_composes(ab):
     z32 = finba.dual_of_inclusion(d2.ba, d3.ba)
     z31 = finba.dual_of_inclusion(d1.ba, d3.ba)
     assert tuple(z21[z32[k]] for k in range(d3.atom_count)) == tuple(z31)
+
+
+def test_tau_compat_names_the_first_word_whose_atom_words_differ(ab):
+    # at bound 1 every position is the first, so both generators cut
+    # "the letter is a"; on longer words the second one flips
+    small = delta_algebra(ab, "x", [parse("P[a](x)")], bound=1)
+    big = delta_algebra(ab, "x", [parse(
+        "(P[a](x) & R[first](x)) | (~P[a](x) & ~R[first](x))")], bound=1)
+    assert tau_compat(gamma_q(("E",)), small, big, bound=1).passed
+    report = tau_compat(gamma_q(("E",)), small, big, bound=3)
+    assert not report.passed
+    assert report.counterexample == ("word aa: relabeled big atom word "
+                                     "(0, 1) differs from small atom word "
+                                     "(0, 0)")
+    assert report.stats == {"words": 4}
 
 
 def test_tau_compat_fails_for_unrelated_algebras(ab):

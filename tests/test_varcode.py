@@ -266,6 +266,28 @@ def test_lift_without_encoded_variables_is_the_identity():
     assert tuple(lift.zeta) == (0, 1) or set(lift.zeta) == {0, 1}
 
 
+def test_lift_without_encoded_variables_evaluates_each_generator_once(
+        monkeypatch):
+    # encode_multi(g, ()) is g: the source cells come from the lifted
+    # algebra's own evaluation
+    import wordlogic.logic as logic_module
+    import wordlogic.substitution as substitution_module
+    gens = [parse("P[a](x)"), parse("E y. (y < x & P[b](y))"),
+            parse("R[last](x)")]
+    seen = []
+    for module in (logic_module, substitution_module):
+        real = module.truth_table
+
+        def counted(phi, *args, real=real, **kwargs):
+            seen.append(phi)
+            return real(phi, *args, **kwargs)
+
+        monkeypatch.setattr(module, "truth_table", counted)
+    lift = lift_delta(gens, "x", (), AB, bound=4)
+    assert lift.report.passed
+    assert [sum(phi is g for phi in seen) for g in gens] == [1, 1, 1]
+
+
 def test_lift_classifies_embedded_points_like_the_source():
     lift = lift_delta([parse("P[a](x) & P[b](y)")], "x", ("y",), AB, bound=5)
     ext = ExtendedAlphabet(AB, ("y",))
