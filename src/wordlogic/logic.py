@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -299,11 +299,14 @@ class Quantifier:
 @dataclass(frozen=True)
 class NumPredDef:
     """k-ary numerical predicate: an oracle on (position tuple, word length);
-    positions are 1-based."""
+    positions are 1-based.  ``_tables`` keeps the read-only bulk tables of
+    ``truth_table`` by (argument pattern, bound)."""
 
     name: str
     arity: int
     holds: object
+    _tables: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
 
 _MOD_RE = re.compile(r"^mod\[(\d+),(\d+)\]$")
@@ -724,26 +727,26 @@ class _Evaluator:
         self.bound = bound
         self.reg = registry
         self.unit = np.ones((1,) * ndim, dtype=bool)
-        self.preds = {}
 
     def numpred(self, node, env):
         """Per-length tables of a numerical predicate, indexed by length n <=
         bound and the positions of its distinct arguments: asked once per
         position tuple and False past n.  Atoms that differ only in their
-        variables share one table."""
+        variables share one table, kept on the predicate for later calls."""
         free = tuple(dict.fromkeys(node.args))
         pattern = tuple(free.index(v) for v in node.args)
-        if (node.name, pattern) not in self.preds:
-            holds = self.reg.numpred(node.name).holds
-            L = self.bound
+        pred, L = self.reg.numpred(node.name), self.bound
+        tables = pred._tables.get((pattern, L))
+        if tables is None:
             tables = np.zeros((L + 1,) + (L,) * len(free), dtype=bool)
             for n in range(L + 1):
-                values = [bool(holds(tuple(pos[i] for i in pattern), n))
+                values = [bool(pred.holds(tuple(pos[i] for i in pattern), n))
                           for pos in itertools.product(range(1, n + 1), repeat=len(free))]
                 tables[(n,) + (slice(n),) * len(free)] = \
                     np.array(values, dtype=bool).reshape((n,) * len(free))
-            self.preds[node.name, pattern] = tables
-        return self.preds[node.name, pattern], (0,) + tuple(env[v] for v in free)
+            tables.setflags(write=False)
+            pred._tables[pattern, L] = tables
+        return tables, (0,) + tuple(env[v] for v in free)
 
     def table(self, node, letters, lens, env) -> np.ndarray:
         unit, ndim = self.unit, self.ndim

@@ -13,7 +13,8 @@ order breaking ties, and monoid elements get shortlex representative words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,12 +71,16 @@ def first_paths(edges, labels) -> list:
 
 @dataclass(frozen=True)
 class Dfa:
-    """A complete deterministic automaton; delta[state][symbol_index]."""
+    """A complete deterministic automaton; delta[state][symbol_index].
+    ``_stamps`` holds its syntactic stamps by caps, for callers that reuse
+    them (``semidirect.compile_layer``)."""
 
     alphabet: tuple
     delta: tuple
     init: int
     accepting: frozenset
+    _stamps: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def __post_init__(self):
         n = len(self.delta)
@@ -571,14 +576,19 @@ def shortlex_offsets(k: int, bound) -> np.ndarray:
     return np.cumsum([0] + [k ** n for n in range(bound + 1)], dtype=np.int64)
 
 
+@lru_cache(maxsize=16)
 def shortlex_rows(k: int, bound):
     """All words of length <= bound over k letters in shortlex order, as an
     (off[-1], bound) matrix of letter indices with each row padded past its
-    word by -1, and the vector of word lengths."""
+    word by -1, and the vector of word lengths.  Both are shared between
+    callers and read-only."""
     lens = np.repeat(np.arange(bound + 1), [k ** n for n in range(bound + 1)])
     rank = np.arange(len(lens)) - shortlex_offsets(k, bound)[lens]
     weights = row_weights(lens, bound, k)
-    return np.where(weights > 0, rank[:, None] // np.maximum(weights, 1) % k, -1), lens
+    out = np.where(weights > 0, rank[:, None] // np.maximum(weights, 1) % k, -1), lens
+    for table in out:
+        table.setflags(write=False)
+    return out
 
 
 def row_weights(lens, width: int, k: int) -> np.ndarray:
@@ -616,9 +626,11 @@ def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT) -> Dfa:
     length <= bound, numbered in shortlex order as above.
 
     For probe depth d = 0, 1, ..., the words u of length <= bound-d are
-    classed by their row of bits member[id(u·p)] over the probes p of
-    length <= d.  Classes are numbered by their shortlex-first row, and that
-    row gives the class its transitions when it still has children in the
+    classed by the bits member[id(u·p)] over the probes p of length <= d, by
+    Moore refinement on the word tree: member[u] at depth 0, and member[u]
+    with the depth-d classes of the children u·c, folded into one integer
+    key, at depth d+1.  Classes are numbered by their shortlex-first word,
+    which gives the class its transitions when it has children in the
     table.  A hypothesis is returned only after running it on *every* word
     of the table, so the result provably agrees with the data; if no probe
     depth yields a verified hypothesis the data looks non-regular at this
@@ -636,22 +648,24 @@ def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT) -> Dfa:
     if bound == 0:
         acc = frozenset({0}) if member[0] else frozenset()
         return Dfa(syms, ((0,) * k,), 0, acc)
-    lengths = np.repeat(np.arange(bound + 1), np.diff(off))
-    ranks = np.arange(off[-1]) - off[lengths]
     largest = 0  # states of the largest hypothesis built and refuted
+    key = member.astype(np.int64)
     for d in range(bound + 1):
-        rows = off[bound - d + 1]
-        bits = np.concatenate(
-            [member[(off[lengths[:rows] + b] + ranks[:rows] * k ** b)[:, None]
-                    + np.arange(k ** b)] for b in range(d + 1)], axis=1)
-        packed = np.packbits(bits, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True,
+        if d:  # Moore step: key = (member, class of each child) in base n
+            rows, n = off[bound - d + 1], len(first)
+            kids = cls[1:rows * k + 1].reshape(rows, k)
+            key, size = member[:rows].astype(np.int64), 2
+            for c in range(k):
+                if size * n > 1 << 62:  # renumber to stay exact
+                    _, key = np.unique(key, return_inverse=True)
+                    key, size = key.reshape(-1), int(key.max()) + 1
+                key, size = key * n + kids[:, c], size * n
+        _, first, inverse = np.unique(key, return_index=True,
                                       return_inverse=True)
         if len(first) > cap:
             raise CapExceeded(f"automaton inference exceeds the cap of {cap} states",
                               stage="automaton inference", cap=cap)
-        order = np.argsort(first)  # classes by their shortlex-first row
+        order = np.argsort(first)  # classes by their shortlex-first word
         renumber = np.empty_like(order)
         renumber[order] = np.arange(len(order))
         cls = renumber[inverse.reshape(-1)]

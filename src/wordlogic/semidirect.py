@@ -443,10 +443,20 @@ def marked_class_word(dd: DecomposedD, word, i):
 
 def class_word(dd: DecomposedD, word):
     """(class word, plain image) of a word: the marked-class letter of every
-    position and the word's image in the plain part."""
-    letters = tuple(marked_class_word(dd, word, i) for i in range(1, len(word) + 1))
-    m = dd.m_mon.prod(dd.p_img[dd.ext.base.index(a)] for a in word)
-    return letters, m
+    position and the word's image in the plain part.  The plain prefix and
+    suffix images of all positions come from one pass each over the letter
+    images (``marked_class_word`` resolves one position on its own)."""
+    tab = dd.pi.monoid.table
+    amb = [dd.m_elems[p] for p in dd.p_img]  # ambient plain letter images
+    idx = [dd.ext.base.index(a) for a in word]
+    pre = [dd.pi.monoid.identity]
+    for i in idx:
+        pre.append(tab[pre[-1]][amb[i]])
+    letters, suf = [], dd.pi.monoid.identity
+    for p in reversed(range(len(idx))):
+        letters.append(dd.classify(pre[p], idx[p], suf))
+        suf = tab[amb[idx[p]]][suf]
+    return tuple(reversed(letters)), dd.m_mon.prod(dd.p_img[i] for i in idx)
 
 
 def check_h_formula(etaq: EtaQuotient, hm: HMorphism, bound: int) -> bool:
@@ -524,7 +534,9 @@ def compile_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
         raise NotMonoidPresentable(
             f"quantifier {quant.name} has no monoid presentation and cannot "
             f"be compiled", quantifier=quant.name)
-    mu = syntactic_stamp(phi_dfa, caps)
+    mu = phi_dfa._stamps.get(caps)
+    if mu is None:  # one stamp serves every quantifier over this body
+        mu = phi_dfa._stamps[caps] = syntactic_stamp(phi_dfa, caps)
     acc = mu.accepting
     qtab = quant.monoid.table
     img0, img1 = quant.images

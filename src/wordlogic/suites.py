@@ -12,7 +12,7 @@ import random
 from . import caps as _caps
 from . import finba
 from .caps import Caps
-from .errors import BoundTooSmall, NotMonoidPresentable
+from .errors import BoundTooSmall, NotMonoidPresentable, ParseError
 from .logic import (DEFAULT_REGISTRY, LetterPred, NumPred, Quant, TRUE, conj,
                     disj, formula_dfa, models, parse, relabel, satisfies,
                     to_dsl)
@@ -42,7 +42,7 @@ def named_monoid(name: str) -> FinMonoid:
         table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
         return FinMonoid(table=table, identity=0,
                          names=tuple(str(i) for i in range(k)))
-    raise ValueError(f"unknown monoid name {name!r}")
+    raise ParseError(f"unknown monoid name {name!r}")
 
 
 def _fail(check, params, witness, **stats):
@@ -511,5 +511,5 @@ def run_suite(name, alphabet, maxlen, seed, registry=None,
                                        caps))
         return reports
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise ParseError(f"unknown suite {name!r}")
     return SUITES[name](alphabet, maxlen, seed, registry, caps)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -13,7 +14,9 @@ from wordlogic import (
     models,
     parse,
 )
-from wordlogic.regular import Dfa
+from wordlogic import caps as _caps
+from wordlogic.errors import BoundTooSmall, CapExceeded, ParseError
+from wordlogic.regular import Dfa, _agrees, shortlex_offsets
 
 # property tests run whole-algebra constructions; give them room
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -69,3 +72,54 @@ def right_quotient(d: Dfa, v) -> Dfa:
     """L v^{-1}: accept the states from which v is accepted."""
     acc = frozenset(q for q in range(d.n) if d.run(v, start=q) in d.accepting)
     return Dfa(d.alphabet, d.delta, d.init, acc)
+
+
+def probe_bit_infer_dfa(symbols, bound, member, caps=_caps.DEFAULT) -> Dfa:
+    """Reference for ``regular.infer_dfa``: at probe depth d the words of
+    length <= bound-d are classed by their packed row of bits over all
+    probes of length <= d, read directly off the membership table."""
+    syms = tuple(symbols)
+    k = len(syms)
+    cap = caps.dfa_states
+    off = shortlex_offsets(k, bound)
+    member = np.asarray(member, dtype=bool)
+    if member.shape != (off[-1],):
+        raise ParseError(f"membership table of shape {member.shape} does not "
+                         f"cover the {off[-1]} words of length <= {bound}")
+    if bound == 0:
+        acc = frozenset({0}) if member[0] else frozenset()
+        return Dfa(syms, ((0,) * k,), 0, acc)
+    lengths = np.repeat(np.arange(bound + 1), np.diff(off))
+    ranks = np.arange(off[-1]) - off[lengths]
+    largest = 0
+    for d in range(bound + 1):
+        rows = off[bound - d + 1]
+        bits = np.concatenate(
+            [member[(off[lengths[:rows] + b] + ranks[:rows] * k ** b)[:, None]
+                    + np.arange(k ** b)] for b in range(d + 1)], axis=1)
+        packed = np.packbits(bits, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        if len(first) > cap:
+            raise CapExceeded(f"automaton inference exceeds the cap of {cap} states",
+                              stage="automaton inference", cap=cap)
+        order = np.argsort(first)
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
+        cls = renumber[inverse.reshape(-1)]
+        first = first[order]
+        if first[-1] >= off[bound - d]:
+            continue
+        delta = cls[first[:, None] * k + np.arange(k) + 1]
+        accepting = member[first]
+        if _agrees(delta, accepting, member, off):
+            return Dfa(syms, tuple(map(tuple, delta.tolist())), 0,
+                       frozenset(np.flatnonzero(accepting).tolist())).minimize()
+        largest = max(largest, len(first))
+    refuted = (f"the largest hypothesis built, with {largest} states, disagrees "
+               f"with the data" if largest else "no probe depth gave a hypothesis")
+    raise BoundTooSmall(
+        f"no automaton consistent with the data was found at bound {bound}: "
+        f"{refuted}; a larger bound may be needed",
+        stage="automaton inference", bound=bound, states=largest)

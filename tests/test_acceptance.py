@@ -141,7 +141,7 @@ def test_criterion_4_lifted_atoms_are_encoded_atoms_plus_junk():
         for mw in enumerate_marked(lift.lifted.alphabet, ("x",), bound):
             if decode_marks(mw.word, ext, strict=False) is None:
                 assert xi(lift.lifted, mw) == lift.junk_atom
-    _done(4, "lifted atom partition, 20 random algebras", t0, budget=30.0)
+    _done(4, "lifted atom partition, 20 random algebras", t0, budget=10.0)
 
 
 def test_criterion_5_tower_compatibility():
@@ -164,7 +164,7 @@ def test_criterion_5_tower_compatibility():
         z32 = finba.dual_of_inclusion(d2.ba, d3.ba)
         z31 = finba.dual_of_inclusion(d1.ba, d3.ba)
         assert all(z21[z32[k]] == z31[k] for k in range(len(z32)))
-    _done(5, "tower compatibility, 20 random chains", t0, budget=30.0)
+    _done(5, "tower compatibility, 20 random chains", t0, budget=10.0)
 
 
 def test_criterion_6_recognizer_equivalence():
@@ -205,7 +205,7 @@ def test_criterion_7_layer_compilation_matches_semantics():
                                                    reg), (q_name, body, w)
             done += 1
     _done(7, "layer compilation, 5 quantifiers x 30 formulas", t0,
-          budget=15.0)
+          budget=10.0)
 
 
 def test_criterion_8_fragments_match_direct_enumeration():

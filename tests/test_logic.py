@@ -14,6 +14,7 @@ from wordlogic import (
     DEFAULT_REGISTRY,
     ExtendedAlphabet,
     MarkedWord,
+    NumPredDef,
     ParseError,
     Quantifier,
     Registry,
@@ -466,6 +467,32 @@ def test_blocks_are_sized_by_width_not_by_variable_count(monkeypatch):
     assert len(blocks) > 2
     assert whole.tolist() == [satisfies(MarkedWord(w, ()), both)
                               for w in enumerate_words(ext.symbols, 3)]
+
+
+def test_predicate_tables_are_built_once_per_predicate_and_read_only():
+    A = Alphabet.of("ab")
+    asked = []
+
+    def adjacent(p, n):
+        asked.append(p)
+        return abs(p[0] - p[1]) == 1
+
+    near, far = Registry(), Registry()
+    near.register_numpred(NumPredDef("gap", 2, adjacent))
+    far.register_numpred(NumPredDef("gap", 2, lambda p, n: abs(p[0] - p[1]) > 1))
+    phi = parse("E y. (R[gap](x,y) & P[a](y))", near)
+    asks = []
+    for reg in (near, far, near):  # one name, two predicates
+        want = [satisfies(mw, phi, reg) for mw in enumerate_marked(A, ("x",), 4)]
+        asked.clear()
+        assert marked_truth(phi, A, ("x",), 4, reg).tolist() == want
+        asks.append(len(asked))
+    # near's table over bound 4 is asked once per position pair, once
+    assert asks == [sum(n * n for n in range(5)), 0, 0]
+    tables = near.numpred("gap")._tables
+    assert list(tables) == [((0, 1), 4)]
+    with pytest.raises(ValueError):
+        tables[(0, 1), 4][4, 0, 1] = False
 
 
 def test_sibling_binders_share_axes_and_deep_nesting_is_refused():

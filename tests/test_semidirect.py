@@ -26,8 +26,12 @@ from wordlogic import (
     sdp,
     verify_recognizer,
 )
-from wordlogic.errors import InvariantViolated
-from wordlogic.regular import Dfa, FinMonoid, cayley_dfa, image_dfa, universal_dfa
+from wordlogic import semidirect
+from wordlogic.caps import Caps
+from wordlogic.errors import CapExceeded, InvariantViolated
+from wordlogic.regular import (Dfa, FinMonoid, cayley_dfa, image_dfa,
+                               syntactic_stamp, universal_dfa)
+from wordlogic.sampling import MONOID_QUANTIFIERS
 from wordlogic.semidirect import (
     Biaction,
     ClassWordProduct,
@@ -38,7 +42,7 @@ from wordlogic.semidirect import (
     marked_class_word,
     transfer_dfa,
 )
-from wordlogic.suites import named_monoid
+from wordlogic.suites import named_monoid, run_suite
 from wordlogic.words import parse_word
 
 from conftest import left_quotient, right_quotient
@@ -390,6 +394,25 @@ def test_recognizer_verdict_and_stats_match_the_cell_by_cell_oracle(text):
                 (c, nv_name, report.counterexample)
 
 
+@pytest.mark.parametrize("text", PROPERTIES)
+def test_class_word_resolves_every_position_as_marked_class_word(text):
+    for c in ("ab" if "[c]" in text else "a"):
+        _, dd = family(text.replace("[c]", f"[{c}]"))
+        base = dd.ext.base
+        for w in enumerate_words(base, 4):
+            want = (tuple(marked_class_word(dd, w, i)
+                          for i in range(1, len(w) + 1)),
+                    dd.m_mon.prod(dd.p_img[base.index(a)] for a in w))
+            assert class_word(dd, w) == want, (c, w)
+
+
+def test_unknown_monoid_and_suite_names_are_parse_errors():
+    with pytest.raises(ParseError, match="unknown monoid name 'Q8'"):
+        named_monoid("Q8")
+    with pytest.raises(ParseError, match="unknown suite 'nosuch'"):
+        run_suite("nosuch", Alphabet.of("ab"), 3, 0)
+
+
 def witness_words(report, ext):
     u, v = re.match(r"(\S+) and (\S+) share", report.counterexample).groups()
     return parse_word(u, ext.base.symbols), parse_word(v, ext.base.symbols)
@@ -552,6 +575,31 @@ def test_compile_agrees_with_satisfaction_pointwise():
         for w in enumerate_words(A, 6):
             assert dfa.accepts(w) == satisfies(MarkedWord(w, ()), phi, reg), \
                 (q_name, body, w)
+
+
+def test_one_stamp_serves_every_quantifier_of_a_layer(monkeypatch):
+    built = []
+
+    def counting(dfa, caps):
+        built.append(caps)
+        return syntactic_stamp(dfa, caps)
+
+    monkeypatch.setattr(semidirect, "syntactic_stamp", counting)
+    reg = DEFAULT_REGISTRY
+    ext, body = formula_dfa(parse("P[a](x) & E y. (y < x & P[b](y))"),
+                            Alphabet.of("ab"), ("x",), 6)
+    quants = [reg.quantifier(q) for q in MONOID_QUANTIFIERS]
+    layer = [compile_layer(q, body, ext) for q in quants]
+    assert len(built) == 1
+    # each from a fresh copy of the body, which builds its own stamp
+    fresh = [compile_layer(q, Dfa(body.alphabet, body.delta, body.init,
+                                  body.accepting), ext) for q in quants]
+    assert layer == fresh and len(built) == 6
+    # a cap the stamp does not fit builds a stamp of its own, and refuses
+    small = Caps(monoid=len(syntactic_stamp(body).monoid) - 1)
+    with pytest.raises(CapExceeded):
+        compile_layer(quants[0], body, ext, small)
+    assert built[-1] == small
 
 
 def test_oracle_quantifiers_do_not_compile_but_still_evaluate():
