@@ -9,7 +9,8 @@ products, the per-module verification suites, and depth fragments.
 Exit codes: 0 — computation done / all checks passed; 1 — a property
 check failed (a counterexample is printed); 2 — usage errors, malformed
 input, or a size cap.  ``--format json`` prints one deterministic JSON
-document (schema ``wordlogic/1``) for identical inputs.
+document (schema ``wordlogic/1``) for identical inputs.  Size caps come
+from the WORDLOGIC_CAPS environment variable, which only ``main`` reads.
 """
 
 from __future__ import annotations
@@ -130,9 +131,12 @@ def _rep_str(word) -> str:
     return format_word(word) if word else "ε"
 
 
-def _languages_of(args, reg, ext: ExtendedAlphabet, bound) -> list:
-    """DFAs from --language names (@plain / @marked / @zero), --dfa JSON
-    files, and --formula one-variable formulas (inferred at the bound)."""
+def _languages_of(args) -> list:
+    """DFAs over the one-mark alphabet from --language names (@plain /
+    @marked / @zero), --dfa JSON files, and --formula one-variable formulas
+    (inferred at --maxlen)."""
+    reg = _registry(args)
+    ext = ExtendedAlphabet(_alphabet(args), (args.mark_var,))
     dfas = []
     for name in getattr(args, "language", None) or ():
         if name == "@plain":
@@ -153,14 +157,15 @@ def _languages_of(args, reg, ext: ExtendedAlphabet, bound) -> list:
         if fv and fv != [ext.ctx[0]]:
             raise ParseError(f"language formulas may only use the mark "
                              f"variable {ext.ctx[0]!r}")
-        dfas.append(formula_dfa(phi, ext.base, ext.ctx, bound, reg)[1])
+        dfas.append(formula_dfa(phi, ext.base, ext.ctx, args.maxlen, reg,
+                                args.caps)[1])
     if not dfas:
         raise ParseError("no languages given "
                          "(use --language/--dfa/--formula)")
     return dfas
 
 
-def _delta_of(args, reg, caps):
+def _delta_of(args, reg):
     A = _alphabet(args)
     gens = [parse(f, reg) for f in (getattr(args, "generator", None) or ())]
     path = getattr(args, "generators", None)
@@ -171,7 +176,7 @@ def _delta_of(args, reg, caps):
         raise ParseError("no generators given (use --generator or "
                          "--generators)")
     return delta_algebra(A, args.var, gens, bound=args.maxlen, registry=reg,
-                         caps=caps)
+                         caps=args.caps)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +210,7 @@ def cmd_models(args) -> int:
     phi = _one_formula(args, reg)
     A = _alphabet(args)
     ctx = split_names(args.vars) if args.vars else None
-    hits = sorted(models(phi, A, args.maxlen, ctx, reg, _caps.from_env()),
+    hits = sorted(models(phi, A, args.maxlen, ctx, reg, args.caps),
                   key=lambda m: (len(m.word), m.word, m.marks))
     _emit(args, {"kind": "models", "formula": to_dsl(phi),
                  "alphabet": list(A.symbols), "bound": args.maxlen,
@@ -222,7 +227,7 @@ def cmd_equiv(args) -> int:
     A = _alphabet(args)
     ctx = split_names(args.vars) if args.vars else None
     cex = counterexample_bounded(left, right, A, args.maxlen, ctx, reg,
-                                 _caps.from_env())
+                                 args.caps)
     payload = {"kind": "equiv", "left": to_dsl(left), "right": to_dsl(right),
                "alphabet": list(A.symbols), "bound": args.maxlen,
                "equivalent": cex is None,
@@ -237,8 +242,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_atoms(args) -> int:
     reg = _registry(args)
-    caps = _caps.from_env()
-    delta = _delta_of(args, reg, caps)
+    delta = _delta_of(args, reg)
     syms = delta.atom_alphabet().symbols
     _emit(args, {"kind": "atoms", "alphabet": list(delta.alphabet),
                  "var": delta.var, "bound": delta.bound,
@@ -253,8 +257,7 @@ def cmd_atoms(args) -> int:
 
 def cmd_substitute(args) -> int:
     reg = _registry(args)
-    caps = _caps.from_env()
-    delta = _delta_of(args, reg, caps)
+    delta = _delta_of(args, reg)
     psi = parse(args.sentence, reg)
     out = sigma(delta, psi)
     _emit(args, {"kind": "substitute", "sentence": to_dsl(psi),
@@ -265,8 +268,7 @@ def cmd_substitute(args) -> int:
 
 def cmd_tau(args) -> int:
     reg = _registry(args)
-    caps = _caps.from_env()
-    delta = _delta_of(args, reg, caps)
+    delta = _delta_of(args, reg)
     word = parse_word(args.word, delta.alphabet)
     image = tau_word(delta, word)
     _emit(args, {"kind": "tau", "word": format_word(word),
@@ -326,17 +328,13 @@ def _stamp_lines(stamp) -> list:
 
 
 def cmd_synmon(args) -> int:
-    reg = _registry(args)
-    caps = _caps.from_env()
-    A = _alphabet(args)
-    ext = ExtendedAlphabet(A, (args.mark_var,))
     if args.marked_universe:
         args.language = list(args.language or ()) + ["@marked"]
-    dfas = _languages_of(args, reg, ext, args.maxlen)
+    dfas = _languages_of(args)
     if len(dfas) == 1:
-        stamp = syntactic_stamp(dfas[0], caps)
+        stamp = syntactic_stamp(dfas[0], args.caps)
     else:
-        stamp = syntactic_stamp_of_family(dfas, caps)
+        stamp = syntactic_stamp_of_family(dfas, args.caps)
     _emit(args, {"kind": "stamp", "alphabet": list(stamp.alphabet),
                  **_stamp_payload(stamp)},
           _stamp_lines(stamp))
@@ -344,12 +342,8 @@ def cmd_synmon(args) -> int:
 
 
 def cmd_quotient_closure(args) -> int:
-    reg = _registry(args)
-    caps = _caps.from_env()
-    A = _alphabet(args)
-    ext = ExtendedAlphabet(A, (args.mark_var,))
-    dfas = _languages_of(args, reg, ext, args.maxlen)
-    ba = quotient_closure(dfas, caps)
+    dfas = _languages_of(args)
+    ba = quotient_closure(dfas, args.caps)
     reps = [_rep_str(r) for r in ba.stamp.reps]
     block_reps = [min((reps[i] for i in sorted(b)), key=len)
                   for b in ba.blocks]
@@ -370,15 +364,14 @@ def cmd_quotient_closure(args) -> int:
 
 def cmd_compile(args) -> int:
     reg = _registry(args)
-    caps = _caps.from_env()
     phi = _one_formula(args, reg)
     if not isinstance(phi, Quant):
         raise ParseError("compile expects an outer quantifier (Q x. ...)")
     A = _alphabet(args)
     quant = reg.quantifier(phi.q)
     ext, body_dfa = formula_dfa(phi.body, A, (phi.var,), args.maxlen, reg,
-                                caps)
-    out = compile_layer(quant, body_dfa, ext, caps)
+                                args.caps)
+    out = compile_layer(quant, body_dfa, ext, args.caps)
     _emit(args, {"kind": "dfa", "formula": to_dsl(phi), **_dfa_json(out)},
           [f"DFA over {'.'.join(out.alphabet)}: {out.n} states, "
            f"initial {out.init}, accepting {sorted(out.accepting)}"]
@@ -404,7 +397,7 @@ def cmd_sdp(args) -> int:
     except TypeError as exc:
         raise ParseError(f"malformed sdp input: {exc}")
     bia = Biaction(mmon=mmon, smon=smon, left=left, right=right)
-    prod = sdp(smon, mmon, bia)
+    prod = sdp(smon, mmon, bia, args.caps)
     _emit(args, {"kind": "sdp", "S": _monoid_json(smon),
                  "M": _monoid_json(mmon),
                  "lambda": [list(r) for r in bia.left],
@@ -420,10 +413,9 @@ def cmd_sdp(args) -> int:
 
 def cmd_verify(args) -> int:
     reg = _registry(args)
-    caps = _caps.from_env()
     alphabet = args.alphabet or "ab"
     reports = run_suite(args.suite, alphabet, args.maxlen, args.seed,
-                        reg if args.registry else None, caps)
+                        reg if args.registry else None, args.caps)
     payload = {"kind": "verify", "suite": args.suite,
                "alphabet": list(Alphabet.of(
                    split_names(alphabet) if "," in alphabet
@@ -440,16 +432,15 @@ def cmd_verify(args) -> int:
 
 def cmd_depth_fragment(args) -> int:
     reg = _registry(args)
-    caps = _caps.from_env()
     A = _alphabet(args)
     spec = FragmentSpec(A, split_names(args.quantifiers),
                         split_names(args.predicates) if args.predicates
                         else (), args.depth, args.maxlen)
-    result = depth_fragment(spec, reg, caps)
+    result = depth_fragment(spec, reg, args.caps)
     payload = dump_fragment(result)
     exit_code = 0
     if args.check:
-        direct = depth_direct(spec, reg, caps)
+        direct = depth_direct(spec, reg, args.caps)
         agree = same_language_algebra(result.ba, direct)
         payload["direct_agreement"] = agree
         if not agree:
@@ -648,6 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.caps = _caps.from_env()
         return args.func(args)
     except WordlogicError as exc:
         info = {k: v for k, v in exc.info.items()

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import caps as _caps
 from . import finba
-from .caps import Caps
+from .caps import DEFAULT, Caps
 from .errors import CapExceeded, InvariantViolated, ParseError
 from .logic import (LetterPred, NumPred, Quant, Registry, DEFAULT_REGISTRY,
                     conj, disj, embedded_ids, in_range, neg, models, relabel,
@@ -56,13 +55,12 @@ def gamma_q(qnames, registry: Registry = None) -> SentenceClass:
 
 
 def check_gamma_laws(qnames, zeta: dict, bound=4, registry: Registry = None,
-                     caps: Caps = None) -> Report:
+                     caps: Caps = DEFAULT) -> Report:
     """The two laws of a sentence class, sampled at a bound: Boolean
     combinations of generators stay inside the generated algebra, and
     relabeling letters along a map carries generators over one alphabet to
     members over the other, with the relabeled language equal to the
     letterwise preimage."""
-    caps = caps or _caps.from_env()
     reg = registry or DEFAULT_REGISTRY
     gamma = gamma_q(qnames, reg)
     src = Alphabet(tuple(sorted(set(zeta))))           # zeta: src -> dst
@@ -262,7 +260,7 @@ def _sentence_of(qname, mask, usable):
 
 
 def depth_fragment(spec: FragmentSpec, registry: Registry = None,
-                   caps: Caps = None) -> FragmentResult:
+                   caps: Caps = DEFAULT) -> FragmentResult:
     """The algebra of bounded languages of sentences of quantifier depth at
     most ``spec.depth``.
 
@@ -275,7 +273,6 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
     are deduplicated semantically and thinned to a refining subfamily before
     their substituted formulas are built.
     """
-    caps = caps or _caps.from_env()
     reg = registry or DEFAULT_REGISTRY
     _resolve_names(spec, reg)
     _guard_scale(spec)
@@ -286,7 +283,7 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
         return FragmentResult(spec, ba, (), (), {"layers": 0})
 
     xs = tuple(f"x{i}" for i in range(1, n + 1))
-    letters, lens = shortlex_rows(len(A), L)
+    lens = shortlex_rows(len(A), L)[1]
     current = _qf_generators(spec, xs, reg)
     stats = {"layers": []}
     odot = None
@@ -300,7 +297,7 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
         # the atom words of the embeddings of the marked words over A with
         # marks for the spare variables, in enumerate_marked order
         inside = in_range(lens, L, len(spect))
-        ids = embedded_ids(letters, lens, len(A), len(spect))[inside]
+        ids = embedded_ids(len(A), len(spect), L)[inside]
         atoms = atom_rows(delta, L)[2][ids]
         if spect and (atoms == lift.junk_atom).any():
             raise InvariantViolated("an embedded marked word reads the "
@@ -363,7 +360,7 @@ def _signature_cells(A, ctx, L, gens, reg):
 
 
 def depth_direct(spec: FragmentSpec, registry: Registry = None,
-                 caps: Caps = None) -> finba.FinBA:
+                 caps: Caps = DEFAULT) -> finba.FinBA:
     """Depth-bounded sentences enumerated without the layer machinery.
 
     Sentences of depth one are a quantifier over a body from the
@@ -375,7 +372,6 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
     words are indices in ``logic.in_range`` order.  Depths above two are
     refused.
     """
-    caps = caps or _caps.from_env()
     reg = registry or DEFAULT_REGISTRY
     _resolve_names(spec, reg)
     A, n, L = spec.alphabet, spec.depth, spec.bound
@@ -434,7 +430,7 @@ def same_language_algebra(a: finba.FinBA, b: finba.FinBA) -> bool:
 
 def check_fragment_against_direct(spec: FragmentSpec,
                                   registry: Registry = None,
-                                  caps: Caps = None) -> Report:
+                                  caps: Caps = DEFAULT) -> Report:
     frag = depth_fragment(spec, registry, caps)
     direct = depth_direct(spec, registry, caps)
     ok = same_language_algebra(frag.ba, direct)
@@ -456,7 +452,7 @@ def check_fragment_against_direct(spec: FragmentSpec,
 
 
 def check_monotone(spec: FragmentSpec, registry: Registry = None,
-                   caps: Caps = None) -> Report:
+                   caps: Caps = DEFAULT) -> Report:
     """The depth-n algebra embeds in the depth-(n+1) algebra."""
     lo = depth_fragment(spec, registry, caps)
     hi_spec = FragmentSpec(spec.alphabet, spec.quantifiers, spec.predicates,

@@ -22,6 +22,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -324,8 +325,6 @@ def _unique_quant():
 
 
 def _mod_quant(q, r):
-    if q < 1 or not 0 <= r < q:
-        raise ParseError(f"bad modulus parameters [{q},{r}]")
     table = tuple(tuple((i + j) % q for j in range(q)) for i in range(q))
     m = FinMonoid(table, 0)
     return Quantifier(f"mod[{q},{r}]", monoid=m, images=(0, 1 % q),
@@ -336,46 +335,61 @@ def _maj_quant():
     return Quantifier("maj", oracle=lambda bits: sum(bits) > len(bits) - sum(bits))
 
 
-_BUILTIN_QUANTIFIERS = {"E": _exists_quant, "E1": _unique_quant, "maj": _maj_quant}
+# the built-ins by kind and name, besides the mod[q,r] families of both kinds
+_NAMED = {
+    Quantifier: {q.name: q for q in (_exists_quant(), _unique_quant(), _maj_quant())},
+    NumPredDef: {p.name: p for p in (
+        NumPredDef("<", 2, lambda p, n: p[0] < p[1]),
+        NumPredDef("=", 2, lambda p, n: p[0] == p[1]),
+        NumPredDef("succ", 2, lambda p, n: p[1] == p[0] + 1),
+        NumPredDef("first", 1, lambda p, n: p[0] == 1),
+        NumPredDef("last", 1, lambda p, n: p[0] == n))},
+}
+
+
+def _is_builtin(kind, name) -> bool:
+    return name in _NAMED[kind] or _MOD_RE.match(name) is not None
+
+
+@lru_cache(maxsize=256)
+def _builtin(kind, name):
+    """The built-in ``Quantifier`` or ``NumPredDef`` (``kind``) of a name,
+    or None: one object per name, shared by every registry and stored in
+    none."""
+    m = _MOD_RE.match(name)
+    if m is None:
+        return _NAMED[kind].get(name)
+    q, r = int(m.group(1)), int(m.group(2))
+    if q < 1 or not 0 <= r < q:
+        raise ParseError(f"bad modulus parameters [{q},{r}]")
+    if kind is Quantifier:
+        return _mod_quant(q, r)
+    return NumPredDef(name, 1, lambda pos, n: pos[0] % q == r)
 
 
 class Registry:
-    """Name resolution for quantifiers and numerical predicates; built-ins
-    plus user registrations.  Built-in quantifiers and the mod[q,r] families
-    are made on first use, so that importing the package builds no monoid
-    (monoid construction reads the WORDLOGIC_CAPS caps, which may be
-    malformed)."""
+    """Name resolution for quantifiers and numerical predicates: the
+    built-ins, shared by every registry, plus user registrations, which may
+    not take a built-in name (``E``, ``E1``, ``maj``, ``<``, ``=``,
+    ``succ``, ``first``, ``last`` or any ``mod[q,r]``).  Lookups never
+    change a registry."""
 
     def __init__(self):
         self._quants = {}
         self._preds = {}
-        self._preds["<"] = NumPredDef("<", 2, lambda p, n: p[0] < p[1])
-        self._preds["="] = NumPredDef("=", 2, lambda p, n: p[0] == p[1])
-        self._preds["succ"] = NumPredDef("succ", 2, lambda p, n: p[1] == p[0] + 1)
-        self._preds["first"] = NumPredDef("first", 1, lambda p, n: p[0] == 1)
-        self._preds["last"] = NumPredDef("last", 1, lambda p, n: p[0] == n)
 
     def register_quantifier(self, q: Quantifier):
-        if q.name in self._quants or q.name in _BUILTIN_QUANTIFIERS:
+        if q.name in self._quants or _is_builtin(Quantifier, q.name):
             raise ParseError(f"quantifier {q.name!r} already registered")
         self._quants[q.name] = q
 
     def register_numpred(self, p: NumPredDef):
-        if p.name in self._preds:
+        if p.name in self._preds or _is_builtin(NumPredDef, p.name):
             raise ParseError(f"predicate {p.name!r} already registered")
         self._preds[p.name] = p
 
     def maybe_quantifier(self, name):
-        if name in self._quants:
-            return self._quants[name]
-        if name in _BUILTIN_QUANTIFIERS:
-            q = _BUILTIN_QUANTIFIERS[name]()
-        elif m := _MOD_RE.match(name):
-            q = _mod_quant(int(m.group(1)), int(m.group(2)))
-        else:
-            return None
-        self._quants[name] = q
-        return q
+        return self._quants.get(name) or _builtin(Quantifier, name)
 
     def quantifier(self, name) -> Quantifier:
         q = self.maybe_quantifier(name)
@@ -384,17 +398,10 @@ class Registry:
         return q
 
     def numpred(self, name) -> NumPredDef:
-        if name in self._preds:
-            return self._preds[name]
-        m = _MOD_RE.match(name)
-        if m:
-            q, r = int(m.group(1)), int(m.group(2))
-            if q < 1 or not 0 <= r < q:
-                raise ParseError(f"bad modulus parameters [{q},{r}]")
-            p = NumPredDef(name, 1, lambda pos, n, q=q, r=r: pos[0] % q == r)
-            self._preds[name] = p
-            return p
-        raise ParseError(f"unknown numerical predicate {name!r}")
+        p = self._preds.get(name) or _builtin(NumPredDef, name)
+        if p is None:
+            raise ParseError(f"unknown numerical predicate {name!r}")
+        return p
 
 
 DEFAULT_REGISTRY = Registry()
@@ -877,26 +884,29 @@ def model_table(phi, alphabet: Alphabet, context, bound, registry=None) -> np.nd
     letters, lens = shortlex_rows(len(alphabet), bound)
     sat = truth_table(phi, tuple(alphabet), ctx, letters, lens, registry)
     sat &= in_range(lens, bound, len(ctx))
-    ids = embedded_ids(letters, lens, len(alphabet), len(ctx))
+    ids = embedded_ids(len(alphabet), len(ctx), bound)
     member = np.zeros(shortlex_offsets(len(alphabet) << len(ctx), bound)[-1], dtype=bool)
     member[np.broadcast_to(ids, sat.shape)[sat]] = True
     return member
 
 
-def embedded_ids(letters, lens, size: int, c: int) -> np.ndarray:
-    """The shortlex ids, among the words of length <= L over A x 2^c (letter
-    base_index * 2^c + mask, ``size`` = |A|), of the embedded marked words
-    of padded rows over A: shaped like a truth table with c context
-    variables, entry [r, p_1, ...] for row r with variable j at position
-    p_j + 1."""
+@lru_cache(maxsize=16)
+def embedded_ids(size: int, c: int, bound) -> np.ndarray:
+    """The shortlex ids, among the words of length <= bound over A x 2^c
+    (letter base_index * 2^c + mask, ``size`` = |A|), of the embedded marked
+    words of the padded rows ``shortlex_rows(size, bound)`` over A: shaped
+    like a truth table with c context variables, entry [r, p_1, ...] for row
+    r with variable j at position p_j + 1.  Shared between callers and
+    read-only."""
     k = size << c
-    L = letters.shape[1]
+    letters, lens = shortlex_rows(size, bound)
     # ids are linear in the letters past off[n]: variable j marking
     # position p adds 2^j times the weight of p to the unmarked word's id
-    weights = row_weights(lens, L, k)
-    ids = word_ids(letters << c, k, shortlex_offsets(k, L))[(slice(None),) + (None,) * c]
+    weights = row_weights(lens, bound, k)
+    ids = word_ids(letters << c, k, shortlex_offsets(k, bound))[(slice(None),) + (None,) * c]
     for j in range(c):
         ids = ids + _on_axes(weights << j, (0, j + 1), c + 1)
+    ids.setflags(write=False)
     return ids
 
 

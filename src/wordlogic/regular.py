@@ -227,9 +227,12 @@ def zero_part_dfa(ext: ExtendedAlphabet) -> Dfa:
 # finite monoids
 
 
-def _assert_associative(table, caps: _caps.Caps):
+ASSOC_CHECK_LIMIT = 1024  # the largest monoid FinMonoid checks for associativity
+
+
+def _assert_associative(table):
     n = len(table)
-    if n > caps.monoid_assoc:
+    if n > ASSOC_CHECK_LIMIT:
         return
     t = np.asarray(table, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(1, n * n))
@@ -247,8 +250,8 @@ class FinMonoid:
     """Finite monoid as a multiplication table over 0..n-1.
 
     Identity is always verified; associativity is verified exhaustively
-    (numpy, chunked) whenever n is within the associativity cap
-    ``monoid_assoc`` and is not checked above it.
+    (numpy, chunked) whenever n is at most ``ASSOC_CHECK_LIMIT`` and is not
+    checked above it.
     """
 
     table: tuple
@@ -264,7 +267,7 @@ class FinMonoid:
         for i in range(n):
             if self.table[e][i] != i or self.table[i][e] != i:
                 raise ParseError(f"identity fails at {i}")
-        _assert_associative(self.table, _caps.from_env())
+        _assert_associative(self.table)
         if self.names is not None and len(self.names) != n:
             raise ParseError("names length mismatch")
 

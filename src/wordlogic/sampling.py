@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from .caps import DEFAULT
 from .errors import InvariantViolated
 from .logic import (DEFAULT_REGISTRY, FALSE, LetterPred, Not, NumPred, Quant,
                     Registry, TRUE, conj, disj, free_vars)
@@ -74,7 +75,7 @@ def random_sentence(rng: random.Random, alphabet, depth=3,
 
 def random_delta(rng: random.Random, alphabet, var="x", bound=6,
                  max_atoms=3, quantifiers=("E",), registry: Registry = None,
-                 caps=None, tries=20) -> DeltaAlgebra:
+                 caps=DEFAULT, tries=20) -> DeltaAlgebra:
     """A random finite formula algebra in one marked variable with at most
     ``max_atoms`` atoms (letter tests over a 1-letter alphabet give two;
     the fallback on repeated oversize draws is a single letter test)."""

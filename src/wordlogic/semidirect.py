@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import caps as _caps
-from .caps import Caps
+from .caps import DEFAULT, Caps
 from .errors import (CapExceeded, InvariantViolated, NotDecomposable,
                      NotMonoidPresentable, ParseError)
 from .regular import (Dfa, FinMonoid, RegularBA, Stamp, cayley_dfa, closure,
@@ -120,9 +119,8 @@ class SdpMonoid:
         return (s, self.mmon.mul(m1, m2))
 
 
-def sdp(smon: FinMonoid, mmon: FinMonoid, bia: Biaction, caps: Caps = None) -> SdpMonoid:
+def sdp(smon: FinMonoid, mmon: FinMonoid, bia: Biaction, caps: Caps = DEFAULT) -> SdpMonoid:
     """Build the full two-sided semidirect product S ** M on all pairs."""
-    caps = caps or _caps.from_env()
     ns, nm = len(smon), len(mmon)
     if ns * nm > caps.sdp_elements:
         raise CapExceeded(f"semidirect product would have {ns * nm} elements "
@@ -212,7 +210,7 @@ def _part_reachability(pi: Stamp, ext: ExtendedAlphabet):
     return reach
 
 
-def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = None) -> DecomposedD:
+def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = DEFAULT) -> DecomposedD:
     """Split a quotient-closed algebra over a one-mark alphabet.
 
     Raises NotDecomposable naming the first failing requirement:
@@ -220,7 +218,6 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = None) -> Decomp
     (two-or-more-marks) part must be the two-element algebra, and it must
     contain the marked part or the sink part as an element.
     """
-    caps = caps or _caps.from_env()
     if len(ext.ctx) != 1:
         raise ParseError("decomposition needs a one-mark alphabet")
     if tuple(ba.stamp.alphabet) != tuple(ext.symbols):
@@ -333,11 +330,10 @@ class EtaQuotient:
         return self.s_mon.prod(self.ev[x] for x in letters)
 
 
-def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = None) -> EtaQuotient:
+def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT) -> EtaQuotient:
     """All evaluations of the marked-class letters into ``nv`` and the
     semidirect product S ** M they induce.  S stops growing, with
     CapExceeded, once |S x M| would pass ``caps.sdp_elements``."""
-    caps = caps or _caps.from_env()
     k = len(dd.t_blocks)
     if len(nv) ** k > caps.hom_count:
         raise CapExceeded(f"{len(nv) ** k} letter evaluations (cap {caps.hom_count})",
@@ -413,8 +409,7 @@ class HMorphism:
         return self.pair_of[self.stamp.mu(word)]
 
 
-def h_morphism(etaq: EtaQuotient, caps: Caps = None) -> HMorphism:
-    caps = caps or _caps.from_env()
+def h_morphism(etaq: EtaQuotient, caps: Caps = DEFAULT) -> HMorphism:
     dd = etaq.dd
     nu = etaq.nu
     gens = []
@@ -474,7 +469,7 @@ def check_h_formula(etaq: EtaQuotient, hm: HMorphism, bound: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def transfer_states(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
-                    caps: Caps = None):
+                    caps: Caps = DEFAULT):
     """States and transitions of the automaton that runs the classifier K
     over the per-position class word of the word read.
 
@@ -489,7 +484,6 @@ def transfer_states(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
     Returns the states in discovery order from the start and their
     successor rows.
     """
-    caps = caps or _caps.from_env()
     # the submonoid of plain images, identity first
     mlist, pos, msucc = closure(identity, lambda m: [mul(m, p_img[a]) for a in syms])
     kk = len(mlist)
@@ -511,7 +505,7 @@ def transfer_states(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
 
 
 def transfer_dfa(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
-                 caps: Caps = None) -> Dfa:
+                 caps: Caps = DEFAULT) -> Dfa:
     """Automaton for { w : K accepts the per-position class word of w }, on
     the states of ``transfer_states`` (same arguments)."""
     order, delta = transfer_states(syms, mul, identity, p_img, mark_img,
@@ -522,14 +516,13 @@ def transfer_dfa(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
 
 
 def compile_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
-                  caps: Caps = None) -> Dfa:
+                  caps: Caps = DEFAULT) -> Dfa:
     """Recognizer over the base alphabet for Q x. phi, phi given as a DFA
     over the one-mark extended alphabet.
 
     The quantifier must have a monoid presentation; evaluation-only
     quantifiers raise NotMonoidPresentable.
     """
-    caps = caps or _caps.from_env()
     if quant.monoid is None:
         raise NotMonoidPresentable(
             f"quantifier {quant.name} has no monoid presentation and cannot "
@@ -607,7 +600,7 @@ def _separation(u, v, side, a) -> str:
             f"{_word(va)} do not")
 
 
-def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = None,
+def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
                       hbound: int = 5) -> Report:
     """Check the recognizer of the decomposition theorem at desk scale: the
     languages recognized through the pair morphism h into S ** M are exactly
@@ -621,7 +614,6 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = None,
     the classes of a congruence (``congruence_witness``).  A failing report
     names two shortest words that share a class on one side only.
     """
-    caps = caps or _caps.from_env()
     params = {"base": list(dd.base_symbols), "target_monoid": len(nv),
               "ambient": len(dd.pi.monoid)}
     etaq = eta_quotient(dd, nv, caps)

@@ -17,9 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import caps as _caps
 from . import finba
-from .caps import Caps
+from .caps import DEFAULT, Caps
 from .errors import BoundTooSmall, CapExceeded, ParseError
 from .logic import (And, Formula, LetterPred, Registry, DEFAULT_REGISTRY, conj,
                     neg, free_vars, all_vars, in_range, map_atoms, map_vars,
@@ -78,7 +77,7 @@ class DeltaAlgebra:
     generators: tuple            # formulas with free variable var
     atom_formulas: tuple         # one formula per atom, same order
     registry: Registry = field(default=None, compare=False, repr=False)
-    caps: Caps = field(default=_caps.DEFAULT, compare=False, repr=False)
+    caps: Caps = field(default=DEFAULT, compare=False, repr=False)
     _sig_to_atom: dict = field(default=None, compare=False, repr=False)
     _atoms: np.ndarray = field(default=None, compare=False, repr=False)
     _atom_vars: frozenset = field(default=None, compare=False, repr=False)
@@ -100,7 +99,7 @@ class DeltaAlgebra:
 
 
 def delta_algebra(alphabet, var, generators, bound=6,
-                  registry: Registry = None, caps: Caps = None,
+                  registry: Registry = None, caps: Caps = DEFAULT,
                   verify=True) -> DeltaAlgebra:
     """Build the algebra of the given one-variable formulas at a bound.
 
@@ -115,7 +114,6 @@ def delta_algebra(alphabet, var, generators, bound=6,
     ``verify=False`` skips the per-atom representative check, for callers
     whose generators are large trees and whose cells are checked elsewhere.
     """
-    caps = caps or _caps.from_env()
     registry = registry or DEFAULT_REGISTRY
     if not isinstance(alphabet, (Alphabet, ExtendedAlphabet)):
         alphabet = Alphabet.of(alphabet)
@@ -247,10 +245,9 @@ def tau_word(delta: DeltaAlgebra, w) -> tuple:
     return tuple(syms[i] for i in tau(delta, w))
 
 
-def tau_table(delta: DeltaAlgebra, bound: int, caps: Caps = None) -> dict:
+def tau_table(delta: DeltaAlgebra, bound: int, caps: Caps = DEFAULT) -> dict:
     """All atom words at once: maps each plain word of length <= bound to
     its atom-index tuple (``atom_rows``)."""
-    caps = caps or _caps.from_env()
     check_table("word table", len(delta.alphabet), 0, bound, caps)
     letters, lens, atoms = atom_rows(delta, bound)
     _refuse_unrealized(delta, letters, lens, atoms)
@@ -312,12 +309,11 @@ def sigma(delta: DeltaAlgebra, psi: Formula) -> Formula:
 
 def check_substitution_principle(delta: DeltaAlgebra, psi: Formula,
                                  bound: int = None, registry: Registry = None,
-                                 caps: Caps = None) -> Report:
+                                 caps: Caps = DEFAULT) -> Report:
     """Word-by-word equivalence of the two readings of a sentence: on atom
     words through the position classifier, and on plain words through
     substitution.  Checks every plain word up to the bound, in bulk; the
     counterexample is the first differing word in shortlex order."""
-    caps = caps or _caps.from_env()
     registry = registry or delta.registry or DEFAULT_REGISTRY
     bound = delta.bound if bound is None else bound
     sub = sigma(delta, psi)
@@ -372,7 +368,7 @@ class OdotResult:
 
 
 def gamma_odot(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
-               registry: Registry = None, caps: Caps = None) -> OdotResult:
+               registry: Registry = None, caps: Caps = DEFAULT) -> OdotResult:
     """Apply a sentence class through a position algebra.
 
     The languages are computed on the atom side (evaluate each generating
@@ -380,7 +376,6 @@ def gamma_odot(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
     formulas are attached; that the two presentations agree is the
     substitution principle, checked separately.
     """
-    caps = caps or _caps.from_env()
     registry = registry or delta.registry or DEFAULT_REGISTRY
     bound = delta.bound if bound is None else bound
     atom_alpha = delta.atom_alphabet()
@@ -405,11 +400,10 @@ def gamma_odot(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
 
 
 def circ_closure(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
-                 registry: Registry = None, caps: Caps = None) -> OdotResult:
+                 registry: Registry = None, caps: Caps = DEFAULT) -> OdotResult:
     """Like gamma_odot but additionally closing with the sentences already
     present among the algebra's generators (those not using the marked
     variable), read as plain-word languages."""
-    caps = caps or _caps.from_env()
     registry = registry or delta.registry or DEFAULT_REGISTRY
     bound = delta.bound if bound is None else bound
     base = gamma_odot(gamma, delta, bound, registry, caps)
@@ -453,10 +447,9 @@ class AtomTransduction:
     def letter_of(self, t) -> int:
         return self.atom_of_class[t]
 
-    def preimage(self, kdfa: Dfa, caps: Caps = None) -> Dfa:
+    def preimage(self, kdfa: Dfa, caps: Caps = DEFAULT) -> Dfa:
         """Plain words whose atom word is accepted by ``kdfa`` (a DFA over
         the atom letters c0, c1, ... in atom order)."""
-        caps = caps or _caps.from_env()
         tab = self.stamp.monoid.table
         out = transfer_dfa(self.ext.base.symbols,
                            lambda x, y: tab[x][y],
@@ -467,14 +460,13 @@ class AtomTransduction:
 
 
 def atom_transduction(delta_ba: finba.FinBA, alphabet, var, bound,
-                      caps: Caps = None) -> AtomTransduction:
+                      caps: Caps = DEFAULT) -> AtomTransduction:
     """Infer DFAs for the embedded atoms of a marked-word algebra and
     package them as a transduction.
 
     Raises BoundTooSmall if the inferred atom languages fail to classify
     every marked class unambiguously.
     """
-    caps = caps or _caps.from_env()
     alphabet = Alphabet.of(alphabet)
     ext = mark_alphabet(alphabet, var)
     from .regular import image_dfa
@@ -510,14 +502,13 @@ class WOdotC:
 
 
 def w_odot_c(w_dfas, delta_ba: finba.FinBA, alphabet, var, bound,
-             caps: Caps = None) -> WOdotC:
+             caps: Caps = DEFAULT) -> WOdotC:
     """Exact preimages of regular languages of atom words.
 
     ``w_dfas`` are DFAs over the atom letters (c0, c1, ... in the atom
     order of ``delta_ba``); each is pulled back to an exact DFA over the
     base alphabet and cross-checked extensionally on all words <= bound.
     """
-    caps = caps or _caps.from_env()
     alphabet = Alphabet.of(alphabet)
     td = atom_transduction(delta_ba, alphabet, var, bound, caps)
     atom_syms = tuple(f"c{i}" for i in range(len(delta_ba.atoms)))
@@ -554,7 +545,7 @@ def w_odot_c(w_dfas, delta_ba: finba.FinBA, alphabet, var, bound,
 
 def tau_compat(gamma: SentenceClass, small: DeltaAlgebra, big: DeltaAlgebra,
                bound: int = None, registry: Registry = None,
-               caps: Caps = None) -> Report:
+               caps: Caps = DEFAULT) -> Report:
     """Compatibility of the position classifiers of nested algebras.
 
     The dual of the inclusion maps atoms of the big algebra onto atoms of
@@ -562,7 +553,6 @@ def tau_compat(gamma: SentenceClass, small: DeltaAlgebra, big: DeltaAlgebra,
     the small atom word, and the substituted algebra of the small one must
     sit inside that of the big one.
     """
-    caps = caps or _caps.from_env()
     registry = registry or small.registry or DEFAULT_REGISTRY
     bound = min(small.bound, big.bound) if bound is None else bound
     params = {"alphabet": list(small.alphabet.symbols),

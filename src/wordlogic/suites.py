@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import random
 
-from . import caps as _caps
 from . import finba
-from .caps import Caps
+from .caps import DEFAULT, Caps
 from .errors import BoundTooSmall, NotMonoidPresentable, ParseError
 from .logic import (DEFAULT_REGISTRY, LetterPred, NumPred, Quant, TRUE, conj,
                     disj, formula_dfa, models, parse, relabel, satisfies,
@@ -55,8 +54,7 @@ def _ok(check, params, **stats):
 
 # ---------------------------------------------------------------------------
 
-def suite_words(alphabet, maxlen, seed, registry=None, caps=None):
-    caps = caps or _caps.from_env()
+def suite_words(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
     A = Alphabet.of(alphabet)
     L = min(maxlen, 4)
     params = {"alphabet": list(A.symbols), "bound": L, "seed": seed}
@@ -106,8 +104,7 @@ def suite_words(alphabet, maxlen, seed, registry=None, caps=None):
     return out
 
 
-def suite_finba(alphabet, maxlen, seed, registry=None, caps=None):
-    caps = caps or _caps.from_env()
+def suite_finba(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
     A = Alphabet.of(alphabet)
     L = min(maxlen, 4)
     rng = random.Random(seed)
@@ -168,8 +165,7 @@ def suite_finba(alphabet, maxlen, seed, registry=None, caps=None):
     return out
 
 
-def suite_logic(alphabet, maxlen, seed, registry=None, caps=None):
-    caps = caps or _caps.from_env()
+def suite_logic(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
     reg = registry or DEFAULT_REGISTRY
     A = Alphabet.of(alphabet)
     L = maxlen
@@ -255,8 +251,7 @@ def suite_logic(alphabet, maxlen, seed, registry=None, caps=None):
     return out
 
 
-def suite_substitution(alphabet, maxlen, seed, registry=None, caps=None):
-    caps = caps or _caps.from_env()
+def suite_substitution(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
     reg = registry or DEFAULT_REGISTRY
     A = Alphabet.of(alphabet)
     L = maxlen
@@ -319,8 +314,7 @@ def suite_substitution(alphabet, maxlen, seed, registry=None, caps=None):
     return out
 
 
-def suite_varcode(alphabet, maxlen, seed, registry=None, caps=None):
-    caps = caps or _caps.from_env()
+def suite_varcode(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
     reg = registry or DEFAULT_REGISTRY
     A = Alphabet.of(alphabet)
     L = min(maxlen, 4)
@@ -376,8 +370,7 @@ def _recognizer_instances(A, reg, L, caps):
         yield gens, ext, quotient_closure(dfas, caps)
 
 
-def suite_semidirect(alphabet, maxlen, seed, registry=None, caps=None):
-    caps = caps or _caps.from_env()
+def suite_semidirect(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
     reg = registry or DEFAULT_REGISTRY
     A = Alphabet.of(alphabet)
     L = min(maxlen, 5)
@@ -469,10 +462,9 @@ def suite_semidirect(alphabet, maxlen, seed, registry=None, caps=None):
     return out
 
 
-def suite_layers(alphabet, maxlen, seed, registry=None, caps=None):
+def suite_layers(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
     from .layers import (FragmentSpec, check_fragment_against_direct,
                          check_gamma_laws, check_monotone)
-    caps = caps or _caps.from_env()
     A = Alphabet.of(alphabet)
     if len(A) > 2:
         A = Alphabet.of(A.symbols[:2])
@@ -501,7 +493,7 @@ SUITES = {
 
 
 def run_suite(name, alphabet, maxlen, seed, registry=None,
-              caps: Caps = None) -> list:
+              caps: Caps = DEFAULT) -> list:
     """Reports of one suite, or of every suite for ``all``, in a canonical
     order."""
     if name == "all":

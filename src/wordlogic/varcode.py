@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import caps as _caps
-from .caps import Caps
+from .caps import DEFAULT, Caps
 from .errors import (BoundTooSmall, InvariantViolated, MissingMachinery,
                      ParseError)
 from .logic import (And, LetterPred, Not, NumPred, Or, Quant, TRUE, FALSE,
@@ -213,7 +212,7 @@ def _in_image(letters, encoded: int) -> np.ndarray:
 
 
 def roundtrip_check(phi, enc_vars, alphabet, bound=5,
-                    registry: Registry = None, caps: Caps = None,
+                    registry: Registry = None, caps: Caps = DEFAULT,
                     psi=None) -> Report:
     """Two facts at a bound: decoding an encoding gives the formula back,
     and encoding a decoding fixes exactly the embedded-image part of the
@@ -225,7 +224,6 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
     checked in bulk; a counterexample is the first differing marked word in
     ``enumerate_marked`` order, and the counts in ``stats`` run up to it.
     """
-    caps = caps or _caps.from_env()
     reg = registry or DEFAULT_REGISTRY
     enc_vars = _as_vars(enc_vars)
     base = _base_alphabet(alphabet)
@@ -294,7 +292,7 @@ class LiftedAlgebra:
 
 
 def lift_delta(generators, var, enc_vars, alphabet, bound=6,
-               registry: Registry = None, caps: Caps = None,
+               registry: Registry = None, caps: Caps = DEFAULT,
                check=True) -> LiftedAlgebra:
     """Encode an algebra's context variables into the alphabet.
 
@@ -306,7 +304,6 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
     the source algebra after decoding — checked on sample sentences when
     ``check`` is set.
     """
-    caps = caps or _caps.from_env()
     reg = registry or DEFAULT_REGISTRY
     base = _base_alphabet(alphabet)
     enc_vars = _as_vars(enc_vars)

@@ -288,8 +288,8 @@ def test_a_negative_bound_exits_two_naming_it(capsys, argv):
 
 
 def test_a_non_integer_cap_exits_two_naming_key_and_value():
-    # the environment is read while the package is imported, so this runs
-    # in a fresh interpreter
+    # a fresh interpreter running the module as a program shows that the
+    # refusal reaches stderr without a traceback
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -318,3 +318,40 @@ def test_the_enumeration_cap_refuses_a_large_marked_word_table(capsys,
     # 2*1 + 4*2 + 8*3 + 16*4 + 32*5 marked words with one mark each
     assert err["info"] == {"stage": "marked word table", "size": 258,
                            "cap": 10}
+
+
+@pytest.mark.parametrize("command", ["synmon", "quotient-closure"])
+def test_language_formulas_honour_the_enumeration_cap(capsys, monkeypatch,
+                                                      command):
+    monkeypatch.setenv("WORDLOGIC_CAPS", "enumeration=10")
+    rc, out, _ = run(capsys, [command, "--formula", "P[a](x)", "--alphabet",
+                              "ab", "-L", "5", "--format", "json"])
+    assert rc == 2
+    err = json.loads(out)["error"]
+    assert err["code"] == "cap"
+    assert err["info"]["stage"] == "inference word table"
+
+
+def test_sdp_honours_the_sdp_elements_cap(capsys, monkeypatch, tmp_path):
+    payload = {"S": {"table": [[0, 1], [1, 1]], "identity": 0},
+               "M": {"table": [[0, 1], [1, 0]], "identity": 0},
+               "lambda": [[0, 1], [0, 1]],
+               "rho": [[0, 0], [1, 1]]}
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    monkeypatch.setenv("WORDLOGIC_CAPS", "sdp_elements=3")
+    rc, out, _ = run(capsys, ["sdp", "--input", str(path), "--format", "json"])
+    assert rc == 2
+    err = json.loads(out)["error"]
+    assert err["code"] == "cap"
+    assert err["info"]["cap"] == "sdp_elements"
+
+
+@pytest.mark.parametrize("key", ["enumaration", "monoid_assoc", "__doc__"])
+def test_an_unknown_cap_exits_two_naming_it(capsys, monkeypatch, key):
+    monkeypatch.setenv("WORDLOGIC_CAPS", f"{key}=10")
+    rc, out, err = run(capsys, ["models", "--formula", "P[a](x)",
+                                "--alphabet", "ab", "-L", "5"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error [parse]")
+    assert repr(key) in err

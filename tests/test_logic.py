@@ -1,5 +1,6 @@
 """Formulas, quantifiers, satisfaction, and bounded model sets."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -31,8 +32,8 @@ from wordlogic import (
     satisfies,
     WordlogicError,
 )
-from wordlogic.logic import (check_hygiene, map_vars, marked_truth, model_table,
-                             truth_table, width)
+from wordlogic.logic import (check_hygiene, embedded_ids, map_vars, marked_truth,
+                             model_table, truth_table, width)
 from wordlogic.regular import dfa_from_bounded, shortlex_rows
 from wordlogic.sampling import random_formula
 from wordlogic.varcode import decode, encode
@@ -244,6 +245,35 @@ def test_registry_rejects_redefinition():
     del reg
 
 
+@pytest.mark.parametrize("looked_up_first", [False, True])
+def test_builtin_names_cannot_be_registered(looked_up_first):
+    reg = Registry()
+    phi = parse("mod[2,0] x. P[a](x)", reg)
+    if looked_up_first:
+        assert not satisfies(MarkedWord(("a",), ()), phi, reg)
+        reg.numpred("mod[2,0]")
+    exists = Quantifier("mod[2,0]", monoid=DEFAULT_REGISTRY.quantifier("E").monoid,
+                        images=(0, 1), accept=frozenset({1}))
+    for register, item in ((reg.register_quantifier, exists),
+                           (reg.register_numpred,
+                            NumPredDef("mod[2,0]", 1, lambda p, n: True)),
+                           (reg.register_quantifier,
+                            dataclasses.replace(exists, name="E1")),
+                           (reg.register_numpred,
+                            NumPredDef("succ", 2, lambda p, n: True))):
+        with pytest.raises(ParseError, match="already registered"):
+            register(item)
+    assert not satisfies(MarkedWord(("a",), ()), phi, reg)
+
+
+def test_lookups_leave_the_default_registry_unchanged():
+    tables = (dict(DEFAULT_REGISTRY._quants), dict(DEFAULT_REGISTRY._preds))
+    phi = parse("mod[3,1] x. R[mod[5,2]](x) & E y. R[succ](x,y)")
+    assert not satisfies(MarkedWord(("a", "b"), ()), phi)
+    assert models(phi, Alphabet.of("ab"), 3)
+    assert (DEFAULT_REGISTRY._quants, DEFAULT_REGISTRY._preds) == tables
+
+
 # ---------------------------------------------------------------------------
 # bounded model sets
 
@@ -404,6 +434,14 @@ def test_model_table_marks_exactly_the_embedded_models(seed, ctx, bound):
     got = model_table(phi, A, ctx, bound, NEAR)
     assert got.shape == (len(ids),)
     assert np.flatnonzero(got).tolist() == want
+
+
+@pytest.mark.parametrize("c", [0, 2])
+def test_embedded_ids_are_shared_and_read_only(c):
+    ids = embedded_ids(2, c, 3)
+    assert embedded_ids(2, c, 3) is ids
+    with pytest.raises(ValueError):
+        ids[(0,) * ids.ndim] = 1
 
 
 def test_model_table_is_the_same_in_small_blocks(monkeypatch):

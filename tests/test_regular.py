@@ -320,6 +320,11 @@ def test_monoid_law_validation():
         FinMonoid(((0, 1, 2), (1, 0, 0), (2, 0, 1)), 0)
 
 
+def test_monoids_do_not_read_the_caps_environment(monkeypatch):
+    monkeypatch.setenv("WORDLOGIC_CAPS", "monoid=abc")
+    assert len(FinMonoid(((0,),), 0)) == 1
+
+
 def test_monoid_products():
     z3 = FinMonoid(tuple(tuple((i + j) % 3 for j in range(3))
                          for i in range(3)), 0)

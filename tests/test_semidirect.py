@@ -11,6 +11,7 @@ from wordlogic import (
     Alphabet,
     DEFAULT_REGISTRY,
     ExtendedAlphabet,
+    LetterPred,
     MarkedWord,
     NotDecomposable,
     NotMonoidPresentable,
@@ -42,7 +43,7 @@ from wordlogic.semidirect import (
     marked_class_word,
     transfer_dfa,
 )
-from wordlogic.suites import named_monoid, run_suite
+from wordlogic.suites import _recognizer_instances, named_monoid, run_suite
 from wordlogic.words import parse_word
 
 from conftest import left_quotient, right_quotient
@@ -527,6 +528,20 @@ def test_eta_quotient_stops_before_the_product_passes_its_cap():
     assert time.perf_counter() - t0 < 5.0
     assert "sdp_elements" in str(exc.value)
     assert exc.value.info["cap"] == 1024 // 4
+
+
+def test_verify_recognizer_takes_caps_only_from_its_argument(monkeypatch):
+    monkeypatch.delenv("WORDLOGIC_CAPS", raising=False)
+    family = _recognizer_instances(Alphabet.of("ab"), DEFAULT_REGISTRY, 5, Caps())
+    gens, ext, ba = list(family)[1]
+    assert gens == [LetterPred("a", "x")]
+    dd = decompose(ba, ext)
+    report = verify_recognizer(dd, named_monoid("Z3"))
+    assert report.passed
+    monkeypatch.setenv("WORDLOGIC_CAPS", "sdp_elements=4")
+    assert verify_recognizer(dd, named_monoid("Z3")).to_dict() == report.to_dict()
+    with pytest.raises(CapExceeded, match="evaluation monoid S .* cap of 4"):
+        verify_recognizer(dd, named_monoid("Z3"), Caps(sdp_elements=4))
 
 
 # ---------------------------------------------------------------------------

@@ -71,3 +71,36 @@ def test_assertion_raises_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_guard_raises_assertion_error(path):
     assert assertion_raises(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def environment_reads(tree) -> list:
+    """(enclosing top-level definition or None, line) of every mention of
+    ``from_env``, ``environ`` or ``getenv``."""
+    reads = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            field = {ast.Name: "id", ast.Attribute: "attr",
+                     ast.alias: "name"}.get(type(node))
+            if field and getattr(node, field) in ("from_env", "environ", "getenv"):
+                reads.append((owner, node.lineno))
+    return reads
+
+
+def test_environment_reads_are_found():
+    tree = ast.parse("import os\nfrom os import environ\ndef f():\n"
+                     "    return os.environ.get('X')\nclass C:\n"
+                     "    c = caps.from_env()\ny = os.getenv('Y')\n")
+    assert environment_reads(tree) == [(None, 2), ("f", 4), ("C", 6),
+                                       (None, 7)]
+
+
+# caps.from_env parses WORDLOGIC_CAPS; only the command line calls it
+ENVIRONMENT_READERS = {"caps.py": {"from_env"}, "cli.py": {"main"}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_command_line_reads_the_environment(path):
+    owners = {owner for owner, _ in
+              environment_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert owners <= ENVIRONMENT_READERS.get(path.name, set())
