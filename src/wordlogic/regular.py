@@ -54,14 +54,23 @@ def closure(start, step, limit=None, stage="closure"):
     return order, index, edges
 
 
+def first_edges(edges) -> list:
+    """Per closure element after the start, the edge (i, c) along which the
+    search first reached it: from element i, by its c-th successor."""
+    first = [()] + [None] * (len(edges) - 1)
+    for i, row in enumerate(edges):
+        for c, j in enumerate(row):
+            if first[j] is None:
+                first[j] = (i, c)
+    return first[1:]
+
+
 def first_paths(edges, labels) -> list:
     """Per closure element, the labels along which the search first reached
     it: the shortlex-first path when ``labels`` follow the step order."""
-    paths = [()] + [None] * (len(edges) - 1)
-    for i, row in enumerate(edges):
-        for label, j in zip(labels, row):
-            if paths[j] is None:
-                paths[j] = paths[i] + (label,)
+    paths = [()]
+    for i, c in first_edges(edges):
+        paths.append(paths[i] + (labels[c],))
     return paths
 
 
@@ -73,7 +82,8 @@ def first_paths(edges, labels) -> list:
 class Dfa:
     """A complete deterministic automaton; delta[state][symbol_index].
     ``_stamps`` holds its syntactic stamps by caps, for callers that reuse
-    them (``semidirect.compile_layer``)."""
+    them (``semidirect.compile_layer``); ``_minimal`` is set on the result
+    of ``minimize``, which is its own minimization."""
 
     alphabet: tuple
     delta: tuple
@@ -81,6 +91,8 @@ class Dfa:
     accepting: frozenset
     _stamps: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
+    _minimal: bool = field(default=False, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         n = len(self.delta)
@@ -153,6 +165,8 @@ class Dfa:
     def minimize(self) -> "Dfa":
         """Canonical minimal complete DFA: reachable part, Moore refinement,
         BFS renumbering in alphabet order."""
+        if self._minimal:
+            return self
         reach, _, succ = closure(self.init, self.delta.__getitem__)
         # Moore partition refinement on the reachable part
         block = [1 if q in self.accepting else 0 for q in reach]
@@ -173,7 +187,9 @@ class Dfa:
         order, renum, delta = closure(block[0], qdelta.__getitem__)
         acc = frozenset(renum[block[i]] for i, q in enumerate(reach)
                         if q in self.accepting)
-        return Dfa(self.alphabet, tuple(delta), 0, acc)
+        out = Dfa(self.alphabet, tuple(delta), 0, acc)
+        object.__setattr__(out, "_minimal", True)
+        return out
 
 
 def universal_dfa(alphabet) -> Dfa:
@@ -227,21 +243,25 @@ def zero_part_dfa(ext: ExtendedAlphabet) -> Dfa:
 # finite monoids
 
 
-ASSOC_CHECK_LIMIT = 1024  # the largest monoid FinMonoid checks for associativity
+ASSOC_CHECK_LIMIT = 1024  # the largest table FinMonoid checks exhaustively
 
 
-def _assert_associative(table):
-    n = len(table)
-    if n > ASSOC_CHECK_LIMIT:
-        return
-    t = np.asarray(table, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, n * n))
+def _assert_associative(t, gens=None):
+    """Refuse a table (a numpy matrix) that is not associative.  Without
+    generators every triple is compared.  With generators whose right
+    products reach every element, Light's test (x.y).g = x.(y.g) for every
+    generator g suffices: by induction on z = z'.g, (x.y).z = ((x.y).z').g
+    = (x.(y.z')).g = x.((y.z').g) = x.(y.z)."""
+    n = len(t)
+    right = t if gens is None else t[:, gens]  # the c of (a.b).c
+    chunk = max(1, (1 << 22) // max(1, n * right.shape[1]))
     for s in range(0, n, chunk):
         blk = t[s:s + chunk]
-        lhs = t[blk, :]        # (a.b).c
-        rhs = blk[:, t]        # a.(b.c)
-        if not np.array_equal(lhs, rhs):
+        lhs = right[blk]       # (a.b).c
+        rhs = blk[:, right]    # a.(b.c)
+        if not (lhs == rhs).all():
             a, b, c = np.argwhere(lhs != rhs)[0]
+            c = c if gens is None else gens[c]
             raise ParseError(f"multiplication not associative at ({s + a},{b},{c})")
 
 
@@ -249,25 +269,45 @@ def _assert_associative(table):
 class FinMonoid:
     """Finite monoid as a multiplication table over 0..n-1.
 
-    Identity is always verified; associativity is verified exhaustively
-    (numpy, chunked) whenever n is at most ``ASSOC_CHECK_LIMIT`` and is not
-    checked above it.
+    Identity is always verified.  A table from ``generate_monoid`` carries
+    its generators and the edges of its search from the identity
+    (``_cayley``): its generator columns must be those edges, so every
+    element is a right product of generators, and associativity is verified
+    by Light's test at any size.  Any other table is verified exhaustively
+    (numpy, chunked) whenever n is at most ``ASSOC_CHECK_LIMIT``, and not
+    above it.
     """
 
     table: tuple
     identity: int
     names: tuple = None
+    _cayley: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.table)
-        for row in self.table:
-            if len(row) != n or any(not 0 <= x < n for x in row):
-                raise ParseError("malformed multiplication table")
+        try:
+            t = np.asarray(self.table)
+        except (TypeError, ValueError, OverflowError):  # ragged or odd entries
+            t = None
+        if (t is None or n == 0 or t.shape != (n, n) or t.dtype.kind not in "biu"
+                or t.min() < 0 or t.max() >= n):
+            raise ParseError("malformed multiplication table")
+        t = t.astype(np.int64)
         e = self.identity
-        for i in range(n):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                raise ParseError(f"identity fails at {i}")
-        _assert_associative(self.table)
+        if not 0 <= e < n:
+            raise ParseError(f"identity {e} is not an element")
+        ids = np.arange(n)
+        if not ((t[e] == ids).all() and (t[:, e] == ids).all()):
+            bad = np.flatnonzero((t[e] != ids) | (t[:, e] != ids))[0]
+            raise ParseError(f"identity fails at {bad}")
+        if self._cayley is not None:
+            gens, edges = self._cayley
+            gens = list(gens)
+            if list(map(tuple, t[:, gens].tolist())) != list(edges):
+                raise ParseError("generator columns disagree with the search")
+            _assert_associative(t, gens)
+        elif n <= ASSOC_CHECK_LIMIT:
+            _assert_associative(t)
         if self.names is not None and len(self.names) != n:
             raise ParseError("names length mismatch")
 
@@ -297,6 +337,12 @@ def generate_monoid(identity, gens, mul, caps: _caps.Caps = _caps.DEFAULT,
     """Close hashable elements under multiplication starting from the
     identity (BFS over right multiplication by generators).
 
+    ``mul`` must be associative with ``identity`` as its identity: it is
+    called only on the search's edges, and the table is read off them.  If
+    element j was first reached as i.g, then a.j = (a.i).g, so column j of
+    the table is column i mapped through the edges of g; column 0 is the
+    identity map.  ``FinMonoid`` checks the result with Light's test.
+
     gens is a list of (name, element) pairs; returns (elements, index,
     FinMonoid, reps) where reps[i] is the shortlex-first generator word
     reaching element i.  Generation stops with CapExceeded naming ``stage``
@@ -305,11 +351,13 @@ def generate_monoid(identity, gens, mul, caps: _caps.Caps = _caps.DEFAULT,
     elements, index, edges = closure(
         identity, lambda e: [mul(e, g) for _, g in gens],
         caps.monoid if limit is None else limit, stage)
-    reps = first_paths(edges, [name for name, _ in gens])
-    table = tuple(
-        tuple(index[mul(a, b)] for b in elements) for a in elements
-    )
-    mon = FinMonoid(table, 0)
+    by_gen = list(zip(*edges))  # by_gen[c][x] = x.g_c
+    cols, reps = [range(len(elements))], [()]
+    for i, c in first_edges(edges):
+        cols.append(list(map(by_gen[c].__getitem__, cols[i])))
+        reps.append(reps[i] + (gens[c][0],))
+    mon = FinMonoid(tuple(zip(*cols)), 0,
+                    _cayley=(tuple(index[g] for _, g in gens), edges))
     return elements, index, mon, tuple(reps)
 
 

@@ -9,13 +9,18 @@ target monoid, the product of those evaluations over all positions.
 
 Everything is exhaustive and asserted: biaction laws, well-definedness of the
 induced actions on the quotient, and the recognizer itself is cross-checked
-letter by letter against the defining formula.
+letter by letter against the defining formula.  The full product S ** M is
+built only on request (``EtaQuotient.nu``); the recognizer generates its
+monoid of pairs straight from the pair product.  That S ** M is associative
+needs no table check: it follows from the biaction laws, which ``Biaction``
+checks exhaustively.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +100,12 @@ class Biaction:
     def ract(self, s, m):
         return self.right[s][m]
 
+    def pair_mul(self, p1, p2):
+        """(s1, m1)(s2, m2) = (s1.m2 + m1.s2, m1 m2): the product of S ** M."""
+        (s1, m1), (s2, m2) = p1, p2
+        return (self.smon.table[self.right[s1][m2]][self.left[m1][s2]],
+                self.mmon.table[m1][m2])
+
 
 @dataclass(frozen=True, eq=False)
 class SdpMonoid:
@@ -113,10 +124,7 @@ class SdpMonoid:
     index: dict = field(compare=False, repr=False)
 
     def pair_mul(self, p1, p2):
-        s1, m1 = p1
-        s2, m2 = p2
-        s = self.smon.mul(self.bia.ract(s1, m2), self.bia.lact(m1, s2))
-        return (s, self.mmon.mul(m1, m2))
+        return self.bia.pair_mul(p1, p2)
 
 
 def sdp(smon: FinMonoid, mmon: FinMonoid, bia: Biaction, caps: Caps = DEFAULT) -> SdpMonoid:
@@ -310,8 +318,9 @@ class EtaQuotient:
     ``homs`` lists every map from letters to the target monoid N; ``ev``
     sends a letter x to the S-element (f(x) for every f), S being the monoid
     these tuples generate under componentwise multiplication.  The plain part
-    acts on S through its action on letters; the result is the semidirect
-    product ``nu`` = S ** M.
+    acts on S through its action on letters (``bia``); the result is the
+    semidirect product ``nu`` = S ** M, built on request.  S ** M is
+    associative because ``bia`` passed the biaction laws.
     """
 
     dd: DecomposedD
@@ -324,7 +333,11 @@ class EtaQuotient:
     ell: tuple = None         # ell[m_pos][s_pos]
     err: tuple = None         # err[s_pos][m_pos]
     bia: Biaction = None
-    nu: SdpMonoid = None
+    caps: Caps = field(default=DEFAULT, compare=False, repr=False)
+
+    @cached_property
+    def nu(self) -> SdpMonoid:
+        return sdp(self.s_mon, self.dd.m_mon, self.bia, self.caps)
 
     def s_of_letters(self, letters):
         return self.s_mon.prod(self.ev[x] for x in letters)
@@ -332,8 +345,8 @@ class EtaQuotient:
 
 def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT) -> EtaQuotient:
     """All evaluations of the marked-class letters into ``nv`` and the
-    semidirect product S ** M they induce.  S stops growing, with
-    CapExceeded, once |S x M| would pass ``caps.sdp_elements``."""
+    biaction of M on S they induce.  S stops growing, with CapExceeded, once
+    |S x M| would pass ``caps.sdp_elements``."""
     k = len(dd.t_blocks)
     if len(nv) ** k > caps.hom_count:
         raise CapExceeded(f"{len(nv) ** k} letter evaluations (cap {caps.hom_count})",
@@ -386,10 +399,9 @@ def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT) -> EtaQuo
                                             stage="eta_quotient")
 
     bia = Biaction(mmon=dd.m_mon, smon=s_mon, left=ell, right=err)
-    nu = sdp(s_mon, dd.m_mon, bia, caps)
     return EtaQuotient(dd=dd, nv=nv, homs=homs, s_mon=s_mon,
                        s_elems=tuple(s_elems), s_index=s_index, ev=ev,
-                       ell=ell, err=err, bia=bia, nu=nu)
+                       ell=ell, err=err, bia=bia, caps=caps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,22 +422,19 @@ class HMorphism:
 
 
 def h_morphism(etaq: EtaQuotient, caps: Caps = DEFAULT) -> HMorphism:
+    """The pair morphism, its monoid generated from the letters' pairs by
+    the pair product of S ** M (``Biaction.pair_mul``)."""
     dd = etaq.dd
-    nu = etaq.nu
-    gens = []
-    one_m = dd.m_mon.identity
     one_amb = dd.pi.monoid.identity
-    for i, a in enumerate(dd.base_symbols):
-        x = dd.classify(one_amb, i, one_amb)
-        pair = (etaq.ev[x], dd.p_img[i])
-        gens.append((a, nu.index[pair]))
+    gens = [(a, (etaq.ev[dd.classify(one_amb, i, one_amb)], dd.p_img[i]))
+            for i, a in enumerate(dd.base_symbols)]
     elems, index, mon, reps = generate_monoid(
-        nu.monoid.identity, gens, nu.monoid.mul, caps)
+        (etaq.s_mon.identity, dd.m_mon.identity), gens, etaq.bia.pair_mul,
+        caps)
     letters = tuple(index[g] for _, g in gens)
     stamp = Stamp(alphabet=dd.base_symbols, monoid=mon, letters=letters,
                   reps=tuple(reps))
-    pair_of = tuple(nu.pairs[e] for e in elems)
-    return HMorphism(etaq=etaq, stamp=stamp, pair_of=pair_of)
+    return HMorphism(etaq=etaq, stamp=stamp, pair_of=tuple(elems))
 
 
 def marked_class_word(dd: DecomposedD, word, i):

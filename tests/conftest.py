@@ -123,3 +123,9 @@ def probe_bit_infer_dfa(symbols, bound, member, caps=_caps.DEFAULT) -> Dfa:
         f"no automaton consistent with the data was found at bound {bound}: "
         f"{refuted}; a larger bound may be needed",
         stage="automaton inference", bound=bound, states=largest)
+
+
+def table_by_mul(elements, index, mul):
+    """Reference for ``regular.generate_monoid``'s table: one ``mul`` call
+    per pair of elements."""
+    return tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)

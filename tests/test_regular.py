@@ -1,6 +1,8 @@
 """Automata, finite monoids, stamps, and quotient-closed algebras."""
 
+import functools
 import itertools
+import random
 
 import numpy as np
 
@@ -16,7 +18,9 @@ from wordlogic import (
     parse,
     formula_dfa,
 )
+from wordlogic import regular
 from wordlogic.regular import (
+    ASSOC_CHECK_LIMIT,
     Dfa,
     FinMonoid,
     RegularBA,
@@ -44,7 +48,8 @@ from wordlogic.regular import (
 from wordlogic.words import BoundedLang, enumerate_words
 from wordlogic.caps import Caps
 
-from conftest import left_quotient, probe_bit_infer_dfa, right_quotient
+from conftest import (left_quotient, probe_bit_infer_dfa, right_quotient,
+                      table_by_mul)
 
 
 def contains_a_dfa(alphabet=("a", "b")):
@@ -87,6 +92,24 @@ def test_minimize_collapses_redundant_states():
     assert m.n == 2
     assert m.equivalent(contains_a_dfa())
     assert m.minimize().n == 2
+
+
+def test_a_minimized_dfa_is_not_minimized_again(monkeypatch):
+    d = Dfa(("a", "b"), ((1, 0), (2, 2), (1, 1)), 0, frozenset({1, 2}))
+    m = d.minimize()
+    searches = []
+    real = regular.closure
+
+    def counting(*args, **kwargs):
+        searches.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regular, "closure", counting)
+    assert m.minimize() is m
+    assert searches == []
+    # a copy does not carry the mark, and refines to the same automaton
+    assert Dfa(m.alphabet, m.delta, m.init, m.accepting).minimize() == m
+    assert searches
 
 
 def test_marked_universe_automata():
@@ -320,6 +343,20 @@ def test_monoid_law_validation():
         FinMonoid(((0, 1, 2), (1, 0, 0), (2, 0, 1)), 0)
 
 
+@pytest.mark.parametrize("table, identity", [
+    ((), 0),                          # no elements
+    (((0, 1), (1,)), 0),              # ragged
+    (((0, 1.0), (1.0, 0)), 0),        # not integers
+    (((0, "1"), ("1", 0)), 0),
+    (((0, 2), (2, 0)), 0),            # out of range
+    (((0,),), 1),                     # the identity is no element
+    (((0, 1), (1, 0)), -1),
+])
+def test_malformed_monoids_are_parse_errors(table, identity):
+    with pytest.raises(ParseError):
+        FinMonoid(table, identity)
+
+
 def test_monoids_do_not_read_the_caps_environment(monkeypatch):
     monkeypatch.setenv("WORDLOGIC_CAPS", "monoid=abc")
     assert len(FinMonoid(((0,),), 0)) == 1
@@ -346,6 +383,65 @@ def test_generate_monoid_builds_transformation_closure():
     assert mon.identity == index[ident]
     assert reps[index[swap]] == ("s",)
     assert mon.mul(index[swap], index[swap]) == index[ident]
+
+
+def random_transformations(rng, states, count):
+    return [tuple(rng.randrange(states) for _ in range(states))
+            for _ in range(count)]
+
+
+def compose(f, g):  # f then g
+    return tuple(g[x] for x in f)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generated_tables_are_the_tables_of_all_products(seed):
+    rng = random.Random(seed)
+    states = rng.randint(1, 5)
+    gens = [(f"g{i}", g) for i, g in enumerate(
+        random_transformations(rng, states, rng.randint(1, 3)))]
+    calls = []
+
+    def mul(f, g):
+        calls.append((f, g))
+        return compose(f, g)
+
+    ident = tuple(range(states))
+    elements, index, mon, reps = generate_monoid(ident, gens, mul)
+    # mul runs on the search's edges only
+    assert len(calls) == len(elements) * len(gens)
+    assert mon.table == table_by_mul(elements, index, compose)
+    named = dict(gens)
+    for m, rep in enumerate(reps):
+        assert functools.reduce(compose, (named[g] for g in rep), ident) \
+            == elements[m]
+
+
+def test_generate_monoid_refuses_a_non_associative_product():
+    # a magma with identity 0 that is not associative: (2.1).1 = 1, 2.(1.1) = 0
+    table = ((0, 1, 2), (1, 1, 1), (2, 0, 1))
+    with pytest.raises(ParseError, match="not associative"):
+        generate_monoid(0, [("g", 1), ("h", 2)], lambda a, b: table[a][b])
+
+
+def test_generated_monoids_are_checked_above_the_exhaustive_limit():
+    n = 1100
+    assert n > ASSOC_CHECK_LIMIT
+    elements, _, mon, reps = generate_monoid(0, [("g", 1)],
+                                             lambda a, b: (a + b) % n)
+    assert elements == list(range(n)) and reps[n - 1] == ("g",) * (n - 1)
+    # one product off, away from the generator's column and the identity's
+    table = [list(row) for row in mon.table]
+    table[5][7] = 3
+    with pytest.raises(ParseError, match="not associative"):
+        FinMonoid(tuple(map(tuple, table)), 0, _cayley=mon._cayley)
+
+
+def test_generator_columns_must_be_the_search_edges():
+    _, _, z3, _ = generate_monoid(0, [("g", 1)], lambda a, b: (a + b) % 3)
+    gens, edges = z3._cayley
+    with pytest.raises(ParseError, match="disagree with the search"):
+        FinMonoid(z3.table, 0, _cayley=(gens, [(0,), (2,), (1,)]))
 
 
 def test_generate_monoid_cap():

@@ -30,8 +30,8 @@ from wordlogic import (
 from wordlogic import semidirect
 from wordlogic.caps import Caps
 from wordlogic.errors import CapExceeded, InvariantViolated
-from wordlogic.regular import (Dfa, FinMonoid, cayley_dfa, image_dfa,
-                               syntactic_stamp, universal_dfa)
+from wordlogic.regular import (Dfa, FinMonoid, cayley_dfa, generate_monoid,
+                               image_dfa, syntactic_stamp, universal_dfa)
 from wordlogic.sampling import MONOID_QUANTIFIERS
 from wordlogic.semidirect import (
     Biaction,
@@ -79,6 +79,42 @@ def test_biaction_laws_are_checked():
                  right=tuple((s, s) for s in range(2)))
 
 
+def cyclic(n):
+    return FinMonoid(tuple(tuple((i + j) % n for j in range(n))
+                           for i in range(n)), 0)
+
+
+KLEIN = FinMonoid(tuple(tuple(i ^ j for j in range(4)) for i in range(4)), 0)
+ID2, ID3, ID4 = (tuple(range(n)) for n in (2, 3, 4))
+
+
+@pytest.mark.parametrize("mmon, smon, left, right, law", [
+    # element 0 is the identity of U1, Z2 and every S here; 1 absorbs in U1
+    (named_monoid("Z2"), named_monoid("U1"), (ID2, ID2), ((1, 1), (1, 1)),
+     "right action of 1 is not the identity"),
+    # the absorbing element of U1 must act idempotently; negation on Z3,
+    # an automorphism, does not
+    (named_monoid("U1"), cyclic(3), (ID3, (0, 2, 1)),
+     tuple((s, s) for s in range(3)), "left action does not compose"),
+    (named_monoid("U1"), cyclic(3), (ID3, ID3),
+     tuple((s, -s % 3) for s in range(3)), "right action does not compose"),
+    # an involution of Z4 fixing 0 that is no automorphism: 1 <-> 2
+    (named_monoid("Z2"), cyclic(4), (ID4, (0, 2, 1, 3)),
+     tuple((s, s) for s in range(4)), "does not distribute over S"),
+    # the absorbing element of U1 sends all of S = U1 to S's absorbing
+    # element: a semigroup morphism that moves S's identity
+    (named_monoid("U1"), named_monoid("U1"), (ID2, (1, 1)),
+     ((0, 0), (1, 1)), "does not fix the identity of S"),
+    # two automorphisms of the Klein group that do not commute
+    (named_monoid("Z2"), KLEIN, (ID4, (0, 2, 1, 3)),
+     tuple((s, (0, 1, 3, 2)[s]) for s in range(4)),
+     "left and right actions do not commute"),
+])
+def test_each_biaction_law_is_checked(mmon, smon, left, right, law):
+    with pytest.raises(ParseError, match=law):
+        Biaction(mmon=mmon, smon=smon, left=left, right=right)
+
+
 @pytest.mark.parametrize("left", [((0, 2), (0, 1)), ((0, "b"), (0, 1)),
                                   ((0, 1), (0,))])
 def test_biaction_refuses_malformed_tables(left):
@@ -97,8 +133,14 @@ def sdp_by_pairs(smon, mmon, bia):
                        for s2, m2 in pairs) for s1, m1 in pairs)
 
 
-def test_sdp_table_matches_the_pairwise_definition():
+def test_sdp_table_matches_the_pairwise_definition(monkeypatch):
+    built = []
+    monkeypatch.setattr(semidirect, "sdp",
+                        lambda *args: built.append(args) or sdp(*args))
     _, etaq = eta_setup("Z3", symbols="ab", body="E y. y < x & P[a](y)")
+    h_morphism(etaq)
+    assert built == []  # S ** M is built on request, once
+    assert etaq.nu is etaq.nu and len(built) == 1
     assert len(etaq.dd.m_mon) > 1
     assert etaq.nu.monoid.table == sdp_by_pairs(etaq.s_mon, etaq.dd.m_mon, etaq.bia)
     assert etaq.nu.pairs == tuple((s, m) for s in range(len(etaq.s_mon))
@@ -542,6 +584,60 @@ def test_verify_recognizer_takes_caps_only_from_its_argument(monkeypatch):
     assert verify_recognizer(dd, named_monoid("Z3")).to_dict() == report.to_dict()
     with pytest.raises(CapExceeded, match="evaluation monoid S .* cap of 4"):
         verify_recognizer(dd, named_monoid("Z3"), Caps(sdp_elements=4))
+
+
+TWO_PROPERTY_FAMILIES = [
+    ("E y. (y < x & P[a](y))", "E y. (x < y & P[b](y))"),
+    ("P[a](x)", "R[last](x)"),
+    ("E y. (R[succ](x,y) & P[a](y))", "P[b](x) & R[last](x)"),
+]
+
+
+def two_property_families():
+    """Per family: the automata of its two properties and of the marked
+    words, as ``_recognizer_instances`` builds its families."""
+    A = Alphabet.of("ab")
+    ext = ExtendedAlphabet(A, ("x",))
+    return ext, [[formula_dfa(parse(text), A, ("x",), 5)[1] for text in texts]
+                 + [image_dfa(ext)] for texts in TWO_PROPERTY_FAMILIES]
+
+
+def test_verify_recognizer_never_builds_s_times_m(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("S ** M was built")
+
+    monkeypatch.setattr(semidirect, "sdp", refuse)
+    cases = [(ba, ext, target) for _, ext, ba in _recognizer_instances(
+                 Alphabet.of("ab"), DEFAULT_REGISTRY, 5, Caps())
+             for target in ("trivial", "U1", "Z2", "Z3")]
+    ext, families = two_property_families()
+    cases += [(quotient_closure(dfas), ext, "Z3") for dfas in families]
+    assert len(cases) == 23
+    for ba, ext, target in cases:
+        report = verify_recognizer(decompose(ba, ext), named_monoid(target),
+                                   hbound=4)
+        assert report.passed, (target, report.counterexample)
+
+
+def test_two_property_families_verify_within_budget():
+    ext, families = two_property_families()
+    t0 = time.perf_counter()
+    for dfas in families:
+        dd = decompose(quotient_closure(dfas), ext)
+        assert verify_recognizer(dd, named_monoid("Z3"), hbound=4).passed
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_the_pair_monoid_is_numbered_as_inside_s_times_m():
+    dd, etaq = eta_setup("Z3", body="E y. y < x & P[a](y)")
+    hm = h_morphism(etaq)
+    nu = etaq.nu
+    gens = [(a, nu.index[hm.pair_of[g]])
+            for a, g in zip(dd.base_symbols, hm.stamp.letters)]
+    elems, _, mon, reps = generate_monoid(nu.monoid.identity, gens,
+                                          nu.monoid.mul)
+    assert tuple(nu.pairs[e] for e in elems) == hm.pair_of
+    assert mon.table == hm.stamp.monoid.table and reps == hm.stamp.reps
 
 
 # ---------------------------------------------------------------------------
