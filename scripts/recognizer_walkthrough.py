@@ -63,7 +63,7 @@ def main(argv=None) -> int:
               tuple(A.symbols[0] for _ in range(3))]:
         print(f"  h({'.'.join(w) if w else 'ε'}) = {hm.h(w)}")
 
-    report = verify_recognizer(dd, nv, hbound=args.maxlen)
+    report = verify_recognizer(dd, nv)
     print(report.line())
     return 0 if report.passed else 1
 

@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 
 from .caps import Caps, from_env as caps_from_env
 from .errors import (BoundTooSmall, CapExceeded, InvariantViolated,
-                     MissingMachinery, NotDecomposable, NotMonoidPresentable,
-                     ParseError, WordlogicError)
+                     NotDecomposable, NotMonoidPresentable, ParseError,
+                     WordlogicError)
 from .finba import (FinBA, check_adjunction, common_refinement,
                     dual_of_inclusion, generate, is_subalgebra)
 from .layers import (FragmentResult, FragmentSpec,
@@ -28,11 +28,9 @@ from .regular import (Dfa, FinMonoid, RegularBA, Stamp, dfa_from_bounded,
                       recognized_languages, syntactic_stamp,
                       syntactic_stamp_of_family, universal_dfa, zero_part_dfa)
 from .report import Report
-from .semidirect import (Biaction, ClassWordProduct, DecomposedD, EtaQuotient,
-                         HMorphism, SdpMonoid, check_h_formula, compile_layer,
-                         decompose, eta_quotient, h_morphism,
-                         marked_class_word, sdp, transfer_dfa,
-                         verify_recognizer)
+from .semidirect import (Biaction, DecomposedD, EtaQuotient, HMorphism,
+                         SdpMonoid, compile_layer, decompose, eta_quotient,
+                         h_morphism, sdp, transfer_dfa, verify_recognizer)
 from .substitution import (DeltaAlgebra, OdotResult, SentenceClass,
                            atom_transduction, check_substitution_principle,
                            circ_closure, delta_algebra, gamma_odot, sigma,

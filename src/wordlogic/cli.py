@@ -282,7 +282,7 @@ def _codec_command(args, operation) -> int:
     phi = _one_formula(args, reg)
     A = _alphabet(args)
     prior = split_names(args.prior) if args.prior else ()
-    out = operation(phi, args.var, A, prior, reg)
+    out = operation(phi, args.var, A, prior)
     _emit(args, {"kind": operation.__name__, "formula": to_dsl(phi),
                  "var": args.var, "prior": list(prior),
                  "result": to_dsl(out)},

@@ -1,7 +1,7 @@
 """Structured errors.
 
-Every refusal the library makes (size caps, malformed input, missing
-machinery) raises a subclass of WordlogicError carrying a short machine
+Every refusal the library makes (size caps, malformed input, failed
+conditions and consistency checks) raises a subclass of WordlogicError carrying a short machine
 readable ``code`` so the CLI can map failures to exit codes.
 """
 
@@ -38,12 +38,6 @@ class NotMonoidPresentable(WordlogicError):
     """Compilation was asked for a quantifier with only an oracle."""
 
     code = "oracle-quantifier"
-
-
-class MissingMachinery(WordlogicError):
-    """The registry lacks a quantifier/predicate an operation requires."""
-
-    code = "missing"
 
 
 class BoundTooSmall(WordlogicError):

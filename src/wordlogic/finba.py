@@ -36,10 +36,6 @@ class FinBA:
     def top(self) -> frozenset:
         return frozenset(self.carrier)
 
-    @property
-    def bottom(self) -> frozenset:
-        return frozenset()
-
     def atom_index_of(self, point) -> int:
         for i, a in enumerate(self.atoms):
             if point in a:

@@ -333,7 +333,7 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
                         "a substituted sentence's language differs from its "
                         "layer enumeration", stage="depth_fragment")
         else:
-            current = [decode_multi(sigma(delta, s), spect, A, reg)
+            current = [decode_multi(sigma(delta, s), spect, A)
                        for s in sentences]
 
     return FragmentResult(spec, odot.ba, odot.formulas, odot.gen_langs,

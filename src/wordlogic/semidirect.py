@@ -8,8 +8,9 @@ and s tracks, jointly for every evaluation of the marked-part classes into a
 target monoid, the product of those evaluations over all positions.
 
 Everything is exhaustive and asserted: biaction laws, well-definedness of the
-induced actions on the quotient, and the recognizer itself is cross-checked
-letter by letter against the defining formula.  The full product S ** M is
+induced actions on the quotient, and the recognizer itself, which is checked
+exactly on the states of one product automaton: there the pair morphism must
+agree with its defining formula on every word.  The full product S ** M is
 built only on request (``EtaQuotient.nu``); the recognizer generates its
 monoid of pairs straight from the pair product.  That S ** M is associative
 needs no table check: it follows from the biaction laws, which ``Biaction``
@@ -28,10 +29,10 @@ from .caps import DEFAULT, Caps
 from .errors import (CapExceeded, InvariantViolated, NotDecomposable,
                      NotMonoidPresentable, ParseError)
 from .regular import (Dfa, FinMonoid, RegularBA, Stamp, cayley_dfa, closure,
-                      congruence_witness, first_paths, generate_monoid,
-                      syntactic_stamp)
+                      congruence_witness, first_edges, first_paths,
+                      generate_monoid, syntactic_stamp)
 from .report import Report
-from .words import ExtendedAlphabet, enumerate_words
+from .words import ExtendedAlphabet
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +340,6 @@ class EtaQuotient:
     def nu(self) -> SdpMonoid:
         return sdp(self.s_mon, self.dd.m_mon, self.bia, self.caps)
 
-    def s_of_letters(self, letters):
-        return self.s_mon.prod(self.ev[x] for x in letters)
-
 
 def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT) -> EtaQuotient:
     """All evaluations of the marked-class letters into ``nv`` and the
@@ -361,29 +359,26 @@ def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT) -> EtaQuo
 
     gens = [(f"x{x}", ev_raw[x]) for x in range(k)]
     nm = len(dd.m_mon)
-    s_elems, s_index, s_mon, s_reps = generate_monoid(
+    s_elems, s_index, s_mon, _ = generate_monoid(
         ident, gens, mul, caps, limit=min(caps.monoid, caps.sdp_elements // nm),
         stage="evaluation monoid S (|S x M| within sdp_elements)")
     ev = tuple(s_index[ev_raw[x]] for x in range(k))
 
     # induced actions: act on a product of letter evaluations letterwise.
-    # well-definedness is asserted inductively below.
-    rep_letters = tuple(tuple(int(w[1:]) for w in rep) for rep in s_reps)
-    ell = tuple(tuple(s_mon.prod(ev[dd.left_letter[mp][x]] for x in rep_letters[sp])
-                      for sp in range(len(s_mon)))
-                for mp in range(nm))
-    err = tuple(tuple(s_mon.prod(ev[dd.right_letter[x][mp]] for x in rep_letters[sp])
-                      for mp in range(nm))
-                for sp in range(len(s_mon)))
+    # If element j was first reached as i.ev[x], then m.j = (m.i).ev[m.x]
+    # and j.m = (i.m).ev[x.m]; the identity (element 0) is fixed.  That
+    # this is well defined is asserted on every other edge below.
+    ns = len(s_mon)
+    ell = [[0] * ns for _ in range(nm)]
+    err = [[0] * nm for _ in range(ns)]
+    for j, (i, x) in enumerate(first_edges(s_mon._cayley[1]), 1):
+        for mp in range(nm):
+            ell[mp][j] = s_mon.mul(ell[mp][i], ev[dd.left_letter[mp][x]])
+            err[j][mp] = s_mon.mul(err[i][mp], ev[dd.right_letter[x][mp]])
+    ell, err = tuple(map(tuple, ell)), tuple(map(tuple, err))
 
     for mp in range(nm):
-        if ell[mp][s_mon.identity] != s_mon.identity:
-            raise InvariantViolated("left action does not fix the empty product",
-                                    stage="eta_quotient")
-        if err[s_mon.identity][mp] != s_mon.identity:
-            raise InvariantViolated("right action does not fix the empty product",
-                                    stage="eta_quotient")
-        for sp in range(len(s_mon)):
+        for sp in range(ns):
             for x in range(k):
                 lhs = ell[mp][s_mon.mul(sp, ev[x])]
                 rhs = s_mon.mul(ell[mp][sp], ev[dd.left_letter[mp][x]])
@@ -435,42 +430,6 @@ def h_morphism(etaq: EtaQuotient, caps: Caps = DEFAULT) -> HMorphism:
     stamp = Stamp(alphabet=dd.base_symbols, monoid=mon, letters=letters,
                   reps=tuple(reps))
     return HMorphism(etaq=etaq, stamp=stamp, pair_of=tuple(elems))
-
-
-def marked_class_word(dd: DecomposedD, word, i):
-    """Letter of the class of ``word`` marked at position i (1-based)."""
-    ext = dd.ext
-    left = dd.pi.mu(ext.symbol(a, ()) for a in word[:i - 1])
-    right = dd.pi.mu(ext.symbol(a, ()) for a in word[i:])
-    return dd.classify(left, ext.base.index(word[i - 1]), right)
-
-
-def class_word(dd: DecomposedD, word):
-    """(class word, plain image) of a word: the marked-class letter of every
-    position and the word's image in the plain part.  The plain prefix and
-    suffix images of all positions come from one pass each over the letter
-    images (``marked_class_word`` resolves one position on its own)."""
-    tab = dd.pi.monoid.table
-    amb = [dd.m_elems[p] for p in dd.p_img]  # ambient plain letter images
-    idx = [dd.ext.base.index(a) for a in word]
-    pre = [dd.pi.monoid.identity]
-    for i in idx:
-        pre.append(tab[pre[-1]][amb[i]])
-    letters, suf = [], dd.pi.monoid.identity
-    for p in reversed(range(len(idx))):
-        letters.append(dd.classify(pre[p], idx[p], suf))
-        suf = tab[amb[idx[p]]][suf]
-    return tuple(reversed(letters)), dd.m_mon.prod(dd.p_img[i] for i in idx)
-
-
-def check_h_formula(etaq: EtaQuotient, hm: HMorphism, bound: int) -> bool:
-    """h(w) = (product of letter evaluations along w, plain image of w)."""
-    dd = etaq.dd
-    for w in enumerate_words(dd.ext.base, bound):
-        letters, m = class_word(dd, w)
-        if hm.h(w) != (etaq.s_of_letters(letters), m):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -561,40 +520,6 @@ def compile_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
 
 
 # ---------------------------------------------------------------------------
-# the length-capped monoid of class words under contextual multiplication
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ClassWordProduct:
-    """Pairs (class word, plain image) with context-resolving multiplication.
-
-    (t_, m)(t_', m') = (t_ shifted right by m' joined with t_' shifted left
-    by m, m m'), where shifting re-resolves each position's class in the
-    enlarged context.  Class words are capped at ``lengthcap`` letters;
-    products beyond the cap raise CapExceeded.  Only defined for class words
-    that actually arise from marked positions of concrete words, so this is
-    a partial structure used for cross-checks, not a finite monoid.
-    """
-
-    dd: DecomposedD
-    lengthcap: int
-
-    def of_word(self, word):
-        return class_word(self.dd, word)
-
-    def mul(self, p1, p2):
-        t1, m1 = p1
-        t2, m2 = p2
-        if len(t1) + len(t2) > self.lengthcap:
-            raise CapExceeded(
-                f"class word longer than {self.lengthcap}", cap="lengthcap")
-        dd = self.dd
-        shifted1 = tuple(dd.right_letter[x][m2] for x in t1)
-        shifted2 = tuple(dd.left_letter[m1][x] for x in t2)
-        return (shifted1 + shifted2, dd.m_mon.mul(m1, m2))
-
-
-# ---------------------------------------------------------------------------
 # end-to-end verification of the recognizer
 # ---------------------------------------------------------------------------
 
@@ -611,17 +536,21 @@ def _separation(u, v, side, a) -> str:
 
 def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
                       hbound: int = 5) -> Report:
-    """Check the recognizer of the decomposition theorem at desk scale: the
+    """Check the recognizer of the decomposition theorem exactly: the
     languages recognized through the pair morphism h into S ** M are exactly
     the Boolean combinations of plain-part classes and evaluation preimages
     of class words, and they are closed under quotients.
 
     One product automaton runs h, the transfer automaton of the S-element of
-    the class word and the plain image side by side.  The check holds
-    exactly when, on its reachable states, the h element and the cell
-    (S-element, plain-part class) determine each other, and the cells are
-    the classes of a congruence (``congruence_witness``).  A failing report
-    names two shortest words that share a class on one side only.
+    the class word and the plain image side by side; every word reaches
+    exactly one of its states.  On every reachable state, h must agree with
+    its defining formula h(w) = (S-element of the class word of w, plain
+    image of w), so h determines the cell (S-element, plain-part class); the
+    cell must determine h; and the cells must be the classes of a congruence
+    (``congruence_witness``).  A failing report names a shortest word on
+    which h and the formula differ, or two shortest words that share a class
+    on one side only.  ``hbound`` is still accepted but no longer affects
+    the result.
     """
     params = {"base": list(dd.base_symbols), "target_monoid": len(nv),
               "ambient": len(dd.pi.monoid)}
@@ -634,10 +563,6 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
     def failed(counterexample):
         return Report(check="recognizer", params=params, passed=False,
                       counterexample=counterexample, stats=stats)
-
-    if not check_h_formula(etaq, hm, hbound):
-        return failed("pair morphism disagrees with the per-position "
-                      "evaluation formula")
 
     syms = dd.base_symbols
     kdfa = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, ())
@@ -658,13 +583,15 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
     stats["right_cells"] = len(set(cells))
 
     paths = first_paths(edges, syms)
-    first_h, first_cell = {}, {}
-    for j, (h, _, _) in enumerate(triples):
-        i = first_h.setdefault(h, j)
+    first_cell = {}
+    for j, (h, q, m) in enumerate(triples):
+        # K is the Cayley automaton of S: its state is the S-element
+        formula = (tstates[q][1][0], m)
+        if hm.pair_of[h] != formula:
+            return failed(f"the pair morphism sends {_word(paths[j])} to "
+                          f"{hm.pair_of[h]} but the per-position evaluation "
+                          f"formula gives {formula}")
         k = first_cell.setdefault(cells[j], j)
-        if cells[i] != cells[j]:
-            return failed(f"{_word(paths[i])} and {_word(paths[j])} share a "
-                          f"pair-morphism class but lie in different cells")
         if triples[k][0] != h:
             return failed(f"{_word(paths[k])} and {_word(paths[j])} share a "
                           f"cell but lie in different pair-morphism classes")

@@ -405,8 +405,7 @@ def suite_semidirect(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
             _recognizer_instances(A, reg, L, caps),
             ("U1", "Z2", "trivial", "Z3", "U1")):
         dd = decompose(ba, ext, caps)
-        rep = verify_recognizer(dd, named_monoid(nv_name), caps,
-                                hbound=min(L, 4))
+        rep = verify_recognizer(dd, named_monoid(nv_name), caps)
         rep = Report(rep.check,
                      {**rep.params, "generators": [to_dsl(g) for g in gens],
                       "target": nv_name},

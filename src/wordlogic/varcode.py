@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caps import DEFAULT, Caps
-from .errors import (BoundTooSmall, InvariantViolated, MissingMachinery,
-                     ParseError)
+from .errors import BoundTooSmall, InvariantViolated, ParseError
 from .logic import (And, LetterPred, Not, NumPred, Or, Quant, TRUE, FALSE,
                     Registry, DEFAULT_REGISTRY, conj, disj, neg, all_vars,
                     bound_vars, counterexample_bounded, free_vars,
@@ -57,14 +56,9 @@ def _source_letters(base: Alphabet, prior: tuple):
 # the image sentence
 # ---------------------------------------------------------------------------
 
-def phi_sentence(alphabet, var="x", prior=(), registry: Registry = None,
-                 zvar=None):
+def phi_sentence(alphabet, var="x", prior=(), zvar=None):
     """The sentence over the marked alphabet whose models are exactly the
     embedded marked words: exactly one position carries the new mark."""
-    reg = registry or DEFAULT_REGISTRY
-    if reg.maybe_quantifier("E1") is None:
-        raise MissingMachinery("the image sentence needs the unique-witness "
-                               "quantifier E1", quantifier="E1")
     base = _base_alphabet(alphabet)
     prior = tuple(prior)
     _, letters = _source_letters(base, prior)
@@ -78,7 +72,7 @@ def phi_sentence(alphabet, var="x", prior=(), registry: Registry = None,
 # one variable in, one variable out
 # ---------------------------------------------------------------------------
 
-def encode(phi, var, alphabet, prior=(), registry: Registry = None):
+def encode(phi, var, alphabet, prior=()):
     """Push the free variable ``var`` into the letters.
 
     ``phi`` is a formula over A x 2^prior (plain A when prior is empty) in
@@ -88,11 +82,6 @@ def encode(phi, var, alphabet, prior=(), registry: Registry = None):
     numerical predicate mentioning var routes through a marked witness
     position.  The final conjunct pins the mark to exactly one position.
     """
-    reg = registry or DEFAULT_REGISTRY
-    for need in ("E", "E1"):
-        if reg.maybe_quantifier(need) is None:
-            raise MissingMachinery(f"encoding needs the quantifier {need}",
-                                   quantifier=need)
     prior = tuple(prior)
     if var in prior:
         raise ParseError(f"variable {var!r} is already encoded")
@@ -127,11 +116,11 @@ def encode(phi, var, alphabet, prior=(), registry: Registry = None):
         return node
 
     tilde = map_atoms(phi, leaf)
-    pinned = phi_sentence(base, var, prior, reg, zvar=next(fresh))
+    pinned = phi_sentence(base, var, prior, zvar=next(fresh))
     return conj((tilde, pinned))
 
 
-def decode(psi, var, alphabet, prior=(), registry: Registry = None):
+def decode(psi, var, alphabet, prior=()):
     """Pull the mark for ``var`` back out of the letters.
 
     ``psi`` is a formula over A x 2^(prior + var) not mentioning var; the
@@ -139,12 +128,6 @@ def decode(psi, var, alphabet, prior=(), registry: Registry = None):
     carries the mark asserts the tested position is var, one without the
     mark asserts it is not.
     """
-    reg = registry or DEFAULT_REGISTRY
-    try:
-        reg.numpred("=")
-    except ParseError:
-        raise MissingMachinery("decoding needs the equality predicate",
-                               predicate="=")
     prior = tuple(prior)
     if var in all_vars(psi):
         raise ParseError(f"variable {var!r} occurs in the formula being "
@@ -177,21 +160,21 @@ def decode(psi, var, alphabet, prior=(), registry: Registry = None):
 # several variables: fixed-order composites
 # ---------------------------------------------------------------------------
 
-def encode_multi(phi, enc_vars, alphabet, registry: Registry = None):
+def encode_multi(phi, enc_vars, alphabet):
     """Encode the variables left to right; the k-th step goes from
     A x 2^{first k} to A x 2^{first k+1}.  The empty tuple is the identity."""
     enc_vars = _as_vars(enc_vars)
     for k, v in enumerate(enc_vars):
-        phi = encode(phi, v, alphabet, enc_vars[:k], registry)
+        phi = encode(phi, v, alphabet, enc_vars[:k])
     return phi
 
 
-def decode_multi(psi, enc_vars, alphabet, registry: Registry = None):
+def decode_multi(psi, enc_vars, alphabet):
     """Inverse order of encode_multi: decode the last-encoded variable
     first."""
     enc_vars = _as_vars(enc_vars)
     for k in range(len(enc_vars) - 1, -1, -1):
-        psi = decode(psi, enc_vars[k], alphabet, enc_vars[:k], registry)
+        psi = decode(psi, enc_vars[k], alphabet, enc_vars[:k])
     return psi
 
 
@@ -232,8 +215,8 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
               "alphabet": list(base.symbols), "bound": bound}
     stats = {"words_back": 0, "words_image": 0}
 
-    encoded = encode_multi(phi, enc_vars, base, reg)
-    back = decode_multi(encoded, enc_vars, base, reg)
+    encoded = encode_multi(phi, enc_vars, base)
+    back = decode_multi(encoded, enc_vars, base)
     ctx = tuple(sorted(free_vars(phi) | set(enc_vars)))
     check_table("marked word table", len(base), len(ctx), bound, caps)
     want = marked_truth(phi, base, ctx, bound, reg)
@@ -246,8 +229,7 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
                       stats=stats)
 
     psi = encoded if psi is None else psi
-    both = encode_multi(decode_multi(psi, enc_vars, base, reg),
-                        enc_vars, base, reg)
+    both = encode_multi(decode_multi(psi, enc_vars, base), enc_vars, base)
     ctx2 = tuple(sorted((free_vars(psi) | free_vars(both)) - set(enc_vars)))
     check_table("marked word table", len(ext), len(ctx2), bound, caps)
     letters, lens = shortlex_rows(len(ext), bound)
@@ -323,9 +305,9 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
         source_sigs = sorted({tuple(sig) for sig in sigs.T.tolist()})
 
     # the lifted algebra over the marked alphabet
-    enc_gens = [encode_multi(g, enc_vars, base, reg) for g in generators]
+    enc_gens = [encode_multi(g, enc_vars, base) for g in generators]
     if enc_vars:
-        enc_gens.append(encode_multi(TRUE, enc_vars, base, reg))
+        enc_gens.append(encode_multi(TRUE, enc_vars, base))
         carrier_alpha = ExtendedAlphabet(base, enc_vars)
     else:
         carrier_alpha = base
@@ -426,7 +408,7 @@ def _square_check(base, var, enc_vars, src_formulas, lifted, zeta, junk,
     stats = {"sentences": 0}
     for theta in _square_samples(lifted.atom_count):
         stats["sentences"] += 1
-        via_lift = decode_multi(sigma(lifted, theta), enc_vars, base, reg)
+        via_lift = decode_multi(sigma(lifted, theta), enc_vars, base)
         via_source = sigma_source(lift, zeta_relabel(lift, theta))
         bad = counterexample_bounded(via_lift, via_source, base, bound,
                                      context=enc_vars, registry=reg, caps=caps)

@@ -180,13 +180,6 @@ class MarkedWord:
     def letter(self, var) -> str:
         return self.word[self.pos(var) - 1]
 
-    def with_mark(self, var, pos) -> "MarkedWord":
-        kept = tuple((v, p) for v, p in self.marks if v != var)
-        return MarkedWord(self.word, kept + ((var, pos),))
-
-    def without_mark(self, var) -> "MarkedWord":
-        return MarkedWord(self.word, tuple((v, p) for v, p in self.marks if v != var))
-
     def __len__(self):
         return len(self.word)
 
@@ -390,35 +383,3 @@ class BoundedLang:
         for w in self.words:
             if len(w) > self.bound:
                 raise ParseError("word longer than the bound")
-
-    @staticmethod
-    def universe(alphabet, bound):
-        return BoundedLang(alphabet, bound, frozenset(enumerate_words(alphabet, bound)))
-
-    def member(self, w) -> bool:
-        if len(w) > self.bound:
-            raise CapExceeded(
-                f"membership asked beyond the bound {self.bound}", bound=self.bound
-            )
-        return w in self.words
-
-    def complement(self) -> "BoundedLang":
-        allw = frozenset(enumerate_words(self.alphabet, self.bound))
-        return BoundedLang(self.alphabet, self.bound, allw - self.words)
-
-    def left_quotient(self, u) -> "BoundedLang":
-        """u^{-1}L up to bound - |u| (empty at bound 0 when u is too long)."""
-        b = max(0, self.bound - len(u))
-        kept = frozenset(
-            w[len(u):] for w in self.words if w[: len(u)] == tuple(u)
-        )
-        return BoundedLang(self.alphabet, b, frozenset(w for w in kept if len(w) <= b))
-
-    def right_quotient(self, v) -> "BoundedLang":
-        b = max(0, self.bound - len(v))
-        n = len(v)
-        kept = frozenset(w[: len(w) - n] for w in self.words if n <= len(w) and w[len(w) - n:] == tuple(v))
-        return BoundedLang(self.alphabet, b, frozenset(w for w in kept if len(w) <= b))
-
-    def __len__(self):
-        return len(self.words)

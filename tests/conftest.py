@@ -129,3 +129,49 @@ def table_by_mul(elements, index, mul):
     """Reference for ``regular.generate_monoid``'s table: one ``mul`` call
     per pair of elements."""
     return tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
+
+
+# ---------------------------------------------------------------------------
+# the pair morphism's defining formula, word by word: the reference oracle
+# for ``semidirect.verify_recognizer``'s exact check
+
+
+def marked_class_word(dd, word, i):
+    """Letter of the class of ``word`` marked at position i (1-based)."""
+    ext = dd.ext
+    left = dd.pi.mu(ext.symbol(a, ()) for a in word[:i - 1])
+    right = dd.pi.mu(ext.symbol(a, ()) for a in word[i:])
+    return dd.classify(left, ext.base.index(word[i - 1]), right)
+
+
+def class_word(dd, word):
+    """(class word, plain image) of a word: the marked-class letter of every
+    position and the word's image in the plain part.  The plain prefix and
+    suffix images of all positions come from one pass each over the letter
+    images (``marked_class_word`` resolves one position on its own)."""
+    tab = dd.pi.monoid.table
+    amb = [dd.m_elems[p] for p in dd.p_img]  # ambient plain letter images
+    idx = [dd.ext.base.index(a) for a in word]
+    pre = [dd.pi.monoid.identity]
+    for i in idx:
+        pre.append(tab[pre[-1]][amb[i]])
+    letters, suf = [], dd.pi.monoid.identity
+    for p in reversed(range(len(idx))):
+        letters.append(dd.classify(pre[p], idx[p], suf))
+        suf = tab[amb[idx[p]]][suf]
+    return tuple(reversed(letters)), dd.m_mon.prod(dd.p_img[i] for i in idx)
+
+
+def s_of_letters(etaq, letters):
+    """The S-element of a class word: its letters' evaluations multiplied."""
+    return etaq.s_mon.prod(etaq.ev[x] for x in letters)
+
+
+def check_h_formula(etaq, hm, words) -> bool:
+    """h(w) = (product of letter evaluations along w, plain image of w) on
+    every given word."""
+    for w in words:
+        letters, m = class_word(etaq.dd, w)
+        if hm.h(w) != (s_of_letters(etaq, letters), m):
+            return False
+    return True

@@ -178,7 +178,7 @@ def test_criterion_6_recognizer_equivalence():
         for gens, ext, ba in _recognizer_instances(A, reg, 5, caps):
             nv = named_monoid(next(nv_names))
             dd = decompose(ba, ext, caps)
-            report = verify_recognizer(dd, nv, caps, hbound=5)
+            report = verify_recognizer(dd, nv, caps)
             assert report.passed, (syms, count, report.counterexample)
             count += 1
     assert count >= 10

@@ -47,7 +47,7 @@ def test_generator_must_be_inside_the_carrier():
 def test_top_bottom_and_membership():
     ba = finba.generate("abcd", [frozenset("ab")])
     assert ba.top == frozenset("abcd")
-    assert ba.bottom == frozenset()
+    assert ba.member(frozenset())
     assert ba.member(frozenset("ab"))
     assert ba.member(frozenset("abcd"))
     assert not ba.member(frozenset("b"))  # cuts the atom {a,b}

@@ -517,13 +517,6 @@ def test_stamp_mu_is_a_congruence_for_language_membership():
                             lang.accepts(x + v + y)
 
 
-def test_quotient_set_matches_word_quotients():
-    st_ = syntactic_stamp(contains_a_dfa())
-    qs = st_.quotient_set(st_.accepting, st_.mu(("a",)), st_.monoid.identity)
-    # a^{-1} L = everything
-    assert qs == frozenset(range(2))
-
-
 # ---------------------------------------------------------------------------
 # algebras of recognized languages
 
@@ -544,7 +537,7 @@ def test_marked_universe_stamp_recognizes_eight_languages():
     assert ba.contains(plain_universe_dfa(ext))
     assert ba.contains(zero_part_dfa(ext))
     assert ba.contains(universal_dfa(ext.symbols))
-    assert ba.is_quotient_closed()
+    assert ba.quotient_witness() is None
 
 
 def test_quotient_closure_of_the_empty_language():
@@ -591,7 +584,6 @@ def test_merged_atoms_are_not_quotient_closed():
     ba = RegularBA(stamp, (merged, frozenset(range(3)) - merged))
     # the left quotient of the merged atom by a{x} is the plain words alone,
     # which is not a union of atoms
-    assert not ba.is_quotient_closed()
     u, v, side, a = ba.quotient_witness()
     mu = stamp.mu
     assert any(mu(u) in b and mu(v) in b for b in ba.blocks)

@@ -33,20 +33,12 @@ from wordlogic.errors import CapExceeded, InvariantViolated
 from wordlogic.regular import (Dfa, FinMonoid, cayley_dfa, generate_monoid,
                                image_dfa, syntactic_stamp, universal_dfa)
 from wordlogic.sampling import MONOID_QUANTIFIERS
-from wordlogic.semidirect import (
-    Biaction,
-    ClassWordProduct,
-    check_h_formula,
-    class_word,
-    eta_quotient,
-    h_morphism,
-    marked_class_word,
-    transfer_dfa,
-)
+from wordlogic.semidirect import Biaction, eta_quotient, h_morphism, transfer_dfa
 from wordlogic.suites import _recognizer_instances, named_monoid, run_suite
 from wordlogic.words import parse_word
 
-from conftest import left_quotient, right_quotient
+from conftest import (check_h_formula, class_word, left_quotient,
+                      marked_class_word, right_quotient, s_of_letters)
 
 
 def trivial_biaction(smon, mmon):
@@ -279,18 +271,19 @@ def test_eta_with_trivial_target_collapses_to_the_plain_part():
 
 
 def test_eta_quotient_inconsistent_actions_are_typed_errors(monkeypatch):
-    import wordlogic.semidirect as sd
+    # the actions are read along the edges that first reach each element
+    # of S; swapping two of them breaks the actions on other edges.  (A
+    # changed ``left_letter`` cannot reach this check: S is generated freely
+    # in the variety of the target, so every map of letters induces a well
+    # defined action on it.)
+    real = semidirect.first_edges
 
-    real = sd.generate_monoid
-
-    def wrong_reps(*args, **kwargs):
-        elems, index, mon, reps = real(*args, **kwargs)
-        if kwargs.get("stage", "").startswith("evaluation monoid"):
-            reps = (reps[0], reps[2], reps[1]) + reps[3:]
-        return elems, index, mon, reps
+    def swapped(edges):
+        first = real(edges)
+        return [first[1], first[0]] + first[2:]
 
     dd, _ = eta_setup("Z3")
-    monkeypatch.setattr(sd, "generate_monoid", wrong_reps)
+    monkeypatch.setattr(semidirect, "first_edges", swapped)
     with pytest.raises(InvariantViolated) as exc:
         eta_quotient(dd, named_monoid("Z3"))
     assert exc.value.info["stage"] == "eta_quotient"
@@ -298,7 +291,7 @@ def test_eta_quotient_inconsistent_actions_are_typed_errors(monkeypatch):
 
 def test_eta_letter_products_live_in_s():
     _, etaq = eta_setup("U1")
-    s = etaq.s_of_letters([0, 1, 0])
+    s = s_of_letters(etaq, [0, 1, 0])
     assert 0 <= s < len(etaq.s_mon)
 
 
@@ -313,7 +306,7 @@ def test_h_of_the_empty_word_is_the_identity_pair():
 def test_h_is_a_morphism_and_matches_the_letterwise_formula():
     dd, etaq = eta_setup("Z2")
     hm = h_morphism(etaq)
-    assert check_h_formula(etaq, hm, 5)
+    assert check_h_formula(etaq, hm, enumerate_words(dd.ext.base, 5))
     mu = hm.stamp.mu
     words = list(enumerate_words(dd.ext.base, 3))
     for u in words:
@@ -332,14 +325,14 @@ def test_recognizer_on_the_letter_instance(nv_name):
     _, phi_dfa = formula_dfa(parse("P[a](x)"), A, ("x",), 5)
     ba = quotient_closure([phi_dfa, image_dfa(ext)])
     dd = decompose(ba, ext)
-    report = verify_recognizer(dd, named_monoid(nv_name), hbound=4)
+    report = verify_recognizer(dd, named_monoid(nv_name))
     assert report.passed, report.counterexample
 
 
 def test_recognizer_on_the_one_letter_instance():
     ext, ba = marked_universe_algebra("a")
     dd = decompose(ba, ext)
-    report = verify_recognizer(dd, named_monoid("Z2"), hbound=5)
+    report = verify_recognizer(dd, named_monoid("Z2"))
     assert report.passed, report.counterexample
 
 
@@ -354,7 +347,7 @@ def oracle_verify(dd, nv, hbound):
     stats = {"letters": len(dd.t_blocks), "evaluations": len(etaq.homs),
              "s_monoid": len(etaq.s_mon), "plain_monoid": len(dd.m_mon),
              "pair_monoid": len(hm.stamp.monoid)}
-    if not check_h_formula(etaq, hm, hbound):
+    if not check_h_formula(etaq, hm, enumerate_words(dd.ext.base, hbound)):
         return False, stats
     left = set()
     for e in range(len(hm.stamp.monoid)):
@@ -426,13 +419,13 @@ def test_recognizer_verdict_and_stats_match_the_cell_by_cell_oracle(text):
     for c, nv_name in itertools.product(letters, TARGETS):
         _, dd = family(text.replace("[c]", f"[{c}]"))
         nv = named_monoid(nv_name)
-        report = verify_recognizer(dd, nv, hbound=4)
+        report = verify_recognizer(dd, nv)
         assert (report.passed, report.stats) == oracle_verify(dd, nv, 4), \
             (c, nv_name, report.counterexample)
         assert report.passed, (c, nv_name, report.counterexample)
         if len(dd.d0_blocks) > 1:
             bad = merged_plain_blocks(dd)
-            report = verify_recognizer(bad, nv, hbound=4)
+            report = verify_recognizer(bad, nv)
             assert (report.passed, report.stats) == oracle_verify(bad, nv, 4), \
                 (c, nv_name, report.counterexample)
 
@@ -447,6 +440,22 @@ def test_class_word_resolves_every_position_as_marked_class_word(text):
                           for i in range(1, len(w) + 1)),
                     dd.m_mon.prod(dd.p_img[base.index(a)] for a in w))
             assert class_word(dd, w) == want, (c, w)
+
+
+@pytest.mark.parametrize("text", PROPERTIES)
+def test_induced_actions_are_the_letter_actions_along_any_word(text):
+    for c, nv_name in itertools.product("ab" if "[c]" in text else "a", TARGETS):
+        _, dd = family(text.replace("[c]", f"[{c}]"))
+        etaq = eta_quotient(dd, named_monoid(nv_name))
+        k = len(dd.t_blocks)
+        for w in itertools.chain.from_iterable(
+                itertools.product(range(k), repeat=n) for n in range(5)):
+            s = s_of_letters(etaq, w)
+            for m in range(len(dd.m_mon)):
+                lw = [dd.left_letter[m][x] for x in w]
+                rw = [dd.right_letter[x][m] for x in w]
+                assert etaq.ell[m][s] == s_of_letters(etaq, lw), (c, nv_name, w)
+                assert etaq.err[s][m] == s_of_letters(etaq, rw), (c, nv_name, w)
 
 
 def test_unknown_monoid_and_suite_names_are_parse_errors():
@@ -465,14 +474,14 @@ def cell_of(dd, etaq, word):
     """(S-element of the class word, plain-part class) of a word."""
     letters, m = class_word(dd, word)
     block = next(j for j, b in enumerate(dd.d0_blocks) if dd.m_elems[m] in b)
-    return etaq.s_of_letters(letters), block
+    return s_of_letters(etaq, letters), block
 
 
 def test_merged_plain_classes_fail_with_a_replayable_witness():
     ext, dd = family("P[a](x) & R[last](x)")
     assert len(dd.d0_blocks) == 2
     bad = merged_plain_blocks(dd)
-    report = verify_recognizer(bad, named_monoid("Z3"), hbound=4)
+    report = verify_recognizer(bad, named_monoid("Z3"))
     assert not report.passed
     assert "share a cell but lie in different pair-morphism classes" \
         in report.counterexample
@@ -483,75 +492,54 @@ def test_merged_plain_classes_fail_with_a_replayable_witness():
     assert cell_of(bad, etaq, u) == cell_of(bad, etaq, v)
 
 
+def formula_word(report, ext):
+    """The word of a report that h and its defining formula disagree on."""
+    w = re.match(r"the pair morphism sends (\S+) to", report.counterexample)
+    return parse_word(w.group(1), ext.base.symbols)
+
+
 def test_a_changed_letter_evaluation_fails_with_a_replayable_witness():
     ext, dd = family("E1 y. y < x & P[a](y)")
     # the marked letter a alone gets the class letter of another marked
-    # element, so h sends a to another evaluation; the bounded formula
-    # check at length <= 1 reads both sides through the same change
+    # element: h and the class words both read the change, but h extends it
+    # through the actions on S, which the change leaves as they were
     q = dd.q_img[0]
     other = next(x for x in range(len(dd.t_blocks)) if x != dd.t_letter[q])
     bad = dataclasses.replace(dd, t_letter={**dd.t_letter, q: other})
     nv = named_monoid("Z2")
-    report = verify_recognizer(bad, nv, hbound=1)
+    report = verify_recognizer(bad, nv)
     assert not report.passed
-    assert oracle_verify(bad, nv, 1)[0] is False
-    u, v = witness_words(report, ext)
+    assert oracle_verify(bad, nv, 4)[0] is False
+    w = formula_word(report, ext)
     etaq = eta_quotient(bad, nv)
     hm = h_morphism(etaq)
-    assert (hm.h(u) == hm.h(v)) != (cell_of(bad, etaq, u) == cell_of(bad, etaq, v))
+    assert check_h_formula(etaq, hm, enumerate_words(ext.base, len(w) - 1))
+    assert not check_h_formula(etaq, hm, [w])
 
 
-# ---------------------------------------------------------------------------
-# capped products of class words
+def test_h_is_checked_on_words_past_any_length_bound(monkeypatch):
+    ext, dd = family("E1 y. y < x & P[a](y)")
+    nv = named_monoid("Z3")
+    real = semidirect.h_morphism
+    hm = real(eta_quotient(dd, nv))
+    # wrong only at the element with the longest shortest word
+    e = max(range(len(hm.pair_of)), key=lambda i: len(hm.stamp.reps[i]))
+    assert len(hm.stamp.reps[e]) > 4
+    pair_of = hm.pair_of[:e] + (hm.pair_of[0],) + hm.pair_of[e + 1:]
 
+    def wrong_at_e(etaq, *caps):
+        return dataclasses.replace(real(etaq, *caps), pair_of=pair_of)
 
-def test_class_word_product_identity_and_concatenation():
-    ext, ba = marked_universe_algebra("ab")
-    dd = decompose(ba, ext)
-    cwp = ClassWordProduct(dd, lengthcap=8)
-    e = cwp.of_word(())
-    assert e == ((), dd.m_mon.identity)
-    p = cwp.of_word(("a", "b"))
-    assert cwp.mul(e, p) == p
-    assert cwp.mul(p, e) == p
-    # with a trivial plain monoid the product is concatenation
-    q = cwp.of_word(("b",))
-    assert cwp.mul(p, q)[0] == p[0] + q[0]
-
-
-def test_class_word_product_matches_word_concatenation():
-    A = Alphabet.of("ab")
-    ext = ExtendedAlphabet(A, ("x",))
-    _, phi_dfa = formula_dfa(parse("R[first](x)"), A, ("x",), 5)
-    ba = quotient_closure([phi_dfa, image_dfa(ext)])
-    dd = decompose(ba, ext)
-    cwp = ClassWordProduct(dd, lengthcap=12)
-    words = [(), ("a",), ("b", "a"), ("a", "b", "b")]
-    for u in words:
-        for v in words:
-            assert cwp.mul(cwp.of_word(u), cwp.of_word(v)) == \
-                cwp.of_word(u + v)
-
-
-def test_class_word_product_associates_on_samples():
-    ext, ba = marked_universe_algebra("ab")
-    dd = decompose(ba, ext)
-    cwp = ClassWordProduct(dd, lengthcap=16)
-    ws = [("a",), ("b", "b"), ("a", "b")]
-    for u, v, w in itertools.product(ws, repeat=3):
-        pu, pv, pw = map(cwp.of_word, (u, v, w))
-        assert cwp.mul(cwp.mul(pu, pv), pw) == cwp.mul(pu, cwp.mul(pv, pw))
-
-
-def test_class_word_product_cap():
-    from wordlogic import CapExceeded
-
-    ext, ba = marked_universe_algebra("a")
-    dd = decompose(ba, ext)
-    cwp = ClassWordProduct(dd, lengthcap=3)
-    p = cwp.of_word(("a", "a"))
-    with pytest.raises(CapExceeded):
-        cwp.mul(p, p)
+    monkeypatch.setattr(semidirect, "h_morphism", wrong_at_e)
+    etaq = eta_quotient(dd, nv)
+    bad = wrong_at_e(etaq)
+    assert check_h_formula(etaq, bad, enumerate_words(ext.base, 4))
+    report = verify_recognizer(dd, nv)
+    assert not report.passed
+    assert verify_recognizer(dd, nv, hbound=4).to_dict() == report.to_dict()
+    w = formula_word(report, ext)
+    assert w == bad.stamp.reps[e]
+    assert not check_h_formula(etaq, bad, [w])
 
 
 def test_eta_quotient_stops_before_the_product_passes_its_cap():
@@ -614,8 +602,7 @@ def test_verify_recognizer_never_builds_s_times_m(monkeypatch):
     cases += [(quotient_closure(dfas), ext, "Z3") for dfas in families]
     assert len(cases) == 23
     for ba, ext, target in cases:
-        report = verify_recognizer(decompose(ba, ext), named_monoid(target),
-                                   hbound=4)
+        report = verify_recognizer(decompose(ba, ext), named_monoid(target))
         assert report.passed, (target, report.counterexample)
 
 
@@ -624,7 +611,7 @@ def test_two_property_families_verify_within_budget():
     t0 = time.perf_counter()
     for dfas in families:
         dd = decompose(quotient_closure(dfas), ext)
-        assert verify_recognizer(dd, named_monoid("Z3"), hbound=4).passed
+        assert verify_recognizer(dd, named_monoid("Z3")).passed
     assert time.perf_counter() - t0 < 2.0
 
 

@@ -8,7 +8,6 @@ from wordlogic import (
     BoundTooSmall,
     ExtendedAlphabet,
     MarkedWord,
-    MissingMachinery,
     ParseError,
     Quant,
     decode,
