@@ -4,7 +4,10 @@
 Builds the algebra of position classes induced by generator formulas,
 spells a few words in its atom letters, substitutes the atom letters of a
 sentence back into formulas over the base alphabet, and verifies that the
-two routes define the same language at the bound.
+two routes define the same language at the bound.  Then it pulls the
+atom-word language "some position is c0" back through the position
+transduction to an exact automaton over the base alphabet, and compares
+that automaton with the atom words of every word up to the bound.
 """
 
 import argparse
@@ -13,6 +16,7 @@ import sys
 from wordlogic import (
     Alphabet,
     DEFAULT_REGISTRY,
+    Dfa,
     parse,
     to_dsl,
 )
@@ -21,6 +25,7 @@ from wordlogic.substitution import (
     delta_algebra,
     sigma,
     tau_word,
+    w_odot_c,
 )
 from wordlogic.words import enumerate_words, format_word
 
@@ -58,7 +63,18 @@ def main(argv=None) -> int:
     report = check_substitution_principle(delta, psi, bound=args.maxlen,
                                           registry=reg)
     print(report.line())
-    return 0 if report.passed else 1
+
+    syms = delta.atom_alphabet().symbols
+    some_c0 = Dfa(syms, (tuple(int(i == 0) for i in range(len(syms))),
+                         (1,) * len(syms)), 0, frozenset({1}))
+    pre = w_odot_c([some_c0], delta).preimages[0]
+    words = list(enumerate_words(A, args.maxlen))
+    agrees = all(pre.accepts(w) == ("c0" in tau_word(delta, w)) for w in words)
+    print(f"preimage of 'some position is c0': {pre.n} states over "
+          f"{'.'.join(pre.alphabet)}, "
+          f"{'agrees' if agrees else 'DISAGREES'} with the atom words of all "
+          f"{len(words)} words of length <= {args.maxlen}")
+    return 0 if report.passed and agrees else 1
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ from .logic import (DEFAULT_REGISTRY, FALSE, And, Falsum, LetterPred, Not,
                     free_vars, letters_of, map_vars, models, neg, parse,
                     parse_formula_file, registry_from_json, relabel,
                     rename_bound, satisfies, to_dsl)
-from .regular import (Dfa, FinMonoid, RegularBA, Stamp, dfa_from_bounded,
-                      empty_dfa, factor_stamp, generate_monoid, image_dfa,
+from .regular import (Dfa, FinMonoid, RegularBA, Stamp, empty_dfa,
+                      factor_stamp, generate_monoid, image_dfa,
                       mark_count_dfa, plain_universe_dfa, quotient_closure,
                       recognized_languages, syntactic_stamp,
                       syntactic_stamp_of_family, universal_dfa, zero_part_dfa)
@@ -40,8 +40,7 @@ from .suites import named_monoid, run_suite
 from .varcode import (LiftedAlgebra, decode, decode_multi, encode,
                       encode_multi, lift_delta, phi_sentence, roundtrip_check,
                       sigma_source, zeta_relabel)
-from .words import (Alphabet, BoundedLang, ExtendedAlphabet, MarkedWord,
-                    decode_marks, embed_marked, encode_marks,
-                    enumerate_marked, enumerate_words, format_word,
-                    in_marked_image, mark_alphabet, parse_marks, parse_word,
-                    subsets_in_order)
+from .words import (Alphabet, ExtendedAlphabet, MarkedWord, decode_marks,
+                    embed_marked, encode_marks, enumerate_marked,
+                    enumerate_words, format_word, in_marked_image,
+                    mark_alphabet, parse_marks, parse_word, subsets_in_order)

@@ -48,7 +48,10 @@ def _alphabet(args) -> Alphabet:
     if not getattr(args, "alphabet", None):
         raise ParseError("--alphabet is required for this command")
     spec = args.alphabet
-    return Alphabet.of(split_names(spec) if "," in spec else spec)
+    alphabet = Alphabet.of(split_names(spec) if "," in spec else spec)
+    if not alphabet.symbols:
+        raise ParseError(f"--alphabet {spec!r} names no symbols")
+    return alphabet
 
 
 def _registry(args):
@@ -413,13 +416,11 @@ def cmd_sdp(args) -> int:
 
 def cmd_verify(args) -> int:
     reg = _registry(args)
-    alphabet = args.alphabet or "ab"
-    reports = run_suite(args.suite, alphabet, args.maxlen, args.seed,
+    A = _alphabet(args)
+    reports = run_suite(args.suite, A, args.maxlen, args.seed,
                         reg if args.registry else None, args.caps)
     payload = {"kind": "verify", "suite": args.suite,
-               "alphabet": list(Alphabet.of(
-                   split_names(alphabet) if "," in alphabet
-                   else alphabet).symbols),
+               "alphabet": list(A.symbols),
                "maxlen": args.maxlen, "seed": args.seed,
                "passed": all(r.passed for r in reports),
                "reports": [r.to_dict() for r in reports]}

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import caps as _caps
 from .errors import BoundTooSmall, CapExceeded, ParseError
-from .words import BoundedLang, ExtendedAlphabet, check_table
+from .words import ExtendedAlphabet
 
 
 # ---------------------------------------------------------------------------
@@ -724,24 +724,3 @@ def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT) -> Dfa:
         f"no automaton consistent with the data was found at bound {bound}: "
         f"{refuted}; a larger bound may be needed",
         stage="automaton inference", bound=bound, states=largest)
-
-
-def dfa_from_bounded(lang: BoundedLang, caps: _caps.Caps = _caps.DEFAULT) -> Dfa:
-    """Infer the automaton behind bounded language data: the words of
-    ``lang`` are marked in the membership table of all words of length <=
-    bound over its alphabet (a word with a letter outside the alphabet
-    marks nothing), and ``infer_dfa`` reads the automaton off the table."""
-    syms = tuple(lang.alphabet)
-    k = len(syms)
-    check_table("inference word table", k, 0, lang.bound, caps)
-    off = shortlex_offsets(k, lang.bound)
-    col = {s: i for i, s in enumerate(syms)}
-    rows = [[] for _ in range(lang.bound + 1)]  # letter indices, by length
-    for w in lang.words:
-        if all(s in col for s in w):
-            rows[len(w)].append([col[s] for s in w])
-    member = np.zeros(off[-1], dtype=bool)
-    for n, words in enumerate(rows):
-        letters = np.array(words, dtype=np.int64).reshape(len(words), n)
-        member[word_ids(letters, k, off)] = True
-    return infer_dfa(syms, lang.bound, member, caps)

@@ -182,7 +182,6 @@ class DecomposedD:
     m_elems: tuple
     m_index: dict = field(compare=False, repr=False)
     m_mon: FinMonoid = None
-    m_reps: tuple = None
     p_img: tuple = None      # per base symbol: position in m_mon
     q_img: tuple = None      # per base symbol: ambient element of the marked letter
     t_elems: tuple = None
@@ -204,15 +203,24 @@ class DecomposedD:
         return self.t_letter[t]
 
 
-def _part_reachability(pi: Stamp, ext: ExtendedAlphabet):
-    """For each ambient element, which mark counts (0, 1, 2+) reach it."""
-    var = ext.ctx[0]
-    marks = tuple(int(var in ext.split(s)[1]) for s in ext.symbols)
+def _letter_images(ext: ExtendedAlphabet, stamp: Stamp):
+    """The plain and the marked image of each base symbol under a stamp over
+    the one-mark alphabet ``ext``: a{} is column 2i of ``stamp.letters`` and
+    a{x} column 2i + 1.  Any other stamp is refused."""
+    if len(ext.ctx) != 1 or tuple(stamp.alphabet) != tuple(ext.symbols):
+        raise ParseError(f"a stamp over {stamp.alphabet} is not over the "
+                         f"one-mark alphabet {ext.symbols}")
+    return stamp.letters[0::2], stamp.letters[1::2]
+
+
+def _part_reachability(pi: Stamp):
+    """For each ambient element, which mark counts (0, 1, 2+) reach it; the
+    stamp is over a one-mark alphabet, whose odd columns are marked."""
     tab = pi.monoid.table
     order, _, _ = closure(
         (pi.monoid.identity, 0),
-        lambda mc: [(tab[mc[0]][lt], min(2, mc[1] + k))
-                    for lt, k in zip(pi.letters, marks)])
+        lambda mc: [(tab[mc[0]][lt], min(2, mc[1] + (c & 1)))
+                    for c, lt in enumerate(pi.letters)])
     reach = [set() for _ in range(len(pi.monoid))]
     for m, c in order:
         reach[m].add(c)
@@ -227,15 +235,12 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = DEFAULT) -> Dec
     (two-or-more-marks) part must be the two-element algebra, and it must
     contain the marked part or the sink part as an element.
     """
-    if len(ext.ctx) != 1:
-        raise ParseError("decomposition needs a one-mark alphabet")
-    if tuple(ba.stamp.alphabet) != tuple(ext.symbols):
-        raise ParseError("algebra alphabet does not match the extended alphabet")
     pi = ba.stamp
+    p_amb, q_amb = _letter_images(ext, pi)
     tab = pi.monoid.table
     n = len(pi.monoid)
 
-    reach = _part_reachability(pi, ext)
+    reach = _part_reachability(pi)
     m_set = frozenset(i for i in range(n) if 0 in reach[i])
     t_set = frozenset(i for i in range(n) if 1 in reach[i])
     z_set = frozenset(i for i in range(n) if 2 in reach[i])
@@ -266,12 +271,8 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = DEFAULT) -> Dec
                                 stage="decompose")
 
     # plain part as a monoid of its own
-    base = ext.base
-    var = ext.ctx[0]
-    p_amb = tuple(pi.mu((ext.symbol(a, ()),)) for a in base.symbols)
-    q_amb = tuple(pi.mu((ext.symbol(a, (var,)),)) for a in base.symbols)
-    m_elems, m_index, m_mon, m_reps = generate_monoid(
-        pi.monoid.identity, list(zip(base.symbols, p_amb)),
+    m_elems, m_index, m_mon, _ = generate_monoid(
+        pi.monoid.identity, list(zip(ext.base.symbols, p_amb)),
         lambda x, y: tab[x][y], caps)
     if frozenset(m_elems) != m_set:
         raise InvariantViolated("the plain letters do not generate the plain "
@@ -302,7 +303,7 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = DEFAULT) -> Dec
 
     return DecomposedD(
         ext=ext, ba=ba, pi=pi, m_elems=tuple(m_elems), m_index=m_index,
-        m_mon=m_mon, m_reps=m_reps, p_img=p_img, q_img=q_amb,
+        m_mon=m_mon, p_img=p_img, q_img=q_amb,
         t_elems=t_elems, t_blocks=t_blocks, t_letter=t_letter,
         d0_blocks=d0_blocks, z_elems=z_set,
         left_letter=left_letter, right_letter=right_letter)
@@ -436,50 +437,55 @@ def h_morphism(etaq: EtaQuotient, caps: Caps = DEFAULT) -> HMorphism:
 # the transfer automaton: runs a classifier over per-position classes
 # ---------------------------------------------------------------------------
 
-def transfer_states(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
-                    caps: Caps = DEFAULT):
+def transfer_states(ext: ExtendedAlphabet, stamp: Stamp, letter_of,
+                    kdfa: Dfa, caps: Caps = DEFAULT):
     """States and transitions of the automaton that runs the classifier K
     over the per-position class word of the word read.
 
-    ``syms`` is the base alphabet; ``p_img``/``mark_img`` give each symbol's
-    plain and marked images in an ambient monoid with ``mul``/``identity``;
-    ``letter_of`` maps an ambient marked element to a column index of
-    ``kdfa``.  A state (m, F) holds the plain image m of the prefix,
-    together with one K-state per pair of outer contexts (future left/right
-    plain images), so that the class of every position can be resolved
-    before the surrounding word is known.  ``F[0]`` is the K-state of the
-    identity contexts: K's state after the class word of the word read.
-    Returns the states in discovery order from the start and their
-    successor rows.
+    ``stamp`` maps the words over the one-mark alphabet ``ext`` onto an
+    ambient monoid (any other stamp is refused with ParseError); the plain
+    and marked images of the base symbols are read off its letters by
+    column.  ``letter_of`` maps the ambient image of a word with one marked
+    position to a column index of ``kdfa``.  A state (m, F) holds the plain
+    image m of the prefix, together with one K-state per pair of outer
+    contexts (future left/right plain images), so that the class of every
+    position can be resolved before the surrounding word is known.
+    ``F[0]`` is the K-state of the identity contexts: K's state after the
+    class word of the word read.  Returns the states in discovery order from
+    the start and their successor rows.
     """
+    p_img, mark_img = _letter_images(ext, stamp)
+    tab = stamp.monoid.table
     # the submonoid of plain images, identity first
-    mlist, pos, msucc = closure(identity, lambda m: [mul(m, p_img[a]) for a in syms])
+    mlist, pos, msucc = closure(stamp.monoid.identity,
+                                lambda m: [tab[m][p] for p in p_img])
     kk = len(mlist)
     # precomputed: for each symbol, p_a . r and q_a . r for every context r
-    row_r = {a: tuple(pos[mul(p_img[a], r)] for r in mlist) for a in syms}
-    mid = {a: tuple(mul(mark_img[a], r) for r in mlist) for a in syms}
+    row_r = [tuple(pos[tab[p][r]] for r in mlist) for p in p_img]
+    mid = [tuple(tab[q][r] for r in mlist) for q in mark_img]
+    kdelta = kdfa.delta
 
     def step(st):
         mp, F = st
-        lm = tuple(mul(r, mlist[mp]) for r in mlist)
-        return [(msucc[mp][ai],
-                 tuple(kdfa.delta[F[i * kk + row_r[a][j]]][letter_of(mul(lm[i], mid[a][j]))]
+        lm = tuple(tab[r][mlist[mp]] for r in mlist)
+        return [(succ,
+                 tuple(kdelta[F[i * kk + rows[j]]][letter_of(tab[lm[i]][mids[j]])]
                        for i in range(kk) for j in range(kk)))
-                for ai, a in enumerate(syms)]
+                for succ, rows, mids in zip(msucc[mp], row_r, mid)]
 
     order, _, delta = closure((0, (kdfa.init,) * (kk * kk)), step,
                               caps.dfa_states, "transfer automaton")
     return order, delta
 
 
-def transfer_dfa(syms, mul, identity, p_img, mark_img, letter_of, kdfa: Dfa,
+def transfer_dfa(ext: ExtendedAlphabet, stamp: Stamp, letter_of, kdfa: Dfa,
                  caps: Caps = DEFAULT) -> Dfa:
-    """Automaton for { w : K accepts the per-position class word of w }, on
-    the states of ``transfer_states`` (same arguments)."""
-    order, delta = transfer_states(syms, mul, identity, p_img, mark_img,
-                                   letter_of, kdfa, caps)
+    """Automaton over the base alphabet of ``ext`` for { w : K accepts the
+    per-position class word of w }, on the states of ``transfer_states``
+    (same arguments), not minimized."""
+    order, delta = transfer_states(ext, stamp, letter_of, kdfa, caps)
     accepting = frozenset(i for i, st in enumerate(order) if st[1][0] in kdfa.accepting)
-    return Dfa(alphabet=tuple(syms), delta=tuple(delta), init=0,
+    return Dfa(alphabet=ext.base.symbols, delta=tuple(delta), init=0,
                accepting=accepting)
 
 
@@ -506,17 +512,8 @@ def compile_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
                            for s in range(len(quant.monoid))),
                init=quant.monoid.identity,
                accepting=frozenset(quant.accept))
-    var = ext.ctx[0]
-    p_img = {a: mu.letter(ext.symbol(a, ())) for a in ext.base.symbols}
-    mark_img = {a: mu.letter(ext.symbol(a, (var,))) for a in ext.base.symbols}
-
-    def letter_of(t):
-        return 1 if t in acc else 0
-
-    out = transfer_dfa(ext.base.symbols, lambda x, y: mu.monoid.table[x][y],
-                       mu.monoid.identity, p_img, mark_img, letter_of, kdfa,
-                       caps)
-    return out.minimize()
+    return transfer_dfa(ext, mu, lambda t: int(t in acc), kdfa,
+                        caps).minimize()
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +563,8 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
 
     syms = dd.base_symbols
     kdfa = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, ())
-    tstates, tdelta = transfer_states(
-        syms, lambda x, y: dd.pi.monoid.table[x][y], dd.pi.monoid.identity,
-        {a: dd.pi.letter(dd.ext.symbol(a, ())) for a in syms},
-        dict(zip(syms, dd.q_img)), dd.t_letter.__getitem__, kdfa, caps)
+    tstates, tdelta = transfer_states(dd.ext, dd.pi, dd.t_letter.__getitem__,
+                                      kdfa, caps)
     htab, mtab = hm.stamp.monoid.table, dd.m_mon.table
     letters = tuple(enumerate(zip(hm.stamp.letters, dd.p_img)))
     triples, _, edges = closure(

@@ -21,16 +21,15 @@ from . import finba
 from .caps import DEFAULT, Caps
 from .errors import BoundTooSmall, CapExceeded, ParseError
 from .logic import (And, Formula, LetterPred, Registry, DEFAULT_REGISTRY, conj,
-                    neg, free_vars, all_vars, in_range, map_atoms, map_vars,
-                    marked_truth, models, rename_bound, satisfies, to_dsl,
-                    truth_table)
-from .regular import (Dfa, dfa_from_bounded, shortlex_offsets, shortlex_rows,
-                      syntactic_stamp_of_family, word_ids)
+                    neg, free_vars, all_vars, embedded_ids, in_range,
+                    map_atoms, map_vars, marked_truth, models, rename_bound,
+                    satisfies, to_dsl, truth_table)
+from .regular import (Dfa, image_dfa, infer_dfa, shortlex_offsets,
+                      shortlex_rows, syntactic_stamp_of_family, word_ids)
 from .report import Report
 from .semidirect import transfer_dfa
-from .words import (Alphabet, BoundedLang, ExtendedAlphabet, MarkedWord,
-                    check_table, embed_marked, enumerate_marked,
-                    enumerate_words, mark_alphabet)
+from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_table,
+                    enumerate_marked, enumerate_words, mark_alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -431,64 +430,53 @@ def circ_closure(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
 class AtomTransduction:
     """Regular presentation of the position-classifying transduction.
 
-    Built from the embedded atom languages of a marked-word algebra: the
-    joint syntactic morphism of the embeddings, the plain and marked letter
-    images, and the atom of every marked class.  ``preimage(K)`` is the
-    exact regular language of plain words whose atom word lands in K.
+    Built from the embedded atom languages of a one-mark formula algebra:
+    their joint syntactic stamp over the one-mark alphabet ``ext`` and the
+    atom of every marked class.  ``preimage(K)`` is the exact regular
+    language of plain words whose atom word lands in K.
     """
 
     ext: ExtendedAlphabet
     stamp: object
-    p_img: dict
-    mark_img: dict
     atom_of_class: dict
     atom_count: int
-
-    def letter_of(self, t) -> int:
-        return self.atom_of_class[t]
 
     def preimage(self, kdfa: Dfa, caps: Caps = DEFAULT) -> Dfa:
         """Plain words whose atom word is accepted by ``kdfa`` (a DFA over
         the atom letters c0, c1, ... in atom order)."""
-        tab = self.stamp.monoid.table
-        out = transfer_dfa(self.ext.base.symbols,
-                           lambda x, y: tab[x][y],
-                           self.stamp.monoid.identity,
-                           self.p_img, self.mark_img, self.letter_of, kdfa,
-                           caps)
-        return out.minimize()
+        return transfer_dfa(self.ext, self.stamp, self.atom_of_class.__getitem__,
+                            kdfa, caps).minimize()
 
 
-def atom_transduction(delta_ba: finba.FinBA, alphabet, var, bound,
-                      caps: Caps = DEFAULT) -> AtomTransduction:
-    """Infer DFAs for the embedded atoms of a marked-word algebra and
+def atom_transduction(delta: DeltaAlgebra, caps: Caps = DEFAULT) -> AtomTransduction:
+    """Infer DFAs for the embedded atoms of a one-mark formula algebra and
     package them as a transduction.
 
-    Raises BoundTooSmall if the inferred atom languages fail to classify
-    every marked class unambiguously.
+    Each atom's membership table over the words of length <= ``delta.bound``
+    over the one-mark alphabet is scattered from the algebra's atom table to
+    the ids of the embedded marked words (``logic.embedded_ids``), and its
+    automaton is read off by ``regular.infer_dfa``.  A word table above the
+    enumeration cap is refused first.
     """
-    alphabet = Alphabet.of(alphabet)
-    ext = mark_alphabet(alphabet, var)
-    from .regular import image_dfa
+    ext = mark_alphabet(Alphabet.of(delta.alphabet), delta.var)
+    check_table("inference word table", len(ext), 0, delta.bound, caps)
+    ids = embedded_ids(len(ext.base), 1, delta.bound)
+    size = shortlex_offsets(len(ext), delta.bound)[-1]
     image = image_dfa(ext)
     atom_dfas = []
-    for atom in delta_ba.atoms:
-        emb = frozenset(embed_marked(mw, (var,), ext=ext) for mw in atom)
-        lang = BoundedLang(alphabet=ext, bound=bound, words=emb)
-        d = dfa_from_bounded(lang, caps)
+    for atom in range(delta.atom_count):
+        member = np.zeros(size, dtype=bool)
+        member[ids[delta._atoms == atom]] = True
+        d = infer_dfa(ext.symbols, delta.bound, member, caps)
         atom_dfas.append(d.intersect(image).minimize())
     stamp = syntactic_stamp_of_family(atom_dfas, caps)
-    p_img = {a: stamp.letter(ext.symbol(a, ())) for a in alphabet.symbols}
-    mark_img = {a: stamp.letter(ext.symbol(a, (var,))) for a in alphabet.symbols}
     atom_of_class = {}
-    for t in range(len(stamp.monoid)):
-        rep = stamp.reps[t]
+    for t, rep in enumerate(stamp.reps):
         hits = [i for i, d in enumerate(atom_dfas) if d.accepts(rep)]
         if len(hits) == 1:
             atom_of_class[t] = hits[0]
-    return AtomTransduction(ext=ext, stamp=stamp, p_img=p_img,
-                            mark_img=mark_img, atom_of_class=atom_of_class,
-                            atom_count=len(delta_ba.atoms))
+    return AtomTransduction(ext=ext, stamp=stamp, atom_of_class=atom_of_class,
+                            atom_count=delta.atom_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,42 +489,48 @@ class WOdotC:
     bound: int
 
 
-def w_odot_c(w_dfas, delta_ba: finba.FinBA, alphabet, var, bound,
-             caps: Caps = DEFAULT) -> WOdotC:
+def _accepts_rows(dfa: Dfa, letters, lens) -> np.ndarray:
+    """Which padded rows of letter indices (-1 past the word) ``dfa``
+    accepts, run on all rows at once."""
+    delta = np.asarray(dfa.delta, dtype=np.int64)
+    state = np.full(len(lens), dfa.init, dtype=np.int64)
+    for p in range(letters.shape[1]):
+        state = np.where(p < lens, delta[state, letters[:, p]], state)
+    return np.isin(state, list(dfa.accepting))
+
+
+def w_odot_c(w_dfas, delta: DeltaAlgebra, caps: Caps = DEFAULT) -> WOdotC:
     """Exact preimages of regular languages of atom words.
 
-    ``w_dfas`` are DFAs over the atom letters (c0, c1, ... in the atom
-    order of ``delta_ba``); each is pulled back to an exact DFA over the
-    base alphabet and cross-checked extensionally on all words <= bound.
+    ``w_dfas`` are DFAs over the atom letters of ``delta`` (c0, c1, ... in
+    atom order); each is pulled back to an exact DFA over the base alphabet
+    (``atom_transduction``) and cross-checked extensionally on all words of
+    length <= ``delta.bound``, whose atom words are the algebra's own table
+    (``atom_rows``).
     """
-    alphabet = Alphabet.of(alphabet)
-    td = atom_transduction(delta_ba, alphabet, var, bound, caps)
-    atom_syms = tuple(f"c{i}" for i in range(len(delta_ba.atoms)))
+    td = atom_transduction(delta, caps)
+    atom_syms = delta.atom_alphabet().symbols
+    carrier = tuple(enumerate_words(delta.alphabet, delta.bound, caps))
+    letters, lens, atoms = atom_rows(delta, delta.bound)
     pre = []
     langs = []
-    carrier = tuple(enumerate_words(alphabet, bound, caps))
-    # extensional atom word via the algebra itself
-    def atom_word(wd):
-        return tuple(
-            atom_syms[delta_ba.atom_index_of(MarkedWord(wd, ((var, i),)))]
-            for i in range(1, len(wd) + 1))
-
     for k in w_dfas:
         if tuple(k.alphabet) != atom_syms:
             raise ParseError(f"language alphabet {k.alphabet} does not match "
                              f"the atom letters {atom_syms}")
         d = td.preimage(k, caps)
-        ext_lang = frozenset(wd for wd in carrier if k.accepts(atom_word(wd)))
-        got = frozenset(wd for wd in carrier if d.accepts(wd))
-        if got != ext_lang:
-            diff = next(iter(got ^ ext_lang))
+        want = _accepts_rows(k, atoms, lens)
+        differ = np.flatnonzero(_accepts_rows(d, letters, lens) != want)
+        if len(differ):
             raise BoundTooSmall(
                 f"inferred transduction disagrees with the algebra on "
-                f"{''.join(diff) or '<empty>'}", bound=bound)
+                f"{''.join(carrier[differ[0]]) or '<empty>'}",
+                bound=delta.bound)
         pre.append(d)
-        langs.append(ext_lang)
+        langs.append(frozenset(itertools.compress(carrier, want)))
     ba = finba.generate(carrier, langs, caps)
-    return WOdotC(transduction=td, preimages=tuple(pre), ba=ba, bound=bound)
+    return WOdotC(transduction=td, preimages=tuple(pre), ba=ba,
+                  bound=delta.bound)
 
 
 # ---------------------------------------------------------------------------

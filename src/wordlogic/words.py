@@ -1,4 +1,4 @@
-"""Words, marked words, and bounded languages.
+"""Words and marked words.
 
 A *marked word* is a word together with one 1-based position per context
 variable.  Marked words embed into words over a product alphabet whose
@@ -363,23 +363,3 @@ def parse_marks(text) -> tuple:
             raise ParseError(f"bad mark {part!r} (want var=pos)")
         marks.append((var.strip(), int(pos)))
     return tuple(marks)
-
-
-# ---------------------------------------------------------------------------
-# bounded languages
-
-
-@dataclass(frozen=True)
-class BoundedLang:
-    """A language known only up to a length bound: the words of length
-    <= bound that belong, as an explicit set."""
-
-    alphabet: object
-    bound: int
-    words: frozenset
-
-    def __post_init__(self):
-        check_bound(self.bound)
-        for w in self.words:
-            if len(w) > self.bound:
-                raise ParseError("word longer than the bound")

@@ -74,6 +74,24 @@ def right_quotient(d: Dfa, v) -> Dfa:
     return Dfa(d.alphabet, d.delta, d.init, acc)
 
 
+def member_table(symbols, bound, words) -> np.ndarray:
+    """The membership table of a set of words of length <= bound, in the
+    shortlex numbering of ``regular.infer_dfa``: the oracle's way of giving
+    a language by its words (a word with a letter outside ``symbols`` marks
+    nothing)."""
+    col = {s: i for i, s in enumerate(symbols)}
+    k = len(col)
+    off = shortlex_offsets(k, bound)
+    member = np.zeros(off[-1], dtype=bool)
+    for w in words:
+        if all(s in col for s in w):
+            rank = 0
+            for s in w:
+                rank = rank * k + col[s]
+            member[off[len(w)] + rank] = True
+    return member
+
+
 def probe_bit_infer_dfa(symbols, bound, member, caps=_caps.DEFAULT) -> Dfa:
     """Reference for ``regular.infer_dfa``: at probe depth d the words of
     length <= bound-d are classed by their packed row of bits over all

@@ -287,6 +287,20 @@ def test_a_negative_bound_exits_two_naming_it(capsys, argv):
     assert "got -3" in err["message"]
 
 
+@pytest.mark.parametrize("spec", [",", ",,"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "-L", "3"],
+    ["models", "--formula", "P[a](x)", "-L", "3"],
+    ["compile", "--formula", "E x. P[a](x)", "-L", "3"],
+    ["depth-fragment", "--quantifiers", "E", "--depth", "1", "-L", "3"],
+], ids=lambda argv: argv[0])
+def test_an_alphabet_without_symbols_exits_two(capsys, argv, spec):
+    rc, _, err = run(capsys, argv + ["--alphabet", spec])
+    assert rc == 2
+    assert "names no symbols" in err
+    assert "Traceback" not in err
+
+
 def test_a_non_integer_cap_exits_two_naming_key_and_value():
     # a fresh interpreter running the module as a program shows that the
     # refusal reaches stderr without a traceback

@@ -12,6 +12,7 @@ from wordlogic import (
     Alphabet,
     BoundTooSmall,
     CapExceeded,
+    Caps,
     DEFAULT_REGISTRY,
     ExtendedAlphabet,
     MarkedWord,
@@ -34,13 +35,13 @@ from wordlogic import (
 )
 from wordlogic.logic import (check_hygiene, embedded_ids, map_vars, marked_truth,
                              model_table, truth_table, width)
-from wordlogic.regular import dfa_from_bounded, shortlex_rows
+from wordlogic.regular import infer_dfa, shortlex_rows
 from wordlogic.sampling import random_formula
 from wordlogic.varcode import decode, encode
-from wordlogic.words import (BoundedLang, embed_marked, enumerate_marked,
+from wordlogic.words import (check_table, embed_marked, enumerate_marked,
                              enumerate_words)
 
-from conftest import model_words, plain
+from conftest import member_table, model_words, plain
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +374,12 @@ def test_formula_dfa_with_context_runs_over_the_marked_alphabet():
 def test_automaton_inference_refuses_non_regular_looking_data():
     import itertools
 
-    from wordlogic.regular import dfa_from_bounded
-    from wordlogic.words import BoundedLang
-
     A = Alphabet.of("ab")
     pals = frozenset(w for n in range(6)
                      for w in itertools.product("ab", repeat=n)
                      if w == w[::-1])
     with pytest.raises(BoundTooSmall):
-        dfa_from_bounded(BoundedLang(alphabet=A.symbols, bound=5,
-                                     words=pals))
+        infer_dfa(A.symbols, 5, member_table(A.symbols, 5, pals))
 
 
 def test_formula_dfa_refuses_an_oversized_table_before_evaluating(monkeypatch):
@@ -565,7 +562,9 @@ def test_formula_dfa_matches_the_per_word_path(seed, ctx, bound):
         ext = ExtendedAlphabet(A, ctx)
         hits = frozenset(embed_marked(mw, ctx, ext=ext)
                          for mw in models(phi, A, bound, ctx, NEAR))
-        return ext, dfa_from_bounded(BoundedLang(ext.symbols, bound, hits))
+        check_table("inference word table", len(ext), 0, bound, Caps())
+        return ext, infer_dfa(ext.symbols, bound,
+                              member_table(ext.symbols, bound, hits))
 
     assert _outcome(lambda: formula_dfa(phi, A, ctx, bound, NEAR)) \
         == _outcome(per_word)
@@ -577,9 +576,7 @@ def test_formula_dfa_matches_the_per_word_path(seed, ctx, bound):
                                    Alphabet.of("ab"), -3),
     lambda: formula_dfa(parse("P[a](x)"), Alphabet.of("ab"), ("x",), -3),
     lambda: model_table(parse("P[a](x)"), Alphabet.of("ab"), ("x",), -3),
-    lambda: BoundedLang(("a", "b"), -3, frozenset()),
-], ids=["models", "counterexample_bounded", "formula_dfa", "model_table",
-        "BoundedLang"])
+], ids=["models", "counterexample_bounded", "formula_dfa", "model_table"])
 def test_a_negative_bound_is_refused(call):
     with pytest.raises(ParseError) as exc:
         call()

@@ -26,7 +26,6 @@ from wordlogic.regular import (
     RegularBA,
     closure,
     congruence_witness,
-    dfa_from_bounded,
     empty_dfa,
     factor_stamp,
     first_paths,
@@ -45,11 +44,11 @@ from wordlogic.regular import (
     word_ids,
     zero_part_dfa,
 )
-from wordlogic.words import BoundedLang, enumerate_words
+from wordlogic.words import enumerate_words
 from wordlogic.caps import Caps
 
-from conftest import (left_quotient, probe_bit_infer_dfa, right_quotient,
-                      table_by_mul)
+from conftest import (left_quotient, member_table, probe_bit_infer_dfa,
+                      right_quotient, table_by_mul)
 
 
 def contains_a_dfa(alphabet=("a", "b")):
@@ -140,30 +139,31 @@ def test_marked_universe_automata():
 # automaton inference from bounded data
 
 
-def bounded_of(dfa, alphabet, bound):
-    words = frozenset(w for w in enumerate_words(alphabet, bound)
-                      if dfa.accepts(w))
-    return BoundedLang(alphabet=tuple(alphabet.symbols), bound=bound,
-                       words=words)
+def inferred_from(dfa, alphabet, bound):
+    """``infer_dfa`` on the table of the words of length <= bound that
+    ``dfa`` accepts."""
+    words = (w for w in enumerate_words(alphabet, bound) if dfa.accepts(w))
+    return infer_dfa(alphabet.symbols, bound,
+                     member_table(alphabet.symbols, bound, words))
 
 
 def test_inference_of_the_universe_is_one_state():
     A = Alphabet.of("a")
-    d = dfa_from_bounded(bounded_of(universal_dfa(A.symbols), A, 4))
+    d = inferred_from(universal_dfa(A.symbols), A, 4)
     assert d.n == 1
     assert d.accepts(("a",) * 9)
 
 
 def test_inference_of_the_empty_language():
     A = Alphabet.of("ab")
-    d = dfa_from_bounded(bounded_of(empty_dfa(A.symbols), A, 4))
+    d = inferred_from(empty_dfa(A.symbols), A, 4)
     assert d.n == 1
     assert d.is_empty()
 
 
 def test_inference_of_contains_a_at_bound_six():
     A = Alphabet.of("ab")
-    d = dfa_from_bounded(bounded_of(contains_a_dfa(), A, 6))
+    d = inferred_from(contains_a_dfa(), A, 6)
     assert d.minimize().n == 2
     assert d.equivalent(contains_a_dfa())
 
@@ -179,16 +179,15 @@ def test_inference_agrees_with_its_data(seed):
                   for _ in range(n))
     acc = frozenset(q for q in range(n) if rng.random() < 0.5)
     d = Dfa(A.symbols, delta, 0, acc)
-    inferred = dfa_from_bounded(bounded_of(d, A, 6))
+    inferred = inferred_from(d, A, 6)
     for w in enumerate_words(A, 6):
         assert inferred.accepts(w) == d.accepts(w)
 
 
-def per_word_inference(lang: BoundedLang):
+def per_word_inference(syms, bound, members):
     """The reference learner: every prefix's residual signature as a set of
     probe words, each word looked up on its own.  Returns the automaton, or
     the size of the largest refuted hypothesis when none is verified."""
-    syms, bound, members = tuple(lang.alphabet), lang.bound, lang.words
     if bound == 0:
         acc = frozenset({0}) if () in members else frozenset()
         return Dfa(syms, ((0,) * len(syms),), 0, acc)
@@ -225,13 +224,13 @@ def test_inference_matches_the_per_word_learner(letters, bound, rnd):
     noise = rnd.choice([0.0, 0.0, 0.05, 0.3])
     words = frozenset(w for w in enumerate_words(syms, bound)
                       if d.accepts(w) != (rnd.random() < noise))
-    lang = BoundedLang(syms, bound, words)
-    want = per_word_inference(lang)
+    want = per_word_inference(syms, bound, words)
+    member = member_table(syms, bound, words)
     if isinstance(want, Dfa):
-        assert dfa_from_bounded(lang) == want
+        assert infer_dfa(syms, bound, member) == want
     else:
         with pytest.raises(BoundTooSmall) as exc:
-            dfa_from_bounded(lang)
+            infer_dfa(syms, bound, member)
         assert exc.value.info == {"stage": "automaton inference",
                                   "bound": bound, "states": want}
 

@@ -354,14 +354,10 @@ def oracle_verify(dd, nv, hbound):
         d = hm.stamp.dfa(frozenset([e])).minimize()
         if not d.is_empty():
             left.add(d)
-    amb_mul = lambda x, y: dd.pi.monoid.table[x][y]
-    p_img = {a: dd.pi.letter(dd.ext.symbol(a, ())) for a in dd.base_symbols}
-    mark_img = {a: dd.q_img[i] for i, a in enumerate(dd.base_symbols)}
     tau_pre = []
     for sp in range(len(etaq.s_mon)):
         kdfa = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, [sp])
-        tau_pre.append(transfer_dfa(dd.base_symbols, amb_mul, dd.pi.monoid.identity,
-                                    p_img, mark_img, lambda t: dd.t_letter[t],
+        tau_pre.append(transfer_dfa(dd.ext, dd.pi, dd.t_letter.__getitem__,
                                     kdfa).minimize())
     m_pre = [cayley_dfa(dd.base_symbols, dd.m_mon, dd.p_img,
                         [dd.m_index[m] for m in b]).minimize()
@@ -710,3 +706,18 @@ def test_oracle_quantifiers_do_not_compile_but_still_evaluate():
     assert exc.value.code == "oracle-quantifier"
     assert satisfies(MarkedWord(("a", "a", "b"), ()),
                      parse("maj x. P[a](x)"), reg)
+
+
+def test_a_body_over_another_alphabet_is_refused():
+    # a body automaton over the base letters, not over ab x {x}
+    ext = ExtendedAlphabet(Alphabet.of("ab"), ("x",))
+    body = Dfa(("a", "b"), ((1, 0), (1, 1)), 0, frozenset({1}))
+    with pytest.raises(ParseError, match="one-mark alphabet"):
+        compile_layer(DEFAULT_REGISTRY.quantifier("E"), body, ext)
+
+
+def test_a_body_over_a_two_mark_alphabet_is_refused():
+    # the marked words with marks x and y, as a body over ab x 2^{x,y}
+    ext = ExtendedAlphabet(Alphabet.of("ab"), ("x", "y"))
+    with pytest.raises(ParseError, match="one-mark alphabet"):
+        compile_layer(DEFAULT_REGISTRY.quantifier("E"), image_dfa(ext), ext)

@@ -33,11 +33,13 @@ from wordlogic import (
     xi,
 )
 from wordlogic.logic import truth_table
-from wordlogic.regular import Dfa, empty_dfa, universal_dfa
+from wordlogic.regular import Dfa, empty_dfa, image_dfa, infer_dfa, universal_dfa
 from wordlogic.sampling import random_atom_sentence, random_delta
-from wordlogic.substitution import atom_rows, substitute_letters
+from wordlogic.substitution import (atom_rows, atom_transduction,
+                                    substitute_letters, tau_word)
+from wordlogic.words import embed_marked, mark_alphabet
 
-from conftest import model_words
+from conftest import member_table, model_words
 
 
 def atom_letter_of(delta, mw):
@@ -325,14 +327,13 @@ def test_circ_closure_adds_sentence_generators(ab):
 
 def test_preimage_of_the_full_atom_language(delta_pa):
     syms = delta_pa.atom_alphabet().symbols
-    got = w_odot_c([universal_dfa(syms)], delta_pa.ba, delta_pa.alphabet,
-                   "x", 6)
+    got = w_odot_c([universal_dfa(syms)], delta_pa)
     assert got.preimages[0].equivalent(universal_dfa(delta_pa.alphabet.symbols))
 
 
 def test_preimage_of_the_empty_atom_language(delta_pa):
     syms = delta_pa.atom_alphabet().symbols
-    got = w_odot_c([empty_dfa(syms)], delta_pa.ba, delta_pa.alphabet, "x", 6)
+    got = w_odot_c([empty_dfa(syms)], delta_pa)
     assert got.preimages[0].is_empty()
 
 
@@ -344,7 +345,7 @@ def test_preimage_of_contains_atom_is_contains_letter(delta_pa):
     contains_ca = Dfa(syms,
                       (tuple(1 if c == col else 0 for c in range(k)),
                        (1,) * k), 0, frozenset({1}))
-    got = w_odot_c([contains_ca], delta_pa.ba, delta_pa.alphabet, "x", 6)
+    got = w_odot_c([contains_ca], delta_pa)
     want = frozenset(w for w in enumerate_words(delta_pa.alphabet, 6)
                      if "a" in w)
     have = frozenset(w for w in enumerate_words(delta_pa.alphabet, 6)
@@ -354,8 +355,47 @@ def test_preimage_of_contains_atom_is_contains_letter(delta_pa):
 
 def test_preimage_rejects_alphabet_mismatch(delta_pa):
     with pytest.raises(ParseError):
-        w_odot_c([universal_dfa(("c0",))], delta_pa.ba, delta_pa.alphabet,
-                  "x", 4)
+        w_odot_c([universal_dfa(("c0",))], delta_pa)
+
+
+ALGEBRAS = [("ab", ["P[a](x)"]), ("ab", ["R[first](x)"]),
+            ("ab", ["E y. y < x & P[b](y)"]), ("ab", ["P[a](x)", "R[last](x)"]),
+            ("abc", ["P[c](x)"])]
+
+
+def some_position_is(k, i):
+    return Dfa(k, (tuple(int(c == i) for c in range(len(k))), (1,) * len(k)),
+               0, frozenset({1}))
+
+
+def an_even_number_of(k, i):
+    return Dfa(k, (tuple(int(c == i) for c in range(len(k))),
+                   tuple(int(c != i) for c in range(len(k)))), 0, frozenset({0}))
+
+
+@pytest.mark.parametrize("letters, generators", ALGEBRAS,
+                         ids=[" & ".join(g) + f" over {a}" for a, g in ALGEBRAS])
+@pytest.mark.parametrize("atom_word_dfa", [some_position_is, an_even_number_of])
+def test_the_transduction_matches_the_atom_sets_and_tau(letters, generators,
+                                                        atom_word_dfa):
+    delta = delta_algebra(Alphabet.of(letters), "x",
+                          [parse(g) for g in generators], bound=5)
+    # each atom's automaton: inferred from the embedded atom of ``ba``
+    ext = mark_alphabet(delta.alphabet, "x")
+    td = atom_transduction(delta)
+    for i, atom in enumerate(delta.ba.atoms):
+        emb = [embed_marked(mw, ("x",), ext=ext) for mw in atom]
+        want = infer_dfa(ext.symbols, 5, member_table(ext.symbols, 5, emb))
+        got = td.stamp.dfa(frozenset(t for t, a in td.atom_of_class.items()
+                                     if a == i))
+        assert got.minimize() == want.intersect(image_dfa(ext)).minimize()
+    # each preimage: the plain words whose atom word (``tau``) K accepts
+    syms = delta.atom_alphabet().symbols
+    ks = [atom_word_dfa(syms, i) for i in range(len(syms))]
+    got = w_odot_c(ks, delta)
+    for k, pre in zip(ks, got.preimages):
+        for w in enumerate_words(delta.alphabet, 5):
+            assert pre.accepts(w) == k.accepts(tau_word(delta, w)), w
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from wordlogic import (
     parse_marks,
     parse_word,
 )
-from wordlogic.words import BoundedLang, subsets_in_order
+from wordlogic.words import subsets_in_order
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +238,3 @@ def test_parse_marks():
 def test_format_word():
     assert format_word(("a", "b")) == "ab"
     assert format_word(()) == ""
-
-
-# ---------------------------------------------------------------------------
-# bounded languages
-
-
-def test_bounded_language_membership_respects_bound():
-    BoundedLang(("a",), 2, frozenset({("a", "a")}))
-    with pytest.raises(ParseError, match="longer than the bound"):
-        BoundedLang(("a",), 2, frozenset({("a", "a", "a")}))
