@@ -27,7 +27,7 @@ from .logic import (DEFAULT_REGISTRY, Quant, counterexample_bounded,
                     formula_dfa, free_vars, letters_of, models, parse,
                     parse_formula_file, registry_from_json, satisfies,
                     split_names, to_dsl)
-from .regular import Dfa, FinMonoid, image_dfa, plain_universe_dfa, \
+from .regular import Dfa, FinMonoid, image_dfa, int_array, plain_universe_dfa, \
     quotient_closure, syntactic_stamp, syntactic_stamp_of_family, zero_part_dfa
 from .semidirect import Biaction, compile_layer, sdp
 from .substitution import delta_algebra, sigma, tau_word
@@ -54,16 +54,19 @@ def _alphabet(args) -> Alphabet:
     return alphabet
 
 
+def _json_file(path, what):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(f"{what} is not JSON: {exc}") from None
+
+
 def _registry(args):
     path = getattr(args, "registry", None)
     if not path:
         return DEFAULT_REGISTRY
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ParseError(f"registry file is not JSON: {exc}") from None
-    return registry_from_json(data)
+    return registry_from_json(_json_file(path, "registry file"))
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -107,10 +110,15 @@ def _dfa_json(dfa: Dfa) -> dict:
 
 def _dfa_from_json(data) -> Dfa:
     try:
-        return Dfa(alphabet=tuple(data["alphabet"]),
-                   delta=tuple(tuple(row) for row in data["delta"]),
-                   init=int(data["initial"]),
-                   accepting=frozenset(data["accepting"]))
+        alphabet = tuple(data["alphabet"])
+        if not all(isinstance(a, str) for a in alphabet):
+            raise ParseError(f"DFA symbols must be strings, got {alphabet!r:.60}")
+        return Dfa(alphabet=alphabet,
+                   delta=tuple(map(tuple, int_array(
+                       data["delta"], 2, "DFA transitions").tolist())),
+                   init=int(int_array(data["initial"], 0, "the initial state")),
+                   accepting=frozenset(int_array(
+                       data["accepting"], 1, "the accepting states").tolist()))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed DFA JSON: {exc}")
 
@@ -123,7 +131,7 @@ def _monoid_json(m: FinMonoid) -> dict:
 def _monoid_from_json(data) -> FinMonoid:
     try:
         return FinMonoid(table=tuple(tuple(r) for r in data["table"]),
-                         identity=int(data.get("identity", 0)),
+                         identity=data.get("identity", 0),
                          names=tuple(data["names"]) if data.get("names")
                          else None)
     except (KeyError, TypeError, ValueError) as exc:
@@ -152,8 +160,7 @@ def _languages_of(args) -> list:
             raise ParseError(f"unknown language name {name!r} "
                              "(builtins: @plain, @marked, @zero)")
     for path in getattr(args, "dfa", None) or ():
-        with open(path, "r", encoding="utf-8") as fh:
-            dfas.append(_dfa_from_json(json.load(fh)))
+        dfas.append(_dfa_from_json(_json_file(path, "DFA file")))
     for text in getattr(args, "formula", None) or ():
         phi = parse(text, reg)
         fv = sorted(free_vars(phi))
@@ -385,11 +392,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_sdp(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ParseError(f"sdp input is not JSON: {exc}") from None
+    data = _json_file(args.input, "sdp input")
     try:
         smon = _monoid_from_json(data["S"])
         mmon = _monoid_from_json(data["M"])

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import caps as _caps
 from .errors import CapExceeded, ParseError
-from .regular import (FinMonoid, infer_dfa, row_weights, shortlex_offsets,
-                      shortlex_rows, word_ids)
+from .regular import (FinMonoid, infer_dfa, int_array, row_weights,
+                      shortlex_offsets, shortlex_rows, word_ids)
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_bound,
                     check_table, enumerate_marked)
 
@@ -417,13 +417,15 @@ def registry_from_json(data) -> Registry:
         for spec in data.get("quantifiers", ()):
             mon = FinMonoid(tuple(map(tuple, spec["table"])), spec.get("identity", 0))
             reg.register_quantifier(Quantifier(
-                spec["name"], monoid=mon, images=tuple(spec["images"]),
-                accept=frozenset(spec["accept"])))
+                spec["name"], monoid=mon,
+                images=tuple(int_array(spec["images"], 1, "bit images").tolist()),
+                accept=frozenset(int_array(spec["accept"], 1,
+                                           "accepting elements").tolist())))
         for spec in data.get("predicates", ()):
             if not spec.get("finite", True):
                 raise ParseError("only finite tuple predicates can be declared in JSON")
             tuples = frozenset(tuple(t) for t in spec["tuples"])
-            arity = int(spec["arity"])
+            arity = int(int_array(spec["arity"], 0, "an arity"))
             if any(len(t) != arity for t in tuples):
                 raise ParseError(f"arity mismatch in predicate {spec['name']!r}")
             reg.register_numpred(NumPredDef(

@@ -246,6 +246,22 @@ def zero_part_dfa(ext: ExtendedAlphabet) -> Dfa:
 ASSOC_CHECK_LIMIT = 1024  # the largest table FinMonoid checks exhaustively
 
 
+def int_array(obj, ndim: int, what: str) -> np.ndarray:
+    """``obj`` as an int64 array with ``ndim`` axes: the check on every
+    integer table or index read from input.  Ragged nesting, entries that
+    are not integers (floats, strings, None) and integers beyond 64 bits are
+    a ParseError naming ``what``."""
+    try:
+        a = np.asarray(obj)
+    except (TypeError, ValueError, OverflowError):  # ragged or odd entries
+        a = None
+    if a is None or a.ndim != ndim or a.size and (a.dtype.kind not in "biu" or (
+            a.dtype.kind == "u" and a.max() > np.iinfo(np.int64).max)):
+        kind = ("an integer", "a list of integers", "a matrix of integers")[ndim]
+        raise ParseError(f"{what} must be {kind}, got {obj!r:.60}")
+    return a.astype(np.int64, copy=False)
+
+
 def _assert_associative(t, gens=None):
     """Refuse a table (a numpy matrix) that is not associative.  Without
     generators every triple is compared.  With generators whose right
@@ -285,15 +301,10 @@ class FinMonoid:
 
     def __post_init__(self):
         n = len(self.table)
-        try:
-            t = np.asarray(self.table)
-        except (TypeError, ValueError, OverflowError):  # ragged or odd entries
-            t = None
-        if (t is None or n == 0 or t.shape != (n, n) or t.dtype.kind not in "biu"
-                or t.min() < 0 or t.max() >= n):
+        t = int_array(self.table, 2, "a multiplication table")
+        if n == 0 or t.shape != (n, n) or t.min() < 0 or t.max() >= n:
             raise ParseError("malformed multiplication table")
-        t = t.astype(np.int64)
-        e = self.identity
+        e = int(int_array(self.identity, 0, "the identity"))
         if not 0 <= e < n:
             raise ParseError(f"identity {e} is not an element")
         ids = np.arange(n)

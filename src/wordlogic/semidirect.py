@@ -7,14 +7,16 @@ monoid of pairs (s, m) where m tracks the plain image of the word read so far
 and s tracks, jointly for every evaluation of the marked-part classes into a
 target monoid, the product of those evaluations over all positions.
 
-Everything is exhaustive and asserted: biaction laws, well-definedness of the
-induced actions on the quotient, and the recognizer itself, which is checked
-exactly on the states of one product automaton: there the pair morphism must
-agree with its defining formula on every word.  The full product S ** M is
-built only on request (``EtaQuotient.nu``); the recognizer generates its
-monoid of pairs straight from the pair product.  That S ** M is associative
-needs no table check: it follows from the biaction laws, which ``Biaction``
-checks exhaustively.
+An element s of the evaluation monoid S is the vector (f(w))_f over all
+letter evaluations f, and the plain part M acts on it by gathering on the
+evaluation axis: m.s is f -> s(f o lambda_m) and s.m is f -> s(f o rho_m),
+where lambda_m and rho_m are the actions of m on letters.  These actions are
+well defined and distribute over S by construction.  The recognizer is
+checked exactly on the states of one product automaton: there the pair
+morphism must agree with its defining formula on every word.  The biaction
+(``EtaQuotient.bia``) and the full product S ** M (``EtaQuotient.nu``) are
+built only on request; ``Biaction`` checks its laws exhaustively, and S ** M
+is associative because they hold.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .caps import DEFAULT, Caps
 from .errors import (CapExceeded, InvariantViolated, NotDecomposable,
                      NotMonoidPresentable, ParseError)
 from .regular import (Dfa, FinMonoid, RegularBA, Stamp, cayley_dfa, closure,
-                      congruence_witness, first_edges, first_paths,
-                      generate_monoid, syntactic_stamp)
+                      congruence_witness, first_paths, generate_monoid,
+                      int_array, syntactic_stamp)
 from .report import Report
 from .words import ExtendedAlphabet
 
@@ -60,11 +62,8 @@ class Biaction:
 
     def __post_init__(self):
         nm, ns = len(self.mmon), len(self.smon)
-        try:
-            L = np.asarray(self.left, dtype=np.int64)
-            R = np.asarray(self.right, dtype=np.int64)
-        except (TypeError, ValueError):
-            raise ParseError("biaction tables must be integer matrices") from None
+        L = int_array(self.left, 2, "the left action table")
+        R = int_array(self.right, 2, "the right action table")
         if L.shape != (nm, ns) or R.shape != (ns, nm):
             raise ParseError("biaction tables have wrong shape")
         if min(L.min(), R.min()) < 0 or max(L.max(), R.max()) >= ns:
@@ -83,17 +82,14 @@ class Biaction:
                     raise ParseError("left action does not compose")
                 if not (R[R[:, m1], m2] == R[:, mtab[m1][m2]]).all():
                     raise ParseError("right action does not compose")
-                # two-sided combined map s -> m1.s.m2
+                # the two-sided map s -> m1.s.m2, whichever side acts first
                 g = R[L[m1], m2]
+                if not (g == L[m1][R[:, m2]]).all():
+                    raise ParseError("left and right actions do not commute")
                 if not (g[stab] == stab[g[:, None], g[None, :]]).all():
                     raise ParseError("biaction does not distribute over S")
                 if g[one_s] != one_s:
                     raise ParseError("biaction does not fix the identity of S")
-        # commutation (m.s).m' = m.(s.m') is the g above being well defined
-        for m1 in range(nm):
-            for m2 in range(nm):
-                if not (R[L[m1], m2] == L[m1][R[:, m2]]).all():
-                    raise ParseError("left and right actions do not commute")
 
     def lact(self, m, s):
         return self.left[m][s]
@@ -101,11 +97,17 @@ class Biaction:
     def ract(self, s, m):
         return self.right[s][m]
 
-    def pair_mul(self, p1, p2):
-        """(s1, m1)(s2, m2) = (s1.m2 + m1.s2, m1 m2): the product of S ** M."""
+
+def pair_product(smon: FinMonoid, mmon: FinMonoid, left, right):
+    """The product of S ** M on pairs, (s1, m1)(s2, m2) = (s1.m2 + m1.s2,
+    m1 m2), for actions given as ``left[m][s]`` = m.s and ``right[s][m]`` =
+    s.m; the laws are not checked here."""
+    stab, mtab = smon.table, mmon.table
+
+    def mul(p1, p2):
         (s1, m1), (s2, m2) = p1, p2
-        return (self.smon.table[self.right[s1][m2]][self.left[m1][s2]],
-                self.mmon.table[m1][m2])
+        return stab[right[s1][m2]][left[m1][s2]], mtab[m1][m2]
+    return mul
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,31 +126,26 @@ class SdpMonoid:
     pairs: tuple
     index: dict = field(compare=False, repr=False)
 
-    def pair_mul(self, p1, p2):
-        return self.bia.pair_mul(p1, p2)
-
 
 def sdp(smon: FinMonoid, mmon: FinMonoid, bia: Biaction, caps: Caps = DEFAULT) -> SdpMonoid:
     """Build the full two-sided semidirect product S ** M on all pairs."""
     ns, nm = len(smon), len(mmon)
     if ns * nm > caps.sdp_elements:
         raise CapExceeded(f"semidirect product would have {ns * nm} elements "
-                          f"(cap {caps.sdp_elements})", cap="sdp_elements")
+                          f"(cap {caps.sdp_elements})", stage="semidirect product",
+                          size=ns * nm, cap="sdp_elements")
     pairs = tuple((s, m) for s in range(ns) for m in range(nm))
     index = {p: i for i, p in enumerate(pairs)}
     # pair i is (i // nm, i % nm); (s1, m1)(s2, m2) = (s1.m2 + m1.s2, m1 m2)
     s_of, m_of = np.divmod(np.arange(ns * nm), nm)
     s1, m1 = s_of[:, None], m_of[:, None]
     s2, m2 = s_of[None, :], m_of[None, :]
-    stab = np.asarray(smon.table, dtype=np.int64)
-    mtab = np.asarray(mmon.table, dtype=np.int64)
-    L = np.asarray(bia.left, dtype=np.int64)
-    R = np.asarray(bia.right, dtype=np.int64)
+    stab, mtab, L, R = (np.asarray(t, dtype=np.int64) for t in
+                        (smon.table, mmon.table, bia.left, bia.right))
     table = stab[R[s1, m2], L[m1, s2]] * nm + mtab[m1, m2]
     table = tuple(map(tuple, table.tolist()))
-    names = None
-    if smon.names and mmon.names:
-        names = tuple(f"({smon.names[s]},{mmon.names[m]})" for s, m in pairs)
+    names = (tuple(f"({smon.names[s]},{mmon.names[m]})" for s, m in pairs)
+             if smon.names and mmon.names else None)
     mon = FinMonoid(table=table, identity=smon.identity * nm + mmon.identity,
                     names=names)
     return SdpMonoid(smon=smon, mmon=mmon, bia=bia, monoid=mon, pairs=pairs,
@@ -241,9 +238,8 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = DEFAULT) -> Dec
     n = len(pi.monoid)
 
     reach = _part_reachability(pi)
-    m_set = frozenset(i for i in range(n) if 0 in reach[i])
-    t_set = frozenset(i for i in range(n) if 1 in reach[i])
-    z_set = frozenset(i for i in range(n) if 2 in reach[i])
+    m_set, t_set, z_set = (frozenset(i for i in range(n) if c in reach[i])
+                           for c in range(3))
 
     witness = ba.quotient_witness()
     if witness is not None:
@@ -281,10 +277,7 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = DEFAULT) -> Dec
 
     t_elems = tuple(sorted(t_set))
     t_blocks = tuple(sorted((b for b in ba.blocks if b <= t_set), key=min))
-    t_letter = {}
-    for x, b in enumerate(t_blocks):
-        for t in b:
-            t_letter[t] = x
+    t_letter = {t: x for x, b in enumerate(t_blocks) for t in b}
     d0_blocks = tuple(sorted((b for b in ba.blocks if b <= m_set), key=min))
 
     # the blocks are the classes of a congruence (checked above), so the
@@ -317,25 +310,28 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = DEFAULT) -> Dec
 class EtaQuotient:
     """All evaluations of the marked-class letters into a target monoid.
 
-    ``homs`` lists every map from letters to the target monoid N; ``ev``
-    sends a letter x to the S-element (f(x) for every f), S being the monoid
-    these tuples generate under componentwise multiplication.  The plain part
-    acts on S through its action on letters (``bia``); the result is the
-    semidirect product ``nu`` = S ** M, built on request.  S ** M is
-    associative because ``bia`` passed the biaction laws.
+    ``homs`` lists every map f from letters to the target monoid N, and an
+    element of S is a vector over them: ``ev`` sends a letter x to the
+    S-element (f(x))_f, S being the monoid these vectors generate under
+    componentwise multiplication.  The plain part acts on S by gathers on
+    the evaluation axis (``ell`` and ``err``).  ``bia`` is that biaction,
+    checked against its laws, and ``nu`` the product S ** M; both are built
+    on request.
     """
 
     dd: DecomposedD
     nv: FinMonoid
     homs: tuple
     s_mon: FinMonoid
-    s_elems: tuple
-    s_index: dict = field(compare=False, repr=False)
-    ev: tuple = None          # letter -> S position
-    ell: tuple = None         # ell[m_pos][s_pos]
-    err: tuple = None         # err[s_pos][m_pos]
-    bia: Biaction = None
+    ev: tuple    # letter -> S position
+    ell: tuple   # ell[m_pos][s_pos]
+    err: tuple   # err[s_pos][m_pos]
     caps: Caps = field(default=DEFAULT, compare=False, repr=False)
+
+    @cached_property
+    def bia(self) -> Biaction:
+        return Biaction(mmon=self.dd.m_mon, smon=self.s_mon, left=self.ell,
+                        right=self.err)
 
     @cached_property
     def nu(self) -> SdpMonoid:
@@ -343,61 +339,46 @@ class EtaQuotient:
 
 
 def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT) -> EtaQuotient:
-    """All evaluations of the marked-class letters into ``nv`` and the
-    biaction of M on S they induce.  S stops growing, with CapExceeded, once
-    |S x M| would pass ``caps.sdp_elements``."""
-    k = len(dd.t_blocks)
-    if len(nv) ** k > caps.hom_count:
-        raise CapExceeded(f"{len(nv) ** k} letter evaluations (cap {caps.hom_count})",
+    """All evaluations of the marked-class letters into ``nv``, the monoid S
+    their vectors generate, and the actions of M on S: m.s is the vector
+    f -> s(f o lambda_m) with lambda_m = ``dd.left_letter[m]``, and s.m
+    likewise with rho_m(x) = ``dd.right_letter[x][m]``.  Such a gather maps
+    each letter to a letter and commutes with the coordinatewise product, so
+    it maps S into itself and distributes over its product.  S stops
+    growing, with CapExceeded, once |S x M| would pass ``caps.sdp_elements``."""
+    k, n = len(dd.t_blocks), len(nv)
+    if n ** k > caps.hom_count:
+        raise CapExceeded(f"{n ** k} letter evaluations (cap {caps.hom_count})",
+                          stage="letter evaluations", size=n ** k,
                           cap="hom_count")
-    homs = tuple(itertools.product(range(len(nv)), repeat=k))
-    nh = len(homs)
-    ev_raw = tuple(tuple(f[x] for f in homs) for x in range(k))
-    ident = tuple(nv.identity for _ in range(nh))
+    homs = tuple(itertools.product(range(n), repeat=k))
 
     def mul(u, v):
         return tuple(nv.table[a][b] for a, b in zip(u, v))
 
-    gens = [(f"x{x}", ev_raw[x]) for x in range(k)]
+    ev_raw = [tuple(f[x] for f in homs) for x in range(k)]
     nm = len(dd.m_mon)
     s_elems, s_index, s_mon, _ = generate_monoid(
-        ident, gens, mul, caps, limit=min(caps.monoid, caps.sdp_elements // nm),
+        (nv.identity,) * len(homs), [(f"x{x}", e) for x, e in enumerate(ev_raw)],
+        mul, caps, limit=min(caps.monoid, caps.sdp_elements // nm),
         stage="evaluation monoid S (|S x M| within sdp_elements)")
-    ev = tuple(s_index[ev_raw[x]] for x in range(k))
 
-    # induced actions: act on a product of letter evaluations letterwise.
-    # If element j was first reached as i.ev[x], then m.j = (m.i).ev[m.x]
-    # and j.m = (i.m).ev[x.m]; the identity (element 0) is fixed.  That
-    # this is well defined is asserted on every other edge below.
-    ns = len(s_mon)
-    ell = [[0] * ns for _ in range(nm)]
-    err = [[0] * nm for _ in range(ns)]
-    for j, (i, x) in enumerate(first_edges(s_mon._cayley[1]), 1):
-        for mp in range(nm):
-            ell[mp][j] = s_mon.mul(ell[mp][i], ev[dd.left_letter[mp][x]])
-            err[j][mp] = s_mon.mul(err[i][mp], ev[dd.right_letter[x][mp]])
-    ell, err = tuple(map(tuple, ell)), tuple(map(tuple, err))
+    # f o g for a letter map g has index sum_x f(g(x)) n^(k-1-x)
+    homs_arr = np.array(homs, dtype=np.int64).reshape(len(homs), k)
+    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    svec = np.array(s_elems, dtype=np.min_scalar_type(n - 1))
+    s_of = {v.tobytes(): i for i, v in enumerate(svec)}
 
-    for mp in range(nm):
-        for sp in range(ns):
-            for x in range(k):
-                lhs = ell[mp][s_mon.mul(sp, ev[x])]
-                rhs = s_mon.mul(ell[mp][sp], ev[dd.left_letter[mp][x]])
-                if lhs != rhs:
-                    raise InvariantViolated("left action on products is not "
-                                            "induced by the action on letters",
-                                            stage="eta_quotient")
-                lhs = err[s_mon.mul(sp, ev[x])][mp]
-                rhs = s_mon.mul(err[sp][mp], ev[dd.right_letter[x][mp]])
-                if lhs != rhs:
-                    raise InvariantViolated("right action on products is not "
-                                            "induced by the action on letters",
-                                            stage="eta_quotient")
+    def act(g):  # g[x] is the letter that x becomes
+        return tuple(s_of[v.tobytes()]
+                     for v in svec[:, homs_arr[:, list(g)] @ place])
 
-    bia = Biaction(mmon=dd.m_mon, smon=s_mon, left=ell, right=err)
-    return EtaQuotient(dd=dd, nv=nv, homs=homs, s_mon=s_mon,
-                       s_elems=tuple(s_elems), s_index=s_index, ev=ev,
-                       ell=ell, err=err, bia=bia, caps=caps)
+    return EtaQuotient(
+        dd=dd, nv=nv, homs=homs, s_mon=s_mon,
+        ev=tuple(s_index[e] for e in ev_raw),
+        ell=tuple(act(lam) for lam in dd.left_letter),
+        err=tuple(zip(*(act([rho[m] for rho in dd.right_letter])
+                        for m in range(nm)))), caps=caps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,14 +400,14 @@ class HMorphism:
 
 def h_morphism(etaq: EtaQuotient, caps: Caps = DEFAULT) -> HMorphism:
     """The pair morphism, its monoid generated from the letters' pairs by
-    the pair product of S ** M (``Biaction.pair_mul``)."""
+    the pair product of S ** M (``pair_product``)."""
     dd = etaq.dd
     one_amb = dd.pi.monoid.identity
     gens = [(a, (etaq.ev[dd.classify(one_amb, i, one_amb)], dd.p_img[i]))
             for i, a in enumerate(dd.base_symbols)]
     elems, index, mon, reps = generate_monoid(
-        (etaq.s_mon.identity, dd.m_mon.identity), gens, etaq.bia.pair_mul,
-        caps)
+        (etaq.s_mon.identity, dd.m_mon.identity), gens,
+        pair_product(etaq.s_mon, dd.m_mon, etaq.ell, etaq.err), caps)
     letters = tuple(index[g] for _, g in gens)
     stamp = Stamp(alphabet=dd.base_symbols, monoid=mon, letters=letters,
                   reps=tuple(reps))

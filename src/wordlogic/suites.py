@@ -19,8 +19,8 @@ from .regular import FinMonoid, image_dfa, quotient_closure
 from .report import Report
 from .sampling import (MONOID_QUANTIFIERS, random_atom_sentence, random_delta,
                        random_formula, random_sentence)
-from .semidirect import (Biaction, compile_layer, decompose, sdp,
-                         verify_recognizer)
+from .semidirect import (Biaction, compile_layer, decompose, pair_product,
+                         sdp, verify_recognizer)
 from .substitution import (check_substitution_principle, delta_algebra,
                            tau_compat, tau_word, xi)
 from .varcode import lift_delta, roundtrip_check
@@ -386,13 +386,14 @@ def suite_semidirect(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
                    right=tuple(tuple(s for _ in range(nm))
                                for s in range(ns)))
     prod = sdp(u1, z2, bia)
+    pair_mul = pair_product(u1, z2, bia.left, bia.right)
     bad = None
     for _ in range(40):
         p1 = rng.choice(prod.pairs)
         p2 = rng.choice(prod.pairs)
         via_table = prod.pairs[prod.monoid.mul(prod.index[p1],
                                                prod.index[p2])]
-        if via_table != prod.pair_mul(p1, p2):
+        if via_table != pair_mul(p1, p2):
             bad = f"{p1} * {p2}"
             break
     out.append(_fail("semidirect-product-laws", params, bad,

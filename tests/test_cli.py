@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordlogic.cli import main
 
@@ -207,6 +210,143 @@ def test_registry_file_that_is_not_utf8_exits_2(capsys, tmp_path):
     assert err.startswith("error [parse]: registry file is not JSON")
 
 
+@pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe{}"],
+                         ids=["syntax", "not-utf8"])
+def test_a_dfa_file_that_is_not_json_exits_2(capsys, tmp_path, raw):
+    path = tmp_path / "dfa.json"
+    path.write_bytes(raw)
+    rc, _, err = run(capsys, ["synmon", "--alphabet", "ab", "--dfa",
+                              str(path)])
+    assert rc == 2
+    assert err.startswith("error [parse]: DFA file is not JSON")
+
+
+SDP = {"S": {"table": [[0, 1], [1, 1]], "identity": 0},
+       "M": {"table": [[0, 1], [1, 0]], "identity": 0},
+       "lambda": [[0, 1], [0, 1]], "rho": [[0, 0], [1, 1]]}
+#: the two-state automaton of "some position is a{x}" over ab x {x}
+MARKED_A = {"alphabet": ["a{}", "a{x}", "b{}", "b{x}"],
+            "delta": [[0, 1, 0, 0], [1, 1, 1, 1]], "initial": 0,
+            "accepting": [1]}
+PARITY = {"name": "par", "table": [[0, 1], [1, 0]], "identity": 0,
+          "images": [0, 1], "accept": [1]}
+#: per input file: the command reading it, and the formula a registry serves
+FILE_COMMANDS = {
+    "sdp": ["sdp", "--input"],
+    "dfa": ["synmon", "--alphabet", "ab", "--dfa"],
+    "registry": ["models", "--alphabet", "ab", "-L", "2", "--formula",
+                 "par x. P[a](x) & R[two](x)", "--registry"],
+}
+
+
+def run_on_file(kind, document, tmp_path):
+    """Run the command of ``kind`` on ``document`` written to a file,
+    returning the exit code and everything printed."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(FILE_COMMANDS[kind] + [str(path)])
+    return rc, out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize("kind, document", [
+    ("sdp", {**SDP, "lambda": [[0.9, 1.2], [0, 1]]}),
+    ("sdp", {**SDP, "lambda": [[10 ** 30, 1], [0, 1]]}),
+    ("sdp", {**SDP, "S": {"table": [[0, 1], [1, 1]], "identity": 0.9}}),
+    ("dfa", {**MARKED_A, "delta": [[0.5, 0, 0, 0], [1, 1, 1, 1]]}),
+    ("dfa", {**MARKED_A, "initial": 0.7}),
+    ("registry", {"quantifiers": [{**PARITY, "images": [0, 0.5]}]}),
+    ("registry", {"quantifiers": [{**PARITY, "accept": [0.0]}]}),
+    ("registry", {"predicates": [{"name": "two", "arity": 1.5,
+                                  "tuples": [[2]]}]}),
+], ids=["biaction-float", "biaction-huge", "monoid-identity", "dfa-delta",
+        "dfa-initial", "quantifier-images", "quantifier-accept",
+        "predicate-arity"])
+def test_a_non_integer_field_of_an_input_file_exits_2(tmp_path, kind,
+                                                      document):
+    rc, printed = run_on_file(kind, document, tmp_path)
+    assert rc == 2
+    assert printed.startswith("error [parse]")
+    assert "must be an integer" in printed or "of integers" in printed
+    assert "Traceback" not in printed
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.floats(),
+                    st.integers(-2, 4), st.integers(min_value=2 ** 62),
+                    st.integers(max_value=-2 ** 62), st.text(max_size=3))
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4),
+                      max_leaves=12)
+
+
+def keyed(required, optional=None):
+    return st.fixed_dictionaries({k: VALUES for k in required},
+                                 optional={k: VALUES for k in optional or ()})
+
+
+def nodes(doc, path=()):
+    """The paths of every key and list entry inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from nodes(value, path + (key,))
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+def perturbed(valid):
+    """A valid document with one entry or field replaced by a random
+    value."""
+    return st.builds(replaced, st.just(valid),
+                     st.sampled_from(list(nodes(valid))), VALUES)
+
+
+MONOID = keyed(["table"], ["identity", "names"])
+REGISTRY = {"quantifiers": [PARITY],
+            "predicates": [{"name": "two", "arity": 1, "tuples": [[2]]}]}
+FILE_DOCUMENTS = {
+    "sdp": perturbed(SDP) | st.fixed_dictionaries({
+        "S": MONOID | VALUES, "M": MONOID, "lambda": VALUES, "rho": VALUES}),
+    "dfa": perturbed(MARKED_A) | keyed(["alphabet", "delta", "initial",
+                                        "accepting"]),
+    "registry": perturbed(REGISTRY) | st.fixed_dictionaries({}, optional={
+        "quantifiers": st.lists(keyed(["table", "images", "accept"],
+                                      ["identity"]).map(
+            lambda q: {"name": "par", **q}), max_size=2) | VALUES,
+        "predicates": st.lists(keyed(["arity", "tuples"], ["finite"]).map(
+            lambda p: {"name": "two", **p}), max_size=2) | VALUES}),
+}
+
+
+def test_the_valid_input_files_run(tmp_path):
+    for kind, document in (("sdp", SDP), ("dfa", MARKED_A),
+                           ("registry", REGISTRY)):
+        assert run_on_file(kind, document, tmp_path)[0] == 0, kind
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_DOCUMENTS))
+def test_random_input_files_exit_0_or_2_without_a_traceback(tmp_path_factory,
+                                                            kind):
+    tmp_path = tmp_path_factory.mktemp(kind)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(FILE_DOCUMENTS[kind])
+    def check(document):
+        rc, printed = run_on_file(kind, document, tmp_path)
+        assert rc in (0, 2), printed
+        assert "Traceback" not in printed
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # suites and fragments
 
@@ -359,6 +499,16 @@ def test_sdp_honours_the_sdp_elements_cap(capsys, monkeypatch, tmp_path):
     err = json.loads(out)["error"]
     assert err["code"] == "cap"
     assert err["info"]["cap"] == "sdp_elements"
+
+
+def test_the_sdp_refusal_names_stage_and_size(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(SDP), encoding="utf-8")
+    monkeypatch.setenv("WORDLOGIC_CAPS", "sdp_elements=3")
+    rc, out, _ = run(capsys, ["sdp", "--input", str(path), "--format", "json"])
+    assert rc == 2
+    assert json.loads(out)["error"]["info"] == {
+        "stage": "semidirect product", "size": 4, "cap": "sdp_elements"}
 
 
 @pytest.mark.parametrize("key", ["enumaration", "monoid_assoc", "__doc__"])

@@ -29,7 +29,7 @@ from wordlogic import (
 )
 from wordlogic import semidirect
 from wordlogic.caps import Caps
-from wordlogic.errors import CapExceeded, InvariantViolated
+from wordlogic.errors import CapExceeded
 from wordlogic.regular import (Dfa, FinMonoid, cayley_dfa, generate_monoid,
                                image_dfa, syntactic_stamp, universal_dfa)
 from wordlogic.sampling import MONOID_QUANTIFIERS
@@ -108,7 +108,8 @@ def test_each_biaction_law_is_checked(mmon, smon, left, right, law):
 
 
 @pytest.mark.parametrize("left", [((0, 2), (0, 1)), ((0, "b"), (0, 1)),
-                                  ((0, 1), (0,))])
+                                  ((0, 1), (0,)), ((0.9, 1.2), (0, 1)),
+                                  ((10 ** 30, 1), (0, 1))])
 def test_biaction_refuses_malformed_tables(left):
     z2 = named_monoid("Z2")
     u1 = named_monoid("U1")
@@ -270,23 +271,29 @@ def test_eta_with_trivial_target_collapses_to_the_plain_part():
     assert len(etaq.nu.pairs) == len(dd.m_mon)
 
 
-def test_eta_quotient_inconsistent_actions_are_typed_errors(monkeypatch):
-    # the actions are read along the edges that first reach each element
-    # of S; swapping two of them breaks the actions on other edges.  (A
-    # changed ``left_letter`` cannot reach this check: S is generated freely
-    # in the variety of the target, so every map of letters induces a well
-    # defined action on it.)
-    real = semidirect.first_edges
+def test_the_actions_are_checked_against_the_laws_on_request(monkeypatch):
+    built = []
+    monkeypatch.setattr(semidirect, "Biaction",
+                        lambda **kw: built.append(kw) or Biaction(**kw))
+    dd, etaq = eta_setup("Z3", body="E y. y < x & P[a](y)")
+    h_morphism(etaq)
+    assert built == []
+    assert etaq.bia is etaq.bia and len(built) == 1
+    # m.s for the last m and s, moved to another element of S
+    m, s = len(dd.m_mon) - 1, len(etaq.s_mon) - 1
+    row = etaq.ell[m][:s] + ((etaq.ell[m][s] + 1) % len(etaq.s_mon),)
+    bad = dataclasses.replace(etaq, ell=etaq.ell[:m] + (row,))
+    with pytest.raises(ParseError, match="does not distribute over S"):
+        bad.bia
 
-    def swapped(edges):
-        first = real(edges)
-        return [first[1], first[0]] + first[2:]
 
+def test_the_letter_evaluation_cap_names_stage_and_size():
     dd, _ = eta_setup("Z3")
-    monkeypatch.setattr(semidirect, "first_edges", swapped)
-    with pytest.raises(InvariantViolated) as exc:
-        eta_quotient(dd, named_monoid("Z3"))
-    assert exc.value.info["stage"] == "eta_quotient"
+    assert len(dd.t_blocks) == 2
+    with pytest.raises(CapExceeded) as exc:
+        eta_quotient(dd, named_monoid("Z3"), Caps(hom_count=2))
+    assert exc.value.info == {"stage": "letter evaluations", "size": 9,
+                              "cap": "hom_count"}
 
 
 def test_eta_letter_products_live_in_s():
@@ -588,9 +595,10 @@ def two_property_families():
 
 def test_verify_recognizer_never_builds_s_times_m(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("S ** M was built")
+        raise AssertionError("S ** M or a biaction was built")
 
     monkeypatch.setattr(semidirect, "sdp", refuse)
+    monkeypatch.setattr(semidirect, "Biaction", refuse)
     cases = [(ba, ext, target) for _, ext, ba in _recognizer_instances(
                  Alphabet.of("ab"), DEFAULT_REGISTRY, 5, Caps())
              for target in ("trivial", "U1", "Z2", "Z3")]
