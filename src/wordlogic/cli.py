@@ -160,7 +160,12 @@ def _languages_of(args) -> list:
             raise ParseError(f"unknown language name {name!r} "
                              "(builtins: @plain, @marked, @zero)")
     for path in getattr(args, "dfa", None) or ():
-        dfas.append(_dfa_from_json(_json_file(path, "DFA file")))
+        dfa = _dfa_from_json(_json_file(path, "DFA file"))
+        if tuple(dfa.alphabet) != tuple(ext.symbols):
+            raise ParseError(f"DFA file {path} is over {','.join(dfa.alphabet)}, "
+                             f"not over {','.join(ext.symbols)}, the one-mark "
+                             f"alphabet of --alphabet {args.alphabet}")
+        dfas.append(dfa)
     for text in getattr(args, "formula", None) or ():
         phi = parse(text, reg)
         fv = sorted(free_vars(phi))

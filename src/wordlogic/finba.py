@@ -60,6 +60,7 @@ class FinBA:
         if self.element_count() > caps.finba_elements:
             raise CapExceeded(
                 f"2^{len(self.atoms)} elements exceed the enumeration cap",
+                stage="algebra elements", size=self.element_count(),
                 cap=caps.finba_elements,
             )
         for mask in range(1 << len(self.atoms)):
@@ -97,7 +98,8 @@ def partition(carrier, keys, caps: _caps.Caps = _caps.DEFAULT) -> tuple:
         cells.setdefault(key, []).append(p)
     if len(cells) > caps.finba_atoms:
         raise CapExceeded(
-            f"{len(cells)} atoms exceed the atom cap", cap=caps.finba_atoms
+            f"{len(cells)} atoms exceed the atom cap", stage="algebra atoms",
+            size=len(cells), cap=caps.finba_atoms
         )
     return FinBA(carrier, tuple(map(frozenset, cells.values()))), tuple(cells)
 

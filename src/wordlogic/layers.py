@@ -167,7 +167,9 @@ def _resolve_names(spec: FragmentSpec, reg: Registry):
 def _guard_scale(spec: FragmentSpec):
     if spec.depth > 4 or (spec.depth >= 3 and len(spec.alphabet) >= 2):
         raise CapExceeded("fragment enumeration is desk-scale: depth and "
-                          "alphabet size multiply", depth=spec.depth,
+                          "alphabet size multiply", stage="fragment scale",
+                          size=spec.depth,
+                          cap=4 if len(spec.alphabet) < 2 else 2,
                           alphabet=len(spec.alphabet))
 
 
@@ -187,48 +189,45 @@ def _subset_sentence_languages(qnames, usable, cells, lens, reg: Registry,
     Row r of ``cells`` holds the atom index of each position of carrier
     element r, padded past ``lens[r]``; subsets are drawn from ``usable``.
     Returns (quantifier name, subset mask over usable, bit mask over rows)
-    for every quantifier and subset, bit r standing for row r.
+    for every quantifier and subset, bit r standing for row r.  A quantifier
+    with a count table (``Quantifier.by_count``) reads it at (row length,
+    witnesses of the subset); any other is asked row by row.
     """
     nbits = len(usable)
     total = len(qnames) << nbits
     if total > caps.sentence_budget:
         raise CapExceeded(f"{total} generating sentences at one layer "
                           f"(cap {caps.sentence_budget})",
-                          cap="sentence_budget")
-    nrows = len(lens)
+                          stage="layer sentences", size=total,
+                          cap=caps.sentence_budget)
+    nrows, width = cells.shape
     bit_of = np.zeros(max(usable, default=0) + 1, dtype=np.int64)
     bit_of[usable] = np.arange(nbits)
     bits = bit_of[np.maximum(cells, 0)]
-    masks = np.arange(1 << nbits, dtype=np.int64)[:, None]
+    # the witness counts of the masks on the rows: each row's histogram of
+    # atom bits times the bits of each mask, one integer matrix product
+    inside = np.arange(width) < lens[:, None]
+    hist = ((bits[:, :, None] == np.arange(nbits)) & inside[:, :, None]).sum(axis=1)
+    member = (np.arange(1 << nbits)[:, None] >> np.arange(nbits)) & 1
     chunk = max(1, 1 << 22 >> max(nrows, 1).bit_length())
     truth = np.zeros((total, nrows), dtype=bool)
     for qi, qname in enumerate(qnames):
         q = reg.quantifier(qname)
         block = truth[qi << nbits:(qi + 1) << nbits]
-        if not q.is_monoid:
+        by_count = q.by_count(width)
+        if by_count is None:
             for r, (row, n) in enumerate(zip(bits.tolist(), lens.tolist())):
                 for mask in range(1 << nbits):
                     block[mask, r] = q.evaluate([(mask >> b) & 1 for b in row[:n]])
             continue
-        # fold the monoid along the positions; past a row's length the
-        # state stays put
-        tab = np.asarray(q.monoid.table, dtype=np.int64)
-        tab2 = np.stack([tab[:, q.images[0]], tab[:, q.images[1]]], axis=1)
-        acc = np.zeros(len(q.monoid), dtype=bool)
-        acc[list(q.accept)] = True
         for lo in range(0, 1 << nbits, chunk):
-            part = masks[lo:lo + chunk]
-            st = np.full((len(part), nrows), q.monoid.identity, dtype=np.int64)
-            for j in range(bits.shape[1]):
-                step = tab2[st, (part >> bits[:, j]) & 1]
-                st = np.where(j < lens, step, st)
-            block[lo:lo + chunk] = acc[st]
-    # one packing; only the distinct masks become Python integers
-    distinct, which = np.unique(np.packbits(truth, axis=1, bitorder="little"),
-                                axis=0, return_inverse=True)
-    values = [int.from_bytes(row.tobytes(), "little") for row in distinct]
-    return [(qnames[i >> nbits], i & ((1 << nbits) - 1), values[j])
-            for i, j in enumerate(which.tolist())]
+            block[lo:lo + chunk] = by_count[lens, member[lo:lo + chunk] @ hist.T]
+    # one packing, read back row by row as Python integers
+    packed = np.packbits(truth, axis=1, bitorder="little")
+    raw, step = packed.tobytes(), packed.shape[1]
+    return [(qnames[i >> nbits], i & ((1 << nbits) - 1),
+             int.from_bytes(raw[i * step:(i + 1) * step], "little"))
+            for i in range(total)]
 
 
 def _greedy_generators(masks, nrows):
@@ -380,7 +379,7 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
         return finba.generate(plain, [], caps)
     if n > 2:
         raise CapExceeded("the direct enumeration supports depth <= 2",
-                          depth=n)
+                          stage="direct enumeration", size=n, cap=2)
     check_table("marked word table", len(A), n, L, caps)
     v1, v2 = "y1", "y2"
     lens = shortlex_rows(len(A), L)[1]

@@ -261,13 +261,23 @@ def rename_bound(phi, avoid, prefix="z"):
 class Quantifier:
     """A generalized unary quantifier: a function on the bit string of
     pointwise truth values, given either by a finite monoid with letter
-    images and an accepting subset, or by a bare oracle."""
+    images and an accepting subset, or by a bare oracle.
+
+    When the two bit images commute, as for every built-in monoid
+    quantifier (``E``, ``E1``, ``mod[q,r]``), the value on a string depends
+    only on its length and its number of witnesses, and bulk evaluation
+    reads it from the count table ``by_count``.  Oracle quantifiers and
+    monoid quantifiers whose images do not commute are applied row by row
+    through ``evaluate``.  ``_counts`` keeps the read-only count tables by
+    bound."""
 
     name: str
     monoid: FinMonoid = None
     images: tuple = None       # (image of bit 0, image of bit 1)
     accept: frozenset = None
     oracle: object = None
+    _counts: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def __post_init__(self):
         if (self.monoid is None) == (self.oracle is None):
@@ -280,10 +290,6 @@ class Quantifier:
             if self.accept is None or not self.accept <= set(range(n)):
                 raise ParseError("bad accepting subset")
 
-    @property
-    def is_monoid(self) -> bool:
-        return self.monoid is not None
-
     def evaluate(self, bits) -> bool:
         """Apply the quantifier to a bit string (the empty string is decided
         by the identity element / the oracle on the empty input)."""
@@ -295,6 +301,29 @@ class Quantifier:
         for b in bits:
             out = tab[out][b1 if b else b0]
         return out in self.accept
+
+    def by_count(self, bound):
+        """The (bound+1) x (bound+1) bool table T[n, c]: the value on any bit
+        string of length n with c ones (False where c > n), or None for an
+        oracle or when the two bit images do not commute.  Built once per
+        bound and kept read-only."""
+        if bound in self._counts:
+            return self._counts[bound]
+        counts = None
+        if self.monoid is not None:
+            tab, (b0, b1) = self.monoid.table, self.images
+            if tab[b0][b1] == tab[b1][b0]:
+                # b0^(n-c) b1^c: the powers of each image, then one product
+                zeros, ones = [self.monoid.identity], [self.monoid.identity]
+                for _ in range(bound):
+                    zeros.append(tab[zeros[-1]][b0])
+                    ones.append(tab[ones[-1]][b1])
+                counts = np.array([[c <= n and tab[zeros[n - c]][ones[c]] in self.accept
+                                    for c in range(bound + 1)]
+                                   for n in range(bound + 1)], dtype=bool)
+                counts.setflags(write=False)
+        self._counts[bound] = counts
+        return counts
 
 
 @dataclass(frozen=True)
@@ -722,20 +751,34 @@ def _on_axes(values, axes, ndim) -> np.ndarray:
 
 
 class _Evaluator:
-    """One formula's bulk tables over blocks of padded letter rows: each
+    """One formula's bulk tables over one block of padded letter rows: each
     subformula is a bool array with axis 0 for the rows and one axis per
     variable in scope (size 1 where the variable is not free in it).
     ``env`` maps the variables in scope to their axes: context variable j
     to axis j + 1, and a bound variable to the first axis past those of the
     variables around its binder, so sibling binders share axes and ``ndim``
-    is 1 + |context| + the quantifier nesting depth."""
+    is 1 + |context| + the quantifier nesting depth.  The in-row mask of
+    each axis and the table of each letter or predicate atom on its axes
+    are built once per block."""
 
-    def __init__(self, symbols, ndim, bound, registry):
+    def __init__(self, symbols, ndim, letters, lens, registry):
         self.col = {s: i for i, s in enumerate(symbols)}
         self.ndim = ndim
-        self.bound = bound
+        self.letters, self.lens = letters, lens
+        self.bound = letters.shape[1]
+        self.lens_col = lens.reshape((-1,) + (1,) * (ndim - 1))
         self.reg = registry
         self.unit = np.ones((1,) * ndim, dtype=bool)
+        self._inside = {}
+        self._atoms = {}
+
+    def inside(self, ax) -> np.ndarray:
+        """Which positions of each row lie inside it, on axis ``ax``."""
+        mask = self._inside.get(ax)
+        if mask is None:
+            mask = self._inside[ax] = _on_axes(
+                np.arange(self.bound) < self.lens[:, None], (0, ax), self.ndim)
+        return mask
 
     def numpred(self, node, env):
         """Per-length tables of a numerical predicate, indexed by length n <=
@@ -755,56 +798,58 @@ class _Evaluator:
                     np.array(values, dtype=bool).reshape((n,) * len(free))
             tables.setflags(write=False)
             pred._tables[pattern, L] = tables
-        return tables, (0,) + tuple(env[v] for v in free)
+        return _on_axes(tables[self.lens], (0,) + tuple(env[v] for v in free),
+                        self.ndim)
 
-    def table(self, node, letters, lens, env) -> np.ndarray:
-        unit, ndim = self.unit, self.ndim
-        if isinstance(node, Truth):
-            return unit
-        if isinstance(node, Falsum):
-            return ~unit
+    def atom(self, node, env) -> np.ndarray:
+        """The table of a letter test or numerical predicate, shared by the
+        atoms that read the same letter or predicate on the same axes."""
         if isinstance(node, LetterPred):
-            if node.symbol not in self.col:
-                return ~unit
-            return _on_axes(letters == self.col[node.symbol], (0, env[node.var]), ndim)
-        if isinstance(node, NumPred):
-            tables, axes = self.numpred(node, env)
-            return _on_axes(tables[lens], axes, ndim)
+            key = (LetterPred, node.symbol, env[node.var])
+        else:
+            key = (NumPred, node.name, tuple(env[v] for v in node.args))
+        out = self._atoms.get(key)
+        if out is None:
+            if isinstance(node, NumPred):
+                out = self.numpred(node, env)
+            elif node.symbol in self.col:
+                out = _on_axes(self.letters == self.col[node.symbol],
+                               (0, env[node.var]), self.ndim)
+            else:
+                out = ~self.unit
+            self._atoms[key] = out
+        return out
+
+    def table(self, node, env) -> np.ndarray:
+        if isinstance(node, Truth):
+            return self.unit
+        if isinstance(node, Falsum):
+            return ~self.unit
+        if isinstance(node, (LetterPred, NumPred)):
+            return self.atom(node, env)
         if isinstance(node, Not):
-            return ~self.table(node.sub, letters, lens, env)
+            return ~self.table(node.sub, env)
         if isinstance(node, (And, Or)):
             combine = np.logical_and if isinstance(node, And) else np.logical_or
-            out = unit if isinstance(node, And) else ~unit
-            for sub in node.args:
-                out = combine(out, self.table(sub, letters, lens, env))
+            out = self.table(node.args[0], env)
+            for sub in node.args[1:]:
+                out = combine(out, self.table(sub, env))
             return out
         if isinstance(node, Quant):
             q = self.reg.quantifier(node.q)
             ax = max(env.values(), default=0) + 1
-            body = self.table(node.body, letters, lens, {**env, node.var: ax})
-            L = self.bound
-            inside = _on_axes(np.arange(L) < lens[:, None], (0, ax), ndim)
-            if q.is_monoid:
-                # positions past a row's length read the identity, which
-                # leaves the folded state unchanged
-                mult = np.asarray(q.monoid.table)
-                images = np.where(inside, np.asarray(q.images)[body.astype(np.intp)],
-                                  q.monoid.identity)
-                shape = list(images.shape)
-                shape[ax] = 1
-                state = np.full(shape, q.monoid.identity)
-                for i in range(L):
-                    state = mult[state, images.take([i], axis=ax)]
-                accept = np.zeros(len(q.monoid), dtype=bool)
-                accept[list(q.accept)] = True
-                return accept[state]
-            # an oracle is asked once per slice, on the row's own positions
-            shape = list(np.broadcast_shapes(body.shape, inside.shape))
-            rows = np.moveaxis(np.broadcast_to(body, shape), ax, -1)
-            rest = rows.shape[1:-1]
-            flat = rows.reshape(len(lens), math.prod(rest), L).tolist()
+            body = self.table(node.body, {**env, node.var: ax}) & self.inside(ax)
+            counts = q.by_count(self.bound)
+            if counts is not None:
+                # the value depends on the row length and the witness count
+                return counts[self.lens_col, body.sum(axis=ax, keepdims=True)]
+            # otherwise the quantifier is asked once per slice, on the row's
+            # own positions
+            rows = np.moveaxis(body, ax, -1)
+            flat = rows.reshape(len(self.lens), math.prod(rows.shape[1:-1]),
+                                self.bound).tolist()
             values = [[q.evaluate(bits[:n]) for bits in word]
-                      for word, n in zip(flat, lens.tolist())]
+                      for word, n in zip(flat, self.lens.tolist())]
             return np.expand_dims(np.array(values, dtype=bool).reshape(rows.shape[:-1]), ax)
         raise ParseError(f"not a formula: {node!r}")
 
@@ -820,11 +865,15 @@ def truth_table(phi, symbols, context, letters, lens, registry=None) -> np.ndarr
     entries with a position at or past the row's length mean nothing.
 
     All rows are evaluated in one tree walk per block of rows: a numerical
-    predicate becomes per-length tables indexed by row length, a monoid
-    quantifier folds its body along its variable's axis, leaving the state
-    unchanged past the row's length, and an oracle quantifier is asked on
-    each row's own positions.  Blocks hold at most ``_BLOCK_CELLS`` cells of
-    the widest subformula (``width``) and at least one row.
+    predicate becomes per-length tables indexed by row length.  A monoid
+    quantifier whose bit images commute (``E``, ``E1``, ``mod[q,r]`` and any
+    registered one that passes ``Quantifier.by_count``) counts the witnesses
+    of its body along its variable's axis inside each row and reads its
+    value from the count table at (row length, count).  An oracle
+    quantifier, or a monoid quantifier whose bit images do not commute, is
+    asked through ``Quantifier.evaluate`` on each row's own positions.
+    Blocks hold at most ``_BLOCK_CELLS`` cells of the widest subformula
+    (``width``) and at least one row.
     """
     reg = registry or DEFAULT_REGISTRY
     ctx = tuple(context)
@@ -840,14 +889,13 @@ def truth_table(phi, symbols, context, letters, lens, registry=None) -> np.ndarr
     letters = np.asarray(letters, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
     rows, L = letters.shape
-    ev = _Evaluator(symbols, 1 + c + depth, L, reg)
     env = {v: j + 1 for j, v in enumerate(ctx)}
     out = np.empty((rows,) + (L,) * c, dtype=bool)
     block = max(1, _BLOCK_CELLS // max(1, L) ** max(c, most))
     for start in range(0, rows, block):
         part = slice(start, start + block)
-        sat = ev.table(phi, letters[part], lens[part], env)
-        out[part] = sat[(Ellipsis,) + (0,) * depth]
+        ev = _Evaluator(symbols, 1 + c + depth, letters[part], lens[part], reg)
+        out[part] = ev.table(phi, env)[(Ellipsis,) + (0,) * depth]
     return out
 
 

@@ -700,7 +700,10 @@ def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT) -> Dfa:
         acc = frozenset({0}) if member[0] else frozenset()
         return Dfa(syms, ((0,) * k,), 0, acc)
     largest = 0  # states of the largest hypothesis built and refuted
-    key = member.astype(np.int64)
+    # depth 0 classes a word by its member bit, the empty word's class first:
+    # no sort of the whole table is needed
+    cls = (member != member[0]).astype(np.int64)
+    first = np.concatenate(([0], np.flatnonzero(cls)[:1]))
     for d in range(bound + 1):
         if d:  # Moore step: key = (member, class of each child) in base n
             rows, n = off[bound - d + 1], len(first)
@@ -711,16 +714,16 @@ def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT) -> Dfa:
                     _, key = np.unique(key, return_inverse=True)
                     key, size = key.reshape(-1), int(key.max()) + 1
                 key, size = key * n + kids[:, c], size * n
-        _, first, inverse = np.unique(key, return_index=True,
-                                      return_inverse=True)
+            _, first, inverse = np.unique(key, return_index=True,
+                                          return_inverse=True)
+            order = np.argsort(first)  # classes by their shortlex-first word
+            renumber = np.empty_like(order)
+            renumber[order] = np.arange(len(order))
+            cls = renumber[inverse.reshape(-1)]
+            first = first[order]
         if len(first) > cap:
             raise CapExceeded(f"automaton inference exceeds the cap of {cap} states",
                               stage="automaton inference", cap=cap)
-        order = np.argsort(first)  # classes by their shortlex-first word
-        renumber = np.empty_like(order)
-        renumber[order] = np.arange(len(order))
-        cls = renumber[inverse.reshape(-1)]
-        first = first[order]
         if first[-1] >= off[bound - d]:
             continue  # some class only ever appears at the frontier
         delta = cls[first[:, None] * k + np.arange(k) + 1]

@@ -130,6 +130,7 @@ def delta_algebra(alphabet, var, generators, bound=6,
                                return_index=True, return_inverse=True)
     if len(first) > caps.finba_atoms:
         raise CapExceeded(f"{len(first)} atoms exceed the atom cap",
+                          stage="formula algebra atoms", size=len(first),
                           cap=caps.finba_atoms)
     order = np.argsort(first)
     atom_of = np.argsort(order)[cell]  # the rank of each cell's first word
@@ -190,7 +191,8 @@ def xi(delta: DeltaAlgebra, mw: MarkedWord) -> int:
     except KeyError:
         raise BoundTooSmall(
             f"generator signature of {mw} is not realized by any word of "
-            f"length <= {delta.bound}", bound=delta.bound)
+            f"length <= {delta.bound}", stage="atom classification",
+            size=len(mw.word), bound=delta.bound)
 
 
 def tau(delta: DeltaAlgebra, w) -> tuple:
@@ -381,7 +383,9 @@ def gamma_odot(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
     sentences = gamma.generators(atom_alpha)
     if len(sentences) > caps.sentence_budget:
         raise CapExceeded(f"{len(sentences)} generating sentences "
-                          f"(cap {caps.sentence_budget})", cap="sentence_budget")
+                          f"(cap {caps.sentence_budget})",
+                          stage="substituted sentences", size=len(sentences),
+                          cap=caps.sentence_budget)
     syms = atom_alpha.symbols
     check_table("word table", len(delta.alphabet), 0, bound, caps)
     letters, lens, atoms = atom_rows(delta, bound)
@@ -525,6 +529,7 @@ def w_odot_c(w_dfas, delta: DeltaAlgebra, caps: Caps = DEFAULT) -> WOdotC:
             raise BoundTooSmall(
                 f"inferred transduction disagrees with the algebra on "
                 f"{''.join(carrier[differ[0]]) or '<empty>'}",
+                stage="atom transduction", size=len(carrier),
                 bound=delta.bound)
         pre.append(d)
         langs.append(frozenset(itertools.compress(carrier, want)))

@@ -329,7 +329,8 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
         key = sig + (True,) if enc_vars else sig
         if key not in lifted._sig_to_atom:
             raise BoundTooSmall("an encoded source cell is not realized over "
-                                "the marked alphabet", bound=bound)
+                                "the marked alphabet", stage="lift_delta",
+                                size=lifted.atom_count, bound=bound)
         zeta.append(lifted._sig_to_atom[key])
     junk = None
     if enc_vars:
@@ -337,7 +338,8 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
         expect = len(source_sigs) + (1 if junk is not None else 0)
         if lifted.atom_count != expect or junk is None:
             raise BoundTooSmall("the lifted algebra has unexpected cells at "
-                                "this bound", bound=bound)
+                                "this bound", stage="lift_delta",
+                                size=lifted.atom_count, bound=bound)
     if len(set(zeta)) != len(zeta):
         raise InvariantViolated("two source atoms embed into one lifted atom",
                                 stage="lift_delta")

@@ -221,7 +221,9 @@ def enumerate_words(alphabet, maxlen, caps: _caps.Caps = _caps.DEFAULT):
         for tup in itertools.product(syms, repeat=n):
             total += 1
             if total > caps.enumeration:
-                raise CapExceeded("word enumeration cap hit", cap=caps.enumeration)
+                raise CapExceeded("word enumeration cap hit",
+                                  stage="word enumeration", size=total,
+                                  cap=caps.enumeration)
             yield tup
 
 
@@ -237,7 +239,9 @@ def enumerate_marked(alphabet, context, maxlen, caps: _caps.Caps = _caps.DEFAULT
         for positions in itertools.product(range(1, len(w) + 1), repeat=len(context)):
             total += 1
             if total > caps.enumeration:
-                raise CapExceeded("marked word enumeration cap hit", cap=caps.enumeration)
+                raise CapExceeded("marked word enumeration cap hit",
+                                  stage="marked word enumeration", size=total,
+                                  cap=caps.enumeration)
             yield MarkedWord(w, tuple(zip(context, positions)))
 
 

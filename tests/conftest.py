@@ -23,6 +23,13 @@ settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 
+#: "the last bit is 1": the right-zero monoid {e, 0, 1} (x.y = y for y != e),
+#: bits 0 and 1 read as its elements 1 and 2, accepting 2.  Its bit images
+#: do not commute, so bulk evaluation asks it row by row.
+LASTBIT = {"name": "lastbit", "table": [[0, 1, 2], [1, 1, 2], [2, 1, 2]],
+           "identity": 0, "images": [1, 2], "accept": [2]}
+
+
 @pytest.fixture
 def reg():
     return DEFAULT_REGISTRY

@@ -101,7 +101,7 @@ def test_criterion_2_substitution_principle():
         report = check_substitution_principle(delta, psi, bound=6,
                                               registry=reg)
         assert report.passed, (i, report.counterexample)
-    _done(2, "substitution principle, 50 random instances", t0, budget=10.0)
+    _done(2, "substitution principle, 50 random instances", t0, budget=3.0)
 
 
 def test_criterion_3_encoding_roundtrip():
@@ -115,7 +115,7 @@ def test_criterion_3_encoding_roundtrip():
         report = roundtrip_check(phi, ("x",), A, bound=5, registry=reg)
         assert report.passed, (i, report.counterexample)
     _done(3, "variable-encoding roundtrip, 50 random formulas", t0,
-          budget=10.0)
+          budget=3.0)
 
 
 def test_criterion_4_lifted_atoms_are_encoded_atoms_plus_junk():
@@ -141,7 +141,7 @@ def test_criterion_4_lifted_atoms_are_encoded_atoms_plus_junk():
         for mw in enumerate_marked(lift.lifted.alphabet, ("x",), bound):
             if decode_marks(mw.word, ext, strict=False) is None:
                 assert xi(lift.lifted, mw) == lift.junk_atom
-    _done(4, "lifted atom partition, 20 random algebras", t0, budget=10.0)
+    _done(4, "lifted atom partition, 20 random algebras", t0, budget=3.0)
 
 
 def test_criterion_5_tower_compatibility():
@@ -164,7 +164,7 @@ def test_criterion_5_tower_compatibility():
         z32 = finba.dual_of_inclusion(d2.ba, d3.ba)
         z31 = finba.dual_of_inclusion(d1.ba, d3.ba)
         assert all(z21[z32[k]] == z31[k] for k in range(len(z32)))
-    _done(5, "tower compatibility, 20 random chains", t0, budget=10.0)
+    _done(5, "tower compatibility, 20 random chains", t0, budget=3.0)
 
 
 def test_criterion_6_recognizer_equivalence():
@@ -219,7 +219,7 @@ def test_criterion_8_fragments_match_direct_enumeration():
                 assert report.passed, (syms, qs, depth,
                                        report.counterexample)
     _done(8, "depth fragments vs direct enumeration, 8 specs", t0,
-          budget=10.0)
+          budget=3.0)
 
 
 def test_criterion_9_algebraic_laws_and_oracle_quantifiers():

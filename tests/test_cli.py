@@ -221,6 +221,20 @@ def test_a_dfa_file_that_is_not_json_exits_2(capsys, tmp_path, raw):
     assert err.startswith("error [parse]: DFA file is not JSON")
 
 
+@pytest.mark.parametrize("command", ["synmon", "quotient-closure"])
+def test_a_dfa_over_another_alphabet_exits_2_naming_both(capsys, tmp_path,
+                                                         command):
+    path = tmp_path / "dfa.json"
+    path.write_text(json.dumps({"alphabet": ["p", "q"],
+                                "delta": [[0, 1], [1, 1]], "initial": 0,
+                                "accepting": [1]}), encoding="utf-8")
+    rc, out, err = run(capsys, [command, "--alphabet", "ab", "--dfa",
+                                str(path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error [parse]")
+    assert "p,q" in err and "a{},a{x},b{},b{x}" in err
+
+
 SDP = {"S": {"table": [[0, 1], [1, 1]], "identity": 0},
        "M": {"table": [[0, 1], [1, 0]], "identity": 0},
        "lambda": [[0, 1], [0, 1]], "rho": [[0, 0], [1, 1]]}

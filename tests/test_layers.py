@@ -19,10 +19,10 @@ from wordlogic import (
 )
 from wordlogic.caps import Caps
 from wordlogic.layers import FragmentSpec, same_language_algebra
-from wordlogic.logic import all_vars
+from wordlogic.logic import all_vars, registry_from_json
 from wordlogic.words import enumerate_words
 
-from conftest import model_words
+from conftest import LASTBIT, model_words
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,23 @@ def test_fragment_matches_direct_enumeration_with_parity():
     report = check_fragment_against_direct(
         FragmentSpec(Alphabet.of("a"), ("E", "mod[2,0]"), depth=2, bound=6))
     assert report.passed, report.counterexample
+
+
+@pytest.mark.parametrize("letters, depth, bound", [("ab", 1, 4), ("ab", 2, 3),
+                                                    ("a", 2, 5)])
+def test_fragment_matches_direct_enumeration_under_a_non_commuting_quantifier(
+        letters, depth, bound):
+    reg = registry_from_json({"quantifiers": [LASTBIT]})
+    spec = FragmentSpec(Alphabet.of(letters), ("lastbit", "E"), depth=depth,
+                        bound=bound)
+    report = check_fragment_against_direct(spec, reg)
+    assert report.passed, report.counterexample
+    # the per-word interpreter is the oracle for the sentences' languages
+    words = tuple(enumerate_words(spec.alphabet, bound))
+    frag = depth_fragment(spec, reg)
+    for phi, lang in zip(frag.formulas, frag.languages):
+        assert frozenset(lang) == {w for w in words
+                                   if satisfies(MarkedWord(w, ()), phi, reg)}
 
 
 def test_same_language_algebra_identifies_equal_fragments():

@@ -1,6 +1,7 @@
 """Formulas, quantifiers, satisfaction, and bounded model sets."""
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -41,7 +42,7 @@ from wordlogic.varcode import decode, encode
 from wordlogic.words import (check_table, embed_marked, enumerate_marked,
                              enumerate_words)
 
-from conftest import member_table, model_words, plain
+from conftest import LASTBIT, member_table, model_words, plain
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +404,9 @@ def test_formula_dfa_refuses_an_oversized_table_before_evaluating(monkeypatch):
 
 
 #: every built-in predicate, a modular one and a finite JSON tuple predicate
-NEAR = registry_from_json({"predicates": [
-    {"name": "near", "arity": 2, "tuples": [[1, 2], [2, 1], [2, 2], [3, 1]]}]})
+NEAR_PREDICATE = {"name": "near", "arity": 2,
+                  "tuples": [[1, 2], [2, 1], [2, 2], [3, 1]]}
+NEAR = registry_from_json({"predicates": [NEAR_PREDICATE]})
 TABLE_PREDICATES = (("<", 2), ("=", 2), ("succ", 2), ("first", 1),
                     ("last", 1), ("mod[2,1]", 1), ("near", 2))
 TABLE_QUANTIFIERS = ("E", "E1", "mod[2,1]", "maj")
@@ -466,6 +468,41 @@ def test_marked_truth_is_satisfies_on_every_marked_word(seed, ctx, bound):
     assert marked_truth(phi, A, ctx, bound, NEAR).tolist() == want
 
 
+NEAR_LASTBIT = registry_from_json({"quantifiers": [LASTBIT],
+                                   "predicates": [NEAR_PREDICATE]})
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(CONTEXTS), st.integers(0, 5))
+def test_marked_truth_is_satisfies_under_a_non_commuting_quantifier(seed, ctx,
+                                                                    bound):
+    A = Alphabet.of("ab")
+    rng = random.Random(seed)
+    phi = random_formula(rng, A, context=ctx, depth=rng.randint(1, 3),
+                         quantifiers=("lastbit", "E"),
+                         predicates=TABLE_PREDICATES, registry=NEAR_LASTBIT)
+    want = [satisfies(mw, phi, NEAR_LASTBIT)
+            for mw in enumerate_marked(A, ctx, bound)]
+    assert marked_truth(phi, A, ctx, bound, NEAR_LASTBIT).tolist() == want
+
+
+@pytest.mark.parametrize("name", ["E", "E1", "mod[2,0]", "mod[3,1]"])
+def test_the_count_table_is_evaluate_on_every_bit_string(name):
+    q, bound = DEFAULT_REGISTRY.quantifier(name), 6
+    table = q.by_count(bound)
+    assert table.shape == (bound + 1, bound + 1)
+    assert q.by_count(bound) is table and not table.flags.writeable
+    for n in range(bound + 1):
+        for bits in itertools.product((0, 1), repeat=n):
+            assert table[n, sum(bits)] == q.evaluate(bits)
+
+
+def test_quantifiers_with_non_commuting_images_or_an_oracle_have_no_count_table():
+    assert NEAR_LASTBIT.quantifier("lastbit").by_count(4) is None
+    assert DEFAULT_REGISTRY.quantifier("maj").by_count(4) is None
+    assert NEAR_LASTBIT.quantifier("lastbit").evaluate((1, 0)) is False
+    assert NEAR_LASTBIT.quantifier("lastbit").evaluate((0, 1)) is True
+
+
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
        st.sampled_from(CONTEXTS), st.integers(0, 4))
 def test_counterexample_is_the_first_word_where_satisfies_differs(
@@ -489,10 +526,10 @@ def test_blocks_are_sized_by_width_not_by_variable_count(monkeypatch):
     blocks = []
     table = logic._Evaluator.table
 
-    def spy(self, node, rows, row_lens, env):
+    def spy(self, node, env):
         if node is both:
-            blocks.append(len(row_lens))
-        return table(self, node, rows, row_lens, env)
+            blocks.append(len(self.lens))
+        return table(self, node, env)
 
     monkeypatch.setattr(logic._Evaluator, "table", spy)
     whole = truth_table(both, ext.symbols, (), letters, lens)

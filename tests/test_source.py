@@ -104,3 +104,29 @@ def test_only_the_command_line_reads_the_environment(path):
     owners = {owner for owner, _ in
               environment_reads(ast.parse(path.read_text(encoding="utf-8")))}
     assert owners <= ENVIRONMENT_READERS.get(path.name, set())
+
+
+REFUSALS = ("CapExceeded", "BoundTooSmall")
+
+
+def refusals_without_stage(tree) -> list:
+    """Lines that raise a size or bound refusal without a ``stage=``
+    keyword naming the construction that reached the limit."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise)
+                  and isinstance(node.exc, ast.Call)
+                  and getattr(node.exc.func, "id", None) in REFUSALS
+                  and "stage" not in {k.arg for k in node.exc.keywords})
+
+
+def test_refusals_without_stage_are_found():
+    tree = ast.parse("raise CapExceeded('x', cap=3)\n"
+                     "raise CapExceeded('x', stage='s', cap=3)\n"
+                     "if 1:\n    raise BoundTooSmall('y', bound=2)\n"
+                     "raise ParseError('z')\n")
+    assert refusals_without_stage(tree) == [1, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_refusal_names_its_stage(path):
+    assert refusals_without_stage(ast.parse(path.read_text(encoding="utf-8"))) == []
