@@ -25,7 +25,7 @@ class Caps:
     dfa_states: int = 50000          # states of any constructed DFA
     sdp_elements: int = 1024         # |S x M| of a materialized semidirect product
     hom_count: int = 20000           # morphisms C* -> N_V enumerated for eta
-    enumeration: int = 2_000_000     # words/marked words enumerated in one call
+    enumeration: int = 2_000_000     # words, marked words or scope transitions per call
     sentence_budget: int = 8192      # quantifier bodies per layer enumeration
 
 

@@ -145,7 +145,7 @@ def _rep_str(word) -> str:
 def _languages_of(args) -> list:
     """DFAs over the one-mark alphabet from --language names (@plain /
     @marked / @zero), --dfa JSON files, and --formula one-variable formulas
-    (inferred at --maxlen)."""
+    (compiled exactly; --maxlen is only checked to be non-negative)."""
     reg = _registry(args)
     ext = ExtendedAlphabet(_alphabet(args), (args.mark_var,))
     dfas = []
@@ -512,12 +512,13 @@ def _add_language_inputs(p):
     p.add_argument("--dfa", action="append", metavar="FILE",
                    help="DFA JSON file (repeatable)")
     p.add_argument("--formula", action="append", metavar="DSL",
-                   help="one-variable formula; its bounded language is "
-                        "inferred at --maxlen (repeatable)")
+                   help="one-variable formula, compiled exactly to its "
+                        "automaton (repeatable)")
     p.add_argument("--alphabet", required=True, help="base alphabet")
     p.add_argument("--mark-var", default="x", help="the mark variable")
     p.add_argument("--maxlen", "-L", type=int, default=6,
-                   help="inference bound for formula languages")
+                   help="accepted for compatibility: formula languages do "
+                        "not depend on it (must be non-negative)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -607,7 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_formula_inputs(p)
     p.add_argument("--alphabet", required=True)
     p.add_argument("--maxlen", "-L", type=int, default=6,
-                   help="inference bound for the body")
+                   help="accepted for compatibility: the body is compiled "
+                        "exactly (must be non-negative)")
     _add_common(p)
     p.set_defaults(func=cmd_compile)
 

@@ -35,7 +35,8 @@ class NotDecomposable(WordlogicError):
 
 
 class NotMonoidPresentable(WordlogicError):
-    """Compilation was asked for a quantifier with only an oracle."""
+    """Compilation was asked for a quantifier or a numerical predicate
+    given only by an oracle (a Python function)."""
 
     code = "oracle-quantifier"
 

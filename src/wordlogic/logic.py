@@ -27,9 +27,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import caps as _caps
-from .errors import CapExceeded, ParseError
-from .regular import (FinMonoid, infer_dfa, int_array, row_weights,
+from .errors import CapExceeded, NotMonoidPresentable, ParseError
+from .regular import (Dfa, FinMonoid, closure, empty_dfa, int_array, row_weights,
                       shortlex_offsets, shortlex_rows, word_ids)
+from .semidirect import count_layer, transfer_layer
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_bound,
                     check_table, enumerate_marked)
 
@@ -302,26 +303,34 @@ class Quantifier:
             out = tab[out][b1 if b else b0]
         return out in self.accept
 
+    @property
+    def commutes(self) -> bool:
+        """A monoid quantifier whose two bit images commute: its value on a
+        string depends only on the length and the number of ones."""
+        if self.monoid is None:
+            return False
+        tab, (b0, b1) = self.monoid.table, self.images
+        return tab[b0][b1] == tab[b1][b0]
+
     def by_count(self, bound):
         """The (bound+1) x (bound+1) bool table T[n, c]: the value on any bit
-        string of length n with c ones (False where c > n), or None for an
-        oracle or when the two bit images do not commute.  Built once per
-        bound and kept read-only."""
+        string of length n with c ones (False where c > n), or None unless
+        the quantifier ``commutes``.  Built once per bound and kept
+        read-only."""
         if bound in self._counts:
             return self._counts[bound]
         counts = None
-        if self.monoid is not None:
+        if self.commutes:
             tab, (b0, b1) = self.monoid.table, self.images
-            if tab[b0][b1] == tab[b1][b0]:
-                # b0^(n-c) b1^c: the powers of each image, then one product
-                zeros, ones = [self.monoid.identity], [self.monoid.identity]
-                for _ in range(bound):
-                    zeros.append(tab[zeros[-1]][b0])
-                    ones.append(tab[ones[-1]][b1])
-                counts = np.array([[c <= n and tab[zeros[n - c]][ones[c]] in self.accept
-                                    for c in range(bound + 1)]
-                                   for n in range(bound + 1)], dtype=bool)
-                counts.setflags(write=False)
+            # b0^(n-c) b1^c: the powers of each image, then one product
+            zeros, ones = [self.monoid.identity], [self.monoid.identity]
+            for _ in range(bound):
+                zeros.append(tab[zeros[-1]][b0])
+                ones.append(tab[ones[-1]][b1])
+            counts = np.array([[c <= n and tab[zeros[n - c]][ones[c]] in self.accept
+                                for c in range(bound + 1)]
+                               for n in range(bound + 1)], dtype=bool)
+            counts.setflags(write=False)
         self._counts[bound] = counts
         return counts
 
@@ -329,14 +338,40 @@ class Quantifier:
 @dataclass(frozen=True)
 class NumPredDef:
     """k-ary numerical predicate: an oracle on (position tuple, word length);
-    positions are 1-based.  ``_tables`` keeps the read-only bulk tables of
-    ``truth_table`` by (argument pattern, bound)."""
+    positions are 1-based.  ``scan``, when given, is the same predicate read
+    left to right, for ``formula_dfa``: a triple (start, step, final) where
+    step(s, hits) takes the set of arguments marked at the next position
+    (bit i for argument i) to the next state, or to None once the predicate
+    fails, and final(s) decides a word that has marked every argument.  A
+    predicate with only ``holds`` evaluates but does not compile.
+    ``_tables`` keeps the read-only bulk tables of ``truth_table`` by
+    (argument pattern, bound)."""
 
     name: str
     arity: int
     holds: object
+    scan: tuple = None
     _tables: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
+
+
+def _always(s) -> bool:
+    return True
+
+
+def _tuple_scan(tuples, arity):
+    """The scan of a finite set of position tuples: the position, counted up
+    to one past the largest listed, and the position of each argument."""
+    top = max((p for t in tuples for p in t), default=0)
+
+    def step(s, hits):
+        pos, at = s
+        pos = min(pos + 1, top + 1)
+        if hits and pos > top:
+            return None
+        return pos, tuple(pos if hits >> i & 1 else p for i, p in enumerate(at))
+
+    return (0, (0,) * arity), step, lambda s: s[1] in tuples
 
 
 _MOD_RE = re.compile(r"^mod\[(\d+),(\d+)\]$")
@@ -367,12 +402,20 @@ def _maj_quant():
 # the built-ins by kind and name, besides the mod[q,r] families of both kinds
 _NAMED = {
     Quantifier: {q.name: q for q in (_exists_quant(), _unique_quant(), _maj_quant())},
+    # the scan states: "<" whether the first argument was seen, "succ"
+    # whether it was at the previous position, "first" whether the next
+    # position is the first, "last" whether the argument was seen
     NumPredDef: {p.name: p for p in (
-        NumPredDef("<", 2, lambda p, n: p[0] < p[1]),
-        NumPredDef("=", 2, lambda p, n: p[0] == p[1]),
-        NumPredDef("succ", 2, lambda p, n: p[1] == p[0] + 1),
-        NumPredDef("first", 1, lambda p, n: p[0] == 1),
-        NumPredDef("last", 1, lambda p, n: p[0] == n))},
+        NumPredDef("<", 2, lambda p, n: p[0] < p[1],
+                   (0, lambda s, h: None if h & 2 and not s else s | h & 1, _always)),
+        NumPredDef("=", 2, lambda p, n: p[0] == p[1],
+                   (0, lambda s, h: None if h in (1, 2) else s, _always)),
+        NumPredDef("succ", 2, lambda p, n: p[1] == p[0] + 1,
+                   (0, lambda s, h: None if h & 2 and not s else h & 1, _always)),
+        NumPredDef("first", 1, lambda p, n: p[0] == 1,
+                   (1, lambda s, h: None if h and not s else 0, _always)),
+        NumPredDef("last", 1, lambda p, n: p[0] == n,
+                   (0, lambda s, h: None if s else h, _always)))},
 }
 
 
@@ -393,7 +436,10 @@ def _builtin(kind, name):
         raise ParseError(f"bad modulus parameters [{q},{r}]")
     if kind is Quantifier:
         return _mod_quant(q, r)
-    return NumPredDef(name, 1, lambda pos, n: pos[0] % q == r)
+    # the scan state is the number of positions read, mod q
+    return NumPredDef(name, 1, lambda pos, n: pos[0] % q == r,
+                      (0, lambda s, h: None if h and (s + 1) % q != r
+                       else (s + 1) % q, _always))
 
 
 class Registry:
@@ -453,12 +499,14 @@ def registry_from_json(data) -> Registry:
         for spec in data.get("predicates", ()):
             if not spec.get("finite", True):
                 raise ParseError("only finite tuple predicates can be declared in JSON")
-            tuples = frozenset(tuple(t) for t in spec["tuples"])
+            tuples = frozenset(tuple(int_array(t, 1, "a position tuple").tolist())
+                               for t in spec["tuples"])
             arity = int(int_array(spec["arity"], 0, "an arity"))
             if any(len(t) != arity for t in tuples):
                 raise ParseError(f"arity mismatch in predicate {spec['name']!r}")
             reg.register_numpred(NumPredDef(
-                spec["name"], arity, lambda p, n, ts=tuples: tuple(p) in ts))
+                spec["name"], arity, lambda p, n, ts=tuples: tuple(p) in ts,
+                _tuple_scan(tuples, arity)))
     except KeyError as exc:
         raise ParseError(f"registry declaration lacks {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
@@ -920,26 +968,6 @@ def marked_truth(phi, alphabet, context, bound, registry=None) -> np.ndarray:
     return sat[in_range(lens, bound, len(ctx))]
 
 
-def model_table(phi, alphabet: Alphabet, context, bound, registry=None) -> np.ndarray:
-    """The bounded model set of a formula as a membership table over the
-    words of A x 2^context of length <= bound, numbered in shortlex order as
-    in ``regular.infer_dfa`` with letter base_index * 2^|context| + mask
-    (context[0] the lowest bit): True exactly at the embeddings of the marked
-    words ``models`` returns.  The truth table of all base words
-    (``truth_table``) is scattered to the ids of the extended words; the
-    caller checks the size of the table (``words.check_table``).
-    """
-    ctx = tuple(context)
-    check_bound(bound)
-    letters, lens = shortlex_rows(len(alphabet), bound)
-    sat = truth_table(phi, tuple(alphabet), ctx, letters, lens, registry)
-    sat &= in_range(lens, bound, len(ctx))
-    ids = embedded_ids(len(alphabet), len(ctx), bound)
-    member = np.zeros(shortlex_offsets(len(alphabet) << len(ctx), bound)[-1], dtype=bool)
-    member[np.broadcast_to(ids, sat.shape)[sat]] = True
-    return member
-
-
 @lru_cache(maxsize=16)
 def embedded_ids(size: int, c: int, bound) -> np.ndarray:
     """The shortlex ids, among the words of length <= bound over A x 2^c
@@ -1016,23 +1044,160 @@ def relabel(zeta: dict, phi):
 
 # ---------------------------------------------------------------------------
 # formula -> automaton bridge
+#
+# A subformula with the variables ``scope`` in scope compiles to the minimal
+# automaton of its valid models: over the letters base_index * 2^|scope| +
+# mask (scope[0] the lowest bit), the words that mark every variable in scope
+# exactly once and, read as marked words, satisfy it.  A binder's variable
+# joins its body's scope as the lowest bit, so the body's letter 2b + 1 is
+# the letter b of the scope around it with the bound variable marked: the
+# one-mark alphabet over that scope's letters, as ``compile_layer`` reads it.
+
+#: the scan of a predicate that holds everywhere
+_ANY = (0, lambda s, hits: s, _always)
+
+
+class _Compiler:
+    """``formula_dfa``'s structural induction for one call; it keeps the
+    valid-word automaton of each scope size and the letters of each."""
+
+    def __init__(self, alphabet, registry, caps):
+        self.col = {s: i for i, s in enumerate(alphabet)}
+        self.reg, self.caps = registry, caps
+        self._letters, self._valid = {}, {}
+
+    def letters(self, m) -> tuple:
+        """The letters of a scope of m variables.  A scope whose valid-word
+        automaton would have more transitions than the ``enumeration`` cap is
+        refused."""
+        out = self._letters.get(m)
+        if out is None:
+            k = len(self.col) << m
+            cells = k * ((1 << m) + 1)
+            if cells > self.caps.enumeration:
+                raise CapExceeded(
+                    f"{m} variables in scope need {cells} automaton transitions, "
+                    f"more than the cap of {self.caps.enumeration}",
+                    stage="formula compilation", size=cells,
+                    cap=self.caps.enumeration)
+            out = self._letters[m] = tuple(range(k))
+        return out
+
+    def valid(self, m) -> Dfa:
+        """The words that mark each of m variables exactly once."""
+        d = self._valid.get(m)
+        if d is None:
+            d = self._valid[m] = self.atom((None,) * m, (), _ANY)
+        return d
+
+    def atom(self, scope, args, scan, letter=None) -> Dfa:
+        """The valid words whose marks of ``args`` pass ``scan`` and, with
+        ``letter``, whose positions marked by ``args`` carry that base letter.
+        A state is the set of variables marked so far and the scan's state;
+        None is the dead state."""
+        m = len(scope)
+        letters = self.letters(m)
+        full = (1 << m) - 1
+        bits = [1 << scope.index(v) for v in args]
+        cols = []
+        for c in letters:
+            mask = c & full
+            hits = sum(1 << i for i, b in enumerate(bits) if mask & b)
+            cols.append((mask, hits, letter is None or not hits or c >> m == letter))
+        start, step, final = scan
+
+        def succ(st):
+            if st is None:
+                return [None] * len(cols)
+            seen, s = st
+            out = []
+            for mask, hits, ok in cols:
+                t = step(s, hits) if ok and not seen & mask else None
+                out.append(None if t is None else (seen | mask, t))
+            return out
+
+        order, _, delta = closure((0, start), succ, self.caps.dfa_states,
+                                  "compiled atom")
+        acc = frozenset(i for i, st in enumerate(order)
+                        if st is not None and st[0] == full and final(st[1]))
+        return Dfa(letters, tuple(delta), 0, acc).minimize()
+
+    def dfa(self, node, scope) -> Dfa:
+        m = len(scope)
+        caps = self.caps
+        if isinstance(node, Truth):
+            return self.valid(m)
+        if isinstance(node, Falsum) or (isinstance(node, LetterPred)
+                                        and node.symbol not in self.col):
+            return empty_dfa(self.letters(m))
+        if isinstance(node, LetterPred):
+            return self.atom(scope, (node.var,), _ANY, self.col[node.symbol])
+        if isinstance(node, NumPred):
+            pred = self.reg.numpred(node.name)
+            if pred.scan is None:
+                raise NotMonoidPresentable(
+                    f"predicate {pred.name} is given only by a Python function "
+                    f"and cannot be compiled", predicate=pred.name,
+                    stage="formula compilation")
+            return self.atom(scope, node.args, pred.scan)
+        if isinstance(node, Not):
+            return self.valid(m).product(self.dfa(node.sub, scope),
+                                         lambda v, a: v and not a, caps).minimize()
+        if isinstance(node, (And, Or)):
+            keep = (lambda a, b: a and b) if isinstance(node, And) else \
+                (lambda a, b: a or b)
+            out = self.dfa(node.args[0], scope)
+            for sub in node.args[1:]:
+                out = out.product(self.dfa(sub, scope), keep, caps).minimize()
+            return out
+        if isinstance(node, Quant):
+            q = self.reg.quantifier(node.q)
+            if q.monoid is None:
+                raise NotMonoidPresentable(
+                    f"quantifier {q.name} has no monoid presentation and cannot "
+                    f"be compiled", quantifier=q.name, stage="formula compilation")
+            body = self.dfa(node.body, (node.var,) + scope)
+            letters = self.letters(m)
+            if q.commutes:
+                layer = count_layer(q, body, letters, caps)
+            else:  # the stamp reads symbol names: c0, c1, ... for the letters
+                ext = ExtendedAlphabet(Alphabet(tuple(f"c{c}" for c in letters)), ("u",))
+                out = transfer_layer(q, Dfa(ext.symbols, body.delta, body.init,
+                                            body.accepting), ext, caps)
+                layer = Dfa(letters, out.delta, out.init, out.accepting)
+            if not m:
+                return layer
+            return layer.product(self.valid(m), lambda a, v: a and v, caps).minimize()
+        raise ParseError(f"not a formula: {node!r}")
 
 
 def formula_dfa(phi, alphabet: Alphabet, context, bound,
                 registry=None, caps: _caps.Caps = _caps.DEFAULT):
-    """The automaton behind the bounded model set of a formula.
+    """The automaton of a formula's models, compiled exactly.
 
     Returns (ext, dfa) where ext is the extended alphabet A x 2^context,
-    letter base_index * 2^|context| + mask.  The model set is evaluated in
-    bulk as a membership table over all words of ext of length <= bound,
-    numbered in shortlex order (``model_table``), and the automaton is
-    inferred from that table (``regular.infer_dfa``).  It provably agrees
-    with the model set up to the bound; for genuinely non-regular behaviors
-    this raises a bound error instead, and a negative bound or a word table
-    above the enumeration cap is refused before anything is evaluated.
+    letter base_index * 2^|context| + mask, and dfa is the minimal automaton
+    of the embedded marked words that satisfy the formula, at every length.
+    It is built by structural induction (see above): letter tests and
+    predicates are small automata, ``And`` and ``Or`` are products, ``Not``
+    is the complement inside the valid words, and ``Q u. psi`` is one layer
+    step (``semidirect.count_layer`` when Q's bit images commute, else
+    ``transfer_layer``) over the letters of the scope around it, intersected
+    with the valid words; each result is minimized.  ``bound`` is only
+    checked: a negative bound is refused, any other gives the same automaton.
+    An oracle quantifier, or a predicate given only by a Python function,
+    raises NotMonoidPresentable; an automaton past the ``dfa_states`` cap is
+    refused with CapExceeded naming its stage, the size reached and the cap.
     """
     ctx = tuple(context)
+    check_bound(bound)
     ext = ExtendedAlphabet(alphabet, ctx)
-    check_table("inference word table", len(ext.symbols), 0, bound, caps)
-    member = model_table(phi, alphabet, ctx, bound, registry)
-    return ext, infer_dfa(ext.symbols, bound, member, caps)
+    if not free_vars(phi) <= set(ctx):
+        raise ParseError("context does not cover the formula's free variables")
+    try:
+        d = _Compiler(alphabet.symbols, registry or DEFAULT_REGISTRY, caps).dfa(phi, ctx)
+    except CapExceeded as exc:
+        if isinstance(exc.info.get("cap"), int):  # a closure refuses the
+            exc.info.setdefault("size", exc.info["cap"] + 1)  # element past it
+        raise
+    return ext, Dfa(ext.symbols, d.delta, d.init, d.accepting)

@@ -3,7 +3,9 @@
 Complete DFAs, finite monoids with exhaustively checked laws, stamps
 (surjective morphisms from a free monoid), syntactic monoids via transition
 monoids of minimal automata, Boolean algebras of recognized languages, and
-the bridge from bounded language data back to automata.
+the bridge from bounded language data back to automata (``infer_dfa``, for
+the atom transductions of ``substitution``; formulas compile exactly in
+``logic.formula_dfa``).
 
 Everything is deterministic: every breadth-first search here (reachable
 states, products, minimization's renumbering, monoid generation) goes
@@ -82,7 +84,7 @@ def first_paths(edges, labels) -> list:
 class Dfa:
     """A complete deterministic automaton; delta[state][symbol_index].
     ``_stamps`` holds its syntactic stamps by caps, for callers that reuse
-    them (``semidirect.compile_layer``); ``_minimal`` is set on the result
+    them (``semidirect.transfer_layer``); ``_minimal`` is set on the result
     of ``minimize``, which is its own minimization."""
 
     alphabet: tuple

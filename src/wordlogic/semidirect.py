@@ -470,18 +470,87 @@ def transfer_dfa(ext: ExtendedAlphabet, stamp: Stamp, letter_of, kdfa: Dfa,
                accepting=accepting)
 
 
+def count_layer(quant, body: Dfa, alphabet, caps: Caps = DEFAULT) -> Dfa:
+    """Minimal automaton over ``alphabet`` for Q x. phi when the bit images
+    (b0, b1) of Q commute, phi given by ``body`` over the one-mark letters of
+    ``alphabet``: column 2i reads letter i unmarked, 2i + 1 marked.
+
+    Q's value is then b0^(n-c) b1^c on a word of length n with c witnesses.
+    A state is the body's state p on the word read, unmarked, and for each
+    body state q the power of (b0, b1) in M x M that counts the positions
+    whose marked run is now in q.  On letter a the counts move along the
+    unmarked a-transitions, and the new position counts once more at
+    delta(p, a marked).  At the end the positions in an accepting state q
+    are witnesses: the word is accepted when the product over q of the
+    b1-part (q accepting) or the b0-part (q not) of its count lies in
+    ``accept``.  No stamp and no transfer automaton is built.
+    """
+    tab, (b0, b1) = quant.monoid.table, quant.images
+    e = quant.monoid.identity
+    # the cyclic monoid <(b0, b1)>, identity first, and its multiplication
+    powers, index, edges = closure((e, e), lambda g: [(tab[g[0]][b0], tab[g[1]][b1])],
+                                   caps.dfa_states, "witness counts")
+    mul = [[index[tab[g0][h0], tab[g1][h1]] for h0, h1 in powers]
+           for g0, g1 in powers]
+    one = edges[0][0]
+    delta, nq, k = body.delta, body.n, len(alphabet)
+    unmarked = [[row[2 * i] for row in delta] for i in range(k)]
+
+    def step(st):
+        p, counts = st
+        out = []
+        for i in range(k):
+            col = unmarked[i]
+            new = [0] * nq
+            for q, c in enumerate(counts):
+                if c:
+                    t = col[q]
+                    new[t] = mul[new[t]][c]
+            t = delta[p][2 * i + 1]
+            new[t] = mul[new[t]][one]
+            out.append((col[p], tuple(new)))
+        return out
+
+    order, _, succ = closure((body.init, (0,) * nq), step, caps.dfa_states,
+                             "counting automaton")
+    accepting = []
+    for i, (_, counts) in enumerate(order):
+        value = e
+        for q, c in enumerate(counts):
+            value = tab[value][powers[c][q in body.accepting]]
+        if value in quant.accept:
+            accepting.append(i)
+    return Dfa(tuple(alphabet), tuple(succ), 0, frozenset(accepting)).minimize()
+
+
 def compile_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
                   caps: Caps = DEFAULT) -> Dfa:
-    """Recognizer over the base alphabet for Q x. phi, phi given as a DFA
-    over the one-mark extended alphabet.
+    """Minimal recognizer over the base alphabet for Q x. phi, phi given as a
+    DFA over the one-mark extended alphabet ``ext``.
 
-    The quantifier must have a monoid presentation; evaluation-only
-    quantifiers raise NotMonoidPresentable.
+    A quantifier whose bit images commute (``E``, ``E1``, ``mod[q,r]``) goes
+    through ``count_layer``, any other monoid quantifier through
+    ``transfer_layer``.  Evaluation-only quantifiers raise
+    NotMonoidPresentable, and a body over any alphabet but the one-mark
+    alphabet ``ext`` is a ParseError.
     """
     if quant.monoid is None:
         raise NotMonoidPresentable(
             f"quantifier {quant.name} has no monoid presentation and cannot "
             f"be compiled", quantifier=quant.name)
+    if len(ext.ctx) != 1 or tuple(phi_dfa.alphabet) != tuple(ext.symbols):
+        raise ParseError(f"a body over {phi_dfa.alphabet} is not over the "
+                         f"one-mark alphabet {ext.symbols}")
+    if quant.commutes:
+        return count_layer(quant, phi_dfa, ext.base.symbols, caps)
+    return transfer_layer(quant, phi_dfa, ext, caps)
+
+
+def transfer_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
+                   caps: Caps = DEFAULT) -> Dfa:
+    """``compile_layer`` for any monoid quantifier: its monoid runs over the
+    per-position witness bits by ``transfer_dfa``, on the syntactic stamp of
+    the body, which is kept on the body for the next quantifier."""
     mu = phi_dfa._stamps.get(caps)
     if mu is None:  # one stamp serves every quantifier over this body
         mu = phi_dfa._stamps[caps] = syntactic_stamp(phi_dfa, caps)

@@ -11,7 +11,7 @@ import random
 
 from . import finba
 from .caps import DEFAULT, Caps
-from .errors import BoundTooSmall, NotMonoidPresentable, ParseError
+from .errors import NotMonoidPresentable, ParseError
 from .logic import (DEFAULT_REGISTRY, LetterPred, NumPred, Quant, TRUE, conj,
                     disj, formula_dfa, models, parse, relabel, satisfies,
                     to_dsl)
@@ -225,16 +225,11 @@ def suite_logic(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
 
     bad = None
     trials = 10
-    skipped = 0
     lb = max(min(L, 5), 4)
     for _ in range(trials):
         phi = random_formula(rng, A, ("x",), depth=2,
                              quantifiers=("E", "E1"), registry=reg)
-        try:
-            ext, dfa = formula_dfa(phi, A, ("x",), lb, reg, caps)
-        except BoundTooSmall:
-            skipped += 1       # a principled refusal, not an agreement bug
-            continue
+        ext, dfa = formula_dfa(phi, A, ("x",), lb, reg, caps)
         for mw in enumerate_marked(A, ("x",), lb, caps):
             emb = embed_marked(mw, ("x",), ext=ext)
             if dfa.accepts(emb) != satisfies(mw, phi, reg):
@@ -242,12 +237,8 @@ def suite_logic(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
                 break
         if bad:
             break
-    if bad is None and skipped == trials:
-        bad = "every sampled formula was refused by automaton inference"
-    out.append(_fail("logic-formula-dfa", params, bad, trials=trials,
-                     skipped=skipped) if bad
-               else _ok("logic-formula-dfa", params, trials=trials,
-                        skipped=skipped))
+    out.append(_fail("logic-formula-dfa", params, bad, trials=trials) if bad
+               else _ok("logic-formula-dfa", params, trials=trials))
     return out
 
 
@@ -416,17 +407,12 @@ def suite_semidirect(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
 
     bad = None
     trials = 10
-    skipped = 0
     cb = max(min(L + 1, 6), 5)
     for _ in range(trials):
         qname = rng.choice(MONOID_QUANTIFIERS)
         body = random_formula(rng, A, ("x",), depth=rng.choice((1, 2)),
                               quantifiers=("E",), registry=reg)
-        try:
-            ext, body_dfa = formula_dfa(body, A, ("x",), cb, reg, caps)
-        except BoundTooSmall:
-            skipped += 1
-            continue
+        ext, body_dfa = formula_dfa(body, A, ("x",), cb, reg, caps)
         comp = compile_layer(reg.quantifier(qname), body_dfa, ext, caps)
         sent = Quant(qname, "x", body)
         for w in enumerate_words(A, cb, caps):
@@ -435,12 +421,10 @@ def suite_semidirect(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
                 break
         if bad:
             break
-    if bad is None and skipped == trials:
-        bad = "every sampled body was refused by automaton inference"
     out.append(_fail("semidirect-compile-semantics", params, bad,
-                     trials=trials, skipped=skipped) if bad
+                     trials=trials) if bad
                else _ok("semidirect-compile-semantics", params,
-                        trials=trials, skipped=skipped))
+                        trials=trials))
 
     bad = None
     maj = reg.quantifier("maj")

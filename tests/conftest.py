@@ -16,7 +16,9 @@ from wordlogic import (
 )
 from wordlogic import caps as _caps
 from wordlogic.errors import BoundTooSmall, CapExceeded, ParseError
-from wordlogic.regular import Dfa, _agrees, shortlex_offsets
+from wordlogic.logic import embedded_ids, in_range, truth_table
+from wordlogic.regular import Dfa, _agrees, shortlex_offsets, shortlex_rows
+from wordlogic.words import check_bound
 
 # property tests run whole-algebra constructions; give them room
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -25,7 +27,8 @@ settings.load_profile("suite")
 
 #: "the last bit is 1": the right-zero monoid {e, 0, 1} (x.y = y for y != e),
 #: bits 0 and 1 read as its elements 1 and 2, accepting 2.  Its bit images
-#: do not commute, so bulk evaluation asks it row by row.
+#: do not commute, so bulk evaluation asks it row by row and compilation
+#: takes the stamp-and-transfer path.
 LASTBIT = {"name": "lastbit", "table": [[0, 1, 2], [1, 1, 2], [2, 1, 2]],
            "identity": 0, "images": [1, 2], "accept": [2]}
 
@@ -96,6 +99,25 @@ def member_table(symbols, bound, words) -> np.ndarray:
             for s in w:
                 rank = rank * k + col[s]
             member[off[len(w)] + rank] = True
+    return member
+
+
+def model_table(phi, alphabet, context, bound, registry=None) -> np.ndarray:
+    """The bulk oracle for ``formula_dfa``: the bounded model set of a formula
+    as a membership table over the words of A x 2^context of length <=
+    bound, numbered in shortlex order as in ``regular.infer_dfa`` with letter
+    base_index * 2^|context| + mask (context[0] the lowest bit).  True exactly
+    at the embeddings of the marked words ``models`` returns: the truth table
+    of all base words (``truth_table``) scattered to the ids of the extended
+    words."""
+    ctx = tuple(context)
+    check_bound(bound)
+    letters, lens = shortlex_rows(len(alphabet), bound)
+    sat = truth_table(phi, tuple(alphabet), ctx, letters, lens, registry)
+    sat &= in_range(lens, bound, len(ctx))
+    ids = embedded_ids(len(alphabet), len(ctx), bound)
+    member = np.zeros(shortlex_offsets(len(alphabet) << len(ctx), bound)[-1], dtype=bool)
+    member[np.broadcast_to(ids, sat.shape)[sat]] = True
     return member
 
 

@@ -11,7 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wordlogic import (Alphabet, Dfa, MarkedWord, NumPredDef, Registry, parse,
+                       satisfies)
+from wordlogic import cli
 from wordlogic.cli import main
+from wordlogic.words import enumerate_words
 
 
 def run(capsys, argv):
@@ -130,17 +134,63 @@ def test_compile_exists(capsys):
     assert "2 states" in out
 
 
-def test_inference_refusal_names_the_bound_and_largest_hypothesis(capsys):
-    rc, out, _ = run(capsys, ["compile", "--formula",
-                              "E x. E y. x < y & P[a](y)", "--alphabet", "ab",
-                              "-L", "4", "--format", "json"])
+def compile_json(capsys, formula, bound):
+    rc, out, _ = run(capsys, ["compile", "--alphabet", "ab", "--formula",
+                              formula, "-L", str(bound), "--format", "json"])
+    assert rc == 0, out
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("formula, bounds, shortest", [
+    ("E x. E y. x < y", (0, 1), 2),
+    ("E x. E y. x < y & P[a](y)", (4,), None),
+], ids=["two-positions", "a-after-a-position"])
+def test_compile_does_not_depend_on_the_bound(capsys, formula, bounds,
+                                              shortest):
+    want = compile_json(capsys, formula, 6)
+    for bound in bounds:
+        assert compile_json(capsys, formula, bound) == want
+    dfa = Dfa(tuple(want["alphabet"]), tuple(map(tuple, want["delta"])),
+              want["initial"], frozenset(want["accepting"]))
+    phi = parse(formula)
+    for w in enumerate_words(Alphabet.of("ab"), 8):
+        assert dfa.accepts(w) == satisfies(MarkedWord(w, ()), phi), w
+        if shortest is not None:
+            assert dfa.accepts(w) == (len(w) >= shortest)
+
+
+def refusal(capsys, argv):
+    rc, out, err = run(capsys, argv + ["--format", "json"])
     assert rc == 2
-    err = json.loads(out)["error"]
-    assert err["code"] == "bound"
-    assert err["info"] == {"stage": "automaton inference", "bound": 4,
-                           "states": 3}
-    assert "bound 4" in err["message"]
-    assert "3 states" in err["message"]
+    assert "Traceback" not in out + err
+    return json.loads(out)["error"]
+
+
+def test_an_oracle_quantifier_inside_a_body_is_refused(capsys):
+    err = refusal(capsys, ["compile", "--alphabet", "ab", "--formula",
+                           "E x. maj y. x < y & P[a](y)"])
+    assert err["code"] == "oracle-quantifier"
+    assert err["info"] == {"quantifier": "maj", "stage": "formula compilation"}
+
+
+def test_a_predicate_with_only_a_python_function_is_refused(capsys,
+                                                            monkeypatch):
+    reg = Registry()
+    reg.register_numpred(NumPredDef("near", 2, lambda p, n: abs(p[0] - p[1]) < 2))
+    monkeypatch.setattr(cli, "_registry", lambda args: reg)
+    err = refusal(capsys, ["compile", "--alphabet", "ab", "--formula",
+                           "E x. E y. R[near](x,y) & P[a](y)"])
+    assert err["code"] == "oracle-quantifier"
+    assert err["info"] == {"predicate": "near", "stage": "formula compilation"}
+    assert "near" in err["message"]
+
+
+def test_compile_honours_the_dfa_states_cap(capsys, monkeypatch):
+    monkeypatch.setenv("WORDLOGIC_CAPS", "dfa_states=2")
+    err = refusal(capsys, ["compile", "--alphabet", "ab", "--formula",
+                           "E x. P[a](x)"])
+    assert err["code"] == "cap"
+    assert err["info"] == {"stage": "compiled atom", "size": 3, "cap": 2}
 
 
 def test_compile_oracle_quantifier_fails_with_structured_error(capsys):
@@ -497,7 +547,7 @@ def test_language_formulas_honour_the_enumeration_cap(capsys, monkeypatch,
     assert rc == 2
     err = json.loads(out)["error"]
     assert err["code"] == "cap"
-    assert err["info"]["stage"] == "inference word table"
+    assert err["info"]["stage"] == "formula compilation"
 
 
 def test_sdp_honours_the_sdp_elements_cap(capsys, monkeypatch, tmp_path):

@@ -6,15 +6,15 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wordlogic import (
     TRUE, FALSE, And, Or, Not, Quant, LetterPred, NumPred,
     Alphabet,
     BoundTooSmall,
     CapExceeded,
-    Caps,
     DEFAULT_REGISTRY,
+    Dfa,
     ExtendedAlphabet,
     MarkedWord,
     NumPredDef,
@@ -32,17 +32,16 @@ from wordlogic import (
     relabel,
     rename_bound,
     satisfies,
-    WordlogicError,
 )
 from wordlogic.logic import (check_hygiene, embedded_ids, map_vars, marked_truth,
-                             model_table, truth_table, width)
-from wordlogic.regular import infer_dfa, shortlex_rows
+                             truth_table, width)
+from wordlogic.regular import _agrees, infer_dfa, shortlex_offsets, shortlex_rows
+from wordlogic.semidirect import count_layer, transfer_layer
 from wordlogic.sampling import random_formula
 from wordlogic.varcode import decode, encode
-from wordlogic.words import (check_table, embed_marked, enumerate_marked,
-                             enumerate_words)
+from wordlogic.words import embed_marked, enumerate_marked, enumerate_words
 
-from conftest import LASTBIT, member_table, model_words, plain
+from conftest import LASTBIT, member_table, model_table, model_words, plain
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +382,6 @@ def test_automaton_inference_refuses_non_regular_looking_data():
         infer_dfa(A.symbols, 5, member_table(A.symbols, 5, pals))
 
 
-def test_formula_dfa_refuses_an_oversized_table_before_evaluating(monkeypatch):
-    import wordlogic.logic as logic
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a formula was evaluated on a refused input")
-
-    monkeypatch.setattr(logic, "satisfies", forbidden)
-    monkeypatch.setattr(logic, "model_table", forbidden)
-    phi = parse("(E y. (x < y & P[a](y))) & E z. (z < x & P[b](z))")
-    with pytest.raises(CapExceeded) as exc:
-        formula_dfa(phi, Alphabet.of("abc"), ("x",), 8)
-    # 6 extended letters: 1 + 6 + ... + 6^8 words in the inference table
-    assert exc.value.info["size"] == sum(6 ** n for n in range(9))
-    assert exc.value.info["cap"] == 2_000_000
-
-
 # ---------------------------------------------------------------------------
 # the bulk model table against the per-word interpreter
 
@@ -583,28 +566,81 @@ def test_sibling_binders_share_axes_and_deep_nesting_is_refused():
     assert exc.value.info == {"stage": "bulk evaluation", "size": 65, "cap": 64}
 
 
-def _outcome(make):
+#: the five monoid quantifiers, the non-commuting ``lastbit`` and the
+#: finite tuple predicate ``near`` beside the built-in predicates
+COMPILED_QUANTIFIERS = ("E", "E1", "mod[2,0]", "mod[2,1]", "mod[3,0]", "lastbit")
+COMPILED_PREDICATES = (("<", 2), ("=", 2), ("succ", 2), ("first", 1),
+                       ("last", 1), ("mod[2,1]", 1), ("near", 2))
+#: (alphabet, table bound): at most a few hundred thousand words per table
+COMPILED_ALPHABETS = (("a", 8), ("ab", 6), ("abc", 4))
+
+
+def compiled_case(seed, ctx, letters):
+    rng = random.Random(seed)
+    A = Alphabet.of(letters)
+    return A, random_formula(rng, A, context=ctx, depth=rng.randint(1, 3),
+                             quantifiers=COMPILED_QUANTIFIERS,
+                             predicates=COMPILED_PREDICATES, registry=NEAR_LASTBIT)
+
+
+def agrees_with_table(dfa, member, k, bound) -> bool:
+    accepting = np.isin(np.arange(dfa.n), list(dfa.accepting))
+    return _agrees(np.array(dfa.delta), accepting, member,
+                   shortlex_offsets(k, bound))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.integers(0, 10 ** 6), st.sampled_from(CONTEXTS),
+       st.sampled_from(COMPILED_ALPHABETS))
+def test_compiled_automata_match_the_bulk_truth_tables(seed, ctx, alphabet):
+    letters, bound = alphabet
+    A, phi = compiled_case(seed, ctx, letters)
+    ext, dfa = formula_dfa(phi, A, ctx, 0, NEAR_LASTBIT)
+    assert dfa.alphabet == ext.symbols and dfa == dfa.minimize()
+    member = model_table(phi, A, ctx, bound, NEAR_LASTBIT)
+    assert agrees_with_table(dfa, member, len(ext), bound)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.integers(0, 10 ** 6), st.sampled_from(CONTEXTS),
+       st.sampled_from(COMPILED_ALPHABETS))
+def test_the_compiled_automaton_is_inferences_wherever_inference_succeeds(
+        seed, ctx, alphabet):
+    letters, bound = alphabet
+    A, phi = compiled_case(seed, ctx, letters)
+    ext, dfa = formula_dfa(phi, A, ctx, bound, NEAR_LASTBIT)
     try:
-        return make()
-    except WordlogicError as exc:
-        return type(exc), str(exc), exc.info
+        inferred = infer_dfa(ext.symbols, bound,
+                             model_table(phi, A, ctx, bound, NEAR_LASTBIT))
+    except BoundTooSmall:
+        return  # the table is checked in the test above
+    # both agree with the table; minimal automata with n and m states that
+    # agree on the words of length <= n + m - 2 are equal, and below that
+    # inference may return a guess that the table cannot refute
+    if bound >= dfa.n + inferred.n - 2:
+        assert dfa == inferred
 
 
-@given(st.integers(0, 10 ** 6), st.sampled_from(CONTEXTS), st.integers(0, 5))
-def test_formula_dfa_matches_the_per_word_path(seed, ctx, bound):
-    A = Alphabet.of("ab")
-    phi = table_formula(seed, ctx, max_depth=2)
-
-    def per_word():
-        ext = ExtendedAlphabet(A, ctx)
-        hits = frozenset(embed_marked(mw, ctx, ext=ext)
-                         for mw in models(phi, A, bound, ctx, NEAR))
-        check_table("inference word table", len(ext), 0, bound, Caps())
-        return ext, infer_dfa(ext.symbols, bound,
-                              member_table(ext.symbols, bound, hits))
-
-    assert _outcome(lambda: formula_dfa(phi, A, ctx, bound, NEAR)) \
-        == _outcome(per_word)
+@settings(derandomize=True)
+@given(st.integers(0, 10 ** 6), st.sampled_from(("a", "ab", "abc")),
+       st.sampled_from(("E", "E1", "mod[2,0]", "mod[2,1]", "mod[3,0]",
+                        "mod[3,2]", "mod[4,1]")))
+def test_the_counting_step_equals_the_transfer_path(seed, letters, qname):
+    rng = random.Random(seed)
+    A = Alphabet.of(letters)
+    ext = ExtendedAlphabet(A, ("x",))
+    q = DEFAULT_REGISTRY.quantifier(qname)
+    assert q.commutes
+    if rng.random() < 0.5:  # a body formula, or any automaton over A x {x}
+        phi = random_formula(rng, A, context=("x",), depth=rng.randint(1, 2),
+                             quantifiers=("E", "E1"))
+        body = formula_dfa(phi, A, ("x",), 0)[1]
+    else:  # the transfer path's states grow fast with a random body's stamp
+        n = rng.randint(1, 2)
+        body = Dfa(ext.symbols, tuple(tuple(rng.randrange(n) for _ in ext.symbols)
+                                      for _ in range(n)),
+                   0, frozenset(i for i in range(n) if rng.random() < 0.5))
+    assert count_layer(q, body, A.symbols) == transfer_layer(q, body, ext)
 
 
 @pytest.mark.parametrize("call", [

@@ -47,8 +47,8 @@ from wordlogic.regular import (
 from wordlogic.words import enumerate_words
 from wordlogic.caps import Caps
 
-from conftest import (left_quotient, member_table, probe_bit_infer_dfa,
-                      right_quotient, table_by_mul)
+from conftest import (left_quotient, member_table, model_table,
+                      probe_bit_infer_dfa, right_quotient, table_by_mul)
 
 
 def contains_a_dfa(alphabet=("a", "b")):
@@ -245,6 +245,18 @@ def test_word_ids_number_the_shortlex_enumeration():
         if len(w) < bound:
             for c in range(k):
                 assert word_ids([list(w) + [c]], k, off)[0] == i * k + c + 1
+
+
+def test_inference_refusal_names_the_bound_and_largest_hypothesis():
+    # "some position after x carries a": at bound 4 a 3-state hypothesis is
+    # refuted, and no deeper probe gives one
+    phi = parse("E y. x < y & P[a](y)")
+    ext = ExtendedAlphabet(Alphabet.of("ab"), ("x",))
+    with pytest.raises(BoundTooSmall) as exc:
+        infer_dfa(ext.symbols, 4, model_table(phi, ext.base, ("x",), 4))
+    assert exc.value.info == {"stage": "automaton inference", "bound": 4,
+                              "states": 3}
+    assert "bound 4" in str(exc.value) and "3 states" in str(exc.value)
 
 
 def test_inference_refuses_a_table_of_the_wrong_size():

@@ -23,6 +23,7 @@ from wordlogic import (
     formula_dfa,
     parse,
     quotient_closure,
+    registry_from_json,
     satisfies,
     sdp,
     verify_recognizer,
@@ -37,7 +38,7 @@ from wordlogic.semidirect import Biaction, eta_quotient, h_morphism, transfer_df
 from wordlogic.suites import _recognizer_instances, named_monoid, run_suite
 from wordlogic.words import parse_word
 
-from conftest import (check_h_formula, class_word, left_quotient,
+from conftest import (LASTBIT, check_h_formula, class_word, left_quotient,
                       marked_class_word, right_quotient, s_of_letters)
 
 
@@ -687,16 +688,27 @@ def test_one_stamp_serves_every_quantifier_of_a_layer(monkeypatch):
         return syntactic_stamp(dfa, caps)
 
     monkeypatch.setattr(semidirect, "syntactic_stamp", counting)
-    reg = DEFAULT_REGISTRY
-    ext, body = formula_dfa(parse("P[a](x) & E y. (y < x & P[b](y))"),
-                            Alphabet.of("ab"), ("x",), 6)
-    quants = [reg.quantifier(q) for q in MONOID_QUANTIFIERS]
+    # "the last bit is 1" and "the last bit is 0": non-commuting bit images
+    reg = registry_from_json({"quantifiers": [
+        LASTBIT, {**LASTBIT, "name": "lastzero", "accept": [1]}]})
+    A = Alphabet.of("ab")
+    text = "P[a](x) & E y. (y < x & P[b](y))"
+    ext, body = formula_dfa(parse(text), A, ("x",), 6)
+    # the commuting quantifiers count witnesses and build no stamp
+    for q in MONOID_QUANTIFIERS:
+        compile_layer(reg.quantifier(q), body, ext)
+    assert built == []
+    quants = [reg.quantifier(q) for q in ("lastbit", "lastzero")]
     layer = [compile_layer(q, body, ext) for q in quants]
     assert len(built) == 1
+    for q, dfa in zip(quants, layer):
+        phi = Quant(q.name, "x", parse(text))
+        for w in enumerate_words(A, 6):
+            assert dfa.accepts(w) == satisfies(MarkedWord(w, ()), phi, reg)
     # each from a fresh copy of the body, which builds its own stamp
     fresh = [compile_layer(q, Dfa(body.alphabet, body.delta, body.init,
                                   body.accepting), ext) for q in quants]
-    assert layer == fresh and len(built) == 6
+    assert layer == fresh and len(built) == 3
     # a cap the stamp does not fit builds a stamp of its own, and refuses
     small = Caps(monoid=len(syntactic_stamp(body).monoid) - 1)
     with pytest.raises(CapExceeded):
