@@ -28,8 +28,8 @@ import numpy as np
 
 from . import caps as _caps
 from .errors import CapExceeded, NotMonoidPresentable, ParseError
-from .regular import (Dfa, FinMonoid, closure, empty_dfa, int_array, row_weights,
-                      shortlex_offsets, shortlex_rows, word_ids)
+from .regular import (Dfa, FinMonoid, closure, closure_dfa, empty_dfa, int_array,
+                      row_weights, shortlex_offsets, shortlex_rows, word_ids)
 from .semidirect import count_layer, transfer_layer
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_bound,
                     check_table, enumerate_marked)
@@ -279,6 +279,7 @@ class Quantifier:
     oracle: object = None
     _counts: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
+    _cyclic: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.monoid is None) == (self.oracle is None):
@@ -333,6 +334,23 @@ class Quantifier:
             counts.setflags(write=False)
         self._counts[bound] = counts
         return counts
+
+    def count_monoid(self, caps: _caps.Caps = _caps.DEFAULT):
+        """(powers, mul, one) for ``semidirect.count_layer``: <(b0, b1)> in
+        M x M, identity first, its table and the index of (b0, b1).  Built
+        once; more elements than ``caps.dfa_states`` are refused each call."""
+        stage, limit = "witness counts", caps.dfa_states
+        if self._cyclic is None:
+            tab, (b0, b1), e = self.monoid.table, self.images, self.monoid.identity
+            powers, index, edges = closure(
+                (e, e), lambda g: [(tab[g[0]][b0], tab[g[1]][b1])], limit, stage)
+            mul = tuple(tuple(index[tab[g0][h0], tab[g1][h1]] for h0, h1 in powers)
+                        for g0, g1 in powers)
+            object.__setattr__(self, "_cyclic", (tuple(powers), mul, edges[0][0]))
+        elif len(self._cyclic[0]) > max(limit, 1):  # as the closure refuses
+            raise CapExceeded(f"{stage} exceeds the cap of {limit} elements",
+                              stage=stage, cap=limit)
+        return self._cyclic
 
 
 @dataclass(frozen=True)
@@ -1057,14 +1075,46 @@ def relabel(zeta: dict, phi):
 _ANY = (0, lambda s, hits: s, _always)
 
 
+@lru_cache(maxsize=128)
+def _atom(size, m, places, scan, letter, caps) -> Dfa:
+    """Over a scope of m variables and ``size`` base letters, the valid words
+    whose marks at scope positions ``places`` pass ``scan`` and, with
+    ``letter``, carry that letter.  A state is (variables marked, scan state),
+    or None, the dead state.  One immutable value per key, for the process."""
+    full = (1 << m) - 1
+    bits = [1 << p for p in places]
+    cols = []
+    for c in range(size << m):
+        mask = c & full
+        hits = sum(1 << i for i, b in enumerate(bits) if mask & b)
+        cols.append((mask, hits, letter is None or not hits or c >> m == letter))
+    start, step, final = scan
+
+    def succ(st):
+        if st is None:
+            return [None] * len(cols)
+        seen, s = st
+        out = []
+        for mask, hits, ok in cols:
+            t = step(s, hits) if ok and not seen & mask else None
+            out.append(None if t is None else (seen | mask, t))
+        return out
+
+    order, _, delta = closure((0, start), succ, caps.dfa_states, "compiled atom")
+    return closure_dfa(range(size << m), delta, (
+        i for i, st in enumerate(order)
+        if st is not None and st[0] == full and final(st[1]))).minimize()
+
+
 class _Compiler:
     """``formula_dfa``'s structural induction for one call; it keeps the
-    valid-word automaton of each scope size and the letters of each."""
+    letters of each scope size and takes atoms, valid-word automata
+    included, from the process-wide memo ``_atom``."""
 
     def __init__(self, alphabet, registry, caps):
         self.col = {s: i for i, s in enumerate(alphabet)}
         self.reg, self.caps = registry, caps
-        self._letters, self._valid = {}, {}
+        self._letters = {}
 
     def letters(self, m) -> tuple:
         """The letters of a scope of m variables.  A scope whose valid-word
@@ -1085,42 +1135,13 @@ class _Compiler:
 
     def valid(self, m) -> Dfa:
         """The words that mark each of m variables exactly once."""
-        d = self._valid.get(m)
-        if d is None:
-            d = self._valid[m] = self.atom((None,) * m, (), _ANY)
-        return d
+        return self.atom((None,) * m, (), _ANY)
 
     def atom(self, scope, args, scan, letter=None) -> Dfa:
-        """The valid words whose marks of ``args`` pass ``scan`` and, with
-        ``letter``, whose positions marked by ``args`` carry that base letter.
-        A state is the set of variables marked so far and the scan's state;
-        None is the dead state."""
-        m = len(scope)
-        letters = self.letters(m)
-        full = (1 << m) - 1
-        bits = [1 << scope.index(v) for v in args]
-        cols = []
-        for c in letters:
-            mask = c & full
-            hits = sum(1 << i for i, b in enumerate(bits) if mask & b)
-            cols.append((mask, hits, letter is None or not hits or c >> m == letter))
-        start, step, final = scan
-
-        def succ(st):
-            if st is None:
-                return [None] * len(cols)
-            seen, s = st
-            out = []
-            for mask, hits, ok in cols:
-                t = step(s, hits) if ok and not seen & mask else None
-                out.append(None if t is None else (seen | mask, t))
-            return out
-
-        order, _, delta = closure((0, start), succ, self.caps.dfa_states,
-                                  "compiled atom")
-        acc = frozenset(i for i, st in enumerate(order)
-                        if st is not None and st[0] == full and final(st[1]))
-        return Dfa(letters, tuple(delta), 0, acc).minimize()
+        """``_atom`` for the variables ``args`` of ``scope``, cap-checked."""
+        self.letters(len(scope))
+        return _atom(len(self.col), len(scope), tuple(map(scope.index, args)),
+                     scan, letter, self.caps)
 
     def dfa(self, node, scope) -> Dfa:
         m = len(scope)

@@ -11,6 +11,8 @@ Everything is deterministic: every breadth-first search here (reachable
 states, products, minimization's renumbering, monoid generation) goes
 through ``closure``, so states are numbered in discovery order, alphabet
 order breaking ties, and monoid elements get shortlex representative words.
+Automata built on a closure's states (``closure_dfa``) are reachable and in
+that order already, so ``minimize`` does not search them again.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ class Dfa:
     """A complete deterministic automaton; delta[state][symbol_index].
     ``_stamps`` holds its syntactic stamps by caps, for callers that reuse
     them (``semidirect.transfer_layer``); ``_minimal`` is set on the result
-    of ``minimize``, which is its own minimization."""
+    of ``minimize``, which is its own minimization; ``_bfs`` only by
+    ``closure_dfa``: its states are reachable and in BFS order from 0, so
+    ``minimize`` skips its reachability search.  All are validated."""
 
     alphabet: tuple
     delta: tuple
@@ -95,6 +99,7 @@ class Dfa:
                           repr=False)
     _minimal: bool = field(default=False, init=False, compare=False,
                            repr=False)
+    _bfs: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.delta)
@@ -142,9 +147,9 @@ class Dfa:
             (self.init, other.init),
             lambda pq: zip(self.delta[pq[0]], other.delta[pq[1]]),
             caps.dfa_states, "product automaton")
-        acc = frozenset(i for i, (p, q) in enumerate(order)
-                        if keep(p in self.accepting, q in other.accepting))
-        return Dfa(self.alphabet, tuple(delta), 0, acc)
+        return closure_dfa(self.alphabet, delta, (
+            i for i, (p, q) in enumerate(order)
+            if keep(p in self.accepting, q in other.accepting)))
 
     def intersect(self, other):
         return self.product(other, lambda a, b: a and b)
@@ -165,33 +170,46 @@ class Dfa:
         return self.symdiff(other).is_empty()
 
     def minimize(self) -> "Dfa":
-        """Canonical minimal complete DFA: reachable part, Moore refinement,
-        BFS renumbering in alphabet order."""
+        """Canonical minimal complete DFA: reachable part (all of a ``_bfs``
+        automaton), Moore refinement, BFS renumbering in alphabet order."""
         if self._minimal:
             return self
-        reach, _, succ = closure(self.init, self.delta.__getitem__)
+        if self._bfs:
+            reach, succ = range(self.n), self.delta
+        else:
+            reach, _, succ = closure(self.init, self.delta.__getitem__)
         # Moore partition refinement on the reachable part
         block = [1 if q in self.accepting else 0 for q in reach]
         nblocks = len(set(block))
         while True:
             sig = {}
-            newblock = [0] * len(reach)
-            for i, row in enumerate(succ):
-                s = (block[i],) + tuple(block[t] for t in row)
-                newblock[i] = sig.setdefault(s, len(sig))
+            newblock = [sig.setdefault((b, *map(block.__getitem__, row)), len(sig))
+                        for b, row in zip(block, succ)]
             if len(sig) == nblocks:
                 break
             block, nblocks = newblock, len(sig)
-        # quotient, then canonical BFS order
+        if self._bfs and nblocks == self.n:  # minimal, and in canonical order
+            object.__setattr__(self, "_minimal", True)
+            return self
+        # quotient (one row per block), then canonical BFS order
         qdelta = {}
         for i, row in enumerate(succ):
-            qdelta[block[i]] = tuple(block[t] for t in row)
+            if block[i] not in qdelta:
+                qdelta[block[i]] = tuple(block[t] for t in row)
         order, renum, delta = closure(block[0], qdelta.__getitem__)
-        acc = frozenset(renum[block[i]] for i, q in enumerate(reach)
-                        if q in self.accepting)
-        out = Dfa(self.alphabet, tuple(delta), 0, acc)
+        out = closure_dfa(self.alphabet, delta, (
+            renum[block[i]] for i, q in enumerate(reach) if q in self.accepting))
         object.__setattr__(out, "_minimal", True)
         return out
+
+
+def closure_dfa(alphabet, edges, accepting) -> Dfa:
+    """The automaton flagged ``_bfs`` on the states of a ``closure`` whose
+    step lists successors in symbol order: start 0, its ``edges`` as
+    transitions, the ``accepting`` positions."""
+    out = Dfa(tuple(alphabet), tuple(edges), 0, frozenset(accepting))
+    object.__setattr__(out, "_bfs", True)
+    return out
 
 
 def universal_dfa(alphabet) -> Dfa:

@@ -31,8 +31,8 @@ from .caps import DEFAULT, Caps
 from .errors import (CapExceeded, InvariantViolated, NotDecomposable,
                      NotMonoidPresentable, ParseError)
 from .regular import (Dfa, FinMonoid, RegularBA, Stamp, cayley_dfa, closure,
-                      congruence_witness, first_paths, generate_monoid,
-                      int_array, syntactic_stamp)
+                      closure_dfa, congruence_witness, first_paths,
+                      generate_monoid, int_array, syntactic_stamp)
 from .report import Report
 from .words import ExtendedAlphabet
 
@@ -465,9 +465,8 @@ def transfer_dfa(ext: ExtendedAlphabet, stamp: Stamp, letter_of, kdfa: Dfa,
     per-position class word of w }, on the states of ``transfer_states``
     (same arguments), not minimized."""
     order, delta = transfer_states(ext, stamp, letter_of, kdfa, caps)
-    accepting = frozenset(i for i, st in enumerate(order) if st[1][0] in kdfa.accepting)
-    return Dfa(alphabet=ext.base.symbols, delta=tuple(delta), init=0,
-               accepting=accepting)
+    return closure_dfa(ext.base.symbols, delta, (
+        i for i, st in enumerate(order) if st[1][0] in kdfa.accepting))
 
 
 def count_layer(quant, body: Dfa, alphabet, caps: Caps = DEFAULT) -> Dfa:
@@ -483,29 +482,24 @@ def count_layer(quant, body: Dfa, alphabet, caps: Caps = DEFAULT) -> Dfa:
     delta(p, a marked).  At the end the positions in an accepting state q
     are witnesses: the word is accepted when the product over q of the
     b1-part (q accepting) or the b0-part (q not) of its count lies in
-    ``accept``.  No stamp and no transfer automaton is built.
+    ``accept``.  No stamp and no transfer automaton is built, and the
+    powers come from ``quant.count_monoid``, built once per quantifier.
     """
-    tab, (b0, b1) = quant.monoid.table, quant.images
-    e = quant.monoid.identity
-    # the cyclic monoid <(b0, b1)>, identity first, and its multiplication
-    powers, index, edges = closure((e, e), lambda g: [(tab[g[0]][b0], tab[g[1]][b1])],
-                                   caps.dfa_states, "witness counts")
-    mul = [[index[tab[g0][h0], tab[g1][h1]] for h0, h1 in powers]
-           for g0, g1 in powers]
-    one = edges[0][0]
+    tab, e = quant.monoid.table, quant.monoid.identity
+    powers, mul, one = quant.count_monoid(caps)
     delta, nq, k = body.delta, body.n, len(alphabet)
     unmarked = [[row[2 * i] for row in delta] for i in range(k)]
 
     def step(st):
         p, counts = st
+        live = [(q, c) for q, c in enumerate(counts) if c]
         out = []
         for i in range(k):
             col = unmarked[i]
             new = [0] * nq
-            for q, c in enumerate(counts):
-                if c:
-                    t = col[q]
-                    new[t] = mul[new[t]][c]
+            for q, c in live:
+                t = col[q]
+                new[t] = mul[new[t]][c]
             t = delta[p][2 * i + 1]
             new[t] = mul[new[t]][one]
             out.append((col[p], tuple(new)))
@@ -520,7 +514,7 @@ def count_layer(quant, body: Dfa, alphabet, caps: Caps = DEFAULT) -> Dfa:
             value = tab[value][powers[c][q in body.accepting]]
         if value in quant.accept:
             accepting.append(i)
-    return Dfa(tuple(alphabet), tuple(succ), 0, frozenset(accepting)).minimize()
+    return closure_dfa(alphabet, succ, accepting).minimize()
 
 
 def compile_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,

@@ -110,8 +110,11 @@ def delta_algebra(alphabet, var, generators, bound=6,
     (``logic.truth_table``), and the cells are the distinct generator
     signatures, numbered by first occurrence.
 
-    ``verify=False`` skips the per-atom representative check, for callers
-    whose generators are large trees and whose cells are checked elsewhere.
+    ``verify=False`` skips the per-atom representative check.  Its one
+    caller, ``varcode.lift_delta``, checks that the source cells embed one to
+    one (``zeta``) beside one junk cell, runs ``_square_check`` when
+    ``check=True``, and ``depth_fragment`` raises InvariantViolated when a
+    word reads the junk atom or a sentence differs from its enumeration.
     """
     registry = registry or DEFAULT_REGISTRY
     if not isinstance(alphabet, (Alphabet, ExtendedAlphabet)):

@@ -182,7 +182,7 @@ def test_criterion_6_recognizer_equivalence():
             assert report.passed, (syms, count, report.counterexample)
             count += 1
     assert count >= 10
-    _done(6, f"recognizer equivalence, {count} instances", t0, budget=10.0)
+    _done(6, f"recognizer equivalence, {count} instances", t0, budget=3.0)
 
 
 def test_criterion_7_layer_compilation_matches_semantics():

@@ -412,6 +412,108 @@ def test_random_input_files_exit_0_or_2_without_a_traceback(tmp_path_factory,
 
 
 # ---------------------------------------------------------------------------
+# argv fuzz: any command line exits 0, 1 or 2 without a traceback
+
+
+#: each subcommand with the flags it requires (a leading "" is a positional)
+SUBCOMMANDS = {
+    "eval": ("--word", "--formula"), "models": ("--alphabet", "--formula"),
+    "equiv": ("", "", "--alphabet"), "atoms": ("--alphabet", "--generator"),
+    "substitute": ("--alphabet", "--generator", "--sentence"),
+    "tau": ("--alphabet", "--generator", "--word"),
+    "encode": ("--var", "--alphabet", "--formula"),
+    "decode": ("--var", "--alphabet", "--formula"),
+    "synmon": ("--alphabet", "--language"),
+    "quotient-closure": ("--alphabet", "--formula"),
+    "compile": ("--alphabet", "--formula"), "sdp": ("--input",),
+    "verify": ("--suite",),
+    "depth-fragment": ("--alphabet", "--quantifiers", "--depth"),
+}
+FORMULAS = ("P[a](x)", "E x. P[a](x)", "E x. E y. x < y", "maj x. P[a](x)",
+            "E1 y. R[succ](x,y) & P[b](y)", "mod[2,1] x. P[b](x)", "R[two](x)",
+            "par x. P[a](x)", "~P[a](x) | x = x", "E u. R[c0](u)", "E y. R[last](y)",
+            "~", "E x.", "P[a](", "x < ", "P[z](x)", "E x. R[<](x)")
+#: plausible values per flag; any flag may also get any value
+FLAG_VALUES = {
+    "--alphabet": ("a", "ab", "abc", "aa,bb", "", "a,a", ",", "a b", "{x}", "\u00e9"),
+    "--formula": FORMULAS, "--generator": FORMULAS, "--sentence": FORMULAS,
+    "--word": ("", "ab", "a{x}b", "a{x,y}", "ba{y}", "c", "{x}", "a{"),
+    "--marks": ("x=1", "x=0", "x=9", "y=2", "x", "x=a", "x=" + "9" * 20, "x=1,x=2"),
+    "--maxlen": ("0", "1", "3", "-1", "40", "9" * 20), "-L": ("2", "5", "-2"),
+    "--var": ("x", "y", "u", ""), "--vars": ("x", "x,y", ""),
+    "--mark-var": ("x", "y"), "--prior": ("y", "y,z", "x"),
+    "--quantifiers": ("E", "E,mod[2,0]", "maj", "mod[0,0]", "E1,par", ""),
+    "--predicates": ("<,succ", "first,last", "two", "nope"),
+    "--depth": ("0", "1", "2", "-1", "9", "9" * 20), "--seed": ("0", "3", "-5", "9" * 20),
+    "--suite": ("words", "finba", "logic", "substitution", "varcode",
+                "semidirect", "layers", "all", "none"),
+    "--language": ("@plain", "@marked", "@zero", "@none"),
+    "--format": ("json", "text", "xml"),
+}
+#: the flags that each subcommand's parser declares
+OWN_FLAGS = {name: sorted(f for f in parser._option_string_actions if f != "-h")
+             for name, parser in next(
+                 a for a in cli.build_parser()._actions
+                 if isinstance(a.choices, dict)).choices.items()}
+FLAGS = tuple(FLAG_VALUES) + ("--check", "--marked-universe", "--help",
+                              "--dfa", "--formulas", "--generators", "--input",
+                              "--registry")
+#: small caps, so that every command line finishes or is refused quickly
+FUZZ_CAPS = ("enumeration=3000,dfa_states=300,monoid=300,sentence_budget=64,"
+             "finba_atoms=64,finba_elements=4096,hom_count=300,sdp_elements=64")
+
+
+@st.composite
+def argv_lines(draw, files):
+    """A subcommand, mostly with its required flags, then more flags, mostly
+    with plausible values; file flags take one of ``files``."""
+    def value(flag):
+        pool = FLAG_VALUES.get(flag, tuple(files))
+        if draw(st.integers(0, 5)):
+            return draw(st.sampled_from(pool))
+        return draw(st.sampled_from(FORMULAS + tuple(files) + ("", "1", "x")))
+
+    cmd = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [cmd]
+    if draw(st.integers(0, 4)):
+        for flag in SUBCOMMANDS[cmd]:
+            argv += [flag, value(flag)] if flag else [value("--formula")]
+    own = st.sampled_from(OWN_FLAGS[cmd])
+    for flag in draw(st.lists(own | own | own | st.sampled_from(FLAGS), max_size=4)):
+        argv += [flag] if flag in ("--check", "--marked-universe", "--help") \
+            or not draw(st.integers(0, 7)) else [flag, value(flag)]
+    return argv
+
+
+def test_random_command_lines_exit_0_1_or_2_without_a_traceback(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("WORDLOGIC_CAPS", FUZZ_CAPS)
+    files = []
+    for name, document in (("sdp.json", SDP), ("dfa.json", MARKED_A),
+                           ("registry.json", REGISTRY)):
+        files.append(str(tmp_path / name))
+        (tmp_path / name).write_text(json.dumps(document))
+    files.append(str(tmp_path / "formulas.txt"))
+    (tmp_path / "formulas.txt").write_text("# two\nP[a](x)\nE y. x < y\n")
+    files.append(str(tmp_path / "missing.json"))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(argv_lines(files))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse usage errors and --help
+                rc = exc.code
+        printed = out.getvalue() + err.getvalue()
+        assert rc in (0, 1, 2), (argv, printed)
+        assert "Traceback" not in printed, argv
+
+    check()
+
+
+# ---------------------------------------------------------------------------
 # suites and fragments
 
 

@@ -33,8 +33,9 @@ from wordlogic import (
     rename_bound,
     satisfies,
 )
-from wordlogic.logic import (check_hygiene, embedded_ids, map_vars, marked_truth,
-                             truth_table, width)
+from wordlogic.caps import DEFAULT, Caps
+from wordlogic.logic import (_ANY, _atom, check_hygiene, embedded_ids, map_vars,
+                             marked_truth, truth_table, width)
 from wordlogic.regular import _agrees, infer_dfa, shortlex_offsets, shortlex_rows
 from wordlogic.semidirect import count_layer, transfer_layer
 from wordlogic.sampling import random_formula
@@ -641,6 +642,85 @@ def test_the_counting_step_equals_the_transfer_path(seed, letters, qname):
                                       for _ in range(n)),
                    0, frozenset(i for i in range(n) if rng.random() < 0.5))
     assert count_layer(q, body, A.symbols) == transfer_layer(q, body, ext)
+
+
+# ---------------------------------------------------------------------------
+# the process-wide atom memo and the kept witness-count monoid
+
+
+MEMO_PHI = "E y. (x < y & P[a](y)) & ~R[first](x) | E1 z. (R[succ](x,z) & R[near](x,z))"
+
+
+def test_no_compilation_order_changes_an_automaton():
+    A, phi = Alphabet.of("ab"), parse(MEMO_PHI, NEAR)
+    _atom.cache_clear()
+    first = formula_dfa(phi, A, ("x",), 0, NEAR)
+    for other in ("E y. x = y", "R[last](x) | R[mod[2,1]](x)", "E1 y. y < x & P[b](y)",
+                  "E y. E z. y < z & R[near](y,z)"):
+        formula_dfa(parse(other, NEAR), A, ("x",), 0, NEAR)
+        formula_dfa(parse(other, NEAR), Alphabet.of("abc"), ("x",), 0, NEAR)
+    assert formula_dfa(phi, A, ("x",), 0, NEAR) == first
+    # one predicate name in two registries: each compiles its own atoms
+    far = registry_from_json({"predicates": [{**NEAR_PREDICATE,
+                                              "tuples": [[1, 3], [3, 1]]}]})
+    _, d_near = formula_dfa(parse("E y. R[near](x,y)", NEAR), A, ("x",), 0, NEAR)
+    _, d_far = formula_dfa(parse("E y. R[near](x,y)", NEAR), A, ("x",), 0, far)
+    assert d_near != d_far
+    assert formula_dfa(parse("E y. R[near](x,y)", NEAR), A, ("x",), 0, NEAR)[1] == d_near
+    # built-in atoms read the same under any registry
+    plain_phi = parse("E y. (x < y & P[a](y))")
+    assert formula_dfa(plain_phi, A, ("x",), 0, far) == \
+        formula_dfa(plain_phi, A, ("x",), 0, NEAR)
+
+
+def test_a_memoized_atom_is_still_refused_under_a_smaller_cap():
+    A, phi, small = Alphabet.of("ab"), parse(MEMO_PHI, NEAR), Caps(dfa_states=2)
+    _atom.cache_clear()
+    with pytest.raises(CapExceeded) as cold:
+        formula_dfa(phi, A, ("x",), 0, NEAR, small)
+    formula_dfa(phi, A, ("x",), 0, NEAR, DEFAULT)
+    with pytest.raises(CapExceeded) as warm:
+        formula_dfa(phi, A, ("x",), 0, NEAR, small)
+    assert warm.value.info == cold.value.info
+    assert warm.value.info["stage"] == "compiled atom"
+    assert str(warm.value) == str(cold.value)
+
+
+def test_the_atom_memo_keeps_to_its_bound():
+    bound = _atom.cache_info().maxsize
+    names = [f"mod[{q},{r}]" for q in range(1, 20) for r in range(q)]
+    assert len(names) > bound
+    for name in names:
+        formula_dfa(parse(f"R[{name}](x)"), Alphabet.of("a"), ("x",), 0)
+    assert _atom.cache_info().currsize <= bound
+
+
+def test_memoized_atoms_are_immutable_and_shared():
+    d = _atom(2, 1, (0,), _ANY, 0, DEFAULT)
+    assert d is _atom(2, 1, (0,), _ANY, 0, DEFAULT)
+    assert isinstance(d.delta, tuple) and all(isinstance(r, tuple) for r in d.delta)
+    assert isinstance(d.accepting, frozenset) and d._minimal
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.delta = ()
+
+
+def test_the_witness_count_monoid_is_kept_and_still_capped():
+    q = registry_from_json({"quantifiers": [{
+        "name": "z5", "table": [[(i + j) % 5 for j in range(5)] for i in range(5)],
+        "images": [0, 1], "accept": [0]}]}).quantifier("z5")
+
+    def refused():
+        with pytest.raises(CapExceeded) as exc:
+            q.count_monoid(Caps(dfa_states=4))
+        assert exc.value.info == {"stage": "witness counts", "cap": 4}
+
+    refused()
+    powers, mul, one = q.count_monoid(DEFAULT)
+    assert q.count_monoid(DEFAULT)[1] is mul
+    assert powers == tuple((0, i) for i in range(5)) and one == 1
+    assert mul == tuple(tuple((i + j) % 5 for j in range(5)) for i in range(5))
+    refused()
+    assert q.count_monoid(Caps(dfa_states=5))[0] == powers
 
 
 @pytest.mark.parametrize("call", [

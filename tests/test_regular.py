@@ -7,7 +7,7 @@ import random
 import numpy as np
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wordlogic import (
     Alphabet,
@@ -25,6 +25,7 @@ from wordlogic.regular import (
     FinMonoid,
     RegularBA,
     closure,
+    closure_dfa,
     congruence_witness,
     empty_dfa,
     factor_stamp,
@@ -70,6 +71,12 @@ def test_dfa_validation():
         Dfa(("a",), ((1,),), 0, frozenset())
     with pytest.raises(ParseError):
         Dfa(("a",), ((0,),), 0, frozenset({3}))
+    with pytest.raises(ParseError):
+        Dfa(("a",), ((0,),), 1, frozenset())
+    # automata built from a closure are validated too
+    for edges, acc in [((), ()), (((0, 0),), ()), (((1,),), ()), (((0,),), (3,))]:
+        with pytest.raises(ParseError):
+            closure_dfa(("a",), edges, acc)
 
 
 def test_boolean_combinations_of_dfas():
@@ -750,3 +757,42 @@ def test_closure_stops_at_its_limit_naming_stage_and_cap(n, limit):
         with pytest.raises(CapExceeded) as exc:
             closure(0, step, limit, "cycle")
         assert exc.value.info == {"stage": "cycle", "cap": limit}
+
+
+@st.composite
+def loose_dfas(draw, k=None):
+    """1-12 states over k (else 1-3) letters, any start: unreachable states
+    allowed."""
+    k, n = k or draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    delta = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(k))
+                  for _ in range(n))
+    acc = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    return Dfa(tuple("abc"[:k]), delta, draw(st.integers(0, n - 1)), acc)
+
+
+@settings(derandomize=True)
+@given(loose_dfas())
+def test_minimize_is_the_same_through_a_closure(d):
+    """The reachable part rebuilt by a closure is flagged, and minimizes
+    without a reachability search to the same automaton, row for row."""
+    order, _, edges = closure(d.init, d.delta.__getitem__)
+    via = closure_dfa(d.alphabet, edges, (i for i, q in enumerate(order)
+                                          if q in d.accepting))
+    assert via._bfs and not d._bfs
+    want = d.minimize()
+    for got in (via.minimize(), d.product(universal_dfa(d.alphabet),
+                                          lambda a, u: a).minimize()):
+        assert got == want and got._minimal  # == compares delta row for row
+
+
+@settings(derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(loose_dfas(k), loose_dfas(k))),
+       st.sampled_from(["and", "or", "xor"]))
+def test_a_product_minimizes_like_its_public_copy(pair, rule):
+    keep = {"and": lambda a, b: a and b, "or": lambda a, b: a or b,
+            "xor": lambda a, b: a != b}[rule]
+    p = pair[0].product(pair[1], keep)
+    copy = Dfa(p.alphabet, p.delta, p.init, p.accepting)
+    assert p._bfs and not copy._bfs
+    got, want = p.minimize(), copy.minimize()
+    assert got == want
