@@ -2,17 +2,20 @@
 """Record benchmark runs in a BENCH_<n>.json file at the repository root.
 
     python3 scripts/bench_record.py --number 16 --workloads compile \\
-        --seeds 7,11 --pairs 10 --seconds 25 --parent ../parent-checkout
+        --seeds 7,11 --parent ../parent-checkout
 
 Runs ``perfbench/run.py`` of this checkout, and with ``--parent DIR`` of
 that checkout too, as subprocesses.  A pair is one run of each, back to
-back; the order inside a pair alternates, so that drift of the machine
-falls on both sides alike.  Per workload and seed the file keeps every
-pair's end-to-end metrics, their medians and quartiles
-(``statistics.quantiles(n=4)``, as ``perfbench/steady.py`` computes them),
-how many pairs the change wins in each metric's better direction, and the
-per-layer metrics of one traced run (``--trace 1``) per checkout.  Metric
-names and directions are read from this checkout's ``BENCHMARK.json``.
+back, ``PAIRS`` times; the order inside a pair alternates, so that drift
+of the machine falls on both sides alike.  A run lasts ``--seconds``, by
+default the ``run_seconds`` of ``BENCHMARK.json``.  Per workload and seed
+the file keeps every pair's end-to-end metrics, their medians and
+quartiles (``statistics.quantiles(n=4)``, as ``perfbench/steady.py``
+computes them), how many pairs the change wins in each metric's better
+direction, and the per-layer metrics of one traced run (``--trace 1``,
+``TRACE_SECONDS`` long) per checkout.  A run that fails or outlasts
+``RUN_TIMEOUT_S`` stops the recording.  Metric names and directions are
+read from this checkout's ``BENCHMARK.json``.
 """
 
 import argparse
@@ -25,6 +28,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10           # the fewest pairs that can show a 9-of-10 win
+TRACE_SECONDS = 10
+RUN_TIMEOUT_S = 600  # as perfbench/steady.py
 
 
 def result_of(stdout: str) -> dict:
@@ -38,7 +44,12 @@ def result_of(stdout: str) -> dict:
 def run_once(checkout, workload, seed, seconds, trace) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} ran over "
+                           f"{RUN_TIMEOUT_S} s") from None
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited "
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -88,21 +99,21 @@ def main(argv=None) -> int:
                     help="n of the BENCH_<n>.json file to write")
     ap.add_argument("--workloads", default="compile,semantics,recognizers")
     ap.add_argument("--seeds", default="7")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25)
-    ap.add_argument("--trace-seconds", type=float, default=10,
-                    help="length of the traced run per checkout")
+    ap.add_argument("--seconds", type=float,
+                    help="length of each paired run (default: run_seconds "
+                         "of BENCHMARK.json)")
     ap.add_argument("--parent", metavar="DIR",
                     help="a checkout of the parent commit to run against")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = args.seconds or bench["run_seconds"]
     sides = {"change": ROOT}
     if args.parent:
         sides["parent"] = Path(args.parent).resolve()
-    record = {"command": bench["command"], "seconds": args.seconds,
-              "pairs": args.pairs, "trace_seconds": args.trace_seconds,
+    record = {"command": bench["command"], "seconds": seconds,
+              "pairs": PAIRS, "trace_seconds": TRACE_SECONDS,
               "python": platform.python_version(),
               "machine": {"platform": platform.platform(),
                           "cpus": os.cpu_count()},
@@ -111,16 +122,16 @@ def main(argv=None) -> int:
         by_seed = record["workloads"][workload] = {}
         for seed in args.seeds.split(","):
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = list(sides) if i % 2 == 0 else list(sides)[::-1]
                 pair = {side: values(run_once(sides[side], workload, seed,
-                                              args.seconds, 0)) for side in order}
+                                              seconds, 0)) for side in order}
                 pairs.append(pair)
                 print(f"{workload} seed {seed} pair {i + 1}: " + ", ".join(
                     f"{side} {pair[side]['metrics']['jobs_per_s']:.1f} jobs/s"
                     for side in sides), file=sys.stderr)
             traced = {side: values(run_once(path, workload, seed,
-                                            args.trace_seconds, 1))
+                                            TRACE_SECONDS, 1))
                       for side, path in sides.items()}
             by_seed[seed] = {"summary": aggregate(pairs, metrics),
                              "runs": pairs, "traced": traced}

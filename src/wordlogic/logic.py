@@ -270,7 +270,7 @@ class Quantifier:
     reads it from the count table ``by_count``.  Oracle quantifiers and
     monoid quantifiers whose images do not commute are applied row by row
     through ``evaluate``.  ``_counts`` keeps the read-only count tables by
-    bound."""
+    bound, ``_cyclic`` the witness-count monoids by ``dfa_states`` cap."""
 
     name: str
     monoid: FinMonoid = None
@@ -279,7 +279,8 @@ class Quantifier:
     oracle: object = None
     _counts: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
-    _cyclic: tuple = field(default=None, init=False, compare=False, repr=False)
+    _cyclic: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def __post_init__(self):
         if (self.monoid is None) == (self.oracle is None):
@@ -338,19 +339,18 @@ class Quantifier:
     def count_monoid(self, caps: _caps.Caps = _caps.DEFAULT):
         """(powers, mul, one) for ``semidirect.count_layer``: <(b0, b1)> in
         M x M, identity first, its table and the index of (b0, b1).  Built
-        once; more elements than ``caps.dfa_states`` are refused each call."""
-        stage, limit = "witness counts", caps.dfa_states
-        if self._cyclic is None:
+        once per ``caps.dfa_states`` and kept in ``_cyclic``; a refusal is
+        the closure's own and is not kept."""
+        limit = caps.dfa_states
+        if limit not in self._cyclic:
             tab, (b0, b1), e = self.monoid.table, self.images, self.monoid.identity
             powers, index, edges = closure(
-                (e, e), lambda g: [(tab[g[0]][b0], tab[g[1]][b1])], limit, stage)
+                (e, e), lambda g: [(tab[g[0]][b0], tab[g[1]][b1])], limit,
+                "witness counts")
             mul = tuple(tuple(index[tab[g0][h0], tab[g1][h1]] for h0, h1 in powers)
                         for g0, g1 in powers)
-            object.__setattr__(self, "_cyclic", (tuple(powers), mul, edges[0][0]))
-        elif len(self._cyclic[0]) > max(limit, 1):  # as the closure refuses
-            raise CapExceeded(f"{stage} exceeds the cap of {limit} elements",
-                              stage=stage, cap=limit)
-        return self._cyclic
+            self._cyclic[limit] = (tuple(powers), mul, edges[0][0])
+        return self._cyclic[limit]
 
 
 @dataclass(frozen=True)

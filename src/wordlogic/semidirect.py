@@ -483,7 +483,8 @@ def count_layer(quant, body: Dfa, alphabet, caps: Caps = DEFAULT) -> Dfa:
     are witnesses: the word is accepted when the product over q of the
     b1-part (q accepting) or the b0-part (q not) of its count lies in
     ``accept``.  No stamp and no transfer automaton is built, and the
-    powers come from ``quant.count_monoid``, built once per quantifier.
+    powers come from ``quant.count_monoid``, built once per quantifier
+    and cap.
     """
     tab, e = quant.monoid.table, quant.monoid.identity
     powers, mul, one = quant.count_monoid(caps)
