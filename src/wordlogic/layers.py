@@ -24,7 +24,8 @@ from .logic import (LetterPred, NumPred, Quant, Registry, DEFAULT_REGISTRY,
                     to_dsl, truth_table)
 from .regular import shortlex_rows
 from .report import Report
-from .substitution import SentenceClass, atom_rows, gamma_odot, sigma
+from .substitution import (SentenceClass, atom_rows, gamma_odot, sigma,
+                           _from_signatures, _generator_vars)
 from .varcode import decode_multi, lift_delta
 from .words import Alphabet, check_table, enumerate_words, subsets_in_order
 
@@ -270,7 +271,9 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
     are decoded back to formulas of the remaining variables.  At each layer
     the generating sentences — every quantifier over every subset of atoms —
     are deduplicated semantically and thinned to a refining subfamily before
-    their substituted formulas are built.
+    their substituted formulas are built.  The last layer above layer 0
+    takes its generators' signatures from the previous layer's enumeration
+    masks of their sentences, so it never evaluates them.
     """
     reg = registry or DEFAULT_REGISTRY
     _resolve_names(spec, reg)
@@ -288,17 +291,28 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
     odot = None
     for k in range(n):
         keep, spect = xs[k], xs[k + 1:]
-        lift = lift_delta(current, keep, spect, A, bound=L, registry=reg,
-                          caps=caps, check=False)
-        delta = lift.lifted
-        usable = [i for i in range(delta.atom_count) if i != lift.junk_atom]
+        if k and not spect:
+            # no spare variable is left: rep_bits, inside and cut are the
+            # previous layer's, on the marked words with the one mark keep
+            width, gens = (len(cut) + 7) // 8, tuple(current)
+            raw = b"".join(bits.to_bytes(width, "little") for bits in rep_bits)
+            truth = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, width),
+                                  axis=1, count=len(cut), bitorder="little")
+            delta = _from_signatures(A, keep, L, gens, _generator_vars(gens, keep),
+                                     inside, truth.astype(bool), reg, caps)
+            junk = None
+        else:
+            lift = lift_delta(current, keep, spect, A, bound=L, registry=reg,
+                              caps=caps, check=False)
+            delta, junk = lift.lifted, lift.junk_atom
+        usable = [i for i in range(delta.atom_count) if i != junk]
 
         # the atom words of the embeddings of the marked words over A with
         # marks for the spare variables, in enumerate_marked order
         inside = in_range(lens, L, len(spect))
         ids = embedded_ids(len(A), len(spect), L)[inside]
         atoms = atom_rows(delta, L)[2][ids]
-        if spect and (atoms == lift.junk_atom).any():
+        if spect and (atoms == junk).any():
             raise InvariantViolated("an embedded marked word reads the "
                                     "off-image atom", stage="depth_fragment")
         cut = np.broadcast_to(lens[(slice(None),) + (None,) * len(spect)],

@@ -168,21 +168,33 @@ def _atom_vars(node) -> frozenset:
     return frozenset()
 
 
-def _no_vars(node) -> frozenset:
-    return frozenset()
+def scope(phi) -> tuple:
+    """(free variables, bound variables) of a formula, in one walk."""
+    if isinstance(phi, Not):
+        return scope(phi.sub)
+    if isinstance(phi, (And, Or)):
+        free = bound = frozenset()
+        for a in phi.args:
+            sub_free, sub_bound = scope(a)
+            free, bound = free | sub_free, bound | sub_bound
+        return free, bound
+    if isinstance(phi, Quant):
+        free, bound = scope(phi.body)
+        return free - {phi.var}, bound | {phi.var}
+    return _atom_vars(phi), frozenset()
 
 
 def free_vars(phi) -> frozenset:
-    return fold(phi, _atom_vars, lambda q, inner: inner - {q.var})
+    return scope(phi)[0]
 
 
 def bound_vars(phi) -> frozenset:
-    return fold(phi, _no_vars, lambda q, inner: inner | {q.var})
+    return scope(phi)[1]
 
 
 def all_vars(phi) -> frozenset:
     """Every variable the formula mentions, free or bound."""
-    return fold(phi, _atom_vars, lambda q, inner: inner | {q.var})
+    return frozenset.union(*scope(phi))
 
 
 def letters_of(phi) -> frozenset:
@@ -194,7 +206,7 @@ def letters_of(phi) -> frozenset:
 def check_hygiene(phi):
     """Reject a variable that occurs both free and bound, or is bound twice
     along one branch; keeps substitution capture-free by construction."""
-    clash = free_vars(phi) & bound_vars(phi)
+    clash = frozenset.intersection(*scope(phi))
     if clash:
         raise ParseError(f"variable {min(clash)!r} occurs both free and bound")
 
@@ -203,7 +215,7 @@ def check_hygiene(phi):
             raise ParseError(f"variable {node.var!r} is bound twice")
         return inner | {node.var}
 
-    fold(phi, _no_vars, binder)
+    fold(phi, lambda node: frozenset(), binder)
     return phi
 
 
@@ -216,12 +228,21 @@ def _rename_atom(node, ren: dict):
 
 
 def map_vars(phi, ren: dict):
-    """Rename variables by a table (applied to free occurrences; binders for
-    renamed variables must not occur — use rename_bound first)."""
-    clash = bound_vars(phi) & ren.keys()
-    if clash:
-        raise ParseError(f"cannot rename across binder of {min(clash)!r}")
-    return map_atoms(phi, lambda node: _rename_atom(node, ren))
+    """Rename free variables by a table, in one walk that refuses a binder
+    of a renamed variable (use rename_bound first)."""
+    def walk(node):
+        if isinstance(node, Not):
+            return Not(walk(node.sub))
+        if isinstance(node, (And, Or)):
+            return type(node)(tuple(map(walk, node.args)))
+        if isinstance(node, Quant):
+            if node.var in ren:
+                clash = bound_vars(phi) & ren.keys()
+                raise ParseError(f"cannot rename across binder of {min(clash)!r}")
+            return Quant(node.q, node.var, walk(node.body))
+        return _rename_atom(node, ren)
+
+    return walk(phi)
 
 
 def fresh_names(avoid, prefix="z"):
@@ -497,7 +518,17 @@ class Registry:
         return p
 
 
-DEFAULT_REGISTRY = Registry()
+class _BuiltinRegistry(Registry):
+    """The built-ins alone, shared by the whole process, so read-only."""
+
+    def register_quantifier(self, item):
+        raise ParseError("the default registry is read-only; register on a "
+                         "Registry() or one from registry_from_json")
+
+    register_numpred = register_quantifier
+
+
+DEFAULT_REGISTRY = _BuiltinRegistry()
 
 
 def registry_from_json(data) -> Registry:

@@ -21,9 +21,9 @@ from . import finba
 from .caps import DEFAULT, Caps
 from .errors import BoundTooSmall, CapExceeded, ParseError
 from .logic import (And, Formula, LetterPred, Registry, DEFAULT_REGISTRY, conj,
-                    neg, free_vars, all_vars, embedded_ids, in_range,
+                    Not, neg, free_vars, all_vars, embedded_ids, in_range,
                     map_atoms, map_vars, marked_truth, models, rename_bound,
-                    satisfies, to_dsl, truth_table)
+                    satisfies, scope, to_dsl, truth_table)
 from .regular import (Dfa, image_dfa, infer_dfa, shortlex_offsets,
                       shortlex_rows, syntactic_stamp_of_family, word_ids)
 from .report import Report
@@ -110,25 +110,52 @@ def delta_algebra(alphabet, var, generators, bound=6,
     (``logic.truth_table``), and the cells are the distinct generator
     signatures, numbered by first occurrence.
 
-    ``verify=False`` skips the per-atom representative check.  Its one
-    caller, ``varcode.lift_delta``, checks that the source cells embed one to
-    one (``zeta``) beside one junk cell, runs ``_square_check`` when
-    ``check=True``, and ``depth_fragment`` raises InvariantViolated when a
-    word reads the junk atom or a sentence differs from its enumeration.
+    ``verify=False`` skips the per-atom representative check.  Its caller
+    ``varcode.lift_delta`` checks that the source cells embed one to one
+    (``zeta``) beside one junk cell and runs ``_square_check`` when
+    ``check=True``; ``layers.depth_fragment``, which also builds its last
+    layer from enumeration masks (``_from_signatures``), raises
+    InvariantViolated when a word reads the junk atom or a sentence differs
+    from its enumeration, and the tests check its formulas by ``satisfies``.
     """
     registry = registry or DEFAULT_REGISTRY
     if not isinstance(alphabet, (Alphabet, ExtendedAlphabet)):
         alphabet = Alphabet.of(alphabet)
     generators = tuple(generators)
-    for g in generators:
-        fv = free_vars(g)
-        if not fv <= {var}:
-            raise ParseError(f"generator {to_dsl(g)} has free variables "
-                             f"{sorted(fv - {var})} besides {var}")
+    atom_vars = _generator_vars(generators, var)
     check_table("marked word table", len(alphabet), 1, bound, caps)
     letters, lens = shortlex_rows(len(alphabet), bound)
     inside, truth = _signatures(generators, tuple(alphabet), var, letters,
                                 lens, registry)
+    delta = _from_signatures(alphabet, var, bound, generators, atom_vars,
+                             inside, truth, registry, caps)
+    for ai, phi in enumerate(delta.atom_formulas):
+        # each representative's models must be exactly its cell
+        if verify and not np.array_equal(
+                marked_truth(phi, alphabet, (var,), bound, registry),
+                delta._atoms[inside] == ai):
+            raise ParseError("atom representative formula does not define its cell")
+    return delta
+
+
+def _generator_vars(generators, var) -> frozenset:
+    """``var`` and every variable of the generators, each of which may have
+    no free variable but ``var``."""
+    atom_vars = {var}
+    for g in generators:
+        fv, bv = scope(g)
+        if not fv <= {var}:
+            raise ParseError(f"generator {to_dsl(g)} has free variables "
+                             f"{sorted(fv - {var})} besides {var}")
+        atom_vars |= fv | bv
+    return frozenset(atom_vars)
+
+
+def _from_signatures(alphabet, var, bound, generators, atom_vars, inside,
+                     truth, registry, caps) -> DeltaAlgebra:
+    """The algebra of generators with the signatures ``inside, truth`` of
+    ``_signatures``, cells numbered by first marked word; ``atom_vars`` is
+    what ``_generator_vars`` returns."""
     _, first, cell = np.unique(np.packbits(truth.T, axis=1), axis=0,
                                return_index=True, return_inverse=True)
     if len(first) > caps.finba_atoms:
@@ -138,33 +165,23 @@ def delta_algebra(alphabet, var, generators, bound=6,
     order = np.argsort(first)
     atom_of = np.argsort(order)[cell]  # the rank of each cell's first word
     atom_sigs = [tuple(sig) for sig in truth[:, first[order]].T.tolist()]
-    atoms = np.full(letters.shape, -1, dtype=np.int64)
+    atoms = np.full(inside.shape, -1, dtype=np.int64)
     atoms[inside] = atom_of
     atoms.flags.writeable = False  # atom_rows hands out views of it
-
     # representative formula per atom: the defining sign-conjunction, whose
     # conjuncts are shared between atoms (``sigma`` renames each once)
     negated = [neg(g) for g in generators]
-    atom_formulas = []
-    for ai, sig in enumerate(atom_sigs):
-        phi = conj([g if keep else ng
-                    for g, ng, keep in zip(generators, negated, sig)])
-        atom_formulas.append(phi)
-        # the representative's models must be exactly the cell
-        if verify and not np.array_equal(
-                marked_truth(phi, alphabet, (var,), bound, registry), atom_of == ai):
-            raise ParseError("atom representative formula does not define its cell")
-    # every atom formula conjoins each generator or its negation and is not
-    # constant-false (its cell is not empty), so it mentions exactly the
-    # generators' variables
-    atom_vars = frozenset({var}).union(*map(all_vars, generators)) \
-        if atom_formulas else frozenset({var})
+    atom_formulas = tuple(conj([g if keep else ng
+                                for g, ng, keep in zip(generators, negated, sig)])
+                          for sig in atom_sigs)
+    # each atom formula conjoins every generator or its negation, so it
+    # mentions exactly the generators' variables
     return DeltaAlgebra(alphabet=alphabet, var=var, bound=bound,
-                        generators=generators,
-                        atom_formulas=tuple(atom_formulas),
+                        generators=generators, atom_formulas=atom_formulas,
                         registry=registry, caps=caps,
                         _sig_to_atom={sig: ai for ai, sig in enumerate(atom_sigs)},
-                        _atoms=atoms, _atom_vars=atom_vars)
+                        _atoms=atoms,
+                        _atom_vars=atom_vars if atom_formulas else frozenset({var}))
 
 
 def _signatures(generators, symbols, var, letters, lens, registry):
@@ -276,12 +293,19 @@ def substitute_letters(psi: Formula, by_symbol: dict, var: str,
     systematic, making the output deterministic.  Each conjunct of a
     replacement formula is renamed once per variable, in ``renamed`` (kept
     across calls when given; keyed by the conjunct object's identity, so it
-    must not outlive the replacement formulas).
+    must not outlive the replacement formulas); a conjunct Not(g) is Not of
+    the renaming of g, which it shares with a conjunct g.
     """
     if avoid is None:
         avoid = frozenset({var}).union(*map(all_vars, by_symbol.values()))
-    psi = rename_bound(psi, avoid | free_vars(psi))
+    psi = rename_bound(psi, avoid)
     renamed = {} if renamed is None else renamed
+
+    def rename(p, z):
+        if (id(p), z) not in renamed:
+            renamed[id(p), z] = Not(rename(p.sub, z)) if isinstance(p, Not) \
+                else map_vars(p, {var: z})
+        return renamed[id(p), z]
 
     def leaf(node):
         if isinstance(node, LetterPred):
@@ -290,10 +314,7 @@ def substitute_letters(psi: Formula, by_symbol: dict, var: str,
                                  f"the algebra being substituted")
             phi = by_symbol[node.symbol]
             parts = phi.args if isinstance(phi, And) else (phi,)
-            for p in parts:
-                if (id(p), node.var) not in renamed:
-                    renamed[id(p), node.var] = map_vars(p, {var: node.var})
-            out = tuple(renamed[id(p), node.var] for p in parts)
+            out = tuple(rename(p, node.var) for p in parts)
             # what map_vars builds from the whole formula
             return And(out) if isinstance(phi, And) else out[0]
         return node

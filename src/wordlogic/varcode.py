@@ -22,9 +22,9 @@ from .caps import DEFAULT, Caps
 from .errors import BoundTooSmall, InvariantViolated, ParseError
 from .logic import (And, LetterPred, Not, NumPred, Or, Quant, TRUE, FALSE,
                     Registry, DEFAULT_REGISTRY, conj, disj, neg, all_vars,
-                    bound_vars, counterexample_bounded, free_vars,
-                    fresh_names, in_range, map_atoms, marked_truth,
-                    marked_word_at, to_dsl, truth_table)
+                    counterexample_bounded, free_vars, fresh_names, in_range,
+                    map_atoms, marked_truth, marked_word_at, scope, to_dsl,
+                    truth_table)
 from .regular import shortlex_rows
 from .report import Report
 from .substitution import (DeltaAlgebra, delta_algebra, sigma,
@@ -85,14 +85,15 @@ def encode(phi, var, alphabet, prior=()):
     prior = tuple(prior)
     if var in prior:
         raise ParseError(f"variable {var!r} is already encoded")
-    if var in bound_vars(phi):
+    free, bound = scope(phi)
+    if var in bound:
         raise ParseError(f"variable {var!r} is bound in the formula; only a "
                          "free variable can be encoded")
     base = _base_alphabet(alphabet)
     _, letters = _source_letters(base, prior)
     by_symbol = {s: (b, T) for s, b, T in letters}
     ext = ExtendedAlphabet(base, prior + (var,))
-    avoid = set(all_vars(phi)) | {var} | set(prior)
+    avoid = free | bound | {var} | set(prior)
     fresh = fresh_names(avoid)
 
     def leaf(node):
@@ -228,8 +229,9 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
                       counterexample=f"decode(encode(..)) differs on {mw}",
                       stats=stats)
 
+    decoded = back if psi is None else decode_multi(psi, enc_vars, base)
     psi = encoded if psi is None else psi
-    both = encode_multi(decode_multi(psi, enc_vars, base), enc_vars, base)
+    both = encode_multi(decoded, enc_vars, base)
     ctx2 = tuple(sorted((free_vars(psi) | free_vars(both)) - set(enc_vars)))
     check_table("marked word table", len(ext), len(ctx2), bound, caps)
     letters, lens = shortlex_rows(len(ext), bound)

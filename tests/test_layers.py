@@ -19,7 +19,7 @@ from wordlogic import (
 )
 from wordlogic.caps import Caps
 from wordlogic.layers import FragmentSpec, same_language_algebra
-from wordlogic.logic import all_vars, registry_from_json
+from wordlogic.logic import all_vars, letters_of, registry_from_json
 from wordlogic.words import enumerate_words
 
 from conftest import LASTBIT, model_words
@@ -159,6 +159,76 @@ def test_depth_four_over_one_letter_binds_more_variables_than_array_axes():
     for phi, lang in zip(result.formulas, result.languages):
         assert lang == {w for w in enumerate_words(("a",), 2)
                         if satisfies(MarkedWord(w, ()), phi)}
+
+
+# specs whose last layer is built from the previous layer's masks; over
+# (a, E) at depth 2, layer 0 keeps no sentence, so the last layer has no
+# generator at all
+LAST_LAYER_SPECS = [("ab", ("E", "mod[2,0]"), 2, 3),
+                    ("a", ("E", "mod[2,0]"), 3, 4), ("a", ("E",), 2, 4)]
+
+
+@pytest.mark.parametrize("letters, quantifiers, depth, bound",
+                         LAST_LAYER_SPECS[:2])
+def test_the_last_layer_evaluates_no_layer_generator(monkeypatch, letters,
+                                                     quantifiers, depth, bound):
+    import wordlogic.layers as layers
+    import wordlogic.logic as logic
+    import wordlogic.substitution as substitution
+
+    events = []
+    lift, table = layers.lift_delta, logic.truth_table
+
+    def spy_lift(generators, var, enc_vars, *args, **kwargs):
+        out = lift(generators, var, enc_vars, *args, **kwargs)
+        events.append(("lift", var, enc_vars))
+        return out
+
+    def spy_table(phi, symbols, *args, **kwargs):
+        events.append(("table", letters_of(phi), tuple(symbols)))
+        return table(phi, symbols, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "lift_delta", spy_lift)
+    for module in (logic, substitution, layers):
+        monkeypatch.setattr(module, "truth_table", spy_table)
+    spec = FragmentSpec(Alphabet.of(letters), quantifiers, depth=depth,
+                        bound=bound)
+    depth_fragment(spec)
+    # layers 0 .. depth-2 are lifted, each with its spare variables encoded
+    lifts = [i for i, e in enumerate(events) if e[0] == "lift"]
+    xs = tuple(f"x{i}" for i in range(1, depth + 1))
+    assert [events[i][1:] for i in lifts] == [(xs[k], xs[k + 1:])
+                                              for k in range(depth - 1)]
+    # after them only sentences over the atom letters are evaluated
+    last = events[lifts[-1] + 1:]
+    assert last
+    for _, used, symbols in last:
+        assert all(c.startswith("c") for c in symbols)
+        assert used <= set(symbols)
+
+
+@pytest.mark.parametrize("letters, quantifiers, depth, bound",
+                         LAST_LAYER_SPECS)
+def test_every_fragment_formula_defines_its_language(letters, quantifiers,
+                                                     depth, bound):
+    # the last layer never reads its formulas, so the per-word interpreter
+    # and the direct enumeration are what tie them to their languages
+    spec = FragmentSpec(Alphabet.of(letters), quantifiers, depth=depth,
+                        bound=bound)
+    frag = depth_fragment(spec)
+    words = tuple(enumerate_words(spec.alphabet, bound))
+    assert frag.formulas
+    for phi, lang in zip(frag.formulas, frag.languages):
+        assert frozenset(lang) == {w for w in words
+                                   if satisfies(MarkedWord(w, ()), phi)}
+    if depth <= 2:
+        report = check_fragment_against_direct(spec)
+    else:
+        report = check_monotone(FragmentSpec(spec.alphabet, quantifiers,
+                                             depth=depth - 1, bound=bound))
+    assert report.passed, report.counterexample
+    if (letters, quantifiers) == ("a", ("E",)):
+        assert frag.stats["layers"][0]["kept"] == 0
 
 
 def test_dump_fragment_shape():

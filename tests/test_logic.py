@@ -34,8 +34,9 @@ from wordlogic import (
     satisfies,
 )
 from wordlogic.caps import DEFAULT, Caps
-from wordlogic.logic import (_ANY, _atom, check_hygiene, embedded_ids, map_vars,
-                             marked_truth, truth_table, width)
+from wordlogic.logic import (_ANY, _atom, _rename_atom, check_hygiene,
+                             embedded_ids, map_atoms, map_vars, marked_truth,
+                             scope, truth_table, width)
 from wordlogic.regular import _agrees, infer_dfa, shortlex_offsets, shortlex_rows
 from wordlogic.semidirect import count_layer, transfer_layer
 from wordlogic.sampling import random_formula
@@ -91,6 +92,31 @@ def test_map_vars_renames_free_occurrences():
     out = map_vars(phi, {"x": "y"})
     assert free_vars(out) == {"y"}
     assert to_dsl(out) == "P[a](y) & (E z. z < y)"
+
+
+def test_scope_is_the_free_and_bound_variables():
+    phi = parse("E z. (P[a](z) & z < x) | ~mod[2,0] u. R[succ](u,y)")
+    assert scope(phi) == ({"x", "y"}, {"z", "u"})
+    assert scope(Quant("E", "x", LetterPred("a", "y"))) == ({"y"}, {"x"})
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.integers(0, 10 ** 6), st.integers(0, 4),
+       st.dictionaries(st.sampled_from(("x", "y", "u1", "u2", "u3")),
+                       st.sampled_from(("x", "y", "w")), max_size=3))
+def test_map_vars_is_one_walk_of_the_atom_renaming(seed, depth, ren):
+    # the renaming the atoms get one by one, and the old refusal: the least
+    # renamed variable that some binder binds
+    phi = random_formula(random.Random(seed), Alphabet.of("ab"),
+                         context=("x", "y"), depth=depth,
+                         quantifiers=("E", "mod[2,1]"))
+    clash = bound_vars(phi) & ren.keys()
+    if clash:
+        with pytest.raises(ParseError) as exc:
+            map_vars(phi, ren)
+        assert str(exc.value) == f"cannot rename across binder of {min(clash)!r}"
+    else:
+        assert map_vars(phi, ren) == map_atoms(phi, lambda n: _rename_atom(n, ren))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +292,24 @@ def test_builtin_names_cannot_be_registered(looked_up_first):
         with pytest.raises(ParseError, match="already registered"):
             register(item)
     assert not satisfies(MarkedWord(("a",), ()), phi, reg)
+
+
+@pytest.mark.parametrize("kind", ["quantifier", "numpred"])
+def test_the_default_registry_refuses_registrations(kind):
+    tables = (dict(DEFAULT_REGISTRY._quants), dict(DEFAULT_REGISTRY._preds))
+    item = (Quantifier("evenish", monoid=DEFAULT_REGISTRY.quantifier("E").monoid,
+                       images=(0, 1), accept=frozenset({1}))
+            if kind == "quantifier" else
+            NumPredDef("evenish", 1, lambda p, n: p[0] % 2 == 0))
+    with pytest.raises(ParseError, match=r"Registry\(\) or .*registry_from_json"):
+        getattr(DEFAULT_REGISTRY, f"register_{kind}")(item)
+    assert (DEFAULT_REGISTRY._quants, DEFAULT_REGISTRY._preds) == tables
+    with pytest.raises(ParseError, match="unknown"):
+        getattr(DEFAULT_REGISTRY, kind)("evenish")
+    # a registry of one's own still takes the registration
+    reg = Registry()
+    getattr(reg, f"register_{kind}")(item)
+    assert getattr(reg, kind)("evenish") is item
 
 
 def test_lookups_leave_the_default_registry_unchanged():

@@ -32,7 +32,8 @@ from wordlogic import (
     w_odot_c,
     xi,
 )
-from wordlogic.logic import truth_table
+from wordlogic.logic import (And, LetterPred, Not, Quant, disj, map_atoms,
+                             map_vars, rename_bound, truth_table)
 from wordlogic.regular import Dfa, empty_dfa, image_dfa, infer_dfa, universal_dfa
 from wordlogic.sampling import random_atom_sentence, random_delta
 from wordlogic.substitution import (atom_rows, atom_transduction,
@@ -234,6 +235,31 @@ def test_substitute_letters_renames_bound_variables_apart():
     check_hygiene(out)  # must not raise
     assert equiv_bounded(out, parse("E y. E z. z < y & P[a](z)"),
                          Alphabet.of("ab"), 4)
+
+
+def test_a_negated_conjunct_shares_the_renaming_of_its_generator():
+    # generators with a binder and a negation, so that the atom formulas
+    # conjoin both g and Not(g) and the renamings are not trivial
+    gens = [parse("E z. z < x & P[a](z)"), parse("P[b](x)"),
+            parse("~(E z. x < z)")]
+    delta = delta_algebra(Alphabet.of("ab"), "x", gens, bound=4)
+    syms = delta.atom_alphabet().symbols
+    psi = And((Quant("E", "y", disj(LetterPred(c, "y") for c in syms)),
+               Quant("mod[2,0]", "w", disj(LetterPred(c, "w")
+                                           for c in reversed(syms)))))
+    by_symbol = dict(zip(syms, delta.atom_formulas))
+    # each atom formula renamed on its own, conjunct by conjunct
+    expect = map_atoms(rename_bound(psi, delta._atom_vars),
+                       lambda n: map_vars(by_symbol[n.symbol], {"x": n.var})
+                       if isinstance(n, LetterPred) else n)
+    assert sigma(delta, psi) == expect
+    assert sigma(delta, psi) == expect      # from the kept renamings
+    negated = [p for phi in delta.atom_formulas for p in phi.args
+               if isinstance(p, Not)]
+    assert negated
+    for p in negated:
+        for z in ("z0", "z1"):
+            assert delta._renamed[id(p), z].sub is delta._renamed[id(p.sub), z]
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,22 @@ def test_roundtrip_two_variables():
     assert report.passed, report.counterexample
 
 
+@pytest.mark.parametrize("psi", [None, "E z. P[a{x}](z)"])
+def test_roundtrip_decodes_each_formula_once(monkeypatch, psi):
+    # without psi, the encoding's decoding serves both facts
+    import wordlogic.varcode as varcode
+
+    decoded = []
+    real = varcode.decode_multi
+    monkeypatch.setattr(varcode, "decode_multi",
+                        lambda f, *args: decoded.append(f) or real(f, *args))
+    psi = psi and parse(psi)
+    report = roundtrip_check(parse("P[a](x) & E y. x < y"), ("x",), AB,
+                             bound=3, psi=psi)
+    assert report.passed, report.counterexample
+    assert len(decoded) == (1 if psi is None else 2)
+
+
 # ---------------------------------------------------------------------------
 # homomorphism facts
 
