@@ -30,7 +30,7 @@ from . import caps as _caps
 from .errors import CapExceeded, NotMonoidPresentable, ParseError
 from .regular import (Dfa, FinMonoid, closure, closure_dfa, empty_dfa, int_array,
                       row_weights, shortlex_offsets, shortlex_rows, word_ids)
-from .semidirect import count_layer, transfer_layer
+from .semidirect import quantifier_layer
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_bound,
                     check_table, enumerate_marked)
 
@@ -169,19 +169,29 @@ def _atom_vars(node) -> frozenset:
 
 
 def scope(phi) -> tuple:
-    """(free variables, bound variables) of a formula, in one walk."""
+    """(free variables, bound variables, quantifier nesting depth, width) of
+    a formula, in one walk; the width is the most variables free at once in
+    one subformula."""
     if isinstance(phi, Not):
         return scope(phi.sub)
     if isinstance(phi, (And, Or)):
         free = bound = frozenset()
-        for a in phi.args:
-            sub_free, sub_bound = scope(a)
-            free, bound = free | sub_free, bound | sub_bound
-        return free, bound
+        depth = most = 0
+        for a in phi.args:  # comparisons, not max(): this walk is hot
+            sub_free, sub_bound, sub_depth, sub_most = scope(a)
+            free |= sub_free
+            if sub_bound:
+                bound |= sub_bound
+            if sub_depth > depth:
+                depth = sub_depth
+            if sub_most > most:
+                most = sub_most
+        return free, bound, depth, max(most, len(free))
     if isinstance(phi, Quant):
-        free, bound = scope(phi.body)
-        return free - {phi.var}, bound | {phi.var}
-    return _atom_vars(phi), frozenset()
+        free, bound, depth, most = scope(phi.body)
+        return free - {phi.var}, bound | {phi.var}, depth + 1, most
+    free = _atom_vars(phi)
+    return free, frozenset(), 0, len(free)
 
 
 def free_vars(phi) -> frozenset:
@@ -194,7 +204,8 @@ def bound_vars(phi) -> frozenset:
 
 def all_vars(phi) -> frozenset:
     """Every variable the formula mentions, free or bound."""
-    return frozenset.union(*scope(phi))
+    free, bound, _, _ = scope(phi)
+    return free | bound
 
 
 def letters_of(phi) -> frozenset:
@@ -206,7 +217,8 @@ def letters_of(phi) -> frozenset:
 def check_hygiene(phi):
     """Reject a variable that occurs both free and bound, or is bound twice
     along one branch; keeps substitution capture-free by construction."""
-    clash = frozenset.intersection(*scope(phi))
+    free, bound, _, _ = scope(phi)
+    clash = free & bound
     if clash:
         raise ParseError(f"variable {min(clash)!r} occurs both free and bound")
 
@@ -291,7 +303,7 @@ class Quantifier:
     reads it from the count table ``by_count``.  Oracle quantifiers and
     monoid quantifiers whose images do not commute are applied row by row
     through ``evaluate``.  ``_counts`` keeps the read-only count tables by
-    bound, ``_cyclic`` the witness-count monoids by ``dfa_states`` cap."""
+    bound."""
 
     name: str
     monoid: FinMonoid = None
@@ -299,8 +311,6 @@ class Quantifier:
     accept: frozenset = None
     oracle: object = None
     _counts: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
-    _cyclic: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
     def __post_init__(self):
@@ -356,22 +366,6 @@ class Quantifier:
             counts.setflags(write=False)
         self._counts[bound] = counts
         return counts
-
-    def count_monoid(self, caps: _caps.Caps = _caps.DEFAULT):
-        """(powers, mul, one) for ``semidirect.count_layer``: <(b0, b1)> in
-        M x M, identity first, its table and the index of (b0, b1).  Built
-        once per ``caps.dfa_states`` and kept in ``_cyclic``; a refusal is
-        the closure's own and is not kept."""
-        limit = caps.dfa_states
-        if limit not in self._cyclic:
-            tab, (b0, b1), e = self.monoid.table, self.images, self.monoid.identity
-            powers, index, edges = closure(
-                (e, e), lambda g: [(tab[g[0]][b0], tab[g[1]][b1])], limit,
-                "witness counts")
-            mul = tuple(tuple(index[tab[g0][h0], tab[g1][h1]] for h0, h1 in powers)
-                        for g0, g1 in powers)
-            self._cyclic[limit] = (tuple(powers), mul, edges[0][0])
-        return self._cyclic[limit]
 
 
 @dataclass(frozen=True)
@@ -814,27 +808,10 @@ _BLOCK_CELLS = 1 << 20
 _MAX_AXES = 64
 
 
-def _variables(node):
-    """(free variables, quantifier nesting depth, width) in one walk."""
-    if isinstance(node, Not):
-        return _variables(node.sub)
-    if isinstance(node, (And, Or)):
-        free, depth, most = frozenset(), 0, 0
-        for a in node.args:
-            sub_free, sub_depth, sub_most = _variables(a)
-            free, depth, most = free | sub_free, max(depth, sub_depth), max(most, sub_most)
-        return free, depth, max(most, len(free))
-    if isinstance(node, Quant):
-        free, depth, most = _variables(node.body)
-        return free - {node.var}, depth + 1, most
-    free = _atom_vars(node)
-    return free, 0, len(free)
-
-
 def width(phi) -> int:
     """The most variables free at once in one subformula: bulk evaluation
     holds tables of words x positions^width."""
-    return _variables(phi)[2]
+    return scope(phi)[3]
 
 
 def _on_axes(values, axes, ndim) -> np.ndarray:
@@ -974,7 +951,7 @@ def truth_table(phi, symbols, context, letters, lens, registry=None) -> np.ndarr
     """
     reg = registry or DEFAULT_REGISTRY
     ctx = tuple(context)
-    free, depth, most = _variables(phi)
+    free, _, depth, most = scope(phi)
     if not free <= set(ctx):
         raise ParseError("context does not cover the formula's free variables")
     c = len(ctx)
@@ -1100,7 +1077,8 @@ def relabel(zeta: dict, phi):
 # exactly once and, read as marked words, satisfy it.  A binder's variable
 # joins its body's scope as the lowest bit, so the body's letter 2b + 1 is
 # the letter b of the scope around it with the bound variable marked: the
-# one-mark alphabet over that scope's letters, as ``compile_layer`` reads it.
+# one-mark alphabet over that scope's letters, so a quantifier is one
+# ``semidirect.quantifier_layer`` on the body's automaton, with no renaming.
 
 #: the scan of a predicate that holds everywhere
 _ANY = (0, lambda s, hits: s, _always)
@@ -1209,14 +1187,7 @@ class _Compiler:
                     f"quantifier {q.name} has no monoid presentation and cannot "
                     f"be compiled", quantifier=q.name, stage="formula compilation")
             body = self.dfa(node.body, (node.var,) + scope)
-            letters = self.letters(m)
-            if q.commutes:
-                layer = count_layer(q, body, letters, caps)
-            else:  # the stamp reads symbol names: c0, c1, ... for the letters
-                ext = ExtendedAlphabet(Alphabet(tuple(f"c{c}" for c in letters)), ("u",))
-                out = transfer_layer(q, Dfa(ext.symbols, body.delta, body.init,
-                                            body.accepting), ext, caps)
-                layer = Dfa(letters, out.delta, out.init, out.accepting)
+            layer = quantifier_layer(q, body, self.letters(m), caps)
             if not m:
                 return layer
             return layer.product(self.valid(m), lambda a, v: a and v, caps).minimize()
@@ -1233,9 +1204,9 @@ def formula_dfa(phi, alphabet: Alphabet, context, bound,
     It is built by structural induction (see above): letter tests and
     predicates are small automata, ``And`` and ``Or`` are products, ``Not``
     is the complement inside the valid words, and ``Q u. psi`` is one layer
-    step (``semidirect.count_layer`` when Q's bit images commute, else
-    ``transfer_layer``) over the letters of the scope around it, intersected
-    with the valid words; each result is minimized.  ``bound`` is only
+    step (``semidirect.quantifier_layer``, a position transfer of the body's
+    accepting bit into Q's monoid) over the letters of the scope around it,
+    intersected with the valid words; each result is minimized.  ``bound`` is only
     checked: a negative bound is refused, any other gives the same automaton.
     An oracle quantifier, or a predicate given only by a Python function,
     raises NotMonoidPresentable; an automaton past the ``dfa_states`` cap is

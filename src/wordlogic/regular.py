@@ -85,18 +85,15 @@ def first_paths(edges, labels) -> list:
 @dataclass(frozen=True)
 class Dfa:
     """A complete deterministic automaton; delta[state][symbol_index].
-    ``_stamps`` holds its syntactic stamps by caps, for callers that reuse
-    them (``semidirect.transfer_layer``); ``_minimal`` is set on the result
-    of ``minimize``, which is its own minimization; ``_bfs`` only by
-    ``closure_dfa``: its states are reachable and in BFS order from 0, so
-    ``minimize`` skips its reachability search.  All are validated."""
+    ``_minimal`` is set on the result of ``minimize``, which is its own
+    minimization; ``_bfs`` only by ``closure_dfa``: its states are reachable
+    and in BFS order from 0, so ``minimize`` skips its reachability search.
+    All are validated."""
 
     alphabet: tuple
     delta: tuple
     init: int
     accepting: frozenset
-    _stamps: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
     _minimal: bool = field(default=False, init=False, compare=False,
                            repr=False)
     _bfs: bool = field(default=False, init=False, compare=False, repr=False)

@@ -32,7 +32,7 @@ from .errors import (CapExceeded, InvariantViolated, NotDecomposable,
                      NotMonoidPresentable, ParseError)
 from .regular import (Dfa, FinMonoid, RegularBA, Stamp, cayley_dfa, closure,
                       closure_dfa, congruence_witness, first_paths,
-                      generate_monoid, int_array, syntactic_stamp)
+                      generate_monoid, int_array)
 from .report import Report
 from .words import ExtendedAlphabet
 
@@ -415,48 +415,76 @@ def h_morphism(etaq: EtaQuotient, caps: Caps = DEFAULT) -> HMorphism:
 
 
 # ---------------------------------------------------------------------------
-# the transfer automaton: runs a classifier over per-position classes
+# the position transfer: runs a classifier over per-position classes
 # ---------------------------------------------------------------------------
+
+def position_transfer(delta, init, label, kdelta, kinit, caps: Caps,
+                      stage: str):
+    """States and transitions of the automaton that runs the classifier K
+    (transitions ``kdelta``, start ``kinit``) over the per-position class
+    word of the word read: a bimachine (Schützenberger 1961) on suffix
+    vectors.
+
+    ``delta`` is an automaton B over a one-mark alphabet (column 2i reads
+    base letter i unmarked, 2i + 1 marked) started in ``init``.  The class
+    of a position is ``label[q]``, a column of ``kdelta``, for the state q
+    that B reaches on the word marked there, or None where no class is
+    defined.  A plain suffix s is summarized by its vector
+    q -> label(delta*(q, s)); the vectors are closed from ``label``, the
+    vector of the empty suffix, under v -> v o delta_a.  A state (p, F)
+    holds B's state p on the plain prefix and, per vector j, the K-state
+    F[j] of the positions read so far if the rest of the word has vector j.
+    On letter a, F'[j] = K(F[vector of a.s], vecs[j][delta(p, a marked)]),
+    so ``F[0]`` is K's state after the class word of the word read.  A
+    position whose class has no label raises InvariantViolated naming
+    ``stage``.  Returns the states in discovery order from the start and
+    their successor rows.
+    """
+    k = len(delta[0]) // 2
+    vecs, _, vsucc = closure(
+        tuple(label), lambda v: [tuple(v[row[2 * a]] for row in delta)
+                                 for a in range(k)], caps.dfa_states, stage)
+    after = [tuple(row[a] for row in vsucc) for a in range(k)]
+    classes = [tuple(v[q] for v in vecs) for q in range(len(delta))]
+
+    def step(st):
+        p, F = st
+        row = delta[p]
+        out = []
+        for a, succ in enumerate(after):
+            cls = classes[row[2 * a + 1]]
+            if None in cls:
+                raise InvariantViolated(
+                    f"a position marked from state {p} by letter {a} falls "
+                    f"in a class with no label", stage=stage)
+            out.append((row[2 * a],
+                        tuple(kdelta[F[j]][c] for j, c in zip(succ, cls))))
+        return out
+
+    order, _, succ = closure((init, (kinit,) * len(vecs)), step,
+                             caps.dfa_states, stage)
+    return order, succ
+
 
 def transfer_states(ext: ExtendedAlphabet, stamp: Stamp, letter_of,
                     kdfa: Dfa, caps: Caps = DEFAULT):
-    """States and transitions of the automaton that runs the classifier K
-    over the per-position class word of the word read.
-
-    ``stamp`` maps the words over the one-mark alphabet ``ext`` onto an
-    ambient monoid (any other stamp is refused with ParseError); the plain
-    and marked images of the base symbols are read off its letters by
-    column.  ``letter_of`` maps the ambient image of a word with one marked
-    position to a column index of ``kdfa``.  A state (m, F) holds the plain
-    image m of the prefix, together with one K-state per pair of outer
-    contexts (future left/right plain images), so that the class of every
-    position can be resolved before the surrounding word is known.
-    ``F[0]`` is the K-state of the identity contexts: K's state after the
-    class word of the word read.  Returns the states in discovery order from
-    the start and their successor rows.
+    """``position_transfer`` on the Cayley automaton of ``stamp``, which
+    maps the words over the one-mark alphabet ``ext`` onto an ambient
+    monoid (any other stamp is refused with ParseError).  ``letter_of``
+    maps the ambient image of a word with one marked position to a column
+    of ``kdfa``; the elements it raises KeyError on have no class.  ``F[0]``
+    of a state is K's state after the class word of the word read.
     """
-    p_img, mark_img = _letter_images(ext, stamp)
-    tab = stamp.monoid.table
-    # the submonoid of plain images, identity first
-    mlist, pos, msucc = closure(stamp.monoid.identity,
-                                lambda m: [tab[m][p] for p in p_img])
-    kk = len(mlist)
-    # precomputed: for each symbol, p_a . r and q_a . r for every context r
-    row_r = [tuple(pos[tab[p][r]] for r in mlist) for p in p_img]
-    mid = [tuple(tab[q][r] for r in mlist) for q in mark_img]
-    kdelta = kdfa.delta
-
-    def step(st):
-        mp, F = st
-        lm = tuple(tab[r][mlist[mp]] for r in mlist)
-        return [(succ,
-                 tuple(kdelta[F[i * kk + rows[j]]][letter_of(tab[lm[i]][mids[j]])]
-                       for i in range(kk) for j in range(kk)))
-                for succ, rows, mids in zip(msucc[mp], row_r, mid)]
-
-    order, _, delta = closure((0, (kdfa.init,) * (kk * kk)), step,
-                              caps.dfa_states, "transfer automaton")
-    return order, delta
+    _letter_images(ext, stamp)
+    label = []
+    for m in range(len(stamp.monoid)):
+        try:
+            label.append(letter_of(m))
+        except KeyError:
+            label.append(None)
+    cayley = cayley_dfa(stamp.alphabet, stamp.monoid, stamp.letters, ())
+    return position_transfer(cayley.delta, cayley.init, label, kdfa.delta,
+                             kdfa.init, caps, "transfer automaton")
 
 
 def transfer_dfa(ext: ExtendedAlphabet, stamp: Stamp, letter_of, kdfa: Dfa,
@@ -469,65 +497,28 @@ def transfer_dfa(ext: ExtendedAlphabet, stamp: Stamp, letter_of, kdfa: Dfa,
         i for i, st in enumerate(order) if st[1][0] in kdfa.accepting))
 
 
-def count_layer(quant, body: Dfa, alphabet, caps: Caps = DEFAULT) -> Dfa:
-    """Minimal automaton over ``alphabet`` for Q x. phi when the bit images
-    (b0, b1) of Q commute, phi given by ``body`` over the one-mark letters of
-    ``alphabet``: column 2i reads letter i unmarked, 2i + 1 marked.
-
-    Q's value is then b0^(n-c) b1^c on a word of length n with c witnesses.
-    A state is the body's state p on the word read, unmarked, and for each
-    body state q the power of (b0, b1) in M x M that counts the positions
-    whose marked run is now in q.  On letter a the counts move along the
-    unmarked a-transitions, and the new position counts once more at
-    delta(p, a marked).  At the end the positions in an accepting state q
-    are witnesses: the word is accepted when the product over q of the
-    b1-part (q accepting) or the b0-part (q not) of its count lies in
-    ``accept``.  No stamp and no transfer automaton is built, and the
-    powers come from ``quant.count_monoid``, built once per quantifier
-    and cap.
-    """
-    tab, e = quant.monoid.table, quant.monoid.identity
-    powers, mul, one = quant.count_monoid(caps)
-    delta, nq, k = body.delta, body.n, len(alphabet)
-    unmarked = [[row[2 * i] for row in delta] for i in range(k)]
-
-    def step(st):
-        p, counts = st
-        live = [(q, c) for q, c in enumerate(counts) if c]
-        out = []
-        for i in range(k):
-            col = unmarked[i]
-            new = [0] * nq
-            for q, c in live:
-                t = col[q]
-                new[t] = mul[new[t]][c]
-            t = delta[p][2 * i + 1]
-            new[t] = mul[new[t]][one]
-            out.append((col[p], tuple(new)))
-        return out
-
-    order, _, succ = closure((body.init, (0,) * nq), step, caps.dfa_states,
-                             "counting automaton")
-    accepting = []
-    for i, (_, counts) in enumerate(order):
-        value = e
-        for q, c in enumerate(counts):
-            value = tab[value][powers[c][q in body.accepting]]
-        if value in quant.accept:
-            accepting.append(i)
-    return closure_dfa(alphabet, succ, accepting).minimize()
+def quantifier_layer(quant, body: Dfa, alphabet, caps: Caps = DEFAULT) -> Dfa:
+    """Minimal automaton over ``alphabet`` for Q x. phi, Q a monoid
+    quantifier and phi given by ``body`` over the one-mark letters of
+    ``alphabet`` (column 2i reads letter i unmarked, 2i + 1 marked): Q's
+    monoid, read as an automaton over the bits 0 and 1, runs over the
+    body's accepting bit at every position by ``position_transfer``."""
+    qtab, (b0, b1) = quant.monoid.table, quant.images
+    order, delta = position_transfer(
+        body.delta, body.init, [int(q in body.accepting) for q in range(body.n)],
+        tuple((row[b0], row[b1]) for row in qtab), quant.monoid.identity, caps,
+        "quantifier layer")
+    return closure_dfa(alphabet, delta, (
+        i for i, st in enumerate(order) if st[1][0] in quant.accept)).minimize()
 
 
 def compile_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
                   caps: Caps = DEFAULT) -> Dfa:
     """Minimal recognizer over the base alphabet for Q x. phi, phi given as a
-    DFA over the one-mark extended alphabet ``ext``.
-
-    A quantifier whose bit images commute (``E``, ``E1``, ``mod[q,r]``) goes
-    through ``count_layer``, any other monoid quantifier through
-    ``transfer_layer``.  Evaluation-only quantifiers raise
-    NotMonoidPresentable, and a body over any alphabet but the one-mark
-    alphabet ``ext`` is a ParseError.
+    DFA over the one-mark extended alphabet ``ext``, by ``quantifier_layer``
+    for every monoid quantifier, commuting or not.  Evaluation-only
+    quantifiers raise NotMonoidPresentable, and a body over any alphabet but
+    the one-mark alphabet ``ext`` is a ParseError.
     """
     if quant.monoid is None:
         raise NotMonoidPresentable(
@@ -536,29 +527,7 @@ def compile_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
     if len(ext.ctx) != 1 or tuple(phi_dfa.alphabet) != tuple(ext.symbols):
         raise ParseError(f"a body over {phi_dfa.alphabet} is not over the "
                          f"one-mark alphabet {ext.symbols}")
-    if quant.commutes:
-        return count_layer(quant, phi_dfa, ext.base.symbols, caps)
-    return transfer_layer(quant, phi_dfa, ext, caps)
-
-
-def transfer_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
-                   caps: Caps = DEFAULT) -> Dfa:
-    """``compile_layer`` for any monoid quantifier: its monoid runs over the
-    per-position witness bits by ``transfer_dfa``, on the syntactic stamp of
-    the body, which is kept on the body for the next quantifier."""
-    mu = phi_dfa._stamps.get(caps)
-    if mu is None:  # one stamp serves every quantifier over this body
-        mu = phi_dfa._stamps[caps] = syntactic_stamp(phi_dfa, caps)
-    acc = mu.accepting
-    qtab = quant.monoid.table
-    img0, img1 = quant.images
-    kdfa = Dfa(alphabet=("0", "1"),
-               delta=tuple((qtab[s][img0], qtab[s][img1])
-                           for s in range(len(quant.monoid))),
-               init=quant.monoid.identity,
-               accepting=frozenset(quant.accept))
-    return transfer_dfa(ext, mu, lambda t: int(t in acc), kdfa,
-                        caps).minimize()
+    return quantifier_layer(quant, phi_dfa, ext.base.symbols, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def _generator_vars(generators, var) -> frozenset:
     no free variable but ``var``."""
     atom_vars = {var}
     for g in generators:
-        fv, bv = scope(g)
+        fv, bv, _, _ = scope(g)
         if not fv <= {var}:
             raise ParseError(f"generator {to_dsl(g)} has free variables "
                              f"{sorted(fv - {var})} besides {var}")
@@ -471,7 +471,9 @@ class AtomTransduction:
 
     def preimage(self, kdfa: Dfa, caps: Caps = DEFAULT) -> Dfa:
         """Plain words whose atom word is accepted by ``kdfa`` (a DFA over
-        the atom letters c0, c1, ... in atom order)."""
+        the atom letters c0, c1, ... in atom order): the position transfer
+        (``semidirect.transfer_states``) of the stamp's Cayley automaton,
+        each marked class labelled by its atom."""
         return transfer_dfa(self.ext, self.stamp, self.atom_of_class.__getitem__,
                             kdfa, caps).minimize()
 

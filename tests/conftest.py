@@ -17,7 +17,8 @@ from wordlogic import (
 from wordlogic import caps as _caps
 from wordlogic.errors import BoundTooSmall, CapExceeded, ParseError
 from wordlogic.logic import embedded_ids, in_range, truth_table
-from wordlogic.regular import Dfa, _agrees, shortlex_offsets, shortlex_rows
+from wordlogic.regular import (Dfa, _agrees, closure, closure_dfa,
+                               shortlex_offsets, shortlex_rows)
 from wordlogic.words import check_bound
 
 # property tests run whole-algebra constructions; give them room
@@ -27,8 +28,8 @@ settings.load_profile("suite")
 
 #: "the last bit is 1": the right-zero monoid {e, 0, 1} (x.y = y for y != e),
 #: bits 0 and 1 read as its elements 1 and 2, accepting 2.  Its bit images
-#: do not commute, so bulk evaluation asks it row by row and compilation
-#: takes the stamp-and-transfer path.
+#: do not commute, so bulk evaluation asks it row by row and no witness
+#: count decides it.
 LASTBIT = {"name": "lastbit", "table": [[0, 1, 2], [1, 1, 2], [2, 1, 2]],
            "identity": 0, "images": [1, 2], "accept": [2]}
 
@@ -222,3 +223,81 @@ def check_h_formula(etaq, hm, words) -> bool:
         if hm.h(w) != (s_of_letters(etaq, letters), m):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# one quantifier layer by witness counts: the reference oracle for
+# ``semidirect.quantifier_layer`` when the quantifier's bit images commute
+
+
+def count_layer(quant, body: Dfa, alphabet) -> Dfa:
+    """Minimal automaton over ``alphabet`` for Q x. phi when the bit images
+    (b0, b1) of Q commute, phi given by ``body`` over the one-mark letters of
+    ``alphabet``: column 2i reads letter i unmarked, 2i + 1 marked.
+
+    Q's value is then b0^(n-c) b1^c on a word of length n with c witnesses.
+    A state is the body's state p on the word read, unmarked, and for each
+    body state q the power of (b0, b1) in M x M that counts the positions
+    whose marked run is now in q.  On letter a the counts move along the
+    unmarked a-transitions, and the new position counts once more at
+    delta(p, a marked).  At the end the positions in an accepting state q
+    are witnesses: the word is accepted when the product over q of the
+    b1-part (q accepting) or the b0-part (q not) of its count lies in
+    ``accept``.
+    """
+    tab, e = quant.monoid.table, quant.monoid.identity
+    b0, b1 = quant.images
+    # the cyclic monoid <(b0, b1)> in M x M, identity first
+    powers, index, edges = closure((e, e), lambda g: [(tab[g[0]][b0], tab[g[1]][b1])])
+    mul = [[index[tab[g0][h0], tab[g1][h1]] for h0, h1 in powers]
+           for g0, g1 in powers]
+    one = edges[0][0]
+    delta, nq, k = body.delta, body.n, len(alphabet)
+    unmarked = [[row[2 * i] for row in delta] for i in range(k)]
+
+    def step(st):
+        p, counts = st
+        live = [(q, c) for q, c in enumerate(counts) if c]
+        out = []
+        for i in range(k):
+            col = unmarked[i]
+            new = [0] * nq
+            for q, c in live:
+                t = col[q]
+                new[t] = mul[new[t]][c]
+            t = delta[p][2 * i + 1]
+            new[t] = mul[new[t]][one]
+            out.append((col[p], tuple(new)))
+        return out
+
+    order, _, succ = closure((body.init, (0,) * nq), step)
+    accepting = []
+    for i, (_, counts) in enumerate(order):
+        value = e
+        for q, c in enumerate(counts):
+            value = tab[value][powers[c][q in body.accepting]]
+        if value in quant.accept:
+            accepting.append(i)
+    return closure_dfa(alphabet, succ, accepting).minimize()
+
+
+def random_body(rng, ext, states) -> Dfa:
+    """A random automaton with ``states`` states over the one-mark
+    alphabet ``ext``."""
+    return Dfa(ext.symbols, tuple(tuple(rng.randrange(states) for _ in ext.symbols)
+                                  for _ in range(states)),
+               0, frozenset(i for i in range(states) if rng.random() < 0.5))
+
+
+def layer_accepts(quant, body: Dfa, word) -> bool:
+    """Q x. phi on one plain word of base letter indices, phi given by
+    ``body`` over the one-mark letters (column 2i reads letter i unmarked,
+    2i + 1 marked): the quantifier asked on the body's verdict with the mark
+    at each position in turn."""
+    bits = []
+    for i in range(len(word)):
+        q = body.init
+        for j, a in enumerate(word):
+            q = body.delta[q][2 * a + (i == j)]
+        bits.append(q in body.accepting)
+    return quant.evaluate(bits)

@@ -38,12 +38,13 @@ from wordlogic.logic import (_ANY, _atom, _rename_atom, check_hygiene,
                              embedded_ids, map_atoms, map_vars, marked_truth,
                              scope, truth_table, width)
 from wordlogic.regular import _agrees, infer_dfa, shortlex_offsets, shortlex_rows
-from wordlogic.semidirect import count_layer, transfer_layer
+from wordlogic.semidirect import compile_layer
 from wordlogic.sampling import random_formula
 from wordlogic.varcode import decode, encode
 from wordlogic.words import embed_marked, enumerate_marked, enumerate_words
 
-from conftest import LASTBIT, member_table, model_table, model_words, plain
+from conftest import (LASTBIT, count_layer, member_table, model_table, model_words,
+                      plain, random_body)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +97,8 @@ def test_map_vars_renames_free_occurrences():
 
 def test_scope_is_the_free_and_bound_variables():
     phi = parse("E z. (P[a](z) & z < x) | ~mod[2,0] u. R[succ](u,y)")
-    assert scope(phi) == ({"x", "y"}, {"z", "u"})
-    assert scope(Quant("E", "x", LetterPred("a", "y"))) == ({"y"}, {"x"})
+    assert scope(phi) == ({"x", "y"}, {"z", "u"}, 2, 3)
+    assert scope(Quant("E", "x", LetterPred("a", "y"))) == ({"y"}, {"x"}, 1, 1)
 
 
 @settings(derandomize=True, max_examples=200)
@@ -676,20 +677,17 @@ def test_the_counting_step_equals_the_transfer_path(seed, letters, qname):
     ext = ExtendedAlphabet(A, ("x",))
     q = DEFAULT_REGISTRY.quantifier(qname)
     assert q.commutes
-    if rng.random() < 0.5:  # a body formula, or any automaton over A x {x}
+    if rng.random() < 0.5:  # a body formula
         phi = random_formula(rng, A, context=("x",), depth=rng.randint(1, 2),
                              quantifiers=("E", "E1"))
         body = formula_dfa(phi, A, ("x",), 0)[1]
-    else:  # the transfer path's states grow fast with a random body's stamp
-        n = rng.randint(1, 2)
-        body = Dfa(ext.symbols, tuple(tuple(rng.randrange(n) for _ in ext.symbols)
-                                      for _ in range(n)),
-                   0, frozenset(i for i in range(n) if rng.random() < 0.5))
-    assert count_layer(q, body, A.symbols) == transfer_layer(q, body, ext)
+    else:  # or any automaton over A x {x}
+        body = random_body(rng, ext, rng.randint(1, 3))
+    assert compile_layer(q, body, ext) == count_layer(q, body, A.symbols)
 
 
 # ---------------------------------------------------------------------------
-# the process-wide atom memo and the kept witness-count monoid
+# the process-wide atom memo and the layer's state cap
 
 
 MEMO_PHI = "E y. (x < y & P[a](y)) & ~R[first](x) | E1 z. (R[succ](x,z) & R[near](x,z))"
@@ -748,23 +746,26 @@ def test_memoized_atoms_are_immutable_and_shared():
         d.delta = ()
 
 
-def test_the_witness_count_monoid_is_kept_and_still_capped():
+def test_a_layer_past_the_state_cap_is_refused_each_time():
     q = registry_from_json({"quantifiers": [{
         "name": "z5", "table": [[(i + j) % 5 for j in range(5)] for i in range(5)],
         "images": [0, 1], "accept": [0]}]}).quantifier("z5")
+    A = Alphabet.of("a")
+    ext = ExtendedAlphabet(A, ("x",))
+    body = formula_dfa(parse("P[a](x)"), A, ("x",), 0)[1]
 
     def refused():
         with pytest.raises(CapExceeded) as exc:
-            q.count_monoid(Caps(dfa_states=4))
-        assert exc.value.info == {"stage": "witness counts", "cap": 4}
+            compile_layer(q, body, ext, Caps(dfa_states=4))
+        assert exc.value.info == {"stage": "quantifier layer", "cap": 4}
 
     refused()
-    powers, mul, one = q.count_monoid(DEFAULT)
-    assert q.count_monoid(DEFAULT)[1] is mul
-    assert powers == tuple((0, i) for i in range(5)) and one == 1
-    assert mul == tuple(tuple((i + j) % 5 for j in range(5)) for i in range(5))
+    # the length mod 5: a cycle of five states
+    cycle = compile_layer(q, body, ext)
+    assert cycle.delta == tuple(((i + 1) % 5,) for i in range(5))
+    assert cycle.accepting == {0} and cycle == count_layer(q, body, A.symbols)
     refused()
-    assert q.count_monoid(Caps(dfa_states=5))[0] == powers
+    assert compile_layer(q, body, ext, Caps(dfa_states=5)) == cycle
 
 
 @pytest.mark.parametrize("call", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 import re
 import time
 
@@ -28,9 +29,9 @@ from wordlogic import (
     sdp,
     verify_recognizer,
 )
-from wordlogic import semidirect
+from wordlogic import regular, semidirect
 from wordlogic.caps import Caps
-from wordlogic.errors import CapExceeded
+from wordlogic.errors import CapExceeded, InvariantViolated
 from wordlogic.regular import (Dfa, FinMonoid, cayley_dfa, generate_monoid,
                                image_dfa, syntactic_stamp, universal_dfa)
 from wordlogic.sampling import MONOID_QUANTIFIERS
@@ -38,8 +39,9 @@ from wordlogic.semidirect import Biaction, eta_quotient, h_morphism, transfer_df
 from wordlogic.suites import _recognizer_instances, named_monoid, run_suite
 from wordlogic.words import parse_word
 
-from conftest import (LASTBIT, check_h_formula, class_word, left_quotient,
-                      marked_class_word, right_quotient, s_of_letters)
+from conftest import (LASTBIT, check_h_formula, class_word, count_layer,
+                      layer_accepts, left_quotient, marked_class_word,
+                      random_body, right_quotient, s_of_letters)
 
 
 def trivial_biaction(smon, mmon):
@@ -680,40 +682,71 @@ def test_compile_agrees_with_satisfaction_pointwise():
                 (q_name, body, w)
 
 
-def test_one_stamp_serves_every_quantifier_of_a_layer(monkeypatch):
+def test_no_layer_builds_a_syntactic_stamp(monkeypatch):
     built = []
-
-    def counting(dfa, caps):
-        built.append(caps)
-        return syntactic_stamp(dfa, caps)
-
-    monkeypatch.setattr(semidirect, "syntactic_stamp", counting)
+    check = regular.Stamp.__post_init__
+    monkeypatch.setattr(regular.Stamp, "__post_init__",
+                        lambda stamp: built.append(stamp) or check(stamp))
     # "the last bit is 1" and "the last bit is 0": non-commuting bit images
     reg = registry_from_json({"quantifiers": [
         LASTBIT, {**LASTBIT, "name": "lastzero", "accept": [1]}]})
     A = Alphabet.of("ab")
     text = "P[a](x) & E y. (y < x & P[b](y))"
     ext, body = formula_dfa(parse(text), A, ("x",), 6)
-    # the commuting quantifiers count witnesses and build no stamp
-    for q in MONOID_QUANTIFIERS:
-        compile_layer(reg.quantifier(q), body, ext)
-    assert built == []
-    quants = [reg.quantifier(q) for q in ("lastbit", "lastzero")]
+    quants = [reg.quantifier(q) for q in MONOID_QUANTIFIERS + ("lastbit", "lastzero")]
+    assert any(q.commutes for q in quants) and not all(q.commutes for q in quants)
     layer = [compile_layer(q, body, ext) for q in quants]
-    assert len(built) == 1
+    formula_dfa(parse(f"lastbit x. {text}", reg), A, (), 0, reg)
+    assert built == []
     for q, dfa in zip(quants, layer):
         phi = Quant(q.name, "x", parse(text))
         for w in enumerate_words(A, 6):
             assert dfa.accepts(w) == satisfies(MarkedWord(w, ()), phi, reg)
-    # each from a fresh copy of the body, which builds its own stamp
-    fresh = [compile_layer(q, Dfa(body.alphabet, body.delta, body.init,
-                                  body.accepting), ext) for q in quants]
-    assert layer == fresh and len(built) == 3
-    # a cap the stamp does not fit builds a stamp of its own, and refuses
-    small = Caps(monoid=len(syntactic_stamp(body).monoid) - 1)
-    with pytest.raises(CapExceeded):
-        compile_layer(quants[0], body, ext, small)
-    assert built[-1] == small
+
+
+def test_a_class_without_a_letter_is_refused():
+    dd, etaq = eta_setup("Z2")
+    kdfa = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, ())
+    transfer_dfa(dd.ext, dd.pi, dd.t_letter.__getitem__, kdfa)
+    for missing in dd.t_elems:
+        partial = {t: x for t, x in dd.t_letter.items() if t != missing}
+        with pytest.raises(InvariantViolated, match="no label") as exc:
+            transfer_dfa(dd.ext, dd.pi, partial.__getitem__, kdfa)
+        assert exc.value.info == {"stage": "transfer automaton"}
+
+
+#: seconds one quantifier layer of a random 3-state body may take
+LAYER_BUDGET_S = 0.1
+
+
+def test_random_three_state_bodies_compile_within_the_budget():
+    reg = registry_from_json({"quantifiers": [LASTBIT]})
+    mod, lastbit = reg.quantifier("mod[4,1]"), reg.quantifier("lastbit")
+    ab = ExtendedAlphabet(Alphabet.of("ab"), ("x",))
+    # the body the pair-of-contexts transfer took 7-9 s on under mod[4,1]
+    rng = random.Random(58)
+    cases = [(ab, random_body(rng, ab, rng.randint(1, 3)))]
+    assert cases[0][1].n == 3
+    rng = random.Random(3)
+    for letters in ("ab", "abc"):
+        ext = ExtendedAlphabet(Alphabet.of(letters), ("x",))
+        cases += [(ext, random_body(rng, ext, 3)) for _ in range(40)]
+    for ext, body in cases:
+        k = len(ext.base)
+        for q in (mod, lastbit):
+            start = time.perf_counter()
+            dfa = compile_layer(q, body, ext)
+            assert time.perf_counter() - start < LAYER_BUDGET_S, (q.name, body)
+            if q is mod:
+                assert dfa == count_layer(q, body, ext.base.symbols)
+                continue
+            for n in range(7):
+                for word in itertools.product(range(k), repeat=n):
+                    state = dfa.init
+                    for a in word:
+                        state = dfa.delta[state][a]
+                    assert (state in dfa.accepting) == \
+                        layer_accepts(q, body, word), (body, word)
 
 
 def test_oracle_quantifiers_do_not_compile_but_still_evaluate():

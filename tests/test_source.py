@@ -130,3 +130,16 @@ def test_refusals_without_stage_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_refusal_names_its_stage(path):
     assert refusals_without_stage(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+#: the line count of ``src/wordlogic/*.py`` (as ``wc -l`` counts) may not
+#: pass this ceiling; like the time budgets of the acceptance tests, it may
+#: only go down, so lower it whenever the package shrinks
+SRC_LINE_CEILING = 6142
+
+
+def test_src_does_not_grow():
+    paths = MODULES + [Path(wordlogic.__file__)]
+    lines = sum(p.read_text(encoding="utf-8").count("\n") for p in paths)
+    assert lines <= SRC_LINE_CEILING, \
+        f"src/wordlogic has {lines} lines, above the ceiling of {SRC_LINE_CEILING}"
