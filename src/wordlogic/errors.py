@@ -42,7 +42,8 @@ class NotMonoidPresentable(WordlogicError):
 
 
 class BoundTooSmall(WordlogicError):
-    """No automaton consistent with the bounded data could be verified."""
+    """An answer needs words longer than a bounded table holds, such as a
+    generator signature realized only past the bound."""
 
     code = "bound"
 

@@ -3,9 +3,8 @@
 Complete DFAs, finite monoids with exhaustively checked laws, stamps
 (surjective morphisms from a free monoid), syntactic monoids via transition
 monoids of minimal automata, Boolean algebras of recognized languages, and
-the bridge from bounded language data back to automata (``infer_dfa``, for
-the atom transductions of ``substitution``; formulas compile exactly in
-``logic.formula_dfa``).
+the shortlex numbering of bounded word tables.  Automata are never guessed
+from bounded data: formulas compile exactly in ``logic.formula_dfa``.
 
 Everything is deterministic: every breadth-first search here (reachable
 states, products, minimization's renumbering, monoid generation) goes
@@ -23,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import caps as _caps
-from .errors import BoundTooSmall, CapExceeded, ParseError
+from .errors import CapExceeded, ParseError
 from .words import ExtendedAlphabet
 
 
@@ -627,14 +626,14 @@ def factor_stamp(stamp: Stamp, lang: Dfa):
 
 
 # ---------------------------------------------------------------------------
-# bounded data -> DFA
+# shortlex word tables
 #
-# Bounded data is a membership table over every word of length <= bound.
-# With the k letters numbered 0..k-1, the words are numbered in shortlex
-# order: w gets the id off[|w|] + rank(w), where off[n] counts the words
-# shorter than n and rank(w) reads w as a base-k numeral.  The child of word
-# i under letter c is then word i*k + c + 1, so the words of length n are the
-# children of the words of length n-1, in order, and u·p has the id
+# A bounded table covers every word of length <= bound.  With the k letters
+# numbered 0..k-1, the words are numbered in shortlex order: w gets the id
+# off[|w|] + rank(w), where off[n] counts the words shorter than n and
+# rank(w) reads w as a base-k numeral.  The child of word i under letter c
+# is then word i*k + c + 1, so the words of length n are the children of the
+# words of length n-1, in order, and u·p has the id
 # off[|u|+|p|] + rank(u)·k^|p| + rank(p).
 
 
@@ -676,82 +675,3 @@ def word_ids(letters, k: int, off) -> np.ndarray:
     lens = (letters >= 0).sum(-1)
     return off[lens] + (letters * row_weights(lens, letters.shape[-1], k)).sum(-1)
 
-
-def _agrees(delta, accepting, member, off) -> bool:
-    """Does the automaton (start state 0) accept exactly the member words?
-    Runs it on all words of one length at once, level by level."""
-    state = np.zeros(1, dtype=np.int64)
-    for n in range(len(off) - 1):
-        if n:
-            state = delta[state].reshape(-1)
-        if not np.array_equal(accepting[state], member[off[n]:off[n + 1]]):
-            return False
-    return True
-
-
-def infer_dfa(symbols, bound, member, caps: _caps.Caps = _caps.DEFAULT) -> Dfa:
-    """Infer the automaton behind a membership table over the words of
-    length <= bound, numbered in shortlex order as above.
-
-    For probe depth d = 0, 1, ..., the words u of length <= bound-d are
-    classed by the bits member[id(u·p)] over the probes p of length <= d, by
-    Moore refinement on the word tree: member[u] at depth 0, and member[u]
-    with the depth-d classes of the children u·c, folded into one integer
-    key, at depth d+1.  Classes are numbered by their shortlex-first word,
-    which gives the class its transitions when it has children in the
-    table.  A hypothesis is returned only after running it on *every* word
-    of the table, so the result provably agrees with the data; if no probe
-    depth yields a verified hypothesis the data looks non-regular at this
-    bound and BoundTooSmall names the bound and the largest hypothesis
-    refuted.  The caller checks the table size (``words.check_table``).
-    """
-    syms = tuple(symbols)
-    k = len(syms)
-    cap = caps.dfa_states
-    off = shortlex_offsets(k, bound)
-    member = np.asarray(member, dtype=bool)
-    if member.shape != (off[-1],):
-        raise ParseError(f"membership table of shape {member.shape} does not "
-                         f"cover the {off[-1]} words of length <= {bound}")
-    if bound == 0:
-        acc = frozenset({0}) if member[0] else frozenset()
-        return Dfa(syms, ((0,) * k,), 0, acc)
-    largest = 0  # states of the largest hypothesis built and refuted
-    # depth 0 classes a word by its member bit, the empty word's class first:
-    # no sort of the whole table is needed
-    cls = (member != member[0]).astype(np.int64)
-    first = np.concatenate(([0], np.flatnonzero(cls)[:1]))
-    for d in range(bound + 1):
-        if d:  # Moore step: key = (member, class of each child) in base n
-            rows, n = off[bound - d + 1], len(first)
-            kids = cls[1:rows * k + 1].reshape(rows, k)
-            key, size = member[:rows].astype(np.int64), 2
-            for c in range(k):
-                if size * n > 1 << 62:  # renumber to stay exact
-                    _, key = np.unique(key, return_inverse=True)
-                    key, size = key.reshape(-1), int(key.max()) + 1
-                key, size = key * n + kids[:, c], size * n
-            _, first, inverse = np.unique(key, return_index=True,
-                                          return_inverse=True)
-            order = np.argsort(first)  # classes by their shortlex-first word
-            renumber = np.empty_like(order)
-            renumber[order] = np.arange(len(order))
-            cls = renumber[inverse.reshape(-1)]
-            first = first[order]
-        if len(first) > cap:
-            raise CapExceeded(f"automaton inference exceeds the cap of {cap} states",
-                              stage="automaton inference", cap=cap)
-        if first[-1] >= off[bound - d]:
-            continue  # some class only ever appears at the frontier
-        delta = cls[first[:, None] * k + np.arange(k) + 1]
-        accepting = member[first]
-        if _agrees(delta, accepting, member, off):
-            return Dfa(syms, tuple(map(tuple, delta.tolist())), 0,
-                       frozenset(np.flatnonzero(accepting).tolist())).minimize()
-        largest = max(largest, len(first))
-    refuted = (f"the largest hypothesis built, with {largest} states, disagrees "
-               f"with the data" if largest else "no probe depth gave a hypothesis")
-    raise BoundTooSmall(
-        f"no automaton consistent with the data was found at bound {bound}: "
-        f"{refuted}; a larger bound may be needed",
-        stage="automaton inference", bound=bound, states=largest)

@@ -19,17 +19,18 @@ import numpy as np
 
 from . import finba
 from .caps import DEFAULT, Caps
-from .errors import BoundTooSmall, CapExceeded, ParseError
+from .errors import BoundTooSmall, CapExceeded, InvariantViolated, ParseError
 from .logic import (And, Formula, LetterPred, Registry, DEFAULT_REGISTRY, conj,
-                    Not, neg, free_vars, all_vars, embedded_ids, in_range,
+                    Not, neg, formula_dfa, free_vars, all_vars, in_range,
                     map_atoms, map_vars, marked_truth, models, rename_bound,
                     satisfies, scope, to_dsl, truth_table)
-from .regular import (Dfa, image_dfa, infer_dfa, shortlex_offsets,
-                      shortlex_rows, syntactic_stamp_of_family, word_ids)
+from .regular import (Dfa, closure, closure_dfa, first_paths, image_dfa,
+                      shortlex_offsets, shortlex_rows, word_ids)
 from .report import Report
-from .semidirect import transfer_dfa
+from .semidirect import position_transfer
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_table,
-                    enumerate_marked, enumerate_words, mark_alphabet)
+                    decode_marks, enumerate_marked, enumerate_words,
+                    mark_alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -458,55 +459,66 @@ def circ_closure(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
 class AtomTransduction:
     """Regular presentation of the position-classifying transduction.
 
-    Built from the embedded atom languages of a one-mark formula algebra:
-    their joint syntactic stamp over the one-mark alphabet ``ext`` and the
-    atom of every marked class.  ``preimage(K)`` is the exact regular
-    language of plain words whose atom word lands in K.
+    ``delta`` holds the transitions, from state 0, of the reachable product
+    over the one-mark alphabet ``ext`` of the generators' compiled automata
+    and the marked-word image; ``label[q]`` is the atom of every marked
+    word that reaches state q, or None where no marked word does.
+    ``preimage(K)`` is the exact regular language of plain words whose atom
+    word lands in K.
     """
 
     ext: ExtendedAlphabet
-    stamp: object
-    atom_of_class: dict
-    atom_count: int
+    delta: tuple
+    label: tuple
 
     def preimage(self, kdfa: Dfa, caps: Caps = DEFAULT) -> Dfa:
         """Plain words whose atom word is accepted by ``kdfa`` (a DFA over
         the atom letters c0, c1, ... in atom order): the position transfer
-        (``semidirect.transfer_states``) of the stamp's Cayley automaton,
-        each marked class labelled by its atom."""
-        return transfer_dfa(self.ext, self.stamp, self.atom_of_class.__getitem__,
-                            kdfa, caps).minimize()
+        (``semidirect.position_transfer``) of the product, each marked state
+        labelled by its atom, minimized."""
+        order, succ = position_transfer(self.delta, 0, self.label, kdfa.delta,
+                                        kdfa.init, caps, "transfer automaton")
+        return closure_dfa(self.ext.base.symbols, succ, (
+            i for i, st in enumerate(order)
+            if st[1][0] in kdfa.accepting)).minimize()
 
 
 def atom_transduction(delta: DeltaAlgebra, caps: Caps = DEFAULT) -> AtomTransduction:
-    """Infer DFAs for the embedded atoms of a one-mark formula algebra and
-    package them as a transduction.
+    """The position classifier of a one-mark formula algebra, compiled
+    exactly, at every length.
 
-    Each atom's membership table over the words of length <= ``delta.bound``
-    over the one-mark alphabet is scattered from the algebra's atom table to
-    the ids of the embedded marked words (``logic.embedded_ids``), and its
-    automaton is read off by ``regular.infer_dfa``.  A word table above the
-    enumeration cap is refused first.
+    Each generator is compiled once over the one-mark alphabet
+    (``logic.formula_dfa``; one that is not monoid-presentable raises
+    NotMonoidPresentable), and one closure (stage "atom transduction")
+    builds their product with the marked-word image (``regular.image_dfa``).
+    A marked state is labelled by the atom (``_sig_to_atom``) of the
+    generators' accepting bits there.  A marked state whose signature no
+    marked word of length <= ``delta.bound`` realizes is refused with
+    BoundTooSmall, naming the shortest marked word that reaches it, which
+    ``xi`` refuses too.
     """
-    ext = mark_alphabet(Alphabet.of(delta.alphabet), delta.var)
-    check_table("inference word table", len(ext), 0, delta.bound, caps)
-    ids = embedded_ids(len(ext.base), 1, delta.bound)
-    size = shortlex_offsets(len(ext), delta.bound)[-1]
-    image = image_dfa(ext)
-    atom_dfas = []
-    for atom in range(delta.atom_count):
-        member = np.zeros(size, dtype=bool)
-        member[ids[delta._atoms == atom]] = True
-        d = infer_dfa(ext.symbols, delta.bound, member, caps)
-        atom_dfas.append(d.intersect(image).minimize())
-    stamp = syntactic_stamp_of_family(atom_dfas, caps)
-    atom_of_class = {}
-    for t, rep in enumerate(stamp.reps):
-        hits = [i for i, d in enumerate(atom_dfas) if d.accepts(rep)]
-        if len(hits) == 1:
-            atom_of_class[t] = hits[0]
-    return AtomTransduction(ext=ext, stamp=stamp, atom_of_class=atom_of_class,
-                            atom_count=delta.atom_count)
+    base = Alphabet.of(delta.alphabet)
+    ext = mark_alphabet(base, delta.var)
+    reg = delta.registry or DEFAULT_REGISTRY
+    dfas = [formula_dfa(g, base, (delta.var,), delta.bound, reg, caps)[1]
+            for g in delta.generators] + [image_dfa(ext)]
+    states, _, edges = closure(
+        tuple(d.init for d in dfas),
+        lambda q: zip(*(d.delta[s] for d, s in zip(dfas, q))),
+        caps.dfa_states, "atom transduction")
+    label = []
+    for q, st in enumerate(states):
+        *sig, marked = (s in d.accepting for d, s in zip(dfas, st))
+        atom = delta._sig_to_atom.get(tuple(sig)) if marked else None
+        if marked and atom is None:
+            mw = decode_marks(first_paths(edges, ext.symbols)[q], ext)
+            raise BoundTooSmall(
+                f"generator signature of {mw} is not realized by any word of "
+                f"length <= {delta.bound}", stage="atom transduction",
+                size=len(mw.word), bound=delta.bound)
+        label.append(atom)
+    return AtomTransduction(ext=ext, delta=tuple(map(tuple, edges)),
+                            label=tuple(label))
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,7 +548,8 @@ def w_odot_c(w_dfas, delta: DeltaAlgebra, caps: Caps = DEFAULT) -> WOdotC:
     atom order); each is pulled back to an exact DFA over the base alphabet
     (``atom_transduction``) and cross-checked extensionally on all words of
     length <= ``delta.bound``, whose atom words are the algebra's own table
-    (``atom_rows``).
+    (``atom_rows``).  The transduction is exact, so a disagreement is a
+    fault of the construction: InvariantViolated names the first word.
     """
     td = atom_transduction(delta, caps)
     atom_syms = delta.atom_alphabet().symbols
@@ -552,11 +565,10 @@ def w_odot_c(w_dfas, delta: DeltaAlgebra, caps: Caps = DEFAULT) -> WOdotC:
         want = _accepts_rows(k, atoms, lens)
         differ = np.flatnonzero(_accepts_rows(d, letters, lens) != want)
         if len(differ):
-            raise BoundTooSmall(
-                f"inferred transduction disagrees with the algebra on "
-                f"{''.join(carrier[differ[0]]) or '<empty>'}",
-                stage="atom transduction", size=len(carrier),
-                bound=delta.bound)
+            word = "".join(carrier[differ[0]]) or "<empty>"
+            raise InvariantViolated(
+                f"the preimage disagrees with the algebra's atom table on "
+                f"{word}", stage="atom transduction", word=word)
         pre.append(d)
         langs.append(frozenset(itertools.compress(carrier, want)))
     ba = finba.generate(carrier, langs, caps)

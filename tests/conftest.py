@@ -17,8 +17,8 @@ from wordlogic import (
 from wordlogic import caps as _caps
 from wordlogic.errors import BoundTooSmall, CapExceeded, ParseError
 from wordlogic.logic import embedded_ids, in_range, truth_table
-from wordlogic.regular import (Dfa, _agrees, closure, closure_dfa,
-                               shortlex_offsets, shortlex_rows)
+from wordlogic.regular import (Dfa, closure, closure_dfa, shortlex_offsets,
+                               shortlex_rows)
 from wordlogic.words import check_bound
 
 # property tests run whole-algebra constructions; give them room
@@ -87,7 +87,7 @@ def right_quotient(d: Dfa, v) -> Dfa:
 
 def member_table(symbols, bound, words) -> np.ndarray:
     """The membership table of a set of words of length <= bound, in the
-    shortlex numbering of ``regular.infer_dfa``: the oracle's way of giving
+    shortlex numbering of ``regular.shortlex_offsets``: the oracle's way of giving
     a language by its words (a word with a letter outside ``symbols`` marks
     nothing)."""
     col = {s: i for i, s in enumerate(symbols)}
@@ -106,7 +106,7 @@ def member_table(symbols, bound, words) -> np.ndarray:
 def model_table(phi, alphabet, context, bound, registry=None) -> np.ndarray:
     """The bulk oracle for ``formula_dfa``: the bounded model set of a formula
     as a membership table over the words of A x 2^context of length <=
-    bound, numbered in shortlex order as in ``regular.infer_dfa`` with letter
+    bound, numbered in shortlex order as in ``member_table`` with letter
     base_index * 2^|context| + mask (context[0] the lowest bit).  True exactly
     at the embeddings of the marked words ``models`` returns: the truth table
     of all base words (``truth_table``) scattered to the ids of the extended
@@ -122,8 +122,88 @@ def model_table(phi, alphabet, context, bound, registry=None) -> np.ndarray:
     return member
 
 
+def agrees(delta, accepting, member, off) -> bool:
+    """Does the automaton (start state 0) accept exactly the member words?
+    Runs it on all words of one length at once, level by level."""
+    state = np.zeros(1, dtype=np.int64)
+    for n in range(len(off) - 1):
+        if n:
+            state = delta[state].reshape(-1)
+        if not np.array_equal(accepting[state], member[off[n]:off[n + 1]]):
+            return False
+    return True
+
+
+def infer_dfa(symbols, bound, member, caps=_caps.DEFAULT) -> Dfa:
+    """The automaton behind a membership table over the words of length <=
+    bound, numbered in shortlex order (``member_table``): the oracle that
+    guesses an automaton from bounded data.
+
+    For probe depth d = 0, 1, ..., the words u of length <= bound-d are
+    classed by the bits member[id(u·p)] over the probes p of length <= d, by
+    Moore refinement on the word tree: member[u] at depth 0, and member[u]
+    with the depth-d classes of the children u·c, folded into one integer
+    key, at depth d+1.  Classes are numbered by their shortlex-first word,
+    which gives the class its transitions when it has children in the
+    table.  A hypothesis is returned only after running it on *every* word
+    of the table, so the result agrees with the data; if no probe depth
+    yields a verified hypothesis the data looks non-regular at this bound
+    and BoundTooSmall names the bound and the largest hypothesis refuted.
+    """
+    syms = tuple(symbols)
+    k = len(syms)
+    cap = caps.dfa_states
+    off = shortlex_offsets(k, bound)
+    member = np.asarray(member, dtype=bool)
+    if member.shape != (off[-1],):
+        raise ParseError(f"membership table of shape {member.shape} does not "
+                         f"cover the {off[-1]} words of length <= {bound}")
+    if bound == 0:
+        acc = frozenset({0}) if member[0] else frozenset()
+        return Dfa(syms, ((0,) * k,), 0, acc)
+    largest = 0  # states of the largest hypothesis built and refuted
+    # depth 0 classes a word by its member bit, the empty word's class first:
+    # no sort of the whole table is needed
+    cls = (member != member[0]).astype(np.int64)
+    first = np.concatenate(([0], np.flatnonzero(cls)[:1]))
+    for d in range(bound + 1):
+        if d:  # Moore step: key = (member, class of each child) in base n
+            rows, n = off[bound - d + 1], len(first)
+            kids = cls[1:rows * k + 1].reshape(rows, k)
+            key, size = member[:rows].astype(np.int64), 2
+            for c in range(k):
+                if size * n > 1 << 62:  # renumber to stay exact
+                    _, key = np.unique(key, return_inverse=True)
+                    key, size = key.reshape(-1), int(key.max()) + 1
+                key, size = key * n + kids[:, c], size * n
+            _, first, inverse = np.unique(key, return_index=True,
+                                          return_inverse=True)
+            order = np.argsort(first)  # classes by their shortlex-first word
+            renumber = np.empty_like(order)
+            renumber[order] = np.arange(len(order))
+            cls = renumber[inverse.reshape(-1)]
+            first = first[order]
+        if len(first) > cap:
+            raise CapExceeded(f"automaton inference exceeds the cap of {cap} states",
+                              stage="automaton inference", cap=cap)
+        if first[-1] >= off[bound - d]:
+            continue  # some class only ever appears at the frontier
+        delta = cls[first[:, None] * k + np.arange(k) + 1]
+        accepting = member[first]
+        if agrees(delta, accepting, member, off):
+            return Dfa(syms, tuple(map(tuple, delta.tolist())), 0,
+                       frozenset(np.flatnonzero(accepting).tolist())).minimize()
+        largest = max(largest, len(first))
+    refuted = (f"the largest hypothesis built, with {largest} states, disagrees "
+               f"with the data" if largest else "no probe depth gave a hypothesis")
+    raise BoundTooSmall(
+        f"no automaton consistent with the data was found at bound {bound}: "
+        f"{refuted}; a larger bound may be needed",
+        stage="automaton inference", bound=bound, states=largest)
+
+
 def probe_bit_infer_dfa(symbols, bound, member, caps=_caps.DEFAULT) -> Dfa:
-    """Reference for ``regular.infer_dfa``: at probe depth d the words of
+    """Reference for ``infer_dfa``: at probe depth d the words of
     length <= bound-d are classed by their packed row of bits over all
     probes of length <= d, read directly off the membership table."""
     syms = tuple(symbols)
@@ -161,7 +241,7 @@ def probe_bit_infer_dfa(symbols, bound, member, caps=_caps.DEFAULT) -> Dfa:
             continue
         delta = cls[first[:, None] * k + np.arange(k) + 1]
         accepting = member[first]
-        if _agrees(delta, accepting, member, off):
+        if agrees(delta, accepting, member, off):
             return Dfa(syms, tuple(map(tuple, delta.tolist())), 0,
                        frozenset(np.flatnonzero(accepting).tolist())).minimize()
         largest = max(largest, len(first))

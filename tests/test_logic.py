@@ -37,14 +37,14 @@ from wordlogic.caps import DEFAULT, Caps
 from wordlogic.logic import (_ANY, _atom, _rename_atom, check_hygiene,
                              embedded_ids, map_atoms, map_vars, marked_truth,
                              scope, truth_table, width)
-from wordlogic.regular import _agrees, infer_dfa, shortlex_offsets, shortlex_rows
+from wordlogic.regular import shortlex_offsets, shortlex_rows
 from wordlogic.semidirect import compile_layer
 from wordlogic.sampling import random_formula
 from wordlogic.varcode import decode, encode
 from wordlogic.words import embed_marked, enumerate_marked, enumerate_words
 
-from conftest import (LASTBIT, count_layer, member_table, model_table, model_words,
-                      plain, random_body)
+from conftest import (LASTBIT, agrees, count_layer, infer_dfa, member_table,
+                      model_table, model_words, plain, random_body)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +631,8 @@ def compiled_case(seed, ctx, letters):
 
 def agrees_with_table(dfa, member, k, bound) -> bool:
     accepting = np.isin(np.arange(dfa.n), list(dfa.accepting))
-    return _agrees(np.array(dfa.delta), accepting, member,
-                   shortlex_offsets(k, bound))
+    return agrees(np.array(dfa.delta), accepting, member,
+                  shortlex_offsets(k, bound))
 
 
 @settings(derandomize=True, max_examples=200)

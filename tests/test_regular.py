@@ -32,7 +32,6 @@ from wordlogic.regular import (
     first_paths,
     generate_monoid,
     image_dfa,
-    infer_dfa,
     mark_count_dfa,
     plain_universe_dfa,
     quotient_closure,
@@ -48,7 +47,7 @@ from wordlogic.regular import (
 from wordlogic.words import enumerate_words
 from wordlogic.caps import Caps
 
-from conftest import (left_quotient, member_table, model_table,
+from conftest import (infer_dfa, left_quotient, member_table, model_table,
                       probe_bit_infer_dfa, right_quotient, table_by_mul)
 
 

@@ -10,7 +10,9 @@ from wordlogic import (
     TRUE, FALSE,
     Alphabet,
     BoundTooSmall,
+    InvariantViolated,
     MarkedWord,
+    NotMonoidPresentable,
     ParseError,
     SentenceClass,
     check_substitution_principle,
@@ -20,6 +22,7 @@ from wordlogic import (
     enumerate_words,
     equiv_bounded,
     finba,
+    formula_dfa,
     gamma_odot,
     gamma_q,
     models,
@@ -32,15 +35,15 @@ from wordlogic import (
     w_odot_c,
     xi,
 )
+from wordlogic import substitution
 from wordlogic.logic import (And, LetterPred, Not, Quant, disj, map_atoms,
                              map_vars, rename_bound, truth_table)
-from wordlogic.regular import Dfa, empty_dfa, image_dfa, infer_dfa, universal_dfa
+from wordlogic.regular import Dfa, empty_dfa, universal_dfa
 from wordlogic.sampling import random_atom_sentence, random_delta
 from wordlogic.substitution import (atom_rows, atom_transduction,
                                     substitute_letters, tau_word)
-from wordlogic.words import embed_marked, mark_alphabet
 
-from conftest import member_table, model_words
+from conftest import model_words
 
 
 def atom_letter_of(delta, mw):
@@ -386,7 +389,7 @@ def test_preimage_rejects_alphabet_mismatch(delta_pa):
 
 ALGEBRAS = [("ab", ["P[a](x)"]), ("ab", ["R[first](x)"]),
             ("ab", ["E y. y < x & P[b](y)"]), ("ab", ["P[a](x)", "R[last](x)"]),
-            ("abc", ["P[c](x)"])]
+            ("abc", ["P[c](x)"]), ("ab", ["mod[7,0] y. P[a](y)"])]
 
 
 def some_position_is(k, i):
@@ -399,6 +402,15 @@ def an_even_number_of(k, i):
                    tuple(int(c != i) for c in range(len(k)))), 0, frozenset({0}))
 
 
+def exact_on(delta, ks, preimages, bound):
+    """Each preimage accepts exactly the plain words of length <= bound
+    whose atom word (``tau_word``) its K accepts."""
+    for w in enumerate_words(delta.alphabet, bound):
+        atoms = tau_word(delta, w)
+        for k, pre in zip(ks, preimages):
+            assert pre.accepts(w) == k.accepts(atoms), (w, atoms)
+
+
 @pytest.mark.parametrize("letters, generators", ALGEBRAS,
                          ids=[" & ".join(g) + f" over {a}" for a, g in ALGEBRAS])
 @pytest.mark.parametrize("atom_word_dfa", [some_position_is, an_even_number_of])
@@ -406,22 +418,67 @@ def test_the_transduction_matches_the_atom_sets_and_tau(letters, generators,
                                                         atom_word_dfa):
     delta = delta_algebra(Alphabet.of(letters), "x",
                           [parse(g) for g in generators], bound=5)
-    # each atom's automaton: inferred from the embedded atom of ``ba``
-    ext = mark_alphabet(delta.alphabet, "x")
+    # the states labelled i accept exactly the models of atom i's formula
     td = atom_transduction(delta)
-    for i, atom in enumerate(delta.ba.atoms):
-        emb = [embed_marked(mw, ("x",), ext=ext) for mw in atom]
-        want = infer_dfa(ext.symbols, 5, member_table(ext.symbols, 5, emb))
-        got = td.stamp.dfa(frozenset(t for t, a in td.atom_of_class.items()
-                                     if a == i))
-        assert got.minimize() == want.intersect(image_dfa(ext)).minimize()
-    # each preimage: the plain words whose atom word (``tau``) K accepts
+    for i, phi in enumerate(delta.atom_formulas):
+        want = formula_dfa(phi, delta.alphabet, ("x",), 5)[1]
+        got = Dfa(td.ext.symbols, td.delta, 0,
+                  frozenset(q for q, a in enumerate(td.label) if a == i))
+        assert got.minimize() == want
+    # each preimage: the plain words whose atom word K accepts, also past
+    # the algebra's bound
     syms = delta.atom_alphabet().symbols
     ks = [atom_word_dfa(syms, i) for i in range(len(syms))]
-    got = w_odot_c(ks, delta)
-    for k, pre in zip(ks, got.preimages):
-        for w in enumerate_words(delta.alphabet, 5):
-            assert pre.accepts(w) == k.accepts(tau_word(delta, w)), w
+    exact_on(delta, ks, w_odot_c(ks, delta).preimages, delta.bound + 3)
+
+
+def test_a_count_modulo_seven_is_pulled_back_exactly(ab):
+    # at bound 5 the atom "the number of a's is 0 mod 7" looks like "no a";
+    # aaaaaaa is the first word where the two differ
+    delta = delta_algebra(ab, "x", [parse("mod[7,0] y. P[a](y)")], bound=5)
+    syms = delta.atom_alphabet().symbols
+    ks = [f(syms, i) for i in range(len(syms))
+          for f in (some_position_is, an_even_number_of)]
+    exact_on(delta, ks, w_odot_c(ks, delta).preimages, 9)
+
+
+def test_a_generator_that_needs_more_than_the_bound_to_guess_is_compiled(ab):
+    delta = delta_algebra(
+        ab, "x", [parse("(E u1. R[first](x) & P[a](u1)) | R[last](x)")], bound=5)
+    syms = delta.atom_alphabet().symbols
+    ks = [some_position_is(syms, i) for i in range(len(syms))]
+    exact_on(delta, ks, w_odot_c(ks, delta).preimages, 8)
+
+
+def test_a_signature_realized_only_past_the_bound_is_refused(ab):
+    delta = delta_algebra(ab, "x", [parse("mod[7,0] y. P[a](y)"),
+                                    parse("E y. P[a](y)")], bound=5)
+    with pytest.raises(BoundTooSmall) as exc:
+        w_odot_c([universal_dfa(delta.atom_alphabet().symbols)], delta)
+    assert exc.value.info == {"stage": "atom transduction", "size": 7,
+                              "bound": 5}
+    assert "aaaaaaa[x=" in str(exc.value)
+    # the classifier refuses the same word
+    with pytest.raises(BoundTooSmall, match="is not realized"):
+        tau(delta, "aaaaaaa")
+
+
+def test_an_oracle_quantifier_generator_is_not_monoid_presentable(ab):
+    delta = delta_algebra(ab, "x", [parse("maj y. P[a](y)")], bound=5)
+    with pytest.raises(NotMonoidPresentable):
+        w_odot_c([universal_dfa(delta.atom_alphabet().symbols)], delta)
+
+
+def test_a_preimage_that_disagrees_with_the_atom_table_is_an_invariant_fault(
+        delta_pa, monkeypatch):
+    # the preimage of "some position is c_a" corrupted to accept everything
+    syms = delta_pa.atom_alphabet().symbols
+    monkeypatch.setattr(substitution.AtomTransduction, "preimage",
+                        lambda self, kdfa, caps=None: universal_dfa(("a", "b")))
+    with pytest.raises(InvariantViolated) as exc:
+        w_odot_c([some_position_is(syms, syms.index(c_of(delta_pa, "a")))],
+                 delta_pa)
+    assert exc.value.info == {"stage": "atom transduction", "word": "<empty>"}
 
 
 # ---------------------------------------------------------------------------
