@@ -3,10 +3,12 @@
 A set of quantifiers gives a class of sentences (generated by "Q over a
 subset of the letters"); applying it through an algebra of one-variable
 formulas adds one quantifier layer.  Iterating from the quantifier-free
-algebra in n variables — re-encoding the spare variables into the
-alphabet before each step and decoding afterwards — stratifies sentences
-by quantifier depth.  An independent enumeration of depth-bounded
-sentences provides the oracle the stratification is checked against.
+formulas in n variables stratifies sentences by quantifier depth: each
+layer cuts the marked words of its variables into cells by the truth of
+the layer below, quantifies one variable over unions of cells, and leaves
+the others free for the layers above (the substitution principle).  An
+independent enumeration of depth-bounded sentences provides the oracle the
+stratification is checked against.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from . import finba
 from .caps import DEFAULT, Caps
 from .errors import CapExceeded, InvariantViolated, ParseError
 from .logic import (LetterPred, NumPred, Quant, Registry, DEFAULT_REGISTRY,
-                    conj, disj, embedded_ids, in_range, neg, models, relabel,
+                    all_vars, conj, disj, in_range, neg, models, relabel,
                     to_dsl, truth_table)
 from .regular import shortlex_rows
 from .report import Report
-from .substitution import (SentenceClass, atom_rows, gamma_odot, sigma,
-                           _from_signatures, _generator_vars)
-from .varcode import decode_multi, lift_delta
-from .words import Alphabet, check_table, enumerate_words, subsets_in_order
+from .substitution import (SentenceClass, gamma_odot, substitute_letters,
+                           _cells, _from_signatures, _generator_vars)
+from .words import (Alphabet, check_table, enumerate_words, format_word,
+                    subsets_in_order)
 
 
 # ---------------------------------------------------------------------------
@@ -183,80 +185,77 @@ def _qf_generators(spec: FragmentSpec, ctx, reg: Registry):
     return gens
 
 
-def _subset_sentence_languages(qnames, usable, cells, lens, reg: Registry,
+def _subset_sentence_languages(qnames, natoms, cells, lens, reg: Registry,
                                caps: Caps):
-    """Truth masks of every sentence "Q position. atom-of-position in B".
+    """Truth of every sentence "Q position. atom-of-position in B".
 
-    Row r of ``cells`` holds the atom index of each position of carrier
-    element r, padded past ``lens[r]``; subsets are drawn from ``usable``.
-    Returns (quantifier name, subset mask over usable, bit mask over rows)
-    for every quantifier and subset, bit r standing for row r.  A quantifier
+    Row r of ``cells`` holds the atom index (below ``natoms``) of each
+    position of carrier element r, -1 past ``lens[r]``.  Returns a bool
+    matrix (sentences, rows): sentence i quantifies ``qnames[i >> natoms]``
+    over the atoms of the subset mask ``i & (2^natoms - 1)``.  A quantifier
     with a count table (``Quantifier.by_count``) reads it at (row length,
     witnesses of the subset); any other is asked row by row.
     """
-    nbits = len(usable)
-    total = len(qnames) << nbits
+    total = len(qnames) << natoms
     if total > caps.sentence_budget:
         raise CapExceeded(f"{total} generating sentences at one layer "
                           f"(cap {caps.sentence_budget})",
                           stage="layer sentences", size=total,
                           cap=caps.sentence_budget)
     nrows, width = cells.shape
-    bit_of = np.zeros(max(usable, default=0) + 1, dtype=np.int64)
-    bit_of[usable] = np.arange(nbits)
-    bits = bit_of[np.maximum(cells, 0)]
     # the witness counts of the masks on the rows: each row's histogram of
-    # atom bits times the bits of each mask, one integer matrix product
-    inside = np.arange(width) < lens[:, None]
-    hist = ((bits[:, :, None] == np.arange(nbits)) & inside[:, :, None]).sum(axis=1)
-    member = (np.arange(1 << nbits)[:, None] >> np.arange(nbits)) & 1
+    # atoms times the bits of each mask, one integer matrix product
+    hist = (cells[:, :, None] == np.arange(natoms)).sum(axis=1)
+    member = (np.arange(1 << natoms)[:, None] >> np.arange(natoms)) & 1
     chunk = max(1, 1 << 22 >> max(nrows, 1).bit_length())
     truth = np.zeros((total, nrows), dtype=bool)
     for qi, qname in enumerate(qnames):
         q = reg.quantifier(qname)
-        block = truth[qi << nbits:(qi + 1) << nbits]
+        block = truth[qi << natoms:(qi + 1) << natoms]
         by_count = q.by_count(width)
         if by_count is None:
-            for r, (row, n) in enumerate(zip(bits.tolist(), lens.tolist())):
-                for mask in range(1 << nbits):
+            for r, (row, n) in enumerate(zip(cells.tolist(), lens.tolist())):
+                for mask in range(1 << natoms):
                     block[mask, r] = q.evaluate([(mask >> b) & 1 for b in row[:n]])
             continue
-        for lo in range(0, 1 << nbits, chunk):
+        for lo in range(0, 1 << natoms, chunk):
             block[lo:lo + chunk] = by_count[lens, member[lo:lo + chunk] @ hist.T]
-    # one packing, read back row by row as Python integers
-    packed = np.packbits(truth, axis=1, bitorder="little")
-    raw, step = packed.tobytes(), packed.shape[1]
-    return [(qnames[i >> nbits], i & ((1 << nbits) - 1),
-             int.from_bytes(raw[i * step:(i + 1) * step], "little"))
-            for i in range(total)]
+    return truth
 
 
-def _greedy_generators(masks, nrows):
-    """Indices of a refining subfamily: scanned in order, a candidate truth
-    mask is kept exactly when it splits a block of the partition built so
-    far, so the kept family generates the same algebra of subsets."""
-    block = [0] * nrows
+def _first_rows(truth) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row of a bool
+    matrix, in order."""
+    if not truth.shape[1]:  # one empty row, if any
+        return np.arange(min(1, len(truth)))
+    packed = np.packbits(truth, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    return np.sort(np.unique(rows, return_index=True)[1])
+
+
+def _refining_rows(truth) -> np.ndarray:
+    """Indices of a refining subfamily of the rows of a bool matrix: scanned
+    in order, a row is kept exactly when it splits a block of the partition
+    of the columns built so far, so the kept rows generate the same algebra
+    of subsets.  A repeated row never splits, so each distinct row is
+    scanned once, at its first occurrence."""
+    block = np.zeros(truth.shape[1], dtype=np.int64)
+    blocks = min(1, truth.shape[1])
     kept = []
-    for ci, bits in enumerate(masks):
-        hit = {}
-        split = False
-        for r in range(nrows):
-            key = (block[r], (bits >> r) & 1)
-            if key not in hit:
-                hit[key] = len(hit)
-            if (block[r], 1 - ((bits >> r) & 1)) in hit:
-                split = True
-        if split:
-            kept.append(ci)
-            for r in range(nrows):
-                block[r] = hit[(block[r], (bits >> r) & 1)]
-    return kept
+    for i in _first_rows(truth).tolist():
+        key = 2 * block + truth[i]
+        seen = np.zeros(2 * blocks, dtype=bool)
+        seen[key] = True
+        if seen.sum() > blocks:
+            kept.append(i)
+            rank = np.cumsum(seen)
+            block, blocks = rank[key] - 1, int(rank[-1])
+    return np.array(kept, dtype=np.int64)
 
 
-def _sentence_of(qname, mask, usable):
-    return Quant(qname, "x",
-                 disj(LetterPred(f"c{usable[j]}", "x")
-                      for j in range(len(usable)) if (mask >> j) & 1))
+def _sentence_of(qname, mask, natoms):
+    return Quant(qname, "x", disj(LetterPred(f"c{j}", "x")
+                                  for j in range(natoms) if (mask >> j) & 1))
 
 
 def depth_fragment(spec: FragmentSpec, registry: Registry = None,
@@ -264,16 +263,20 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
     """The algebra of bounded languages of sentences of quantifier depth at
     most ``spec.depth``.
 
-    Layer by layer, innermost first: the current formula family (initially
-    the quantifier-free one in depth-many variables) is lifted to a
-    one-variable algebra over the alphabet extended by the spare variables,
-    one quantifier layer is applied through it, and the resulting sentences
-    are decoded back to formulas of the remaining variables.  At each layer
-    the generating sentences — every quantifier over every subset of atoms —
-    are deduplicated semantically and thinned to a refining subfamily before
-    their substituted formulas are built.  The last layer above layer 0
-    takes its generators' signatures from the previous layer's enumeration
-    masks of their sentences, so it never evaluates them.
+    Layer by layer, innermost first, over the variables x1 .. xn: layer k
+    quantifies x(k+1) and leaves the spare variables above it free.  Layer
+    0 evaluates the quantifier-free generators once on the marked words of
+    all n variables; every later layer takes its generators' truth on its
+    marked words from the kept rows of the layer below.  A layer cuts its
+    marked words into cells by those signatures, numbered by first marked
+    word, and evaluates every quantifier over every union of cells along
+    the quantified variable's positions, one row per word and spare
+    positions.  The distinct rows are thinned to a refining subfamily; below
+    the last layer each kept sentence becomes the next layer's generator by
+    substituting the cells' sign-conjunctions for its atom letters.  The
+    last layer's cells form a one-variable algebra (``DeltaAlgebra``)
+    through which its sentences are substituted (``gamma_odot``), and each
+    sentence's language must equal its row.
     """
     reg = registry or DEFAULT_REGISTRY
     _resolve_names(spec, reg)
@@ -285,72 +288,53 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
         return FragmentResult(spec, ba, (), (), {"layers": 0})
 
     xs = tuple(f"x{i}" for i in range(1, n + 1))
-    lens = shortlex_rows(len(A), L)[1]
-    current = _qf_generators(spec, xs, reg)
+    check_table("marked word table", len(A), n, L, caps)
+    letters, lens = shortlex_rows(len(A), L)
+    gens = _qf_generators(spec, xs, reg)
+    inside = in_range(lens, L, n)
+    truth = np.array([truth_table(g, A.symbols, xs, letters, lens, reg)[inside]
+                      for g in gens], dtype=bool).reshape(len(gens), -1)
     stats = {"layers": []}
-    odot = None
-    for k in range(n):
-        keep, spect = xs[k], xs[k + 1:]
-        if k and not spect:
-            # no spare variable is left: rep_bits, inside and cut are the
-            # previous layer's, on the marked words with the one mark keep
-            width, gens = (len(cut) + 7) // 8, tuple(current)
-            raw = b"".join(bits.to_bytes(width, "little") for bits in rep_bits)
-            truth = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, width),
-                                  axis=1, count=len(cut), bitorder="little")
+    for k, keep in enumerate(xs):
+        spare = xs[k + 1:]
+        if spare:
+            cells, _, atom_formulas = _cells(gens, inside, truth, caps)
+        else:
             delta = _from_signatures(A, keep, L, gens, _generator_vars(gens, keep),
-                                     inside, truth.astype(bool), reg, caps)
-            junk = None
-        else:
-            lift = lift_delta(current, keep, spect, A, bound=L, registry=reg,
-                              caps=caps, check=False)
-            delta, junk = lift.lifted, lift.junk_atom
-        usable = [i for i in range(delta.atom_count) if i != junk]
-
-        # the atom words of the embeddings of the marked words over A with
-        # marks for the spare variables, in enumerate_marked order
-        inside = in_range(lens, L, len(spect))
-        ids = embedded_ids(len(A), len(spect), L)[inside]
-        atoms = atom_rows(delta, L)[2][ids]
-        if spect and (atoms == junk).any():
-            raise InvariantViolated("an embedded marked word reads the "
-                                    "off-image atom", stage="depth_fragment")
-        cut = np.broadcast_to(lens[(slice(None),) + (None,) * len(spect)],
+                                     inside, truth, reg, caps)
+            cells, atom_formulas = delta._atoms, delta.atom_formulas
+        natoms = len(atom_formulas)
+        # one row per word and spare positions, along the positions of keep
+        inside = in_range(lens, L, len(spare))
+        cut = np.broadcast_to(lens[(slice(None),) + (None,) * len(spare)],
                               inside.shape)[inside]
-        cands = _subset_sentence_languages(spec.quantifiers, usable, atoms,
-                                           cut, reg, caps)
-        seen = set()
-        deduped = []
-        for qname, mask, bits in cands:
-            if bits not in seen:
-                seen.add(bits)
-                deduped.append(((qname, mask), bits))
-        kept = _greedy_generators([b for _, b in deduped], len(cut))
-        reps = [deduped[i][0] for i in kept]
-        rep_bits = [deduped[i][1] for i in kept]
-        sentences = [_sentence_of(qn, m, usable) for qn, m in reps]
-        stats["layers"].append({"atoms": delta.atom_count,
-                                "sentences": len(cands),
+        rows = _subset_sentence_languages(spec.quantifiers, natoms,
+                                          np.moveaxis(cells, 1, -1)[inside],
+                                          cut, reg, caps)
+        kept = _refining_rows(rows)
+        truth = rows[kept]
+        sentences = [_sentence_of(spec.quantifiers[i >> natoms],
+                                  i & ((1 << natoms) - 1), natoms)
+                     for i in kept.tolist()]
+        stats["layers"].append({"atoms": natoms, "sentences": len(rows),
                                 "kept": len(sentences)})
+        if spare:
+            by_symbol = {f"c{i}": phi for i, phi in enumerate(atom_formulas)}
+            avoid = frozenset(xs).union(*map(all_vars, gens))
+            renamed = {}
+            gens = [substitute_letters(s, by_symbol, keep, avoid, renamed)
+                    for s in sentences]
 
-        if k == n - 1:
-            family = SentenceClass(
-                name="Q[" + ",".join(spec.quantifiers) + "]@depth",
-                generator=lambda alphabet, ss=tuple(sentences): iter(ss))
-            odot = gamma_odot(family, delta, bound=L, registry=reg, caps=caps)
-            for lang, bits in zip(odot.gen_langs, rep_bits):
-                direct = frozenset(plain[r] for r in range(len(plain))
-                                   if (bits >> r) & 1)
-                if lang != direct:
-                    raise InvariantViolated(
-                        "a substituted sentence's language differs from its "
-                        "layer enumeration", stage="depth_fragment")
-        else:
-            current = [decode_multi(sigma(delta, s), spect, A)
-                       for s in sentences]
-
-    return FragmentResult(spec, odot.ba, odot.formulas, odot.gen_langs,
-                          stats)
+    family = SentenceClass(
+        name="Q[" + ",".join(spec.quantifiers) + "]@depth",
+        generator=lambda alphabet, ss=tuple(sentences): iter(ss))
+    odot = gamma_odot(family, delta, bound=L, registry=reg, caps=caps)
+    for lang, row in zip(odot.gen_langs, truth):
+        if lang != frozenset(itertools.compress(plain, row)):
+            raise InvariantViolated("a substituted sentence's language differs "
+                                    "from its layer enumeration",
+                                    stage="depth_fragment")
+    return FragmentResult(spec, odot.ba, odot.formulas, odot.gen_langs, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +393,10 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
         inside1 = in_range(lens, L, 1)
         cut1 = np.broadcast_to(lens[:, None], inside1.shape)[inside1]
         inner = _subset_sentence_languages(
-            spec.quantifiers, list(range(natoms2)),
-            cells2.transpose(0, 2, 1)[inside1], cut1, reg, caps)
-        gens1 = [frozenset(r for r in range(len(cut1)) if (bits >> r) & 1)
-                 for bits in sorted({bits for _, _, bits in inner})]
+            spec.quantifiers, natoms2, cells2.transpose(0, 2, 1)[inside1],
+            cut1, reg, caps)
+        gens1 = [frozenset(np.flatnonzero(row).tolist())
+                 for row in inner[_first_rows(inner)]]
         qf1, natoms_qf1 = _signature_cells(
             A, (v2,), L, _qf_generators(spec, (v2,), reg), reg)
         gens1 += [frozenset(np.flatnonzero(qf1[inside1] == c).tolist())
@@ -422,10 +406,10 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
         cells[inside1] = [psi1.atom_index_of(r) for r in range(len(cut1))]
         natoms = len(psi1.atoms)
 
-    outer = _subset_sentence_languages(spec.quantifiers, list(range(natoms)),
-                                       cells, lens, reg, caps)
-    sets = [frozenset(w for r, w in enumerate(plain) if (bits >> r) & 1)
-            for bits in sorted({bits for _, _, bits in outer})]
+    outer = _subset_sentence_languages(spec.quantifiers, natoms, cells, lens,
+                                       reg, caps)
+    sets = [frozenset(itertools.compress(plain, row))
+            for row in outer[_first_rows(outer)]]
     return finba.generate(plain, sets, caps)
 
 
@@ -441,19 +425,31 @@ def same_language_algebra(a: finba.FinBA, b: finba.FinBA) -> bool:
             == {frozenset(x) for x in b.atoms})
 
 
+def _separated_pair(a: finba.FinBA, b: finba.FinBA, words) -> str:
+    """The shortlex-first pair of ``words`` (the common carrier, in
+    shortlex order) that one algebra separates and the other does not."""
+    cells = [np.array([ba.atom_index_of(w) for w in words]) for ba in (a, b)]
+    same = [c[:, None] == c[None, :] for c in cells]
+    u, v = np.argwhere(np.triu(same[0] != same[1], 1))[0]
+    split, joined = ("fragment", "direct enumeration") if same[1][u, v] \
+        else ("direct enumeration", "fragment")
+    return (f"the {split} separates {format_word(words[u]) or '<empty>'} and "
+            f"{format_word(words[v]) or '<empty>'}; the {joined} does not")
+
+
 def check_fragment_against_direct(spec: FragmentSpec,
                                   registry: Registry = None,
                                   caps: Caps = DEFAULT) -> Report:
+    """The layered fragment and the direct enumeration give the same algebra
+    of bounded languages; a failure names the shortlex-first pair of words
+    one of them separates and the other does not."""
     frag = depth_fragment(spec, registry, caps)
     direct = depth_direct(spec, registry, caps)
     ok = same_language_algebra(frag.ba, direct)
     witness = None
     if not ok:
-        fa = {frozenset(x) for x in frag.ba.atoms}
-        da = {frozenset(x) for x in direct.atoms}
-        only = (fa - da) or (da - fa)
-        witness = f"atom partition differs ({len(fa)} vs {len(da)} atoms)" \
-                  + (f"; sample cell size {len(next(iter(only)))}" if only else "")
+        words = tuple(enumerate_words(spec.alphabet, spec.bound, caps))
+        witness = _separated_pair(frag.ba, direct, words)
     return Report("fragment-vs-direct",
                   {"alphabet": list(spec.alphabet.symbols),
                    "quantifiers": list(spec.quantifiers),
@@ -486,7 +482,6 @@ def check_monotone(spec: FragmentSpec, registry: Registry = None,
 def dump_fragment(result: FragmentResult) -> dict:
     """JSON-ready summary: representative formulas with their sorted
     bounded languages, plus the atom count of the generated algebra."""
-    from .words import format_word
     gens = []
     for phi, lang in zip(result.formulas, result.languages):
         gens.append({

@@ -29,7 +29,7 @@ import numpy as np
 from . import caps as _caps
 from .errors import CapExceeded, NotMonoidPresentable, ParseError
 from .regular import (Dfa, FinMonoid, closure, closure_dfa, empty_dfa, int_array,
-                      row_weights, shortlex_offsets, shortlex_rows, word_ids)
+                      shortlex_rows)
 from .semidirect import quantifier_layer
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_bound,
                     check_table, enumerate_marked)
@@ -992,26 +992,6 @@ def marked_truth(phi, alphabet, context, bound, registry=None) -> np.ndarray:
     letters, lens = shortlex_rows(len(alphabet), bound)
     sat = truth_table(phi, tuple(alphabet), ctx, letters, lens, registry)
     return sat[in_range(lens, bound, len(ctx))]
-
-
-@lru_cache(maxsize=16)
-def embedded_ids(size: int, c: int, bound) -> np.ndarray:
-    """The shortlex ids, among the words of length <= bound over A x 2^c
-    (letter base_index * 2^c + mask, ``size`` = |A|), of the embedded marked
-    words of the padded rows ``shortlex_rows(size, bound)`` over A: shaped
-    like a truth table with c context variables, entry [r, p_1, ...] for row
-    r with variable j at position p_j + 1.  Shared between callers and
-    read-only."""
-    k = size << c
-    letters, lens = shortlex_rows(size, bound)
-    # ids are linear in the letters past off[n]: variable j marking
-    # position p adds 2^j times the weight of p to the unmarked word's id
-    weights = row_weights(lens, bound, k)
-    ids = word_ids(letters << c, k, shortlex_offsets(k, bound))[(slice(None),) + (None,) * c]
-    for j in range(c):
-        ids = ids + _on_axes(weights << j, (0, j + 1), c + 1)
-    ids.setflags(write=False)
-    return ids
 
 
 def models(phi, alphabet: Alphabet, bound, context=None, registry=None,

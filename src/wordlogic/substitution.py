@@ -111,13 +111,10 @@ def delta_algebra(alphabet, var, generators, bound=6,
     (``logic.truth_table``), and the cells are the distinct generator
     signatures, numbered by first occurrence.
 
-    ``verify=False`` skips the per-atom representative check.  Its caller
-    ``varcode.lift_delta`` checks that the source cells embed one to one
-    (``zeta``) beside one junk cell and runs ``_square_check`` when
-    ``check=True``; ``layers.depth_fragment``, which also builds its last
-    layer from enumeration masks (``_from_signatures``), raises
-    InvariantViolated when a word reads the junk atom or a sentence differs
-    from its enumeration, and the tests check its formulas by ``satisfies``.
+    ``verify=False`` skips the per-atom representative check.  Its one
+    caller, ``varcode.lift_delta``, checks that the source cells embed one
+    to one (``zeta``) beside one junk cell and runs ``_square_check`` when
+    ``check=True``.
     """
     registry = registry or DEFAULT_REGISTRY
     if not isinstance(alphabet, (Alphabet, ExtendedAlphabet)):
@@ -152,11 +149,12 @@ def _generator_vars(generators, var) -> frozenset:
     return frozenset(atom_vars)
 
 
-def _from_signatures(alphabet, var, bound, generators, atom_vars, inside,
-                     truth, registry, caps) -> DeltaAlgebra:
-    """The algebra of generators with the signatures ``inside, truth`` of
-    ``_signatures``, cells numbered by first marked word; ``atom_vars`` is
-    what ``_generator_vars`` returns."""
+def _cells(generators, inside, truth, caps):
+    """The cells of the marked words at the entries of the mask ``inside``
+    whose generator signatures are the columns of the bool matrix ``truth``
+    (generators, marked words), numbered by first marked word: the cell of
+    every entry of ``inside``'s shape (-1 outside it), the signature of each
+    cell, and its sign-conjunction of generators."""
     _, first, cell = np.unique(np.packbits(truth.T, axis=1), axis=0,
                                return_index=True, return_inverse=True)
     if len(first) > caps.finba_atoms:
@@ -164,17 +162,25 @@ def _from_signatures(alphabet, var, bound, generators, atom_vars, inside,
                           stage="formula algebra atoms", size=len(first),
                           cap=caps.finba_atoms)
     order = np.argsort(first)
-    atom_of = np.argsort(order)[cell]  # the rank of each cell's first word
-    atom_sigs = [tuple(sig) for sig in truth[:, first[order]].T.tolist()]
     atoms = np.full(inside.shape, -1, dtype=np.int64)
-    atoms[inside] = atom_of
-    atoms.flags.writeable = False  # atom_rows hands out views of it
-    # representative formula per atom: the defining sign-conjunction, whose
-    # conjuncts are shared between atoms (``sigma`` renames each once)
+    atoms[inside] = np.argsort(order)[cell]  # the rank of each cell's first word
+    sigs = [tuple(sig) for sig in truth[:, first[order]].T.tolist()]
+    # the conjuncts are shared between cells (``substitute_letters`` renames
+    # each once)
     negated = [neg(g) for g in generators]
-    atom_formulas = tuple(conj([g if keep else ng
-                                for g, ng, keep in zip(generators, negated, sig)])
-                          for sig in atom_sigs)
+    formulas = tuple(conj([g if keep else ng
+                           for g, ng, keep in zip(generators, negated, sig)])
+                     for sig in sigs)
+    return atoms, sigs, formulas
+
+
+def _from_signatures(alphabet, var, bound, generators, atom_vars, inside,
+                     truth, registry, caps) -> DeltaAlgebra:
+    """The algebra of generators with the signatures ``inside, truth`` of
+    ``_signatures`` (one mark), cells numbered by first marked word;
+    ``atom_vars`` is what ``_generator_vars`` returns."""
+    atoms, atom_sigs, atom_formulas = _cells(generators, inside, truth, caps)
+    atoms.flags.writeable = False  # atom_rows hands out views of it
     # each atom formula conjoins every generator or its negation, so it
     # mentions exactly the generators' variables
     return DeltaAlgebra(alphabet=alphabet, var=var, bound=bound,
@@ -497,10 +503,13 @@ def atom_transduction(delta: DeltaAlgebra, caps: Caps = DEFAULT) -> AtomTransduc
     BoundTooSmall, naming the shortest marked word that reaches it, which
     ``xi`` refuses too.
     """
-    base = Alphabet.of(delta.alphabet)
-    ext = mark_alphabet(base, delta.var)
+    if not isinstance(delta.alphabet, Alphabet):
+        raise ParseError("the atom transduction needs an algebra over a plain "
+                         f"alphabet, not {delta.alphabet.symbols}",
+                         stage="atom transduction")
+    ext = mark_alphabet(delta.alphabet, delta.var)
     reg = delta.registry or DEFAULT_REGISTRY
-    dfas = [formula_dfa(g, base, (delta.var,), delta.bound, reg, caps)[1]
+    dfas = [formula_dfa(g, delta.alphabet, (delta.var,), delta.bound, reg, caps)[1]
             for g in delta.generators] + [image_dfa(ext)]
     states, _, edges = closure(
         tuple(d.init for d in dfas),

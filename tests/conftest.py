@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from wordlogic import (
 )
 from wordlogic import caps as _caps
 from wordlogic.errors import BoundTooSmall, CapExceeded, ParseError
-from wordlogic.logic import embedded_ids, in_range, truth_table
-from wordlogic.regular import (Dfa, closure, closure_dfa, shortlex_offsets,
-                               shortlex_rows)
+from wordlogic.logic import in_range, truth_table
+from wordlogic.regular import (Dfa, closure, closure_dfa, row_weights,
+                               shortlex_offsets, shortlex_rows, word_ids)
 from wordlogic.words import check_bound
 
 # property tests run whole-algebra constructions; give them room
@@ -101,6 +102,28 @@ def member_table(symbols, bound, words) -> np.ndarray:
                 rank = rank * k + col[s]
             member[off[len(w)] + rank] = True
     return member
+
+
+@lru_cache(maxsize=16)
+def embedded_ids(size: int, c: int, bound) -> np.ndarray:
+    """The shortlex ids, among the words of length <= bound over A x 2^c
+    (letter base_index * 2^c + mask, ``size`` = |A|), of the embedded marked
+    words of the padded rows ``shortlex_rows(size, bound)`` over A: shaped
+    like a truth table with c context variables, entry [r, p_1, ...] for row
+    r with variable j at position p_j + 1.  Shared between callers and
+    read-only."""
+    k = size << c
+    letters, lens = shortlex_rows(size, bound)
+    # ids are linear in the letters past off[n]: variable j marking
+    # position p adds 2^j times the weight of p to the unmarked word's id
+    weights = row_weights(lens, bound, k)
+    ids = word_ids(letters << c, k, shortlex_offsets(k, bound))
+    ids = ids.reshape((len(lens),) + (1,) * c)
+    for j in range(c):
+        ids = ids + (weights << j).reshape((len(lens),) + (1,) * j + (bound,)
+                                           + (1,) * (c - 1 - j))
+    ids.setflags(write=False)
+    return ids
 
 
 def model_table(phi, alphabet, context, bound, registry=None) -> np.ndarray:

@@ -219,7 +219,7 @@ def test_criterion_8_fragments_match_direct_enumeration():
                 assert report.passed, (syms, qs, depth,
                                        report.counterexample)
     _done(8, "depth fragments vs direct enumeration, 8 specs", t0,
-          budget=3.0)
+          budget=1.0)
 
 
 def test_criterion_9_algebraic_laws_and_oracle_quantifiers():

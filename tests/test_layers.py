@@ -1,5 +1,7 @@
 """Sentence classes over atoms and quantifier-depth stratification."""
 
+import time
+
 import pytest
 
 from wordlogic import (
@@ -13,13 +15,15 @@ from wordlogic import (
     depth_direct,
     depth_fragment,
     dump_fragment,
+    finba,
     gamma_q,
     satisfies,
     to_dsl,
 )
 from wordlogic.caps import Caps
 from wordlogic.layers import FragmentSpec, same_language_algebra
-from wordlogic.logic import all_vars, letters_of, registry_from_json
+from wordlogic.logic import (NumPred, fold, letters_of, registry_from_json,
+                             scope)
 from wordlogic.words import enumerate_words
 
 from conftest import LASTBIT, model_words
@@ -150,18 +154,16 @@ def test_fragment_attaches_formulas_with_true_model_sets():
         assert model_words(phi, Alphabet.of("ab"), 6) == lang
 
 
-def test_depth_four_over_one_letter_binds_more_variables_than_array_axes():
-    # the deepest fragment the guard allows: its formulas bind hundreds of
-    # variables, far more than the 64 axes of an array
+def test_depth_four_over_one_letter_formulas_define_their_languages():
+    # the deepest fragment the guard allows
     spec = FragmentSpec(Alphabet.of("a"), ("E", "mod[2,0]"), depth=4, bound=2)
     result = depth_fragment(spec)
-    assert max(len(all_vars(phi)) for phi in result.formulas) > 64
     for phi, lang in zip(result.formulas, result.languages):
         assert lang == {w for w in enumerate_words(("a",), 2)
                         if satisfies(MarkedWord(w, ()), phi)}
 
 
-# specs whose last layer is built from the previous layer's masks; over
+# specs whose later layers are built from the layer below's rows; over
 # (a, E) at depth 2, layer 0 keeps no sentence, so the last layer has no
 # generator at all
 LAST_LAYER_SPECS = [("ab", ("E", "mod[2,0]"), 2, 3),
@@ -170,49 +172,123 @@ LAST_LAYER_SPECS = [("ab", ("E", "mod[2,0]"), 2, 3),
 
 @pytest.mark.parametrize("letters, quantifiers, depth, bound",
                          LAST_LAYER_SPECS[:2])
-def test_the_last_layer_evaluates_no_layer_generator(monkeypatch, letters,
-                                                     quantifiers, depth, bound):
+def test_no_layer_encodes_or_evaluates_a_layer_generator(monkeypatch, letters,
+                                                         quantifiers, depth,
+                                                         bound):
     import wordlogic.layers as layers
     import wordlogic.logic as logic
     import wordlogic.substitution as substitution
+    import wordlogic.varcode as varcode
 
-    events = []
-    lift, table = layers.lift_delta, logic.truth_table
+    def refuse(*args, **kwargs):
+        raise AssertionError("the layers moved a variable into the alphabet")
 
-    def spy_lift(generators, var, enc_vars, *args, **kwargs):
-        out = lift(generators, var, enc_vars, *args, **kwargs)
-        events.append(("lift", var, enc_vars))
-        return out
+    for name in ("lift_delta", "encode", "decode", "encode_multi",
+                 "decode_multi"):
+        monkeypatch.setattr(varcode, name, refuse)
+    events, algebras = [], []
+    table, build = logic.truth_table, substitution._from_signatures
 
-    def spy_table(phi, symbols, *args, **kwargs):
-        events.append(("table", letters_of(phi), tuple(symbols)))
-        return table(phi, symbols, *args, **kwargs)
+    def spy_table(phi, symbols, context, *args, **kwargs):
+        events.append((phi, tuple(symbols), tuple(context)))
+        return table(phi, symbols, context, *args, **kwargs)
 
-    monkeypatch.setattr(layers, "lift_delta", spy_lift)
+    def spy_build(*args, **kwargs):
+        algebras.append(build(*args, **kwargs))
+        return algebras[-1]
+
     for module in (logic, substitution, layers):
         monkeypatch.setattr(module, "truth_table", spy_table)
+    monkeypatch.setattr(layers, "_from_signatures", spy_build)
     spec = FragmentSpec(Alphabet.of(letters), quantifiers, depth=depth,
                         bound=bound)
-    depth_fragment(spec)
-    # layers 0 .. depth-2 are lifted, each with its spare variables encoded
-    lifts = [i for i, e in enumerate(events) if e[0] == "lift"]
+    result = depth_fragment(spec)
+    assert result.formulas
+    # layer 0 evaluates the quantifier-free generators in all the variables
     xs = tuple(f"x{i}" for i in range(1, depth + 1))
-    assert [events[i][1:] for i in lifts] == [(xs[k], xs[k + 1:])
-                                              for k in range(depth - 1)]
-    # after them only sentences over the atom letters are evaluated
-    last = events[lifts[-1] + 1:]
-    assert last
-    for _, used, symbols in last:
+    qf = [e for e in events if e[2] == xs]
+    assert qf == events[:len(qf)] and qf
+    for phi, symbols, _ in qf:
+        assert scope(phi)[2] == 0 and symbols == spec.alphabet.symbols
+    # after it only sentences over the atom letters of the last layer
+    for phi, symbols, context in events[len(qf):]:
+        assert context == ()
         assert all(c.startswith("c") for c in symbols)
-        assert used <= set(symbols)
+        assert letters_of(phi) <= set(symbols)
+    # one formula algebra, with one mark axis
+    assert [d._atoms.ndim for d in algebras] == [2]
+
+
+def _names(phi):
+    """The quantifiers and numerical predicates a formula uses."""
+    return fold(phi, lambda node: frozenset({node.name})
+                if isinstance(node, NumPred) else frozenset(),
+                lambda node, inner: inner | {node.q})
+
+
+#: the fragment specs of the benchmark's semantics workload
+SEMANTICS_SPECS = [(letters, qs, depth, bound)
+                   for qs in (("E",), ("E", "mod[2,0]"), ("E1",),
+                              ("E", "mod[2,1]"), ("mod[2,0]",))
+                   for letters, depth, bound in (("ab", 2, 3), ("a", 2, 7))]
+
+
+@pytest.mark.parametrize("letters, quantifiers, depth, bound, predicates",
+                         [spec + ((),) for spec in LAST_LAYER_SPECS
+                          + SEMANTICS_SPECS + [("a", ("E1",), 4, 3)]]
+                         + [("a", ("E",), 3, 3, ("<",))])
+def test_representatives_are_sentences_of_the_fragment(letters, quantifiers,
+                                                       depth, bound,
+                                                       predicates):
+    spec = FragmentSpec(Alphabet.of(letters), quantifiers, predicates,
+                        depth=depth, bound=bound)
+    for phi in depth_fragment(spec).formulas:
+        free, _, nesting, _ = scope(phi)
+        assert not free and nesting <= depth, to_dsl(phi)
+        assert _names(phi) <= set(quantifiers + predicates), to_dsl(phi)
+
+
+DEEP_ONE_LETTER_SPECS = [(("E", "mod[2,0]"), 3, 5), (("E", "mod[2,0]"), 4, 3),
+                         (("E1",), 4, 3)]
+
+
+def test_deep_one_letter_fragments_are_fast():
+    # each builds its layers from the rows of the layer below; decoding
+    # the spare variables out of the alphabet took 0.24 s at depth 4
+    t0 = time.perf_counter()
+    for quantifiers, depth, bound in DEEP_ONE_LETTER_SPECS:
+        depth_fragment(FragmentSpec(Alphabet.of("a"), quantifiers,
+                                    depth=depth, bound=bound))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.1, f"deep one-letter fragments took {elapsed:.3f}s"
+
+
+def test_a_failed_comparison_names_a_separated_pair(monkeypatch):
+    import wordlogic.layers as layers
+
+    spec = FragmentSpec(Alphabet.of("ab"), ("E",), depth=1, bound=3)
+    words = tuple(enumerate_words(spec.alphabet, 3))
+    # a direct enumeration that separates nothing
+    monkeypatch.setattr(layers, "depth_direct",
+                        lambda *args: finba.generate(words, []))
+    report = check_fragment_against_direct(spec)
+    assert not report.passed
+    assert report.counterexample == ("the fragment separates <empty> and a; "
+                                     "the direct enumeration does not")
+    # one that separates every word: a and aa share an atom of the fragment
+    monkeypatch.setattr(layers, "depth_direct", lambda *args: finba.generate(
+        words, [frozenset({w}) for w in words]))
+    report = check_fragment_against_direct(spec)
+    assert report.counterexample == ("the direct enumeration separates a and "
+                                     "aa; the fragment does not")
 
 
 @pytest.mark.parametrize("letters, quantifiers, depth, bound",
                          LAST_LAYER_SPECS)
 def test_every_fragment_formula_defines_its_language(letters, quantifiers,
                                                      depth, bound):
-    # the last layer never reads its formulas, so the per-word interpreter
-    # and the direct enumeration are what tie them to their languages
+    # no layer reads its formulas, so the per-word interpreter and the
+    # direct enumeration are what tie them to their languages
     spec = FragmentSpec(Alphabet.of(letters), quantifiers, depth=depth,
                         bound=bound)
     frag = depth_fragment(spec)

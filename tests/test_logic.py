@@ -35,16 +35,17 @@ from wordlogic import (
 )
 from wordlogic.caps import DEFAULT, Caps
 from wordlogic.logic import (_ANY, _atom, _rename_atom, check_hygiene,
-                             embedded_ids, map_atoms, map_vars, marked_truth,
-                             scope, truth_table, width)
+                             map_atoms, map_vars, marked_truth, scope,
+                             truth_table, width)
 from wordlogic.regular import shortlex_offsets, shortlex_rows
 from wordlogic.semidirect import compile_layer
 from wordlogic.sampling import random_formula
 from wordlogic.varcode import decode, encode
 from wordlogic.words import embed_marked, enumerate_marked, enumerate_words
 
-from conftest import (LASTBIT, agrees, count_layer, infer_dfa, member_table,
-                      model_table, model_words, plain, random_body)
+from conftest import (LASTBIT, agrees, count_layer, embedded_ids, infer_dfa,
+                      member_table, model_table, model_words, plain,
+                      random_body)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from wordlogic.regular import Dfa, empty_dfa, universal_dfa
 from wordlogic.sampling import random_atom_sentence, random_delta
 from wordlogic.substitution import (atom_rows, atom_transduction,
                                     substitute_letters, tau_word)
+from wordlogic.words import ExtendedAlphabet
 
 from conftest import model_words
 
@@ -385,6 +386,17 @@ def test_preimage_of_contains_atom_is_contains_letter(delta_pa):
 def test_preimage_rejects_alphabet_mismatch(delta_pa):
     with pytest.raises(ParseError):
         w_odot_c([universal_dfa(("c0",))], delta_pa)
+
+
+def test_preimage_refuses_an_algebra_over_a_marked_alphabet():
+    # delta_algebra accepts an extended alphabet; the transduction reads
+    # plain words, so it refuses one up front instead of inside Alphabet.of
+    ext = ExtendedAlphabet(Alphabet.of("ab"), ("z",))
+    delta = delta_algebra(ext, "x", [parse("P[a{z}](x)")], bound=3)
+    assert delta.atom_count == 2
+    with pytest.raises(ParseError, match="plain alphabet") as exc:
+        w_odot_c([universal_dfa(("c0", "c1"))], delta)
+    assert exc.value.info == {"stage": "atom transduction"}
 
 
 ALGEBRAS = [("ab", ["P[a](x)"]), ("ab", ["R[first](x)"]),
