@@ -34,8 +34,8 @@ from .semidirect import (Biaction, DecomposedD, EtaQuotient, HMorphism,
 from .substitution import (DeltaAlgebra, OdotResult, SentenceClass,
                            atom_transduction, check_substitution_principle,
                            circ_closure, delta_algebra, gamma_odot, sigma,
-                           substitute_letters, tau, tau_compat, tau_table,
-                           tau_word, w_odot_c, xi)
+                           substitute_letters, tau, tau_compat, tau_word,
+                           w_odot_c, xi)
 from .suites import named_monoid, run_suite
 from .varcode import (LiftedAlgebra, decode, decode_multi, encode,
                       encode_multi, lift_delta, phi_sentence, roundtrip_check,

@@ -3,12 +3,13 @@
 A set of quantifiers gives a class of sentences (generated by "Q over a
 subset of the letters"); applying it through an algebra of one-variable
 formulas adds one quantifier layer.  Iterating from the quantifier-free
-formulas in n variables stratifies sentences by quantifier depth: each
-layer cuts the marked words of its variables into cells by the truth of
-the layer below, quantifies one variable over unions of cells, and leaves
-the others free for the layers above (the substitution principle).  An
-independent enumeration of depth-bounded sentences provides the oracle the
-stratification is checked against.
+formulas in n variables stratifies sentences by quantifier depth.  Every
+layer is the same step (the substitution principle): it cuts the marked
+words of its variables into cells by the truth of the layer below,
+quantifies one variable over unions of cells, and leaves the others free
+for the layers above; the last layer's cells are the atom words of the
+plain words.  An independent enumeration of depth-bounded sentences
+provides the oracle the stratification is checked against.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .logic import (LetterPred, NumPred, Quant, Registry, DEFAULT_REGISTRY,
                     to_dsl, truth_table)
 from .regular import shortlex_rows
 from .report import Report
-from .substitution import (SentenceClass, gamma_odot, substitute_letters,
-                           _cells, _from_signatures, _generator_vars)
+from .substitution import (SentenceClass, cells_by_signature, distinct_rows,
+                           substitute_letters)
 from .words import (Alphabet, check_table, enumerate_words, format_word,
                     subsets_in_order)
 
@@ -223,16 +224,6 @@ def _subset_sentence_languages(qnames, natoms, cells, lens, reg: Registry,
     return truth
 
 
-def _first_rows(truth) -> np.ndarray:
-    """Indices of the first occurrence of each distinct row of a bool
-    matrix, in order."""
-    if not truth.shape[1]:  # one empty row, if any
-        return np.arange(min(1, len(truth)))
-    packed = np.packbits(truth, axis=1)
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    return np.sort(np.unique(rows, return_index=True)[1])
-
-
 def _refining_rows(truth) -> np.ndarray:
     """Indices of a refining subfamily of the rows of a bool matrix: scanned
     in order, a row is kept exactly when it splits a block of the partition
@@ -242,7 +233,7 @@ def _refining_rows(truth) -> np.ndarray:
     block = np.zeros(truth.shape[1], dtype=np.int64)
     blocks = min(1, truth.shape[1])
     kept = []
-    for i in _first_rows(truth).tolist():
+    for i in distinct_rows(truth)[0].tolist():
         key = 2 * block + truth[i]
         seen = np.zeros(2 * blocks, dtype=bool)
         seen[key] = True
@@ -271,12 +262,12 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
     marked words into cells by those signatures, numbered by first marked
     word, and evaluates every quantifier over every union of cells along
     the quantified variable's positions, one row per word and spare
-    positions.  The distinct rows are thinned to a refining subfamily; below
-    the last layer each kept sentence becomes the next layer's generator by
-    substituting the cells' sign-conjunctions for its atom letters.  The
-    last layer's cells form a one-variable algebra (``DeltaAlgebra``)
-    through which its sentences are substituted (``gamma_odot``), and each
-    sentence's language must equal its row.
+    positions.  The distinct rows are thinned to a refining subfamily, and
+    each kept sentence becomes the next layer's generator by substituting
+    the cells' sign-conjunctions for its atom letters.  The last layer's
+    cells are the atom words of the plain words: each kept sentence read on
+    them must give its row (InvariantViolated otherwise), and the rows
+    generate the algebra, over the plain words in ``enumerate_words`` order.
     """
     reg = registry or DEFAULT_REGISTRY
     _resolve_names(spec, reg)
@@ -297,12 +288,7 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
     stats = {"layers": []}
     for k, keep in enumerate(xs):
         spare = xs[k + 1:]
-        if spare:
-            cells, _, atom_formulas = _cells(gens, inside, truth, caps)
-        else:
-            delta = _from_signatures(A, keep, L, gens, _generator_vars(gens, keep),
-                                     inside, truth, reg, caps)
-            cells, atom_formulas = delta._atoms, delta.atom_formulas
+        cells, _, atom_formulas = cells_by_signature(gens, inside, truth, caps)
         natoms = len(atom_formulas)
         # one row per word and spare positions, along the positions of keep
         inside = in_range(lens, L, len(spare))
@@ -318,23 +304,23 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
                      for i in kept.tolist()]
         stats["layers"].append({"atoms": natoms, "sentences": len(rows),
                                 "kept": len(sentences)})
-        if spare:
-            by_symbol = {f"c{i}": phi for i, phi in enumerate(atom_formulas)}
-            avoid = frozenset(xs).union(*map(all_vars, gens))
-            renamed = {}
-            gens = [substitute_letters(s, by_symbol, keep, avoid, renamed)
-                    for s in sentences]
+        by_symbol = {f"c{i}": phi for i, phi in enumerate(atom_formulas)}
+        avoid = frozenset(xs).union(*map(all_vars, gens))
+        renamed = {}
+        gens = [substitute_letters(psi, by_symbol, keep, avoid, renamed)
+                for psi in sentences]
 
-    family = SentenceClass(
-        name="Q[" + ",".join(spec.quantifiers) + "]@depth",
-        generator=lambda alphabet, ss=tuple(sentences): iter(ss))
-    odot = gamma_odot(family, delta, bound=L, registry=reg, caps=caps)
-    for lang, row in zip(odot.gen_langs, truth):
-        if lang != frozenset(itertools.compress(plain, row)):
-            raise InvariantViolated("a substituted sentence's language differs "
-                                    "from its layer enumeration",
+    # the last layer's cells are the atom words of the plain words, on which
+    # each kept sentence must give its row
+    symbols = tuple(f"c{i}" for i in range(natoms))
+    for psi, row in zip(sentences, truth):
+        if not np.array_equal(truth_table(psi, symbols, (), cells, lens, reg), row):
+            raise InvariantViolated(f"the sentence {to_dsl(psi)} differs on the "
+                                    "atom words from its layer enumeration",
                                     stage="depth_fragment")
-    return FragmentResult(spec, odot.ba, odot.formulas, odot.gen_langs, stats)
+    langs = tuple(frozenset(itertools.compress(plain, row)) for row in truth)
+    return FragmentResult(spec, finba.generate(plain, langs, caps), tuple(gens),
+                          langs, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +382,7 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
             spec.quantifiers, natoms2, cells2.transpose(0, 2, 1)[inside1],
             cut1, reg, caps)
         gens1 = [frozenset(np.flatnonzero(row).tolist())
-                 for row in inner[_first_rows(inner)]]
+                 for row in inner[distinct_rows(inner)[0]]]
         qf1, natoms_qf1 = _signature_cells(
             A, (v2,), L, _qf_generators(spec, (v2,), reg), reg)
         gens1 += [frozenset(np.flatnonzero(qf1[inside1] == c).tolist())
@@ -409,7 +395,7 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
     outer = _subset_sentence_languages(spec.quantifiers, natoms, cells, lens,
                                        reg, caps)
     sets = [frozenset(itertools.compress(plain, row))
-            for row in outer[_first_rows(outer)]]
+            for row in outer[distinct_rows(outer)[0]]]
     return finba.generate(plain, sets, caps)
 
 

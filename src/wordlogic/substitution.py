@@ -6,7 +6,9 @@ atom of each position turns a word over the base alphabet into a word over
 the atom alphabet; substituting the atom formulas into a sentence over the
 atom alphabet goes the other way.  The central fact, checked here word by
 word, is that the two directions agree: a word satisfies the substituted
-sentence exactly when its atom word satisfies the original one.
+sentence exactly when its atom word satisfies the original one.  Every
+layer of ``layers.depth_fragment`` is cut by ``cells_by_signature`` and
+substituted by ``substitute_letters`` without building such an algebra.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import BoundTooSmall, CapExceeded, InvariantViolated, ParseError
 from .logic import (And, Formula, LetterPred, Registry, DEFAULT_REGISTRY, conj,
                     Not, neg, formula_dfa, free_vars, all_vars, in_range,
                     map_atoms, map_vars, marked_truth, models, rename_bound,
-                    satisfies, scope, to_dsl, truth_table)
+                    scope, to_dsl, truth_table)
 from .regular import (Dfa, closure, closure_dfa, first_paths, image_dfa,
                       shortlex_offsets, shortlex_rows, word_ids)
 from .report import Report
@@ -64,11 +66,12 @@ class DeltaAlgebra:
     The cell table is the algebra: ``_atoms`` holds the atom of every
     position of every word of length <= bound (``regular.shortlex_rows``),
     -1 past the word, atoms numbered by first marked word in
-    ``enumerate_marked`` order.  Each atom has a representative formula
-    (the sign-conjunction of generators cutting it, by signature in
-    ``_sig_to_atom``) and a letter c0, c1, ...  ``ba``, the algebra over
-    the marked words as carrier, is built only on request.  ``_atom_vars``
-    are the names ``sigma`` must avoid, ``_renamed`` its renamed conjuncts.
+    ``enumerate_marked`` order (``cells_by_signature``).  Each atom has a
+    representative formula (the sign-conjunction of generators cutting it,
+    by signature in ``_sig_to_atom``) and a letter c0, c1, ...  ``ba``, the
+    algebra over the marked words as carrier, is built only on request.
+    ``_atom_vars`` are the names ``sigma`` must avoid, ``_renamed`` its
+    renamed conjuncts.
     """
 
     alphabet: Alphabet
@@ -99,46 +102,22 @@ class DeltaAlgebra:
 
 
 def delta_algebra(alphabet, var, generators, bound=6,
-                  registry: Registry = None, caps: Caps = DEFAULT,
-                  verify=True) -> DeltaAlgebra:
+                  registry: Registry = None, caps: Caps = DEFAULT) -> DeltaAlgebra:
     """Build the algebra of the given one-variable formulas at a bound.
 
     Atom representatives are the conjunctions of generators and negated
     generators describing each cell, so they are deterministic given the
     generator order, and their model sets are exactly the atoms (making the
     family a partition of the marked words: their disjunction is everything
-    and they are pairwise disjoint).  Model sets are evaluated in bulk
-    (``logic.truth_table``), and the cells are the distinct generator
-    signatures, numbered by first occurrence.
-
-    ``verify=False`` skips the per-atom representative check.  Its one
-    caller, ``varcode.lift_delta``, checks that the source cells embed one
-    to one (``zeta``) beside one junk cell and runs ``_square_check`` when
-    ``check=True``.
+    and they are pairwise disjoint), which is checked per atom.  Model sets
+    are evaluated in bulk (``logic.truth_table``), and the cells are the
+    distinct generator signatures, numbered by first occurrence.
     """
     registry = registry or DEFAULT_REGISTRY
     if not isinstance(alphabet, (Alphabet, ExtendedAlphabet)):
         alphabet = Alphabet.of(alphabet)
     generators = tuple(generators)
-    atom_vars = _generator_vars(generators, var)
-    check_table("marked word table", len(alphabet), 1, bound, caps)
-    letters, lens = shortlex_rows(len(alphabet), bound)
-    inside, truth = _signatures(generators, tuple(alphabet), var, letters,
-                                lens, registry)
-    delta = _from_signatures(alphabet, var, bound, generators, atom_vars,
-                             inside, truth, registry, caps)
-    for ai, phi in enumerate(delta.atom_formulas):
-        # each representative's models must be exactly its cell
-        if verify and not np.array_equal(
-                marked_truth(phi, alphabet, (var,), bound, registry),
-                delta._atoms[inside] == ai):
-            raise ParseError("atom representative formula does not define its cell")
-    return delta
-
-
-def _generator_vars(generators, var) -> frozenset:
-    """``var`` and every variable of the generators, each of which may have
-    no free variable but ``var``."""
+    # sigma renames bound variables apart from every variable of the atoms
     atom_vars = {var}
     for g in generators:
         fv, bv, _, _ = scope(g)
@@ -146,49 +125,59 @@ def _generator_vars(generators, var) -> frozenset:
             raise ParseError(f"generator {to_dsl(g)} has free variables "
                              f"{sorted(fv - {var})} besides {var}")
         atom_vars |= fv | bv
-    return frozenset(atom_vars)
+    check_table("marked word table", len(alphabet), 1, bound, caps)
+    letters, lens = shortlex_rows(len(alphabet), bound)
+    inside, truth = _signatures(generators, tuple(alphabet), var, letters,
+                                lens, registry)
+    atoms, sigs, formulas = cells_by_signature(generators, inside, truth, caps)
+    atoms.flags.writeable = False  # atom_rows hands out views of it
+    for ai, phi in enumerate(formulas):
+        # each representative's models must be exactly its cell
+        if not np.array_equal(marked_truth(phi, alphabet, (var,), bound, registry),
+                              atoms[inside] == ai):
+            raise ParseError("atom representative formula does not define its cell")
+    return DeltaAlgebra(alphabet=alphabet, var=var, bound=bound,
+                        generators=generators, atom_formulas=formulas,
+                        registry=registry, caps=caps,
+                        _sig_to_atom={sig: ai for ai, sig in enumerate(sigs)},
+                        _atoms=atoms,
+                        _atom_vars=frozenset(atom_vars if formulas else {var}))
 
 
-def _cells(generators, inside, truth, caps):
+def distinct_rows(matrix) -> tuple:
+    """The distinct rows of a bool matrix, numbered by first occurrence: the
+    ascending indices of their first rows, and the number of every row.
+    Rows are packed to bytes and compared as single opaque items."""
+    matrix = np.asarray(matrix, dtype=bool)
+    if not matrix.shape[1]:  # one empty row, if any
+        return np.arange(min(1, len(matrix))), np.zeros(len(matrix), dtype=np.int64)
+    packed = np.ascontiguousarray(np.packbits(matrix, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.ravel()]
+
+
+def cells_by_signature(generators, inside, truth, caps):
     """The cells of the marked words at the entries of the mask ``inside``
     whose generator signatures are the columns of the bool matrix ``truth``
     (generators, marked words), numbered by first marked word: the cell of
     every entry of ``inside``'s shape (-1 outside it), the signature of each
     cell, and its sign-conjunction of generators."""
-    _, first, cell = np.unique(np.packbits(truth.T, axis=1), axis=0,
-                               return_index=True, return_inverse=True)
+    first, cell = distinct_rows(truth.T)
     if len(first) > caps.finba_atoms:
         raise CapExceeded(f"{len(first)} atoms exceed the atom cap",
                           stage="formula algebra atoms", size=len(first),
                           cap=caps.finba_atoms)
-    order = np.argsort(first)
     atoms = np.full(inside.shape, -1, dtype=np.int64)
-    atoms[inside] = np.argsort(order)[cell]  # the rank of each cell's first word
-    sigs = [tuple(sig) for sig in truth[:, first[order]].T.tolist()]
-    # the conjuncts are shared between cells (``substitute_letters`` renames
-    # each once)
+    atoms[inside] = cell
+    sigs = [tuple(sig) for sig in truth[:, first].T.tolist()]
+    # conjuncts are shared between cells (substitute_letters renames each once)
     negated = [neg(g) for g in generators]
     formulas = tuple(conj([g if keep else ng
                            for g, ng, keep in zip(generators, negated, sig)])
                      for sig in sigs)
     return atoms, sigs, formulas
-
-
-def _from_signatures(alphabet, var, bound, generators, atom_vars, inside,
-                     truth, registry, caps) -> DeltaAlgebra:
-    """The algebra of generators with the signatures ``inside, truth`` of
-    ``_signatures`` (one mark), cells numbered by first marked word;
-    ``atom_vars`` is what ``_generator_vars`` returns."""
-    atoms, atom_sigs, atom_formulas = _cells(generators, inside, truth, caps)
-    atoms.flags.writeable = False  # atom_rows hands out views of it
-    # each atom formula conjoins every generator or its negation, so it
-    # mentions exactly the generators' variables
-    return DeltaAlgebra(alphabet=alphabet, var=var, bound=bound,
-                        generators=generators, atom_formulas=atom_formulas,
-                        registry=registry, caps=caps,
-                        _sig_to_atom={sig: ai for ai, sig in enumerate(atom_sigs)},
-                        _atoms=atoms,
-                        _atom_vars=atom_vars if atom_formulas else frozenset({var}))
 
 
 def _signatures(generators, symbols, var, letters, lens, registry):
@@ -202,31 +191,47 @@ def _signatures(generators, symbols, var, letters, lens, registry):
     return inside, truth.reshape(len(generators), int(inside.sum()))
 
 
+def _classified(delta: DeltaAlgebra, letters, lens) -> np.ndarray:
+    """The atom of every position of padded letter rows by its generator
+    signature (``_signatures``), -1 past the word, and -2 where no marked
+    word of length <= delta.bound realizes the signature."""
+    inside, truth = _signatures(delta.generators, tuple(delta.alphabet),
+                                delta.var, letters, lens,
+                                delta.registry or DEFAULT_REGISTRY)
+    atoms = np.full(letters.shape, -1, dtype=np.int64)
+    atoms[inside] = [delta._sig_to_atom.get(sig, -2)
+                     for sig in map(tuple, truth.T.tolist())]
+    return atoms
+
+
+def _word_atoms(delta: DeltaAlgebra, w) -> tuple:
+    """One plain word as a row of letter indices (a letter outside the
+    alphabet is refused) and the atoms of its positions, a (1, len(w))
+    matrix: read off the algebra's table (at the word's shortlex id) up to
+    its bound, and past it ``_classified``."""
+    k = len(delta.alphabet)
+    row = np.array([[delta.alphabet.index(a) for a in w]], dtype=np.int64)
+    if len(w) <= delta.bound:
+        r = word_ids(row, k, shortlex_offsets(k, delta.bound))
+        return row, delta._atoms[r, :len(w)]
+    return row, _classified(delta, row, np.array([len(w)]))
+
+
 def xi(delta: DeltaAlgebra, mw: MarkedWord) -> int:
-    """Atom index classifying one marked word: read off the algebra's table
-    (at the word's shortlex id) up to its bound, and past it classified by
-    the generator signature, which must be realized at the bound."""
-    syms = tuple(delta.alphabet)
-    if len(mw.word) <= delta.bound and set(mw.word) <= set(syms):
-        r = word_ids([syms.index(a) for a in mw.word], len(syms),
-                     shortlex_offsets(len(syms), delta.bound))
-        return int(delta._atoms[r, mw.pos(delta.var) - 1])
-    reg = delta.registry or DEFAULT_REGISTRY
-    sig = tuple(satisfies(mw, g, reg) for g in delta.generators)
-    try:
-        return delta._sig_to_atom[sig]
-    except KeyError:
-        raise BoundTooSmall(
-            f"generator signature of {mw} is not realized by any word of "
-            f"length <= {delta.bound}", stage="atom classification",
-            size=len(mw.word), bound=delta.bound)
+    """Atom index classifying one marked word (``_word_atoms``); past the
+    bound its generator signature must be realized at the bound."""
+    i = mw.pos(delta.var) - 1
+    row, atoms = _word_atoms(delta, mw.word)
+    _refuse_unrealized(delta, row, [len(mw.word)],
+                       np.where(np.arange(len(mw.word)) == i, atoms, -1))
+    return int(atoms[0, i])
 
 
 def tau(delta: DeltaAlgebra, w) -> tuple:
     """Atom word of a plain word: position i maps to the atom of (w, i)."""
-    w = tuple(w)
-    return tuple(xi(delta, MarkedWord(w, ((delta.var, i),)))
-                 for i in range(1, len(w) + 1))
+    row, atoms = _word_atoms(delta, tuple(w))
+    _refuse_unrealized(delta, row, [len(row[0])], atoms)
+    return tuple(atoms[0].tolist())
 
 
 def atom_rows(delta: DeltaAlgebra, bound: int):
@@ -235,31 +240,28 @@ def atom_rows(delta: DeltaAlgebra, bound: int):
     Returns (letters, lens, atoms): the plain words as padded rows
     (``regular.shortlex_rows``) and a matrix of the same shape holding the
     atom index of each position (``xi``), -1 past the word.  Up to the
-    algebra's bound this is the algebra's own table; past it the generators
-    are evaluated, and a position whose generator signature no marked word
-    of length <= delta.bound realizes (where ``xi`` refuses) reads -2.
+    algebra's bound this is the algebra's own table; past it
+    ``_classified``, where a position whose generator signature no marked
+    word of length <= delta.bound realizes (where ``xi`` refuses) reads -2.
     """
     letters, lens = shortlex_rows(len(delta.alphabet), bound)
     if bound <= delta.bound:
         return letters, lens, delta._atoms[:len(lens), :bound]
-    inside, truth = _signatures(delta.generators, tuple(delta.alphabet),
-                                delta.var, letters, lens,
-                                delta.registry or DEFAULT_REGISTRY)
-    atoms = np.full(letters.shape, -1, dtype=np.int64)
-    atoms[inside] = [delta._sig_to_atom.get(sig, -2)
-                     for sig in map(tuple, truth.T.tolist())]
-    return letters, lens, atoms
+    return letters, lens, _classified(delta, letters, lens)
 
 
 def _refuse_unrealized(delta: DeltaAlgebra, letters, lens, atoms):
-    """Refuse like ``xi`` at the first position of ``atom_rows`` with an
-    unrealized generator signature, if any."""
-    bad = np.flatnonzero((atoms == -2).any(axis=1))
+    """Refuse with BoundTooSmall at the first position (row by row) of atom
+    rows whose generator signature is unrealized (-2), if any."""
+    bad = np.argwhere(atoms == -2)
     if len(bad):
-        r = int(bad[0])
-        pos = int(np.flatnonzero(atoms[r] == -2)[0]) + 1
-        xi(delta, MarkedWord(_row_word(delta.alphabet, letters[r], lens[r]),
-                             ((delta.var, pos),)))
+        r, p = bad[0].tolist()
+        mw = MarkedWord(_row_word(delta.alphabet, letters[r], lens[r]),
+                        ((delta.var, p + 1),))
+        raise BoundTooSmall(
+            f"generator signature of {mw} is not realized by any word of "
+            f"length <= {delta.bound}", stage="atom classification",
+            size=len(mw.word), bound=delta.bound)
 
 
 def _row_word(alphabet, row, n) -> tuple:
@@ -271,17 +273,6 @@ def tau_word(delta: DeltaAlgebra, w) -> tuple:
     """tau as a word over the atom alphabet's symbols."""
     syms = delta.atom_alphabet().symbols
     return tuple(syms[i] for i in tau(delta, w))
-
-
-def tau_table(delta: DeltaAlgebra, bound: int, caps: Caps = DEFAULT) -> dict:
-    """All atom words at once: maps each plain word of length <= bound to
-    its atom-index tuple (``atom_rows``)."""
-    check_table("word table", len(delta.alphabet), 0, bound, caps)
-    letters, lens, atoms = atom_rows(delta, bound)
-    _refuse_unrealized(delta, letters, lens, atoms)
-    return {_row_word(delta.alphabet, row, n): tuple(cells[:n])
-            for row, cells, n in zip(letters.tolist(), atoms.tolist(),
-                                     lens.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +375,11 @@ class OdotResult:
     """The Boolean algebra over plain words cut out by a sentence class
     through an algebra of position formulas.
 
-    ``ba`` has the plain words up to the bound as carrier; generator i is
-    the preimage of sentence i of the class (over the atom alphabet) under
-    the position-classifying transduction, and ``formulas[i]`` is its
-    substituted form over the base alphabet.
+    ``ba`` has the plain words up to the bound as carrier, in
+    ``enumerate_words`` order; generator i is the preimage of sentence i of
+    the class (over the atom alphabet) under the position-classifying
+    transduction, and ``formulas[i]`` is its substituted form over the base
+    alphabet.
     """
 
     delta: DeltaAlgebra
@@ -422,11 +414,10 @@ def gamma_odot(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
     letters, lens, atoms = atom_rows(delta, bound)
     _refuse_unrealized(delta, letters, lens, atoms)
     words = tuple(enumerate_words(delta.alphabet, bound, caps))  # row order
-    carrier = tuple(sorted(words, key=lambda w: (len(w), w)))
     gen_langs = [frozenset(itertools.compress(
         words, truth_table(psi, syms, (), atoms, lens, registry)))
         for psi in sentences]
-    ba = finba.generate(carrier, gen_langs, caps)
+    ba = finba.generate(words, gen_langs, caps)
     formulas = tuple(sigma(delta, psi) for psi in sentences)
     return OdotResult(delta=delta, gamma=gamma, bound=bound,
                       sentences=tuple(sentences), formulas=formulas,
@@ -449,8 +440,7 @@ def circ_closure(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
             extra_langs.append(frozenset(
                 mw.word for mw in models(g, delta.alphabet, bound, context=(),
                                          registry=registry, caps=caps)))
-    carrier = tuple(sorted(set(base.ba.carrier), key=lambda w: (len(w), w)))
-    ba = finba.generate(carrier, list(base.gen_langs) + extra_langs, caps)
+    ba = finba.generate(base.ba.carrier, list(base.gen_langs) + extra_langs, caps)
     return OdotResult(delta=delta, gamma=gamma, bound=bound,
                       sentences=base.sentences + tuple(extra_sentences),
                       formulas=base.formulas + tuple(extra_sentences),

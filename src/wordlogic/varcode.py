@@ -314,7 +314,7 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
     else:
         carrier_alpha = base
     lifted = delta_algebra(carrier_alpha, var, enc_gens, bound=bound,
-                           registry=reg, caps=caps, verify=False)
+                           registry=reg, caps=caps)
     if not enc_vars:
         # encode_multi(g, ()) is g: the source algebra is the lifted one,
         # evaluated once

@@ -7,6 +7,7 @@ import pytest
 from wordlogic import (
     Alphabet,
     CapExceeded,
+    InvariantViolated,
     MarkedWord,
     ParseError,
     check_fragment_against_direct,
@@ -110,6 +111,17 @@ def test_depth_two_refines_depth_one():
     assert len(b2.ba.atoms) >= len(b1.ba.atoms)
 
 
+@pytest.mark.parametrize("letters, depth", [("ba", 0), ("bca", 0), ("bca", 1)])
+def test_monotone_over_an_unsorted_alphabet(letters, depth):
+    # every bounded algebra of plain words has its carrier in the order of
+    # the alphabet's words, whatever the depth
+    spec = FragmentSpec(Alphabet.of(letters), ("E",), depth=depth, bound=2)
+    report = check_monotone(spec)
+    assert report.passed, report.counterexample
+    assert depth_fragment(spec).ba.carrier == \
+        tuple(enumerate_words(spec.alphabet, 2))
+
+
 def test_fragment_matches_direct_enumeration():
     report = check_fragment_against_direct(
         FragmentSpec(Alphabet.of("ab"), ("E",), depth=1, bound=6))
@@ -181,25 +193,24 @@ def test_no_layer_encodes_or_evaluates_a_layer_generator(monkeypatch, letters,
     import wordlogic.varcode as varcode
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the layers moved a variable into the alphabet")
+        raise AssertionError("a layer left the layer loop's one step")
 
     for name in ("lift_delta", "encode", "decode", "encode_multi",
                  "decode_multi"):
         monkeypatch.setattr(varcode, name, refuse)
-    events, algebras = [], []
-    table, build = logic.truth_table, substitution._from_signatures
+    # every layer, the last one too, is cut and substituted by the loop
+    # itself, without a one-variable formula algebra
+    for name in ("delta_algebra", "DeltaAlgebra", "gamma_odot"):
+        monkeypatch.setattr(substitution, name, refuse)
+    events = []
+    table = logic.truth_table
 
     def spy_table(phi, symbols, context, *args, **kwargs):
         events.append((phi, tuple(symbols), tuple(context)))
         return table(phi, symbols, context, *args, **kwargs)
 
-    def spy_build(*args, **kwargs):
-        algebras.append(build(*args, **kwargs))
-        return algebras[-1]
-
     for module in (logic, substitution, layers):
         monkeypatch.setattr(module, "truth_table", spy_table)
-    monkeypatch.setattr(layers, "_from_signatures", spy_build)
     spec = FragmentSpec(Alphabet.of(letters), quantifiers, depth=depth,
                         bound=bound)
     result = depth_fragment(spec)
@@ -210,13 +221,38 @@ def test_no_layer_encodes_or_evaluates_a_layer_generator(monkeypatch, letters,
     assert qf == events[:len(qf)] and qf
     for phi, symbols, _ in qf:
         assert scope(phi)[2] == 0 and symbols == spec.alphabet.symbols
-    # after it only sentences over the atom letters of the last layer
-    for phi, symbols, context in events[len(qf):]:
+    # after it only the last layer's sentences, over its atom letters, on
+    # the atom words of the plain words
+    rest = events[len(qf):]
+    assert len(rest) == len(result.formulas)
+    for phi, symbols, context in rest:
         assert context == ()
         assert all(c.startswith("c") for c in symbols)
         assert letters_of(phi) <= set(symbols)
-    # one formula algebra, with one mark axis
-    assert [d._atoms.ndim for d in algebras] == [2]
+
+
+def test_a_last_layer_row_that_its_sentence_does_not_give_is_refused(
+        monkeypatch):
+    import wordlogic.layers as layers
+
+    enumerate_layer = layers._subset_sentence_languages
+    calls = []
+
+    def flip_last(*args, **kwargs):
+        rows = enumerate_layer(*args, **kwargs)
+        calls.append(rows.shape)
+        if len(calls) == 2:
+            # the first sentence is constant on the words, so the flipped
+            # row splits them and is kept
+            rows[0, 0] = not rows[0, 0]
+        return rows
+
+    monkeypatch.setattr(layers, "_subset_sentence_languages", flip_last)
+    spec = FragmentSpec(Alphabet.of("ab"), ("E",), depth=2, bound=3)
+    with pytest.raises(InvariantViolated) as exc:
+        depth_fragment(spec)
+    assert exc.value.info["stage"] == "depth_fragment"
+    assert len(calls) == 2
 
 
 def _names(phi):

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,7 +32,6 @@ from wordlogic import (
     sigma,
     tau,
     tau_compat,
-    tau_table,
     w_odot_c,
     xi,
 )
@@ -41,7 +41,8 @@ from wordlogic.logic import (And, LetterPred, Not, Quant, disj, map_atoms,
 from wordlogic.regular import Dfa, empty_dfa, universal_dfa
 from wordlogic.sampling import random_atom_sentence, random_delta
 from wordlogic.substitution import (atom_rows, atom_transduction,
-                                    substitute_letters, tau_word)
+                                    distinct_rows, substitute_letters,
+                                    tau_word)
 from wordlogic.words import ExtendedAlphabet
 
 from conftest import model_words
@@ -118,6 +119,27 @@ def test_trivial_algebra(ab):
     assert triv.atom_formulas == (TRUE,)
 
 
+def first_occurrences(matrix):
+    """Reference for ``distinct_rows``, row by row."""
+    number = {}
+    cell = [number.setdefault(tuple(row), len(number)) for row in matrix.tolist()]
+    return [cell.index(c) for c in range(len(number))], cell
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 5), (3, 0), (1, 1),
+                                        (6, 3), (40, 9), (300, 17)])
+def test_distinct_rows_are_numbered_by_first_occurrence(rows, cols):
+    rng = np.random.default_rng(rows * 31 + cols)
+    # few distinct rows, each repeated, in C order and transposed (F order)
+    pool = rng.random((3, cols)) < 0.5
+    c_order = pool[rng.integers(0, 3, rows)]
+    f_order = np.ascontiguousarray(c_order.T).T
+    assert f_order.flags.f_contiguous
+    for matrix in (c_order, f_order):
+        first, cell = distinct_rows(matrix)
+        assert (first.tolist(), cell.tolist()) == first_occurrences(matrix)
+
+
 # ---------------------------------------------------------------------------
 # the position classifier
 
@@ -149,13 +171,6 @@ def test_tau_over_one_atom_algebra_is_constant(ab):
     assert tau(triv, ("a", "b", "b")) == (0, 0, 0)
 
 
-def test_tau_table_matches_tau(delta_pa):
-    table = tau_table(delta_pa, 3)
-    for w, row in table.items():
-        assert row == tau(delta_pa, w)
-    assert len(table) == 1 + 2 + 4 + 8
-
-
 @given(st.integers(0, 10 ** 6), st.integers(0, 5))
 def test_atom_rows_are_tau_and_sentences_on_them_are_satisfies(seed, bound):
     # the algebra is cut at bound 3: longer words may show a generator
@@ -174,7 +189,11 @@ def test_atom_rows_are_tau_and_sentences_on_them_are_satisfies(seed, bound):
             mw = MarkedWord(w, (("x", i),))
             sig = tuple(satisfies(mw, g) for g in delta.generators)
             assert atom == delta._sig_to_atom.get(sig, -2)
-        if -2 not in row:
+        if -2 in row:
+            with pytest.raises(BoundTooSmall, match="is not realized"):
+                tau(delta, w)
+        else:
+            assert tau(delta, w) == tuple(row[:len(w)])
             aw = tuple(syms[a] for a in row[:len(w)])
             assert value == satisfies(MarkedWord(aw, ()), psi)
 
@@ -184,9 +203,28 @@ def test_an_unrealized_signature_is_refused_at_the_first_word(ab):
     delta = delta_algebra(ab, "x", [parse("E y. (y < x & P[a](y))")], bound=1)
     for check in (lambda: check_substitution_principle(
                       delta, parse("E z. P[c0](z)"), bound=3),
-                  lambda: gamma_odot(gamma_q(("E",)), delta, bound=3)):
+                  lambda: gamma_odot(gamma_q(("E",)), delta, bound=3),
+                  lambda: tau(delta, "aa"),
+                  lambda: xi(delta, MarkedWord(("a", "a"), (("x", 2),)))):
         with pytest.raises(BoundTooSmall, match=r"aa\[x=2\] is not realized"):
             check()
+    # past the bound xi classifies its own position only
+    assert xi(delta, MarkedWord(("a", "a"), (("x", 1),))) == \
+        xi(delta, MarkedWord(("a",), (("x", 1),)))
+    with pytest.raises(BoundTooSmall) as exc:
+        tau(delta, "bab")
+    assert exc.value.info == {"stage": "atom classification", "size": 3,
+                              "bound": 1}
+    assert "bab[x=3] is not realized" in str(exc.value)
+
+
+def test_a_letter_outside_the_alphabet_is_refused(delta_pa):
+    # within the bound and past it
+    for w in ("abc", "c" * 9):
+        with pytest.raises(ParseError, match="'c' not in alphabet"):
+            tau(delta_pa, w)
+        with pytest.raises(ParseError, match="'c' not in alphabet"):
+            xi(delta_pa, MarkedWord(tuple(w), (("x", 1),)))
 
 
 def test_xi_beyond_the_bound_by_signature(delta_pa):
