@@ -171,6 +171,16 @@ def test_tau_over_one_atom_algebra_is_constant(ab):
     assert tau(triv, ("a", "b", "b")) == (0, 0, 0)
 
 
+def test_tau_table_matches_tau(delta_pa):
+    # the table of all atom words up to a bound is atom_rows, read word by word
+    letters, lens, atoms = atom_rows(delta_pa, 3)
+    words = list(enumerate_words(delta_pa.alphabet, 3))
+    table = {w: tuple(row[:len(w)]) for w, row in zip(words, atoms.tolist())}
+    for w, row in table.items():
+        assert row == tau(delta_pa, w)
+    assert len(table) == len(lens) == 1 + 2 + 4 + 8
+
+
 @given(st.integers(0, 10 ** 6), st.integers(0, 5))
 def test_atom_rows_are_tau_and_sentences_on_them_are_satisfies(seed, bound):
     # the algebra is cut at bound 3: longer words may show a generator
