@@ -31,9 +31,8 @@ from .report import Report
 from .semidirect import (Biaction, DecomposedD, EtaQuotient, HMorphism,
                          SdpMonoid, compile_layer, decompose, eta_quotient,
                          h_morphism, sdp, transfer_dfa, verify_recognizer)
-from .substitution import (DeltaAlgebra, OdotResult, SentenceClass,
-                           atom_transduction, check_substitution_principle,
-                           circ_closure, delta_algebra, gamma_odot, sigma,
+from .substitution import (DeltaAlgebra, SentenceClass, atom_transduction,
+                           check_substitution_principle, delta_algebra, sigma,
                            substitute_letters, tau, tau_compat, tau_word,
                            w_odot_c, xi)
 from .suites import named_monoid, run_suite

@@ -1,15 +1,16 @@
 """Stacking layers of quantifiers.
 
-A set of quantifiers gives a class of sentences (generated by "Q over a
-subset of the letters"); applying it through an algebra of one-variable
-formulas adds one quantifier layer.  Iterating from the quantifier-free
-formulas in n variables stratifies sentences by quantifier depth.  Every
-layer is the same step (the substitution principle): it cuts the marked
-words of its variables into cells by the truth of the layer below,
-quantifies one variable over unions of cells, and leaves the others free
-for the layers above; the last layer's cells are the atom words of the
-plain words.  An independent enumeration of depth-bounded sentences
-provides the oracle the stratification is checked against.
+A set of quantifiers gives a class of sentences ("Q over a subset of the
+letters", ``substitution.SentenceClass``); applying it through an algebra
+of one-variable formulas adds one quantifier layer.  Iterating from the
+quantifier-free formulas in n variables stratifies sentences by quantifier
+depth.  Every layer is the same step (the substitution principle): it cuts
+the marked words of its variables into cells by the truth of the layer
+below, quantifies one variable over unions of cells (``SentenceClass.rows``),
+and leaves the others free for the layers above; the last layer's cells
+are the atom words of the plain words.  An independent enumeration of
+depth-bounded sentences provides the oracle the stratification is checked
+against.
 """
 
 from __future__ import annotations
@@ -22,15 +23,14 @@ import numpy as np
 from . import finba
 from .caps import DEFAULT, Caps
 from .errors import CapExceeded, InvariantViolated, ParseError
-from .logic import (LetterPred, NumPred, Quant, Registry, DEFAULT_REGISTRY,
+from .logic import (LetterPred, NumPred, Registry, DEFAULT_REGISTRY,
                     all_vars, conj, disj, in_range, neg, models, relabel,
                     to_dsl, truth_table)
 from .regular import shortlex_rows
 from .report import Report
 from .substitution import (SentenceClass, cells_by_signature, distinct_rows,
                            substitute_letters)
-from .words import (Alphabet, check_table, enumerate_words, format_word,
-                    subsets_in_order)
+from .words import Alphabet, check_table, enumerate_words, format_word
 
 
 # ---------------------------------------------------------------------------
@@ -38,24 +38,13 @@ from .words import (Alphabet, check_table, enumerate_words, format_word,
 # ---------------------------------------------------------------------------
 
 def gamma_q(qnames, registry: Registry = None) -> SentenceClass:
-    """The class of sentences generated, over each alphabet, by one
-    quantifier applied to a disjunction of letter tests: Q x. or-over-B
-    P_b(x) for every listed quantifier and every subset B of the letters
-    (the empty subset giving Q x. FALSE)."""
-    qnames = (qnames,) if isinstance(qnames, str) else tuple(qnames)
-    reg = registry or DEFAULT_REGISTRY
-    for q in qnames:
-        reg.quantifier(q)
-
-    def generator(alphabet):
-        syms = tuple(alphabet)
-        for q in qnames:
-            for sub in subsets_in_order(syms):
-                yield Quant(q, "x",
-                            disj(LetterPred(a, "x") for a in syms if a in sub))
-
-    return SentenceClass(name="Q[" + ",".join(qnames) + "]",
-                         generator=generator)
+    """The sentence class of a set of quantifiers, its names resolved in
+    the registry: Q x. or-over-B P_b(x) for every listed quantifier and
+    every subset B of the letters (``SentenceClass.sentence``)."""
+    gamma = SentenceClass(qnames)
+    for q in gamma.quantifiers:
+        (registry or DEFAULT_REGISTRY).quantifier(q)
+    return gamma
 
 
 def check_gamma_laws(qnames, zeta: dict, bound=4, registry: Registry = None,
@@ -69,8 +58,7 @@ def check_gamma_laws(qnames, zeta: dict, bound=4, registry: Registry = None,
     gamma = gamma_q(qnames, reg)
     src = Alphabet(tuple(sorted(set(zeta))))           # zeta: src -> dst
     dst = Alphabet(tuple(sorted(set(zeta.values()))))
-    params = {"quantifiers": list((qnames,) if isinstance(qnames, str)
-                                  else qnames),
+    params = {"quantifiers": list(gamma.quantifiers),
               "map": {k: zeta[k] for k in sorted(zeta)}, "bound": bound}
     stats = {"generators": 0, "relabeled": 0}
 
@@ -80,7 +68,7 @@ def check_gamma_laws(qnames, zeta: dict, bound=4, registry: Registry = None,
                                 registry=reg, caps=caps))
 
     carrier = tuple(enumerate_words(src, bound, caps))
-    gens_src = gamma.generators(src)
+    gens_src = tuple(gamma.generator(src))
     langs = [plain_models(g, src) for g in gens_src]
     algebra = finba.generate(carrier, langs, caps)
     stats["generators"] = len(gens_src)
@@ -100,7 +88,7 @@ def check_gamma_laws(qnames, zeta: dict, bound=4, registry: Registry = None,
                           stats=stats)
 
     dst_models = {}
-    for g in gamma.generators(dst):
+    for g in gamma.generator(dst):
         stats["relabeled"] += 1
         rel = relabel(zeta, g)
         lang = plain_models(rel, src)
@@ -161,11 +149,13 @@ class FragmentResult:
     stats: dict = field(default_factory=dict, compare=False)
 
 
-def _resolve_names(spec: FragmentSpec, reg: Registry):
-    for q in spec.quantifiers:
-        reg.quantifier(q)
+def _sentence_class(spec: FragmentSpec, reg: Registry) -> SentenceClass:
+    """The spec's sentence class, after resolving its quantifier and
+    predicate names."""
+    gamma = gamma_q(spec.quantifiers, reg)
     for p in spec.predicates:
         reg.numpred(p)
+    return gamma
 
 
 def _guard_scale(spec: FragmentSpec):
@@ -186,44 +176,6 @@ def _qf_generators(spec: FragmentSpec, ctx, reg: Registry):
     return gens
 
 
-def _subset_sentence_languages(qnames, natoms, cells, lens, reg: Registry,
-                               caps: Caps):
-    """Truth of every sentence "Q position. atom-of-position in B".
-
-    Row r of ``cells`` holds the atom index (below ``natoms``) of each
-    position of carrier element r, -1 past ``lens[r]``.  Returns a bool
-    matrix (sentences, rows): sentence i quantifies ``qnames[i >> natoms]``
-    over the atoms of the subset mask ``i & (2^natoms - 1)``.  A quantifier
-    with a count table (``Quantifier.by_count``) reads it at (row length,
-    witnesses of the subset); any other is asked row by row.
-    """
-    total = len(qnames) << natoms
-    if total > caps.sentence_budget:
-        raise CapExceeded(f"{total} generating sentences at one layer "
-                          f"(cap {caps.sentence_budget})",
-                          stage="layer sentences", size=total,
-                          cap=caps.sentence_budget)
-    nrows, width = cells.shape
-    # the witness counts of the masks on the rows: each row's histogram of
-    # atoms times the bits of each mask, one integer matrix product
-    hist = (cells[:, :, None] == np.arange(natoms)).sum(axis=1)
-    member = (np.arange(1 << natoms)[:, None] >> np.arange(natoms)) & 1
-    chunk = max(1, 1 << 22 >> max(nrows, 1).bit_length())
-    truth = np.zeros((total, nrows), dtype=bool)
-    for qi, qname in enumerate(qnames):
-        q = reg.quantifier(qname)
-        block = truth[qi << natoms:(qi + 1) << natoms]
-        by_count = q.by_count(width)
-        if by_count is None:
-            for r, (row, n) in enumerate(zip(cells.tolist(), lens.tolist())):
-                for mask in range(1 << natoms):
-                    block[mask, r] = q.evaluate([(mask >> b) & 1 for b in row[:n]])
-            continue
-        for lo in range(0, 1 << natoms, chunk):
-            block[lo:lo + chunk] = by_count[lens, member[lo:lo + chunk] @ hist.T]
-    return truth
-
-
 def _refining_rows(truth) -> np.ndarray:
     """Indices of a refining subfamily of the rows of a bool matrix: scanned
     in order, a row is kept exactly when it splits a block of the partition
@@ -242,11 +194,6 @@ def _refining_rows(truth) -> np.ndarray:
             rank = np.cumsum(seen)
             block, blocks = rank[key] - 1, int(rank[-1])
     return np.array(kept, dtype=np.int64)
-
-
-def _sentence_of(qname, mask, natoms):
-    return Quant(qname, "x", disj(LetterPred(f"c{j}", "x")
-                                  for j in range(natoms) if (mask >> j) & 1))
 
 
 def depth_fragment(spec: FragmentSpec, registry: Registry = None,
@@ -270,7 +217,7 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
     generate the algebra, over the plain words in ``enumerate_words`` order.
     """
     reg = registry or DEFAULT_REGISTRY
-    _resolve_names(spec, reg)
+    gamma = _sentence_class(spec, reg)
     _guard_scale(spec)
     A, n, L = spec.alphabet, spec.depth, spec.bound
     plain = tuple(enumerate_words(A, L, caps))
@@ -294,17 +241,15 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
         inside = in_range(lens, L, len(spare))
         cut = np.broadcast_to(lens[(slice(None),) + (None,) * len(spare)],
                               inside.shape)[inside]
-        rows = _subset_sentence_languages(spec.quantifiers, natoms,
-                                          np.moveaxis(cells, 1, -1)[inside],
-                                          cut, reg, caps)
+        symbols = tuple(f"c{i}" for i in range(natoms))
+        rows = gamma.rows(natoms, np.moveaxis(cells, 1, -1)[inside], cut, reg,
+                          caps)
         kept = _refining_rows(rows)
         truth = rows[kept]
-        sentences = [_sentence_of(spec.quantifiers[i >> natoms],
-                                  i & ((1 << natoms) - 1), natoms)
-                     for i in kept.tolist()]
+        sentences = [gamma.sentence(i, symbols) for i in kept.tolist()]
         stats["layers"].append({"atoms": natoms, "sentences": len(rows),
                                 "kept": len(sentences)})
-        by_symbol = {f"c{i}": phi for i, phi in enumerate(atom_formulas)}
+        by_symbol = dict(zip(symbols, atom_formulas))
         avoid = frozenset(xs).union(*map(all_vars, gens))
         renamed = {}
         gens = [substitute_letters(psi, by_symbol, keep, avoid, renamed)
@@ -312,7 +257,6 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
 
     # the last layer's cells are the atom words of the plain words, on which
     # each kept sentence must give its row
-    symbols = tuple(f"c{i}" for i in range(natoms))
     for psi, row in zip(sentences, truth):
         if not np.array_equal(truth_table(psi, symbols, (), cells, lens, reg), row):
             raise InvariantViolated(f"the sentence {to_dsl(psi)} differs on the "
@@ -356,7 +300,7 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
     refused.
     """
     reg = registry or DEFAULT_REGISTRY
-    _resolve_names(spec, reg)
+    gamma = _sentence_class(spec, reg)
     A, n, L = spec.alphabet, spec.depth, spec.bound
     plain = tuple(enumerate_words(A, L, caps))
     if n == 0:
@@ -378,9 +322,8 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
             A, (v1, v2), L, _qf_generators(spec, (v1, v2), reg), reg)
         inside1 = in_range(lens, L, 1)
         cut1 = np.broadcast_to(lens[:, None], inside1.shape)[inside1]
-        inner = _subset_sentence_languages(
-            spec.quantifiers, natoms2, cells2.transpose(0, 2, 1)[inside1],
-            cut1, reg, caps)
+        inner = gamma.rows(natoms2, cells2.transpose(0, 2, 1)[inside1], cut1,
+                           reg, caps)
         gens1 = [frozenset(np.flatnonzero(row).tolist())
                  for row in inner[distinct_rows(inner)[0]]]
         qf1, natoms_qf1 = _signature_cells(
@@ -392,8 +335,7 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
         cells[inside1] = [psi1.atom_index_of(r) for r in range(len(cut1))]
         natoms = len(psi1.atoms)
 
-    outer = _subset_sentence_languages(spec.quantifiers, natoms, cells, lens,
-                                       reg, caps)
+    outer = gamma.rows(natoms, cells, lens, reg, caps)
     sets = [frozenset(itertools.compress(plain, row))
             for row in outer[distinct_rows(outer)[0]]]
     return finba.generate(plain, sets, caps)

@@ -6,9 +6,12 @@ atom of each position turns a word over the base alphabet into a word over
 the atom alphabet; substituting the atom formulas into a sentence over the
 atom alphabet goes the other way.  The central fact, checked here word by
 word, is that the two directions agree: a word satisfies the substituted
-sentence exactly when its atom word satisfies the original one.  Every
-layer of ``layers.depth_fragment`` is cut by ``cells_by_signature`` and
-substituted by ``substitute_letters`` without building such an algebra.
+sentence exactly when its atom word satisfies the original one.  The
+sentences substituted are those of a set of quantifiers over the atom
+letters (``SentenceClass``), read on all atom words at once by its
+``rows``.  Every layer of ``layers.depth_fragment`` is that step: cut by
+``cells_by_signature`` and substituted by ``substitute_letters`` without
+building such an algebra.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import numpy as np
 from . import finba
 from .caps import DEFAULT, Caps
 from .errors import BoundTooSmall, CapExceeded, InvariantViolated, ParseError
-from .logic import (And, Formula, LetterPred, Registry, DEFAULT_REGISTRY, conj,
-                    Not, neg, formula_dfa, free_vars, all_vars, in_range,
-                    map_atoms, map_vars, marked_truth, models, rename_bound,
-                    scope, to_dsl, truth_table)
+from .logic import (And, Formula, LetterPred, Quant, Registry, DEFAULT_REGISTRY,
+                    conj, disj, Not, neg, formula_dfa, all_vars, in_range,
+                    map_atoms, map_vars, marked_truth, rename_bound, scope,
+                    to_dsl, truth_table)
 from .regular import (Dfa, closure, closure_dfa, first_paths, image_dfa,
                       shortlex_offsets, shortlex_rows, word_ids)
 from .report import Report
@@ -41,18 +44,67 @@ from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_table,
 
 @dataclass(frozen=True)
 class SentenceClass:
-    """A family of sentences given uniformly in the alphabet.
+    """The sentences of a set of quantifiers, uniformly in the alphabet.
 
-    ``generator(alphabet)`` yields the generating sentences of the family
-    over that alphabet; the family itself is their closure under Boolean
-    connectives, which is never materialized.
+    Over letters s0 .. s(k-1), sentence i is "Q x. the letter at x is in B":
+    Q is ``quantifiers[i >> k]`` and B the letters of the subset mask
+    ``i & (2^k - 1)`` (the empty subset giving Q x. FALSE).  The class itself
+    is their closure under Boolean connectives, which is never materialized.
     """
 
-    name: str
-    generator: callable = field(compare=False)
+    quantifiers: tuple
 
-    def generators(self, alphabet: Alphabet) -> tuple:
-        return tuple(self.generator(alphabet))
+    def __post_init__(self):
+        qs = self.quantifiers
+        object.__setattr__(self, "quantifiers",
+                           (qs,) if isinstance(qs, str) else tuple(qs))
+
+    def sentence(self, i: int, symbols) -> Formula:
+        k = len(symbols)
+        return Quant(self.quantifiers[i >> k], "x",
+                     disj(LetterPred(s, "x")
+                          for j, s in enumerate(symbols) if (i >> j) & 1))
+
+    def generator(self, alphabet):
+        symbols = tuple(alphabet)
+        return (self.sentence(i, symbols)
+                for i in range(len(self.quantifiers) << len(symbols)))
+
+    def rows(self, natoms, cells, lens, reg: Registry, caps: Caps):
+        """The truth of every sentence over the atom letters c0 .. c(natoms-1)
+        on atom words, in bulk.
+
+        Row r of ``cells`` holds the atom (below ``natoms``) of each position
+        of word r, -1 past ``lens[r]``.  Returns a bool matrix (sentences,
+        words), sentence i in ``sentence`` order.  A quantifier with a count
+        table (``Quantifier.by_count``) reads it at (word length, witnesses
+        of the subset); any other is asked word by word.
+        """
+        total = len(self.quantifiers) << natoms
+        if total > caps.sentence_budget:
+            raise CapExceeded(f"{total} generating sentences at one layer "
+                              f"(cap {caps.sentence_budget})",
+                              stage="layer sentences", size=total,
+                              cap=caps.sentence_budget)
+        nrows, width = cells.shape
+        # the witness counts of the masks on the rows: each row's histogram
+        # of atoms times the bits of each mask, one integer matrix product
+        hist = (cells[:, :, None] == np.arange(natoms)).sum(axis=1)
+        member = (np.arange(1 << natoms)[:, None] >> np.arange(natoms)) & 1
+        chunk = max(1, 1 << 22 >> max(nrows, 1).bit_length())
+        truth = np.zeros((total, nrows), dtype=bool)
+        for qi, qname in enumerate(self.quantifiers):
+            q = reg.quantifier(qname)
+            block = truth[qi << natoms:(qi + 1) << natoms]
+            by_count = q.by_count(width)
+            if by_count is None:
+                for r, (row, n) in enumerate(zip(cells.tolist(), lens.tolist())):
+                    for mask in range(1 << natoms):
+                        block[mask, r] = q.evaluate([(mask >> b) & 1 for b in row[:n]])
+                continue
+            for lo in range(0, 1 << natoms, chunk):
+                block[lo:lo + chunk] = by_count[lens, member[lo:lo + chunk] @ hist.T]
+        return truth
 
 
 # ---------------------------------------------------------------------------
@@ -367,87 +419,6 @@ def check_substitution_principle(delta: DeltaAlgebra, psi: Formula,
 
 
 # ---------------------------------------------------------------------------
-# the algebra of substituted sentences
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class OdotResult:
-    """The Boolean algebra over plain words cut out by a sentence class
-    through an algebra of position formulas.
-
-    ``ba`` has the plain words up to the bound as carrier, in
-    ``enumerate_words`` order; generator i is the preimage of sentence i of
-    the class (over the atom alphabet) under the position-classifying
-    transduction, and ``formulas[i]`` is its substituted form over the base
-    alphabet.
-    """
-
-    delta: DeltaAlgebra
-    gamma: SentenceClass
-    bound: int
-    sentences: tuple          # sentences over the atom alphabet
-    formulas: tuple           # their substituted images over the base
-    gen_langs: tuple          # frozensets of plain words
-    ba: finba.FinBA
-
-
-def gamma_odot(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
-               registry: Registry = None, caps: Caps = DEFAULT) -> OdotResult:
-    """Apply a sentence class through a position algebra.
-
-    The languages are computed on the atom side (evaluate each generating
-    sentence on the atom word of every plain word) and the substituted
-    formulas are attached; that the two presentations agree is the
-    substitution principle, checked separately.
-    """
-    registry = registry or delta.registry or DEFAULT_REGISTRY
-    bound = delta.bound if bound is None else bound
-    atom_alpha = delta.atom_alphabet()
-    sentences = gamma.generators(atom_alpha)
-    if len(sentences) > caps.sentence_budget:
-        raise CapExceeded(f"{len(sentences)} generating sentences "
-                          f"(cap {caps.sentence_budget})",
-                          stage="substituted sentences", size=len(sentences),
-                          cap=caps.sentence_budget)
-    syms = atom_alpha.symbols
-    check_table("word table", len(delta.alphabet), 0, bound, caps)
-    letters, lens, atoms = atom_rows(delta, bound)
-    _refuse_unrealized(delta, letters, lens, atoms)
-    words = tuple(enumerate_words(delta.alphabet, bound, caps))  # row order
-    gen_langs = [frozenset(itertools.compress(
-        words, truth_table(psi, syms, (), atoms, lens, registry)))
-        for psi in sentences]
-    ba = finba.generate(words, gen_langs, caps)
-    formulas = tuple(sigma(delta, psi) for psi in sentences)
-    return OdotResult(delta=delta, gamma=gamma, bound=bound,
-                      sentences=tuple(sentences), formulas=formulas,
-                      gen_langs=tuple(gen_langs), ba=ba)
-
-
-def circ_closure(gamma: SentenceClass, delta: DeltaAlgebra, bound: int = None,
-                 registry: Registry = None, caps: Caps = DEFAULT) -> OdotResult:
-    """Like gamma_odot but additionally closing with the sentences already
-    present among the algebra's generators (those not using the marked
-    variable), read as plain-word languages."""
-    registry = registry or delta.registry or DEFAULT_REGISTRY
-    bound = delta.bound if bound is None else bound
-    base = gamma_odot(gamma, delta, bound, registry, caps)
-    extra_sentences = []
-    extra_langs = []
-    for g in delta.generators:
-        if delta.var not in free_vars(g):
-            extra_sentences.append(g)
-            extra_langs.append(frozenset(
-                mw.word for mw in models(g, delta.alphabet, bound, context=(),
-                                         registry=registry, caps=caps)))
-    ba = finba.generate(base.ba.carrier, list(base.gen_langs) + extra_langs, caps)
-    return OdotResult(delta=delta, gamma=gamma, bound=bound,
-                      sentences=base.sentences + tuple(extra_sentences),
-                      formulas=base.formulas + tuple(extra_sentences),
-                      gen_langs=base.gen_langs + tuple(extra_langs), ba=ba)
-
-
-# ---------------------------------------------------------------------------
 # preimages of regular languages of atom words
 # ---------------------------------------------------------------------------
 
@@ -584,22 +555,31 @@ def tau_compat(gamma: SentenceClass, small: DeltaAlgebra, big: DeltaAlgebra,
                caps: Caps = DEFAULT) -> Report:
     """Compatibility of the position classifiers of nested algebras.
 
-    The dual of the inclusion maps atoms of the big algebra onto atoms of
-    the small one; applying it letterwise to the big atom word must give
-    the small atom word, and the substituted algebra of the small one must
-    sit inside that of the big one.
+    The inclusion of the small algebra in the big one is decided on the
+    marked words up to the lower of their bounds, which is also the default
+    ``bound``.  Its dual maps each big atom onto the small atom of its first
+    marked word; applying it letterwise to the big atom word must give the
+    small atom word, and the substituted algebra of the small one (the
+    truth of ``gamma``'s sentences on its atom words) must sit inside that
+    of the big one.
     """
     registry = registry or small.registry or DEFAULT_REGISTRY
-    bound = min(small.bound, big.bound) if bound is None else bound
+    low = min(small.bound, big.bound)
+    bound = low if bound is None else bound
     params = {"alphabet": list(small.alphabet.symbols),
               "small_atoms": small.atom_count, "big_atoms": big.atom_count,
               "bound": bound}
-    if not finba.is_subalgebra(small.ba, big.ba):
+    top = max(low, bound)
+    check_table("word table", len(small.alphabet), 0, top, caps)
+    # each big atom to the small atom at its first entry; the entries -2
+    # and -1 land in two extra places, and -1 (past the word) goes to -1
+    keys, first = np.unique(atom_rows(big, top)[2], return_index=True)
+    zeta = np.zeros(big.atom_count + 2, dtype=np.int64)
+    zeta[keys] = atom_rows(small, top)[2].ravel()[first]
+    if not np.array_equal(zeta[atom_rows(big, low)[2]], atom_rows(small, low)[2]):
         return Report(check="tau-compat", params=params, passed=False,
                       counterexample="first algebra is not a subalgebra of "
                       "the second")
-    zeta = np.array(finba.dual_of_inclusion(small.ba, big.ba) + (-1,))
-    check_table("word table", len(small.alphabet), 0, bound, caps)
     letters, lens, big_atoms = atom_rows(big, bound)
     small_atoms = atom_rows(small, bound)[2]
     # -1 (past the word) relabels to -1; the first word that differs or has
@@ -618,14 +598,18 @@ def tau_compat(gamma: SentenceClass, small: DeltaAlgebra, big: DeltaAlgebra,
                       f"{tuple(lhs[r, :n].tolist())} differs from small atom "
                       f"word {tuple(small_atoms[r, :n].tolist())}",
                       stats={"words": r + 1})
+    # the substituted algebras: the words cut by their sentence rows
+    small_cells, big_cells = (
+        distinct_rows(gamma.rows(delta.atom_count, atoms, lens, registry, caps).T)[1]
+        for delta, atoms in ((small, small_atoms), (big, big_atoms)))
     stats = {"words": len(lens)}
-    small_odot = gamma_odot(gamma, small, bound, registry, caps)
-    big_odot = gamma_odot(gamma, big, bound, registry, caps)
-    if not finba.is_subalgebra(small_odot.ba, big_odot.ba):
+    merged = np.zeros(len(lens), dtype=np.int64)
+    merged[big_cells] = small_cells
+    if not np.array_equal(merged[big_cells], small_cells):
         return Report(check="tau-compat", params=params, passed=False,
                       counterexample="substituted algebra of the small "
                       "algebra is not contained in that of the big one",
                       stats=stats)
-    stats["small_odot"] = len(small_odot.ba.atoms)
-    stats["big_odot"] = len(big_odot.ba.atoms)
+    stats["small_odot"] = int(small_cells.max()) + 1
+    stats["big_odot"] = int(big_cells.max()) + 1
     return Report(check="tau-compat", params=params, passed=True, stats=stats)

@@ -13,16 +13,15 @@ from . import finba
 from .caps import DEFAULT, Caps
 from .errors import NotMonoidPresentable, ParseError
 from .logic import (DEFAULT_REGISTRY, LetterPred, NumPred, Quant, TRUE, conj,
-                    disj, formula_dfa, models, parse, relabel, satisfies,
-                    to_dsl)
+                    formula_dfa, models, parse, relabel, satisfies, to_dsl)
 from .regular import FinMonoid, image_dfa, quotient_closure
 from .report import Report
 from .sampling import (MONOID_QUANTIFIERS, random_atom_sentence, random_delta,
                        random_formula, random_sentence)
 from .semidirect import (Biaction, compile_layer, decompose, pair_product,
                          sdp, verify_recognizer)
-from .substitution import (check_substitution_principle, delta_algebra,
-                           tau_compat, tau_word, xi)
+from .substitution import (SentenceClass, check_substitution_principle,
+                           delta_algebra, tau_compat, tau_word, xi)
 from .varcode import lift_delta, roundtrip_check
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, decode_marks,
                     embed_marked, encode_marks, enumerate_marked,
@@ -288,12 +287,7 @@ def suite_substitution(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
     out.append(_fail("substitution-tau-pointwise", params, bad, words=n)
                if bad else _ok("substitution-tau-pointwise", params, words=n))
 
-    from .substitution import SentenceClass
-    gamma = SentenceClass(
-        name="Q[E]",
-        generator=lambda alph: iter(
-            Quant("E", "x", disj(LetterPred(a, "x") for a in sub))
-            for sub in ([], list(alph))))
+    gamma = SentenceClass(("E",))
     small = delta_algebra(A, "x", [LetterPred(A.symbols[0], "x")], bound=L,
                           registry=reg, caps=caps)
     big_gens = [LetterPred(a, "x") for a in A.symbols] \

@@ -199,9 +199,11 @@ def test_no_layer_encodes_or_evaluates_a_layer_generator(monkeypatch, letters,
                  "decode_multi"):
         monkeypatch.setattr(varcode, name, refuse)
     # every layer, the last one too, is cut and substituted by the loop
-    # itself, without a one-variable formula algebra
-    for name in ("delta_algebra", "DeltaAlgebra", "gamma_odot"):
+    # itself, without a one-variable formula algebra, and builds only the
+    # sentences it keeps
+    for name in ("delta_algebra", "DeltaAlgebra"):
         monkeypatch.setattr(substitution, name, refuse)
+    monkeypatch.setattr(substitution.SentenceClass, "generator", refuse)
     events = []
     table = logic.truth_table
 
@@ -233,9 +235,9 @@ def test_no_layer_encodes_or_evaluates_a_layer_generator(monkeypatch, letters,
 
 def test_a_last_layer_row_that_its_sentence_does_not_give_is_refused(
         monkeypatch):
-    import wordlogic.layers as layers
+    from wordlogic.substitution import SentenceClass
 
-    enumerate_layer = layers._subset_sentence_languages
+    enumerate_layer = SentenceClass.rows
     calls = []
 
     def flip_last(*args, **kwargs):
@@ -247,7 +249,7 @@ def test_a_last_layer_row_that_its_sentence_does_not_give_is_refused(
             rows[0, 0] = not rows[0, 0]
         return rows
 
-    monkeypatch.setattr(layers, "_subset_sentence_languages", flip_last)
+    monkeypatch.setattr(SentenceClass, "rows", flip_last)
     spec = FragmentSpec(Alphabet.of("ab"), ("E",), depth=2, bound=3)
     with pytest.raises(InvariantViolated) as exc:
         depth_fragment(spec)

@@ -11,20 +11,19 @@ from wordlogic import (
     TRUE, FALSE,
     Alphabet,
     BoundTooSmall,
+    CapExceeded,
     InvariantViolated,
     MarkedWord,
     NotMonoidPresentable,
     ParseError,
     SentenceClass,
     check_substitution_principle,
-    circ_closure,
     delta_algebra,
     enumerate_marked,
     enumerate_words,
     equiv_bounded,
     finba,
     formula_dfa,
-    gamma_odot,
     gamma_q,
     models,
     parse,
@@ -36,16 +35,19 @@ from wordlogic import (
     xi,
 )
 from wordlogic import substitution
+from wordlogic.caps import DEFAULT, Caps
+from wordlogic.layers import FragmentSpec, depth_fragment
 from wordlogic.logic import (And, LetterPred, Not, Quant, disj, map_atoms,
-                             map_vars, rename_bound, truth_table)
-from wordlogic.regular import Dfa, empty_dfa, universal_dfa
+                             map_vars, registry_from_json, rename_bound,
+                             truth_table)
+from wordlogic.regular import Dfa, empty_dfa, shortlex_rows, universal_dfa
 from wordlogic.sampling import random_atom_sentence, random_delta
 from wordlogic.substitution import (atom_rows, atom_transduction,
                                     distinct_rows, substitute_letters,
                                     tau_word)
 from wordlogic.words import ExtendedAlphabet
 
-from conftest import model_words
+from conftest import LASTBIT, model_words
 
 
 def atom_letter_of(delta, mw):
@@ -213,7 +215,6 @@ def test_an_unrealized_signature_is_refused_at_the_first_word(ab):
     delta = delta_algebra(ab, "x", [parse("E y. (y < x & P[a](y))")], bound=1)
     for check in (lambda: check_substitution_principle(
                       delta, parse("E z. P[c0](z)"), bound=3),
-                  lambda: gamma_odot(gamma_q(("E",)), delta, bound=3),
                   lambda: tau(delta, "aa"),
                   lambda: xi(delta, MarkedWord(("a", "a"), (("x", 2),)))):
         with pytest.raises(BoundTooSmall, match=r"aa\[x=2\] is not realized"):
@@ -356,47 +357,70 @@ def test_substitution_principle_empty_word(delta_pa):
 # sentence classes applied through an algebra
 
 
-def test_gamma_odot_of_exists(delta_pa):
-    out = gamma_odot(gamma_q(("E",)), delta_pa, bound=6)
-    assert len(out.sentences) == 4  # one per subset of the two atoms
-    assert len(out.ba.atoms) == 4
-    # cells: has an a / has a b, jointly
-    def cell(w):
-        return ("a" in w, "b" in w)
-
-    for atom in out.ba.atoms:
-        assert len({cell(w) for w in atom}) == 1
-    # the languages attached to the generators match their formulas
-    for phi, lang in zip(out.formulas, out.gen_langs):
-        direct = model_words(phi, delta_pa.alphabet, 6)
-        assert direct == lang
+def test_sentences_are_numbered_by_quantifier_then_subset_mask():
+    gamma = SentenceClass(("E", "mod[2,0]"))
+    syms = ("c0", "c1")
+    assert tuple(gamma.generator(syms)) == tuple(gamma.sentence(i, syms)
+                                                 for i in range(8))
+    assert gamma.sentence(0, syms) == Quant("E", "x", disj(()))
+    assert gamma.sentence(6, syms) == Quant("mod[2,0]", "x",
+                                            LetterPred("c1", "x"))
+    assert SentenceClass("mod[2,0]").quantifiers == ("mod[2,0]",)
 
 
-def test_gamma_odot_over_the_trivial_algebra(a_only):
+@pytest.mark.parametrize("quantifiers", [("E", "E1"), ("mod[2,0]", "mod[3,1]"),
+                                         ("maj",), ("lastbit", "E")])
+@pytest.mark.parametrize("natoms", [0, 1, 2, 3])
+def test_sentence_rows_are_the_truth_of_each_sentence(quantifiers, natoms):
+    # count tables (E, E1, mod) and word-by-word evaluation (maj, lastbit)
+    # against each sentence read on the same atom words, the empty one too
+    reg = registry_from_json({"quantifiers": [LASTBIT]})
+    gamma = SentenceClass(quantifiers)
+    if natoms:
+        cells, lens = shortlex_rows(natoms, 4)
+    else:  # no atoms, no positions: the empty word only
+        cells, lens = np.full((1, 3), -1), np.zeros(1, dtype=np.int64)
+    assert lens[0] == 0
+    syms = tuple(f"c{j}" for j in range(natoms))
+    rows = gamma.rows(natoms, cells, lens, reg, DEFAULT)
+    assert rows.shape == (len(quantifiers) << natoms, len(lens))
+    for i, row in enumerate(rows):
+        phi = gamma.sentence(i, syms)
+        assert np.array_equal(row, truth_table(phi, syms, (), cells, lens, reg))
+
+
+def test_exists_through_the_letter_algebra_cuts_by_letters_present(delta_pa):
+    # depth one over ab is Q[E] through the algebra of P[a]: 4 atoms, cut by
+    # has-an-a and has-a-b, with each sentence's language its models
+    frag = depth_fragment(FragmentSpec("ab", ("E",), depth=1, bound=6))
+    assert len(frag.ba.atoms) == 4
+    for atom in frag.ba.atoms:
+        assert len({("a" in w, "b" in w) for w in atom}) == 1
+    for phi, lang in zip(frag.formulas, frag.languages):
+        assert model_words(phi, frag.spec.alphabet, 6) == lang
+    stats = tau_compat(gamma_q(("E",)), delta_pa, delta_pa, bound=6).stats
+    assert stats["small_odot"] == stats["big_odot"] == 4
+
+
+def test_exists_through_the_trivial_algebra_sees_length_only(a_only):
+    frag = depth_fragment(FragmentSpec("a", ("E",), depth=1, bound=5))
+    assert sorted(len(a) for a in frag.ba.atoms) == [1, 5]
     triv = delta_algebra(a_only, "x", [], bound=5)
-    out = gamma_odot(gamma_q(("E",)), triv, bound=5)
-    # sentences speak only about length: empty vs nonempty
-    assert len(out.ba.atoms) == 2
-    sizes = sorted(len(a) for a in out.ba.atoms)
-    assert sizes == [1, 5]
+    assert tau_compat(gamma_q(("E",)), triv, triv).stats["small_odot"] == 2
 
 
-def test_gamma_odot_of_constant_sentences(delta_pa):
-    consts = SentenceClass("nullary", lambda alphabet: (TRUE, FALSE))
-    out = gamma_odot(consts, delta_pa, bound=4)
-    assert len(out.ba.atoms) == 1
-    assert out.gen_langs[0] == frozenset(out.ba.carrier)
-    assert out.gen_langs[1] == frozenset()
-
-
-def test_circ_closure_adds_sentence_generators(ab):
-    # a generator that is itself a sentence joins the closure
-    d = delta_algebra(ab, "x", [parse("P[a](x)"), parse("E z. P[b](z)")],
-                      bound=5)
-    plain_out = gamma_odot(gamma_q(("E",)), d, bound=5)
-    closed = circ_closure(gamma_q(("E",)), d, bound=5)
-    assert len(closed.ba.atoms) >= len(plain_out.ba.atoms)
-    assert finba.is_subalgebra(plain_out.ba, closed.ba)
+def test_a_layer_over_the_sentence_budget_is_refused(delta_pa):
+    # two atoms under E are 4 sentences, one over the budget
+    caps = Caps(sentence_budget=3)
+    for refused in (
+            lambda: depth_fragment(FragmentSpec("ab", ("E",), depth=1,
+                                                bound=3), caps=caps),
+            lambda: tau_compat(gamma_q(("E",)), delta_pa, delta_pa, bound=3,
+                               caps=caps)):
+        with pytest.raises(CapExceeded) as exc:
+            refused()
+        assert exc.value.info == {"stage": "layer sentences", "size": 4,
+                                  "cap": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -597,3 +621,26 @@ def test_tau_compat_fails_for_unrelated_algebras(ab):
     report = tau_compat(gamma_q(("E",)), left, right, bound=5)
     assert not report.passed
     assert "subalgebra" in report.counterexample
+    # also when the two are built at different bounds
+    short = delta_algebra(ab, "x", [parse("R[first](x)")], bound=3)
+    for small, big in ((left, short), (short, left)):
+        report = tau_compat(gamma_q(("E",)), small, big)
+        assert not report.passed
+        assert report.params["bound"] == 3
+        assert "subalgebra" in report.counterexample
+
+
+def test_tau_compat_decides_the_inclusion_at_the_lower_bound(ab):
+    small = delta_algebra(ab, "x", [parse("P[a](x)")], bound=4)
+    big = delta_algebra(ab, "x", [parse("P[a](x)"), parse("R[first](x)")],
+                        bound=6)
+    report = tau_compat(gamma_q(("E",)), small, big)
+    assert report.passed, report.counterexample
+    assert report.params["bound"] == 4
+    at_four = delta_algebra(ab, "x", big.generators, bound=4)
+    assert report == tau_compat(gamma_q(("E",)), small, at_four)
+    assert tau_compat(gamma_q(("E",)), small, big, bound=6).passed
+    # the big atoms past "x is first" are realized only from length 2 on;
+    # each goes to the small atom of its first marked word
+    short = delta_algebra(ab, "x", [parse("P[a](x)")], bound=1)
+    assert tau_compat(gamma_q(("E",)), short, big, bound=3).passed
