@@ -27,8 +27,9 @@ from .logic import (DEFAULT_REGISTRY, Quant, counterexample_bounded,
                     formula_dfa, free_vars, letters_of, models, parse,
                     parse_formula_file, registry_from_json, satisfies,
                     split_names, to_dsl)
-from .regular import Dfa, FinMonoid, image_dfa, int_array, plain_universe_dfa, \
-    quotient_closure, syntactic_stamp, syntactic_stamp_of_family, zero_part_dfa
+from .regular import Dfa, FinMonoid, image_dfa, input_monoid, int_array, \
+    plain_universe_dfa, quotient_closure, syntactic_stamp, \
+    syntactic_stamp_of_family, zero_part_dfa
 from .semidirect import Biaction, compile_layer, sdp
 from .substitution import delta_algebra, sigma, tau_word
 from .suites import run_suite
@@ -130,10 +131,10 @@ def _monoid_json(m: FinMonoid) -> dict:
 
 def _monoid_from_json(data) -> FinMonoid:
     try:
-        return FinMonoid(table=tuple(tuple(r) for r in data["table"]),
-                         identity=data.get("identity", 0),
-                         names=tuple(data["names"]) if data.get("names")
-                         else None)
+        return input_monoid(tuple(tuple(r) for r in data["table"]),
+                            data.get("identity", 0),
+                            tuple(data["names"]) if data.get("names") else None,
+                            "sdp input")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed monoid JSON: {exc}")
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import caps as _caps
 from .errors import CapExceeded, NotMonoidPresentable, ParseError
-from .regular import (Dfa, FinMonoid, closure, closure_dfa, empty_dfa, int_array,
-                      shortlex_rows)
+from .regular import (Dfa, FinMonoid, closure, closure_dfa, empty_dfa,
+                      input_monoid, int_array, shortlex_rows)
 from .semidirect import quantifier_layer
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_bound,
                     check_table, enumerate_marked)
@@ -533,7 +533,8 @@ def registry_from_json(data) -> Registry:
     reg = Registry()
     try:
         for spec in data.get("quantifiers", ()):
-            mon = FinMonoid(tuple(map(tuple, spec["table"])), spec.get("identity", 0))
+            mon = input_monoid(tuple(map(tuple, spec["table"])),
+                               spec.get("identity", 0), None, "quantifier monoid")
             reg.register_quantifier(Quantifier(
                 spec["name"], monoid=mon,
                 images=tuple(int_array(spec["images"], 1, "bit images").tolist()),
@@ -1162,10 +1163,6 @@ class _Compiler:
             return out
         if isinstance(node, Quant):
             q = self.reg.quantifier(node.q)
-            if q.monoid is None:
-                raise NotMonoidPresentable(
-                    f"quantifier {q.name} has no monoid presentation and cannot "
-                    f"be compiled", quantifier=q.name, stage="formula compilation")
             body = self.dfa(node.body, (node.var,) + scope)
             layer = quantifier_layer(q, body, self.letters(m), caps)
             if not m:

@@ -359,6 +359,17 @@ class FinMonoid:
         return frozenset(order)
 
 
+def input_monoid(table, identity, names, stage) -> FinMonoid:
+    """A monoid whose table is read from input, so ``FinMonoid`` must check
+    it in full: a table of more than ``ASSOC_CHECK_LIMIT`` elements, past
+    the associativity check, is refused with CapExceeded naming ``stage``."""
+    if len(table) > ASSOC_CHECK_LIMIT:
+        raise CapExceeded(f"a table of {len(table)} elements is too large to "
+                          f"check for associativity (cap {ASSOC_CHECK_LIMIT})",
+                          stage=stage, size=len(table), cap=ASSOC_CHECK_LIMIT)
+    return FinMonoid(table, identity, names)
+
+
 def generate_monoid(identity, gens, mul, caps: _caps.Caps = _caps.DEFAULT,
                     limit=None, stage="generated monoid"):
     """Close hashable elements under multiplication starting from the
@@ -652,7 +663,8 @@ def shortlex_rows(k: int, bound):
     lens = np.repeat(np.arange(bound + 1), [k ** n for n in range(bound + 1)])
     rank = np.arange(len(lens)) - shortlex_offsets(k, bound)[lens]
     weights = row_weights(lens, bound, k)
-    out = np.where(weights > 0, rank[:, None] // np.maximum(weights, 1) % k, -1), lens
+    digit = rank[:, None] // np.maximum(weights, 1) % max(k, 1)  # k = 0: no digit
+    out = np.where(weights > 0, digit, -1), lens
     for table in out:
         table.setflags(write=False)
     return out

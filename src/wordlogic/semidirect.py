@@ -17,6 +17,11 @@ morphism must agree with its defining formula on every word.  The biaction
 (``EtaQuotient.bia``) and the full product S ** M (``EtaQuotient.nu``) are
 built only on request; ``Biaction`` checks its laws exhaustively, and S ** M
 is associative because they hold.
+
+The block product is one bimachine, ``position_transfer``, with one builder,
+``transfer_dfa``: a quantifier layer (``quantifier_layer``) and the preimage
+of an atom-word language (``substitution.AtomTransduction.preimage``) are
+single calls to it, and ``verify_recognizer`` reads its states.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ import numpy as np
 from .caps import DEFAULT, Caps
 from .errors import (CapExceeded, InvariantViolated, NotDecomposable,
                      NotMonoidPresentable, ParseError)
-from .regular import (Dfa, FinMonoid, RegularBA, Stamp, cayley_dfa, closure,
-                      closure_dfa, congruence_witness, first_paths,
-                      generate_monoid, int_array)
+from .regular import (Dfa, FinMonoid, RegularBA, Stamp, closure, closure_dfa,
+                      congruence_witness, first_paths, generate_monoid,
+                      int_array)
 from .report import Report
 from .words import ExtendedAlphabet
 
@@ -438,7 +443,8 @@ def position_transfer(delta, init, label, kdelta, kinit, caps: Caps,
     so ``F[0]`` is K's state after the class word of the word read.  A
     position whose class has no label raises InvariantViolated naming
     ``stage``.  Returns the states in discovery order from the start and
-    their successor rows.
+    their successor rows.  Its users are ``transfer_dfa`` and
+    ``verify_recognizer``.
     """
     k = len(delta[0]) // 2
     vecs, _, vsucc = closure(
@@ -466,50 +472,34 @@ def position_transfer(delta, init, label, kdelta, kinit, caps: Caps,
     return order, succ
 
 
-def transfer_states(ext: ExtendedAlphabet, stamp: Stamp, letter_of,
-                    kdfa: Dfa, caps: Caps = DEFAULT):
-    """``position_transfer`` on the Cayley automaton of ``stamp``, which
-    maps the words over the one-mark alphabet ``ext`` onto an ambient
-    monoid (any other stamp is refused with ParseError).  ``letter_of``
-    maps the ambient image of a word with one marked position to a column
-    of ``kdfa``; the elements it raises KeyError on have no class.  ``F[0]``
-    of a state is K's state after the class word of the word read.
-    """
-    _letter_images(ext, stamp)
-    label = []
-    for m in range(len(stamp.monoid)):
-        try:
-            label.append(letter_of(m))
-        except KeyError:
-            label.append(None)
-    cayley = cayley_dfa(stamp.alphabet, stamp.monoid, stamp.letters, ())
-    return position_transfer(cayley.delta, cayley.init, label, kdfa.delta,
-                             kdfa.init, caps, "transfer automaton")
-
-
-def transfer_dfa(ext: ExtendedAlphabet, stamp: Stamp, letter_of, kdfa: Dfa,
-                 caps: Caps = DEFAULT) -> Dfa:
-    """Automaton over the base alphabet of ``ext`` for { w : K accepts the
-    per-position class word of w }, on the states of ``transfer_states``
-    (same arguments), not minimized."""
-    order, delta = transfer_states(ext, stamp, letter_of, kdfa, caps)
-    return closure_dfa(ext.base.symbols, delta, (
-        i for i, st in enumerate(order) if st[1][0] in kdfa.accepting))
+def transfer_dfa(alphabet, delta, init, label, kdelta, kinit, accept,
+                 caps: Caps, stage: str) -> Dfa:
+    """Minimal automaton over ``alphabet`` of the words whose class word
+    takes K into ``accept``: ``position_transfer`` (same arguments), where
+    the states whose ``F[0]`` lies in ``accept`` accept."""
+    order, succ = position_transfer(delta, init, label, kdelta, kinit, caps,
+                                    stage)
+    return closure_dfa(alphabet, succ, (
+        i for i, st in enumerate(order) if st[1][0] in accept)).minimize()
 
 
 def quantifier_layer(quant, body: Dfa, alphabet, caps: Caps = DEFAULT) -> Dfa:
     """Minimal automaton over ``alphabet`` for Q x. phi, Q a monoid
     quantifier and phi given by ``body`` over the one-mark letters of
-    ``alphabet`` (column 2i reads letter i unmarked, 2i + 1 marked): Q's
-    monoid, read as an automaton over the bits 0 and 1, runs over the
-    body's accepting bit at every position by ``position_transfer``."""
+    ``alphabet`` (column 2i reads letter i unmarked, 2i + 1 marked): the
+    block product of the body's accepting bit with Q's monoid, read as an
+    automaton over the bits 0 and 1 (``transfer_dfa``).  A quantifier with
+    no monoid raises NotMonoidPresentable."""
+    if quant.monoid is None:
+        raise NotMonoidPresentable(
+            f"quantifier {quant.name} has no monoid presentation and cannot "
+            f"be compiled", quantifier=quant.name, stage="formula compilation")
     qtab, (b0, b1) = quant.monoid.table, quant.images
-    order, delta = position_transfer(
-        body.delta, body.init, [int(q in body.accepting) for q in range(body.n)],
-        tuple((row[b0], row[b1]) for row in qtab), quant.monoid.identity, caps,
-        "quantifier layer")
-    return closure_dfa(alphabet, delta, (
-        i for i, st in enumerate(order) if st[1][0] in quant.accept)).minimize()
+    return transfer_dfa(alphabet, body.delta, body.init,
+                        [int(q in body.accepting) for q in range(body.n)],
+                        tuple((row[b0], row[b1]) for row in qtab),
+                        quant.monoid.identity, quant.accept, caps,
+                        "quantifier layer")
 
 
 def compile_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
@@ -520,10 +510,6 @@ def compile_layer(quant, phi_dfa: Dfa, ext: ExtendedAlphabet,
     quantifiers raise NotMonoidPresentable, and a body over any alphabet but
     the one-mark alphabet ``ext`` is a ParseError.
     """
-    if quant.monoid is None:
-        raise NotMonoidPresentable(
-            f"quantifier {quant.name} has no monoid presentation and cannot "
-            f"be compiled", quantifier=quant.name)
     if len(ext.ctx) != 1 or tuple(phi_dfa.alphabet) != tuple(ext.symbols):
         raise ParseError(f"a body over {phi_dfa.alphabet} is not over the "
                          f"one-mark alphabet {ext.symbols}")
@@ -552,16 +538,17 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
     the Boolean combinations of plain-part classes and evaluation preimages
     of class words, and they are closed under quotients.
 
-    One product automaton runs h, the transfer automaton of the S-element of
-    the class word and the plain image side by side; every word reaches
-    exactly one of its states.  On every reachable state, h must agree with
-    its defining formula h(w) = (S-element of the class word of w, plain
-    image of w), so h determines the cell (S-element, plain-part class); the
-    cell must determine h; and the cells must be the classes of a congruence
-    (``congruence_witness``).  A failing report names a shortest word on
-    which h and the formula differ, or two shortest words that share a class
-    on one side only.  ``hbound`` is still accepted but no longer affects
-    the result.
+    One product automaton runs h beside ``position_transfer`` (B the ambient
+    stamp, K the Cayley table of S at the letters' evaluations): a state
+    holds the S-element of the class word, ``F[0]``, and the plain image,
+    B's state on the plain prefix, and every word reaches exactly one state.
+    On every reachable state, h must agree with its defining formula h(w) =
+    (S-element of the class word of w, plain image of w), so h determines
+    the cell (S-element, plain-part class); the cell must determine h; and
+    the cells must be the classes of a congruence (``congruence_witness``).
+    A failing report names a shortest word on which h and the formula
+    differ, or two shortest words that share a class on one side only.
+    ``hbound`` is still accepted but no longer affects the result.
     """
     params = {"base": list(dd.base_symbols), "target_monoid": len(nv),
               "ambient": len(dd.pi.monoid)}
@@ -575,33 +562,33 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
         return Report(check="recognizer", params=params, passed=False,
                       counterexample=counterexample, stats=stats)
 
-    syms = dd.base_symbols
-    kdfa = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, ())
-    tstates, tdelta = transfer_states(dd.ext, dd.pi, dd.t_letter.__getitem__,
-                                      kdfa, caps)
-    htab, mtab = hm.stamp.monoid.table, dd.m_mon.table
-    letters = tuple(enumerate(zip(hm.stamp.letters, dd.p_img)))
-    triples, _, edges = closure(
-        (hm.stamp.monoid.identity, 0, dd.m_mon.identity),
-        lambda hqm: [(htab[hqm[0]][hl], tdelta[hqm[1]][i], mtab[hqm[2]][ml])
-                     for i, (hl, ml) in letters],
+    syms, ptab, stab = dd.base_symbols, dd.pi.monoid.table, etaq.s_mon.table
+    tstates, tdelta = position_transfer(
+        tuple(tuple(map(row.__getitem__, dd.pi.letters)) for row in ptab),
+        dd.pi.monoid.identity, list(map(dd.t_letter.get, range(len(ptab)))),
+        tuple(tuple(map(row.__getitem__, etaq.ev)) for row in stab),
+        etaq.s_mon.identity, caps, "transfer automaton")
+    htab = hm.stamp.monoid.table
+    pairs, _, edges = closure(
+        (hm.stamp.monoid.identity, 0),
+        lambda hq: [(htab[hq[0]][hl], tdelta[hq[1]][i])
+                    for i, hl in enumerate(hm.stamp.letters)],
         caps.dfa_states, "recognizer product automaton")
+    formulas = [(tstates[q][1][0], dd.m_index[tstates[q][0]]) for _, q in pairs]
     block_of = {dd.m_index[m]: j for j, b in enumerate(dd.d0_blocks) for m in b}
-    cells = [(tstates[q][1][0], block_of[m]) for _, q, m in triples]
-    stats["left_atoms"] = len({h for h, _, _ in triples})
+    cells = [(s, block_of[m]) for s, m in formulas]
+    stats["left_atoms"] = len({h for h, _ in pairs})
     stats["right_cells"] = len(set(cells))
 
     paths = first_paths(edges, syms)
     first_cell = {}
-    for j, (h, q, m) in enumerate(triples):
-        # K is the Cayley automaton of S: its state is the S-element
-        formula = (tstates[q][1][0], m)
+    for j, ((h, _), formula) in enumerate(zip(pairs, formulas)):
         if hm.pair_of[h] != formula:
             return failed(f"the pair morphism sends {_word(paths[j])} to "
                           f"{hm.pair_of[h]} but the per-position evaluation "
                           f"formula gives {formula}")
         k = first_cell.setdefault(cells[j], j)
-        if triples[k][0] != h:
+        if pairs[k][0] != h:
             return failed(f"{_word(paths[k])} and {_word(paths[j])} share a "
                           f"cell but lie in different pair-morphism classes")
 

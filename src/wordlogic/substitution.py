@@ -29,10 +29,10 @@ from .logic import (And, Formula, LetterPred, Quant, Registry, DEFAULT_REGISTRY,
                     conj, disj, Not, neg, formula_dfa, all_vars, in_range,
                     map_atoms, map_vars, marked_truth, rename_bound, scope,
                     to_dsl, truth_table)
-from .regular import (Dfa, closure, closure_dfa, first_paths, image_dfa,
-                      shortlex_offsets, shortlex_rows, word_ids)
+from .regular import (Dfa, closure, first_paths, image_dfa, shortlex_offsets,
+                      shortlex_rows, word_ids)
 from .report import Report
-from .semidirect import position_transfer
+from .semidirect import transfer_dfa
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_table,
                     decode_marks, enumerate_marked, enumerate_words,
                     mark_alphabet)
@@ -439,15 +439,13 @@ class AtomTransduction:
     label: tuple
 
     def preimage(self, kdfa: Dfa, caps: Caps = DEFAULT) -> Dfa:
-        """Plain words whose atom word is accepted by ``kdfa`` (a DFA over
-        the atom letters c0, c1, ... in atom order): the position transfer
-        (``semidirect.position_transfer``) of the product, each marked state
-        labelled by its atom, minimized."""
-        order, succ = position_transfer(self.delta, 0, self.label, kdfa.delta,
-                                        kdfa.init, caps, "transfer automaton")
-        return closure_dfa(self.ext.base.symbols, succ, (
-            i for i, st in enumerate(order)
-            if st[1][0] in kdfa.accepting)).minimize()
+        """Minimal automaton of the plain words whose atom word is accepted
+        by ``kdfa`` (a DFA over the atom letters c0, c1, ... in atom order):
+        the block product of the product's marked states, each labelled by
+        its atom, with ``kdfa`` (``semidirect.transfer_dfa``)."""
+        return transfer_dfa(self.ext.base.symbols, self.delta, 0, self.label,
+                            kdfa.delta, kdfa.init, kdfa.accepting, caps,
+                            "transfer automaton")
 
 
 def atom_transduction(delta: DeltaAlgebra, caps: Caps = DEFAULT) -> AtomTransduction:

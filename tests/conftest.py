@@ -313,6 +313,14 @@ def class_word(dd, word):
     return tuple(reversed(letters)), dd.m_mon.prod(dd.p_img[i] for i in idx)
 
 
+def off_by_one_table(n):
+    """The table of Z_n with the one product 1.1 moved to 3: 0 is still
+    the identity, but (1.1).(n-1) = 2 and 1.(1.(n-1)) = 1."""
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table[1][1] = 3
+    return table
+
+
 def s_of_letters(etaq, letters):
     """The S-element of a class word: its letters' evaluations multiplied."""
     return etaq.s_mon.prod(etaq.ev[x] for x in letters)

@@ -15,7 +15,10 @@ from wordlogic import (Alphabet, Dfa, MarkedWord, NumPredDef, Registry, parse,
                        satisfies)
 from wordlogic import cli
 from wordlogic.cli import main
+from wordlogic.regular import ASSOC_CHECK_LIMIT
 from wordlogic.words import enumerate_words
+
+from conftest import off_by_one_table
 
 
 def run(capsys, argv):
@@ -249,6 +252,21 @@ def test_malformed_registry_exits_2(capsys, tmp_path, text):
                               "E x. P[a](x)", "--registry", str(path)])
     assert rc == 2
     assert err.startswith("error [parse]")
+
+
+@pytest.mark.parametrize("kind", ["registry", "sdp"])
+def test_an_input_table_past_the_associativity_check_exits_2(capsys, tmp_path,
+                                                            kind):
+    n = ASSOC_CHECK_LIMIT + 1
+    table = {"table": off_by_one_table(n), "identity": 0}
+    document = ({"quantifiers": [{**PARITY, **table}]} if kind == "registry"
+                else {**SDP, "S": table})
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    err = refusal(capsys, FILE_COMMANDS[kind] + [str(path)])
+    assert err["code"] == "cap"
+    stage = "quantifier monoid" if kind == "registry" else "sdp input"
+    assert err["info"] == {"stage": stage, "size": n, "cap": ASSOC_CHECK_LIMIT}
 
 
 def test_registry_file_that_is_not_utf8_exits_2(capsys, tmp_path):

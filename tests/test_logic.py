@@ -37,15 +37,15 @@ from wordlogic.caps import DEFAULT, Caps
 from wordlogic.logic import (_ANY, _atom, _rename_atom, check_hygiene,
                              map_atoms, map_vars, marked_truth, scope,
                              truth_table, width)
-from wordlogic.regular import shortlex_offsets, shortlex_rows
+from wordlogic.regular import ASSOC_CHECK_LIMIT, shortlex_offsets, shortlex_rows
 from wordlogic.semidirect import compile_layer
 from wordlogic.sampling import random_formula
 from wordlogic.varcode import decode, encode
 from wordlogic.words import embed_marked, enumerate_marked, enumerate_words
 
 from conftest import (LASTBIT, agrees, count_layer, embedded_ids, infer_dfa,
-                      member_table, model_table, model_words, plain,
-                      random_body)
+                      member_table, model_table, model_words, off_by_one_table,
+                      plain, random_body)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +264,21 @@ def test_registry_from_json():
     psi = parse("E x. R[third](x)", reg)
     assert satisfies(MarkedWord(("b", "b", "b"), ()), psi, reg)
     assert not satisfies(MarkedWord(("b", "b"), ()), psi, reg)
+
+
+@pytest.mark.parametrize("n", [5, ASSOC_CHECK_LIMIT + 1])
+def test_a_registry_table_is_checked_or_refused(n):
+    data = {"quantifiers": [{"name": "skew", "table": off_by_one_table(n),
+                             "identity": 0, "images": [0, 1], "accept": [0]}]}
+    if n <= ASSOC_CHECK_LIMIT:
+        with pytest.raises(ParseError, match="not associative"):
+            registry_from_json(data)
+        return
+    # too large for the exhaustive check, which would find the same fault
+    with pytest.raises(CapExceeded, match="associativity") as exc:
+        registry_from_json(data)
+    assert exc.value.info == {"stage": "quantifier monoid", "size": n,
+                              "cap": ASSOC_CHECK_LIMIT}
 
 
 def test_registry_rejects_redefinition():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import warnings
 
 import numpy as np
 
@@ -336,6 +337,13 @@ def test_a_hypothesis_read_through_a_renumbered_key_is_exact():
     assert d == probe_bit_infer_dfa(syms, bound, member)
     assert d == Dfa(syms, tuple(map(tuple, delta)), 0,
                     frozenset(q for q in range(k + 1) if accepting[q])).minimize()
+
+
+def test_the_word_table_over_no_letters_is_the_empty_word():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        letters, lens = shortlex_rows.__wrapped__(0, 4)  # past the memo
+    assert letters.tolist() == [[-1] * 4] and lens.tolist() == [0]
 
 
 def test_shared_word_tables_are_read_only():

@@ -346,6 +346,18 @@ def test_recognizer_on_the_one_letter_instance():
     assert report.passed, report.counterexample
 
 
+def class_transfer(dd, etaq, t_letter, accept):
+    """The minimal automaton of the words whose class word, each marked
+    ambient element read as its letter ``t_letter.get(m)``, multiplies in S
+    to an element of ``accept``: the block product of the ambient stamp's
+    Cayley automaton with S's."""
+    b = dd.pi.dfa(())
+    k = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, accept)
+    return transfer_dfa(dd.base_symbols, b.delta, b.init,
+                        [t_letter.get(m) for m in range(b.n)], k.delta,
+                        k.init, k.accepting, Caps(), "transfer automaton")
+
+
 def oracle_verify(dd, nv, hbound):
     """The cell-by-cell verifier that the product closure replaced, kept as
     the reference: one minimal automaton per pair-monoid element and per
@@ -364,11 +376,8 @@ def oracle_verify(dd, nv, hbound):
         d = hm.stamp.dfa(frozenset([e])).minimize()
         if not d.is_empty():
             left.add(d)
-    tau_pre = []
-    for sp in range(len(etaq.s_mon)):
-        kdfa = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, [sp])
-        tau_pre.append(transfer_dfa(dd.ext, dd.pi, dd.t_letter.__getitem__,
-                                    kdfa).minimize())
+    tau_pre = [class_transfer(dd, etaq, dd.t_letter, [sp])
+               for sp in range(len(etaq.s_mon))]
     m_pre = [cayley_dfa(dd.base_symbols, dd.m_mon, dd.p_img,
                         [dd.m_index[m] for m in b]).minimize()
              for b in dd.d0_blocks]
@@ -521,6 +530,30 @@ def test_a_changed_letter_evaluation_fails_with_a_replayable_witness():
     hm = h_morphism(etaq)
     assert check_h_formula(etaq, hm, enumerate_words(ext.base, len(w) - 1))
     assert not check_h_formula(etaq, hm, [w])
+
+
+@pytest.mark.parametrize("text, target, m, m2", [
+    ("E1 y. y < x & P[a](y)", "Z3", 1, 2),
+    ("mod[2,1] y. y < x & P[b](y)", "Z2", 1, 0),
+    ("mod[2,0] y. y < x", "U1", 1, 0)])
+def test_a_changed_plain_action_on_s_fails_with_a_replayable_witness(
+        monkeypatch, text, target, m, m2):
+    ext, dd = family(text)
+    nv = named_monoid(target)
+    good = eta_quotient(dd, nv)
+    # m acts on S from the left as m2 does: h reads the changed action, the
+    # class words do not, and the pair product stays associative here, so
+    # h is still built
+    assert good.ell[m] != good.ell[m2]
+    bad = dataclasses.replace(good, ell=good.ell[:m] + (good.ell[m2],)
+                              + good.ell[m + 1:])
+    monkeypatch.setattr(semidirect, "eta_quotient", lambda *args: bad)
+    report = verify_recognizer(dd, nv)
+    assert not report.passed
+    w = formula_word(report, ext)
+    hm = h_morphism(bad)
+    assert check_h_formula(bad, hm, enumerate_words(ext.base, len(w) - 1))
+    assert not check_h_formula(bad, hm, [w])
 
 
 def test_h_is_checked_on_words_past_any_length_bound(monkeypatch):
@@ -706,12 +739,20 @@ def test_no_layer_builds_a_syntactic_stamp(monkeypatch):
 
 def test_a_class_without_a_letter_is_refused():
     dd, etaq = eta_setup("Z2")
-    kdfa = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, ())
-    transfer_dfa(dd.ext, dd.pi, dd.t_letter.__getitem__, kdfa)
+    class_transfer(dd, etaq, dd.t_letter, ())
     for missing in dd.t_elems:
         partial = {t: x for t, x in dd.t_letter.items() if t != missing}
         with pytest.raises(InvariantViolated, match="no label") as exc:
-            transfer_dfa(dd.ext, dd.pi, partial.__getitem__, kdfa)
+            class_transfer(dd, etaq, partial, ())
+        assert exc.value.info == {"stage": "transfer automaton"}
+    # the recognizer check refuses it too, past h, which reads only the
+    # classes of the marked letters alone
+    _, dd = family("E1 y. y < x & P[a](y)")
+    for missing in set(dd.t_elems) - set(dd.q_img):
+        partial = {t: x for t, x in dd.t_letter.items() if t != missing}
+        bad = dataclasses.replace(dd, t_letter=partial)
+        with pytest.raises(InvariantViolated, match="no label") as exc:
+            verify_recognizer(bad, named_monoid("Z2"))
         assert exc.value.info == {"stage": "transfer automaton"}
 
 
