@@ -20,9 +20,8 @@ from wordlogic import (
     quotient_closure,
     verify_recognizer,
 )
-from wordlogic.regular import image_dfa
+from wordlogic.regular import image_dfa, named_monoid
 from wordlogic.semidirect import eta_quotient, h_morphism
-from wordlogic.suites import named_monoid
 
 
 def main(argv=None) -> int:

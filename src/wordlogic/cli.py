@@ -19,10 +19,10 @@ import argparse
 import json
 import sys
 
+import wordlogic as wl
+
 from . import caps as _caps
 from .errors import ParseError, WordlogicError
-from .layers import FragmentSpec, depth_direct, depth_fragment, dump_fragment, \
-    same_language_algebra
 from .logic import (DEFAULT_REGISTRY, Quant, counterexample_bounded,
                     formula_dfa, free_vars, letters_of, models, parse,
                     parse_formula_file, registry_from_json, satisfies,
@@ -31,10 +31,6 @@ from .regular import Dfa, FinMonoid, image_dfa, input_monoid, int_array, \
     plain_universe_dfa, quotient_closure, syntactic_stamp, \
     syntactic_stamp_of_family, zero_part_dfa
 from .semidirect import Biaction, compile_layer, sdp
-from .substitution import delta_algebra, sigma, tau_word
-from .suites import run_suite
-from .varcode import decode as var_decode
-from .varcode import encode as var_encode
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, format_word,
                     parse_marks, parse_word)
 
@@ -79,16 +75,16 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _formulas_of(args, reg) -> list:
-    """Formulas from repeated --formula flags and/or a --formulas file
-    (one DSL formula per line, # comments)."""
-    out = [parse(f, reg) for f in (getattr(args, "formula", None) or ())]
-    path = getattr(args, "formulas", None)
+def _formulas_of(args, reg, kind="formula") -> list:
+    """Formulas from repeated --formula flags and/or a --formulas file (one
+    DSL formula per line, # comments); likewise for another ``kind``."""
+    out = [parse(f, reg) for f in (getattr(args, kind, None) or ())]
+    path = getattr(args, kind + "s", None)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             out.extend(parse_formula_file(fh.read(), reg))
     if not out:
-        raise ParseError("no formulas given (use --formula or --formulas)")
+        raise ParseError(f"no {kind}s given (use --{kind} or --{kind}s)")
     return out
 
 
@@ -150,16 +146,13 @@ def _languages_of(args) -> list:
     reg = _registry(args)
     ext = ExtendedAlphabet(_alphabet(args), (args.mark_var,))
     dfas = []
+    builtin = {"@plain": plain_universe_dfa, "@marked": image_dfa,
+               "@zero": zero_part_dfa}
     for name in getattr(args, "language", None) or ():
-        if name == "@plain":
-            dfas.append(plain_universe_dfa(ext))
-        elif name == "@marked":
-            dfas.append(image_dfa(ext))
-        elif name == "@zero":
-            dfas.append(zero_part_dfa(ext))
-        else:
+        if name not in builtin:
             raise ParseError(f"unknown language name {name!r} "
                              "(builtins: @plain, @marked, @zero)")
+        dfas.append(builtin[name](ext))
     for path in getattr(args, "dfa", None) or ():
         dfa = _dfa_from_json(_json_file(path, "DFA file"))
         if tuple(dfa.alphabet) != tuple(ext.symbols):
@@ -182,17 +175,9 @@ def _languages_of(args) -> list:
 
 
 def _delta_of(args, reg):
-    A = _alphabet(args)
-    gens = [parse(f, reg) for f in (getattr(args, "generator", None) or ())]
-    path = getattr(args, "generators", None)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            gens.extend(parse_formula_file(fh.read(), reg))
-    if not gens:
-        raise ParseError("no generators given (use --generator or "
-                         "--generators)")
-    return delta_algebra(A, args.var, gens, bound=args.maxlen, registry=reg,
-                         caps=args.caps)
+    return wl.delta_algebra(_alphabet(args), args.var,
+                            _formulas_of(args, reg, "generator"),
+                            bound=args.maxlen, registry=reg, caps=args.caps)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +260,7 @@ def cmd_substitute(args) -> int:
     reg = _registry(args)
     delta = _delta_of(args, reg)
     psi = parse(args.sentence, reg)
-    out = sigma(delta, psi)
+    out = wl.sigma(delta, psi)
     _emit(args, {"kind": "substitute", "sentence": to_dsl(psi),
                  "result": to_dsl(out)},
           [to_dsl(out)])
@@ -286,32 +271,25 @@ def cmd_tau(args) -> int:
     reg = _registry(args)
     delta = _delta_of(args, reg)
     word = parse_word(args.word, delta.alphabet)
-    image = tau_word(delta, word)
+    image = wl.tau_word(delta, word)
     _emit(args, {"kind": "tau", "word": format_word(word),
                  "image": list(image)},
           [".".join(image) if image else "ε"])
     return 0
 
 
-def _codec_command(args, operation) -> int:
+def cmd_codec(args) -> int:
+    """``encode`` or ``decode``, as the command is named."""
     reg = _registry(args)
     phi = _one_formula(args, reg)
     A = _alphabet(args)
     prior = split_names(args.prior) if args.prior else ()
-    out = operation(phi, args.var, A, prior)
-    _emit(args, {"kind": operation.__name__, "formula": to_dsl(phi),
+    out = getattr(wl, args.command)(phi, args.var, A, prior)
+    _emit(args, {"kind": args.command, "formula": to_dsl(phi),
                  "var": args.var, "prior": list(prior),
                  "result": to_dsl(out)},
           [to_dsl(out)])
     return 0
-
-
-def cmd_encode(args) -> int:
-    return _codec_command(args, var_encode)
-
-
-def cmd_decode(args) -> int:
-    return _codec_command(args, var_decode)
 
 
 def _stamp_payload(stamp) -> dict:
@@ -426,8 +404,8 @@ def cmd_sdp(args) -> int:
 def cmd_verify(args) -> int:
     reg = _registry(args)
     A = _alphabet(args)
-    reports = run_suite(args.suite, A, args.maxlen, args.seed,
-                        reg if args.registry else None, args.caps)
+    reports = wl.run_suite(args.suite, A, args.maxlen, args.seed,
+                           reg if args.registry else None, args.caps)
     payload = {"kind": "verify", "suite": args.suite,
                "alphabet": list(A.symbols),
                "maxlen": args.maxlen, "seed": args.seed,
@@ -443,15 +421,15 @@ def cmd_verify(args) -> int:
 def cmd_depth_fragment(args) -> int:
     reg = _registry(args)
     A = _alphabet(args)
-    spec = FragmentSpec(A, split_names(args.quantifiers),
-                        split_names(args.predicates) if args.predicates
-                        else (), args.depth, args.maxlen)
-    result = depth_fragment(spec, reg, args.caps)
-    payload = dump_fragment(result)
+    spec = wl.FragmentSpec(A, split_names(args.quantifiers),
+                           split_names(args.predicates) if args.predicates
+                           else (), args.depth, args.maxlen)
+    result = wl.depth_fragment(spec, reg, args.caps)
+    payload = wl.dump_fragment(result)
     exit_code = 0
     if args.check:
-        direct = depth_direct(spec, reg, args.caps)
-        agree = same_language_algebra(result.ba, direct)
+        direct = wl.depth_direct(spec, reg, args.caps)
+        agree = wl.same_language_algebra(result.ba, direct)
         payload["direct_agreement"] = agree
         if not agree:
             exit_code = 1
@@ -587,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alphabet", required=True, help="base alphabet")
         p.add_argument("--prior", help="variables already encoded, e.g. y,z")
         _add_common(p)
-        p.set_defaults(func=cmd_encode if name == "encode" else cmd_decode)
+        p.set_defaults(func=cmd_codec)
 
     p = sub.add_parser("synmon", help="syntactic monoid of languages over "
                                       "the one-mark alphabet")

@@ -359,6 +359,21 @@ class FinMonoid:
         return frozenset(order)
 
 
+def named_monoid(name: str) -> FinMonoid:
+    """Small reference monoids for recognizer targets: the one-element
+    monoid, the two-element join semilattice, and cyclic groups."""
+    if name == "trivial":
+        return FinMonoid(table=((0,),), identity=0, names=("1",))
+    if name == "U1":
+        return FinMonoid(table=((0, 1), (1, 1)), identity=0, names=("0", "1"))
+    if name.startswith("Z") and name[1:].isdigit():
+        k = int(name[1:])
+        table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
+        return FinMonoid(table=table, identity=0,
+                         names=tuple(str(i) for i in range(k)))
+    raise ParseError(f"unknown monoid name {name!r}")
+
+
 def input_monoid(table, identity, names, stage) -> FinMonoid:
     """A monoid whose table is read from input, so ``FinMonoid`` must check
     it in full: a table of more than ``ASSOC_CHECK_LIMIT`` elements, past
@@ -384,11 +399,16 @@ def generate_monoid(identity, gens, mul, caps: _caps.Caps = _caps.DEFAULT,
     gens is a list of (name, element) pairs; returns (elements, index,
     FinMonoid, reps) where reps[i] is the shortlex-first generator word
     reaching element i.  Generation stops with CapExceeded naming ``stage``
-    beyond ``limit`` elements (default: the ``monoid`` cap).
+    beyond ``limit`` elements (default: the ``monoid`` cap), and with
+    ParseError naming ``stage`` if the search never reaches a generator.
     """
     elements, index, edges = closure(
         identity, lambda e: [mul(e, g) for _, g in gens],
         caps.monoid if limit is None else limit, stage)
+    for name, g in gens:
+        if g not in index:
+            raise ParseError(f"generator {name!r} is not reached from the "
+                             "identity", stage=stage)
     by_gen = list(zip(*edges))  # by_gen[c][x] = x.g_c
     cols, reps = [range(len(elements))], [()]
     for i, c in first_edges(edges):

@@ -14,7 +14,7 @@ from .caps import DEFAULT, Caps
 from .errors import NotMonoidPresentable, ParseError
 from .logic import (DEFAULT_REGISTRY, LetterPred, NumPred, Quant, TRUE, conj,
                     formula_dfa, models, parse, relabel, satisfies, to_dsl)
-from .regular import FinMonoid, image_dfa, quotient_closure
+from .regular import image_dfa, named_monoid, quotient_closure
 from .report import Report
 from .sampling import (MONOID_QUANTIFIERS, random_atom_sentence, random_delta,
                        random_formula, random_sentence)
@@ -26,21 +26,6 @@ from .varcode import lift_delta, roundtrip_check
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, decode_marks,
                     embed_marked, encode_marks, enumerate_marked,
                     enumerate_words, format_word, in_marked_image, parse_word)
-
-
-def named_monoid(name: str) -> FinMonoid:
-    """Small reference monoids for recognizer targets: the one-element
-    monoid, the two-element join semilattice, and cyclic groups."""
-    if name == "trivial":
-        return FinMonoid(table=((0,),), identity=0, names=("1",))
-    if name == "U1":
-        return FinMonoid(table=((0, 1), (1, 1)), identity=0, names=("0", "1"))
-    if name.startswith("Z") and name[1:].isdigit():
-        k = int(name[1:])
-        table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
-        return FinMonoid(table=table, identity=0,
-                         names=tuple(str(i) for i in range(k)))
-    raise ParseError(f"unknown monoid name {name!r}")
 
 
 def _fail(check, params, witness, **stats):
@@ -475,11 +460,8 @@ def run_suite(name, alphabet, maxlen, seed, registry=None,
     """Reports of one suite, or of every suite for ``all``, in a canonical
     order."""
     if name == "all":
-        reports = []
-        for key in SUITES:
-            reports.extend(SUITES[key](alphabet, maxlen, seed, registry,
-                                       caps))
-        return reports
+        return [r for suite in SUITES.values()
+                for r in suite(alphabet, maxlen, seed, registry, caps)]
     if name not in SUITES:
         raise ParseError(f"unknown suite {name!r}")
     return SUITES[name](alphabet, maxlen, seed, registry, caps)

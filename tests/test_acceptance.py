@@ -28,7 +28,8 @@ from wordlogic import (
 )
 from wordlogic.caps import Caps
 from wordlogic.layers import FragmentSpec, check_fragment_against_direct
-from wordlogic.regular import FinMonoid, image_dfa, syntactic_stamp
+from wordlogic.regular import (FinMonoid, image_dfa, named_monoid,
+                               syntactic_stamp)
 from wordlogic.sampling import (
     MONOID_QUANTIFIERS,
     random_atom_sentence,
@@ -42,7 +43,7 @@ from wordlogic.substitution import (
     tau_compat,
     xi,
 )
-from wordlogic.suites import _recognizer_instances, named_monoid
+from wordlogic.suites import _recognizer_instances
 from wordlogic.varcode import lift_delta, roundtrip_check
 from wordlogic.words import decode_marks, encode_marks, enumerate_marked, \
     enumerate_words

@@ -469,6 +469,18 @@ def test_generator_columns_must_be_the_search_edges():
         FinMonoid(z3.table, 0, _cayley=(gens, [(0,), (2,), (1,)]))
 
 
+def test_a_generator_the_search_never_reaches_is_refused_with_its_stage():
+    # 0.1 = 2 under x.y = x + 2 (mod 4): the search from 0 reaches {0, 2},
+    # never the generator 1 itself
+    with pytest.raises(ParseError, match="generator 'a' is not reached") as exc:
+        generate_monoid(0, [("a", 1)], lambda x, y: (x + 2) % 4,
+                        stage="test monoid")
+    assert exc.value.info == {"stage": "test monoid"}
+    with pytest.raises(ParseError) as exc:
+        generate_monoid(0, [("a", 1)], lambda x, y: (x + 2) % 4)
+    assert exc.value.info == {"stage": "generated monoid"}
+
+
 def test_generate_monoid_cap():
     from wordlogic.caps import Caps, DEFAULT
 

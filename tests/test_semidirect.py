@@ -33,10 +33,11 @@ from wordlogic import regular, semidirect
 from wordlogic.caps import Caps
 from wordlogic.errors import CapExceeded, InvariantViolated
 from wordlogic.regular import (Dfa, FinMonoid, cayley_dfa, generate_monoid,
-                               image_dfa, syntactic_stamp, universal_dfa)
+                               image_dfa, named_monoid, syntactic_stamp,
+                               universal_dfa)
 from wordlogic.sampling import MONOID_QUANTIFIERS
 from wordlogic.semidirect import Biaction, eta_quotient, h_morphism, transfer_dfa
-from wordlogic.suites import _recognizer_instances, named_monoid, run_suite
+from wordlogic.suites import _recognizer_instances, run_suite
 from wordlogic.words import parse_word
 
 from conftest import (LASTBIT, check_h_formula, class_word, count_layer,
