@@ -96,12 +96,16 @@ def partition(carrier, keys, caps: _caps.Caps = _caps.DEFAULT) -> tuple:
     cells = {}
     for p, key in zip(carrier, keys):
         cells.setdefault(key, []).append(p)
-    if len(cells) > caps.finba_atoms:
-        raise CapExceeded(
-            f"{len(cells)} atoms exceed the atom cap", stage="algebra atoms",
-            size=len(cells), cap=caps.finba_atoms
-        )
+    check_atoms(len(cells), caps)
     return FinBA(carrier, tuple(map(frozenset, cells.values()))), tuple(cells)
+
+
+def check_atoms(count: int, caps: _caps.Caps, stage="algebra atoms"):
+    """Refuse ``count`` atoms over the atom cap with CapExceeded naming the
+    stage, the count and the cap."""
+    if count > caps.finba_atoms:
+        raise CapExceeded(f"{count} atoms exceed the atom cap", stage=stage,
+                          size=count, cap=caps.finba_atoms)
 
 
 def generate(carrier, gens, caps: _caps.Caps = _caps.DEFAULT) -> FinBA:

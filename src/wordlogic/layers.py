@@ -28,7 +28,8 @@ from .logic import (LetterPred, NumPred, Registry, DEFAULT_REGISTRY,
                     to_dsl, truth_table)
 from .regular import shortlex_rows
 from .report import Report
-from .substitution import (SentenceClass, cells_by_signature, distinct_rows,
+from .substitution import (SentenceClass, cells_by_signature, cells_of,
+                           distinct_rows, row_keys, signatures,
                            substitute_letters)
 from .words import Alphabet, check_table, enumerate_words, format_word
 
@@ -167,32 +168,39 @@ def _guard_scale(spec: FragmentSpec):
                           alphabet=len(spec.alphabet))
 
 
-def _qf_generators(spec: FragmentSpec, ctx, reg: Registry):
-    gens = [LetterPred(a, v) for v in ctx for a in spec.alphabet.symbols]
-    for p in spec.predicates:
-        arity = reg.numpred(p).arity
-        gens.extend(NumPred(p, args)
-                    for args in itertools.product(ctx, repeat=arity))
-    return gens
+def _qf_truth(spec: FragmentSpec, ctx, reg: Registry):
+    """The quantifier-free generators over the variables ``ctx`` (letter
+    tests, then the spec's numerical predicates) and their truth on the
+    marked words of length <= the bound: the ``logic.in_range`` mask of the
+    padded rows, and a (generators, marked words) bool matrix."""
+    symbols = spec.alphabet.symbols
+    gens = [LetterPred(a, v) for v in ctx for a in symbols] + [
+        NumPred(p, args) for p in spec.predicates
+        for args in itertools.product(ctx, repeat=reg.numpred(p).arity)]
+    letters, lens = shortlex_rows(len(symbols), spec.bound)
+    return (gens, *signatures(gens, symbols, ctx, letters, lens, reg))
 
 
 def _refining_rows(truth) -> np.ndarray:
     """Indices of a refining subfamily of the rows of a bool matrix: scanned
     in order, a row is kept exactly when it splits a block of the partition
     of the columns built so far, so the kept rows generate the same algebra
-    of subsets.  A repeated row never splits, so each distinct row is
-    scanned once, at its first occurrence."""
-    block = np.zeros(truth.shape[1], dtype=np.int64)
-    blocks = min(1, truth.shape[1])
-    kept = []
-    for i in distinct_rows(truth)[0].tolist():
-        key = 2 * block + truth[i]
-        seen = np.zeros(2 * blocks, dtype=bool)
-        seen[key] = True
-        if seen.sum() > blocks:
-            kept.append(i)
-            rank = np.cumsum(seen)
-            block, blocks = rank[key] - 1, int(rank[-1])
+    of subsets.  Rows and blocks are bitmasks of the columns (``row_keys``
+    read as integers).  A repeated row never splits and is skipped, and the
+    scan stops once there are as many blocks as distinct columns."""
+    finest = len(set(row_keys(truth.T)))
+    blocks = [(1 << truth.shape[1]) - 1]
+    seen, kept = set(), []
+    for i, key in enumerate(row_keys(truth)):
+        if len(blocks) == finest:
+            break
+        if key not in seen:
+            seen.add(key)
+            row = int.from_bytes(key, "little")
+            parts = [part for b in blocks for part in (b & row, b & ~row) if part]
+            if len(parts) > len(blocks):
+                kept.append(i)
+                blocks = parts
     return np.array(kept, dtype=np.int64)
 
 
@@ -227,11 +235,8 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
 
     xs = tuple(f"x{i}" for i in range(1, n + 1))
     check_table("marked word table", len(A), n, L, caps)
-    letters, lens = shortlex_rows(len(A), L)
-    gens = _qf_generators(spec, xs, reg)
-    inside = in_range(lens, L, n)
-    truth = np.array([truth_table(g, A.symbols, xs, letters, lens, reg)[inside]
-                      for g in gens], dtype=bool).reshape(len(gens), -1)
+    lens = shortlex_rows(len(A), L)[1]
+    gens, inside, truth = _qf_truth(spec, xs, reg)
     stats = {"layers": []}
     for k, keep in enumerate(xs):
         spare = xs[k + 1:]
@@ -263,28 +268,13 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
                                     "atom words from its layer enumeration",
                                     stage="depth_fragment")
     langs = tuple(frozenset(itertools.compress(plain, row)) for row in truth)
-    return FragmentResult(spec, finba.generate(plain, langs, caps), tuple(gens),
-                          langs, stats)
+    ba = finba.partition(plain, distinct_rows(truth.T)[1].tolist(), caps)[0]
+    return FragmentResult(spec, ba, tuple(gens), langs, stats)
 
 
 # ---------------------------------------------------------------------------
 # the independent oracle
 # ---------------------------------------------------------------------------
-
-def _signature_cells(A, ctx, L, gens, reg):
-    """Cell index of every marked word over ``ctx`` of length <= L by the
-    truth values of the generators, cells numbered in sorted signature
-    order: a truth-table-shaped array (``logic.truth_table``) holding -1
-    at positions past the word, and the number of cells."""
-    letters, lens = shortlex_rows(len(A), L)
-    inside = in_range(lens, L, len(ctx))
-    truth = np.array([truth_table(g, A.symbols, ctx, letters, lens, reg)[inside]
-                      for g in gens], dtype=bool)
-    sigs, cell = np.unique(truth.T, axis=0, return_inverse=True)
-    cells = np.full(inside.shape, -1, dtype=np.int64)
-    cells[inside] = cell
-    return cells, len(sigs)
-
 
 def depth_direct(spec: FragmentSpec, registry: Registry = None,
                  caps: Caps = DEFAULT) -> finba.FinBA:
@@ -313,32 +303,22 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
     lens = shortlex_rows(len(A), L)[1]
 
     if n == 1:
-        cells, natoms = _signature_cells(
-            A, (v1,), L, _qf_generators(spec, (v1,), reg), reg)
+        cells, first = cells_of(*_qf_truth(spec, (v1,), reg)[1:])
     else:
         # inner facts about (word, position of v2), in in_range order, each
         # a row of the cells of the positions of v1
-        cells2, natoms2 = _signature_cells(
-            A, (v1, v2), L, _qf_generators(spec, (v1, v2), reg), reg)
+        cells2, first2 = cells_of(*_qf_truth(spec, (v1, v2), reg)[1:])
         inside1 = in_range(lens, L, 1)
         cut1 = np.broadcast_to(lens[:, None], inside1.shape)[inside1]
-        inner = gamma.rows(natoms2, cells2.transpose(0, 2, 1)[inside1], cut1,
-                           reg, caps)
-        gens1 = [frozenset(np.flatnonzero(row).tolist())
-                 for row in inner[distinct_rows(inner)[0]]]
-        qf1, natoms_qf1 = _signature_cells(
-            A, (v2,), L, _qf_generators(spec, (v2,), reg), reg)
-        gens1 += [frozenset(np.flatnonzero(qf1[inside1] == c).tolist())
-                  for c in range(natoms_qf1)]
-        psi1 = finba.generate(range(len(cut1)), gens1, caps)
-        cells = np.full(inside1.shape, -1, dtype=np.int64)
-        cells[inside1] = [psi1.atom_index_of(r) for r in range(len(cut1))]
-        natoms = len(psi1.atoms)
+        inner = gamma.rows(len(first2), cells2.transpose(0, 2, 1)[inside1],
+                           cut1, reg, caps)
+        # the algebra of the inner facts and the quantifier-free tests of v2
+        qf2 = _qf_truth(spec, (v2,), reg)[2]
+        cells, first = cells_of(inside1, np.vstack([inner, qf2]))
+        finba.check_atoms(len(first), caps)
 
-    outer = gamma.rows(natoms, cells, lens, reg, caps)
-    sets = [frozenset(itertools.compress(plain, row))
-            for row in outer[distinct_rows(outer)[0]]]
-    return finba.generate(plain, sets, caps)
+    outer = gamma.rows(len(first), cells, lens, reg, caps)
+    return finba.partition(plain, distinct_rows(outer.T)[1].tolist(), caps)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,13 @@ class SentenceClass:
                               stage="layer sentences", size=total,
                               cap=caps.sentence_budget)
         nrows, width = cells.shape
-        # the witness counts of the masks on the rows: each row's histogram
-        # of atoms times the bits of each mask, one integer matrix product
-        hist = (cells[:, :, None] == np.arange(natoms)).sum(axis=1)
-        member = (np.arange(1 << natoms)[:, None] >> np.arange(natoms)) & 1
+        # the witness counts of the masks on the rows, by doubling: mask
+        # m + 2^b counts what m counts plus the row's positions in atom b
+        hist = (cells[:, :, None] == np.arange(natoms)).sum(
+            axis=1, dtype=np.min_scalar_type(width))
+        counts = np.zeros((1 << natoms, nrows), dtype=hist.dtype)
+        for b in range(natoms):
+            counts[1 << b:2 << b] = counts[:1 << b] + hist[:, b]
         chunk = max(1, 1 << 22 >> max(nrows, 1).bit_length())
         truth = np.zeros((total, nrows), dtype=bool)
         for qi, qname in enumerate(self.quantifiers):
@@ -103,7 +106,7 @@ class SentenceClass:
                         block[mask, r] = q.evaluate([(mask >> b) & 1 for b in row[:n]])
                 continue
             for lo in range(0, 1 << natoms, chunk):
-                block[lo:lo + chunk] = by_count[lens, member[lo:lo + chunk] @ hist.T]
+                block[lo:lo + chunk] = by_count[lens, counts[lo:lo + chunk]]
         return truth
 
 
@@ -179,8 +182,8 @@ def delta_algebra(alphabet, var, generators, bound=6,
         atom_vars |= fv | bv
     check_table("marked word table", len(alphabet), 1, bound, caps)
     letters, lens = shortlex_rows(len(alphabet), bound)
-    inside, truth = _signatures(generators, tuple(alphabet), var, letters,
-                                lens, registry)
+    inside, truth = signatures(generators, tuple(alphabet), (var,), letters,
+                               lens, registry)
     atoms, sigs, formulas = cells_by_signature(generators, inside, truth, caps)
     atoms.flags.writeable = False  # atom_rows hands out views of it
     for ai, phi in enumerate(formulas):
@@ -199,15 +202,33 @@ def delta_algebra(alphabet, var, generators, bound=6,
 def distinct_rows(matrix) -> tuple:
     """The distinct rows of a bool matrix, numbered by first occurrence: the
     ascending indices of their first rows, and the number of every row.
-    Rows are packed to bytes and compared as single opaque items."""
-    matrix = np.asarray(matrix, dtype=bool)
-    if not matrix.shape[1]:  # one empty row, if any
-        return np.arange(min(1, len(matrix))), np.zeros(len(matrix), dtype=np.int64)
-    packed = np.ascontiguousarray(np.packbits(matrix, axis=1))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse.ravel()]
+    Rows are packed to bytes and numbered through a dict, with no sorting."""
+    keys = row_keys(np.asarray(matrix, dtype=bool))
+    number = dict(zip(dict.fromkeys(keys), itertools.count()))
+    cell = np.fromiter(map(number.__getitem__, keys), np.int64, len(keys))
+    # the running maximum of the numbers first reaches c at the first row of c
+    return np.searchsorted(np.maximum.accumulate(cell), np.arange(len(number))), cell
+
+
+def row_keys(matrix) -> list:
+    """The rows of a bool matrix as bytes, column j at bit j % 8 of byte
+    j // 8, so that ``int.from_bytes(key, "little")`` has bit j set exactly
+    where the row is True at column j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    if not packed.shape[1]:
+        return [b""] * len(packed)
+    return np.ascontiguousarray(packed).view(f"V{packed.shape[1]}").ravel().tolist()
+
+
+def cells_of(inside, truth) -> tuple:
+    """The cell of every marked word at the entries of the mask ``inside``
+    by its column of the bool matrix ``truth``, numbered by first marked
+    word (``distinct_rows``): an array of ``inside``'s shape holding -1
+    outside it, and the index of each cell's first marked word."""
+    first, cell = distinct_rows(truth.T)
+    cells = np.full(inside.shape, -1, dtype=np.int64)
+    cells[inside] = cell
+    return cells, first
 
 
 def cells_by_signature(generators, inside, truth, caps):
@@ -216,13 +237,8 @@ def cells_by_signature(generators, inside, truth, caps):
     (generators, marked words), numbered by first marked word: the cell of
     every entry of ``inside``'s shape (-1 outside it), the signature of each
     cell, and its sign-conjunction of generators."""
-    first, cell = distinct_rows(truth.T)
-    if len(first) > caps.finba_atoms:
-        raise CapExceeded(f"{len(first)} atoms exceed the atom cap",
-                          stage="formula algebra atoms", size=len(first),
-                          cap=caps.finba_atoms)
-    atoms = np.full(inside.shape, -1, dtype=np.int64)
-    atoms[inside] = cell
+    atoms, first = cells_of(inside, truth)
+    finba.check_atoms(len(first), caps, "formula algebra atoms")
     sigs = [tuple(sig) for sig in truth[:, first].T.tolist()]
     # conjuncts are shared between cells (substitute_letters renames each once)
     negated = [neg(g) for g in generators]
@@ -232,24 +248,24 @@ def cells_by_signature(generators, inside, truth, caps):
     return atoms, sigs, formulas
 
 
-def _signatures(generators, symbols, var, letters, lens, registry):
-    """The generator signatures of the marked words (one mark, ``var``) of
+def signatures(generators, symbols, ctx, letters, lens, registry):
+    """The generator signatures of the marked words (marks ``ctx``) of
     padded letter rows, as a (generators, marked words) bool matrix in
-    ``enumerate_marked`` order, and the mask of the rows' positions they
-    come from (``logic.in_range``)."""
-    inside = in_range(lens, letters.shape[1], 1)
-    truth = np.array([truth_table(g, symbols, (var,), letters, lens, registry)[inside]
+    ``logic.in_range`` order (for one mark, ``enumerate_marked`` order), and
+    the mask of the rows' positions they come from."""
+    inside = in_range(lens, letters.shape[1], len(ctx))
+    truth = np.array([truth_table(g, symbols, ctx, letters, lens, registry)[inside]
                       for g in generators], dtype=bool)
     return inside, truth.reshape(len(generators), int(inside.sum()))
 
 
 def _classified(delta: DeltaAlgebra, letters, lens) -> np.ndarray:
     """The atom of every position of padded letter rows by its generator
-    signature (``_signatures``), -1 past the word, and -2 where no marked
+    signature (``signatures``), -1 past the word, and -2 where no marked
     word of length <= delta.bound realizes the signature."""
-    inside, truth = _signatures(delta.generators, tuple(delta.alphabet),
-                                delta.var, letters, lens,
-                                delta.registry or DEFAULT_REGISTRY)
+    inside, truth = signatures(delta.generators, tuple(delta.alphabet),
+                               (delta.var,), letters, lens,
+                               delta.registry or DEFAULT_REGISTRY)
     atoms = np.full(letters.shape, -1, dtype=np.int64)
     atoms[inside] = [delta._sig_to_atom.get(sig, -2)
                      for sig in map(tuple, truth.T.tolist())]

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from wordlogic import (
@@ -22,7 +23,8 @@ from wordlogic import (
     to_dsl,
 )
 from wordlogic.caps import Caps
-from wordlogic.layers import FragmentSpec, same_language_algebra
+from wordlogic.layers import (FragmentSpec, _refining_rows,
+                              same_language_algebra)
 from wordlogic.logic import (NumPred, fold, letters_of, registry_from_json,
                              scope)
 from wordlogic.words import enumerate_words
@@ -257,6 +259,40 @@ def test_a_last_layer_row_that_its_sentence_does_not_give_is_refused(
     assert len(calls) == 2
 
 
+def greedy_refining_rows(truth) -> list:
+    """Reference for ``_refining_rows``: every row scanned in order against
+    the partition of the columns as a block number per column, kept when it
+    splits a block."""
+    block = np.zeros(truth.shape[1], dtype=np.int64)
+    blocks = min(1, truth.shape[1])
+    kept = []
+    for i in range(len(truth)):
+        key = 2 * block + truth[i]
+        seen = np.zeros(2 * blocks, dtype=bool)
+        seen[key] = True
+        if seen.sum() > blocks:
+            kept.append(i)
+            rank = np.cumsum(seen)
+            block, blocks = rank[key] - 1, int(rank[-1])
+    return kept
+
+
+@pytest.mark.parametrize("rows, cols, distinct_cols",
+                         [(0, 0, 0), (0, 6, 3), (5, 0, 0), (1, 1, 1),
+                          (30, 7, 5), (60, 70, 40), (200, 130, 130),
+                          (300, 12, 12)])
+def test_refining_rows_match_the_greedy_scan(rows, cols, distinct_cols):
+    # repeated columns keep the partition coarser than the columns, and
+    # repeated rows come back after the last split
+    rng = np.random.default_rng(rows * 131 + cols)
+    pool = rng.random((max(1, rows // 3), distinct_cols)) < rng.random()
+    truth = pool[rng.integers(0, len(pool), rows)][
+        :, rng.integers(0, max(1, distinct_cols), cols)]
+    kept = _refining_rows(truth)
+    assert kept.dtype == np.int64
+    assert kept.tolist() == greedy_refining_rows(truth)
+
+
 def _names(phi):
     """The quantifiers and numerical predicates a formula uses."""
     return fold(phi, lambda node: frozenset({node.name})
@@ -369,6 +405,27 @@ def test_direct_enumeration_refuses_a_marked_table_over_the_cap():
     spec = FragmentSpec(Alphabet.of("ab"), ("E",), depth=2, bound=6)
     with pytest.raises(CapExceeded, match="3450 words"):
         depth_direct(spec, caps=Caps(enumeration=1000))
+
+
+@pytest.mark.parametrize("letters, quantifiers, bound, cap, fragment, direct", [
+    # the first layer's cells; the middle algebra of the direct enumeration
+    ("ab", ("E", "mod[2,1]"), 3, 3, ("formula algebra atoms", 4),
+     ("algebra atoms", 10)),
+    # the last layer's cells; the middle algebra again
+    ("ab", ("E", "mod[2,1]"), 3, 9, ("formula algebra atoms", 10),
+     ("algebra atoms", 10)),
+    # both final algebras
+    ("a", ("E", "mod[2,0]"), 7, 2, ("algebra atoms", 3), ("algebra atoms", 3)),
+])
+def test_an_algebra_over_the_atom_cap_is_refused_by_stage(
+        letters, quantifiers, bound, cap, fragment, direct):
+    spec = FragmentSpec(Alphabet.of(letters), quantifiers, depth=2,
+                        bound=bound)
+    for build, (stage, size) in ((depth_fragment, fragment),
+                                 (depth_direct, direct)):
+        with pytest.raises(CapExceeded) as exc:
+            build(spec, caps=Caps(finba_atoms=cap))
+        assert exc.value.info == {"stage": stage, "size": size, "cap": cap}
 
 
 def test_fragment_guard_refuses_large_products():

@@ -37,9 +37,9 @@ from wordlogic import (
 from wordlogic import substitution
 from wordlogic.caps import DEFAULT, Caps
 from wordlogic.layers import FragmentSpec, depth_fragment
-from wordlogic.logic import (And, LetterPred, Not, Quant, disj, map_atoms,
-                             map_vars, registry_from_json, rename_bound,
-                             truth_table)
+from wordlogic.logic import (DEFAULT_REGISTRY, And, LetterPred, Not, Quant,
+                             disj, map_atoms, map_vars, registry_from_json,
+                             rename_bound, truth_table)
 from wordlogic.regular import Dfa, empty_dfa, shortlex_rows, universal_dfa
 from wordlogic.sampling import random_atom_sentence, random_delta
 from wordlogic.substitution import (atom_rows, atom_transduction,
@@ -129,7 +129,10 @@ def first_occurrences(matrix):
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 5), (3, 0), (1, 1),
-                                        (6, 3), (40, 9), (300, 17)])
+                                        (6, 3), (40, 9), (300, 17), (50, 64),
+                                        (50, 65), (80, 130),
+                                        # the E+mod last-layer shape
+                                        (2048, 15)])
 def test_distinct_rows_are_numbered_by_first_occurrence(rows, cols):
     rng = np.random.default_rng(rows * 31 + cols)
     # few distinct rows, each repeated, in C order and transposed (F order)
@@ -387,6 +390,47 @@ def test_sentence_rows_are_the_truth_of_each_sentence(quantifiers, natoms):
     for i, row in enumerate(rows):
         phi = gamma.sentence(i, syms)
         assert np.array_equal(row, truth_table(phi, syms, (), cells, lens, reg))
+
+
+def sentence_rows_by_matrix_product(gamma, natoms, cells, lens, reg):
+    """Reference for ``SentenceClass.rows``: the witness counts of all masks
+    as each row's histogram of atoms times the bits of each mask, one int64
+    matrix product read in the count table, and word by word for a
+    quantifier without one."""
+    hist = (cells[:, :, None] == np.arange(natoms)).sum(axis=1)
+    member = (np.arange(1 << natoms)[:, None] >> np.arange(natoms)) & 1
+    blocks = []
+    for qname in gamma.quantifiers:
+        q = reg.quantifier(qname)
+        by_count = q.by_count(cells.shape[1])
+        if by_count is None:
+            blocks.append([[q.evaluate([(mask >> b) & 1 for b in row[:n]])
+                            for row, n in zip(cells.tolist(), lens.tolist())]
+                           for mask in range(1 << natoms)])
+        else:
+            blocks.append(by_count[lens, member @ hist.T])
+    return np.concatenate(blocks).astype(bool)
+
+
+@pytest.mark.parametrize("quantifiers, natoms, nrows, width", [
+    # 1,024 rows gather 2,048 masks at a time: two chunks of 4,096 masks
+    (("E1", "mod[3,1]"), 12, 1024, 20),
+    # counts up to 300 need two bytes
+    (("mod[3,0]", "E"), 3, 50, 300),
+    # a quantifier without a count table is asked word by word
+    (("maj", "mod[2,1]"), 5, 200, 9),
+])
+def test_sentence_rows_match_the_matrix_product(quantifiers, natoms, nrows,
+                                                width):
+    rng = np.random.default_rng(natoms * nrows + width)
+    lens = rng.integers(0, width + 1, nrows)
+    lens[:2] = 0, width
+    cells = np.where(np.arange(width) < lens[:, None],
+                     rng.integers(0, natoms, (nrows, width)), -1)
+    gamma = SentenceClass(quantifiers)
+    rows = gamma.rows(natoms, cells, lens, DEFAULT_REGISTRY, DEFAULT)
+    assert np.array_equal(rows, sentence_rows_by_matrix_product(
+        gamma, natoms, cells, lens, DEFAULT_REGISTRY))
 
 
 def test_exists_through_the_letter_algebra_cuts_by_letters_present(delta_pa):
