@@ -24,13 +24,12 @@ from . import finba
 from .caps import DEFAULT, Caps
 from .errors import CapExceeded, InvariantViolated, ParseError
 from .logic import (LetterPred, NumPred, Registry, DEFAULT_REGISTRY,
-                    all_vars, conj, disj, in_range, neg, models, relabel,
+                    all_vars, conj, disj, in_range, marked_truth, neg, relabel,
                     to_dsl, truth_table)
-from .regular import shortlex_rows
+from .regular import shortlex_offsets, shortlex_rows, word_ids
 from .report import Report
 from .substitution import (SentenceClass, cells_by_signature, cells_of,
-                           distinct_rows, row_keys, signatures,
-                           substitute_letters)
+                           distinct_rows, row_keys, substitute_letters)
 from .words import Alphabet, check_table, enumerate_words, format_word
 
 
@@ -54,25 +53,24 @@ def check_gamma_laws(qnames, zeta: dict, bound=4, registry: Registry = None,
     combinations of generators stay inside the generated algebra, and
     relabeling letters along a map carries generators over one alphabet to
     members over the other, with the relabeled language equal to the
-    letterwise preimage."""
+    letterwise preimage.  Each family of sentences is evaluated in one call;
+    a language is in the algebra exactly when it is constant on each cell
+    of the words cut by the generators."""
     reg = registry or DEFAULT_REGISTRY
     gamma = gamma_q(qnames, reg)
     src = Alphabet(tuple(sorted(set(zeta))))           # zeta: src -> dst
     dst = Alphabet(tuple(sorted(set(zeta.values()))))
     params = {"quantifiers": list(gamma.quantifiers),
               "map": {k: zeta[k] for k in sorted(zeta)}, "bound": bound}
-    stats = {"generators": 0, "relabeled": 0}
-
-    def plain_models(phi, alphabet):
-        return frozenset(m.word for m in
-                         models(phi, alphabet, bound, context=(),
-                                registry=reg, caps=caps))
-
-    carrier = tuple(enumerate_words(src, bound, caps))
+    check_table("word enumeration", len(src), 0, bound, caps)
     gens_src = tuple(gamma.generator(src))
-    langs = [plain_models(g, src) for g in gens_src]
-    algebra = finba.generate(carrier, langs, caps)
-    stats["generators"] = len(gens_src)
+    first, cell = distinct_rows(marked_truth(gens_src, src, (), bound, reg).T)
+    finba.check_atoms(len(first), caps)
+    stats = {"generators": len(gens_src), "relabeled": 0}
+
+    def outside(phis):  # the languages, and which leave the algebra
+        langs = marked_truth(phis, src, (), bound, reg)
+        return langs, (langs[:, first][:, cell] != langs).any(axis=1)
 
     samples = []
     if gens_src:
@@ -80,33 +78,30 @@ def check_gamma_laws(qnames, zeta: dict, bound=4, registry: Registry = None,
     if len(gens_src) >= 2:
         samples.append(conj((gens_src[0], gens_src[1])))
         samples.append(disj((gens_src[0], neg(gens_src[1]))))
-    for phi in samples:
-        lang = plain_models(phi, src)
-        if not algebra.member(lang):
-            return Report("sentence-class-laws", params, False,
-                          counterexample=f"Boolean combination {to_dsl(phi)} "
-                                         "left the generated algebra",
-                          stats=stats)
+    left = np.flatnonzero(outside(samples)[1])
+    if len(left):
+        return Report("sentence-class-laws", params, False,
+                      counterexample=f"Boolean combination "
+                      f"{to_dsl(samples[left[0]])} left the generated algebra",
+                      stats=stats)
 
-    dst_models = {}
-    for g in gamma.generator(dst):
-        stats["relabeled"] += 1
-        rel = relabel(zeta, g)
-        lang = plain_models(rel, src)
-        if g not in dst_models:
-            dst_models[g] = plain_models(g, dst)
-        preimage = frozenset(w for w in carrier
-                             if tuple(zeta[a] for a in w) in dst_models[g])
-        if lang != preimage:
-            return Report("sentence-class-laws", params, False,
-                          counterexample=f"relabeling of {to_dsl(g)} is not "
-                                         "the letterwise preimage",
-                          stats=stats)
-        if not algebra.member(lang):
-            return Report("sentence-class-laws", params, False,
-                          counterexample=f"relabeling of {to_dsl(g)} left "
-                                         "the generated algebra",
-                          stats=stats)
+    gens_dst = tuple(gamma.generator(dst))
+    langs, left = outside([relabel(zeta, g) for g in gens_dst])
+    # each word's relabeling as a row of destination letters (the appended
+    # -1 keeps the padding), read at its id among the destination's words
+    to_dst = np.array([dst.index(zeta[a]) for a in src] + [-1])
+    ids = word_ids(to_dst[shortlex_rows(len(src), bound)[0]], len(dst),
+                   shortlex_offsets(len(dst), bound))
+    preimage = marked_truth(gens_dst, dst, (), bound, reg)[:, ids]
+    wrong = (langs != preimage).any(axis=1)
+    bad = np.flatnonzero(wrong | left)
+    stats["relabeled"] = int(bad[0]) + 1 if len(bad) else len(gens_dst)
+    if len(bad):
+        law = "is not the letterwise preimage" if wrong[bad[0]] \
+            else "left the generated algebra"
+        return Report("sentence-class-laws", params, False,
+                      counterexample=f"relabeling of {to_dsl(gens_dst[bad[0]])} {law}",
+                      stats=stats)
     return Report("sentence-class-laws", params, True, stats=stats)
 
 
@@ -170,25 +165,25 @@ def _guard_scale(spec: FragmentSpec):
 
 def _qf_truth(spec: FragmentSpec, ctx, reg: Registry):
     """The quantifier-free generators over the variables ``ctx`` (letter
-    tests, then the spec's numerical predicates) and their truth on the
-    marked words of length <= the bound: the ``logic.in_range`` mask of the
-    padded rows, and a (generators, marked words) bool matrix."""
+    tests, then the spec's numerical predicates) and their truth, as one
+    family, on the marked words of length <= the bound: the ``in_range``
+    mask of the padded rows, and a (generators, marked words) bool matrix."""
     symbols = spec.alphabet.symbols
     gens = [LetterPred(a, v) for v in ctx for a in symbols] + [
         NumPred(p, args) for p in spec.predicates
         for args in itertools.product(ctx, repeat=reg.numpred(p).arity)]
     letters, lens = shortlex_rows(len(symbols), spec.bound)
-    return (gens, *signatures(gens, symbols, ctx, letters, lens, reg))
+    inside = in_range(lens, spec.bound, len(ctx))
+    return gens, inside, truth_table(gens, symbols, ctx, letters, lens, reg)[:, inside]
 
 
-def _refining_rows(truth) -> np.ndarray:
+def _refining_rows(truth, finest: int) -> np.ndarray:
     """Indices of a refining subfamily of the rows of a bool matrix: scanned
     in order, a row is kept exactly when it splits a block of the partition
     of the columns built so far, so the kept rows generate the same algebra
     of subsets.  Rows and blocks are bitmasks of the columns (``row_keys``
     read as integers).  A repeated row never splits and is skipped, and the
-    scan stops once there are as many blocks as distinct columns."""
-    finest = len(set(row_keys(truth.T)))
+    scan stops at ``finest`` blocks, the number of distinct columns."""
     blocks = [(1 << truth.shape[1]) - 1]
     seen, kept = set(), []
     for i, key in enumerate(row_keys(truth)):
@@ -237,10 +232,11 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
     check_table("marked word table", len(A), n, L, caps)
     lens = shortlex_rows(len(A), L)[1]
     gens, inside, truth = _qf_truth(spec, xs, reg)
+    split = distinct_rows(truth.T)
     stats = {"layers": []}
     for k, keep in enumerate(xs):
         spare = xs[k + 1:]
-        cells, _, atom_formulas = cells_by_signature(gens, inside, truth, caps)
+        cells, _, atom_formulas = cells_by_signature(gens, inside, truth, split, caps)
         natoms = len(atom_formulas)
         # one row per word and spare positions, along the positions of keep
         inside = in_range(lens, L, len(spare))
@@ -249,7 +245,9 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
         symbols = tuple(f"c{i}" for i in range(natoms))
         rows = gamma.rows(natoms, np.moveaxis(cells, 1, -1)[inside], cut, reg,
                           caps)
-        kept = _refining_rows(rows)
+        # the kept rows cut the columns as all rows do, in the same order
+        split = distinct_rows(rows.T)
+        kept = _refining_rows(rows, len(split[0]))
         truth = rows[kept]
         sentences = [gamma.sentence(i, symbols) for i in kept.tolist()]
         stats["layers"].append({"atoms": natoms, "sentences": len(rows),
@@ -262,13 +260,13 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
 
     # the last layer's cells are the atom words of the plain words, on which
     # each kept sentence must give its row
-    for psi, row in zip(sentences, truth):
-        if not np.array_equal(truth_table(psi, symbols, (), cells, lens, reg), row):
-            raise InvariantViolated(f"the sentence {to_dsl(psi)} differs on the "
-                                    "atom words from its layer enumeration",
-                                    stage="depth_fragment")
+    differ = (truth_table(sentences, symbols, (), cells, lens, reg) != truth).any(axis=1)
+    if differ.any():
+        raise InvariantViolated(f"the sentence {to_dsl(sentences[differ.argmax()])} "
+                                "differs on the atom words from its layer "
+                                "enumeration", stage="depth_fragment")
     langs = tuple(frozenset(itertools.compress(plain, row)) for row in truth)
-    ba = finba.partition(plain, distinct_rows(truth.T)[1].tolist(), caps)[0]
+    ba = finba.partition(plain, split[1].tolist(), caps)[0]
     return FragmentResult(spec, ba, tuple(gens), langs, stats)
 
 
@@ -303,21 +301,23 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
     lens = shortlex_rows(len(A), L)[1]
 
     if n == 1:
-        cells, first = cells_of(*_qf_truth(spec, (v1,), reg)[1:])
+        _, inside, truth = _qf_truth(spec, (v1,), reg)
+        first, cell = distinct_rows(truth.T)
     else:
         # inner facts about (word, position of v2), in in_range order, each
         # a row of the cells of the positions of v1
-        cells2, first2 = cells_of(*_qf_truth(spec, (v1, v2), reg)[1:])
-        inside1 = in_range(lens, L, 1)
-        cut1 = np.broadcast_to(lens[:, None], inside1.shape)[inside1]
-        inner = gamma.rows(len(first2), cells2.transpose(0, 2, 1)[inside1],
+        _, inside2, truth2 = _qf_truth(spec, (v1, v2), reg)
+        first2, cell2 = distinct_rows(truth2.T)
+        inside = in_range(lens, L, 1)
+        cut1 = np.broadcast_to(lens[:, None], inside.shape)[inside]
+        inner = gamma.rows(len(first2), cells_of(inside2, cell2).transpose(0, 2, 1)[inside],
                            cut1, reg, caps)
         # the algebra of the inner facts and the quantifier-free tests of v2
         qf2 = _qf_truth(spec, (v2,), reg)[2]
-        cells, first = cells_of(inside1, np.vstack([inner, qf2]))
+        first, cell = distinct_rows(np.vstack([inner, qf2]).T)
         finba.check_atoms(len(first), caps)
 
-    outer = gamma.rows(len(first), cells, lens, reg, caps)
+    outer = gamma.rows(len(first), cells_of(inside, cell), lens, reg, caps)
     return finba.partition(plain, distinct_rows(outer.T)[1].tolist(), caps)[0]
 
 

@@ -826,15 +826,15 @@ def _on_axes(values, axes, ndim) -> np.ndarray:
 
 
 class _Evaluator:
-    """One formula's bulk tables over one block of padded letter rows: each
-    subformula is a bool array with axis 0 for the rows and one axis per
-    variable in scope (size 1 where the variable is not free in it).
-    ``env`` maps the variables in scope to their axes: context variable j
-    to axis j + 1, and a bound variable to the first axis past those of the
-    variables around its binder, so sibling binders share axes and ``ndim``
-    is 1 + |context| + the quantifier nesting depth.  The in-row mask of
-    each axis and the table of each letter or predicate atom on its axes
-    are built once per block."""
+    """A family of formulas' bulk tables over one block of padded letter
+    rows: each subformula is a bool array with axis 0 for the rows and one
+    axis per variable in scope (size 1 where the variable is not free in
+    it).  ``env`` maps the variables in scope to their axes: context
+    variable j to axis j + 1, and a bound variable to the first axis past
+    those of the variables around its binder, so sibling binders share axes
+    and ``ndim`` is 1 + |context| + the deepest quantifier nesting.  The
+    in-row mask of each axis and the table of each letter or predicate atom
+    on its axes are built once per block, for the whole family."""
 
     def __init__(self, symbols, ndim, letters, lens, registry):
         self.col = {s: i for i, s in enumerate(symbols)}
@@ -929,48 +929,54 @@ class _Evaluator:
         raise ParseError(f"not a formula: {node!r}")
 
 
-def truth_table(phi, symbols, context, letters, lens, registry=None) -> np.ndarray:
-    """Truth of a formula on words given as padded letter rows.
+def truth_table(phis, symbols, context, letters, lens, registry=None) -> np.ndarray:
+    """Truth of a family of formulas on words given as padded letter rows.
 
     ``letters`` is an (R, L) matrix of indices into ``symbols``; row r holds
     a word of length ``lens[r]`` and is padded past it with -1, a letter
-    that matches no test.  The result has shape (R,) + (L,) * |context|:
-    entry [r, p_1, ...] is the truth of the formula on word r with context
-    variable j marking position p_j + 1 (``satisfies`` is the reference);
-    entries with a position at or past the row's length mean nothing.
+    that matches no test.  The result has shape (k, R) + (L,) * |context|
+    for k formulas: entry [i, r, p_1, ...] is the truth of formula i on
+    word r with context variable j marking position p_j + 1 (``satisfies``
+    is the reference); entries with a position at or past the row's length
+    mean nothing.  Each formula's context and axis count are checked first.
 
-    All rows are evaluated in one tree walk per block of rows: a numerical
-    predicate becomes per-length tables indexed by row length.  A monoid
-    quantifier whose bit images commute (``E``, ``E1``, ``mod[q,r]`` and any
-    registered one that passes ``Quantifier.by_count``) counts the witnesses
-    of its body along its variable's axis inside each row and reads its
-    value from the count table at (row length, count).  An oracle
-    quantifier, or a monoid quantifier whose bit images do not commute, is
-    asked through ``Quantifier.evaluate`` on each row's own positions.
-    Blocks hold at most ``_BLOCK_CELLS`` cells of the widest subformula
-    (``width``) and at least one row.
+    One ``_Evaluator`` per block of rows walks every formula once, on the
+    axes of the deepest: a numerical predicate becomes per-length tables
+    indexed by row length.  A monoid quantifier whose bit images commute
+    (``E``, ``E1``, ``mod[q,r]`` and any registered one that passes
+    ``Quantifier.by_count``) counts the witnesses of its body along its
+    variable's axis inside each row and reads its value from the count
+    table at (row length, count).  An oracle quantifier, or a monoid
+    quantifier whose bit images do not commute, is asked through
+    ``Quantifier.evaluate`` on each row's own positions.  Blocks hold at
+    most ``_BLOCK_CELLS`` cells of the family's widest subformula (``width``)
+    and at least one row.
     """
     reg = registry or DEFAULT_REGISTRY
-    ctx = tuple(context)
-    free, _, depth, most = scope(phi)
-    if not free <= set(ctx):
-        raise ParseError("context does not cover the formula's free variables")
+    phis, ctx = tuple(phis), tuple(context)
     c = len(ctx)
-    if 1 + c + depth > _MAX_AXES:
-        raise CapExceeded(f"{c} context variables and {depth} nested quantifiers "
-                          f"need more than the {_MAX_AXES} array axes of bulk "
-                          "evaluation", stage="bulk evaluation",
-                          size=1 + c + depth, cap=_MAX_AXES)
+    depth = most = 0
+    for phi in phis:
+        free, _, d, m = scope(phi)
+        if not free <= set(ctx):
+            raise ParseError("context does not cover the formula's free variables")
+        if 1 + c + d > _MAX_AXES:
+            raise CapExceeded(f"{c} context variables and {d} nested quantifiers "
+                              f"need more than the {_MAX_AXES} array axes of bulk "
+                              "evaluation", stage="bulk evaluation",
+                              size=1 + c + d, cap=_MAX_AXES)
+        depth, most = max(depth, d), max(most, m)
     letters = np.asarray(letters, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
     rows, L = letters.shape
     env = {v: j + 1 for j, v in enumerate(ctx)}
-    out = np.empty((rows,) + (L,) * c, dtype=bool)
+    out = np.empty((len(phis), rows) + (L,) * c, dtype=bool)
     block = max(1, _BLOCK_CELLS // max(1, L) ** max(c, most))
     for start in range(0, rows, block):
         part = slice(start, start + block)
         ev = _Evaluator(symbols, 1 + c + depth, letters[part], lens[part], reg)
-        out[part] = ev.table(phi, env)[(Ellipsis,) + (0,) * depth]
+        for i, phi in enumerate(phis):
+            out[i, part] = ev.table(phi, env)[(Ellipsis,) + (0,) * depth]
     return out
 
 
@@ -985,14 +991,15 @@ def in_range(lens, bound, c) -> np.ndarray:
     return mask
 
 
-def marked_truth(phi, alphabet, context, bound, registry=None) -> np.ndarray:
-    """Truth of a formula on the marked words of ``enumerate_marked(alphabet,
-    context, bound)``, as a bool vector in that order."""
+def marked_truth(phis, alphabet, context, bound, registry=None) -> np.ndarray:
+    """Truth of a family of formulas on the marked words of
+    ``enumerate_marked(alphabet, context, bound)``, as a bool matrix
+    (formulas, marked words) in that order (``truth_table``)."""
     ctx = tuple(context)
     check_bound(bound)
     letters, lens = shortlex_rows(len(alphabet), bound)
-    sat = truth_table(phi, tuple(alphabet), ctx, letters, lens, registry)
-    return sat[in_range(lens, bound, len(ctx))]
+    sat = truth_table(phis, tuple(alphabet), ctx, letters, lens, registry)
+    return sat[:, in_range(lens, bound, len(ctx))]
 
 
 def models(phi, alphabet: Alphabet, bound, context=None, registry=None,
@@ -1005,7 +1012,7 @@ def models(phi, alphabet: Alphabet, bound, context=None, registry=None,
     if not free_vars(phi) <= set(ctx):
         raise ParseError("context does not cover the formula's free variables")
     check_table("marked word table", len(alphabet), len(ctx), bound, caps)
-    truth = marked_truth(phi, alphabet, ctx, bound, registry)
+    truth = marked_truth((phi,), alphabet, ctx, bound, registry)[0]
     return frozenset(itertools.compress(enumerate_marked(alphabet, ctx, bound, caps), truth))
 
 
@@ -1023,8 +1030,8 @@ def counterexample_bounded(phi, psi, alphabet: Alphabet, bound=6,
     ctx = tuple(context) if context is not None else \
         tuple(sorted(free_vars(phi) | free_vars(psi)))
     check_table("marked word table", len(alphabet), len(ctx), bound, caps)
-    differ = np.flatnonzero(marked_truth(phi, alphabet, ctx, bound, registry)
-                            != marked_truth(psi, alphabet, ctx, bound, registry))
+    lhs, rhs = marked_truth((phi, psi), alphabet, ctx, bound, registry)
+    differ = np.flatnonzero(lhs != rhs)
     return marked_word_at(alphabet, ctx, bound, int(differ[0])) if len(differ) else None
 
 

@@ -164,9 +164,9 @@ def delta_algebra(alphabet, var, generators, bound=6,
     generators describing each cell, so they are deterministic given the
     generator order, and their model sets are exactly the atoms (making the
     family a partition of the marked words: their disjunction is everything
-    and they are pairwise disjoint), which is checked per atom.  Model sets
-    are evaluated in bulk (``logic.truth_table``), and the cells are the
-    distinct generator signatures, numbered by first occurrence.
+    and they are pairwise disjoint), which is checked for all atoms at once.
+    The generators are evaluated as one family (``logic.truth_table``), and
+    the cells are their distinct signatures, numbered by first occurrence.
     """
     registry = registry or DEFAULT_REGISTRY
     if not isinstance(alphabet, (Alphabet, ExtendedAlphabet)):
@@ -182,15 +182,18 @@ def delta_algebra(alphabet, var, generators, bound=6,
         atom_vars |= fv | bv
     check_table("marked word table", len(alphabet), 1, bound, caps)
     letters, lens = shortlex_rows(len(alphabet), bound)
-    inside, truth = signatures(generators, tuple(alphabet), (var,), letters,
-                               lens, registry)
-    atoms, sigs, formulas = cells_by_signature(generators, inside, truth, caps)
+    inside = in_range(lens, bound, 1)
+    truth = truth_table(generators, tuple(alphabet), (var,), letters, lens,
+                        registry)[:, inside]
+    atoms, sigs, formulas = cells_by_signature(generators, inside, truth,
+                                               distinct_rows(truth.T), caps)
     atoms.flags.writeable = False  # atom_rows hands out views of it
-    for ai, phi in enumerate(formulas):
-        # each representative's models must be exactly its cell
-        if not np.array_equal(marked_truth(phi, alphabet, (var,), bound, registry),
-                              atoms[inside] == ai):
-            raise ParseError("atom representative formula does not define its cell")
+    # each representative's models must be exactly its cell
+    reps = marked_truth(formulas, alphabet, (var,), bound, registry)
+    wrong = (reps != (atoms[inside] == np.arange(len(reps))[:, None])).any(axis=1)
+    if wrong.any():
+        raise InvariantViolated(f"the representative formula of atom {wrong.argmax()} "
+                                "does not define its cell", stage="atom representatives")
     return DeltaAlgebra(alphabet=alphabet, var=var, bound=bound,
                         generators=generators, atom_formulas=formulas,
                         registry=registry, caps=caps,
@@ -220,24 +223,21 @@ def row_keys(matrix) -> list:
     return np.ascontiguousarray(packed).view(f"V{packed.shape[1]}").ravel().tolist()
 
 
-def cells_of(inside, truth) -> tuple:
-    """The cell of every marked word at the entries of the mask ``inside``
-    by its column of the bool matrix ``truth``, numbered by first marked
-    word (``distinct_rows``): an array of ``inside``'s shape holding -1
-    outside it, and the index of each cell's first marked word."""
-    first, cell = distinct_rows(truth.T)
+def cells_of(inside, cell) -> np.ndarray:
+    """The numbers ``cell`` of the marked words at the entries of the mask
+    ``inside``, scattered to an array of its shape holding -1 outside it."""
     cells = np.full(inside.shape, -1, dtype=np.int64)
     cells[inside] = cell
-    return cells, first
+    return cells
 
 
-def cells_by_signature(generators, inside, truth, caps):
+def cells_by_signature(generators, inside, truth, split, caps):
     """The cells of the marked words at the entries of the mask ``inside``
     whose generator signatures are the columns of the bool matrix ``truth``
-    (generators, marked words), numbered by first marked word: the cell of
-    every entry of ``inside``'s shape (-1 outside it), the signature of each
-    cell, and its sign-conjunction of generators."""
-    atoms, first = cells_of(inside, truth)
+    (generators, marked words), as numbered by ``split``, their
+    ``distinct_rows``: the cell of every entry of ``inside``'s shape (-1
+    outside it), the signature of each cell, and its sign-conjunction."""
+    first, cell = split
     finba.check_atoms(len(first), caps, "formula algebra atoms")
     sigs = [tuple(sig) for sig in truth[:, first].T.tolist()]
     # conjuncts are shared between cells (substitute_letters renames each once)
@@ -245,27 +245,16 @@ def cells_by_signature(generators, inside, truth, caps):
     formulas = tuple(conj([g if keep else ng
                            for g, ng, keep in zip(generators, negated, sig)])
                      for sig in sigs)
-    return atoms, sigs, formulas
-
-
-def signatures(generators, symbols, ctx, letters, lens, registry):
-    """The generator signatures of the marked words (marks ``ctx``) of
-    padded letter rows, as a (generators, marked words) bool matrix in
-    ``logic.in_range`` order (for one mark, ``enumerate_marked`` order), and
-    the mask of the rows' positions they come from."""
-    inside = in_range(lens, letters.shape[1], len(ctx))
-    truth = np.array([truth_table(g, symbols, ctx, letters, lens, registry)[inside]
-                      for g in generators], dtype=bool)
-    return inside, truth.reshape(len(generators), int(inside.sum()))
+    return cells_of(inside, cell), sigs, formulas
 
 
 def _classified(delta: DeltaAlgebra, letters, lens) -> np.ndarray:
     """The atom of every position of padded letter rows by its generator
-    signature (``signatures``), -1 past the word, and -2 where no marked
-    word of length <= delta.bound realizes the signature."""
-    inside, truth = signatures(delta.generators, tuple(delta.alphabet),
-                               (delta.var,), letters, lens,
-                               delta.registry or DEFAULT_REGISTRY)
+    signature (the generators evaluated as one family), -1 past the word,
+    and -2 where no marked word of length <= delta.bound realizes it."""
+    inside = in_range(lens, letters.shape[1], 1)
+    truth = truth_table(delta.generators, tuple(delta.alphabet), (delta.var,),
+                        letters, lens, delta.registry)[:, inside]
     atoms = np.full(letters.shape, -1, dtype=np.int64)
     atoms[inside] = [delta._sig_to_atom.get(sig, -2)
                      for sig in map(tuple, truth.T.tolist())]
@@ -414,8 +403,8 @@ def check_substitution_principle(delta: DeltaAlgebra, psi: Formula,
               "sentence": to_dsl(psi)}
     check_table("word table", len(delta.alphabet), 0, bound, caps)
     letters, lens, atoms = atom_rows(delta, bound)
-    lhs = truth_table(psi, syms, (), atoms, lens, registry)
-    rhs = truth_table(sub, tuple(delta.alphabet), (), letters, lens, registry)
+    lhs = truth_table((psi,), syms, (), atoms, lens, registry)[0]
+    rhs = truth_table((sub,), tuple(delta.alphabet), (), letters, lens, registry)[0]
     # a word with an unclassifiable position is refused unless an earlier
     # word already differs
     unrealized = np.flatnonzero((atoms == -2).any(axis=1))

@@ -13,7 +13,7 @@ from . import finba
 from .caps import DEFAULT, Caps
 from .errors import NotMonoidPresentable, ParseError
 from .logic import (DEFAULT_REGISTRY, LetterPred, NumPred, Quant, TRUE, conj,
-                    formula_dfa, models, parse, relabel, satisfies, to_dsl)
+                    formula_dfa, marked_truth, parse, relabel, satisfies, to_dsl)
 from .regular import image_dfa, named_monoid, quotient_closure
 from .report import Report
 from .sampling import (MONOID_QUANTIFIERS, random_atom_sentence, random_delta,
@@ -190,19 +190,17 @@ def suite_logic(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
 
     B = Alphabet.of(tuple(A.symbols) + ("q",))
     zeta = {b: (b if b in A.symbols else A.symbols[0]) for b in B.symbols}
-    bad = None
     trials = 12
     lb = min(L, 4)
-    for _ in range(trials):
-        phi = random_sentence(rng, A, depth=2,
-                              quantifiers=("E", "mod[2,0]"), registry=reg)
-        lhs = {m.word for m in models(relabel(zeta, phi), B, lb, (), reg)}
-        image = {m.word for m in models(phi, A, lb, (), reg)}
-        rhs = {w for w in enumerate_words(B, lb, caps)
-               if tuple(zeta[c] for c in w) in image}
-        if lhs != rhs:
-            bad = to_dsl(phi)
-            break
+    phis = [random_sentence(rng, A, depth=2, quantifiers=("E", "mod[2,0]"),
+                            registry=reg) for _ in range(trials)]
+    # the preimage reads each sentence at the relabeling of each word over B
+    ids = {w: i for i, w in enumerate(enumerate_words(A, lb, caps))}
+    image = marked_truth(phis, A, (), lb, reg)[
+        :, [ids[tuple(zeta[c] for c in w)] for w in enumerate_words(B, lb, caps)]]
+    lhs = marked_truth([relabel(zeta, phi) for phi in phis], B, (), lb, reg)
+    bad = next((to_dsl(phi) for phi, got, want in zip(phis, lhs, image)
+                if (got != want).any()), None)
     out.append(_fail("logic-relabel-preimage", params, bad, trials=trials)
                if bad else _ok("logic-relabel-preimage", params,
                                trials=trials))

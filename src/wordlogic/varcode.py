@@ -22,9 +22,8 @@ from .caps import DEFAULT, Caps
 from .errors import BoundTooSmall, InvariantViolated, ParseError
 from .logic import (And, LetterPred, Not, NumPred, Or, Quant, TRUE, FALSE,
                     Registry, DEFAULT_REGISTRY, conj, disj, neg, all_vars,
-                    counterexample_bounded, free_vars, fresh_names, in_range,
-                    map_atoms, marked_truth, marked_word_at, scope, to_dsl,
-                    truth_table)
+                    free_vars, fresh_names, in_range, map_atoms, marked_truth,
+                    marked_word_at, scope, to_dsl, truth_table)
 from .regular import shortlex_rows
 from .report import Report
 from .substitution import (DeltaAlgebra, delta_algebra, sigma,
@@ -220,8 +219,8 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
     back = decode_multi(encoded, enc_vars, base)
     ctx = tuple(sorted(free_vars(phi) | set(enc_vars)))
     check_table("marked word table", len(base), len(ctx), bound, caps)
-    want = marked_truth(phi, base, ctx, bound, reg)
-    differ = np.flatnonzero(want != marked_truth(back, base, ctx, bound, reg))
+    want, got = marked_truth((phi, back), base, ctx, bound, reg)
+    differ = np.flatnonzero(want != got)
     stats["words_back"] = int(differ[0]) + 1 if len(differ) else len(want)
     if len(differ):
         mw = marked_word_at(base, ctx, bound, int(differ[0]))
@@ -237,9 +236,9 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
     letters, lens = shortlex_rows(len(ext), bound)
     image = _in_image(letters, len(enc_vars))[(slice(None),) + (None,) * len(ctx2)]
     inside = in_range(lens, bound, len(ctx2))
-    want = (truth_table(psi, ext.symbols, ctx2, letters, lens, reg) & image)[inside]
-    differ = np.flatnonzero(
-        want != truth_table(both, ext.symbols, ctx2, letters, lens, reg)[inside])
+    want, got = truth_table((psi, both), ext.symbols, ctx2, letters, lens, reg)
+    want = (want & image)[inside]
+    differ = np.flatnonzero(want != got[inside])
     stats["words_image"] = int(differ[0]) + 1 if len(differ) else len(want)
     if len(differ):
         mw = marked_word_at(ext, ctx2, bound, int(differ[0]))
@@ -301,9 +300,8 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
 
     # atoms of the source algebra: realized generator-signature cells
     if enc_vars:
-        cells = check_table("marked word table", len(base), len(ctx), bound, caps)
-        sigs = np.array([marked_truth(g, base, ctx, bound, reg) for g in generators],
-                        dtype=bool).reshape(len(generators), cells)
+        check_table("marked word table", len(base), len(ctx), bound, caps)
+        sigs = marked_truth(generators, base, ctx, bound, reg)
         source_sigs = sorted({tuple(sig) for sig in sigs.T.tolist()})
 
     # the lifted algebra over the marked alphabet
@@ -409,15 +407,19 @@ def _square_check(base, var, enc_vars, src_formulas, lifted, zeta, junk,
                          lifted=lifted, zeta=zeta, junk_atom=junk)
     params = {"alphabet": list(base.symbols), "encoded": list(enc_vars),
               "variable": var, "atoms": len(src_formulas), "bound": bound}
-    stats = {"sentences": 0}
-    for theta in _square_samples(lifted.atom_count):
-        stats["sentences"] += 1
-        via_lift = decode_multi(sigma(lifted, theta), enc_vars, base)
-        via_source = sigma_source(lift, zeta_relabel(lift, theta))
-        bad = counterexample_bounded(via_lift, via_source, base, bound,
-                                     context=enc_vars, registry=reg, caps=caps)
-        if bad is not None:
-            return Report("lift-square", params, False,
-                          counterexample=f"{to_dsl(theta)} differs on {bad}",
-                          stats=stats)
+    thetas = _square_samples(lifted.atom_count)
+    # both readings of every sample, evaluated as one family
+    check_table("marked word table", len(base), len(enc_vars), bound, caps)
+    truth = marked_truth([decode_multi(sigma(lifted, t), enc_vars, base)
+                          for t in thetas]
+                         + [sigma_source(lift, zeta_relabel(lift, t)) for t in thetas],
+                         base, enc_vars, bound, reg)
+    differ = truth[:len(thetas)] != truth[len(thetas):]
+    bad = np.flatnonzero(differ.any(axis=1))
+    stats = {"sentences": int(bad[0]) + 1 if len(bad) else len(thetas)}
+    if len(bad):
+        mw = marked_word_at(base, enc_vars, bound, int(np.argmax(differ[bad[0]])))
+        return Report("lift-square", params, False,
+                      counterexample=f"{to_dsl(thetas[bad[0]])} differs on {mw}",
+                      stats=stats)
     return Report("lift-square", params, True, stats=stats)

@@ -137,7 +137,7 @@ def model_table(phi, alphabet, context, bound, registry=None) -> np.ndarray:
     ctx = tuple(context)
     check_bound(bound)
     letters, lens = shortlex_rows(len(alphabet), bound)
-    sat = truth_table(phi, tuple(alphabet), ctx, letters, lens, registry)
+    sat = truth_table((phi,), tuple(alphabet), ctx, letters, lens, registry)[0]
     sat &= in_range(lens, bound, len(ctx))
     ids = embedded_ids(len(alphabet), len(ctx), bound)
     member = np.zeros(shortlex_offsets(len(alphabet) << len(ctx), bound)[-1], dtype=bool)

@@ -19,6 +19,7 @@ from wordlogic import (
     dump_fragment,
     finba,
     gamma_q,
+    parse,
     satisfies,
     to_dsl,
 )
@@ -27,6 +28,7 @@ from wordlogic.layers import (FragmentSpec, _refining_rows,
                               same_language_algebra)
 from wordlogic.logic import (NumPred, fold, letters_of, registry_from_json,
                              scope)
+from wordlogic.substitution import distinct_rows
 from wordlogic.words import enumerate_words
 
 from conftest import LASTBIT, model_words
@@ -64,6 +66,50 @@ def test_gamma_laws_hold_for_a_merging_relabeling():
 def test_gamma_laws_hold_for_parity():
     report = check_gamma_laws(("mod[2,0]",), {"a": "c", "b": "c"}, bound=4)
     assert report.passed, report.counterexample
+    assert report.stats == {"generators": 4, "relabeled": 2}
+
+
+def test_gamma_laws_name_the_first_sentence_that_breaks_a_law(monkeypatch):
+    import wordlogic.layers as layers
+    from wordlogic.substitution import SentenceClass
+
+    merge = {"a": "c", "b": "c", "d": "e"}
+    starts_a = parse("E x. (P[a](x) & R[first](x))")
+    monkeypatch.setattr(layers, "neg", lambda phi: starts_a)
+    report = check_gamma_laws(("E",), {"a": "c", "b": "c"}, bound=4)
+    assert (report.passed, report.stats) == (False, {"generators": 4, "relabeled": 0})
+    assert report.counterexample == (f"Boolean combination {to_dsl(starts_a)} "
+                                     "left the generated algebra")
+    monkeypatch.undo()
+
+    # the relabeling of the second destination generator, E x. P[c](x), is
+    # replaced by a sentence that is not its preimage
+    relabel = layers.relabel
+    monkeypatch.setattr(layers, "relabel", lambda zeta, g: parse("E x. P[a](x)")
+                        if to_dsl(g) == "E x. P[c](x)" else relabel(zeta, g))
+    report = check_gamma_laws(("E",), merge, bound=3)
+    assert (report.passed, report.stats) == (False, {"generators": 8, "relabeled": 2})
+    assert report.counterexample == ("relabeling of E x. P[c](x) is not the "
+                                     "letterwise preimage")
+    monkeypatch.undo()
+
+    # a destination sentence whose preimage, "starts with a or b", no
+    # generator over a, b, d separates from the others
+    generator = SentenceClass.generator
+    starts_c = parse("E x. (P[c](x) & R[first](x))")
+    monkeypatch.setattr(SentenceClass, "generator", lambda self, alphabet: [
+        *generator(self, alphabet), *[starts_c] * ("c" in alphabet.symbols)])
+    report = check_gamma_laws(("E",), merge, bound=3)
+    assert (report.passed, report.stats) == (False, {"generators": 8, "relabeled": 5})
+    assert report.counterexample == (f"relabeling of {to_dsl(starts_c)} left the "
+                                     "generated algebra")
+
+
+def test_gamma_laws_refuse_more_atoms_than_the_cap():
+    with pytest.raises(CapExceeded) as exc:
+        check_gamma_laws(("E", "mod[2,0]"), {"a": "c", "b": "c", "d": "e"},
+                         bound=3, caps=Caps(finba_atoms=5))
+    assert exc.value.info["stage"] == "algebra atoms"
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +255,9 @@ def test_no_layer_encodes_or_evaluates_a_layer_generator(monkeypatch, letters,
     events = []
     table = logic.truth_table
 
-    def spy_table(phi, symbols, context, *args, **kwargs):
-        events.append((phi, tuple(symbols), tuple(context)))
-        return table(phi, symbols, context, *args, **kwargs)
+    def spy_table(phis, symbols, context, *args, **kwargs):
+        events.append((tuple(phis), tuple(symbols), tuple(context)))
+        return table(phis, symbols, context, *args, **kwargs)
 
     for module in (logic, substitution, layers):
         monkeypatch.setattr(module, "truth_table", spy_table)
@@ -219,20 +265,19 @@ def test_no_layer_encodes_or_evaluates_a_layer_generator(monkeypatch, letters,
                         bound=bound)
     result = depth_fragment(spec)
     assert result.formulas
-    # layer 0 evaluates the quantifier-free generators in all the variables
+    # two family evaluations: layer 0 evaluates the quantifier-free
+    # generators in all the variables first
     xs = tuple(f"x{i}" for i in range(1, depth + 1))
-    qf = [e for e in events if e[2] == xs]
-    assert qf == events[:len(qf)] and qf
-    for phi, symbols, _ in qf:
-        assert scope(phi)[2] == 0 and symbols == spec.alphabet.symbols
+    assert len(events) == 2
+    (qf, symbols, context), (rest, atom_symbols, rest_context) = events
+    assert qf and context == xs and symbols == spec.alphabet.symbols
+    assert all(scope(phi)[2] == 0 for phi in qf)
     # after it only the last layer's sentences, over its atom letters, on
     # the atom words of the plain words
-    rest = events[len(qf):]
-    assert len(rest) == len(result.formulas)
-    for phi, symbols, context in rest:
-        assert context == ()
-        assert all(c.startswith("c") for c in symbols)
-        assert letters_of(phi) <= set(symbols)
+    assert len(rest) == len(result.formulas) and rest_context == ()
+    assert all(c.startswith("c") for c in atom_symbols)
+    for phi in rest:
+        assert letters_of(phi) <= set(atom_symbols)
 
 
 def test_a_last_layer_row_that_its_sentence_does_not_give_is_refused(
@@ -288,7 +333,7 @@ def test_refining_rows_match_the_greedy_scan(rows, cols, distinct_cols):
     pool = rng.random((max(1, rows // 3), distinct_cols)) < rng.random()
     truth = pool[rng.integers(0, len(pool), rows)][
         :, rng.integers(0, max(1, distinct_cols), cols)]
-    kept = _refining_rows(truth)
+    kept = _refining_rows(truth, len(distinct_rows(truth.T)[0]))
     assert kept.dtype == np.int64
     assert kept.tolist() == greedy_refining_rows(truth)
 

@@ -34,7 +34,7 @@ from wordlogic import (
     satisfies,
 )
 from wordlogic.caps import DEFAULT, Caps
-from wordlogic.logic import (_ANY, _atom, _rename_atom, check_hygiene,
+from wordlogic.logic import (_ANY, _atom, _rename_atom, check_hygiene, in_range,
                              map_atoms, map_vars, marked_truth, scope,
                              truth_table, width)
 from wordlogic.regular import ASSOC_CHECK_LIMIT, shortlex_offsets, shortlex_rows
@@ -510,7 +510,7 @@ def test_marked_truth_is_satisfies_on_every_marked_word(seed, ctx, bound):
     A = Alphabet.of("ab")
     phi = table_formula(seed, ctx)
     want = [satisfies(mw, phi, NEAR) for mw in enumerate_marked(A, ctx, bound)]
-    assert marked_truth(phi, A, ctx, bound, NEAR).tolist() == want
+    assert marked_truth((phi,), A, ctx, bound, NEAR)[0].tolist() == want
 
 
 NEAR_LASTBIT = registry_from_json({"quantifiers": [LASTBIT],
@@ -527,7 +527,49 @@ def test_marked_truth_is_satisfies_under_a_non_commuting_quantifier(seed, ctx,
                          predicates=TABLE_PREDICATES, registry=NEAR_LASTBIT)
     want = [satisfies(mw, phi, NEAR_LASTBIT)
             for mw in enumerate_marked(A, ctx, bound)]
-    assert marked_truth(phi, A, ctx, bound, NEAR_LASTBIT).tolist() == want
+    assert marked_truth((phi,), A, ctx, bound, NEAR_LASTBIT)[0].tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3),
+                          st.sampled_from(CONTEXTS)), max_size=5),
+       st.integers(0, 4), st.sampled_from([20, 200, 1 << 20]))
+def test_a_family_is_its_formulas_evaluated_one_by_one(draws, bound, cells):
+    # depths 0-3 and free variables among 0-2 context variables in one
+    # family, under quantifiers with a count table, the oracle maj and the
+    # non-commuting lastbit (asked row by row), in blocks of a few rows
+    import wordlogic.logic as logic
+
+    A, ctx = Alphabet.of("ab"), ("x", "y")
+    phis = [random_formula(random.Random(seed), A, context=free, depth=depth,
+                           quantifiers=("E", "mod[2,1]", "maj", "lastbit"),
+                           predicates=TABLE_PREDICATES, registry=NEAR_LASTBIT)
+            for seed, depth, free in draws]
+    letters, lens = shortlex_rows(len(A), bound)
+    one_by_one = [truth_table((phi,), A.symbols, ctx, letters, lens, NEAR_LASTBIT)
+                  for phi in phis]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logic, "_BLOCK_CELLS", cells)
+        family = truth_table(phis, A.symbols, ctx, letters, lens, NEAR_LASTBIT)
+    assert family.shape == (len(phis), len(lens), bound, bound)
+    if phis:
+        assert np.array_equal(family, np.concatenate(one_by_one))
+    marked = marked_truth(phis, A, ctx, bound, NEAR_LASTBIT)
+    assert marked.shape == (len(phis), len(list(enumerate_marked(A, ctx, bound))))
+    assert np.array_equal(marked, family[:, in_range(lens, bound, len(ctx))])
+
+
+def test_a_family_is_checked_formula_by_formula_before_evaluation():
+    A = Alphabet.of("ab")
+    letters, lens = shortlex_rows(len(A), 2)
+    deep = LetterPred("a", "x")
+    for i in range(63):
+        deep = Quant("E", f"y{i}", deep)
+    with pytest.raises(ParseError, match="context does not cover"):
+        truth_table((TRUE, parse("P[a](y)")), A.symbols, ("x",), letters, lens)
+    with pytest.raises(CapExceeded) as exc:
+        truth_table((parse("P[a](x)"), deep), A.symbols, ("x",), letters, lens)
+    assert exc.value.info == {"stage": "bulk evaluation", "size": 65, "cap": 64}
 
 
 @pytest.mark.parametrize("name", ["E", "E1", "mod[2,0]", "mod[3,1]"])
@@ -577,10 +619,10 @@ def test_blocks_are_sized_by_width_not_by_variable_count(monkeypatch):
         return table(self, node, env)
 
     monkeypatch.setattr(logic._Evaluator, "table", spy)
-    whole = truth_table(both, ext.symbols, (), letters, lens)
+    whole = truth_table((both,), ext.symbols, (), letters, lens)[0]
     assert blocks == [len(lens)]
     monkeypatch.setattr(logic, "_BLOCK_CELLS", 20)  # 20 // 3^width words
-    assert np.array_equal(truth_table(both, ext.symbols, (), letters, lens), whole)
+    assert np.array_equal(truth_table((both,), ext.symbols, (), letters, lens)[0], whole)
     assert len(blocks) > 2
     assert whole.tolist() == [satisfies(MarkedWord(w, ()), both)
                               for w in enumerate_words(ext.symbols, 3)]
@@ -602,7 +644,7 @@ def test_predicate_tables_are_built_once_per_predicate_and_read_only():
     for reg in (near, far, near):  # one name, two predicates
         want = [satisfies(mw, phi, reg) for mw in enumerate_marked(A, ("x",), 4)]
         asked.clear()
-        assert marked_truth(phi, A, ("x",), 4, reg).tolist() == want
+        assert marked_truth((phi,), A, ("x",), 4, reg)[0].tolist() == want
         asks.append(len(asked))
     # near's table over bound 4 is asked once per position pair, once
     assert asks == [sum(n * n for n in range(5)), 0, 0]
@@ -618,13 +660,13 @@ def test_sibling_binders_share_axes_and_deep_nesting_is_refused():
     wide = conj(parse(f"E y{i}. (x < y{i} & P[a](y{i}))" if i % 2 else
                       f"mod[2,0] y{i}. P[b](y{i})") for i in range(70))
     want = [satisfies(mw, wide) for mw in enumerate_marked(A, ("x",), 4)]
-    assert marked_truth(wide, A, ("x",), 4).tolist() == want
+    assert marked_truth((wide,), A, ("x",), 4)[0].tolist() == want
     # 63 nested binders and one context variable need 65 axes
     deep = LetterPred("a", "x")
     for i in range(63):
         deep = Quant("E", f"y{i}", deep)
     with pytest.raises(CapExceeded) as exc:
-        marked_truth(deep, A, ("x",), 2)
+        marked_truth((deep,), A, ("x",), 2)
     assert exc.value.info == {"stage": "bulk evaluation", "size": 65, "cap": 64}
 
 

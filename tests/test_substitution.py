@@ -115,6 +115,19 @@ def test_generators_must_use_only_the_marked_variable(ab):
         delta_algebra(ab, "x", [parse("P[a](y)")])
 
 
+def test_a_representative_that_misses_its_cell_is_refused(ab, monkeypatch):
+    # dropping the last conjunct leaves P[a](x) for both cells with P[a](x)
+    gens = [parse("P[a](x)"), parse("E y. y < x")]
+    conj = substitution.conj
+    monkeypatch.setattr(substitution, "conj", lambda parts: conj(parts[:-1]))
+    with pytest.raises(InvariantViolated) as exc:
+        delta_algebra(ab, "x", gens, bound=3)
+    assert exc.value.info == {"stage": "atom representatives"}
+    assert "atom 0" in str(exc.value)
+    monkeypatch.setattr(substitution, "conj", conj)
+    assert delta_algebra(ab, "x", gens, bound=3).atom_count == 4
+
+
 def test_trivial_algebra(ab):
     triv = delta_algebra(ab, "x", [], bound=4)
     assert triv.atom_count == 1
@@ -195,7 +208,7 @@ def test_atom_rows_are_tau_and_sentences_on_them_are_satisfies(seed, bound):
     syms = delta.atom_alphabet().symbols
     psi = random_atom_sentence(rng, syms, ("E", "E1", "mod[2,0]", "maj"))
     letters, lens, atoms = atom_rows(delta, bound)
-    truth = truth_table(psi, syms, (), atoms, lens)
+    truth = truth_table((psi,), syms, (), atoms, lens)[0]
     words = list(enumerate_words(delta.alphabet, bound))
     assert [len(w) for w in words] == lens.tolist()
     for w, row, value in zip(words, atoms.tolist(), truth.tolist()):
@@ -389,7 +402,7 @@ def test_sentence_rows_are_the_truth_of_each_sentence(quantifiers, natoms):
     assert rows.shape == (len(quantifiers) << natoms, len(lens))
     for i, row in enumerate(rows):
         phi = gamma.sentence(i, syms)
-        assert np.array_equal(row, truth_table(phi, syms, (), cells, lens, reg))
+        assert np.array_equal(row, truth_table((phi,), syms, (), cells, lens, reg)[0])
 
 
 def sentence_rows_by_matrix_product(gamma, natoms, cells, lens, reg):

@@ -293,9 +293,9 @@ def test_lift_without_encoded_variables_evaluates_each_generator_once(
     for module in (logic_module, substitution_module):
         real = module.truth_table
 
-        def counted(phi, *args, real=real, **kwargs):
-            seen.append(phi)
-            return real(phi, *args, **kwargs)
+        def counted(phis, *args, real=real, **kwargs):
+            seen.extend(phis)
+            return real(phis, *args, **kwargs)
 
         monkeypatch.setattr(module, "truth_table", counted)
     lift = lift_delta(gens, "x", (), AB, bound=4)
