@@ -5,6 +5,10 @@ registry, satisfaction semantics, bounded model sets and bounded semantic
 equivalence, the letter-relabeling action, and the bridge from a formula to
 an exact automaton over the extended alphabet.
 
+Beside the three semantics (``satisfies``, ``truth_table``, ``formula_dfa``)
+there are two structural walks: ``map_atoms`` rebuilds formulas (renaming
+and substitution through its binder hook), ``scope`` analyses them.
+
 Surface syntax:
 
     E x. P[a](x) & ~(x < y | R[succ](x,y)) | mod[2,0] z. P[b](z)
@@ -22,7 +26,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -129,34 +133,20 @@ def neg(phi) -> object:
     return Not(phi)
 
 
-def fold(phi, atom, quant=None) -> frozenset:
-    """Bottom-up union over a formula: ``atom(node)`` is the set of a leaf,
-    connectives unite their children's sets, and a binder maps the set of
-    its body through ``quant(node, inner)`` (unchanged when omitted)."""
-    if isinstance(phi, Not):
-        return fold(phi.sub, atom, quant)
-    if isinstance(phi, (And, Or)):
-        out = frozenset()
-        for a in phi.args:
-            out |= fold(a, atom, quant)
-        return out
-    if isinstance(phi, Quant):
-        inner = fold(phi.body, atom, quant)
-        return quant(phi, inner) if quant else inner
-    return atom(phi)
-
-
-def map_atoms(phi, f):
+def map_atoms(phi, f, bind=None):
     """Rebuild a formula with every atom (letter test, numerical predicate,
-    constant) replaced by ``f(atom)``; atoms are visited left to right."""
+    constant) replaced by ``f(atom)``, left to right: the one walk that
+    rebuilds formulas.  The binder hook ``bind(binder, f)``, when given,
+    returns the binder's output variable and the atom map of its body."""
     if isinstance(phi, Not):
-        return Not(map_atoms(phi.sub, f))
+        return Not(map_atoms(phi.sub, f, bind))
     if isinstance(phi, And):
-        return And(tuple(map_atoms(a, f) for a in phi.args))
+        return And(tuple(map_atoms(a, f, bind) for a in phi.args))
     if isinstance(phi, Or):
-        return Or(tuple(map_atoms(a, f) for a in phi.args))
+        return Or(tuple(map_atoms(a, f, bind) for a in phi.args))
     if isinstance(phi, Quant):
-        return Quant(phi.q, phi.var, map_atoms(phi.body, f))
+        var, f = bind(phi, f) if bind else (phi.var, f)
+        return Quant(phi.q, var, map_atoms(phi.body, f, bind))
     return f(phi)
 
 
@@ -210,8 +200,9 @@ def all_vars(phi) -> frozenset:
 
 def letters_of(phi) -> frozenset:
     """All alphabet symbols the formula mentions in letter tests."""
-    return fold(phi, lambda node: frozenset({node.symbol})
-                if isinstance(node, LetterPred) else frozenset())
+    atoms = []
+    map_atoms(phi, lambda node: atoms.append(node) or node)
+    return frozenset(a.symbol for a in atoms if isinstance(a, LetterPred))
 
 
 def check_hygiene(phi):
@@ -222,16 +213,16 @@ def check_hygiene(phi):
     if clash:
         raise ParseError(f"variable {min(clash)!r} occurs both free and bound")
 
-    def binder(node, inner):
-        if node.var in inner:
+    def bind(node, f):
+        if node.var in bound_vars(node.body):
             raise ParseError(f"variable {node.var!r} is bound twice")
-        return inner | {node.var}
+        return node.var, f
 
-    fold(phi, lambda node: frozenset(), binder)
+    map_atoms(phi, lambda node: node, bind)
     return phi
 
 
-def _rename_atom(node, ren: dict):
+def _rename_atom(ren: dict, node):
     if isinstance(node, LetterPred):
         return LetterPred(node.symbol, ren.get(node.var, node.var))
     if isinstance(node, NumPred):
@@ -240,51 +231,47 @@ def _rename_atom(node, ren: dict):
 
 
 def map_vars(phi, ren: dict):
-    """Rename free variables by a table, in one walk that refuses a binder
-    of a renamed variable (use rename_bound first)."""
-    def walk(node):
-        if isinstance(node, Not):
-            return Not(walk(node.sub))
-        if isinstance(node, (And, Or)):
-            return type(node)(tuple(map(walk, node.args)))
-        if isinstance(node, Quant):
-            if node.var in ren:
-                clash = bound_vars(phi) & ren.keys()
-                raise ParseError(f"cannot rename across binder of {min(clash)!r}")
-            return Quant(node.q, node.var, walk(node.body))
-        return _rename_atom(node, ren)
+    """Rename the free variables of a formula by a table, capture-free: a
+    binder of a renamed variable hides it from its body, and a variable
+    renamed to the variable of a binder it occurs free under is refused
+    with a ParseError naming it (rename_bound first)."""
+    def bind(node, f):
+        ren = {u: w for u, w in f.args[0].items() if u != node.var}
+        for u, w in ren.items():
+            if w == node.var and u in free_vars(node.body):
+                raise ParseError(f"variable {u!r} renamed to {w!r} would be "
+                                 f"captured by the binder of {w!r}")
+        return node.var, partial(_rename_atom, ren)
 
-    return walk(phi)
+    return map_atoms(phi, partial(_rename_atom, ren), bind)
 
 
-def fresh_names(avoid, prefix="z"):
-    """The names prefix0, prefix1, ... that are not in ``avoid``, in order."""
-    i = 0
-    while True:
-        name = f"{prefix}{i}"
-        i += 1
-        if name not in avoid:
-            yield name
+def fresh_names(avoid):
+    """The names z0, z1, ... that are not in ``avoid``, in order."""
+    return (name for name in map("z{}".format, itertools.count())
+            if name not in avoid)
 
 
-def rename_bound(phi, avoid, prefix="z"):
+def fresh_binder(avoid):
+    """The binder hook of a systematic renaming, for atom maps
+    ``partial(leaf, ren)``: each binder, left to right, takes the next name
+    of ``fresh_names(avoid)``, added to ``ren`` for its body."""
+    fresh = fresh_names(avoid)
+
+    def bind(node, f):
+        v = next(fresh)
+        return v, partial(f.func, {**f.args[0], node.var: v})
+
+    return bind
+
+
+def rename_bound(phi, avoid):
     """Systematically rename all bound variables to fresh z0, z1, ... not in
-    ``avoid``; deterministic left-to-right numbering."""
-    fresh = fresh_names(set(avoid) | free_vars(phi), prefix)
-
-    def walk(node, ren):
-        if isinstance(node, Not):
-            return Not(walk(node.sub, ren))
-        if isinstance(node, And):
-            return And(tuple(walk(a, ren) for a in node.args))
-        if isinstance(node, Or):
-            return Or(tuple(walk(a, ren) for a in node.args))
-        if isinstance(node, Quant):
-            v = next(fresh)
-            return Quant(node.q, v, walk(node.body, {**ren, node.var: v}))
-        return _rename_atom(node, ren)
-
-    return walk(phi, {})
+    ``avoid``; deterministic left-to-right numbering.  Capture-free: no
+    fresh name is free in the formula, and each occurrence of a bound
+    variable stays bound by its own binder."""
+    return map_atoms(phi, partial(_rename_atom, {}),
+                     fresh_binder(set(avoid) | free_vars(phi)))
 
 
 # ---------------------------------------------------------------------------

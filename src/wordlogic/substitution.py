@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,16 +27,15 @@ from . import finba
 from .caps import DEFAULT, Caps
 from .errors import BoundTooSmall, CapExceeded, InvariantViolated, ParseError
 from .logic import (And, Formula, LetterPred, Quant, Registry, DEFAULT_REGISTRY,
-                    conj, disj, Not, neg, formula_dfa, all_vars, in_range,
-                    map_atoms, map_vars, marked_truth, rename_bound, scope,
-                    to_dsl, truth_table)
+                    conj, disj, Not, neg, formula_dfa, all_vars, free_vars,
+                    fresh_binder, in_range, map_atoms, map_vars, marked_truth,
+                    scope, to_dsl, truth_table)
 from .regular import (Dfa, closure, first_paths, image_dfa, shortlex_offsets,
                       shortlex_rows, word_ids)
 from .report import Report
 from .semidirect import transfer_dfa
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_table,
-                    decode_marks, enumerate_marked, enumerate_words,
-                    mark_alphabet)
+                    decode_marks, enumerate_marked, mark_alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +122,10 @@ class DeltaAlgebra:
     position of every word of length <= bound (``regular.shortlex_rows``),
     -1 past the word, atoms numbered by first marked word in
     ``enumerate_marked`` order (``cells_by_signature``).  Each atom has a
-    representative formula (the sign-conjunction of generators cutting it,
-    by signature in ``_sig_to_atom``) and a letter c0, c1, ...  ``ba``, the
-    algebra over the marked words as carrier, is built only on request.
+    representative formula (the sign-conjunction of generators cutting it)
+    and a letter c0, c1, ...; ``atom_of_signature`` is the read-only map
+    from a generator signature to its atom.  ``ba``, the algebra over the
+    marked words as carrier, is built only on request.
     ``_atom_vars`` are the names ``sigma`` must avoid, ``_renamed`` its
     renamed conjuncts.
     """
@@ -136,7 +137,8 @@ class DeltaAlgebra:
     atom_formulas: tuple         # one formula per atom, same order
     registry: Registry = field(default=None, compare=False, repr=False)
     caps: Caps = field(default=DEFAULT, compare=False, repr=False)
-    _sig_to_atom: dict = field(default=None, compare=False, repr=False)
+    atom_of_signature: MappingProxyType = field(default=None, compare=False,
+                                                repr=False)
     _atoms: np.ndarray = field(default=None, compare=False, repr=False)
     _atom_vars: frozenset = field(default=None, compare=False, repr=False)
     _renamed: dict = field(default_factory=dict, init=False, compare=False,
@@ -197,7 +199,8 @@ def delta_algebra(alphabet, var, generators, bound=6,
     return DeltaAlgebra(alphabet=alphabet, var=var, bound=bound,
                         generators=generators, atom_formulas=formulas,
                         registry=registry, caps=caps,
-                        _sig_to_atom={sig: ai for ai, sig in enumerate(sigs)},
+                        atom_of_signature=MappingProxyType(
+                            {sig: ai for ai, sig in enumerate(sigs)}),
                         _atoms=atoms,
                         _atom_vars=frozenset(atom_vars if formulas else {var}))
 
@@ -256,7 +259,7 @@ def _classified(delta: DeltaAlgebra, letters, lens) -> np.ndarray:
     truth = truth_table(delta.generators, tuple(delta.alphabet), (delta.var,),
                         letters, lens, delta.registry)[:, inside]
     atoms = np.full(letters.shape, -1, dtype=np.int64)
-    atoms[inside] = [delta._sig_to_atom.get(sig, -2)
+    atoms[inside] = [delta.atom_of_signature.get(sig, -2)
                      for sig in map(tuple, truth.T.tolist())]
     return atoms
 
@@ -342,10 +345,11 @@ def substitute_letters(psi: Formula, by_symbol: dict, var: str,
     ``var`` renamed to z; other free variables of the replacement formulas
     stay free.
 
-    The sentence's bound variables are first renamed to fresh z0, z1, ... so
-    they cannot collide with ``var`` or the variables of the replacement
-    formulas (``avoid``, computed from them when not given); the renaming is
-    systematic, making the output deterministic.  Each conjunct of a
+    Capture-free, in one pass: the sentence's binders become fresh z0, z1,
+    ... (``fresh_binder``) apart from ``var`` and the variables of the
+    replacement formulas (``avoid``, computed from them when not given),
+    and renaming ``var`` (``map_vars``) refuses a free variable of the
+    sentence that a replacement formula binds.  Each conjunct of a
     replacement formula is renamed once per variable, in ``renamed`` (kept
     across calls when given; keyed by the conjunct object's identity, so it
     must not outlive the replacement formulas); a conjunct Not(g) is Not of
@@ -353,7 +357,6 @@ def substitute_letters(psi: Formula, by_symbol: dict, var: str,
     """
     if avoid is None:
         avoid = frozenset({var}).union(*map(all_vars, by_symbol.values()))
-    psi = rename_bound(psi, avoid)
     renamed = {} if renamed is None else renamed
 
     def rename(p, z):
@@ -362,19 +365,20 @@ def substitute_letters(psi: Formula, by_symbol: dict, var: str,
                 else map_vars(p, {var: z})
         return renamed[id(p), z]
 
-    def leaf(node):
-        if isinstance(node, LetterPred):
-            if node.symbol not in by_symbol:
-                raise ParseError(f"letter {node.symbol!r} is not an atom of "
-                                 f"the algebra being substituted")
-            phi = by_symbol[node.symbol]
-            parts = phi.args if isinstance(phi, And) else (phi,)
-            out = tuple(rename(p, node.var) for p in parts)
-            # what map_vars builds from the whole formula
-            return And(out) if isinstance(phi, And) else out[0]
-        return node
+    def leaf(ren, node):
+        if not isinstance(node, LetterPred):
+            return map_vars(node, ren)
+        if node.symbol not in by_symbol:
+            raise ParseError(f"letter {node.symbol!r} is not an atom of "
+                             f"the algebra being substituted")
+        phi = by_symbol[node.symbol]
+        parts = phi.args if isinstance(phi, And) else (phi,)
+        out = tuple(rename(p, ren.get(node.var, node.var)) for p in parts)
+        # what map_vars builds from the whole formula
+        return And(out) if isinstance(phi, And) else out[0]
 
-    return map_atoms(psi, leaf)
+    return map_atoms(psi, partial(leaf, {}),
+                     fresh_binder(free_vars(psi).union(avoid)))
 
 
 def sigma(delta: DeltaAlgebra, psi: Formula) -> Formula:
@@ -461,7 +465,7 @@ def atom_transduction(delta: DeltaAlgebra, caps: Caps = DEFAULT) -> AtomTransduc
     (``logic.formula_dfa``; one that is not monoid-presentable raises
     NotMonoidPresentable), and one closure (stage "atom transduction")
     builds their product with the marked-word image (``regular.image_dfa``).
-    A marked state is labelled by the atom (``_sig_to_atom``) of the
+    A marked state is labelled by the atom (``atom_of_signature``) of the
     generators' accepting bits there.  A marked state whose signature no
     marked word of length <= ``delta.bound`` realizes is refused with
     BoundTooSmall, naming the shortest marked word that reaches it, which
@@ -482,7 +486,7 @@ def atom_transduction(delta: DeltaAlgebra, caps: Caps = DEFAULT) -> AtomTransduc
     label = []
     for q, st in enumerate(states):
         *sig, marked = (s in d.accepting for d, s in zip(dfas, st))
-        atom = delta._sig_to_atom.get(tuple(sig)) if marked else None
+        atom = delta.atom_of_signature.get(tuple(sig)) if marked else None
         if marked and atom is None:
             mw = decode_marks(first_paths(edges, ext.symbols)[q], ext)
             raise BoundTooSmall(
@@ -496,12 +500,11 @@ def atom_transduction(delta: DeltaAlgebra, caps: Caps = DEFAULT) -> AtomTransduc
 
 @dataclass(frozen=True, eq=False)
 class WOdotC:
-    """Preimage algebra of a family of atom-word languages."""
+    """Exact preimages of a family of atom-word languages, and the
+    transduction that pulls them back."""
 
     transduction: AtomTransduction
     preimages: tuple          # exact DFAs over the base alphabet, per generator
-    ba: finba.FinBA           # bounded shadow over plain words <= bound
-    bound: int
 
 
 def _accepts_rows(dfa: Dfa, letters, lens) -> np.ndarray:
@@ -526,10 +529,8 @@ def w_odot_c(w_dfas, delta: DeltaAlgebra, caps: Caps = DEFAULT) -> WOdotC:
     """
     td = atom_transduction(delta, caps)
     atom_syms = delta.atom_alphabet().symbols
-    carrier = tuple(enumerate_words(delta.alphabet, delta.bound, caps))
     letters, lens, atoms = atom_rows(delta, delta.bound)
     pre = []
-    langs = []
     for k in w_dfas:
         if tuple(k.alphabet) != atom_syms:
             raise ParseError(f"language alphabet {k.alphabet} does not match "
@@ -538,15 +539,14 @@ def w_odot_c(w_dfas, delta: DeltaAlgebra, caps: Caps = DEFAULT) -> WOdotC:
         want = _accepts_rows(k, atoms, lens)
         differ = np.flatnonzero(_accepts_rows(d, letters, lens) != want)
         if len(differ):
-            word = "".join(carrier[differ[0]]) or "<empty>"
+            r = differ[0]
+            word = "".join(_row_word(delta.alphabet, letters[r],
+                                     lens[r])) or "<empty>"
             raise InvariantViolated(
                 f"the preimage disagrees with the algebra's atom table on "
                 f"{word}", stage="atom transduction", word=word)
         pre.append(d)
-        langs.append(frozenset(itertools.compress(carrier, want)))
-    ba = finba.generate(carrier, langs, caps)
-    return WOdotC(transduction=td, preimages=tuple(pre), ba=ba,
-                  bound=delta.bound)
+    return WOdotC(transduction=td, preimages=tuple(pre))
 
 
 # ---------------------------------------------------------------------------

@@ -316,33 +316,26 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
     if not enc_vars:
         # encode_multi(g, ()) is g: the source algebra is the lifted one,
         # evaluated once
-        source_sigs = sorted(lifted._sig_to_atom)
-    src_formulas = []
-    for sig in source_sigs:
-        parts = [g if keep else neg(g) for g, keep in zip(generators, sig)]
-        src_formulas.append(conj(parts) if parts else TRUE)
+        source_sigs = sorted(lifted.atom_of_signature)
+    src_formulas = [conj([g if keep else neg(g) for g, keep in zip(generators, sig)])
+                    for sig in source_sigs]
 
-    # source atoms embed by signature: the encodings of the generators cut
-    # the image exactly as the generators cut the marked words
-    zeta = []
-    for sig in source_sigs:
-        key = sig + (True,) if enc_vars else sig
-        if key not in lifted._sig_to_atom:
-            raise BoundTooSmall("an encoded source cell is not realized over "
-                                "the marked alphabet", stage="lift_delta",
-                                size=lifted.atom_count, bound=bound)
-        zeta.append(lifted._sig_to_atom[key])
-    junk = None
-    if enc_vars:
-        junk = lifted._sig_to_atom.get((False,) * len(enc_gens))
-        expect = len(source_sigs) + (1 if junk is not None else 0)
-        if lifted.atom_count != expect or junk is None:
+    # source atoms embed by signature: source marked words and on-image
+    # lifted ones correspond one to one, and off the image every encoding is
+    # false, so other cells are a fault unless no marked word exists
+    sig_atoms = lifted.atom_of_signature
+    keys = [sig + (True,) for sig in source_sigs] if enc_vars else source_sigs
+    off = (False,) * len(enc_gens)
+    if sig_atoms.keys() != set(keys) | ({off} if enc_vars else set()):
+        if bound < 1:
             raise BoundTooSmall("the lifted algebra has unexpected cells at "
                                 "this bound", stage="lift_delta",
                                 size=lifted.atom_count, bound=bound)
-    if len(set(zeta)) != len(zeta):
-        raise InvariantViolated("two source atoms embed into one lifted atom",
-                                stage="lift_delta")
+        raise InvariantViolated("the lifted algebra has unexpected cells",
+                                stage="lift_delta", size=lifted.atom_count,
+                                bound=bound)
+    zeta = [sig_atoms[key] for key in keys]
+    junk = sig_atoms[off] if enc_vars else None
 
     report = None
     if check:

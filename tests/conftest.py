@@ -8,9 +8,17 @@ import pytest
 from hypothesis import settings
 
 from wordlogic import (
+    FALSE,
+    TRUE,
     Alphabet,
+    And,
     DEFAULT_REGISTRY,
+    LetterPred,
     MarkedWord,
+    Not,
+    NumPred,
+    Or,
+    Quant,
     delta_algebra,
     models,
     parse,
@@ -33,6 +41,32 @@ settings.load_profile("suite")
 #: count decides it.
 LASTBIT = {"name": "lastbit", "table": [[0, 1, 2], [1, 1, 2], [2, 1, 2]],
            "identity": 0, "images": [1, 2], "accept": [2]}
+
+
+#: variable names for formulas that shadow, reuse and capture: binders and
+#: atoms draw from the same few names, so a formula may bind a variable it
+#: also uses free, or bind it again inside its own body
+SHADOW_NAMES = ("x", "y", "w")
+
+
+def shadowing_formula(rng, depth):
+    """A random formula over letters a, b of at most ``depth`` nested
+    connectives and binders, whose variables are SHADOW_NAMES."""
+    if depth == 0:
+        roll = rng.random()
+        if roll < 0.5:
+            return LetterPred(rng.choice("ab"), rng.choice(SHADOW_NAMES))
+        if roll < 0.9:
+            return NumPred("<", (rng.choice(SHADOW_NAMES), rng.choice(SHADOW_NAMES)))
+        return rng.choice((TRUE, FALSE))
+    roll = rng.random()
+    if roll < 0.4:
+        return Quant(rng.choice(("E", "mod[2,1]")), rng.choice(SHADOW_NAMES),
+                     shadowing_formula(rng, depth - 1))
+    if roll < 0.55:
+        return Not(shadowing_formula(rng, depth - 1))
+    parts = (shadowing_formula(rng, depth - 1), shadowing_formula(rng, depth - 1))
+    return And(parts) if roll < 0.8 else Or(parts)
 
 
 @pytest.fixture

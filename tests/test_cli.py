@@ -91,6 +91,24 @@ def test_substitute_rewrites_atom_letters(capsys):
     assert out.strip() == "E z0. P[a](z0)"
 
 
+def test_substitute_through_a_generator_that_binds_the_variable(capsys):
+    rc, out, _ = run(capsys, ["substitute", "--alphabet", "ab",
+                              "--generator", "E x. P[a](x)",
+                              "--sentence", "E y. P[c0](y)"])
+    assert rc == 0
+    assert out.strip() == "E z0. E x. P[a](x)"
+
+
+def test_substitute_refuses_a_capture(capsys):
+    # the atom formula of c1 binds z, the variable its letter test is at
+    rc, out, err = run(capsys, ["substitute", "--alphabet", "ab",
+                                "--generator", "E z. z < x & P[a](z)",
+                                "--sentence", "P[c1](z)"])
+    assert rc == 2
+    assert out == ""
+    assert "variable 'x' renamed to 'z' would be captured" in err
+
+
 def test_tau_spells_a_word_in_atom_letters(capsys):
     rc, out, _ = run(capsys, ["tau", "--alphabet", "ab", "--var", "x",
                               "--generator", "P[a](x)", "--maxlen", "4",

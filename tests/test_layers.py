@@ -26,8 +26,8 @@ from wordlogic import (
 from wordlogic.caps import Caps
 from wordlogic.layers import (FragmentSpec, _refining_rows,
                               same_language_algebra)
-from wordlogic.logic import (NumPred, fold, letters_of, registry_from_json,
-                             scope)
+from wordlogic.logic import (NumPred, letters_of, map_atoms,
+                             registry_from_json, scope)
 from wordlogic.substitution import distinct_rows
 from wordlogic.words import enumerate_words
 
@@ -340,9 +340,19 @@ def test_refining_rows_match_the_greedy_scan(rows, cols, distinct_cols):
 
 def _names(phi):
     """The quantifiers and numerical predicates a formula uses."""
-    return fold(phi, lambda node: frozenset({node.name})
-                if isinstance(node, NumPred) else frozenset(),
-                lambda node, inner: inner | {node.q})
+    names = set()
+
+    def leaf(node):
+        if isinstance(node, NumPred):
+            names.add(node.name)
+        return node
+
+    def bind(node, f):
+        names.add(node.q)
+        return node.var, f
+
+    map_atoms(phi, leaf, bind)
+    return names
 
 
 #: the fragment specs of the benchmark's semantics workload

@@ -34,18 +34,17 @@ from wordlogic import (
     satisfies,
 )
 from wordlogic.caps import DEFAULT, Caps
-from wordlogic.logic import (_ANY, _atom, _rename_atom, check_hygiene, in_range,
-                             map_atoms, map_vars, marked_truth, scope,
-                             truth_table, width)
+from wordlogic.logic import (_ANY, _atom, check_hygiene, in_range, map_vars,
+                             marked_truth, scope, truth_table, width)
 from wordlogic.regular import ASSOC_CHECK_LIMIT, shortlex_offsets, shortlex_rows
 from wordlogic.semidirect import compile_layer
 from wordlogic.sampling import random_formula
 from wordlogic.varcode import decode, encode
 from wordlogic.words import embed_marked, enumerate_marked, enumerate_words
 
-from conftest import (LASTBIT, agrees, count_layer, embedded_ids, infer_dfa,
-                      member_table, model_table, model_words, off_by_one_table,
-                      plain, random_body)
+from conftest import (LASTBIT, SHADOW_NAMES, agrees, count_layer, embedded_ids,
+                      infer_dfa, member_table, model_table, model_words,
+                      off_by_one_table, plain, random_body, shadowing_formula)
 
 
 # ---------------------------------------------------------------------------
@@ -102,23 +101,80 @@ def test_scope_is_the_free_and_bound_variables():
     assert scope(Quant("E", "x", LetterPred("a", "y"))) == ({"y"}, {"x"}, 1, 1)
 
 
+def test_hygiene_names_the_outermost_binder_bound_twice():
+    # two violations: the outer x is bound again in its body, and so is
+    # the y inside; the binder hook meets the outer one first
+    phi = Quant("E", "x", And((Quant("E", "y", Quant("E", "y", TRUE)),
+                               Quant("E", "x", TRUE))))
+    with pytest.raises(ParseError, match="variable 'x' is bound twice"):
+        check_hygiene(phi)
+
+
+def test_map_vars_hides_a_renamed_variable_under_its_binder():
+    phi = Quant("E", "x", LetterPred("a", "x"))
+    assert map_vars(phi, {"x": "z0"}) == phi
+    mixed = And((LetterPred("b", "x"), phi))
+    assert to_dsl(map_vars(mixed, {"x": "y"})) == "P[b](y) & (E x. P[a](x))"
+
+
+def test_map_vars_refuses_a_capture():
+    phi = parse("E z. z < x & P[a](z)")
+    with pytest.raises(ParseError, match="variable 'x' renamed to 'z' would "
+                       "be captured by the binder of 'z'"):
+        map_vars(phi, {"x": "z"})
+    # renaming the binders apart first makes the same renaming safe
+    out = map_vars(rename_bound(phi, {"z"}), {"x": "z"})
+    assert to_dsl(out) == "E z0. z0 < z & P[a](z0)"
+
+
+def captured(phi, ren, binders=frozenset()) -> set:
+    """Reference: the variables with a free occurrence under a binder of
+    the name ``ren`` gives them (a binder of a variable hides it)."""
+    if isinstance(phi, Quant):
+        return captured(phi.body, {u: w for u, w in ren.items() if u != phi.var},
+                        binders | {phi.var})
+    if isinstance(phi, Not):
+        return captured(phi.sub, ren, binders)
+    if isinstance(phi, (And, Or)):
+        return set().union(*(captured(a, ren, binders) for a in phi.args))
+    return {v for v in scope(phi)[0] if ren.get(v) in binders}
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(0, 10 ** 6), st.integers(0, 4),
+       st.dictionaries(st.sampled_from(SHADOW_NAMES),
+                       st.sampled_from(SHADOW_NAMES + ("v",)), max_size=3))
+def test_map_vars_refuses_a_capture_or_agrees_with_its_input(seed, depth, ren):
+    # on every marked word, the output read with the new names is the input
+    # read with each old variable at the mark of its new name
+    phi = shadowing_formula(random.Random(seed), depth)
+    caught = captured(phi, ren)
+    if caught:
+        with pytest.raises(ParseError, match="would be captured") as exc:
+            map_vars(phi, ren)
+        assert any(str(exc.value).startswith(f"variable {u!r} renamed")
+                   for u in caught)
+        return
+    out = map_vars(phi, ren)
+    free = sorted(free_vars(phi))
+    assert free_vars(out) == {ren.get(v, v) for v in free}
+    for mw in enumerate_marked(Alphabet.of("ab"), sorted(free_vars(out)), 3):
+        before = MarkedWord(mw.word, tuple((v, mw.pos(ren.get(v, v)))
+                                           for v in free))
+        assert satisfies(mw, out) == satisfies(before, phi)
+
+
 @settings(derandomize=True, max_examples=200)
 @given(st.integers(0, 10 ** 6), st.integers(0, 4),
-       st.dictionaries(st.sampled_from(("x", "y", "u1", "u2", "u3")),
-                       st.sampled_from(("x", "y", "w")), max_size=3))
-def test_map_vars_is_one_walk_of_the_atom_renaming(seed, depth, ren):
-    # the renaming the atoms get one by one, and the old refusal: the least
-    # renamed variable that some binder binds
-    phi = random_formula(random.Random(seed), Alphabet.of("ab"),
-                         context=("x", "y"), depth=depth,
-                         quantifiers=("E", "mod[2,1]"))
-    clash = bound_vars(phi) & ren.keys()
-    if clash:
-        with pytest.raises(ParseError) as exc:
-            map_vars(phi, ren)
-        assert str(exc.value) == f"cannot rename across binder of {min(clash)!r}"
-    else:
-        assert map_vars(phi, ren) == map_atoms(phi, lambda n: _rename_atom(n, ren))
+       st.sets(st.sampled_from(SHADOW_NAMES + ("z0", "z1"))))
+def test_rename_bound_is_equivalent_to_its_input(seed, depth, avoid):
+    phi = shadowing_formula(random.Random(seed), depth)
+    out = rename_bound(phi, avoid)
+    free, bound, _, _ = scope(out)
+    assert free == free_vars(phi)
+    assert bound.isdisjoint(avoid | free)
+    for mw in enumerate_marked(Alphabet.of("ab"), sorted(free), 3):
+        assert satisfies(mw, out) == satisfies(mw, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,58 @@ def test_no_module_imports_another_modules_private_name(path):
     assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+def is_private(name) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(tree) -> set:
+    """The ``_private`` names a module defines: its functions, methods and
+    classes, the names it assigns at module or class level, and the
+    attributes it assigns to."""
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for body in [tree.body] + [node.body for node in ast.walk(tree)
+                               if isinstance(node, ast.ClassDef)]:
+        for stmt in body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+                [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    names.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Store))
+    return set(filter(is_private, names))
+
+
+def private_reads(tree, foreign) -> list:
+    """(line, name) of every read of an attribute named in ``foreign``."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load) and node.attr in foreign)
+
+
+def test_private_reads_are_found():
+    owner = ast.parse("class A:\n    _x: int = 0\n    _t = 1\n"
+                      "    def _m(self):\n        self._y = self.__len__()\n")
+    assert private_definitions(owner) == {"_x", "_t", "_m", "_y"}
+    reader = ast.parse("def f(a):\n    a._z = a._x\n"
+                       "    return a._m() + a._z + a.__len__() + a._w\n")
+    foreign = private_definitions(owner) - private_definitions(reader)
+    assert private_reads(reader, foreign) == [(2, "_x"), (3, "_m")]
+
+
+DEFINITIONS = {p: private_definitions(ast.parse(p.read_text(encoding="utf-8")))
+               for p in MODULES + [Path(wordlogic.__file__)]}
+
+
+@pytest.mark.parametrize("path", list(DEFINITIONS), ids=lambda p: p.name)
+def test_no_module_reads_a_private_attribute_another_module_defines(path):
+    # a name the module defines itself may be read, even if another module
+    # defines the same name
+    foreign = set().union(*(names for other, names in DEFINITIONS.items()
+                            if other != path)) - DEFINITIONS[path]
+    assert private_reads(ast.parse(path.read_text(encoding="utf-8")), foreign) == []
+
+
 def assert_statements(tree) -> list:
     """Lines of ``assert`` statements, which ``python -O`` strips."""
     return sorted(node.lineno for node in ast.walk(tree)
@@ -160,7 +212,7 @@ def test_every_refusal_names_its_stage(path):
 #: the line count of ``src/wordlogic/*.py`` (as ``wc -l`` counts) may not
 #: pass this ceiling; like the time budgets of the acceptance tests, it may
 #: only go down, so lower it whenever the package shrinks
-SRC_LINE_CEILING = 5943
+SRC_LINE_CEILING = 5923
 
 
 def test_src_does_not_grow():

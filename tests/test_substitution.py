@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wordlogic import (
     TRUE, FALSE,
@@ -38,8 +38,9 @@ from wordlogic import substitution
 from wordlogic.caps import DEFAULT, Caps
 from wordlogic.layers import FragmentSpec, depth_fragment
 from wordlogic.logic import (DEFAULT_REGISTRY, And, LetterPred, Not, Quant,
-                             disj, map_atoms, map_vars, registry_from_json,
-                             rename_bound, truth_table)
+                             disj, free_vars, map_atoms, map_vars,
+                             registry_from_json, rename_bound, to_dsl,
+                             truth_table)
 from wordlogic.regular import Dfa, empty_dfa, shortlex_rows, universal_dfa
 from wordlogic.sampling import random_atom_sentence, random_delta
 from wordlogic.substitution import (atom_rows, atom_transduction,
@@ -47,7 +48,7 @@ from wordlogic.substitution import (atom_rows, atom_transduction,
                                     tau_word)
 from wordlogic.words import ExtendedAlphabet
 
-from conftest import LASTBIT, model_words
+from conftest import LASTBIT, model_words, shadowing_formula
 
 
 def atom_letter_of(delta, mw):
@@ -103,7 +104,7 @@ def test_cells_are_the_signature_partition_of_the_marked_words(seed, bound):
             for mw in carrier]
     ref, ref_sigs = finba.partition(carrier, sigs)
     assert delta.atom_count == len(ref.atoms)
-    assert delta._sig_to_atom == {sig: i for i, sig in enumerate(ref_sigs)}
+    assert delta.atom_of_signature == {sig: i for i, sig in enumerate(ref_sigs)}
     assert "ba" not in vars(delta)  # built on request only
     assert delta.ba == ref
     assert [xi(delta, mw) for mw in carrier] == \
@@ -216,7 +217,7 @@ def test_atom_rows_are_tau_and_sentences_on_them_are_satisfies(seed, bound):
         for i, atom in enumerate(row[:len(w)], 1):
             mw = MarkedWord(w, (("x", i),))
             sig = tuple(satisfies(mw, g) for g in delta.generators)
-            assert atom == delta._sig_to_atom.get(sig, -2)
+            assert atom == delta.atom_of_signature.get(sig, -2)
         if -2 in row:
             with pytest.raises(BoundTooSmall, match="is not realized"):
                 tau(delta, w)
@@ -367,6 +368,45 @@ def test_substitution_principle_empty_word(delta_pa):
     report = check_substitution_principle(delta_pa, parse("E z. 1"), bound=0)
     assert report.passed
     assert report.stats["words"] == 1
+
+
+def test_sigma_through_a_generator_that_binds_the_algebra_variable(ab):
+    # E x. P[a](x) is a sentence: its binder hides x from the renaming, as
+    # E u. P[a](u) has no x to rename
+    for text in ("E x. P[a](x)", "E u. P[a](u)"):
+        delta = delta_algebra(ab, "x", [parse(text)], bound=4)
+        psi = parse("E y. P[c0](y)")
+        assert to_dsl(sigma(delta, psi)) == f"E z0. {text}"
+        assert check_substitution_principle(delta, psi).passed
+
+
+def test_substitute_refuses_a_free_variable_its_atom_formula_binds(ab):
+    # P[c1](z) becomes the atom formula at z, whose binder of z would
+    # capture it
+    delta = delta_algebra(ab, "x", [parse("E z. z < x & P[a](z)")], bound=4)
+    with pytest.raises(ParseError, match="variable 'x' renamed to 'z' would "
+                       "be captured"):
+        sigma(delta, parse("P[c1](z)"))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_substitution_principle_holds_when_generators_bind_their_variable(seed,
+                                                                          depth):
+    # generators of shadowing formulas, their other free variables bound
+    # outside, so that x may be free, bound, or both in one generator
+    rng = random.Random(seed)
+    gens = []
+    for _ in range(rng.choice((1, 2))):
+        g = shadowing_formula(rng, depth)
+        for v in sorted(free_vars(g) - {"x"}):
+            g = Quant("E", v, g)
+        gens.append(g)
+    delta = delta_algebra(Alphabet.of("ab"), "x", gens, bound=4)
+    psi = random_atom_sentence(rng, delta.atom_alphabet().symbols,
+                               ("E", "mod[2,1]"))
+    report = check_substitution_principle(delta, psi, bound=4)
+    assert report.passed, (list(map(to_dsl, gens)), to_dsl(psi))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from wordlogic import (
     Alphabet,
     BoundTooSmall,
     ExtendedAlphabet,
+    InvariantViolated,
     MarkedWord,
     ParseError,
     Quant,
@@ -30,6 +31,7 @@ from wordlogic import (
     xi,
     zeta_relabel,
 )
+from wordlogic import varcode
 from wordlogic.words import encode_marks
 
 from conftest import word_set
@@ -265,6 +267,23 @@ def test_lift_two_cells_gains_exactly_the_off_image_cell():
     assert lift.junk_atom is not None
     assert sorted(set(lift.zeta) | {lift.junk_atom}) == [0, 1, 2]
     assert lift.report is not None and lift.report.passed
+
+
+@pytest.mark.parametrize("bound, refusal, size",
+                         [(0, BoundTooSmall, 0), (1, InvariantViolated, 2),
+                          (3, InvariantViolated, 2)])
+def test_lift_of_an_unpinned_encoding_is_a_fault_once_marked_words_exist(
+        monkeypatch, bound, refusal, size):
+    # encode without its pinned conjunct: off-image words now satisfy the
+    # encodings, so the lifted cells are not the source cells and one more.
+    # No larger bound can mend that, so only bound 0, with no marked word at
+    # all, is a bound too small
+    monkeypatch.setattr(varcode, "phi_sentence", lambda *args, **kwargs: TRUE)
+    with pytest.raises(refusal) as exc:
+        lift_delta([parse("P[a](x)")], "x", ("y",), AB, bound=bound)
+    assert type(exc.value) is refusal
+    assert exc.value.info == {"stage": "lift_delta", "size": size,
+                              "bound": bound}
 
 
 def test_lift_trivial_algebra():
