@@ -173,7 +173,7 @@ def _qf_truth(spec: FragmentSpec, ctx, reg: Registry):
         NumPred(p, args) for p in spec.predicates
         for args in itertools.product(ctx, repeat=reg.numpred(p).arity)]
     letters, lens = shortlex_rows(len(symbols), spec.bound)
-    inside = in_range(lens, spec.bound, len(ctx))
+    inside = in_range(len(symbols), spec.bound, len(ctx))
     return gens, inside, truth_table(gens, symbols, ctx, letters, lens, reg)[:, inside]
 
 
@@ -239,7 +239,7 @@ def depth_fragment(spec: FragmentSpec, registry: Registry = None,
         cells, _, atom_formulas = cells_by_signature(gens, inside, truth, split, caps)
         natoms = len(atom_formulas)
         # one row per word and spare positions, along the positions of keep
-        inside = in_range(lens, L, len(spare))
+        inside = in_range(len(A), L, len(spare))
         cut = np.broadcast_to(lens[(slice(None),) + (None,) * len(spare)],
                               inside.shape)[inside]
         symbols = tuple(f"c{i}" for i in range(natoms))
@@ -308,7 +308,7 @@ def depth_direct(spec: FragmentSpec, registry: Registry = None,
         # a row of the cells of the positions of v1
         _, inside2, truth2 = _qf_truth(spec, (v1, v2), reg)
         first2, cell2 = distinct_rows(truth2.T)
-        inside = in_range(lens, L, 1)
+        inside = in_range(len(A), L, 1)
         cut1 = np.broadcast_to(lens[:, None], inside.shape)[inside]
         inner = gamma.rows(len(first2), cells_of(inside2, cell2).transpose(0, 2, 1)[inside],
                            cut1, reg, caps)

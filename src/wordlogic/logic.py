@@ -7,7 +7,9 @@ an exact automaton over the extended alphabet.
 
 Beside the three semantics (``satisfies``, ``truth_table``, ``formula_dfa``)
 there are two structural walks: ``map_atoms`` rebuilds formulas (renaming
-and substitution through its binder hook), ``scope`` analyses them.
+and substitution through its binder hook), ``scope`` analyses them.  Bulk
+evaluation makes one walk of its own and no other: ``_operations`` numbers
+a family's distinct operations and checks each formula on the way.
 
 Surface syntax:
 
@@ -26,7 +28,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -159,29 +161,25 @@ def _atom_vars(node) -> frozenset:
 
 
 def scope(phi) -> tuple:
-    """(free variables, bound variables, quantifier nesting depth, width) of
-    a formula, in one walk; the width is the most variables free at once in
-    one subformula."""
+    """(free variables, bound variables, quantifier nesting depth) of a
+    formula, in one walk."""
     if isinstance(phi, Not):
         return scope(phi.sub)
     if isinstance(phi, (And, Or)):
         free = bound = frozenset()
-        depth = most = 0
+        depth = 0
         for a in phi.args:  # comparisons, not max(): this walk is hot
-            sub_free, sub_bound, sub_depth, sub_most = scope(a)
+            sub_free, sub_bound, sub_depth = scope(a)
             free |= sub_free
             if sub_bound:
                 bound |= sub_bound
             if sub_depth > depth:
                 depth = sub_depth
-            if sub_most > most:
-                most = sub_most
-        return free, bound, depth, max(most, len(free))
+        return free, bound, depth
     if isinstance(phi, Quant):
-        free, bound, depth, most = scope(phi.body)
-        return free - {phi.var}, bound | {phi.var}, depth + 1, most
-    free = _atom_vars(phi)
-    return free, frozenset(), 0, len(free)
+        free, bound, depth = scope(phi.body)
+        return free - {phi.var}, bound | {phi.var}, depth + 1
+    return _atom_vars(phi), frozenset(), 0
 
 
 def free_vars(phi) -> frozenset:
@@ -194,7 +192,7 @@ def bound_vars(phi) -> frozenset:
 
 def all_vars(phi) -> frozenset:
     """Every variable the formula mentions, free or bound."""
-    free, bound, _, _ = scope(phi)
+    free, bound, _ = scope(phi)
     return free | bound
 
 
@@ -208,7 +206,7 @@ def letters_of(phi) -> frozenset:
 def check_hygiene(phi):
     """Reject a variable that occurs both free and bound, or is bound twice
     along one branch; keeps substitution capture-free by construction."""
-    free, bound, _, _ = scope(phi)
+    free, bound, _ = scope(phi)
     clash = free & bound
     if clash:
         raise ParseError(f"variable {min(clash)!r} occurs both free and bound")
@@ -796,60 +794,102 @@ _BLOCK_CELLS = 1 << 20
 _MAX_AXES = 64
 
 
-def width(phi) -> int:
-    """The most variables free at once in one subformula: bulk evaluation
-    holds tables of words x positions^width."""
-    return scope(phi)[3]
+def _operations(phis, context) -> tuple:
+    """The one walk of bulk evaluation: a family's distinct operations, each
+    after its operands, numbered by keys over axes (value numbering):
+    (LetterPred, symbol, axis), (NumPred, name, axes), (Not, n), (And | Or,
+    (n1, ...)) and (Quant, q, axis, n) over operand numbers, ``1`` and ``0``
+    being the empty And and Or.  Context variable j is on axis j + 1 and a
+    bound variable past the axes around its binder: sibling binders share
+    axes, and alpha-equivalent subformulas on the same axes one operation.
+    Each formula in turn is refused if a free variable is outside the
+    context (ParseError) or it needs over ``_MAX_AXES`` axes (CapExceeded).
+    Returns (ops, the formulas' numbers, deepest nesting, widest operation)."""
+    c = len(context)
+    number = {}
 
+    def walk(node, env):
+        nonlocal deepest
+        kind = type(node)
+        if kind is And or kind is Or:
+            key = (kind, tuple([walk(a, env) for a in node.args]))
+        elif kind is Quant:
+            # not len(env) + 1: a binder may reuse a name already in scope
+            ax = max(env.values(), default=0) + 1
+            deepest = max(deepest, ax)
+            key = (Quant, node.q, ax, walk(node.body, {**env, node.var: ax}))
+        elif kind is Not:
+            key = (Not, walk(node.sub, env))
+        elif kind is LetterPred:
+            key = (LetterPred, node.symbol, env[node.var])
+        elif kind is NumPred:
+            key = (NumPred, node.name, tuple([env[v] for v in node.args]))
+        elif kind is Truth or kind is Falsum:
+            key = (And if kind is Truth else Or, ())
+        else:
+            raise ParseError(f"not a formula: {node!r}")
+        return number.setdefault(key, len(number))
 
-def _on_axes(values, axes, ndim) -> np.ndarray:
-    """Place the dimensions of ``values`` on the given axes of an ndim-array
-    whose other axes have size 1."""
-    order = sorted(range(len(axes)), key=axes.__getitem__)
-    shape = [1] * ndim
-    for i in order:
-        shape[axes[i]] = values.shape[i]
-    return values.transpose(order).reshape(shape)
+    roots, depth = [], 0
+    for phi in phis:
+        deepest = c
+        try:
+            roots.append(walk(phi, {v: j + 1 for j, v in enumerate(context)}))
+        except KeyError:  # a free variable with no axis
+            raise ParseError("context does not cover the formula's free "
+                             "variables") from None
+        d = deepest - c
+        if 1 + c + d > _MAX_AXES:
+            raise CapExceeded(f"{c} context variables and {d} nested quantifiers "
+                              f"need more than the {_MAX_AXES} array axes of bulk "
+                              "evaluation", stage="bulk evaluation",
+                              size=1 + c + d, cap=_MAX_AXES)
+        depth = max(depth, d)
+    masks = []  # the free axes of each operation, as an int bitmask
+    for op in number:
+        if op[0] is LetterPred:
+            masks.append(1 << op[2])
+        elif op[0] is NumPred:
+            masks.append(sum(1 << ax for ax in set(op[2])))
+        elif op[0] is Quant:
+            masks.append(masks[op[3]] & ~(1 << op[2]))
+        else:  # Not, And, Or
+            operands = op[1:] if op[0] is Not else op[1]
+            masks.append(reduce(int.__or__, [masks[n] for n in operands], 0))
+    return list(number), roots, depth, max(map(int.bit_count, masks), default=0)
 
 
 class _Evaluator:
-    """A family of formulas' bulk tables over one block of padded letter
-    rows: each subformula is a bool array with axis 0 for the rows and one
-    axis per variable in scope (size 1 where the variable is not free in
-    it).  ``env`` maps the variables in scope to their axes: context
-    variable j to axis j + 1, and a bound variable to the first axis past
-    those of the variables around its binder, so sibling binders share axes
-    and ``ndim`` is 1 + |context| + the deepest quantifier nesting.  The
-    in-row mask of each axis and the table of each letter or predicate atom
-    on its axes are built once per block, for the whole family."""
+    """The tables of a family's operations (``_operations``) over one block
+    of padded letter rows: bool arrays with axis 0 for the rows and one axis
+    per variable in scope (size 1 where the variable is not free), ``ndim``
+    = 1 + |context| + the deepest quantifier nesting."""
 
     def __init__(self, symbols, ndim, letters, lens, registry):
         self.col = {s: i for i, s in enumerate(symbols)}
         self.ndim = ndim
         self.letters, self.lens = letters, lens
         self.bound = letters.shape[1]
-        self.lens_col = lens.reshape((-1,) + (1,) * (ndim - 1))
         self.reg = registry
         self.unit = np.ones((1,) * ndim, dtype=bool)
-        self._inside = {}
-        self._atoms = {}
+        # the row lengths, and on each axis the positions inside the rows
+        self.lens_col = self.place(lens, ())
+        within = np.arange(self.bound) < lens[:, None]
+        self.inside = [None] + [self.place(within, (ax,)) for ax in range(1, ndim)]
 
-    def inside(self, ax) -> np.ndarray:
-        """Which positions of each row lie inside it, on axis ``ax``."""
-        mask = self._inside.get(ax)
-        if mask is None:
-            mask = self._inside[ax] = _on_axes(
-                np.arange(self.bound) < self.lens[:, None], (0, ax), self.ndim)
-        return mask
+    def place(self, values, axes) -> np.ndarray:
+        """An (R,) + (L,) * len(axes) array on the given ascending axes."""
+        return values.reshape([len(values)] + [self.bound if ax in axes else 1
+                                               for ax in range(1, self.ndim)])
 
-    def numpred(self, node, env):
+    def numpred(self, name, axes):
         """Per-length tables of a numerical predicate, indexed by length n <=
-        bound and the positions of its distinct arguments: asked once per
+        bound and the positions on its distinct axes: asked once per
         position tuple and False past n.  Atoms that differ only in their
         variables share one table, kept on the predicate for later calls."""
-        free = tuple(dict.fromkeys(node.args))
-        pattern = tuple(free.index(v) for v in node.args)
-        pred, L = self.reg.numpred(node.name), self.bound
+        free = tuple(sorted(set(axes)))
+        pattern = tuple(free.index(ax) for ax in axes)
+        pred, L = self.reg.numpred(name), self.bound
         tables = pred._tables.get((pattern, L))
         if tables is None:
             tables = np.zeros((L + 1,) + (L,) * len(free), dtype=bool)
@@ -860,60 +900,40 @@ class _Evaluator:
                     np.array(values, dtype=bool).reshape((n,) * len(free))
             tables.setflags(write=False)
             pred._tables[pattern, L] = tables
-        return _on_axes(tables[self.lens], (0,) + tuple(env[v] for v in free),
-                        self.ndim)
+        return self.place(tables[self.lens], free)
 
-    def atom(self, node, env) -> np.ndarray:
-        """The table of a letter test or numerical predicate, shared by the
-        atoms that read the same letter or predicate on the same axes."""
-        if isinstance(node, LetterPred):
-            key = (LetterPred, node.symbol, env[node.var])
-        else:
-            key = (NumPred, node.name, tuple(env[v] for v in node.args))
-        out = self._atoms.get(key)
-        if out is None:
-            if isinstance(node, NumPred):
-                out = self.numpred(node, env)
-            elif node.symbol in self.col:
-                out = _on_axes(self.letters == self.col[node.symbol],
-                               (0, env[node.var]), self.ndim)
-            else:
-                out = ~self.unit
-            self._atoms[key] = out
+    def run(self, ops) -> list:
+        """The table of every operation, in order: one flat pass."""
+        out = []
+        for op in ops:
+            kind = op[0]
+            if kind is And or kind is Or:
+                combine = np.logical_and if kind is And else np.logical_or
+                table = reduce(combine, [out[n] for n in op[1]] or [
+                    self.unit if kind is And else ~self.unit])
+            elif kind is Not:
+                table = ~out[op[1]]
+            elif kind is LetterPred:
+                # a foreign letter is -2, which no row holds
+                table = self.place(self.letters == self.col.get(op[1], -2), op[2:])
+            elif kind is NumPred:
+                table = self.numpred(op[1], op[2])
+            else:  # Quant
+                q, ax = self.reg.quantifier(op[1]), op[2]
+                body = out[op[3]] & self.inside[ax]
+                counts = q.by_count(self.bound)
+                if counts is not None:  # a value per (row length, witness count)
+                    table = counts[self.lens_col, body.sum(axis=ax, keepdims=True)]
+                else:  # asked once per slice, on the row's own positions
+                    rows = np.moveaxis(body, ax, -1)
+                    flat = rows.reshape(len(self.lens), math.prod(rows.shape[1:-1]),
+                                        self.bound).tolist()
+                    values = [[q.evaluate(bits[:n]) for bits in word]
+                              for word, n in zip(flat, self.lens.tolist())]
+                    table = np.expand_dims(np.array(values, dtype=bool)
+                                           .reshape(rows.shape[:-1]), ax)
+            out.append(table)
         return out
-
-    def table(self, node, env) -> np.ndarray:
-        if isinstance(node, Truth):
-            return self.unit
-        if isinstance(node, Falsum):
-            return ~self.unit
-        if isinstance(node, (LetterPred, NumPred)):
-            return self.atom(node, env)
-        if isinstance(node, Not):
-            return ~self.table(node.sub, env)
-        if isinstance(node, (And, Or)):
-            combine = np.logical_and if isinstance(node, And) else np.logical_or
-            out = self.table(node.args[0], env)
-            for sub in node.args[1:]:
-                out = combine(out, self.table(sub, env))
-            return out
-        if isinstance(node, Quant):
-            q = self.reg.quantifier(node.q)
-            ax = max(env.values(), default=0) + 1
-            body = self.table(node.body, {**env, node.var: ax}) & self.inside(ax)
-            counts = q.by_count(self.bound)
-            if counts is not None:
-                # the value depends on the row length and the witness count
-                return counts[self.lens_col, body.sum(axis=ax, keepdims=True)]
-            # otherwise the quantifier is asked once per slice, on the row's
-            # own positions
-            rows = np.moveaxis(body, ax, -1)
-            flat = rows.reshape(len(self.lens), math.prod(rows.shape[1:-1]),
-                                self.bound).tolist()
-            values = [[q.evaluate(bits[:n]) for bits in word]
-                      for word, n in zip(flat, self.lens.tolist())]
-            return np.expand_dims(np.array(values, dtype=bool).reshape(rows.shape[:-1]), ax)
-        raise ParseError(f"not a formula: {node!r}")
 
 
 def truth_table(phis, symbols, context, letters, lens, registry=None) -> np.ndarray:
@@ -925,56 +945,43 @@ def truth_table(phis, symbols, context, letters, lens, registry=None) -> np.ndar
     for k formulas: entry [i, r, p_1, ...] is the truth of formula i on
     word r with context variable j marking position p_j + 1 (``satisfies``
     is the reference); entries with a position at or past the row's length
-    mean nothing.  Each formula's context and axis count are checked first.
+    mean nothing.
 
-    One ``_Evaluator`` per block of rows walks every formula once, on the
-    axes of the deepest: a numerical predicate becomes per-length tables
-    indexed by row length.  A monoid quantifier whose bit images commute
-    (``E``, ``E1``, ``mod[q,r]`` and any registered one that passes
-    ``Quantifier.by_count``) counts the witnesses of its body along its
-    variable's axis inside each row and reads its value from the count
-    table at (row length, count).  An oracle quantifier, or a monoid
-    quantifier whose bit images do not commute, is asked through
-    ``Quantifier.evaluate`` on each row's own positions.  Blocks hold at
-    most ``_BLOCK_CELLS`` cells of the family's widest subformula (``width``)
-    and at least one row.
+    One walk (``_operations``) numbers the family's distinct operations and
+    checks each formula, before any evaluation; per block of rows, one
+    ``_Evaluator`` runs each operation once.  A numerical predicate is read
+    from per-length tables; a quantifier whose bit images commute (``E``,
+    ``E1``, ``mod[q,r]``, any registered one that passes ``by_count``) from
+    its count table at (row length, witnesses along its axis); any other
+    through ``Quantifier.evaluate`` on each row's own positions.  Blocks
+    hold at most ``_BLOCK_CELLS`` cells of the widest operation, and a row.
     """
-    reg = registry or DEFAULT_REGISTRY
-    phis, ctx = tuple(phis), tuple(context)
+    ctx = tuple(context)
     c = len(ctx)
-    depth = most = 0
-    for phi in phis:
-        free, _, d, m = scope(phi)
-        if not free <= set(ctx):
-            raise ParseError("context does not cover the formula's free variables")
-        if 1 + c + d > _MAX_AXES:
-            raise CapExceeded(f"{c} context variables and {d} nested quantifiers "
-                              f"need more than the {_MAX_AXES} array axes of bulk "
-                              "evaluation", stage="bulk evaluation",
-                              size=1 + c + d, cap=_MAX_AXES)
-        depth, most = max(depth, d), max(most, m)
+    ops, roots, depth, most = _operations(phis, ctx)
     letters = np.asarray(letters, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
     rows, L = letters.shape
-    env = {v: j + 1 for j, v in enumerate(ctx)}
-    out = np.empty((len(phis), rows) + (L,) * c, dtype=bool)
+    out = np.empty((len(roots), rows) + (L,) * c, dtype=bool)
     block = max(1, _BLOCK_CELLS // max(1, L) ** max(c, most))
     for start in range(0, rows, block):
         part = slice(start, start + block)
-        ev = _Evaluator(symbols, 1 + c + depth, letters[part], lens[part], reg)
-        for i, phi in enumerate(phis):
-            out[i, part] = ev.table(phi, env)[(Ellipsis,) + (0,) * depth]
+        tables = _Evaluator(symbols, 1 + c + depth, letters[part], lens[part],
+                            registry or DEFAULT_REGISTRY).run(ops)
+        for i, n in enumerate(roots):
+            out[i, part] = tables[n][(Ellipsis,) + (0,) * depth]
     return out
 
 
-def in_range(lens, bound, c) -> np.ndarray:
-    """The (R,) + (bound,) * c mask of the entries of a truth table whose
-    positions all lie inside their row; read in C order, its cells are the
-    marked words of ``enumerate_marked`` in that order."""
-    inside = np.arange(bound) < np.asarray(lens)[:, None]
-    mask = np.ones(len(inside), dtype=bool)[(slice(None),) + (None,) * c]
-    for j in range(c):
-        mask = mask & _on_axes(inside, (0, j + 1), c + 1)
+@lru_cache(maxsize=16)
+def in_range(k, bound, c) -> np.ndarray:
+    """The (R,) + (bound,) * c mask of the entries of a truth table over
+    ``shortlex_rows(k, bound)`` whose positions all lie inside their row;
+    read in C order, its cells are the marked words of ``enumerate_marked``
+    in that order.  Shared between callers and read-only."""
+    last = np.indices((bound,) * c).max(axis=0, initial=-1)  # latest position
+    mask = shortlex_rows(k, bound)[1].reshape((-1,) + (1,) * c) > last
+    mask.setflags(write=False)
     return mask
 
 
@@ -986,7 +993,7 @@ def marked_truth(phis, alphabet, context, bound, registry=None) -> np.ndarray:
     check_bound(bound)
     letters, lens = shortlex_rows(len(alphabet), bound)
     sat = truth_table(phis, tuple(alphabet), ctx, letters, lens, registry)
-    return sat[:, in_range(lens, bound, len(ctx))]
+    return sat[:, in_range(len(alphabet), bound, len(ctx))]
 
 
 def models(phi, alphabet: Alphabet, bound, context=None, registry=None,

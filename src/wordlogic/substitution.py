@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -35,7 +35,7 @@ from .regular import (Dfa, closure, first_paths, image_dfa, shortlex_offsets,
 from .report import Report
 from .semidirect import transfer_dfa
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_table,
-                    decode_marks, enumerate_marked, mark_alphabet)
+                    decode_marks, mark_alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +124,7 @@ class DeltaAlgebra:
     ``enumerate_marked`` order (``cells_by_signature``).  Each atom has a
     representative formula (the sign-conjunction of generators cutting it)
     and a letter c0, c1, ...; ``atom_of_signature`` is the read-only map
-    from a generator signature to its atom.  ``ba``, the algebra over the
-    marked words as carrier, is built only on request.
+    from a generator signature to its atom.
     ``_atom_vars`` are the names ``sigma`` must avoid, ``_renamed`` its
     renamed conjuncts.
     """
@@ -151,12 +150,6 @@ class DeltaAlgebra:
     def atom_alphabet(self) -> Alphabet:
         return Alphabet(tuple(f"c{i}" for i in range(self.atom_count)))
 
-    @cached_property
-    def ba(self) -> finba.FinBA:
-        carrier = enumerate_marked(self.alphabet, (self.var,), self.bound, self.caps)
-        return finba.partition(carrier, self._atoms[self._atoms >= 0].tolist(),
-                               self.caps)[0]
-
 
 def delta_algebra(alphabet, var, generators, bound=6,
                   registry: Registry = None, caps: Caps = DEFAULT) -> DeltaAlgebra:
@@ -177,14 +170,14 @@ def delta_algebra(alphabet, var, generators, bound=6,
     # sigma renames bound variables apart from every variable of the atoms
     atom_vars = {var}
     for g in generators:
-        fv, bv, _, _ = scope(g)
+        fv, bv, _ = scope(g)
         if not fv <= {var}:
             raise ParseError(f"generator {to_dsl(g)} has free variables "
                              f"{sorted(fv - {var})} besides {var}")
         atom_vars |= fv | bv
     check_table("marked word table", len(alphabet), 1, bound, caps)
     letters, lens = shortlex_rows(len(alphabet), bound)
-    inside = in_range(lens, bound, 1)
+    inside = in_range(len(alphabet), bound, 1)
     truth = truth_table(generators, tuple(alphabet), (var,), letters, lens,
                         registry)[:, inside]
     atoms, sigs, formulas = cells_by_signature(generators, inside, truth,
@@ -255,7 +248,7 @@ def _classified(delta: DeltaAlgebra, letters, lens) -> np.ndarray:
     """The atom of every position of padded letter rows by its generator
     signature (the generators evaluated as one family), -1 past the word,
     and -2 where no marked word of length <= delta.bound realizes it."""
-    inside = in_range(lens, letters.shape[1], 1)
+    inside = np.arange(letters.shape[1]) < lens[:, None]
     truth = truth_table(delta.generators, tuple(delta.alphabet), (delta.var,),
                         letters, lens, delta.registry)[:, inside]
     atoms = np.full(letters.shape, -1, dtype=np.int64)

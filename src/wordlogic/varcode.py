@@ -84,7 +84,7 @@ def encode(phi, var, alphabet, prior=()):
     prior = tuple(prior)
     if var in prior:
         raise ParseError(f"variable {var!r} is already encoded")
-    free, bound, _, _ = scope(phi)
+    free, bound, _ = scope(phi)
     if var in bound:
         raise ParseError(f"variable {var!r} is bound in the formula; only a "
                          "free variable can be encoded")
@@ -235,7 +235,7 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
     check_table("marked word table", len(ext), len(ctx2), bound, caps)
     letters, lens = shortlex_rows(len(ext), bound)
     image = _in_image(letters, len(enc_vars))[(slice(None),) + (None,) * len(ctx2)]
-    inside = in_range(lens, bound, len(ctx2))
+    inside = in_range(len(ext), bound, len(ctx2))
     want, got = truth_table((psi, both), ext.symbols, ctx2, letters, lens, reg)
     want = (want & image)[inside]
     differ = np.flatnonzero(want != got[inside])

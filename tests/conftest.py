@@ -24,11 +24,13 @@ from wordlogic import (
     parse,
 )
 from wordlogic import caps as _caps
+from wordlogic import finba
 from wordlogic.errors import BoundTooSmall, CapExceeded, ParseError
 from wordlogic.logic import in_range, truth_table
 from wordlogic.regular import (Dfa, closure, closure_dfa, row_weights,
                                shortlex_offsets, shortlex_rows, word_ids)
-from wordlogic.words import check_bound
+from wordlogic.substitution import atom_rows
+from wordlogic.words import check_bound, enumerate_marked
 
 # property tests run whole-algebra constructions; give them room
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -88,6 +90,14 @@ def a_only():
 def delta_pa(ab):
     """The two-cell algebra over {a,b}: letter under the mark is a / is not."""
     return delta_algebra(ab, "x", [parse("P[a](x)")], bound=6)
+
+
+def delta_ba(delta) -> finba.FinBA:
+    """The bounded FinBA of a ``DeltaAlgebra``: the marked words of length
+    <= its bound as carrier, cut by the atom table ``atom_rows``."""
+    carrier = enumerate_marked(delta.alphabet, (delta.var,), delta.bound, delta.caps)
+    atoms = atom_rows(delta, delta.bound)[2]
+    return finba.partition(carrier, atoms[atoms >= 0].tolist(), delta.caps)[0]
 
 
 def plain(words):
@@ -172,7 +182,7 @@ def model_table(phi, alphabet, context, bound, registry=None) -> np.ndarray:
     check_bound(bound)
     letters, lens = shortlex_rows(len(alphabet), bound)
     sat = truth_table((phi,), tuple(alphabet), ctx, letters, lens, registry)[0]
-    sat &= in_range(lens, bound, len(ctx))
+    sat &= in_range(len(alphabet), bound, len(ctx))
     ids = embedded_ids(len(alphabet), len(ctx), bound)
     member = np.zeros(shortlex_offsets(len(alphabet) << len(ctx), bound)[-1], dtype=bool)
     member[np.broadcast_to(ids, sat.shape)[sat]] = True

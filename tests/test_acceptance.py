@@ -48,6 +48,8 @@ from wordlogic.varcode import lift_delta, roundtrip_check
 from wordlogic.words import decode_marks, encode_marks, enumerate_marked, \
     enumerate_words
 
+from conftest import delta_ba
+
 
 def _done(number, name, t0, budget=None):
     elapsed = time.perf_counter() - t0
@@ -161,9 +163,10 @@ def test_criterion_5_tower_compatibility():
         for lo, hi in ((d1, d2), (d2, d3), (d1, d3)):
             report = tau_compat(gamma, lo, hi, bound=6, registry=reg)
             assert report.passed, (i, report.counterexample)
-        z21 = finba.dual_of_inclusion(d1.ba, d2.ba)
-        z32 = finba.dual_of_inclusion(d2.ba, d3.ba)
-        z31 = finba.dual_of_inclusion(d1.ba, d3.ba)
+        b1, b2, b3 = map(delta_ba, (d1, d2, d3))
+        z21 = finba.dual_of_inclusion(b1, b2)
+        z32 = finba.dual_of_inclusion(b2, b3)
+        z31 = finba.dual_of_inclusion(b1, b3)
         assert all(z21[z32[k]] == z31[k] for k in range(len(z32)))
     _done(5, "tower compatibility, 20 random chains", t0, budget=3.0)
 

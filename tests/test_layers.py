@@ -372,7 +372,7 @@ def test_representatives_are_sentences_of_the_fragment(letters, quantifiers,
     spec = FragmentSpec(Alphabet.of(letters), quantifiers, predicates,
                         depth=depth, bound=bound)
     for phi in depth_fragment(spec).formulas:
-        free, _, nesting, _ = scope(phi)
+        free, _, nesting = scope(phi)
         assert not free and nesting <= depth, to_dsl(phi)
         assert _names(phi) <= set(quantifiers + predicates), to_dsl(phi)
 

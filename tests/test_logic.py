@@ -34,8 +34,8 @@ from wordlogic import (
     satisfies,
 )
 from wordlogic.caps import DEFAULT, Caps
-from wordlogic.logic import (_ANY, _atom, check_hygiene, in_range, map_vars,
-                             marked_truth, scope, truth_table, width)
+from wordlogic.logic import (_ANY, _atom, _operations, check_hygiene, in_range,
+                             map_vars, marked_truth, scope, truth_table)
 from wordlogic.regular import ASSOC_CHECK_LIMIT, shortlex_offsets, shortlex_rows
 from wordlogic.semidirect import compile_layer
 from wordlogic.sampling import random_formula
@@ -97,8 +97,8 @@ def test_map_vars_renames_free_occurrences():
 
 def test_scope_is_the_free_and_bound_variables():
     phi = parse("E z. (P[a](z) & z < x) | ~mod[2,0] u. R[succ](u,y)")
-    assert scope(phi) == ({"x", "y"}, {"z", "u"}, 2, 3)
-    assert scope(Quant("E", "x", LetterPred("a", "y"))) == ({"y"}, {"x"}, 1, 1)
+    assert scope(phi) == ({"x", "y"}, {"z", "u"}, 2)
+    assert scope(Quant("E", "x", LetterPred("a", "y"))) == ({"y"}, {"x"}, 1)
 
 
 def test_hygiene_names_the_outermost_binder_bound_twice():
@@ -170,7 +170,7 @@ def test_map_vars_refuses_a_capture_or_agrees_with_its_input(seed, depth, ren):
 def test_rename_bound_is_equivalent_to_its_input(seed, depth, avoid):
     phi = shadowing_formula(random.Random(seed), depth)
     out = rename_bound(phi, avoid)
-    free, bound, _, _ = scope(out)
+    free, bound, _ = scope(out)
     assert free == free_vars(phi)
     assert bound.isdisjoint(avoid | free)
     for mw in enumerate_marked(Alphabet.of("ab"), sorted(free), 3):
@@ -612,20 +612,50 @@ def test_a_family_is_its_formulas_evaluated_one_by_one(draws, bound, cells):
         assert np.array_equal(family, np.concatenate(one_by_one))
     marked = marked_truth(phis, A, ctx, bound, NEAR_LASTBIT)
     assert marked.shape == (len(phis), len(list(enumerate_marked(A, ctx, bound))))
-    assert np.array_equal(marked, family[:, in_range(lens, bound, len(ctx))])
+    assert np.array_equal(marked, family[:, in_range(len(A), bound, len(ctx))])
 
 
-def test_a_family_is_checked_formula_by_formula_before_evaluation():
+@pytest.mark.parametrize("k, bound, c", [(2, 3, 0), (2, 3, 1), (3, 2, 2), (1, 0, 1)])
+def test_in_range_marks_the_positions_inside_each_row_and_is_shared(k, bound, c):
+    lens = shortlex_rows(k, bound)[1]
+    mask = in_range(k, bound, c)
+    assert in_range(k, bound, c) is mask and not mask.flags.writeable
+    want = [all(p < n for p in pos) for n in lens.tolist()
+            for pos in itertools.product(range(bound), repeat=c)]
+    assert mask.ravel().tolist() == want
+
+
+def test_a_family_is_checked_formula_by_formula_before_evaluation(monkeypatch):
+    import wordlogic.logic as logic
+
     A = Alphabet.of("ab")
     letters, lens = shortlex_rows(len(A), 2)
     deep = LetterPred("a", "x")
     for i in range(63):
         deep = Quant("E", f"y{i}", deep)
-    with pytest.raises(ParseError, match="context does not cover"):
-        truth_table((TRUE, parse("P[a](y)")), A.symbols, ("x",), letters, lens)
-    with pytest.raises(CapExceeded) as exc:
-        truth_table((parse("P[a](x)"), deep), A.symbols, ("x",), letters, lens)
-    assert exc.value.info == {"stage": "bulk evaluation", "size": 65, "cap": 64}
+    runs = []
+    monkeypatch.setattr(logic._Evaluator, "run", lambda self, ops: runs.append(ops))
+    for rows in (slice(None), slice(0)):  # all rows, then none
+        with pytest.raises(ParseError, match="context does not cover"):
+            truth_table((TRUE, parse("P[a](y)")), A.symbols, ("x",),
+                        letters[rows], lens[rows])
+        with pytest.raises(CapExceeded) as exc:
+            truth_table((parse("P[a](x)"), deep), A.symbols, ("x",),
+                        letters[rows], lens[rows])
+        assert exc.value.info == {"stage": "bulk evaluation", "size": 65, "cap": 64}
+    assert runs == []
+
+
+def test_alpha_equivalent_subformulas_on_the_same_axes_are_one_operation():
+    A = Alphabet.of("ab")
+    phi = parse("(E z. P[a](z) & z = x) & (E w. P[a](w) & w = x)")
+    ops, roots, depth, most = _operations((phi,), ("x",))
+    assert [op[0] for op in ops].count(Quant) == 1
+    assert (len(roots), depth, most) == (1, 1, 2)
+    letters, lens = shortlex_rows(len(A), 4)
+    truth = truth_table((phi,), A.symbols, ("x",), letters, lens)[0]
+    assert truth[in_range(len(A), 4, 1)].tolist() == \
+        [satisfies(mw, phi) for mw in enumerate_marked(A, ("x",), 4)]
 
 
 @pytest.mark.parametrize("name", ["E", "E1", "mod[2,0]", "mod[3,1]"])
@@ -664,17 +694,16 @@ def test_blocks_are_sized_by_width_not_by_variable_count(monkeypatch):
     psi = encode(parse("E y. (x < y & P[a](y))"), "x", A)
     both = encode(decode(psi, "x", A), "x", A)
     ext = ExtendedAlphabet(A, ("x",))
-    assert len(bound_vars(both)) >= 10 and width(both) <= 3
+    assert len(bound_vars(both)) >= 10 and _operations((both,), ())[3] <= 3
     letters, lens = shortlex_rows(len(ext), 3)
     blocks = []
-    table = logic._Evaluator.table
+    run = logic._Evaluator.run
 
-    def spy(self, node, env):
-        if node is both:
-            blocks.append(len(self.lens))
-        return table(self, node, env)
+    def spy(self, ops):
+        blocks.append(len(self.lens))
+        return run(self, ops)
 
-    monkeypatch.setattr(logic._Evaluator, "table", spy)
+    monkeypatch.setattr(logic._Evaluator, "run", spy)
     whole = truth_table((both,), ext.symbols, (), letters, lens)[0]
     assert blocks == [len(lens)]
     monkeypatch.setattr(logic, "_BLOCK_CELLS", 20)  # 20 // 3^width words

@@ -48,7 +48,7 @@ from wordlogic.substitution import (atom_rows, atom_transduction,
                                     tau_word)
 from wordlogic.words import ExtendedAlphabet
 
-from conftest import LASTBIT, model_words, shadowing_formula
+from conftest import LASTBIT, delta_ba, model_words, shadowing_formula
 
 
 def atom_letter_of(delta, mw):
@@ -84,12 +84,12 @@ def test_two_cell_algebra(delta_pa):
 
 def test_atom_formulas_partition(delta_pa):
     # (A.1) disjunction is everything, (A.2) pairwise conjunction empty
-    carrier = delta_pa.ba.carrier
-    for mw in carrier:
+    ba = delta_ba(delta_pa)
+    for mw in ba.carrier:
         hits = [i for i, phi in enumerate(delta_pa.atom_formulas)
                 if satisfies(mw, phi)]
         assert len(hits) == 1
-        assert delta_pa.ba.atoms[hits[0]] == delta_pa.ba.atom_of(mw)
+        assert ba.atoms[hits[0]] == ba.atom_of(mw)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 4))
@@ -105,8 +105,8 @@ def test_cells_are_the_signature_partition_of_the_marked_words(seed, bound):
     ref, ref_sigs = finba.partition(carrier, sigs)
     assert delta.atom_count == len(ref.atoms)
     assert delta.atom_of_signature == {sig: i for i, sig in enumerate(ref_sigs)}
-    assert "ba" not in vars(delta)  # built on request only
-    assert delta.ba == ref
+    assert not hasattr(delta, "ba")  # the bounded FinBA is the tests' own
+    assert delta_ba(delta) == ref
     assert [xi(delta, mw) for mw in carrier] == \
         [ref.atom_index_of(mw) for mw in carrier]
 
@@ -165,7 +165,8 @@ def test_distinct_rows_are_numbered_by_first_occurrence(rows, cols):
 
 def test_xi_classifies_positions(delta_pa):
     w = MarkedWord(("a", "b"), (("x", 1),))
-    assert delta_pa.ba.atom_of(w) == delta_pa.ba.atoms[xi(delta_pa, w)]
+    ba = delta_ba(delta_pa)
+    assert ba.atom_of(w) == ba.atoms[xi(delta_pa, w)]
     assert xi(delta_pa, MarkedWord(("a", "b"), (("x", 1),))) == \
         xi(delta_pa, MarkedWord(("a",), (("x", 1),)))
     assert xi(delta_pa, MarkedWord(("a", "b"), (("x", 2),))) == \
@@ -691,9 +692,10 @@ def test_tau_compat_chain_composes(ab):
     d1, d2, d3 = chain(ab)
     for lo, hi in [(d1, d2), (d2, d3), (d1, d3)]:
         assert tau_compat(gamma_q(("E",)), lo, hi, bound=5).passed
-    z21 = finba.dual_of_inclusion(d1.ba, d2.ba)
-    z32 = finba.dual_of_inclusion(d2.ba, d3.ba)
-    z31 = finba.dual_of_inclusion(d1.ba, d3.ba)
+    b1, b2, b3 = map(delta_ba, (d1, d2, d3))
+    z21 = finba.dual_of_inclusion(b1, b2)
+    z32 = finba.dual_of_inclusion(b2, b3)
+    z31 = finba.dual_of_inclusion(b1, b3)
     assert tuple(z21[z32[k]] for k in range(d3.atom_count)) == tuple(z31)
 
 
