@@ -161,25 +161,21 @@ def _atom_vars(node) -> frozenset:
 
 
 def scope(phi) -> tuple:
-    """(free variables, bound variables, quantifier nesting depth) of a
-    formula, in one walk."""
+    """(free variables, bound variables) of a formula, in one walk."""
     if isinstance(phi, Not):
         return scope(phi.sub)
     if isinstance(phi, (And, Or)):
         free = bound = frozenset()
-        depth = 0
-        for a in phi.args:  # comparisons, not max(): this walk is hot
-            sub_free, sub_bound, sub_depth = scope(a)
+        for a in phi.args:
+            sub_free, sub_bound = scope(a)
             free |= sub_free
             if sub_bound:
                 bound |= sub_bound
-            if sub_depth > depth:
-                depth = sub_depth
-        return free, bound, depth
+        return free, bound
     if isinstance(phi, Quant):
-        free, bound, depth = scope(phi.body)
-        return free - {phi.var}, bound | {phi.var}, depth + 1
-    return _atom_vars(phi), frozenset(), 0
+        free, bound = scope(phi.body)
+        return free - {phi.var}, bound | {phi.var}
+    return _atom_vars(phi), frozenset()
 
 
 def free_vars(phi) -> frozenset:
@@ -192,8 +188,7 @@ def bound_vars(phi) -> frozenset:
 
 def all_vars(phi) -> frozenset:
     """Every variable the formula mentions, free or bound."""
-    free, bound, _ = scope(phi)
-    return free | bound
+    return frozenset.union(*scope(phi))
 
 
 def letters_of(phi) -> frozenset:
@@ -206,7 +201,7 @@ def letters_of(phi) -> frozenset:
 def check_hygiene(phi):
     """Reject a variable that occurs both free and bound, or is bound twice
     along one branch; keeps substitution capture-free by construction."""
-    free, bound, _ = scope(phi)
+    free, bound = scope(phi)
     clash = free & bound
     if clash:
         raise ParseError(f"variable {min(clash)!r} occurs both free and bound")

@@ -350,9 +350,6 @@ class FinMonoid:
             out = self.table[out][x]
         return out
 
-    def name(self, i) -> str:
-        return self.names[i] if self.names else str(i)
-
     def submonoid(self, gens) -> frozenset:
         order, _, _ = closure(self.identity,
                               lambda e: [self.table[e][g] for g in gens])
@@ -464,6 +461,21 @@ class Stamp:
         """mu^{-1}(accepted) as a DFA on the monoid's right Cayley graph."""
         return cayley_dfa(self.alphabet, self.monoid, self.letters, accepted)
 
+    def accepted(self, lang: Dfa, cls=None):
+        """The elements whose words ``lang`` accepts if the stamp recognizes
+        it, else None: the stamp is onto, so it does when acceptance on the
+        pairs reached from (identity, start) is a function of the element
+        (with ``cls``, of ``cls[element]``)."""
+        if tuple(self.alphabet) != lang.alphabet:
+            raise ParseError("product of DFAs over different alphabets")
+        tab, cls, acc = self.monoid.table, cls or range(len(self.reps)), {}
+        for m, q in closure((self.monoid.identity, lang.init), lambda mq: zip(
+                map(tab[mq[0]].__getitem__, self.letters), lang.delta[mq[1]]),
+                _caps.DEFAULT.dfa_states, "product automaton")[0]:
+            if acc.setdefault(cls[m], q in lang.accepting) != (q in lang.accepting):
+                return None
+        return frozenset(m for m in range(len(tab)) if acc[cls[m]])
+
     def language(self) -> Dfa:
         if self.accepting is None:
             raise ParseError("stamp presents no language")
@@ -474,11 +486,10 @@ def syntactic_stamp(dfa: Dfa, caps: _caps.Caps = _caps.DEFAULT) -> Stamp:
     """Syntactic stamp of one language: transition monoid of the minimal
     complete automaton, with the accepting image set."""
     st = syntactic_stamp_of_family([dfa], caps)
-    acc = frozenset(m for m in range(len(st.monoid)) if dfa.accepts(st.reps[m]))
-    out = Stamp(st.alphabet, st.monoid, st.letters, st.reps, acc)
-    if not out.language().equivalent(dfa):
+    acc = st.accepted(dfa)
+    if acc is None:
         raise ParseError("syntactic stamp does not recognize its language")
-    return out
+    return Stamp(st.alphabet, st.monoid, st.letters, st.reps, acc)
 
 
 def syntactic_stamp_of_family(dfas, caps: _caps.Caps = _caps.DEFAULT) -> Stamp:
@@ -547,14 +558,9 @@ class RegularBA:
         return 1 << len(self.blocks)
 
     def contains(self, lang: Dfa) -> bool:
-        """Exact membership: the language is a union of atom languages.  It
-        is one exactly when the elements whose representatives it accepts
-        form a union of blocks whose preimage is the language."""
-        accepted = frozenset(m for m in range(len(self.stamp.monoid))
-                             if lang.accepts(self.stamp.reps[m]))
-        if any(b & accepted and not b <= accepted for b in self.blocks):
-            return False
-        return self.stamp.dfa(accepted).equivalent(lang)
+        """Exact membership: acceptance is a function of the block."""
+        return self.stamp.accepted(lang, {m: i for i, b in enumerate(
+            self.blocks) for m in b}) is not None
 
     def quotient_witness(self):
         """None when the algebra is closed under word quotients, else a
@@ -637,10 +643,8 @@ def factor_stamp(stamp: Stamp, lang: Dfa):
     """Does the stamp recognize the language?  If so, return (g, accepted):
     the factoring morphism g (as a table monoid -> syntactic monoid of the
     language, with g∘mu = mu_lang) and the accepting subset; else None."""
-    accepted = frozenset(
-        m for m in range(len(stamp.monoid)) if lang.accepts(stamp.reps[m])
-    )
-    if not stamp.dfa(accepted).equivalent(lang):
+    accepted = stamp.accepted(lang)
+    if accepted is None:
         return None
     syn = syntactic_stamp(lang)
     g = tuple(syn.mu(stamp.reps[m]) for m in range(len(stamp.monoid)))

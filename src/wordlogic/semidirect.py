@@ -12,11 +12,11 @@ letter evaluations f, and the plain part M acts on it by gathering on the
 evaluation axis: m.s is f -> s(f o lambda_m) and s.m is f -> s(f o rho_m),
 where lambda_m and rho_m are the actions of m on letters.  These actions are
 well defined and distribute over S by construction.  The recognizer is
-checked exactly on the states of one product automaton: there the pair
-morphism must agree with its defining formula on every word.  The biaction
-(``EtaQuotient.bia``) and the full product S ** M (``EtaQuotient.nu``) are
-built only on request; ``Biaction`` checks its laws exhaustively, and S ** M
-is associative because they hold.
+checked exactly on these vectors, with no table of S (K is the closure of the
+letters' vectors, and the pair product acts by gathers): on the states of one
+product automaton the pair morphism must agree with its defining formula.
+The biaction (``EtaQuotient.bia``) and S ** M (``EtaQuotient.nu``) are built
+only on request; ``Biaction`` checks its laws exhaustively.
 
 The block product is one bimachine, ``position_transfer``, with one builder,
 ``transfer_dfa``: a quantifier layer (``quantifier_layer``) and the preimage
@@ -205,16 +205,6 @@ class DecomposedD:
         return self.t_letter[t]
 
 
-def _letter_images(ext: ExtendedAlphabet, stamp: Stamp):
-    """The plain and the marked image of each base symbol under a stamp over
-    the one-mark alphabet ``ext``: a{} is column 2i of ``stamp.letters`` and
-    a{x} column 2i + 1.  Any other stamp is refused."""
-    if len(ext.ctx) != 1 or tuple(stamp.alphabet) != tuple(ext.symbols):
-        raise ParseError(f"a stamp over {stamp.alphabet} is not over the "
-                         f"one-mark alphabet {ext.symbols}")
-    return stamp.letters[0::2], stamp.letters[1::2]
-
-
 def _part_reachability(pi: Stamp):
     """For each ambient element, which mark counts (0, 1, 2+) reach it; the
     stamp is over a one-mark alphabet, whose odd columns are marked."""
@@ -238,7 +228,10 @@ def decompose(ba: RegularBA, ext: ExtendedAlphabet, caps: Caps = DEFAULT) -> Dec
     contain the marked part or the sink part as an element.
     """
     pi = ba.stamp
-    p_amb, q_amb = _letter_images(ext, pi)
+    if len(ext.ctx) != 1 or tuple(pi.alphabet) != tuple(ext.symbols):
+        raise ParseError(f"a stamp over {pi.alphabet} is not over the "
+                         f"one-mark alphabet {ext.symbols}")
+    p_amb, q_amb = pi.letters[0::2], pi.letters[1::2]  # a{} and a{x} images
     tab = pi.monoid.table
     n = len(pi.monoid)
 
@@ -343,14 +336,10 @@ class EtaQuotient:
         return sdp(self.s_mon, self.dd.m_mon, self.bia, self.caps)
 
 
-def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT) -> EtaQuotient:
-    """All evaluations of the marked-class letters into ``nv``, the monoid S
-    their vectors generate, and the actions of M on S: m.s is the vector
-    f -> s(f o lambda_m) with lambda_m = ``dd.left_letter[m]``, and s.m
-    likewise with rho_m(x) = ``dd.right_letter[x][m]``.  Such a gather maps
-    each letter to a letter and commutes with the coordinatewise product, so
-    it maps S into itself and distributes over its product.  S stops
-    growing, with CapExceeded, once |S x M| would pass ``caps.sdp_elements``."""
+def _evaluations(dd: DecomposedD, nv: FinMonoid, caps: Caps):
+    """The maps f from the marked-class letters to ``nv``, the letters'
+    vectors (f(x))_f, ``gathers()``: per plain element m the positions of f o
+    lambda_m and f o rho_m, where m.s and s.m gather s; S's limit and stage."""
     k, n = len(dd.t_blocks), len(nv)
     if n ** k > caps.hom_count:
         raise CapExceeded(f"{n ** k} letter evaluations (cap {caps.hom_count})",
@@ -358,32 +347,30 @@ def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT) -> EtaQuo
                           cap="hom_count")
     homs = tuple(itertools.product(range(n), repeat=k))
 
-    def mul(u, v):
-        return tuple(nv.table[a][b] for a, b in zip(u, v))
+    def gathers():  # called once S has grown; f o g, g[x] the letter x becomes
+        at = {f: i for i, f in enumerate(homs)}
+        return ([[at[tuple(map(f.__getitem__, g))] for f in homs] for g in maps]
+                for maps in (dd.left_letter, zip(*dd.right_letter)))
+    return homs, list(zip(*homs)), gathers, (
+        min(caps.monoid, caps.sdp_elements // len(dd.m_mon)),
+        "evaluation monoid S (|S x M| within sdp_elements)")
 
-    ev_raw = [tuple(f[x] for f in homs) for x in range(k)]
-    nm = len(dd.m_mon)
+
+def eta_quotient(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT) -> EtaQuotient:
+    """All evaluations of the marked-class letters into ``nv``, the monoid S
+    their vectors generate within ``_evaluations``' limit, and M's actions on
+    S by its gathers, which map letters to letters and commute with the
+    coordinatewise product, so they map S into itself and distribute over it."""
+    homs, evs, gathers, cap = _evaluations(dd, nv, caps)
     s_elems, s_index, s_mon, _ = generate_monoid(
-        (nv.identity,) * len(homs), [(f"x{x}", e) for x, e in enumerate(ev_raw)],
-        mul, caps, limit=min(caps.monoid, caps.sdp_elements // nm),
-        stage="evaluation monoid S (|S x M| within sdp_elements)")
-
-    # f o g for a letter map g has index sum_x f(g(x)) n^(k-1-x)
-    homs_arr = np.array(homs, dtype=np.int64).reshape(len(homs), k)
-    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    svec = np.array(s_elems, dtype=np.min_scalar_type(n - 1))
-    s_of = {v.tobytes(): i for i, v in enumerate(svec)}
-
-    def act(g):  # g[x] is the letter that x becomes
-        return tuple(s_of[v.tobytes()]
-                     for v in svec[:, homs_arr[:, list(g)] @ place])
-
-    return EtaQuotient(
-        dd=dd, nv=nv, homs=homs, s_mon=s_mon,
-        ev=tuple(s_index[e] for e in ev_raw),
-        ell=tuple(act(lam) for lam in dd.left_letter),
-        err=tuple(zip(*(act([rho[m] for rho in dd.right_letter])
-                        for m in range(nm)))), caps=caps)
+        (nv.identity,) * len(homs), [(f"x{x}", e) for x, e in enumerate(evs)],
+        lambda u, v: tuple([nv.table[a][b] for a, b in zip(u, v)]),
+        caps, *cap)
+    ell, err = ([tuple(s_index[tuple(map(v.__getitem__, pos))] for v in s_elems)
+                 for pos in side] for side in gathers())
+    return EtaQuotient(dd=dd, nv=nv, homs=homs, s_mon=s_mon, caps=caps,
+                       ev=tuple(map(s_index.__getitem__, evs)),
+                       ell=tuple(ell), err=tuple(zip(*err)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,20 +390,23 @@ class HMorphism:
         return self.pair_of[self.stamp.mu(word)]
 
 
+def _pair_stamp(dd: DecomposedD, ev, mul, caps: Caps):
+    """h's stamp and its elements as (s, m) pairs, generated by ``mul`` from
+    (0, 1) and per letter (``ev`` of its class marked alone, plain image)."""
+    one = dd.pi.monoid.identity
+    gens = [(a, (ev[dd.classify(one, i, one)], dd.p_img[i]))
+            for i, a in enumerate(dd.base_symbols)]
+    elems, index, mon, reps = generate_monoid((0, dd.m_mon.identity), gens, mul, caps)
+    return Stamp(dd.base_symbols, mon, tuple(index[g] for _, g in gens),
+                 reps), tuple(elems)
+
+
 def h_morphism(etaq: EtaQuotient, caps: Caps = DEFAULT) -> HMorphism:
     """The pair morphism, its monoid generated from the letters' pairs by
     the pair product of S ** M (``pair_product``)."""
-    dd = etaq.dd
-    one_amb = dd.pi.monoid.identity
-    gens = [(a, (etaq.ev[dd.classify(one_amb, i, one_amb)], dd.p_img[i]))
-            for i, a in enumerate(dd.base_symbols)]
-    elems, index, mon, reps = generate_monoid(
-        (etaq.s_mon.identity, dd.m_mon.identity), gens,
-        pair_product(etaq.s_mon, dd.m_mon, etaq.ell, etaq.err), caps)
-    letters = tuple(index[g] for _, g in gens)
-    stamp = Stamp(alphabet=dd.base_symbols, monoid=mon, letters=letters,
-                  reps=tuple(reps))
-    return HMorphism(etaq=etaq, stamp=stamp, pair_of=tuple(elems))
+    stamp, pair_of = _pair_stamp(etaq.dd, etaq.ev, pair_product(
+        etaq.s_mon, etaq.dd.m_mon, etaq.ell, etaq.err), caps)
+    return HMorphism(etaq=etaq, stamp=stamp, pair_of=pair_of)
 
 
 # ---------------------------------------------------------------------------
@@ -538,41 +528,52 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
     the Boolean combinations of plain-part classes and evaluation preimages
     of class words, and they are closed under quotients.
 
-    One product automaton runs h beside ``position_transfer`` (B the ambient
-    stamp, K the Cayley table of S at the letters' evaluations): a state
-    holds the S-element of the class word, ``F[0]``, and the plain image,
-    B's state on the plain prefix, and every word reaches exactly one state.
-    On every reachable state, h must agree with its defining formula h(w) =
-    (S-element of the class word of w, plain image of w), so h determines
-    the cell (S-element, plain-part class); the cell must determine h; and
-    the cells must be the classes of a congruence (``congruence_witness``).
-    A failing report names a shortest word on which h and the formula
-    differ, or two shortest words that share a class on one side only.
-    ``hbound`` is still accepted but no longer affects the result.
+    All on evaluation vectors (``_evaluations``), with no table of S: K is
+    the closure of the letters' vectors under the coordinatewise product, h
+    is generated from the letters' pairs by (s1, m1)(s2, m2) = (s1.m2 +
+    m1.s2, m1 m2), acting by gathers.  One product automaton runs h beside
+    ``position_transfer`` (B the ambient stamp, K as above): a state holds
+    the S-element of the class word, ``F[0]``, and the plain image, B's
+    state on the plain prefix.  On every reachable state, h must agree with
+    its defining formula h(w) = (S-element of the class word of w, plain
+    image of w), so h determines the cell (S-element, plain-part class); the
+    cell must determine h; and the cells must be the classes of a congruence
+    (``congruence_witness``).  A failing report names a shortest word on
+    which h and the formula differ, or two shortest words that share a class
+    on one side only.  ``hbound`` is still accepted but no longer counts.
     """
     params = {"base": list(dd.base_symbols), "target_monoid": len(nv),
               "ambient": len(dd.pi.monoid)}
-    etaq = eta_quotient(dd, nv, caps)
-    hm = h_morphism(etaq, caps)
-    stats = {"letters": len(dd.t_blocks), "evaluations": len(etaq.homs),
-             "s_monoid": len(etaq.s_mon), "plain_monoid": len(dd.m_mon),
-             "pair_monoid": len(hm.stamp.monoid)}
+    homs, evs, gathers, cap = _evaluations(dd, nv, caps)
+    ntab, mtab = nv.table, dd.m_mon.table
+    vecs, s_of, kdelta = closure((nv.identity,) * len(homs), lambda v: [
+        tuple([ntab[a][b] for a, b in zip(v, e)]) for e in evs], *cap)
+    lefts, rights = gathers()
+
+    def pair_mul(p1, p2):  # (s1.m2 + m1.s2, m1 m2), the actions by gathers
+        (s1, m1), (s2, m2) = p1, p2
+        u, v = vecs[s1], vecs[s2]
+        s = s_of.get(tuple([ntab[u[i]][v[j]] for i, j in zip(rights[m2], lefts[m1])]))
+        if s is None:
+            raise InvariantViolated("a pair product leaves S", stage="pair monoid")
+        return s, mtab[m1][m2]
+    hstamp, pair_of = _pair_stamp(dd, kdelta[0], pair_mul, caps)
+    stats = {"letters": len(dd.t_blocks), "evaluations": len(homs),
+             "s_monoid": len(vecs), "plain_monoid": len(dd.m_mon),
+             "pair_monoid": len(hstamp.monoid)}
 
     def failed(counterexample):
         return Report(check="recognizer", params=params, passed=False,
                       counterexample=counterexample, stats=stats)
 
-    syms, ptab, stab = dd.base_symbols, dd.pi.monoid.table, etaq.s_mon.table
+    syms, ptab = dd.base_symbols, dd.pi.monoid.table
     tstates, tdelta = position_transfer(
         tuple(tuple(map(row.__getitem__, dd.pi.letters)) for row in ptab),
         dd.pi.monoid.identity, list(map(dd.t_letter.get, range(len(ptab)))),
-        tuple(tuple(map(row.__getitem__, etaq.ev)) for row in stab),
-        etaq.s_mon.identity, caps, "transfer automaton")
-    htab = hm.stamp.monoid.table
-    pairs, _, edges = closure(
-        (hm.stamp.monoid.identity, 0),
-        lambda hq: [(htab[hq[0]][hl], tdelta[hq[1]][i])
-                    for i, hl in enumerate(hm.stamp.letters)],
+        kdelta, 0, caps, "transfer automaton")
+    htab = hstamp.monoid.table
+    pairs, _, edges = closure((hstamp.monoid.identity, 0), lambda hq: [
+        (htab[hq[0]][hl], tdelta[hq[1]][i]) for i, hl in enumerate(hstamp.letters)],
         caps.dfa_states, "recognizer product automaton")
     formulas = [(tstates[q][1][0], dd.m_index[tstates[q][0]]) for _, q in pairs]
     block_of = {dd.m_index[m]: j for j, b in enumerate(dd.d0_blocks) for m in b}
@@ -583,9 +584,9 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
     paths = first_paths(edges, syms)
     first_cell = {}
     for j, ((h, _), formula) in enumerate(zip(pairs, formulas)):
-        if hm.pair_of[h] != formula:
+        if pair_of[h] != formula:
             return failed(f"the pair morphism sends {_word(paths[j])} to "
-                          f"{hm.pair_of[h]} but the per-position evaluation "
+                          f"{pair_of[h]} but the per-position evaluation "
                           f"formula gives {formula}")
         k = first_cell.setdefault(cells[j], j)
         if pairs[k][0] != h:

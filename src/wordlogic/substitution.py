@@ -170,7 +170,7 @@ def delta_algebra(alphabet, var, generators, bound=6,
     # sigma renames bound variables apart from every variable of the atoms
     atom_vars = {var}
     for g in generators:
-        fv, bv, _ = scope(g)
+        fv, bv = scope(g)
         if not fv <= {var}:
             raise ParseError(f"generator {to_dsl(g)} has free variables "
                              f"{sorted(fv - {var})} besides {var}")

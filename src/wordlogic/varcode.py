@@ -84,7 +84,7 @@ def encode(phi, var, alphabet, prior=()):
     prior = tuple(prior)
     if var in prior:
         raise ParseError(f"variable {var!r} is already encoded")
-    free, bound, _ = scope(phi)
+    free, bound = scope(phi)
     if var in bound:
         raise ParseError(f"variable {var!r} is bound in the formula; only a "
                          "free variable can be encoded")

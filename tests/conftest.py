@@ -51,6 +51,17 @@ LASTBIT = {"name": "lastbit", "table": [[0, 1, 2], [1, 1, 2], [2, 1, 2]],
 SHADOW_NAMES = ("x", "y", "w")
 
 
+def nesting_depth(phi) -> int:
+    """The quantifier nesting depth of a formula."""
+    if isinstance(phi, Quant):
+        return 1 + nesting_depth(phi.body)
+    if isinstance(phi, Not):
+        return nesting_depth(phi.sub)
+    if isinstance(phi, (And, Or)):
+        return max(map(nesting_depth, phi.args), default=0)
+    return 0
+
+
 def shadowing_formula(rng, depth):
     """A random formula over letters a, b of at most ``depth`` nested
     connectives and binders, whose variables are SHADOW_NAMES."""

@@ -31,7 +31,7 @@ from wordlogic.logic import (NumPred, letters_of, map_atoms,
 from wordlogic.substitution import distinct_rows
 from wordlogic.words import enumerate_words
 
-from conftest import LASTBIT, model_words
+from conftest import LASTBIT, model_words, nesting_depth
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def test_no_layer_encodes_or_evaluates_a_layer_generator(monkeypatch, letters,
     assert len(events) == 2
     (qf, symbols, context), (rest, atom_symbols, rest_context) = events
     assert qf and context == xs and symbols == spec.alphabet.symbols
-    assert all(scope(phi)[2] == 0 for phi in qf)
+    assert all(nesting_depth(phi) == 0 for phi in qf)
     # after it only the last layer's sentences, over its atom letters, on
     # the atom words of the plain words
     assert len(rest) == len(result.formulas) and rest_context == ()
@@ -372,8 +372,8 @@ def test_representatives_are_sentences_of_the_fragment(letters, quantifiers,
     spec = FragmentSpec(Alphabet.of(letters), quantifiers, predicates,
                         depth=depth, bound=bound)
     for phi in depth_fragment(spec).formulas:
-        free, _, nesting = scope(phi)
-        assert not free and nesting <= depth, to_dsl(phi)
+        free, _ = scope(phi)
+        assert not free and nesting_depth(phi) <= depth, to_dsl(phi)
         assert _names(phi) <= set(quantifiers + predicates), to_dsl(phi)
 
 

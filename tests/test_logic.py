@@ -44,7 +44,8 @@ from wordlogic.words import embed_marked, enumerate_marked, enumerate_words
 
 from conftest import (LASTBIT, SHADOW_NAMES, agrees, count_layer, embedded_ids,
                       infer_dfa, member_table, model_table, model_words,
-                      off_by_one_table, plain, random_body, shadowing_formula)
+                      nesting_depth, off_by_one_table, plain, random_body,
+                      shadowing_formula)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +98,9 @@ def test_map_vars_renames_free_occurrences():
 
 def test_scope_is_the_free_and_bound_variables():
     phi = parse("E z. (P[a](z) & z < x) | ~mod[2,0] u. R[succ](u,y)")
-    assert scope(phi) == ({"x", "y"}, {"z", "u"}, 2)
-    assert scope(Quant("E", "x", LetterPred("a", "y"))) == ({"y"}, {"x"}, 1)
+    assert scope(phi) == ({"x", "y"}, {"z", "u"}) and nesting_depth(phi) == 2
+    one = Quant("E", "x", LetterPred("a", "y"))
+    assert scope(one) == ({"y"}, {"x"}) and nesting_depth(one) == 1
 
 
 def test_hygiene_names_the_outermost_binder_bound_twice():
@@ -170,7 +172,7 @@ def test_map_vars_refuses_a_capture_or_agrees_with_its_input(seed, depth, ren):
 def test_rename_bound_is_equivalent_to_its_input(seed, depth, avoid):
     phi = shadowing_formula(random.Random(seed), depth)
     out = rename_bound(phi, avoid)
-    free, bound, _ = scope(out)
+    free, bound = scope(out)
     assert free == free_vars(phi)
     assert bound.isdisjoint(avoid | free)
     for mw in enumerate_marked(Alphabet.of("ab"), sorted(free), 3):

@@ -49,7 +49,8 @@ from wordlogic.words import enumerate_words
 from wordlogic.caps import Caps
 
 from conftest import (infer_dfa, left_quotient, member_table, model_table,
-                      probe_bit_infer_dfa, right_quotient, table_by_mul)
+                      probe_bit_infer_dfa, random_body, right_quotient,
+                      table_by_mul)
 
 
 def contains_a_dfa(alphabet=("a", "b")):
@@ -687,6 +688,69 @@ def test_factor_stamp_rejects_unrecognized_language():
     st_ = syntactic_stamp(contains_a_dfa())
     parity = Dfa(("a", "b"), ((1, 0), (0, 1)), 0, frozenset({0}))
     assert factor_stamp(st_, parity) is None
+
+
+def accepted_by_reps(stamp, lang, blocks):
+    """The recognition check the search replaced: the elements whose
+    representatives ``lang`` accepts, if they form a union of ``blocks``
+    whose preimage is ``lang``; else None."""
+    accepted = frozenset(m for m in range(len(stamp.monoid))
+                         if lang.accepts(stamp.reps[m]))
+    if any(b & accepted and not b <= accepted for b in blocks):
+        return None
+    return accepted if stamp.dfa(accepted).equivalent(lang) else None
+
+
+def check_recognition_search(seed) -> int:
+    """``Stamp.accepted``, ``RegularBA.contains``, ``factor_stamp`` and
+    ``syntactic_stamp`` against ``accepted_by_reps`` on the quotient closure
+    of random automata, with a coarser partition of its monoid, and on
+    random languages; returns how many of them the closure lacks."""
+    rng = random.Random(seed)
+    A = Alphabet.of("ab")
+    gens = [random_body(rng, A, rng.randint(1, 3))
+            for _ in range(rng.randint(1, 2))]
+    ba = quotient_closure(gens)
+    stamp, n = ba.stamp, len(ba.stamp.monoid)
+    singles = tuple(frozenset({m}) for m in range(n))
+    # a coarser partition of the same monoid, not closed under quotients
+    cut = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    order = rng.sample(range(n), n)
+    coarse = RegularBA(stamp, tuple(frozenset(order[i:j]) for i, j in
+                                    zip([0] + cut, cut + [n])))
+    others = [random_body(rng, A, rng.randint(1, 4)) for _ in range(3)]
+    outside = 0
+    for lang in gens + others + [gens[0].union(others[0]),
+                                 gens[-1].complement()]:
+        want = accepted_by_reps(stamp, lang, singles)
+        outside += want is None
+        assert stamp.accepted(lang) == want
+        assert ba.contains(lang) == (want is not None)
+        got = factor_stamp(stamp, lang)
+        assert got is None if want is None else got[1] == want
+        assert coarse.contains(lang) == \
+            (accepted_by_reps(stamp, lang, coarse.blocks) is not None)
+        syn = syntactic_stamp(lang)
+        assert syn.accepting == accepted_by_reps(syn, lang, ())
+    return outside
+
+
+@settings(derandomize=True, max_examples=80)
+@given(st.integers(0, 10 ** 6))
+def test_the_recognition_search_agrees_with_the_cayley_automaton(seed):
+    check_recognition_search(seed)
+
+
+def test_the_recognition_search_meets_languages_outside_the_algebra():
+    assert sum(map(check_recognition_search, range(40))) > 0
+
+
+def test_the_recognition_search_refuses_another_alphabet():
+    st_ = syntactic_stamp(contains_a_dfa())
+    with pytest.raises(ParseError, match="different alphabets"):
+        st_.accepted(contains_a_dfa(("a", "b", "c")))
+    with pytest.raises(ParseError, match="different alphabets"):
+        recognized_languages(st_).contains(contains_a_dfa(("b", "a")))
 
 
 # ---------------------------------------------------------------------------

@@ -542,13 +542,23 @@ def test_a_changed_plain_action_on_s_fails_with_a_replayable_witness(
     ext, dd = family(text)
     nv = named_monoid(target)
     good = eta_quotient(dd, nv)
+    real = semidirect._evaluations
+
+    def changed(*args):
+        homs, evs, gathers, cap = real(*args)
+
+        def changed_gathers():
+            lefts, rights = gathers()
+            return lefts[:m] + [lefts[m2]] + lefts[m + 1:], rights
+        return homs, evs, changed_gathers, cap
+
     # m acts on S from the left as m2 does: h reads the changed action, the
     # class words do not, and the pair product stays associative here, so
     # h is still built
     assert good.ell[m] != good.ell[m2]
-    bad = dataclasses.replace(good, ell=good.ell[:m] + (good.ell[m2],)
-                              + good.ell[m + 1:])
-    monkeypatch.setattr(semidirect, "eta_quotient", lambda *args: bad)
+    monkeypatch.setattr(semidirect, "_evaluations", changed)
+    bad = eta_quotient(dd, nv)
+    assert bad.ell == good.ell[:m] + (good.ell[m2],) + good.ell[m + 1:]
     report = verify_recognizer(dd, nv)
     assert not report.passed
     w = formula_word(report, ext)
@@ -560,26 +570,44 @@ def test_a_changed_plain_action_on_s_fails_with_a_replayable_witness(
 def test_h_is_checked_on_words_past_any_length_bound(monkeypatch):
     ext, dd = family("E1 y. y < x & P[a](y)")
     nv = named_monoid("Z3")
-    real = semidirect.h_morphism
-    hm = real(eta_quotient(dd, nv))
-    # wrong only at the element with the longest shortest word
-    e = max(range(len(hm.pair_of)), key=lambda i: len(hm.stamp.reps[i]))
-    assert len(hm.stamp.reps[e]) > 4
-    pair_of = hm.pair_of[:e] + (hm.pair_of[0],) + hm.pair_of[e + 1:]
+    real, wrong = semidirect._pair_stamp, []
 
-    def wrong_at_e(etaq, *caps):
-        return dataclasses.replace(real(etaq, *caps), pair_of=pair_of)
+    def wrong_at_e(*args):
+        # wrong only at the element with the longest shortest word
+        stamp, pair_of = real(*args)
+        e = max(range(len(pair_of)), key=lambda i: len(stamp.reps[i]))
+        wrong.append(e)
+        return stamp, pair_of[:e] + (pair_of[0],) + pair_of[e + 1:]
 
-    monkeypatch.setattr(semidirect, "h_morphism", wrong_at_e)
+    monkeypatch.setattr(semidirect, "_pair_stamp", wrong_at_e)
     etaq = eta_quotient(dd, nv)
-    bad = wrong_at_e(etaq)
+    bad = h_morphism(etaq)
+    e = wrong[0]
+    assert len(bad.stamp.reps[e]) > 4
     assert check_h_formula(etaq, bad, enumerate_words(ext.base, 4))
     report = verify_recognizer(dd, nv)
-    assert not report.passed
+    assert not report.passed and wrong == [e, e]
     assert verify_recognizer(dd, nv, hbound=4).to_dict() == report.to_dict()
     w = formula_word(report, ext)
     assert w == bad.stamp.reps[e]
     assert not check_h_formula(etaq, bad, [w])
+
+
+def test_a_pair_product_outside_s_is_refused_with_its_stage(monkeypatch):
+    _, dd = family("E1 y. y < x & P[a](y)")
+    real = semidirect._evaluations
+
+    def constant(*args):
+        # m.s is the constant vector of s at the last evaluation, which maps
+        # every letter to 2 in Z3: no S-element but the identity is constant
+        homs, evs, gathers, cap = real(*args)
+        last = [[len(homs) - 1] * len(homs)] * len(dd.m_mon)
+        return homs, evs, lambda: (last, list(gathers())[1]), cap
+
+    monkeypatch.setattr(semidirect, "_evaluations", constant)
+    with pytest.raises(InvariantViolated, match="pair product leaves S") as exc:
+        verify_recognizer(dd, named_monoid("Z3"))
+    assert exc.value.info == {"stage": "pair monoid"}
 
 
 def test_eta_quotient_stops_before_the_product_passes_its_cap():
@@ -632,10 +660,11 @@ def two_property_families():
 
 def test_verify_recognizer_never_builds_s_times_m(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("S ** M or a biaction was built")
+        raise AssertionError("S ** M, a biaction, eta_quotient or h_morphism "
+                             "was called")
 
-    monkeypatch.setattr(semidirect, "sdp", refuse)
-    monkeypatch.setattr(semidirect, "Biaction", refuse)
+    for name in ("sdp", "Biaction", "eta_quotient", "h_morphism"):
+        monkeypatch.setattr(semidirect, name, refuse)
     cases = [(ba, ext, target) for _, ext, ba in _recognizer_instances(
                  Alphabet.of("ab"), DEFAULT_REGISTRY, 5, Caps())
              for target in ("trivial", "U1", "Z2", "Z3")]
