@@ -219,16 +219,9 @@ def empty_dfa(alphabet) -> Dfa:
 def mark_count_dfa(ext: ExtendedAlphabet, var, counts) -> Dfa:
     """Words over an extended alphabet whose number of positions marked with
     ``var`` lies in ``counts`` (counted 0, 1, or 'many' = 2+)."""
-    marked_cols = [i for i, s in enumerate(ext.symbols) if var in ext.split(s)[1]]
-    k = len(ext.symbols)
-    delta = []
-    for state in range(3):  # 0 marks, 1 mark, 2+
-        row = []
-        for c in range(k):
-            row.append(min(state + 1, 2) if c in marked_cols else state)
-        delta.append(tuple(row))
-    acc = frozenset(q for q in range(3) if min(q, 2) in counts)
-    return Dfa(tuple(ext.symbols), tuple(delta), 0, acc)
+    marks = [int(var in ext.split(s)[1]) for s in ext.symbols]
+    delta = tuple(tuple(min(q + m, 2) for m in marks) for q in range(3))  # 0, 1, 2+
+    return Dfa(tuple(ext.symbols), delta, 0, frozenset(q for q in range(3) if q in counts))
 
 
 def plain_universe_dfa(ext: ExtendedAlphabet) -> Dfa:
@@ -260,6 +253,8 @@ def zero_part_dfa(ext: ExtendedAlphabet) -> Dfa:
 
 
 ASSOC_CHECK_LIMIT = 1024  # the largest table FinMonoid checks exhaustively
+PYTHON_CHECK_LIMIT = 6    # the largest it checks in plain Python first: numpy's
+                          # per-call overhead outweighs the work below it
 
 
 def int_array(obj, ndim: int, what: str) -> np.ndarray:
@@ -297,6 +292,22 @@ def _assert_associative(t, gens=None):
             raise ParseError(f"multiplication not associative at ({s + a},{b},{c})")
 
 
+def _python_proves(table, e, cayley) -> bool:
+    """True when plain Python proves all that ``FinMonoid`` checks by numpy."""
+    n = len(table)
+    t = [tuple(r) for r in table if n <= PYTHON_CHECK_LIMIT and type(r) in (tuple, list)]
+    flat = sum(t, ())
+    if type(e) is not int or not 0 <= e < n == len(t) or {*map(len, t)} != {n} \
+            or {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= n:
+        return False
+    right = t if cayley is None else [tuple(map(r.__getitem__, cayley[0])) for r in t]
+    ids, cols = tuple(range(n)), sum(right, ())  # (x.y).c against x.(y.c), by rows x
+    return t[e] == ids == tuple(r[e] for r in t) \
+        and (cayley is None or right == list(cayley[1])) \
+        and all(sum(map(right.__getitem__, rx), ()) == tuple(map(rx.__getitem__, cols))
+                for rx in t)
+
+
 @dataclass(frozen=True)
 class FinMonoid:
     """Finite monoid as a multiplication table over 0..n-1.
@@ -306,8 +317,8 @@ class FinMonoid:
     (``_cayley``): its generator columns must be those edges, so every
     element is a right product of generators, and associativity is verified
     by Light's test at any size.  Any other table is verified exhaustively
-    (numpy, chunked) whenever n is at most ``ASSOC_CHECK_LIMIT``, and not
-    above it.
+    whenever n is at most ``ASSOC_CHECK_LIMIT``, and not above it; numpy
+    checks, chunked, the tables that ``_python_proves`` does not accept.
     """
 
     table: tuple
@@ -317,24 +328,24 @@ class FinMonoid:
 
     def __post_init__(self):
         n = len(self.table)
-        t = int_array(self.table, 2, "a multiplication table")
-        if n == 0 or t.shape != (n, n) or t.min() < 0 or t.max() >= n:
-            raise ParseError("malformed multiplication table")
-        e = int(int_array(self.identity, 0, "the identity"))
-        if not 0 <= e < n:
-            raise ParseError(f"identity {e} is not an element")
-        ids = np.arange(n)
-        if not ((t[e] == ids).all() and (t[:, e] == ids).all()):
-            bad = np.flatnonzero((t[e] != ids) | (t[:, e] != ids))[0]
-            raise ParseError(f"identity fails at {bad}")
-        if self._cayley is not None:
-            gens, edges = self._cayley
-            gens = list(gens)
-            if list(map(tuple, t[:, gens].tolist())) != list(edges):
-                raise ParseError("generator columns disagree with the search")
-            _assert_associative(t, gens)
-        elif n <= ASSOC_CHECK_LIMIT:
-            _assert_associative(t)
+        if not _python_proves(self.table, self.identity, self._cayley):
+            t = int_array(self.table, 2, "a multiplication table")
+            if n == 0 or t.shape != (n, n) or t.min() < 0 or t.max() >= n:
+                raise ParseError("malformed multiplication table")
+            e = int(int_array(self.identity, 0, "the identity"))
+            if not 0 <= e < n:
+                raise ParseError(f"identity {e} is not an element")
+            ids = np.arange(n)
+            if not ((t[e] == ids).all() and (t[:, e] == ids).all()):
+                bad = np.flatnonzero((t[e] != ids) | (t[:, e] != ids))[0]
+                raise ParseError(f"identity fails at {bad}")
+            if self._cayley is not None:
+                gens, edges = list(self._cayley[0]), self._cayley[1]
+                if list(map(tuple, t[:, gens].tolist())) != list(edges):
+                    raise ParseError("generator columns disagree with the search")
+                _assert_associative(t, gens)
+            elif n <= ASSOC_CHECK_LIMIT:
+                _assert_associative(t)
         if self.names is not None and len(self.names) != n:
             raise ParseError("names length mismatch")
 
@@ -461,32 +472,27 @@ class Stamp:
         """mu^{-1}(accepted) as a DFA on the monoid's right Cayley graph."""
         return cayley_dfa(self.alphabet, self.monoid, self.letters, accepted)
 
-    def accepted(self, lang: Dfa, cls=None):
+    def accepted(self, lang: Dfa, cls=None, caps: _caps.Caps = _caps.DEFAULT):
         """The elements whose words ``lang`` accepts if the stamp recognizes
         it, else None: the stamp is onto, so it does when acceptance on the
-        pairs reached from (identity, start) is a function of the element
-        (with ``cls``, of ``cls[element]``)."""
+        pairs reached from (identity, start), at most ``caps.dfa_states``, is
+        a function of the element (with ``cls``, of ``cls[element]``)."""
         if tuple(self.alphabet) != lang.alphabet:
             raise ParseError("product of DFAs over different alphabets")
         tab, cls, acc = self.monoid.table, cls or range(len(self.reps)), {}
         for m, q in closure((self.monoid.identity, lang.init), lambda mq: zip(
                 map(tab[mq[0]].__getitem__, self.letters), lang.delta[mq[1]]),
-                _caps.DEFAULT.dfa_states, "product automaton")[0]:
+                caps.dfa_states, "product automaton")[0]:
             if acc.setdefault(cls[m], q in lang.accepting) != (q in lang.accepting):
                 return None
         return frozenset(m for m in range(len(tab)) if acc[cls[m]])
-
-    def language(self) -> Dfa:
-        if self.accepting is None:
-            raise ParseError("stamp presents no language")
-        return self.dfa(self.accepting)
 
 
 def syntactic_stamp(dfa: Dfa, caps: _caps.Caps = _caps.DEFAULT) -> Stamp:
     """Syntactic stamp of one language: transition monoid of the minimal
     complete automaton, with the accepting image set."""
     st = syntactic_stamp_of_family([dfa], caps)
-    acc = st.accepted(dfa)
+    acc = st.accepted(dfa, caps=caps)
     if acc is None:
         raise ParseError("syntactic stamp does not recognize its language")
     return Stamp(st.alphabet, st.monoid, st.letters, st.reps, acc)
@@ -507,15 +513,10 @@ def syntactic_stamp_of_family(dfas, caps: _caps.Caps = _caps.DEFAULT) -> Stamp:
         tuple(m.init for m in mins),
         lambda q: zip(*(m.delta[s] for m, s in zip(mins, q))),
         caps.dfa_states, "family product automaton")
-    nstates = len(states)
-    identity = tuple(range(nstates))
-    # letter c acts on the product states by column c of the edge table
+    # letter c acts on the product states by column c of the edges, uv by u then v
     gens = list(zip(alphabet, zip(*edges)))
-
-    def compose(f, g):  # word uv acts by f then g
-        return tuple(g[f[i]] for i in range(nstates))
-
-    elements, elt_index, mon, reps = generate_monoid(identity, gens, compose, caps)
+    elements, elt_index, mon, reps = generate_monoid(
+        tuple(range(len(states))), gens, lambda f, g: tuple(map(g.__getitem__, f)), caps)
     letters = tuple(elt_index[g] for _, g in gens)
     return Stamp(alphabet, mon, letters, reps)
 
@@ -546,21 +547,13 @@ class RegularBA:
     def alphabet(self):
         return self.stamp.alphabet
 
-    def atom_dfas(self) -> list:
-        return [self.stamp.dfa(b) for b in self.blocks]
-
-    def element(self, block_indices) -> Dfa:
-        acc = frozenset().union(*(self.blocks[i] for i in block_indices)) \
-            if block_indices else frozenset()
-        return self.stamp.dfa(acc)
-
     def element_count(self) -> int:
         return 1 << len(self.blocks)
 
-    def contains(self, lang: Dfa) -> bool:
+    def contains(self, lang: Dfa, caps: _caps.Caps = _caps.DEFAULT) -> bool:
         """Exact membership: acceptance is a function of the block."""
         return self.stamp.accepted(lang, {m: i for i, b in enumerate(
-            self.blocks) for m in b}) is not None
+            self.blocks) for m in b}, caps) is not None
 
     def quotient_witness(self):
         """None when the algebra is closed under word quotients, else a
@@ -568,11 +561,13 @@ class RegularBA:
         regular languages is closed under quotients exactly when its atoms
         are the classes of a congruence (Gehrke, Grigorieff and Pin, ICALP
         2008); the stamp is onto, so that is when multiplying by a letter
-        image on either side keeps every block inside one block."""
-        tab = self.stamp.monoid.table
+        image on either side keeps every block inside one block.  Singletons
+        do, as kernel classes, once ``FinMonoid`` proved associativity: no search."""
+        mon = self.stamp.monoid
+        if len(self.blocks) == len(mon) and (mon._cayley or len(mon) <= ASSOC_CHECK_LIMIT):
+            return None
         order, _, edges = closure(
-            self.stamp.monoid.identity,
-            lambda m: [tab[m][g] for g in self.stamp.letters])
+            mon.identity, lambda m: [mon.table[m][g] for g in self.stamp.letters])
         block_of = {m: i for i, b in enumerate(self.blocks) for m in b}
         return congruence_witness(edges, [block_of[m] for m in order],
                                   self.alphabet)
@@ -634,7 +629,7 @@ def quotient_closure(gens, caps: _caps.Caps = _caps.DEFAULT) -> RegularBA:
     stamp = syntactic_stamp_of_family(list(gens), caps)
     ba = recognized_languages(stamp)
     for g in gens:
-        if not ba.contains(g):
+        if not ba.contains(g, caps):
             raise ParseError("generator escaped its own quotient closure")
     return ba
 

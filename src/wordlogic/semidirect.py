@@ -133,7 +133,9 @@ class SdpMonoid:
 
 
 def sdp(smon: FinMonoid, mmon: FinMonoid, bia: Biaction, caps: Caps = DEFAULT) -> SdpMonoid:
-    """Build the full two-sided semidirect product S ** M on all pairs."""
+    """The two-sided semidirect product S ** M on all pairs.  Its table is
+    associative by the ``Biaction`` laws, checked in full, so it needs no
+    check above ``ASSOC_CHECK_LIMIT`` (the default ``sdp_elements`` is 1,024)."""
     ns, nm = len(smon), len(mmon)
     if ns * nm > caps.sdp_elements:
         raise CapExceeded(f"semidirect product would have {ns * nm} elements "

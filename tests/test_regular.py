@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wordlogic import (
     Alphabet,
@@ -470,6 +470,89 @@ def test_generator_columns_must_be_the_search_edges():
         FinMonoid(z3.table, 0, _cayley=(gens, [(0,), (2,), (1,)]))
 
 
+CORRUPTIONS = ("none", "lists", "ragged", "mapping", "float", "string", "bool",
+               "numpy", "range", "identity", "product", "generator column")
+
+
+@st.composite
+def small_tables(draw):
+    """A monoid of at most 16 elements, generated by transformations of at
+    most three states (with its search edges, or not), its elements
+    relabelled, then one kind of corruption: (kind, table, identity, cayley)."""
+    states = draw(st.integers(1, 3))
+    maps = draw(st.lists(st.tuples(*[st.integers(0, states - 1)] * states),
+                         min_size=1, max_size=3))
+    try:
+        _, _, mon, _ = generate_monoid(tuple(range(states)), [
+            (f"g{i}", g) for i, g in enumerate(maps)], compose, limit=16)
+    except CapExceeded:
+        assume(False)
+    n = len(mon)
+    p = draw(st.permutations(range(n)))
+    table = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[p[a]][p[b]] = p[mon.table[a][b]]
+    gens, edges = mon._cayley
+    cayley = None
+    if draw(st.booleans()):
+        new_edges = [None] * n
+        for a in range(n):
+            new_edges[p[a]] = tuple(p[j] for j in edges[a])
+        cayley = (tuple(p[g] for g in gens), new_edges)
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    identity = p[0]
+    # corrupt away from the identity's row and column, which fail on their own
+    a, b = (draw(st.sampled_from([x for x in range(n) if x != identity] or [identity]))
+            for _ in "ab")
+    if kind == "ragged":
+        table[a].pop()
+    elif kind == "mapping":  # a row that iterates as the identity's row
+        table[identity] = dict.fromkeys(table[identity])
+    elif kind in ("float", "string", "numpy"):
+        table[a][b] = {"float": float, "string": str, "numpy": np.int64}[kind](table[a][b])
+    elif kind == "bool":  # every table has an entry 0 or 1
+        a, b = next((a, b) for a in range(n) for b in range(n) if table[a][b] < 2)
+        table[a][b] = bool(table[a][b])
+    elif kind == "range":
+        table[a][b] = draw(st.sampled_from((-1, n)))
+    elif kind == "identity":
+        identity = draw(st.integers(0, n - 1))
+    elif kind == "product":
+        table[a][b] = draw(st.integers(0, n - 1))
+    elif kind == "generator column" and cayley is not None:
+        c = draw(st.integers(0, len(gens) - 1))
+        cayley[1][a] = cayley[1][a][:c] + (draw(st.integers(0, n - 1)),) + \
+            cayley[1][a][c + 1:]
+    rows = list if kind == "lists" else tuple
+    return kind, tuple(r if type(r) is dict else rows(r) for r in table), \
+        identity, cayley
+
+
+def check_outcome(table, identity, cayley):
+    """None if ``FinMonoid`` accepts the table, else the error's type and text."""
+    try:
+        FinMonoid(table, identity, _cayley=cayley)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tables())
+def test_python_and_numpy_checks_give_one_verdict(case):
+    kind, table, identity, cayley = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regular, "PYTHON_CHECK_LIMIT", 16)
+        python = check_outcome(table, identity, cayley)
+        if kind in ("none", "lists"):  # the Python pass proves what it can
+            assert python is None and regular._python_proves(table, identity, cayley)
+        mp.setattr(regular, "PYTHON_CHECK_LIMIT", 0)
+        assert check_outcome(table, identity, cayley) == python
+    if kind in ("ragged", "mapping", "float", "string", "range"):
+        assert python is not None and python[0] == "ParseError"
+
+
 def test_a_generator_the_search_never_reaches_is_refused_with_its_stage():
     # 0.1 = 2 under x.y = x + 2 (mod 4): the search from 0 reaches {0, 2},
     # never the generator 1 itself
@@ -505,7 +588,7 @@ def test_syntactic_stamp_of_the_empty_language_is_trivial():
 def test_syntactic_stamp_of_contains_a():
     st_ = syntactic_stamp(contains_a_dfa())
     assert len(st_.monoid) == 2
-    assert st_.language().equivalent(contains_a_dfa())
+    assert st_.dfa(st_.accepting).equivalent(contains_a_dfa())
     assert st_.mu(("b", "a")) == st_.mu(("a",))
     assert st_.mu(("b",)) == st_.monoid.identity
 
@@ -545,7 +628,7 @@ def test_stamp_mu_is_a_congruence_for_language_membership():
     st_ = syntactic_stamp(contains_a_dfa())
     A = Alphabet.of("ab")
     words = list(enumerate_words(A, 4))
-    lang = st_.language()
+    lang = st_.dfa(st_.accepting)
     for u in words[:12]:
         for v in words[:12]:
             if st_.mu(u) == st_.mu(v):
@@ -562,8 +645,8 @@ def test_stamp_mu_is_a_congruence_for_language_membership():
 def test_trivial_stamp_recognizes_bottom_and_top():
     ba = recognized_languages(syntactic_stamp(empty_dfa(("a", "b"))))
     assert ba.element_count() == 2
-    assert ba.element([]).is_empty()
-    assert ba.element([0]).equivalent(universal_dfa(("a", "b")))
+    assert ba.stamp.dfa(frozenset()).is_empty()
+    assert ba.stamp.dfa(ba.blocks[0]).equivalent(universal_dfa(("a", "b")))
 
 
 def test_marked_universe_stamp_recognizes_eight_languages():
@@ -586,9 +669,10 @@ def test_quotient_closure_of_the_empty_language():
 def test_quotient_closure_is_idempotent():
     ext = ExtendedAlphabet(Alphabet.of("ab"), ("x",))
     ba = quotient_closure([image_dfa(ext), contains_a_dfa(ext.symbols)])
-    again = quotient_closure(list(ba.atom_dfas()))
+    atoms = [ba.stamp.dfa(b) for b in ba.blocks]
+    again = quotient_closure(atoms)
     assert again.element_count() == ba.element_count()
-    for d in ba.atom_dfas():
+    for d in atoms:
         assert again.contains(d)
 
 
@@ -612,6 +696,33 @@ def test_congruence_witness_rejects_a_partition_that_is_not_a_congruence():
         (("a",), ("a", "a"), "right", "a")
     # the last letter itself is a congruence
     assert congruence_witness([(1, 2), (1, 2), (1, 2)], [0, 1, 2], ("a", "b")) is None
+
+
+def test_a_quotient_closure_is_quotient_closed_without_a_search(monkeypatch):
+    ext = ExtendedAlphabet(Alphabet.of("ab"), ("x",))
+    _, phi = formula_dfa(parse("P[a](x)"), ext.base, ("x",), 5)
+    ba = quotient_closure([phi, image_dfa(ext)])
+
+    def search(*args):
+        raise AssertionError("the congruence search ran")
+    monkeypatch.setattr(regular, "congruence_witness", search)
+    assert ba.quotient_witness() is None
+
+
+def test_recognition_search_obeys_the_callers_caps():
+    # length 0 or 5 (mod 10): ten states, whose syntactic monoid is Z5, and
+    # ten (element, state) pairs reached by the recognition search
+    dfa = Dfa(("a", "b"), tuple(((q + 1) % 10,) * 2 for q in range(10)), 0,
+              frozenset({0, 5}))
+    assert len(syntactic_stamp(dfa).monoid) == 5
+    for call in (lambda caps: syntactic_stamp(dfa, caps),
+                 lambda caps: quotient_closure([dfa], caps),
+                 lambda caps: recognized_languages(
+                     syntactic_stamp(dfa)).contains(dfa, caps)):
+        call(Caps())
+        with pytest.raises(CapExceeded) as exc:
+            call(Caps(dfa_states=7))
+        assert exc.value.info == {"stage": "product automaton", "cap": 7}
 
 
 def test_merged_atoms_are_not_quotient_closed():
