@@ -126,13 +126,9 @@ def disj(parts) -> object:
 
 
 def neg(phi) -> object:
-    if isinstance(phi, Truth):
-        return FALSE
-    if isinstance(phi, Falsum):
-        return TRUE
-    if isinstance(phi, Not):
-        return phi.sub
-    return Not(phi)
+    if isinstance(phi, (Truth, Falsum)):
+        return FALSE if isinstance(phi, Truth) else TRUE
+    return phi.sub if isinstance(phi, Not) else Not(phi)
 
 
 def map_atoms(phi, f, bind=None):
@@ -789,6 +785,17 @@ _BLOCK_CELLS = 1 << 20
 _MAX_AXES = 64
 
 
+def _one_point(node, env):
+    """(The rest of the conjunction, y) for ``E z`` or ``E1 z`` over a
+    conjunction with a conjunct ``z = y``, y in scope and not z; else None."""
+    args = node.body.args if node.q in ("E", "E1") and type(node.body) is And else ()
+    for a in args:
+        if type(a) is NumPred and a.name == "=" and node.var in a.args:
+            y = a.args[a.args[0] == node.var]
+            if y != node.var and y in env:
+                return conj(b for b in args if b is not a), y
+
+
 def _operations(phis, context) -> tuple:
     """The one walk of bulk evaluation: a family's distinct operations, each
     after its operands, numbered by keys over axes (value numbering):
@@ -796,25 +803,34 @@ def _operations(phis, context) -> tuple:
     (n1, ...)) and (Quant, q, axis, n) over operand numbers, ``1`` and ``0``
     being the empty And and Or.  Context variable j is on axis j + 1 and a
     bound variable past the axes around its binder: sibling binders share
-    axes, and alpha-equivalent subformulas on the same axes one operation.
-    Each formula in turn is refused if a free variable is outside the
-    context (ParseError) or it needs over ``_MAX_AXES`` axes (CapExceeded).
-    Returns (ops, the formulas' numbers, deepest nesting, widest operation)."""
+    axes, and alpha-equivalent subformulas on the same axes one operation;
+    ``E z``/``E1 z`` over a conjunction with a conjunct ``z = y`` is the rest
+    of it with z on y's axis (the one-point rule, on built-ins no registry
+    shadows; see ``truth_table``).  Each formula in turn is refused if a free
+    variable is outside the context (ParseError) or it needs over
+    ``_MAX_AXES`` axes (CapExceeded).  Returns (ops, the formulas' numbers,
+    deepest nesting, widest operation, per op the operands it reads last)."""
     c = len(context)
-    number = {}
+    number, masks, last = {}, [], {}  # masks: each op's free axes as bits
 
     def walk(node, env):
         nonlocal deepest
-        kind = type(node)
+        kind, args = type(node), ()
         if kind is And or kind is Or:
-            key = (kind, tuple([walk(a, env) for a in node.args]))
+            args = tuple([walk(a, env) for a in node.args])
+            key = (kind, args)
         elif kind is Quant:
+            fold = _one_point(node, env)
+            if fold:
+                return walk(fold[0], {**env, node.var: env[fold[1]]})
             # not len(env) + 1: a binder may reuse a name already in scope
             ax = max(env.values(), default=0) + 1
             deepest = max(deepest, ax)
-            key = (Quant, node.q, ax, walk(node.body, {**env, node.var: ax}))
+            args = (walk(node.body, {**env, node.var: ax}),)
+            key = (Quant, node.q, ax) + args
         elif kind is Not:
-            key = (Not, walk(node.sub, env))
+            args = (walk(node.sub, env),)
+            key = (Not,) + args
         elif kind is LetterPred:
             key = (LetterPred, node.symbol, env[node.var])
         elif kind is NumPred:
@@ -823,7 +839,16 @@ def _operations(phis, context) -> tuple:
             key = (And if kind is Truth else Or, ())
         else:
             raise ParseError(f"not a formula: {node!r}")
-        return number.setdefault(key, len(number))
+        n = number.get(key)
+        if n is None:
+            n = number[key] = len(masks)
+            bits = 1 << key[2] if kind is LetterPred else \
+                sum(1 << ax for ax in set(key[2])) if kind is NumPred else 0
+            for a in args:
+                bits |= masks[a]
+                last[a] = n
+            masks.append(bits & ~(1 << key[2]) if kind is Quant else bits)
+        return n
 
     roots, depth = [], 0
     for phi in phis:
@@ -840,18 +865,10 @@ def _operations(phis, context) -> tuple:
                               "evaluation", stage="bulk evaluation",
                               size=1 + c + d, cap=_MAX_AXES)
         depth = max(depth, d)
-    masks = []  # the free axes of each operation, as an int bitmask
-    for op in number:
-        if op[0] is LetterPred:
-            masks.append(1 << op[2])
-        elif op[0] is NumPred:
-            masks.append(sum(1 << ax for ax in set(op[2])))
-        elif op[0] is Quant:
-            masks.append(masks[op[3]] & ~(1 << op[2]))
-        else:  # Not, And, Or
-            operands = op[1:] if op[0] is Not else op[1]
-            masks.append(reduce(int.__or__, [masks[n] for n in operands], 0))
-    return list(number), roots, depth, max(map(int.bit_count, masks), default=0)
+    free = [[] for _ in masks]
+    for n in last.keys() - set(roots):
+        free[last[n]].append(n)
+    return list(number), roots, depth, max(map(int.bit_count, masks), default=0), free
 
 
 class _Evaluator:
@@ -897,10 +914,11 @@ class _Evaluator:
             pred._tables[pattern, L] = tables
         return self.place(tables[self.lens], free)
 
-    def run(self, ops) -> list:
-        """The table of every operation, in order: one flat pass."""
+    def run(self, ops, free) -> list:
+        """The table of every operation, in order: one flat pass that drops
+        the tables each operation is the last to read (``free``)."""
         out = []
-        for op in ops:
+        for op, done in zip(ops, free):
             kind = op[0]
             if kind is And or kind is Or:
                 combine = np.logical_and if kind is And else np.logical_or
@@ -928,6 +946,8 @@ class _Evaluator:
                     table = np.expand_dims(np.array(values, dtype=bool)
                                            .reshape(rows.shape[:-1]), ax)
             out.append(table)
+            for n in done:
+                out[n] = None
         return out
 
 
@@ -940,7 +960,8 @@ def truth_table(phis, symbols, context, letters, lens, registry=None) -> np.ndar
     for k formulas: entry [i, r, p_1, ...] is the truth of formula i on
     word r with context variable j marking position p_j + 1 (``satisfies``
     is the reference); entries with a position at or past the row's length
-    mean nothing.
+    mean nothing: every quantifier masks them, so ``_operations`` may read a
+    witness ``E z. (z = y & ..)`` as its body at z = y, which differs there.
 
     One walk (``_operations``) numbers the family's distinct operations and
     checks each formula, before any evaluation; per block of rows, one
@@ -953,7 +974,7 @@ def truth_table(phis, symbols, context, letters, lens, registry=None) -> np.ndar
     """
     ctx = tuple(context)
     c = len(ctx)
-    ops, roots, depth, most = _operations(phis, ctx)
+    ops, roots, depth, most, free = _operations(phis, ctx)
     letters = np.asarray(letters, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
     rows, L = letters.shape
@@ -962,7 +983,7 @@ def truth_table(phis, symbols, context, letters, lens, registry=None) -> np.ndar
     for start in range(0, rows, block):
         part = slice(start, start + block)
         tables = _Evaluator(symbols, 1 + c + depth, letters[part], lens[part],
-                            registry or DEFAULT_REGISTRY).run(ops)
+                            registry or DEFAULT_REGISTRY).run(ops, free)
         for i, n in enumerate(roots):
             out[i, part] = tables[n][(Ellipsis,) + (0,) * depth]
     return out

@@ -468,10 +468,6 @@ class Stamp:
             out = self.monoid.table[out][self.letter(sym)]
         return out
 
-    def dfa(self, accepted) -> Dfa:
-        """mu^{-1}(accepted) as a DFA on the monoid's right Cayley graph."""
-        return cayley_dfa(self.alphabet, self.monoid, self.letters, accepted)
-
     def accepted(self, lang: Dfa, cls=None, caps: _caps.Caps = _caps.DEFAULT):
         """The elements whose words ``lang`` accepts if the stamp recognizes
         it, else None: the stamp is onto, so it does when acceptance on the
@@ -634,14 +630,15 @@ def quotient_closure(gens, caps: _caps.Caps = _caps.DEFAULT) -> RegularBA:
     return ba
 
 
-def factor_stamp(stamp: Stamp, lang: Dfa):
+def factor_stamp(stamp: Stamp, lang: Dfa, caps: _caps.Caps = _caps.DEFAULT):
     """Does the stamp recognize the language?  If so, return (g, accepted):
     the factoring morphism g (as a table monoid -> syntactic monoid of the
-    language, with g∘mu = mu_lang) and the accepting subset; else None."""
-    accepted = stamp.accepted(lang)
+    language, with g∘mu = mu_lang) and the accepting subset; else None.
+    Both product searches run under ``caps``."""
+    accepted = stamp.accepted(lang, caps=caps)
     if accepted is None:
         return None
-    syn = syntactic_stamp(lang)
+    syn = syntactic_stamp(lang, caps)
     g = tuple(syn.mu(stamp.reps[m]) for m in range(len(stamp.monoid)))
     # morphism sanity: g respects letters and identity
     if g[stamp.monoid.identity] != syn.monoid.identity:

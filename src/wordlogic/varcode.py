@@ -14,7 +14,9 @@ one-variable one are checked word by word at an explicit bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .errors import BoundTooSmall, InvariantViolated, ParseError
 from .logic import (And, LetterPred, Not, NumPred, Or, Quant, TRUE, FALSE,
                     Registry, DEFAULT_REGISTRY, conj, disj, neg, all_vars,
                     free_vars, fresh_names, in_range, map_atoms, marked_truth,
-                    marked_word_at, scope, to_dsl, truth_table)
+                    marked_word_at, scope, to_dsl)
 from .regular import shortlex_rows
 from .report import Report
 from .substitution import (DeltaAlgebra, delta_algebra, sigma,
@@ -42,13 +44,21 @@ def _base_alphabet(alphabet) -> Alphabet:
     return alphabet if isinstance(alphabet, Alphabet) else Alphabet.of(alphabet)
 
 
-def _source_letters(base: Alphabet, prior: tuple):
-    """The letters a formula may test before one more variable is encoded:
-    triples (symbol, base symbol, set of variables already in the letter)."""
-    if prior:
-        src = ExtendedAlphabet(base, prior)
-        return src, tuple((s, *src.split(s)) for s in src.symbols)
-    return base, tuple((s, s, frozenset()) for s in base.symbols)
+@lru_cache(maxsize=64)
+def _codec(base: Alphabet, prior: tuple, var) -> tuple:
+    """The read-only letter tables of the step from A x 2^prior (A when prior
+    is empty) to A x 2^(prior + var): per source symbol its (unmarked, marked)
+    targets, the marked targets in source order, and per target its source
+    and whether it carries var."""
+    src = ExtendedAlphabet(base, prior) if prior else base
+    ext = ExtendedAlphabet(base, prior + (var,))
+    up = {}
+    for s in src.symbols:
+        b, T = src.split(s) if prior else (s, frozenset())
+        up[s] = (ext.symbol(b, T), ext.symbol(b, T | {var}))
+    down = {t: (s, i == 1) for s, pair in up.items() for i, t in enumerate(pair)}
+    return (MappingProxyType(up), tuple(m for _, m in up.values()),
+            MappingProxyType(down))
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +68,9 @@ def _source_letters(base: Alphabet, prior: tuple):
 def phi_sentence(alphabet, var="x", prior=(), zvar=None):
     """The sentence over the marked alphabet whose models are exactly the
     embedded marked words: exactly one position carries the new mark."""
-    base = _base_alphabet(alphabet)
-    prior = tuple(prior)
-    _, letters = _source_letters(base, prior)
-    ext = ExtendedAlphabet(base, prior + (var,))
+    marked = _codec(_base_alphabet(alphabet), tuple(prior), var)[1]
     z = zvar or next(fresh_names({var, *prior}))
-    body = disj(LetterPred(ext.symbol(b, T | {var}), z) for _, b, T in letters)
-    return Quant("E1", z, body)
+    return Quant("E1", z, disj(LetterPred(s, z) for s in marked))
 
 
 # ---------------------------------------------------------------------------
@@ -89,35 +95,27 @@ def encode(phi, var, alphabet, prior=()):
         raise ParseError(f"variable {var!r} is bound in the formula; only a "
                          "free variable can be encoded")
     base = _base_alphabet(alphabet)
-    _, letters = _source_letters(base, prior)
-    by_symbol = {s: (b, T) for s, b, T in letters}
-    ext = ExtendedAlphabet(base, prior + (var,))
-    avoid = free | bound | {var} | set(prior)
-    fresh = fresh_names(avoid)
+    up, marked, _ = _codec(base, prior, var)
+    fresh = fresh_names(free | bound | {var} | set(prior))
 
     def leaf(node):
         if isinstance(node, LetterPred):
-            if node.symbol not in by_symbol:
+            if node.symbol not in up:
                 raise ParseError(f"letter {node.symbol!r} is not over the "
                                  "codec's source alphabet")
-            b, T = by_symbol[node.symbol]
-            marked = LetterPred(ext.symbol(b, T | {var}), node.var)
+            plain, mark = up[node.symbol]
             if node.var == var:
                 z = next(fresh)
-                return Quant("E", z, LetterPred(ext.symbol(b, T | {var}), z))
-            return Or((marked, LetterPred(ext.symbol(b, T), node.var)))
-        if isinstance(node, NumPred):
-            if var in node.args:
-                z = next(fresh)
-                guard = disj(LetterPred(ext.symbol(b, T | {var}), z)
-                             for _, b, T in letters)
-                args = tuple(z if a == var else a for a in node.args)
-                return Quant("E", z, conj((guard, NumPred(node.name, args))))
+                return Quant("E", z, LetterPred(mark, z))
+            return Or((LetterPred(mark, node.var), LetterPred(plain, node.var)))
+        if isinstance(node, NumPred) and var in node.args:
+            z = next(fresh)
+            guard = disj(LetterPred(s, z) for s in marked)
+            args = tuple(z if a == var else a for a in node.args)
+            return Quant("E", z, conj((guard, NumPred(node.name, args))))
         return node
 
-    tilde = map_atoms(phi, leaf)
-    pinned = phi_sentence(base, var, prior, zvar=next(fresh))
-    return conj((tilde, pinned))
+    return conj((map_atoms(phi, leaf), phi_sentence(base, var, prior, zvar=next(fresh))))
 
 
 def decode(psi, var, alphabet, prior=()):
@@ -128,29 +126,19 @@ def decode(psi, var, alphabet, prior=()):
     carries the mark asserts the tested position is var, one without the
     mark asserts it is not.
     """
-    prior = tuple(prior)
     if var in all_vars(psi):
         raise ParseError(f"variable {var!r} occurs in the formula being "
                          "decoded")
-    base = _base_alphabet(alphabet)
-    src = ExtendedAlphabet(base, prior + (var,))
-
-    def out_symbol(b, T):
-        if prior:
-            return ExtendedAlphabet(base, prior).symbol(b, T)
-        return b
+    down = _codec(_base_alphabet(alphabet), tuple(prior), var)[2]
 
     def leaf(node):
         if isinstance(node, LetterPred):
-            if node.symbol not in src:
+            if node.symbol not in down:
                 raise ParseError(f"letter {node.symbol!r} is not over the "
                                  "codec's marked alphabet")
-            b, T = src.split(node.symbol)
-            if var in T:
-                return And((LetterPred(out_symbol(b, T - {var}), node.var),
-                            NumPred("=", (var, node.var))))
-            return And((LetterPred(out_symbol(b, T), node.var),
-                        Not(NumPred("=", (var, node.var)))))
+            sym, marked = down[node.symbol]
+            at = NumPred("=", (var, node.var))
+            return And((LetterPred(sym, node.var), at if marked else Not(at)))
         return node
 
     return map_atoms(psi, leaf)
@@ -186,12 +174,18 @@ def _as_vars(enc_vars):
 # round trips, checked extensionally
 # ---------------------------------------------------------------------------
 
-def _in_image(letters, encoded: int) -> np.ndarray:
-    """Per padded row of letters over A x 2^encoded (letter base_index *
-    2^encoded + mask): does every encoded variable mark exactly one
-    position?  The bulk form of ``words.in_marked_image``."""
+@lru_cache(maxsize=16)
+def _image(k, bound, encoded, c) -> np.ndarray:
+    """Per marked word of ``enumerate_marked`` over A x 2^encoded (k letters,
+    base_index * 2^encoded + mask) and c more variables at the bound: does
+    every encoded variable mark one position?  The bulk form of
+    ``words.in_marked_image``, kept apart from the codec it checks; read-only."""
+    letters = np.maximum(shortlex_rows(k, bound)[0], 0)  # padding marks none
     bits = (letters[:, :, None] >> np.arange(encoded)) & 1
-    return ((bits * (letters >= 0)[:, :, None]).sum(axis=1) == 1).all(axis=1)
+    once = (bits.sum(axis=1) == 1).all(axis=1)
+    image = np.repeat(once, in_range(k, bound, c).reshape(len(once), -1).sum(axis=1))
+    image.setflags(write=False)
+    return image
 
 
 def roundtrip_check(phi, enc_vars, alphabet, bound=5,
@@ -203,7 +197,9 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
 
     The second fact is checked for ``psi`` (default: the encoding of
     ``phi``): a marked-alphabet word satisfies encode(decode(psi)) exactly
-    when it satisfies psi and lies in the image of the embedding.  Both are
+    when it satisfies psi and lies in the image of the embedding, over the
+    free variables of ``phi`` outside ``enc_vars`` (encoding removes those
+    and adds none), or of a given psi and its round trip.  Both are
     checked in bulk; a counterexample is the first differing marked word in
     ``enumerate_marked`` order, and the counts in ``stats`` run up to it.
     """
@@ -228,17 +224,15 @@ def roundtrip_check(phi, enc_vars, alphabet, bound=5,
                       counterexample=f"decode(encode(..)) differs on {mw}",
                       stats=stats)
 
-    decoded = back if psi is None else decode_multi(psi, enc_vars, base)
-    psi = encoded if psi is None else psi
-    both = encode_multi(decoded, enc_vars, base)
-    ctx2 = tuple(sorted((free_vars(psi) | free_vars(both)) - set(enc_vars)))
+    if psi is None:
+        psi, both = encoded, encode_multi(back, enc_vars, base)
+        ctx2 = tuple(v for v in ctx if v not in enc_vars)
+    else:
+        both = encode_multi(decode_multi(psi, enc_vars, base), enc_vars, base)
+        ctx2 = tuple(sorted((free_vars(psi) | free_vars(both)) - set(enc_vars)))
     check_table("marked word table", len(ext), len(ctx2), bound, caps)
-    letters, lens = shortlex_rows(len(ext), bound)
-    image = _in_image(letters, len(enc_vars))[(slice(None),) + (None,) * len(ctx2)]
-    inside = in_range(len(ext), bound, len(ctx2))
-    want, got = truth_table((psi, both), ext.symbols, ctx2, letters, lens, reg)
-    want = (want & image)[inside]
-    differ = np.flatnonzero(want != got[inside])
+    want, got = marked_truth((psi, both), ext, ctx2, bound, reg)
+    differ = np.flatnonzero(want & _image(len(ext), bound, len(enc_vars), len(ctx2)) != got)
     stats["words_image"] = int(differ[0]) + 1 if len(differ) else len(want)
     if len(differ):
         mw = marked_word_at(ext, ctx2, bound, int(differ[0]))
@@ -337,15 +331,11 @@ def lift_delta(generators, var, enc_vars, alphabet, bound=6,
     zeta = [sig_atoms[key] for key in keys]
     junk = sig_atoms[off] if enc_vars else None
 
-    report = None
-    if check:
-        report = _square_check(base, var, enc_vars, src_formulas, lifted,
-                               tuple(zeta), junk, bound, reg, caps)
-    return LiftedAlgebra(alphabet=base, var=var, enc_vars=enc_vars,
+    lift = LiftedAlgebra(alphabet=base, var=var, enc_vars=enc_vars,
                          source_generators=generators,
                          source_atom_formulas=tuple(src_formulas),
-                         lifted=lifted, zeta=tuple(zeta), junk_atom=junk,
-                         report=report)
+                         lifted=lifted, zeta=tuple(zeta), junk_atom=junk)
+    return replace(lift, report=_square_check(lift, bound, reg, caps)) if check else lift
 
 
 def zeta_relabel(lift: LiftedAlgebra, theta):
@@ -380,26 +370,18 @@ def sigma_source(lift: LiftedAlgebra, theta):
 def _square_samples(atom_count, quantifier="E", zvar="z"):
     """Deterministic sample sentences over atom letters c0..: the empty and
     full disjunctions, all singletons, the first pair, and one negation."""
-    subsets = [(), tuple(range(atom_count))]
-    subsets += [(i,) for i in range(atom_count)]
-    if atom_count >= 2:
-        subsets.append((0, 1))
-    out = []
-    for B in subsets:
-        out.append(Quant(quantifier, zvar,
-                         disj(LetterPred(f"c{i}", zvar) for i in B)))
-    out.append(neg(out[1]))
-    return out
+    subsets = ([(), tuple(range(atom_count))] + [(i,) for i in range(atom_count)]
+               + [(0, 1)] * (atom_count >= 2))
+    out = [Quant(quantifier, zvar, disj(LetterPred(f"c{i}", zvar) for i in B))
+           for B in subsets]
+    return out + [neg(out[1])]
 
 
-def _square_check(base, var, enc_vars, src_formulas, lifted, zeta, junk,
-                  bound, reg, caps) -> Report:
-    lift = LiftedAlgebra(alphabet=base, var=var, enc_vars=enc_vars,
-                         source_generators=(),
-                         source_atom_formulas=tuple(src_formulas),
-                         lifted=lifted, zeta=zeta, junk_atom=junk)
+def _square_check(lift: LiftedAlgebra, bound, reg, caps) -> Report:
+    base, enc_vars, lifted = lift.alphabet, lift.enc_vars, lift.lifted
     params = {"alphabet": list(base.symbols), "encoded": list(enc_vars),
-              "variable": var, "atoms": len(src_formulas), "bound": bound}
+              "variable": lift.var, "atoms": len(lift.source_atom_formulas),
+              "bound": bound}
     thetas = _square_samples(lifted.atom_count)
     # both readings of every sample, evaluated as one family
     check_table("marked word table", len(base), len(enc_vars), bound, caps)

@@ -636,7 +636,8 @@ def test_a_family_is_checked_formula_by_formula_before_evaluation(monkeypatch):
     for i in range(63):
         deep = Quant("E", f"y{i}", deep)
     runs = []
-    monkeypatch.setattr(logic._Evaluator, "run", lambda self, ops: runs.append(ops))
+    monkeypatch.setattr(logic._Evaluator, "run",
+                        lambda self, ops, free: runs.append(ops))
     for rows in (slice(None), slice(0)):  # all rows, then none
         with pytest.raises(ParseError, match="context does not cover"):
             truth_table((TRUE, parse("P[a](y)")), A.symbols, ("x",),
@@ -650,14 +651,90 @@ def test_a_family_is_checked_formula_by_formula_before_evaluation(monkeypatch):
 
 def test_alpha_equivalent_subformulas_on_the_same_axes_are_one_operation():
     A = Alphabet.of("ab")
-    phi = parse("(E z. P[a](z) & z = x) & (E w. P[a](w) & w = x)")
-    ops, roots, depth, most = _operations((phi,), ("x",))
+    phi = parse("(E z. P[a](z) & z < x) & (E w. P[a](w) & w < x)")
+    ops, roots, depth, most, _ = _operations((phi,), ("x",))
     assert [op[0] for op in ops].count(Quant) == 1
     assert (len(roots), depth, most) == (1, 1, 2)
     letters, lens = shortlex_rows(len(A), 4)
     truth = truth_table((phi,), A.symbols, ("x",), letters, lens)[0]
     assert truth[in_range(len(A), 4, 1)].tolist() == \
         [satisfies(mw, phi) for mw in enumerate_marked(A, ("x",), 4)]
+
+
+@pytest.mark.parametrize("text, quants", [
+    ("(E z. P[a](z) & z = x) & (E w. P[a](w) & w = x)", 0),
+    ("E1 z. x = z & E y. (z < y & y = x)", 0),
+    ("E z. z = x", 1),
+    ("mod[2,0] z. P[a](z) & z = x", 1),
+    ("E z. P[a](z) | z = x", 1),
+])
+def test_a_witness_equal_to_a_variable_in_scope_is_no_operation(text, quants):
+    # the one-point rule: E z. (z = y & rest) is rest at z = y; mod binders
+    # and bodies that are not conjunctions keep their quantifier
+    A, phi = Alphabet.of("ab"), parse(text)
+    ops, _, depth, _, _ = _operations((phi,), ("x",))
+    assert [op[0] for op in ops].count(Quant) == quants == depth
+    assert marked_truth((phi,), A, ("x",), 4)[0].tolist() == \
+        [satisfies(mw, phi) for mw in enumerate_marked(A, ("x",), 4)]
+
+
+@st.composite
+def witness_formulas(draw, scope, depth=3):
+    """Formulas over a, b whose binders have the one-point rule's shape:
+    E, E1 or mod binders over a conjunction with ``z = y`` (z possibly y),
+    maybe a second ``z = w``, and a body that may bind y or z again."""
+    roll = draw(st.integers(0, 5 if depth else 1))
+    if roll == 0:
+        return LetterPred(draw(st.sampled_from("ab")), draw(st.sampled_from(scope)))
+    if roll == 1:
+        name = draw(st.sampled_from(("<", "=", "succ")))
+        return NumPred(name, tuple(draw(st.sampled_from(scope)) for _ in "uv"))
+    if roll == 2:
+        return Not(draw(witness_formulas(scope, depth - 1)))
+    if roll == 3:
+        return Or(tuple(draw(witness_formulas(scope, depth - 1)) for _ in "uv"))
+    z = draw(st.sampled_from(scope + ("u", "v")))
+    inner = scope + (z,) * (z not in scope)
+    y = draw(st.sampled_from(scope))
+    parts = [NumPred("=", draw(st.permutations((z, y)))),
+             draw(witness_formulas(inner, depth - 1))]
+    if draw(st.booleans()):
+        parts.append(NumPred("=", (z, draw(st.sampled_from(inner)))))
+    q = draw(st.sampled_from(("E", "E1", "mod[2,0]", "mod[2,1]")))
+    return Quant(q, z, And(tuple(draw(st.permutations(parts)))))
+
+
+@settings(deadline=None)
+@given(st.data(), st.sampled_from((("x",), ("x", "y"))))
+def test_folded_witnesses_agree_with_satisfies_on_every_marked_word(data, ctx):
+    A = Alphabet.of("ab")
+    phi = data.draw(witness_formulas(ctx))
+    assert marked_truth((phi,), A, ctx, 4)[0].tolist() == \
+        [satisfies(mw, phi) for mw in enumerate_marked(A, ctx, 4)]
+
+
+def test_each_table_is_freed_after_its_last_reader():
+    import tracemalloc
+
+    A = Alphabet.of("ab")
+    phi = parse("E y. (x < y & P[a](y)) & mod[2,0] z. (z < y & P[b](z))")
+    both = encode(decode(encode(phi, "x", A), "x", A), "x", A)
+    ext = ExtendedAlphabet(A, ("x",))
+    letters, lens = shortlex_rows(len(ext), 7)
+    tracemalloc.start()
+    try:
+        truth_table((both,), ext.symbols, (), letters, lens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
+    # a formula's table is kept even where another formula reads it
+    p = parse("P[a](x)")
+    letters, lens = shortlex_rows(len(A), 3)
+    ops, roots, _, _, free = _operations((p, Not(p)), ("x",))
+    assert roots[0] not in itertools.chain(*free)
+    got = truth_table((p, Not(p)), A.symbols, ("x",), letters, lens)
+    assert np.array_equal(got[0], ~got[1])
 
 
 @pytest.mark.parametrize("name", ["E", "E1", "mod[2,0]", "mod[3,1]"])
@@ -701,9 +778,9 @@ def test_blocks_are_sized_by_width_not_by_variable_count(monkeypatch):
     blocks = []
     run = logic._Evaluator.run
 
-    def spy(self, ops):
+    def spy(self, ops, free):
         blocks.append(len(self.lens))
-        return run(self, ops)
+        return run(self, ops, free)
 
     monkeypatch.setattr(logic._Evaluator, "run", spy)
     whole = truth_table((both,), ext.symbols, (), letters, lens)[0]

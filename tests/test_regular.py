@@ -25,6 +25,7 @@ from wordlogic.regular import (
     Dfa,
     FinMonoid,
     RegularBA,
+    cayley_dfa,
     closure,
     closure_dfa,
     congruence_witness,
@@ -588,7 +589,8 @@ def test_syntactic_stamp_of_the_empty_language_is_trivial():
 def test_syntactic_stamp_of_contains_a():
     st_ = syntactic_stamp(contains_a_dfa())
     assert len(st_.monoid) == 2
-    assert st_.dfa(st_.accepting).equivalent(contains_a_dfa())
+    assert cayley_dfa(st_.alphabet, st_.monoid, st_.letters,
+                      st_.accepting).equivalent(contains_a_dfa())
     assert st_.mu(("b", "a")) == st_.mu(("a",))
     assert st_.mu(("b",)) == st_.monoid.identity
 
@@ -628,7 +630,7 @@ def test_stamp_mu_is_a_congruence_for_language_membership():
     st_ = syntactic_stamp(contains_a_dfa())
     A = Alphabet.of("ab")
     words = list(enumerate_words(A, 4))
-    lang = st_.dfa(st_.accepting)
+    lang = cayley_dfa(st_.alphabet, st_.monoid, st_.letters, st_.accepting)
     for u in words[:12]:
         for v in words[:12]:
             if st_.mu(u) == st_.mu(v):
@@ -645,8 +647,10 @@ def test_stamp_mu_is_a_congruence_for_language_membership():
 def test_trivial_stamp_recognizes_bottom_and_top():
     ba = recognized_languages(syntactic_stamp(empty_dfa(("a", "b"))))
     assert ba.element_count() == 2
-    assert ba.stamp.dfa(frozenset()).is_empty()
-    assert ba.stamp.dfa(ba.blocks[0]).equivalent(universal_dfa(("a", "b")))
+    st_ = ba.stamp
+    assert cayley_dfa(st_.alphabet, st_.monoid, st_.letters, frozenset()).is_empty()
+    assert cayley_dfa(st_.alphabet, st_.monoid, st_.letters,
+                      ba.blocks[0]).equivalent(universal_dfa(("a", "b")))
 
 
 def test_marked_universe_stamp_recognizes_eight_languages():
@@ -669,7 +673,8 @@ def test_quotient_closure_of_the_empty_language():
 def test_quotient_closure_is_idempotent():
     ext = ExtendedAlphabet(Alphabet.of("ab"), ("x",))
     ba = quotient_closure([image_dfa(ext), contains_a_dfa(ext.symbols)])
-    atoms = [ba.stamp.dfa(b) for b in ba.blocks]
+    atoms = [cayley_dfa(ba.stamp.alphabet, ba.stamp.monoid, ba.stamp.letters, b)
+             for b in ba.blocks]
     again = quotient_closure(atoms)
     assert again.element_count() == ba.element_count()
     for d in atoms:
@@ -718,7 +723,8 @@ def test_recognition_search_obeys_the_callers_caps():
     for call in (lambda caps: syntactic_stamp(dfa, caps),
                  lambda caps: quotient_closure([dfa], caps),
                  lambda caps: recognized_languages(
-                     syntactic_stamp(dfa)).contains(dfa, caps)):
+                     syntactic_stamp(dfa)).contains(dfa, caps),
+                 lambda caps: factor_stamp(syntactic_stamp(dfa), dfa, caps)):
         call(Caps())
         with pytest.raises(CapExceeded) as exc:
             call(Caps(dfa_states=7))
@@ -785,14 +791,16 @@ def test_factor_stamp_found():
     g, accepted = got
     syn = syntactic_stamp(zero_part_dfa(ext))
     assert len(set(g)) == len(syn.monoid)
-    assert st_.dfa(accepted).equivalent(zero_part_dfa(ext))
+    assert cayley_dfa(st_.alphabet, st_.monoid, st_.letters,
+                      accepted).equivalent(zero_part_dfa(ext))
 
 
 def test_factor_stamp_through_itself_is_identity_like():
     st_ = syntactic_stamp(contains_a_dfa())
     g, accepted = factor_stamp(st_, contains_a_dfa())
     assert sorted(set(g)) == [0, 1]
-    assert st_.dfa(accepted).equivalent(contains_a_dfa())
+    assert cayley_dfa(st_.alphabet, st_.monoid, st_.letters,
+                      accepted).equivalent(contains_a_dfa())
 
 
 def test_factor_stamp_rejects_unrecognized_language():
@@ -809,7 +817,8 @@ def accepted_by_reps(stamp, lang, blocks):
                          if lang.accepts(stamp.reps[m]))
     if any(b & accepted and not b <= accepted for b in blocks):
         return None
-    return accepted if stamp.dfa(accepted).equivalent(lang) else None
+    dfa = cayley_dfa(stamp.alphabet, stamp.monoid, stamp.letters, accepted)
+    return accepted if dfa.equivalent(lang) else None
 
 
 def check_recognition_search(seed) -> int:

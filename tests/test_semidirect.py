@@ -352,7 +352,7 @@ def class_transfer(dd, etaq, t_letter, accept):
     ambient element read as its letter ``t_letter.get(m)``, multiplies in S
     to an element of ``accept``: the block product of the ambient stamp's
     Cayley automaton with S's."""
-    b = dd.pi.dfa(())
+    b = cayley_dfa(dd.pi.alphabet, dd.pi.monoid, dd.pi.letters, ())
     k = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, accept)
     return transfer_dfa(dd.base_symbols, b.delta, b.init,
                         [t_letter.get(m) for m in range(b.n)], k.delta,
@@ -374,7 +374,9 @@ def oracle_verify(dd, nv, hbound):
         return False, stats
     left = set()
     for e in range(len(hm.stamp.monoid)):
-        d = hm.stamp.dfa(frozenset([e])).minimize()
+        st_ = hm.stamp
+        d = cayley_dfa(st_.alphabet, st_.monoid, st_.letters,
+                       frozenset([e])).minimize()
         if not d.is_empty():
             left.add(d)
     tau_pre = [class_transfer(dd, etaq, dd.t_letter, [sp])

@@ -44,6 +44,30 @@ EXTAB = ExtendedAlphabet(AB, ("x",))
 
 
 # ---------------------------------------------------------------------------
+# the codec's letter tables
+
+
+@pytest.mark.parametrize("prior", [(), ("y",), ("y", "w")])
+def test_codec_tables_agree_with_the_extended_alphabets(prior):
+    up, marked, down = varcode._codec(AB, prior, "x")
+    src = ExtendedAlphabet(AB, prior) if prior else AB
+    ext = ExtendedAlphabet(AB, prior + ("x",))
+    split = (lambda s: src.split(s)) if prior else (lambda s: (s, frozenset()))
+    assert list(up) == list(src.symbols)
+    for s, (plain, mark) in up.items():
+        b, T = split(s)
+        assert (plain, mark) == (ext.symbol(b, T), ext.symbol(b, T | {"x"}))
+    assert marked == tuple(mark for _, mark in up.values())
+    assert set(down) == set(ext.symbols)
+    for t, (s, carries) in down.items():
+        b, T = ext.split(t)
+        assert carries == ("x" in T) and split(s) == (b, T - {"x"})
+    assert varcode._codec(AB, prior, "x")[0] is up
+    with pytest.raises(TypeError):
+        down["a{x}"] = ("b", False)
+
+
+# ---------------------------------------------------------------------------
 # the image sentence
 
 
@@ -215,6 +239,22 @@ def test_roundtrip_decodes_each_formula_once(monkeypatch, psi):
                              bound=3, psi=psi)
     assert report.passed, report.counterexample
     assert len(decoded) == (1 if psi is None else 2)
+
+
+def test_roundtrip_reads_the_image_apart_from_the_codec(monkeypatch):
+    # an image sentence that lets the mark repeat keeps every round trip
+    # consistent with itself; only an image taken from the marked words
+    # themselves sees that a twice-marked word satisfies the encoding
+    real = varcode.phi_sentence
+
+    def loose(*args, **kwargs):
+        exactly_one = real(*args, **kwargs)
+        return Quant("E", exactly_one.var, exactly_one.body)
+
+    monkeypatch.setattr(varcode, "phi_sentence", loose)
+    report = roundtrip_check(parse("P[a](x)"), ("x",), AB, bound=3)
+    assert not report.passed
+    assert report.counterexample.startswith("encode(decode(..)) differs on")
 
 
 # ---------------------------------------------------------------------------
