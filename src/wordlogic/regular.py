@@ -10,6 +10,9 @@ Everything is deterministic: every breadth-first search here (reachable
 states, products, minimization's renumbering, monoid generation) goes
 through ``closure``, so states are numbered in discovery order, alphabet
 order breaking ties, and monoid elements get shortlex representative words.
+Every reachable product of automata, here and in the other modules, is the
+one search ``product_closure`` over their transition tables; its callers
+read acceptance off the product's states each in their own way.
 Automata built on a closure's states (``closure_dfa``) are reachable and in
 that order already, so ``minimize`` does not search them again.
 """
@@ -17,7 +20,8 @@ that order already, so ``minimize`` does not search them again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import getitem, ne
 
 import numpy as np
 
@@ -55,6 +59,16 @@ def closure(start, step, limit=None, stage="closure"):
             row.append(j)
         edges.append(tuple(row))
     return order, index, edges
+
+
+def product_closure(tables, start, limit=None, stage="product automaton"):
+    """The reachable product of automata given by transition tables:
+    ``closure`` from the tuple ``start``, where ``tables[i][q]`` lists the
+    successors of state q of the i-th automaton in symbol order, so a
+    product state's successors are read symbol by symbol in every
+    component at once."""
+    return closure(tuple(start), lambda q: zip(*map(getitem, tables, q)),
+                   limit, stage)
 
 
 def first_edges(edges) -> list:
@@ -139,10 +153,8 @@ class Dfa:
         """Reachable product automaton; keep(acc1, acc2) decides acceptance."""
         if self.alphabet != other.alphabet:
             raise ParseError("product of DFAs over different alphabets")
-        order, _, delta = closure(
-            (self.init, other.init),
-            lambda pq: zip(self.delta[pq[0]], other.delta[pq[1]]),
-            caps.dfa_states, "product automaton")
+        order, _, delta = product_closure((self.delta, other.delta),
+                                          (self.init, other.init), caps.dfa_states)
         return closure_dfa(self.alphabet, delta, (
             i for i, (p, q) in enumerate(order)
             if keep(p in self.accepting, q in other.accepting)))
@@ -153,17 +165,15 @@ class Dfa:
     def union(self, other):
         return self.product(other, lambda a, b: a or b)
 
-    def symdiff(self, other):
-        return self.product(other, lambda a, b: a != b)
-
     # -- queries ---------------------------------------------------------------
 
-    def is_empty(self) -> bool:
-        reach = closure(self.init, self.delta.__getitem__)[0]
-        return not any(q in self.accepting for q in reach)
-
-    def equivalent(self, other: "Dfa") -> bool:
-        return self.symdiff(other).is_empty()
+    def difference(self, other: "Dfa", caps: _caps.Caps = _caps.DEFAULT):
+        """None when the two automata accept the same words, else the
+        shortlex-first word that exactly one of them accepts: the path to
+        the first state of their product, in discovery order, where they
+        disagree."""
+        d = self.product(other, ne, caps)
+        return first_paths(d.delta, d.alphabet)[min(d.accepting)] if d.accepting else None
 
     def minimize(self) -> "Dfa":
         """Canonical minimal complete DFA: reachable part (all of a ``_bfs``
@@ -361,11 +371,6 @@ class FinMonoid:
             out = self.table[out][x]
         return out
 
-    def submonoid(self, gens) -> frozenset:
-        order, _, _ = closure(self.identity,
-                              lambda e: [self.table[e][g] for g in gens])
-        return frozenset(order)
-
 
 def named_monoid(name: str) -> FinMonoid:
     """Small reference monoids for recognizer targets: the one-element
@@ -427,14 +432,6 @@ def generate_monoid(identity, gens, mul, caps: _caps.Caps = _caps.DEFAULT,
     return elements, index, mon, tuple(reps)
 
 
-def cayley_dfa(alphabet, monoid: FinMonoid, letters, accepted) -> Dfa:
-    """The right Cayley automaton of a monoid: states are its elements, the
-    i-th symbol multiplies by ``letters[i]``, starting from the identity and
-    accepting the elements in ``accepted``."""
-    delta = tuple(tuple(row[l] for l in letters) for row in monoid.table)
-    return Dfa(tuple(alphabet), delta, monoid.identity, frozenset(accepted))
-
-
 # ---------------------------------------------------------------------------
 # stamps
 
@@ -443,7 +440,8 @@ def cayley_dfa(alphabet, monoid: FinMonoid, letters, accepted) -> Dfa:
 class Stamp:
     """A surjective morphism from the free monoid on ``alphabet`` onto a
     finite monoid, as a letter table; optionally with an accepting subset
-    presenting one language."""
+    presenting one language.  ``rows[m][i]`` is m.letters[i]: the rows of
+    its right Cayley automaton, whose start is the identity."""
 
     alphabet: tuple
     monoid: FinMonoid
@@ -452,12 +450,15 @@ class Stamp:
     accepting: frozenset = None
 
     def __post_init__(self):
-        gen = self.monoid.submonoid(set(self.letters))
-        if gen != frozenset(range(len(self.monoid))):
+        if len(closure(self.monoid.identity, self.rows.__getitem__)[0]) != len(self.monoid):
             raise ParseError("stamp is not surjective onto its monoid")
         for m, rep in enumerate(self.reps):
             if self.mu(rep) != m:
                 raise ParseError(f"representative of element {m} is wrong")
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(tuple(map(row.__getitem__, self.letters)) for row in self.monoid.table)
 
     def letter(self, sym) -> int:
         return self.letters[self.alphabet.index(sym)]
@@ -475,13 +476,12 @@ class Stamp:
         a function of the element (with ``cls``, of ``cls[element]``)."""
         if tuple(self.alphabet) != lang.alphabet:
             raise ParseError("product of DFAs over different alphabets")
-        tab, cls, acc = self.monoid.table, cls or range(len(self.reps)), {}
-        for m, q in closure((self.monoid.identity, lang.init), lambda mq: zip(
-                map(tab[mq[0]].__getitem__, self.letters), lang.delta[mq[1]]),
-                caps.dfa_states, "product automaton")[0]:
+        cls, acc = cls or range(len(self.reps)), {}
+        for m, q in product_closure((self.rows, lang.delta), (self.monoid.identity, lang.init),
+                                    caps.dfa_states)[0]:
             if acc.setdefault(cls[m], q in lang.accepting) != (q in lang.accepting):
                 return None
-        return frozenset(m for m in range(len(tab)) if acc[cls[m]])
+        return frozenset(m for m in range(len(self.rows)) if acc[cls[m]])
 
 
 def syntactic_stamp(dfa: Dfa, caps: _caps.Caps = _caps.DEFAULT) -> Stamp:
@@ -505,10 +505,8 @@ def syntactic_stamp_of_family(dfas, caps: _caps.Caps = _caps.DEFAULT) -> Stamp:
     alphabet = mins[0].alphabet
     if any(m.alphabet != alphabet for m in mins):
         raise ParseError("family over different alphabets")
-    states, _, edges = closure(
-        tuple(m.init for m in mins),
-        lambda q: zip(*(m.delta[s] for m, s in zip(mins, q))),
-        caps.dfa_states, "family product automaton")
+    states, _, edges = product_closure([m.delta for m in mins], [m.init for m in mins],
+                                       caps.dfa_states, "family product automaton")
     # letter c acts on the product states by column c of the edges, uv by u then v
     gens = list(zip(alphabet, zip(*edges)))
     elements, elt_index, mon, reps = generate_monoid(
@@ -562,8 +560,7 @@ class RegularBA:
         mon = self.stamp.monoid
         if len(self.blocks) == len(mon) and (mon._cayley or len(mon) <= ASSOC_CHECK_LIMIT):
             return None
-        order, _, edges = closure(
-            mon.identity, lambda m: [mon.table[m][g] for g in self.stamp.letters])
+        order, _, edges = closure(mon.identity, self.stamp.rows.__getitem__)
         block_of = {m: i for i, b in enumerate(self.blocks) for m in b}
         return congruence_witness(edges, [block_of[m] for m in order],
                                   self.alphabet)
@@ -599,8 +596,7 @@ def congruence_witness(edges, labels, symbols):
     # left: the class of a·u is reached from the class of a by u's letters,
     # and must follow from the class of u
     for i, a in enumerate(symbols):
-        pairs, _, pedges = closure((labels[0], labels[edges[0][i]]),
-                                   lambda cc: zip(step[cc[0]], step[cc[1]]))
+        pairs, _, pedges = product_closure((step, step), (labels[0], labels[edges[0][i]]))
         ppaths = first_paths(pedges, symbols)
         seen = {}
         for j, (c, ca) in enumerate(pairs):
@@ -643,12 +639,9 @@ def factor_stamp(stamp: Stamp, lang: Dfa, caps: _caps.Caps = _caps.DEFAULT):
     # morphism sanity: g respects letters and identity
     if g[stamp.monoid.identity] != syn.monoid.identity:
         raise ParseError("factoring map misses the identity")
-    for ci, sym in enumerate(stamp.alphabet):
-        for m in range(len(stamp.monoid)):
-            lhs = g[stamp.monoid.table[m][stamp.letters[ci]]]
-            rhs = syn.monoid.table[g[m]][syn.letters[ci]]
-            if lhs != rhs:
-                raise ParseError("factoring map is not a morphism")
+    for m, row in enumerate(stamp.rows):
+        if [g[x] for x in row] != list(syn.rows[g[m]]):
+            raise ParseError("factoring map is not a morphism")
     return g, accepted
 
 

@@ -37,7 +37,7 @@ from .errors import (CapExceeded, InvariantViolated, NotDecomposable,
                      NotMonoidPresentable, ParseError)
 from .regular import (Dfa, FinMonoid, RegularBA, Stamp, closure, closure_dfa,
                       congruence_witness, first_paths, generate_monoid,
-                      int_array)
+                      int_array, product_closure)
 from .report import Report
 from .words import ExtendedAlphabet
 
@@ -210,11 +210,8 @@ class DecomposedD:
 def _part_reachability(pi: Stamp):
     """For each ambient element, which mark counts (0, 1, 2+) reach it; the
     stamp is over a one-mark alphabet, whose odd columns are marked."""
-    tab = pi.monoid.table
-    order, _, _ = closure(
-        (pi.monoid.identity, 0),
-        lambda mc: [(tab[mc[0]][lt], min(2, mc[1] + (c & 1)))
-                    for c, lt in enumerate(pi.letters)])
+    counter = [[min(2, c + (i & 1)) for i in range(len(pi.letters))] for c in range(3)]
+    order = product_closure((pi.rows, counter), (pi.monoid.identity, 0))[0]
     reach = [set() for _ in range(len(pi.monoid))]
     for m, c in order:
         reach[m].add(c)
@@ -568,15 +565,13 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
         return Report(check="recognizer", params=params, passed=False,
                       counterexample=counterexample, stats=stats)
 
-    syms, ptab = dd.base_symbols, dd.pi.monoid.table
+    syms = dd.base_symbols
     tstates, tdelta = position_transfer(
-        tuple(tuple(map(row.__getitem__, dd.pi.letters)) for row in ptab),
-        dd.pi.monoid.identity, list(map(dd.t_letter.get, range(len(ptab)))),
+        dd.pi.rows, dd.pi.monoid.identity,
+        list(map(dd.t_letter.get, range(len(dd.pi.rows)))),
         kdelta, 0, caps, "transfer automaton")
-    htab = hstamp.monoid.table
-    pairs, _, edges = closure((hstamp.monoid.identity, 0), lambda hq: [
-        (htab[hq[0]][hl], tdelta[hq[1]][i]) for i, hl in enumerate(hstamp.letters)],
-        caps.dfa_states, "recognizer product automaton")
+    pairs, _, edges = product_closure((hstamp.rows, tdelta), (hstamp.monoid.identity, 0),
+                                      caps.dfa_states, "recognizer product automaton")
     formulas = [(tstates[q][1][0], dd.m_index[tstates[q][0]]) for _, q in pairs]
     block_of = {dd.m_index[m]: j for j, b in enumerate(dd.d0_blocks) for m in b}
     cells = [(s, block_of[m]) for s, m in formulas]

@@ -30,8 +30,8 @@ from .logic import (And, Formula, LetterPred, Quant, Registry, DEFAULT_REGISTRY,
                     conj, disj, Not, neg, formula_dfa, all_vars, free_vars,
                     fresh_binder, in_range, map_atoms, map_vars, marked_truth,
                     scope, to_dsl, truth_table)
-from .regular import (Dfa, closure, first_paths, image_dfa, shortlex_offsets,
-                      shortlex_rows, word_ids)
+from .regular import (Dfa, first_paths, image_dfa, product_closure,
+                      shortlex_offsets, shortlex_rows, word_ids)
 from .report import Report
 from .semidirect import transfer_dfa
 from .words import (Alphabet, ExtendedAlphabet, MarkedWord, check_table,
@@ -456,8 +456,9 @@ def atom_transduction(delta: DeltaAlgebra, caps: Caps = DEFAULT) -> AtomTransduc
 
     Each generator is compiled once over the one-mark alphabet
     (``logic.formula_dfa``; one that is not monoid-presentable raises
-    NotMonoidPresentable), and one closure (stage "atom transduction")
-    builds their product with the marked-word image (``regular.image_dfa``).
+    NotMonoidPresentable), and one ``product_closure`` (stage "atom
+    transduction") builds their product with the marked-word image
+    (``regular.image_dfa``).
     A marked state is labelled by the atom (``atom_of_signature``) of the
     generators' accepting bits there.  A marked state whose signature no
     marked word of length <= ``delta.bound`` realizes is refused with
@@ -472,10 +473,8 @@ def atom_transduction(delta: DeltaAlgebra, caps: Caps = DEFAULT) -> AtomTransduc
     reg = delta.registry or DEFAULT_REGISTRY
     dfas = [formula_dfa(g, delta.alphabet, (delta.var,), delta.bound, reg, caps)[1]
             for g in delta.generators] + [image_dfa(ext)]
-    states, _, edges = closure(
-        tuple(d.init for d in dfas),
-        lambda q: zip(*(d.delta[s] for d, s in zip(dfas, q))),
-        caps.dfa_states, "atom transduction")
+    states, _, edges = product_closure([d.delta for d in dfas], [d.init for d in dfas],
+                                       caps.dfa_states, "atom transduction")
     label = []
     for q, st in enumerate(states):
         *sig, marked = (s in d.accepting for d, s in zip(dfas, st))

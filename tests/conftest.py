@@ -130,6 +130,13 @@ def seeded(seed):
     return random.Random(seed)
 
 
+def cayley_dfa(alphabet, monoid, letters, accepted) -> Dfa:
+    """The right Cayley automaton of a monoid: the i-th symbol multiplies by
+    ``letters[i]``, from the identity, accepting the elements ``accepted``."""
+    delta = tuple(tuple(row[l] for l in letters) for row in monoid.table)
+    return Dfa(tuple(alphabet), delta, monoid.identity, frozenset(accepted))
+
+
 def left_quotient(d: Dfa, u) -> Dfa:
     """u^{-1} L for the language L of d: start where u leads."""
     return Dfa(d.alphabet, d.delta, d.run(u), d.accepting)

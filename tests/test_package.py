@@ -94,7 +94,7 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError,
                        match="^module 'wordlogic' has no attribute 'nope'$"):
         wordlogic.nope
-    assert not hasattr(wordlogic, "cayley_dfa")  # in regular, not exported
+    assert not hasattr(wordlogic, "product_closure")  # in regular, not exported
     with pytest.raises(ImportError):
         exec("from wordlogic import nope", {})
 

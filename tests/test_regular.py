@@ -25,7 +25,6 @@ from wordlogic.regular import (
     Dfa,
     FinMonoid,
     RegularBA,
-    cayley_dfa,
     closure,
     closure_dfa,
     congruence_witness,
@@ -52,6 +51,11 @@ from wordlogic.caps import Caps
 from conftest import (infer_dfa, left_quotient, member_table, model_table,
                       probe_bit_infer_dfa, random_body, right_quotient,
                       table_by_mul)
+
+
+def cayley(stamp, accepted) -> Dfa:
+    """The right Cayley automaton of a stamp, accepting ``accepted``."""
+    return Dfa(stamp.alphabet, stamp.rows, stamp.monoid.identity, frozenset(accepted))
 
 
 def contains_a_dfa(alphabet=("a", "b")):
@@ -85,12 +89,13 @@ def test_boolean_combinations_of_dfas():
     d = contains_a_dfa()
     u = universal_dfa(("a", "b"))
     e = empty_dfa(("a", "b"))
-    assert d.union(e).equivalent(d)
-    assert d.intersect(u).equivalent(d)
-    assert d.union(d.complement()).equivalent(u)
-    assert d.intersect(d.complement()).is_empty()
-    assert not d.equivalent(u)
-    assert d.symdiff(d).is_empty()
+    assert d.union(e).difference(d) is None
+    assert d.intersect(u).difference(d) is None
+    assert d.union(d.complement()).difference(u) is None
+    assert d.intersect(d.complement()).difference(e) is None
+    assert d.difference(u) == () == u.difference(d)
+    assert d.difference(e) == ("a",)
+    assert d.difference(d) is None
 
 
 def test_minimize_collapses_redundant_states():
@@ -98,7 +103,7 @@ def test_minimize_collapses_redundant_states():
     d = Dfa(("a", "b"), ((1, 0), (2, 2), (1, 1)), 0, frozenset({1, 2}))
     m = d.minimize()
     assert m.n == 2
-    assert m.equivalent(contains_a_dfa())
+    assert m.difference(contains_a_dfa()) is None
     assert m.minimize().n == 2
 
 
@@ -167,14 +172,14 @@ def test_inference_of_the_empty_language():
     A = Alphabet.of("ab")
     d = inferred_from(empty_dfa(A.symbols), A, 4)
     assert d.n == 1
-    assert d.is_empty()
+    assert d.difference(empty_dfa(A.symbols)) is None
 
 
 def test_inference_of_contains_a_at_bound_six():
     A = Alphabet.of("ab")
     d = inferred_from(contains_a_dfa(), A, 6)
     assert d.minimize().n == 2
-    assert d.equivalent(contains_a_dfa())
+    assert d.difference(contains_a_dfa()) is None
 
 
 @given(st.integers(min_value=0, max_value=2_000))
@@ -395,8 +400,8 @@ def test_monoid_products():
     assert z3.mul(1, 2) == 0
     assert z3.prod([1, 1, 2, 2]) == 0
     assert z3.prod([]) == 0
-    assert z3.submonoid({1}) == frozenset({0, 1, 2})
-    assert z3.submonoid(set()) == frozenset({0})
+    assert closure(0, lambda e: [z3.mul(e, 1)])[0] == [0, 1, 2]
+    assert closure(0, lambda e: [])[0] == [0]
 
 
 def test_generate_monoid_builds_transformation_closure():
@@ -589,8 +594,7 @@ def test_syntactic_stamp_of_the_empty_language_is_trivial():
 def test_syntactic_stamp_of_contains_a():
     st_ = syntactic_stamp(contains_a_dfa())
     assert len(st_.monoid) == 2
-    assert cayley_dfa(st_.alphabet, st_.monoid, st_.letters,
-                      st_.accepting).equivalent(contains_a_dfa())
+    assert cayley(st_, st_.accepting).difference(contains_a_dfa()) is None
     assert st_.mu(("b", "a")) == st_.mu(("a",))
     assert st_.mu(("b",)) == st_.monoid.identity
 
@@ -630,7 +634,7 @@ def test_stamp_mu_is_a_congruence_for_language_membership():
     st_ = syntactic_stamp(contains_a_dfa())
     A = Alphabet.of("ab")
     words = list(enumerate_words(A, 4))
-    lang = cayley_dfa(st_.alphabet, st_.monoid, st_.letters, st_.accepting)
+    lang = cayley(st_, st_.accepting)
     for u in words[:12]:
         for v in words[:12]:
             if st_.mu(u) == st_.mu(v):
@@ -648,9 +652,8 @@ def test_trivial_stamp_recognizes_bottom_and_top():
     ba = recognized_languages(syntactic_stamp(empty_dfa(("a", "b"))))
     assert ba.element_count() == 2
     st_ = ba.stamp
-    assert cayley_dfa(st_.alphabet, st_.monoid, st_.letters, frozenset()).is_empty()
-    assert cayley_dfa(st_.alphabet, st_.monoid, st_.letters,
-                      ba.blocks[0]).equivalent(universal_dfa(("a", "b")))
+    assert cayley(st_, ()).difference(empty_dfa(("a", "b"))) is None
+    assert cayley(st_, ba.blocks[0]).difference(universal_dfa(("a", "b"))) is None
 
 
 def test_marked_universe_stamp_recognizes_eight_languages():
@@ -673,8 +676,7 @@ def test_quotient_closure_of_the_empty_language():
 def test_quotient_closure_is_idempotent():
     ext = ExtendedAlphabet(Alphabet.of("ab"), ("x",))
     ba = quotient_closure([image_dfa(ext), contains_a_dfa(ext.symbols)])
-    atoms = [cayley_dfa(ba.stamp.alphabet, ba.stamp.monoid, ba.stamp.letters, b)
-             for b in ba.blocks]
+    atoms = [cayley(ba.stamp, b) for b in ba.blocks]
     again = quotient_closure(atoms)
     assert again.element_count() == ba.element_count()
     for d in atoms:
@@ -720,15 +722,24 @@ def test_recognition_search_obeys_the_callers_caps():
     dfa = Dfa(("a", "b"), tuple(((q + 1) % 10,) * 2 for q in range(10)), 0,
               frozenset({0, 5}))
     assert len(syntactic_stamp(dfa).monoid) == 5
-    for call in (lambda caps: syntactic_stamp(dfa, caps),
-                 lambda caps: quotient_closure([dfa], caps),
-                 lambda caps: recognized_languages(
-                     syntactic_stamp(dfa)).contains(dfa, caps),
-                 lambda caps: factor_stamp(syntactic_stamp(dfa), dfa, caps)):
+    # with the parity of a's, the family product reaches ten states too
+    parity = Dfa(("a", "b"), ((1, 0), (0, 1)), 0, frozenset({0}))
+    for call, stage in (
+            (lambda caps: syntactic_stamp(dfa, caps), "product automaton"),
+            (lambda caps: quotient_closure([dfa], caps), "product automaton"),
+            (lambda caps: recognized_languages(
+                syntactic_stamp(dfa)).contains(dfa, caps), "product automaton"),
+            (lambda caps: factor_stamp(syntactic_stamp(dfa), dfa, caps),
+             "product automaton"),
+            (lambda caps: dfa.difference(dfa.minimize(), caps), "product automaton"),
+            (lambda caps: syntactic_stamp_of_family([dfa, parity], caps),
+             "family product automaton"),
+            (lambda caps: quotient_closure([dfa, parity], caps),
+             "family product automaton")):
         call(Caps())
         with pytest.raises(CapExceeded) as exc:
             call(Caps(dfa_states=7))
-        assert exc.value.info == {"stage": "product automaton", "cap": 7}
+        assert exc.value.info == {"stage": stage, "cap": 7}
 
 
 def test_merged_atoms_are_not_quotient_closed():
@@ -791,16 +802,14 @@ def test_factor_stamp_found():
     g, accepted = got
     syn = syntactic_stamp(zero_part_dfa(ext))
     assert len(set(g)) == len(syn.monoid)
-    assert cayley_dfa(st_.alphabet, st_.monoid, st_.letters,
-                      accepted).equivalent(zero_part_dfa(ext))
+    assert cayley(st_, accepted).difference(zero_part_dfa(ext)) is None
 
 
 def test_factor_stamp_through_itself_is_identity_like():
     st_ = syntactic_stamp(contains_a_dfa())
     g, accepted = factor_stamp(st_, contains_a_dfa())
     assert sorted(set(g)) == [0, 1]
-    assert cayley_dfa(st_.alphabet, st_.monoid, st_.letters,
-                      accepted).equivalent(contains_a_dfa())
+    assert cayley(st_, accepted).difference(contains_a_dfa()) is None
 
 
 def test_factor_stamp_rejects_unrecognized_language():
@@ -817,8 +826,7 @@ def accepted_by_reps(stamp, lang, blocks):
                          if lang.accepts(stamp.reps[m]))
     if any(b & accepted and not b <= accepted for b in blocks):
         return None
-    dfa = cayley_dfa(stamp.alphabet, stamp.monoid, stamp.letters, accepted)
-    return accepted if dfa.equivalent(lang) else None
+    return accepted if cayley(stamp, accepted).difference(lang) is None else None
 
 
 def check_recognition_search(seed) -> int:
@@ -916,7 +924,8 @@ def test_some_word_is_a_shortest_accepted_word(d):
     paths = first_paths(edges, d.alphabet)
     w = next((paths[i] for i, q in enumerate(order) if q in d.accepting), None)
     accepted = [u for u in WORDS6 if d.accepts(u)]
-    assert (w is None) == d.is_empty() == (not accepted)
+    assert w == d.difference(empty_dfa(d.alphabet))
+    assert (w is None) == (not accepted)
     if w is not None:
         assert d.accepts(w)
         assert len(w) == len(accepted[0])
@@ -944,6 +953,26 @@ def test_minimize_is_canonical(d1, d2, rnd):
     copy = Dfa(d1.alphabet, delta + ((0, 0),), inv[d1.init],
                frozenset(inv[q] for q in d1.accepting) | {d1.n})
     assert copy.minimize() == d1.minimize()
+
+
+@settings(derandomize=True)
+@given(small_dfas(), small_dfas())
+def test_difference_is_the_shortlex_first_word_on_which_two_dfas_differ(d1, d2):
+    """Brute force is the oracle: every word shorter than the product's
+    state count, in shortlex order, each run on from its prefix.  A
+    shortest word on which two automata differ visits no product state
+    twice, so it is that short."""
+    level, first = [((), d1.init, d2.init)], None
+    for _ in range(d1.n * d2.n):
+        first = next((w for w, p, q in level
+                      if (p in d1.accepting) != (q in d2.accepting)), None)
+        if first is not None:
+            break
+        level = [(w + (a,), d1.delta[p][i], d2.delta[q][i])
+                 for w, p, q in level for i, a in enumerate(d1.alphabet)]
+    assert d1.difference(d2) == first == d2.difference(d1)
+    if first is not None:
+        assert d1.accepts(first) != d2.accepts(first)
 
 
 @given(st.integers(1, 30), st.integers(1, 40))

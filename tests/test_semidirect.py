@@ -32,7 +32,7 @@ from wordlogic import (
 from wordlogic import regular, semidirect
 from wordlogic.caps import Caps
 from wordlogic.errors import CapExceeded, InvariantViolated
-from wordlogic.regular import (Dfa, FinMonoid, cayley_dfa, generate_monoid,
+from wordlogic.regular import (Dfa, FinMonoid, empty_dfa, generate_monoid,
                                image_dfa, named_monoid, syntactic_stamp,
                                universal_dfa)
 from wordlogic.sampling import MONOID_QUANTIFIERS
@@ -40,9 +40,10 @@ from wordlogic.semidirect import Biaction, eta_quotient, h_morphism, transfer_df
 from wordlogic.suites import _recognizer_instances, run_suite
 from wordlogic.words import parse_word
 
-from conftest import (LASTBIT, check_h_formula, class_word, count_layer,
-                      layer_accepts, left_quotient, marked_class_word,
-                      random_body, right_quotient, s_of_letters)
+from conftest import (LASTBIT, cayley_dfa, check_h_formula, class_word,
+                      count_layer, layer_accepts, left_quotient,
+                      marked_class_word, random_body, right_quotient,
+                      s_of_letters)
 
 
 def trivial_biaction(smon, mmon):
@@ -352,7 +353,7 @@ def class_transfer(dd, etaq, t_letter, accept):
     ambient element read as its letter ``t_letter.get(m)``, multiplies in S
     to an element of ``accept``: the block product of the ambient stamp's
     Cayley automaton with S's."""
-    b = cayley_dfa(dd.pi.alphabet, dd.pi.monoid, dd.pi.letters, ())
+    b = Dfa(dd.pi.alphabet, dd.pi.rows, dd.pi.monoid.identity, frozenset())
     k = cayley_dfa(range(len(dd.t_blocks)), etaq.s_mon, etaq.ev, accept)
     return transfer_dfa(dd.base_symbols, b.delta, b.init,
                         [t_letter.get(m) for m in range(b.n)], k.delta,
@@ -372,12 +373,14 @@ def oracle_verify(dd, nv, hbound):
              "pair_monoid": len(hm.stamp.monoid)}
     if not check_h_formula(etaq, hm, enumerate_words(dd.ext.base, hbound)):
         return False, stats
+    # minimal automata and products have only reachable states, so they
+    # accept some word exactly when some state accepts
     left = set()
     for e in range(len(hm.stamp.monoid)):
         st_ = hm.stamp
-        d = cayley_dfa(st_.alphabet, st_.monoid, st_.letters,
-                       frozenset([e])).minimize()
-        if not d.is_empty():
+        d = Dfa(st_.alphabet, st_.rows, st_.monoid.identity,
+                frozenset([e])).minimize()
+        if d.accepting:
             left.add(d)
     tau_pre = [class_transfer(dd, etaq, dd.t_letter, [sp])
                for sp in range(len(etaq.s_mon))]
@@ -388,7 +391,7 @@ def oracle_verify(dd, nv, hbound):
     for dt in tau_pre:
         for dm in m_pre:
             cell = dt.intersect(dm).minimize()
-            if not cell.is_empty():
+            if cell.accepting:
                 right.add(cell)
     stats["left_atoms"] = len(left)
     stats["right_cells"] = len(right)
@@ -397,14 +400,11 @@ def oracle_verify(dd, nv, hbound):
     for cell in right:
         for a in dd.base_symbols:
             for quot in (left_quotient(cell, (a,)), right_quotient(cell, (a,))):
-                parts = [c for c in right if not c.intersect(quot).is_empty()]
-                union = parts[0] if parts else None
-                for c in parts[1:]:
+                parts = [c for c in right if c.intersect(quot).accepting]
+                union = empty_dfa(quot.alphabet)
+                for c in parts:
                     union = union.union(c)
-                if union is None:
-                    if not quot.is_empty():
-                        return False, stats
-                elif not quot.equivalent(union):
+                if quot.difference(union) is not None:
                     return False, stats
     return True, stats
 
@@ -528,6 +528,12 @@ def test_a_changed_letter_evaluation_fails_with_a_replayable_witness():
     report = verify_recognizer(bad, nv)
     assert not report.passed
     assert oracle_verify(bad, nv, 4)[0] is False
+    # h is no function of the transfer automaton's state here, so the
+    # recognizer product outgrows that automaton and meets the cap alone
+    verify_recognizer(bad, nv, Caps(dfa_states=14))
+    with pytest.raises(CapExceeded) as exc:
+        verify_recognizer(bad, nv, Caps(dfa_states=13))
+    assert exc.value.info == {"stage": "recognizer product automaton", "cap": 13}
     w = formula_word(report, ext)
     etaq = eta_quotient(bad, nv)
     hm = h_morphism(etaq)
@@ -715,14 +721,14 @@ def test_compile_exists_gives_contains_a():
     A, dfa = compiled("E", "P[a](x)")
     assert dfa.n == 2
     hand = Dfa(A.symbols, ((1, 0), (1, 1)), 0, frozenset({1}))
-    assert dfa.equivalent(hand)
+    assert dfa.difference(hand) is None
 
 
 def test_compile_parity_gives_the_two_state_counter():
     A, dfa = compiled("mod[2,0]", "P[a](x)")
     assert dfa.n == 2
     hand = Dfa(A.symbols, ((1, 0), (0, 1)), 0, frozenset({0}))
-    assert dfa.equivalent(hand)
+    assert dfa.difference(hand) is None
 
 
 def test_compile_with_true_body_filters_by_length():

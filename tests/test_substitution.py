@@ -528,13 +528,13 @@ def test_a_layer_over_the_sentence_budget_is_refused(delta_pa):
 def test_preimage_of_the_full_atom_language(delta_pa):
     syms = delta_pa.atom_alphabet().symbols
     got = w_odot_c([universal_dfa(syms)], delta_pa)
-    assert got.preimages[0].equivalent(universal_dfa(delta_pa.alphabet.symbols))
+    assert got.preimages[0].difference(universal_dfa(delta_pa.alphabet.symbols)) is None
 
 
 def test_preimage_of_the_empty_atom_language(delta_pa):
     syms = delta_pa.atom_alphabet().symbols
     got = w_odot_c([empty_dfa(syms)], delta_pa)
-    assert got.preimages[0].is_empty()
+    assert got.preimages[0].difference(empty_dfa(delta_pa.alphabet.symbols)) is None
 
 
 def test_preimage_of_contains_atom_is_contains_letter(delta_pa):
