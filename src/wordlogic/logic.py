@@ -710,32 +710,34 @@ def parse_formula_file(text, registry=None):
 
 def to_dsl(phi) -> str:
     """Deterministic textual form; parse(to_dsl(phi)) reproduces the AST."""
+    return _dsl(phi, 1)
 
-    def go(node, floor):
-        if isinstance(node, Truth):
-            return "1"
-        if isinstance(node, Falsum):
-            return "0"
-        if isinstance(node, LetterPred):
-            return f"P[{node.symbol}]({node.var})"
-        if isinstance(node, NumPred):
-            if node.name in ("<", "="):
-                return f"{node.args[0]} {node.name} {node.args[1]}"
-            return f"R[{node.name}]({','.join(node.args)})"
-        if isinstance(node, Not):
-            return "~" + go(node.sub, 3)
-        if isinstance(node, And):
-            s = " & ".join(go(a, 3) for a in node.args)
-            return f"({s})" if floor > 2 else s
-        if isinstance(node, Or):
-            s = " | ".join(go(a, 2) for a in node.args)
-            return f"({s})" if floor > 1 else s
-        if isinstance(node, Quant):
-            s = f"{node.q} {node.var}. {go(node.body, 1)}"
-            return f"({s})" if floor > 1 else s
-        raise ParseError(f"not a formula: {node!r}")
 
-    return go(phi, 1)
+def _dsl(node, floor) -> str:
+    """``to_dsl`` of a node inside an operator of binding strength
+    ``floor``: parenthesized when it binds more loosely."""
+    if isinstance(node, Truth):
+        return "1"
+    if isinstance(node, Falsum):
+        return "0"
+    if isinstance(node, LetterPred):
+        return f"P[{node.symbol}]({node.var})"
+    if isinstance(node, NumPred):
+        if node.name in ("<", "="):
+            return f"{node.args[0]} {node.name} {node.args[1]}"
+        return f"R[{node.name}]({','.join(node.args)})"
+    if isinstance(node, Not):
+        return "~" + _dsl(node.sub, 3)
+    if isinstance(node, And):
+        s = " & ".join(_dsl(a, 3) for a in node.args)
+        return f"({s})" if floor > 2 else s
+    if isinstance(node, Or):
+        s = " | ".join(_dsl(a, 2) for a in node.args)
+        return f"({s})" if floor > 1 else s
+    if isinstance(node, Quant):
+        s = f"{node.q} {node.var}. {_dsl(node.body, 1)}"
+        return f"({s})" if floor > 1 else s
+    raise ParseError(f"not a formula: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -744,38 +746,36 @@ def to_dsl(phi) -> str:
 
 def satisfies(mw: MarkedWord, phi, registry=None) -> bool:
     """Truth of a formula on a marked word interpreting its free variables."""
-    reg = registry or DEFAULT_REGISTRY
-    n = len(mw.word)
+    return _holds(phi, dict(mw.marks), mw.word, registry or DEFAULT_REGISTRY)
 
-    def ev(node, marks):
-        if isinstance(node, Truth):
-            return True
-        if isinstance(node, Falsum):
-            return False
-        if isinstance(node, LetterPred):
-            if node.var not in marks:
-                raise ParseError(f"free variable {node.var!r} has no mark")
-            return mw.word[marks[node.var] - 1] == node.symbol
-        if isinstance(node, NumPred):
-            try:
-                positions = tuple(marks[v] for v in node.args)
-            except KeyError as exc:
-                raise ParseError(f"free variable {exc.args[0]!r} has no mark")
-            return bool(reg.numpred(node.name).holds(positions, n))
-        if isinstance(node, Not):
-            return not ev(node.sub, marks)
-        if isinstance(node, And):
-            return all(ev(a, marks) for a in node.args)
-        if isinstance(node, Or):
-            return any(ev(a, marks) for a in node.args)
-        if isinstance(node, Quant):
-            q = reg.quantifier(node.q)
-            bits = tuple(ev(node.body, {**marks, node.var: i})
-                         for i in range(1, n + 1))
-            return q.evaluate(bits)
-        raise ParseError(f"not a formula: {node!r}")
 
-    return ev(phi, dict(mw.marks))
+def _holds(node, marks, word, reg) -> bool:
+    """``satisfies`` on a node, ``marks`` interpreting its free variables."""
+    if isinstance(node, Truth):
+        return True
+    if isinstance(node, Falsum):
+        return False
+    if isinstance(node, LetterPred):
+        if node.var not in marks:
+            raise ParseError(f"free variable {node.var!r} has no mark")
+        return word[marks[node.var] - 1] == node.symbol
+    if isinstance(node, NumPred):
+        try:
+            positions = tuple(marks[v] for v in node.args)
+        except KeyError as exc:
+            raise ParseError(f"free variable {exc.args[0]!r} has no mark")
+        return bool(reg.numpred(node.name).holds(positions, len(word)))
+    if isinstance(node, Not):
+        return not _holds(node.sub, marks, word, reg)
+    if isinstance(node, And):
+        return all(_holds(a, marks, word, reg) for a in node.args)
+    if isinstance(node, Or):
+        return any(_holds(a, marks, word, reg) for a in node.args)
+    if isinstance(node, Quant):
+        return reg.quantifier(node.q).evaluate(tuple(
+            _holds(node.body, {**marks, node.var: i}, word, reg)
+            for i in range(1, len(word) + 1)))
+    raise ParseError(f"not a formula: {node!r}")
 
 
 # cells (words x position tuples) of one evaluation block: it bounds the
@@ -811,54 +811,16 @@ def _operations(phis, context) -> tuple:
     ``_MAX_AXES`` axes (CapExceeded).  Returns (ops, the formulas' numbers,
     deepest nesting, widest operation, per op the operands it reads last)."""
     c = len(context)
-    number, masks, last = {}, [], {}  # masks: each op's free axes as bits
-
-    def walk(node, env):
-        nonlocal deepest
-        kind, args = type(node), ()
-        if kind is And or kind is Or:
-            args = tuple([walk(a, env) for a in node.args])
-            key = (kind, args)
-        elif kind is Quant:
-            fold = _one_point(node, env)
-            if fold:
-                return walk(fold[0], {**env, node.var: env[fold[1]]})
-            # not len(env) + 1: a binder may reuse a name already in scope
-            ax = max(env.values(), default=0) + 1
-            deepest = max(deepest, ax)
-            args = (walk(node.body, {**env, node.var: ax}),)
-            key = (Quant, node.q, ax) + args
-        elif kind is Not:
-            args = (walk(node.sub, env),)
-            key = (Not,) + args
-        elif kind is LetterPred:
-            key = (LetterPred, node.symbol, env[node.var])
-        elif kind is NumPred:
-            key = (NumPred, node.name, tuple([env[v] for v in node.args]))
-        elif kind is Truth or kind is Falsum:
-            key = (And if kind is Truth else Or, ())
-        else:
-            raise ParseError(f"not a formula: {node!r}")
-        n = number.get(key)
-        if n is None:
-            n = number[key] = len(masks)
-            bits = 1 << key[2] if kind is LetterPred else \
-                sum(1 << ax for ax in set(key[2])) if kind is NumPred else 0
-            for a in args:
-                bits |= masks[a]
-                last[a] = n
-            masks.append(bits & ~(1 << key[2]) if kind is Quant else bits)
-        return n
-
+    acc = number, masks, last, deepest = {}, [], {}, [c]  # masks: free axes as bits
     roots, depth = [], 0
     for phi in phis:
-        deepest = c
+        deepest[0] = c
         try:
-            roots.append(walk(phi, {v: j + 1 for j, v in enumerate(context)}))
+            roots.append(_walk(phi, {v: j + 1 for j, v in enumerate(context)}, acc))
         except KeyError:  # a free variable with no axis
             raise ParseError("context does not cover the formula's free "
                              "variables") from None
-        d = deepest - c
+        d = deepest[0] - c
         if 1 + c + d > _MAX_AXES:
             raise CapExceeded(f"{c} context variables and {d} nested quantifiers "
                               f"need more than the {_MAX_AXES} array axes of bulk "
@@ -869,6 +831,47 @@ def _operations(phis, context) -> tuple:
     for n in last.keys() - set(roots):
         free[last[n]].append(n)
     return list(number), roots, depth, max(map(int.bit_count, masks), default=0), free
+
+
+def _walk(node, env, acc) -> int:
+    """The number of the operation of ``node``, its variables on the axes
+    of ``env``, in the numbering ``acc`` of ``_operations``: (number by key,
+    free-axis masks, last readers, [the deepest axis so far])."""
+    number, masks, last, deepest = acc
+    kind, args = type(node), ()
+    if kind is And or kind is Or:
+        args = tuple([_walk(a, env, acc) for a in node.args])
+        key = (kind, args)
+    elif kind is Quant:
+        fold = _one_point(node, env)
+        if fold:
+            return _walk(fold[0], {**env, node.var: env[fold[1]]}, acc)
+        # not len(env) + 1: a binder may reuse a name already in scope
+        ax = max(env.values(), default=0) + 1
+        deepest[0] = max(deepest[0], ax)
+        args = (_walk(node.body, {**env, node.var: ax}, acc),)
+        key = (Quant, node.q, ax) + args
+    elif kind is Not:
+        args = (_walk(node.sub, env, acc),)
+        key = (Not,) + args
+    elif kind is LetterPred:
+        key = (LetterPred, node.symbol, env[node.var])
+    elif kind is NumPred:
+        key = (NumPred, node.name, tuple([env[v] for v in node.args]))
+    elif kind is Truth or kind is Falsum:
+        key = (And if kind is Truth else Or, ())
+    else:
+        raise ParseError(f"not a formula: {node!r}")
+    n = number.get(key)
+    if n is None:
+        n = number[key] = len(masks)
+        bits = 1 << key[2] if kind is LetterPred else \
+            sum(1 << ax for ax in set(key[2])) if kind is NumPred else 0
+        for a in args:
+            bits |= masks[a]
+            last[a] = n
+        masks.append(bits & ~(1 << key[2]) if kind is Quant else bits)
+    return n
 
 
 class _Evaluator:

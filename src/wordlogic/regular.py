@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, zip_longest
 from operator import getitem, ne
 
 import numpy as np
@@ -263,8 +264,10 @@ def zero_part_dfa(ext: ExtendedAlphabet) -> Dfa:
 
 
 ASSOC_CHECK_LIMIT = 1024  # the largest table FinMonoid checks exhaustively
-PYTHON_CHECK_LIMIT = 6    # the largest it checks in plain Python first: numpy's
-                          # per-call overhead outweighs the work below it
+# The largest it proves in plain Python first, without and with ``_cayley``.  Jobs
+# start cold, where numpy's per-call cost outweighs this work; a warm loop of the
+# same checks, in which numpy wins from 8 elements, misleads.
+PYTHON_CHECK_LIMIT, LIGHT_CHECK_LIMIT = 6, 64
 
 
 def int_array(obj, ndim: int, what: str) -> np.ndarray:
@@ -303,19 +306,21 @@ def _assert_associative(t, gens=None):
 
 
 def _python_proves(table, e, cayley) -> bool:
-    """True when plain Python proves all that ``FinMonoid`` checks by numpy."""
-    n = len(table)
-    t = [tuple(r) for r in table if n <= PYTHON_CHECK_LIMIT and type(r) in (tuple, list)]
-    flat = sum(t, ())
+    """True when plain Python proves all that ``FinMonoid`` checks by numpy:
+    int entries in range, the identity, the generator columns, and (x.y).c =
+    x.(y.c) for every c (generator c with ``cayley``), row x by row in linear time."""
+    n, limit = len(table), PYTHON_CHECK_LIMIT if cayley is None else LIGHT_CHECK_LIMIT
+    t = [tuple(r) for r in table if n <= limit and type(r) in (tuple, list)]
+    flat = tuple(chain.from_iterable(t))
     if type(e) is not int or not 0 <= e < n == len(t) or {*map(len, t)} != {n} \
             or {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= n:
         return False
     right = t if cayley is None else [tuple(map(r.__getitem__, cayley[0])) for r in t]
-    ids, cols = tuple(range(n)), sum(right, ())  # (x.y).c against x.(y.c), by rows x
+    ids, cols = tuple(range(n)), tuple(chain.from_iterable(right))
     return t[e] == ids == tuple(r[e] for r in t) \
         and (cayley is None or right == list(cayley[1])) \
-        and all(sum(map(right.__getitem__, rx), ()) == tuple(map(rx.__getitem__, cols))
-                for rx in t)
+        and all(tuple(chain.from_iterable(map(right.__getitem__, rx)))  # (x.y).c
+                == tuple(map(rx.__getitem__, cols)) for rx in t)   # x.(y.c)
 
 
 @dataclass(frozen=True)
@@ -327,8 +332,11 @@ class FinMonoid:
     (``_cayley``): its generator columns must be those edges, so every
     element is a right product of generators, and associativity is verified
     by Light's test at any size.  Any other table is verified exhaustively
-    whenever n is at most ``ASSOC_CHECK_LIMIT``, and not above it; numpy
-    checks, chunked, the tables that ``_python_proves`` does not accept.
+    whenever n is at most ``ASSOC_CHECK_LIMIT``, and not above it.  Plain
+    Python (``_python_proves``) proves the same up to ``LIGHT_CHECK_LIMIT``
+    elements with ``_cayley`` and, as it checks all n^3 triples, up to
+    ``PYTHON_CHECK_LIMIT`` without; numpy checks, chunked, the rest and
+    writes every refusal.
     """
 
     table: tuple
@@ -441,7 +449,8 @@ class Stamp:
     """A surjective morphism from the free monoid on ``alphabet`` onto a
     finite monoid, as a letter table; optionally with an accepting subset
     presenting one language.  ``rows[m][i]`` is m.letters[i]: the rows of
-    its right Cayley automaton, whose start is the identity."""
+    its right Cayley automaton, whose start is the identity.  Surjectivity
+    is read off ``reps``: one word per element m, with mu(reps[m]) = m."""
 
     alphabet: tuple
     monoid: FinMonoid
@@ -450,11 +459,17 @@ class Stamp:
     accepting: frozenset = None
 
     def __post_init__(self):
-        if len(closure(self.monoid.identity, self.rows.__getitem__)[0]) != len(self.monoid):
+        n = len(self.monoid)
+        for sym, x in zip_longest(self.alphabet, self.letters):
+            if sym is None or type(x) is not int or not 0 <= x < n:
+                raise ParseError(f"image {x!r} of letter {sym!r} is not an element"
+                                 if sym is not None else f"image {x!r} has no letter")
+        wrong = next((m for m, rep in enumerate(self.reps) if self.mu(rep) != m), None)
+        if len(self.reps) < n or wrong is not None and len(  # searched only to name the fault
+                closure(self.monoid.identity, self.rows.__getitem__)[0]) < n:
             raise ParseError("stamp is not surjective onto its monoid")
-        for m, rep in enumerate(self.reps):
-            if self.mu(rep) != m:
-                raise ParseError(f"representative of element {m} is wrong")
+        if wrong is not None:
+            raise ParseError(f"representative of element {wrong} is wrong")
 
     @cached_property
     def rows(self) -> tuple:
@@ -580,9 +595,8 @@ def congruence_witness(edges, labels, symbols):
 
     Returns None for a congruence, else a replayable witness (u, v, side,
     a): the words u and v share a class, but u·a and v·a (side "right") or
-    a·u and a·v (side "left") do not.
+    a·u and a·v (side "left") do not.  Paths are built only for a witness.
     """
-    paths = first_paths(edges, symbols)
     # right: the classes of a state's successors follow from its class and
     # make the automaton of the classes
     step, first = {}, {}
@@ -591,18 +605,19 @@ def congruence_witness(edges, labels, symbols):
         succ = tuple(labels[j] for j in row)
         if step.setdefault(c, succ) != succ:
             i = next(i for i, (x, y) in enumerate(zip(step[c], succ)) if x != y)
+            paths = first_paths(edges, symbols)
             return paths[first[c]], paths[q], "right", symbols[i]
         first.setdefault(c, q)
     # left: the class of a·u is reached from the class of a by u's letters,
     # and must follow from the class of u
     for i, a in enumerate(symbols):
         pairs, _, pedges = product_closure((step, step), (labels[0], labels[edges[0][i]]))
-        ppaths = first_paths(pedges, symbols)
         seen = {}
         for j, (c, ca) in enumerate(pairs):
             k = seen.setdefault(c, j)
             if pairs[k][1] != ca:
-                return ppaths[k], ppaths[j], "left", a
+                paths = first_paths(pedges, symbols)
+                return paths[k], paths[j], "left", a
     return None
 
 

@@ -44,20 +44,21 @@ def random_formula(rng: random.Random, alphabet, context=(), depth=2,
         name, arity = rng.choice(predicates)
         return NumPred(name, tuple(rng.choice(scope) for _ in range(arity)))
 
-    def build(d, scope):
-        if d == 0:
-            return atom(scope)
-        roll = rng.random()
-        if roll < 0.35:
-            v = next(fresh)
-            return Quant(rng.choice(quantifiers), v,
-                         build(d - 1, scope + (v,)))
-        if roll < 0.55:
-            return Not(build(d - 1, scope))
-        parts = tuple(build(d - 1, scope) for _ in range(2))
-        return conj(parts) if roll < 0.8 else disj(parts)
+    return _formula_tree(depth, tuple(context), rng, atom, quantifiers, fresh)
 
-    return build(depth, tuple(context))
+
+def _formula_tree(d, scope, rng, atom, quantifiers, fresh):
+    """``random_formula``'s tree of depth d over the variables of ``scope``."""
+    if d == 0:
+        return atom(scope)
+    roll, grow = rng.random(), (rng, atom, quantifiers, fresh)
+    if roll < 0.35:
+        v = next(fresh)
+        return Quant(rng.choice(quantifiers), v, _formula_tree(d - 1, scope + (v,), *grow))
+    if roll < 0.55:
+        return Not(_formula_tree(d - 1, scope, *grow))
+    parts = tuple(_formula_tree(d - 1, scope, *grow) for _ in range(2))
+    return conj(parts) if roll < 0.8 else disj(parts)
 
 
 def random_sentence(rng: random.Random, alphabet, depth=3,
@@ -101,20 +102,16 @@ def random_atom_sentence(rng: random.Random, atom_syms, quantifiers=("E",),
                          depth=2, registry: Registry = None):
     """A random sentence over an atom alphabet: Boolean combination of
     quantified letter-subset tests (the shape one quantifier layer emits)."""
-    syms = tuple(atom_syms)
+    return _atom_tree(depth, rng, tuple(atom_syms), quantifiers)
 
-    def leaf():
+
+def _atom_tree(d, rng, syms, quantifiers):
+    """``random_atom_sentence``'s tree of depth d."""
+    if d == 0:
         sub = [a for a in syms if rng.random() < 0.5]
-        return Quant(rng.choice(quantifiers), "x",
-                     disj(LetterPred(a, "x") for a in sub))
-
-    def build(d):
-        if d == 0:
-            return leaf()
-        roll = rng.random()
-        if roll < 0.3:
-            return Not(build(d - 1))
-        parts = tuple(build(d - 1) for _ in range(2))
-        return conj(parts) if roll < 0.65 else disj(parts)
-
-    return build(depth)
+        return Quant(rng.choice(quantifiers), "x", disj(LetterPred(a, "x") for a in sub))
+    roll, grow = rng.random(), (rng, syms, quantifiers)
+    if roll < 0.3:
+        return Not(_atom_tree(d - 1, *grow))
+    parts = tuple(_atom_tree(d - 1, *grow) for _ in range(2))
+    return conj(parts) if roll < 0.65 else disj(parts)

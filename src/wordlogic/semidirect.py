@@ -539,7 +539,11 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
     cell must determine h; and the cells must be the classes of a congruence
     (``congruence_witness``).  A failing report names a shortest word on
     which h and the formula differ, or two shortest words that share a class
-    on one side only.  ``hbound`` is still accepted but no longer counts.
+    on one side only; paths are built only for it.  A passing h is a
+    function of the transfer state, so the product has as many states as
+    ``position_transfer``, which refuses first under the same ``dfa_states``
+    cap: only a failing decomposition reaches the product's cap.
+    ``hbound`` is still accepted but no longer counts.
     """
     params = {"base": list(dd.base_symbols), "target_monoid": len(nv),
               "ambient": len(dd.pi.monoid)}
@@ -578,17 +582,16 @@ def verify_recognizer(dd: DecomposedD, nv: FinMonoid, caps: Caps = DEFAULT,
     stats["left_atoms"] = len({h for h, _ in pairs})
     stats["right_cells"] = len(set(cells))
 
-    paths = first_paths(edges, syms)
     first_cell = {}
     for j, ((h, _), formula) in enumerate(zip(pairs, formulas)):
-        if pair_of[h] != formula:
-            return failed(f"the pair morphism sends {_word(paths[j])} to "
-                          f"{pair_of[h]} but the per-position evaluation "
-                          f"formula gives {formula}")
         k = first_cell.setdefault(cells[j], j)
-        if pairs[k][0] != h:
-            return failed(f"{_word(paths[k])} and {_word(paths[j])} share a "
-                          f"cell but lie in different pair-morphism classes")
+        if pair_of[h] != formula or pairs[k][0] != h:  # paths only for a witness
+            paths = first_paths(edges, syms)
+            u, v = _word(paths[k]), _word(paths[j])
+            return failed(f"the pair morphism sends {v} to {pair_of[h]} but the "
+                          f"per-position evaluation formula gives {formula}"
+                          if pair_of[h] != formula else f"{u} and {v} share a "
+                          "cell but lie in different pair-morphism classes")
 
     witness = congruence_witness(edges, cells, syms)
     if witness is not None:

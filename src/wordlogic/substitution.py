@@ -352,12 +352,6 @@ def substitute_letters(psi: Formula, by_symbol: dict, var: str,
         avoid = frozenset({var}).union(*map(all_vars, by_symbol.values()))
     renamed = {} if renamed is None else renamed
 
-    def rename(p, z):
-        if (id(p), z) not in renamed:
-            renamed[id(p), z] = Not(rename(p.sub, z)) if isinstance(p, Not) \
-                else map_vars(p, {var: z})
-        return renamed[id(p), z]
-
     def leaf(ren, node):
         if not isinstance(node, LetterPred):
             return map_vars(node, ren)
@@ -366,12 +360,21 @@ def substitute_letters(psi: Formula, by_symbol: dict, var: str,
                              f"the algebra being substituted")
         phi = by_symbol[node.symbol]
         parts = phi.args if isinstance(phi, And) else (phi,)
-        out = tuple(rename(p, ren.get(node.var, node.var)) for p in parts)
+        out = tuple(_rename(p, var, ren.get(node.var, node.var), renamed) for p in parts)
         # what map_vars builds from the whole formula
         return And(out) if isinstance(phi, And) else out[0]
 
     return map_atoms(psi, partial(leaf, {}),
                      fresh_binder(free_vars(psi).union(avoid)))
+
+
+def _rename(p, var, z, renamed):
+    """A conjunct ``p`` of a replacement formula with ``var`` renamed to z,
+    kept in ``renamed`` for ``substitute_letters``."""
+    if (id(p), z) not in renamed:
+        renamed[id(p), z] = Not(_rename(p.sub, var, z, renamed)) if isinstance(p, Not) \
+            else map_vars(p, {var: z})
+    return renamed[id(p), z]
 
 
 def sigma(delta: DeltaAlgebra, psi: Formula) -> Formula:

@@ -28,12 +28,9 @@ from .words import (Alphabet, ExtendedAlphabet, MarkedWord, decode_marks,
                     enumerate_words, format_word, in_marked_image, parse_word)
 
 
-def _fail(check, params, witness, **stats):
-    return Report(check, params, False, counterexample=witness, stats=stats)
-
-
-def _ok(check, params, **stats):
-    return Report(check, params, True, stats=stats)
+def _report(check, params, bad, **stats):
+    """A passing report when there is no witness ``bad``, else a failing one."""
+    return Report(check, params, not bad, counterexample=bad or None, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +61,7 @@ def suite_words(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
                 or half.word[mw.pos("x") - 1] != f"{mw.letter('x')}{{x}}":
             bad = str(mw)
             break
-    out.append(_fail("words-mark-codec", params, bad, words=n) if bad
-               else _ok("words-mark-codec", params, words=n))
+    out.append(_report("words-mark-codec", params, bad, words=n))
 
     rng = random.Random(seed)
     bad = None
@@ -83,8 +79,7 @@ def suite_words(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
         if in_marked_image(word, ext) != expect:
             bad = text
             break
-    out.append(_fail("words-parse-format", params, bad, trials=trials) if bad
-               else _ok("words-parse-format", params, trials=trials))
+    out.append(_report("words-parse-format", params, bad, trials=trials))
     return out
 
 
@@ -121,8 +116,7 @@ def suite_finba(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
     for g in gens:
         if not ba.member(g):
             bad = "generator not a member"
-    out.append(_fail("finba-laws", params, bad, atoms=len(ba.atoms)) if bad
-               else _ok("finba-laws", params, atoms=len(ba.atoms)))
+    out.append(_report("finba-laws", params, bad, atoms=len(ba.atoms)))
 
     small = finba.generate(carrier, gens[:1], caps)
     big = ba
@@ -133,19 +127,17 @@ def suite_finba(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
         dual = finba.dual_of_inclusion(small, big)
         if not finba.check_adjunction(small, big, dual):
             bad = "dual surjection fails the adjunction"
-    out.append(_fail("finba-duality", params, bad) if bad
-               else _ok("finba-duality", params,
-                        small=len(small.atoms), big=len(big.atoms)))
+    out.append(_report("finba-duality", params, bad,
+                       small=len(small.atoms), big=len(big.atoms)))
 
     part1 = [frozenset(x) for x in finba.generate(carrier, gens[:1], caps).atoms]
     part2 = [frozenset(x) for x in finba.generate(carrier, gens[1:2], caps).atoms]
     ref = finba.common_refinement(carrier, [part1, part2], caps)
     direct = finba.generate(carrier, gens[:2], caps)
     ok = {frozenset(x) for x in ref.atoms} == {frozenset(x) for x in direct.atoms}
-    out.append(_ok("finba-refinement", params, atoms=len(ref.atoms)) if ok
-               else _fail("finba-refinement", params,
-                          "refinement of the atom partitions differs from "
-                          "the jointly generated algebra"))
+    out.append(_report("finba-refinement", params, None if ok else
+                       "refinement of the atom partitions differs from the "
+                       "jointly generated algebra", atoms=len(ref.atoms)))
     return out
 
 
@@ -166,8 +158,7 @@ def suite_logic(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
         if to_dsl(parse(text, reg)) != text:
             bad = text
             break
-    out.append(_fail("logic-dsl-roundtrip", params, bad, trials=trials) if bad
-               else _ok("logic-dsl-roundtrip", params, trials=trials))
+    out.append(_report("logic-dsl-roundtrip", params, bad, trials=trials))
 
     bad = None
     counts = {"E": lambda c, n: c >= 1, "E1": lambda c, n: c == 1,
@@ -184,9 +175,7 @@ def suite_logic(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
                 break
         if bad:
             break
-    out.append(_fail("logic-quantifier-count", params, bad) if bad
-               else _ok("logic-quantifier-count", params,
-                        quantifiers=len(counts)))
+    out.append(_report("logic-quantifier-count", params, bad, quantifiers=len(counts)))
 
     B = Alphabet.of(tuple(A.symbols) + ("q",))
     zeta = {b: (b if b in A.symbols else A.symbols[0]) for b in B.symbols}
@@ -201,9 +190,7 @@ def suite_logic(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
     lhs = marked_truth([relabel(zeta, phi) for phi in phis], B, (), lb, reg)
     bad = next((to_dsl(phi) for phi, got, want in zip(phis, lhs, image)
                 if (got != want).any()), None)
-    out.append(_fail("logic-relabel-preimage", params, bad, trials=trials)
-               if bad else _ok("logic-relabel-preimage", params,
-                               trials=trials))
+    out.append(_report("logic-relabel-preimage", params, bad, trials=trials))
 
     bad = None
     trials = 10
@@ -219,8 +206,7 @@ def suite_logic(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
                 break
         if bad:
             break
-    out.append(_fail("logic-formula-dfa", params, bad, trials=trials) if bad
-               else _ok("logic-formula-dfa", params, trials=trials))
+    out.append(_report("logic-formula-dfa", params, bad, trials=trials))
     return out
 
 
@@ -246,9 +232,7 @@ def suite_substitution(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
         if not rep.passed:
             bad = rep.counterexample
             break
-    out.append(_fail("substitution-principle", params, bad, trials=trials)
-               if bad else _ok("substitution-principle", params,
-                               trials=trials))
+    out.append(_report("substitution-principle", params, bad, trials=trials))
 
     delta = random_delta(rng, A, "x", bound=L, max_atoms=4,
                          quantifiers=("E",), registry=reg, caps=caps)
@@ -267,8 +251,7 @@ def suite_substitution(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
                 break
         if bad:
             break
-    out.append(_fail("substitution-tau-pointwise", params, bad, words=n)
-               if bad else _ok("substitution-tau-pointwise", params, words=n))
+    out.append(_report("substitution-tau-pointwise", params, bad, words=n))
 
     gamma = SentenceClass(("E",))
     small = delta_algebra(A, "x", [LetterPred(A.symbols[0], "x")], bound=L,
@@ -300,8 +283,7 @@ def suite_varcode(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
         if not rep.passed:
             bad = rep.counterexample
             break
-    out.append(_fail("varcode-roundtrip", params, bad, trials=trials)
-               if bad else _ok("varcode-roundtrip", params, trials=trials))
+    out.append(_report("varcode-roundtrip", params, bad, trials=trials))
 
     bad = None
     trials = 4
@@ -314,8 +296,7 @@ def suite_varcode(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
         if lift.report is not None and not lift.report.passed:
             bad = lift.report.counterexample
             break
-    out.append(_fail("varcode-lift-square", params, bad, trials=trials)
-               if bad else _ok("varcode-lift-square", params, trials=trials))
+    out.append(_report("varcode-lift-square", params, bad, trials=trials))
     return out
 
 
@@ -364,10 +345,7 @@ def suite_semidirect(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
         if via_table != pair_mul(p1, p2):
             bad = f"{p1} * {p2}"
             break
-    out.append(_fail("semidirect-product-laws", params, bad,
-                     elements=len(prod.pairs)) if bad
-               else _ok("semidirect-product-laws", params,
-                        elements=len(prod.pairs)))
+    out.append(_report("semidirect-product-laws", params, bad, elements=len(prod.pairs)))
 
     count = 0
     for (gens, ext, ba), nv_name in zip(
@@ -398,10 +376,7 @@ def suite_semidirect(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
                 break
         if bad:
             break
-    out.append(_fail("semidirect-compile-semantics", params, bad,
-                     trials=trials) if bad
-               else _ok("semidirect-compile-semantics", params,
-                        trials=trials))
+    out.append(_report("semidirect-compile-semantics", params, bad, trials=trials))
 
     bad = None
     maj = reg.quantifier("maj")
@@ -418,8 +393,7 @@ def suite_semidirect(alphabet, maxlen, seed, registry=None, caps=DEFAULT):
         w = tuple(A.symbols[0] for _ in range(3))
         if not satisfies(MarkedWord(w, ()), sent, reg):
             bad = "bounded evaluation of the oracle quantifier broke"
-    out.append(_fail("semidirect-oracle-rejection", params, bad) if bad
-               else _ok("semidirect-oracle-rejection", params))
+    out.append(_report("semidirect-oracle-rejection", params, bad))
     return out
 
 

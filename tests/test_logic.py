@@ -1002,3 +1002,35 @@ def test_a_negative_bound_is_refused(call):
         call()
     assert exc.value.info == {"bound": -3}
     assert "got -3" in str(exc.value)
+
+
+def test_the_semantics_calls_leave_no_reference_cycle():
+    """The recursive walks are module functions, not closures that hold
+    their own frame, so reference counting frees all that these calls
+    leave behind: the garbage collector finds nothing."""
+    import gc
+
+    from wordlogic import (FragmentSpec, check_substitution_principle, delta_algebra,
+                           depth_direct, depth_fragment, roundtrip_check)
+    from wordlogic.sampling import random_atom_sentence
+
+    A, phi = Alphabet.of("ab"), parse("E y. y < x & P[a](y)")
+    spec = FragmentSpec(A, ("E",), depth=1, bound=3)
+
+    def calls():
+        roundtrip_check(phi, ("x",), A, bound=3)
+        delta = delta_algebra(A, "x", [parse("P[a](x)"), phi], bound=4)
+        check_substitution_principle(delta, parse("E x. P[c0](x)"), bound=4)
+        depth_fragment(spec), depth_direct(spec)
+        to_dsl(phi), satisfies(MarkedWord(("a", "b"), (("x", 2),)), phi)
+        random_formula(random.Random(1), "ab", ("x",), depth=3)
+        random_atom_sentence(random.Random(1), ("c0", "c1"), depth=3)
+
+    calls()  # fills the caches
+    gc.collect()
+    gc.disable()
+    try:
+        calls()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

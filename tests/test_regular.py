@@ -481,30 +481,31 @@ CORRUPTIONS = ("none", "lists", "ragged", "mapping", "float", "string", "bool",
 
 
 @st.composite
-def small_tables(draw):
-    """A monoid of at most 16 elements, generated by transformations of at
-    most three states (with its search edges, or not), its elements
-    relabelled, then one kind of corruption: (kind, table, identity, cayley)."""
-    states = draw(st.integers(1, 3))
+def small_tables(draw, sizes=(1, 16), states=3, edges=st.booleans()):
+    """A monoid of ``sizes`` elements, generated by transformations of at
+    most ``states`` states (with its search edges when ``edges`` draws
+    True), its elements relabelled, then one kind of corruption: (kind,
+    table, identity, cayley)."""
+    states = draw(st.integers(1, states))
     maps = draw(st.lists(st.tuples(*[st.integers(0, states - 1)] * states),
                          min_size=1, max_size=3))
     try:
         _, _, mon, _ = generate_monoid(tuple(range(states)), [
-            (f"g{i}", g) for i, g in enumerate(maps)], compose, limit=16)
+            (f"g{i}", g) for i, g in enumerate(maps)], compose, limit=sizes[1])
     except CapExceeded:
         assume(False)
     n = len(mon)
+    assume(n >= sizes[0])
     p = draw(st.permutations(range(n)))
     table = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             table[p[a]][p[b]] = p[mon.table[a][b]]
-    gens, edges = mon._cayley
-    cayley = None
-    if draw(st.booleans()):
+    (gens, search), cayley = mon._cayley, None
+    if draw(edges):
         new_edges = [None] * n
         for a in range(n):
-            new_edges[p[a]] = tuple(p[j] for j in edges[a])
+            new_edges[p[a]] = tuple(p[j] for j in search[a])
         cayley = (tuple(p[g] for g in gens), new_edges)
     kind = draw(st.sampled_from(CORRUPTIONS))
     identity = p[0]
@@ -544,8 +545,9 @@ def check_outcome(table, identity, cayley):
     return None
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_tables())
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(small_tables(),  # and generated tables up to LIGHT_CHECK_LIMIT
+                 small_tables((7, regular.LIGHT_CHECK_LIMIT), 4, st.just(True))))
 def test_python_and_numpy_checks_give_one_verdict(case):
     kind, table, identity, cayley = case
     with pytest.MonkeyPatch.context() as mp:
@@ -554,6 +556,7 @@ def test_python_and_numpy_checks_give_one_verdict(case):
         if kind in ("none", "lists"):  # the Python pass proves what it can
             assert python is None and regular._python_proves(table, identity, cayley)
         mp.setattr(regular, "PYTHON_CHECK_LIMIT", 0)
+        mp.setattr(regular, "LIGHT_CHECK_LIMIT", 0)
         assert check_outcome(table, identity, cayley) == python
     if kind in ("ragged", "mapping", "float", "string", "range"):
         assert python is not None and python[0] == "ParseError"
@@ -628,6 +631,25 @@ def test_stamp_validation():
         Stamp(("a",), mon, (0,), ((), ("a",)))
     with pytest.raises(ParseError):  # wrong representative
         Stamp(("a",), mon, (1,), ((), ()))
+    # surjectivity is read off the representatives: a reaches both elements,
+    # but element 1 has none
+    with pytest.raises(ParseError, match="not surjective"):
+        Stamp(("a",), mon, (1,), ((),))
+
+
+@pytest.mark.parametrize("letters, text", [
+    ((5,), "image 5 of letter 'a' is not an element"),
+    ((-1,), "image -1 of letter 'a' is not an element"),
+    ((True,), "image True of letter 'a' is not an element"),
+    ((), "image None of letter 'a' is not an element"),
+    ((1, 0), "image 0 has no letter")])
+def test_a_stamp_needs_one_element_per_letter(letters, text):
+    from wordlogic.regular import Stamp
+
+    z2 = FinMonoid(((0, 1), (1, 0)), 0)
+    with pytest.raises(ParseError) as exc:
+        Stamp(("a",), z2, letters, ((), ("a",)))
+    assert str(exc.value) == text
 
 
 def test_stamp_mu_is_a_congruence_for_language_membership():

@@ -425,6 +425,21 @@ def family(text, symbols="ab"):
     return ext, decompose(quotient_closure([phi_dfa, image_dfa(ext)]), ext)
 
 
+def test_the_recognizer_path_makes_no_numpy_call(monkeypatch):
+    """Every table on the path is generated (``_cayley``) and of at most
+    ``LIGHT_CHECK_LIMIT`` elements, so ``FinMonoid`` proves it in plain
+    Python; this family's pair monoid under Z3 has 39."""
+    ext, phi_dfa = formula_dfa(parse("E1 y. y < x & P[b](y)"), Alphabet.of("ab"), ("x",), 5)
+    gens, z3 = [phi_dfa, image_dfa(ext)], named_monoid("Z3")
+
+    def numpy_call(*args):
+        raise AssertionError("the recognizer path called numpy")
+    monkeypatch.setattr(regular, "int_array", numpy_call)
+    monkeypatch.setattr(regular, "_assert_associative", numpy_call)
+    report = verify_recognizer(decompose(quotient_closure(gens), ext), z3)
+    assert report.passed and report.stats["pair_monoid"] == 39
+
+
 def merged_plain_blocks(dd):
     """The decomposition with its first two plain-part classes merged."""
     b0, b1 = dd.d0_blocks[:2]

@@ -212,7 +212,7 @@ def test_every_refusal_names_its_stage(path):
 #: the line count of ``src/wordlogic/*.py`` (as ``wc -l`` counts) may not
 #: pass this ceiling; like the time budgets of the acceptance tests, it may
 #: only go down, so lower it whenever the package shrinks
-SRC_LINE_CEILING = 5907
+SRC_LINE_CEILING = 5902
 
 
 def test_src_does_not_grow():
